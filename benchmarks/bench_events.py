@@ -28,7 +28,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import math
 import time
 
 import numpy as np
@@ -41,6 +40,7 @@ from repro.events import (
     OutboxConfig,
     SimulatedBroker,
 )
+from repro.fleet.telemetry import nearest_rank
 
 NUM_NODES = 4
 CAMERAS_PER_NODE = 16
@@ -84,13 +84,6 @@ def close_time(camera: int, index: int) -> float:
 def event_key(camera: int, index: int) -> str:
     """Global event key: epoch 0, per-detector ids starting at 1."""
     return f"cam{camera:03d}/e0/{index + 1}"
-
-
-def nearest_rank(sorted_latencies: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile over an already-sorted array — the same
-    rank rule as :func:`repro.events.nearest_rank_percentile`."""
-    rank = max(1, math.ceil(q * sorted_latencies.size))
-    return float(sorted_latencies[rank - 1])
 
 
 def run_node(node_index: int) -> dict:
@@ -207,8 +200,8 @@ def execute() -> dict:
         "delivered": delivered,
         "unique_ingests": ingest.unique_ingests,
         "duplicates": ingest.duplicates,
-        "latency_p50": nearest_rank(latencies, 0.50),
-        "latency_p99": nearest_rank(latencies, 0.99),
+        "latency_p50": float(nearest_rank(latencies, 0.50)),
+        "latency_p99": float(nearest_rank(latencies, 0.99)),
         "max_consumer_lag": ingest.max_consumer_lag,
         "uplink_bits": sum(node["uplink_bits"] for node in nodes),
     }

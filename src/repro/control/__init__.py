@@ -23,9 +23,10 @@ runtime through typed, logged actions:
 * :mod:`repro.control.migration` — mid-run camera handoff between nodes
   when imbalance sustains, gated by an explicit migration-cost model with
   hysteresis against flapping;
-* :mod:`repro.control.hierarchy` — the kilocamera scale-out: per-node local
-  control loops plus a :class:`~repro.control.hierarchy.ClusterCoordinator`
-  that exchanges only fixed-size per-node aggregate summaries (counts,
+* :mod:`repro.control.hierarchy` — the kilocamera scale-out: the same
+  policies, journal and actuators arranged in two levels — per-node local
+  loops plus a :class:`~repro.control.hierarchy.ClusterCoordinator` whose
+  controllers see only fixed-size per-node aggregate summaries (counts,
   rates, mergeable quantile sketches), bounding cluster-side control and
   telemetry cost at O(nodes) instead of O(cameras x metrics);
 * :mod:`repro.control.provenance` — decision provenance: every controller
@@ -42,8 +43,8 @@ runtime through typed, logged actions:
 
 Policies implement one interface (:class:`~repro.control.policies.Controller`)
 and compose inside one loop; the
-:class:`~repro.fleet.sharding.ShardedFleetRuntime` accepts a loop and
-reports control-plane outcomes (migrations performed, reclaimed uplink
+:class:`~repro.fleet.sharding.ShardedFleetRuntime` holds a loop (or the
+hierarchy) in its one control slot and reports control-plane outcomes (migrations performed, reclaimed uplink
 bytes, shedding interventions) in its cluster report.  Every decision is
 a pure function of simulated telemetry, so identical runs produce
 bit-identical decision logs.

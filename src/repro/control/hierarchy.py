@@ -7,23 +7,26 @@ work per interval.  That tops out around tens of cameras; the paper's
 premise (edge nodes do the heavy lifting locally, the datacenter sees only
 what must travel) applies to the *control plane* too.
 
-This module splits control into two levels:
+This module adds no policy of its own: it arranges the one policy set,
+journal and actuators of :mod:`repro.control.loop`,
+:mod:`repro.control.uplink` and :mod:`repro.control.migration` in two levels.
 
 * :class:`NodeControlPlane` — one per edge node.  Local policies (adaptive
   shedding, threshold drift, value shedding — anything emitting node-scope
-  actions) observe only that node's runtime and actuate it directly.  After
-  acting, the plane distills the node into one :class:`NodeAggregate`: a
-  **fixed-size** summary — counts, rates, an offered-utilization estimate,
-  and a mergeable :class:`QuantileSketch` of the interval's queue waits —
-  whose serialized size is independent of how many cameras the node hosts.
-* :class:`ClusterCoordinator` — consumes *only* the aggregates.  It
-  re-weights the shared uplink toward observed demand (the
-  :class:`~repro.control.uplink.UplinkShareController` math, re-read from
-  aggregate matched-frame deltas) and gates cross-node migration on
-  aggregate offered utilization.  Victim selection stays on the source
-  node: the coordinator names a ``(source, destination)`` pair and the
-  source's plane nominates the camera, so per-camera detail never crosses
-  the node boundary.
+  actions) run the flat loop's pass over that node alone and actuate it
+  directly.  The plane then distills the node into one
+  :class:`NodeAggregate`: a **fixed-size** summary — counts, rates, an
+  offered-utilization estimate, and a mergeable :class:`QuantileSketch` of
+  the interval's queue waits — whose serialized size is independent of how
+  many cameras the node hosts.
+* :class:`ClusterCoordinator` — shows an
+  :class:`~repro.control.uplink.UplinkShareController` and a
+  :class:`~repro.control.migration.MigrationController` *only* the
+  aggregates, which answer the small read surface cluster-scope policies
+  use of a :class:`~repro.control.policies.NodeView` (``node_id``, a
+  matched-frame counter, an offered utilization).  The migration gate names
+  a ``(source, destination)`` pair and the source's plane picks the camera,
+  so per-camera detail never crosses the node boundary.
 
 :class:`HierarchicalControlPlane` wires the two levels to a sharded
 cluster runtime: per-interval cluster coordination exchanges exactly one
@@ -42,21 +45,28 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro.control.loop import ClusterActuator, NodeActuator
-from repro.control.migration import MigrationConfig
+from repro.control.loop import (
+    ControlJournal,
+    NodeActuator,
+    run_controllers,
+    unique_controllers,
+)
+from repro.control.migration import (
+    MigrationConfig,
+    MigrationController,
+    offered_utilization,
+    pick_victim,
+)
 from repro.control.policies import (
     ClusterView,
     ControlAction,
     Controller,
     MigrateCamera,
     NodeView,
-    SetCameraQuota,
-    SetCameraThreshold,
-    SetUplinkWeights,
 )
-from repro.control.provenance import CandidateScore, DecisionRecord, ProvenanceBuffer
+from repro.control.provenance import CandidateScore
 from repro.control.shedding import AdaptiveSheddingController
-from repro.control.uplink import UplinkShareConfig
+from repro.control.uplink import UplinkShareConfig, UplinkShareController
 from repro.control.value import ThresholdDriftController
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.telemetry import TelemetryRegistry
@@ -84,6 +94,7 @@ _AGGREGATE_COUNTERS = (
     ("events_published", "events.published"),
     ("events_dropped", "events.dropped"),
 )
+_AGGREGATE_FIELDS = {metric: name for name, metric in _AGGREGATE_COUNTERS}
 
 
 @dataclass(frozen=True)
@@ -198,6 +209,13 @@ class NodeAggregate:
         """p99 queue wait over the summarized interval (from the sketch)."""
         return self.window_wait_sketch.percentile(99)
 
+    def counter_value(self, name: str) -> float:
+        """One carried counter by its node-registry name (else ``KeyError``).
+
+        The read surface cluster-scope policies share with ``NodeView``.
+        """
+        return getattr(self, _AGGREGATE_FIELDS[name])
+
     def to_payload(self) -> dict:
         """The JSON-ready upstream message (what crosses the node boundary)."""
         return {
@@ -241,12 +259,12 @@ def default_local_controllers(node_id: str) -> list[Controller]:
 class NodeControlPlane:
     """One node's local control loop plus its aggregate distiller.
 
-    Ticks run the node's controllers against a single-node
-    :class:`~repro.control.policies.ClusterView` (the only cluster-scope
-    input is the node's own uplink guarantee, handed down by the
-    coordinator — an O(1) downstream message) and apply their actions
-    through a :class:`~repro.control.loop.NodeActuator`.  The tick then
-    distills the node into a :class:`NodeAggregate` for the coordinator.
+    A tick is the flat loop's pass (:func:`~repro.control.loop.run_controllers`)
+    over a single-node :class:`~repro.control.policies.ClusterView` — the
+    only cluster-scope input is the node's own uplink guarantee, handed
+    down by the coordinator as an O(1) downstream message — applied through
+    a :class:`~repro.control.loop.NodeActuator`.  The tick then distills the
+    node into a :class:`NodeAggregate` for the coordinator.
     """
 
     def __init__(
@@ -262,23 +280,20 @@ class NodeControlPlane:
             raise ValueError("interval_seconds must be positive")
         self.node_id = node_id
         self.runtime = runtime
-        self.controllers = (
-            list(controllers)
-            if controllers is not None
-            else default_local_controllers(node_id)
+        self.controllers = unique_controllers(
+            controllers if controllers is not None else default_local_controllers(node_id)
         )
-        names = [c.name for c in self.controllers]
-        duplicates = {n for n in names if names.count(n) > 1}
-        if duplicates:
-            raise ValueError(f"Duplicate controller names: {sorted(duplicates)}")
         self.interval_seconds = float(interval_seconds)
         self.actuator = NodeActuator(runtime, node_id)
-        self.telemetry = TelemetryRegistry()
-        # Shared with the hierarchy when driven by one (global ordering);
-        # standalone planes keep their own.
-        self.decision_log = decision_log if decision_log is not None else []
-        self.decision_records = decision_records if decision_records is not None else []
-        self.ticks = 0
+        # The log and record lists are shared with the hierarchy when driven
+        # by one (global ordering); standalone planes keep their own.
+        self.journal = ControlJournal(
+            decision_log=decision_log,
+            decision_records=decision_records,
+            level="node",
+            node_id=node_id,
+        )
+        self.counter_value = self.journal.counter_value
         self._wait_index = 0
         self._last_generated: dict[str, int] = {}
 
@@ -287,26 +302,17 @@ class NodeControlPlane:
         self, now: float, horizon: float, uplink_guarantee: float | None = None
     ) -> NodeAggregate:
         """Run local policies once, then summarize the node for the cluster."""
-        self.ticks += 1
-        self.telemetry.counter("control.ticks").inc()
         view = ClusterView(
             now=now,
             interval=self.interval_seconds,
-            tick_index=self.ticks - 1,
+            tick_index=self.journal.open_tick(),
             nodes=(NodeView(self.node_id, self.runtime),),
             horizon=horizon,
-            uplink_weights=None,
             uplink_guarantees=(
                 {self.node_id: uplink_guarantee} if uplink_guarantee is not None else None
             ),
         )
-        for controller in self.controllers:
-            action_start = len(self.decision_log)
-            actions = controller.decide(view)
-            for action in actions:
-                self.actuator.apply(action, now)
-                self._account(controller, action, now)
-            self._collect_provenance(controller, actions, action_start, now)
+        run_controllers(self.controllers, view, self.actuator, self.journal)
         return self.aggregate(now)
 
     def aggregate(self, now: float) -> NodeAggregate:
@@ -320,180 +326,61 @@ class NodeControlPlane:
         window = hist.values[max(0, self._wait_index - hist.discarded) :]
         self._wait_index = hist.count
         live = self.runtime.camera_live_stats()
+        workers = self.runtime.workers.num_workers
         return NodeAggregate(
             node_id=self.node_id,
             now=now,
             num_cameras=len(live),
-            num_workers=self.runtime.workers.num_workers,
+            num_workers=workers,
             frames_dropped=dropped,
-            offered_utilization=self._offered_utilization(live),
+            # Measured here so only the scalar — not per-camera counters —
+            # travels to the coordinator's migration gate.
+            offered_utilization=offered_utilization(
+                self._last_generated, live, workers, self.interval_seconds
+            ),
             window_wait_count=len(window),
             window_wait_sketch=QuantileSketch.from_values(window),
             resolutions=tuple(sorted({stats.resolution for stats in live.values()})),
             **fields,
         )
 
-    def _offered_utilization(self, live: Mapping[str, object]) -> float:
-        """Arriving work over the last interval per worker-second (node-local).
-
-        The same windowed estimate :class:`~repro.control.migration.MigrationController`
-        computes from cluster views, produced here so only the scalar — not
-        per-camera counters — travels to the coordinator.
-        """
-        work_seconds = 0.0
-        for camera_id, stats in sorted(live.items()):
-            previous = self._last_generated.get(camera_id, 0)
-            delta = max(0, stats.generated - previous)
-            self._last_generated[camera_id] = stats.generated
-            # Attach-time blackout losses land in `generated` as one lump;
-            # cap at the camera's physical offer so phantom frames cannot
-            # mark a just-relieved node as hot.
-            delta = min(delta, int(stats.frame_rate * self.interval_seconds) + 1)
-            work_seconds += delta * stats.service_seconds
-        return work_seconds / (self.runtime.workers.num_workers * self.interval_seconds)
-
     # -- migration victim selection (coordinator-delegated) --------------------
     def nominate_victim(
         self,
         destination: NodeAggregate,
         source_utilization: float,
-        destination_utilization: float,
         remaining_seconds: float,
-        config: MigrationConfig,
-        camera_cooldowns: Mapping[str, int],
+        migration: MigrationController,
     ) -> tuple[MigrateCamera | None, tuple[CandidateScore, ...]]:
         """Pick this node's best camera to hand to ``destination``.
 
-        The coordinator decided *that* a move should happen (from
-        aggregates); choosing *which* camera needs per-camera stats, so it
-        happens here, node-locally.  Scoring mirrors the flat
-        :class:`~repro.control.migration.MigrationController`: viability
-        requires the camera's utilization to fit the pair's gap and the
-        saved frames to pay back the blackout; the chosen camera minimizes
-        the pair-leveling residual.
+        The coordinator's ``migration`` gate decided *that* a move should
+        happen (from aggregates); choosing *which* camera needs per-camera
+        stats, so :func:`~repro.control.migration.pick_victim` runs here.
         """
-        gap = source_utilization - destination_utilization
-        if gap <= 0:
-            return None, ()
-        destination_resolutions = set(destination.resolutions)
-        workers = self.runtime.workers.num_workers
-        best: tuple[float, str] | None = None
-        best_blackout = 0.0
-        scored: dict[str, tuple[float, tuple[tuple[str, float], ...], bool]] = {}
-        for camera_id, stats in sorted(self.runtime.camera_live_stats().items()):
-            if camera_id in camera_cooldowns:
-                continue
-            camera_util = stats.frame_rate * stats.service_seconds / workers
-            blackout = config.cost_model.blackout_for(
-                stats.resolution, destination_resolutions
-            )
-            lost = config.cost_model.frames_lost(stats.frame_rate, blackout)
-            excess_util = max(0.0, source_utilization - 1.0)
-            saved_fps = min(
-                stats.frame_rate,
-                excess_util * workers / max(stats.service_seconds, 1e-12),
-            )
-            saved = saved_fps * remaining_seconds
-            residual = abs(gap - 2.0 * camera_util)
-            detail = (
-                ("camera_utilization", camera_util),
-                ("blackout_seconds", blackout),
-                ("frames_lost", lost),
-                ("frames_saved", saved),
-            )
-            viable = 0 < camera_util <= gap and saved >= lost * config.payback_factor
-            scored[camera_id] = (residual, detail, viable)
-            if not viable:
-                continue
-            if best is None or (residual, camera_id) < best:
-                best = (residual, camera_id)
-                best_blackout = blackout
-        candidates = tuple(
-            CandidateScore(
-                candidate_id=camera_id,
-                score=residual,
-                chosen=best is not None and camera_id == best[1],
-                detail=detail,
-            )
-            for camera_id, (residual, detail, _viable) in sorted(scored.items())
-        )
-        if best is None:
-            return None, candidates
-        return (
-            MigrateCamera(
-                camera_id=best[1],
-                source=self.node_id,
-                destination=destination.node_id,
-                blackout_seconds=best_blackout,
-            ),
-            candidates,
+        return pick_victim(
+            NodeView(self.node_id, self.runtime),
+            destination.node_id,
+            destination.resolutions,
+            source_utilization,
+            destination.offered_utilization,
+            remaining_seconds,
+            migration.config,
+            migration.camera_cooldowns,
         )
 
-    # -- accounting & provenance ----------------------------------------------
-    def _account(self, controller: Controller, action: ControlAction, now: float) -> None:
-        self.decision_log.append(
-            f"t={now:.3f} {self.node_id}/{controller.name}: {action.describe()}"
-        )
-        self.telemetry.counter("control.actions.total").inc()
-        self.telemetry.counter(f"control.actions.{controller.name}").inc()
-        if isinstance(action, SetCameraQuota) and action.quota is not None:
-            self.telemetry.counter("control.shedding.interventions").inc()
-        elif isinstance(action, SetCameraThreshold):
-            self.telemetry.counter("control.threshold.drifts").inc()
-
-    def _collect_provenance(
-        self,
-        controller: Controller,
-        actions: Sequence[ControlAction],
-        action_start: int,
-        now: float,
-    ) -> None:
-        """Stamp the controller's staged records into the shared stream."""
-        drain = getattr(controller, "drain_decision_records", None)
-        records = drain() if callable(drain) else []
-        claimed = sum(len(record.actions) for record in records)
-        if claimed != len(actions):
-            records = [
-                DecisionRecord(
-                    controller=controller.name,
-                    kind="action",
-                    node_id=self.node_id,
-                    actions=(action.describe(),),
-                )
-                for action in actions
-            ]
-        cursor = action_start
-        for record in records:
-            entry = record.to_dict()
-            entry.setdefault("node_id", self.node_id)
-            entry["level"] = "node"
-            entry["tick"] = self.ticks - 1
-            entry["t"] = now
-            entry["seq"] = len(self.decision_records)
-            entry["action_seqs"] = list(range(cursor, cursor + len(record.actions)))
-            cursor += len(record.actions)
-            self.decision_records.append(entry)
-            self.telemetry.counter("control.decisions.total").inc()
-            if record.is_noop:
-                self.telemetry.counter("control.decisions.noop").inc()
-
-    def counter_value(self, name: str) -> float:
-        """Current value of one local control counter (0.0 when absent)."""
-        return self.telemetry.counters().get(name, 0.0)
 
 
 class ClusterCoordinator:
     """Cluster-scope decisions from per-node aggregates — never full registries.
 
-    Two policies, both re-reading their flat-plane math from aggregates:
-
-    * **uplink re-weighting** — EMA of each node's matched-frame deltas
-      (:class:`~repro.control.uplink.UplinkShareConfig` semantics: floor
-      every node, split the rest by demand, act only past the drift gate);
-    * **migration intent** — the :class:`~repro.control.migration.MigrationConfig`
-      gates (imbalance, overload, headroom, sustain, cooldown) applied to
-      aggregate offered utilizations.  The coordinator names the
-      ``(source, destination)`` pair; the source node picks the camera.
+    Owns no policy of its own: it holds the flat plane's two cluster-scope
+    controllers — renamed ``cluster_uplink`` / ``cluster_migration`` so
+    records and log lines say which level decided — and shows them one
+    :class:`NodeAggregate` per node where the flat loop shows full views.
+    Uplink re-weighting reads each aggregate's cumulative ``frames.matched``;
+    the migration gate reads its offered utilization and names a
+    ``(source, destination)`` pair, and the source node picks the camera.
     """
 
     def __init__(
@@ -501,254 +388,24 @@ class ClusterCoordinator:
         uplink_config: UplinkShareConfig | None = None,
         migration_config: MigrationConfig | None = None,
     ) -> None:
-        self.uplink_config = uplink_config or UplinkShareConfig()
-        self.migration_config = migration_config or MigrationConfig()
-        self._last_matched: dict[str, float] = {}
-        self._demand_ema: dict[str, float] = {}
-        self._sustained = 0
-        self._cooldown = 0
-        self.camera_cooldowns: dict[str, int] = {}
-        self.migrations: list[tuple[float, str, str, str]] = []
-        self._provenance = ProvenanceBuffer()
-
-    # -- provenance ------------------------------------------------------------
-    def record_decision(self, record: DecisionRecord) -> None:
-        """Stage one decision record for the hierarchy to collect this tick."""
-        self._provenance.append(record)
-
-    def drain_decision_records(self) -> list[DecisionRecord]:
-        """Remove and return every staged record (hierarchy-facing)."""
-        return self._provenance.drain()
-
-    # -- uplink re-weighting ---------------------------------------------------
-    def decide_uplink(
-        self,
-        aggregates: Mapping[str, NodeAggregate],
-        uplink_weights: Mapping[str, float] | None,
-    ) -> SetUplinkWeights | None:
-        """One weight update when aggregate demand drifts past the threshold."""
-        config = self.uplink_config
-        gates = {
-            "smoothing": config.smoothing,
-            "min_share": config.min_share,
-            "rebalance_threshold": config.rebalance_threshold,
-        }
-        if uplink_weights is None:
-            self.record_decision(
-                DecisionRecord(
-                    controller="cluster_uplink",
-                    kind="idle",
-                    gates=gates,
-                    reason="statically sliced uplink, nothing to actuate",
-                )
-            )
-            return None
-        node_ids = sorted(uplink_weights)
-        for node_id in node_ids:
-            aggregate = aggregates.get(node_id)
-            matched = aggregate.frames_matched if aggregate is not None else 0.0
-            delta = max(0.0, matched - self._last_matched.get(node_id, 0.0))
-            self._last_matched[node_id] = matched
-            previous = self._demand_ema.get(node_id, 0.0)
-            alpha = config.smoothing
-            self._demand_ema[node_id] = (1 - alpha) * previous + alpha * delta
-        total_demand = sum(self._demand_ema.get(n, 0.0) for n in node_ids)
-        if total_demand <= 0:
-            self.record_decision(
-                DecisionRecord(
-                    controller="cluster_uplink",
-                    kind="hold",
-                    inputs={"total_demand_ema": total_demand},
-                    gates=gates,
-                    reason="no upload demand observed yet",
-                )
-            )
-            return None
-        floor = min(config.min_share, 1.0 / len(node_ids))
-        spare = 1.0 - floor * len(node_ids)
-        target = {
-            n: floor + spare * self._demand_ema.get(n, 0.0) / total_demand
-            for n in node_ids
-        }
-        current_total = sum(uplink_weights[n] for n in node_ids)
-        current = {n: uplink_weights[n] / current_total for n in node_ids}
-        drift = max(abs(target[n] - current[n]) for n in node_ids)
-        rebalance = drift > config.rebalance_threshold
-        candidates = tuple(
-            CandidateScore(
-                candidate_id=n,
-                score=target[n] - current[n],
-                chosen=rebalance,
-                detail=(
-                    ("target_share", target[n]),
-                    ("current_share", current[n]),
-                    ("demand_ema", self._demand_ema.get(n, 0.0)),
-                ),
-            )
-            for n in node_ids
-        )
-        if not rebalance:
-            self.record_decision(
-                DecisionRecord(
-                    controller="cluster_uplink",
-                    kind="hold",
-                    inputs={"total_demand_ema": total_demand, "max_drift": drift},
-                    gates=gates,
-                    candidates=candidates,
-                    reason="demand drift inside the rebalance threshold",
-                )
-            )
-            return None
-        action = SetUplinkWeights(
-            weights=tuple((n, max(round(target[n], 6), 1e-6)) for n in node_ids)
-        )
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_uplink",
-                kind="rebalance",
-                inputs={"total_demand_ema": total_demand, "max_drift": drift},
-                gates=gates,
-                candidates=candidates,
-                actions=(action.describe(),),
-            )
-        )
-        return action
-
-    # -- migration -------------------------------------------------------------
-    def _migration_gates(self, extra: dict | None = None) -> dict:
-        config = self.migration_config
-        gates = {
-            "imbalance_threshold": config.imbalance_threshold,
-            "overload_threshold": config.overload_threshold,
-            "headroom_threshold": config.headroom_threshold,
-            "sustain_ticks": config.sustain_ticks,
-            "cooldown_ticks": config.cooldown_ticks,
-            "payback_factor": config.payback_factor,
-        }
-        if extra:
-            gates.update(extra)
-        return gates
-
-    def _hold_migration(self, reason: str, inputs: dict, extra: dict | None = None) -> None:
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_migration",
-                kind="hold",
-                inputs=inputs,
-                gates=self._migration_gates(extra),
-                reason=reason,
-            )
-        )
-
-    def decide_migration(
-        self, aggregates: Mapping[str, NodeAggregate]
-    ) -> tuple[str, str] | None:
-        """Name a ``(source, destination)`` pair when imbalance sustains.
-
-        Returns the intent only; the caller asks the source node's plane to
-        nominate a camera and must report the outcome via
-        :meth:`note_migration` (applied) or :meth:`note_no_candidate`.
-        """
-        config = self.migration_config
-        utilizations = {
-            node_id: aggregates[node_id].offered_utilization
-            for node_id in sorted(aggregates)
-        }
-        for camera_id in sorted(self.camera_cooldowns):
-            self.camera_cooldowns[camera_id] -= 1
-            if self.camera_cooldowns[camera_id] <= 0:
-                del self.camera_cooldowns[camera_id]
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            self._sustained = 0
-            self._hold_migration(
-                "migration cooldown active",
-                {"cooldown_remaining": float(self._cooldown)},
-            )
-            return None
-        if len(utilizations) < 2:
-            self._hold_migration(
-                "fewer than two nodes, nowhere to move",
-                {"nodes": float(len(utilizations))},
-            )
-            return None
-        mean = sum(utilizations.values()) / len(utilizations)
-        hottest = max(sorted(utilizations), key=lambda n: utilizations[n])
-        coolest = min(sorted(utilizations), key=lambda n: utilizations[n])
-        inputs = {
-            "mean_utilization": mean,
-            "hottest_utilization": utilizations[hottest],
-            "coolest_utilization": utilizations[coolest],
-            "sustained_ticks": float(self._sustained),
-        }
-        extra = {"hottest": hottest, "coolest": coolest}
-        imbalanced = (
-            mean > 0
-            and utilizations[hottest] / mean > config.imbalance_threshold
-            and utilizations[hottest] > config.overload_threshold
-            and utilizations[coolest] < config.headroom_threshold
-        )
-        if not imbalanced:
-            self._sustained = 0
-            self._hold_migration("cluster inside the imbalance gates", inputs, extra)
-            return None
-        self._sustained += 1
-        inputs["sustained_ticks"] = float(self._sustained)
-        if self._sustained < config.sustain_ticks:
-            self._hold_migration("imbalance observed but not yet sustained", inputs, extra)
-            return None
-        self._pending_inputs = inputs
-        self._pending_extra = extra
-        return hottest, coolest
-
-    def note_migration(
-        self,
-        now: float,
-        action: MigrateCamera,
-        candidates: tuple[CandidateScore, ...] = (),
-    ) -> None:
-        """Record an applied handoff and start both cooldowns."""
-        config = self.migration_config
-        self._sustained = 0
-        self._cooldown = config.cooldown_ticks
-        self.camera_cooldowns[action.camera_id] = config.camera_cooldown_ticks
-        self.migrations.append((now, action.camera_id, action.source, action.destination))
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_migration",
-                kind="migrate",
-                inputs=getattr(self, "_pending_inputs", {}),
-                gates=self._migration_gates(getattr(self, "_pending_extra", None)),
-                candidates=candidates,
-                actions=(action.describe(),),
-            )
-        )
-
-    def note_no_candidate(self, candidates: tuple[CandidateScore, ...] = ()) -> None:
-        """Record that the nominated source had no camera paying back its move."""
-        self.record_decision(
-            DecisionRecord(
-                controller="cluster_migration",
-                kind="hold",
-                inputs=getattr(self, "_pending_inputs", {}),
-                gates=self._migration_gates(getattr(self, "_pending_extra", None)),
-                candidates=candidates,
-                reason="no candidate camera pays back its blackout",
-            )
-        )
+        self.uplink = UplinkShareController(uplink_config)
+        self.uplink.name = "cluster_uplink"
+        self.migration = MigrationController(migration_config)
+        self.migration.name = "cluster_migration"
 
 
 class HierarchicalControlPlane:
     """Two-level control over a sharded cluster: local loops + coordinator.
 
-    Built to be driven by :meth:`repro.fleet.sharding.ShardedFleetRuntime.run`'s
-    lockstep driver: :meth:`bind` creates one :class:`NodeControlPlane` per
-    node, then each :meth:`tick` runs every local loop, ships one
-    :class:`NodeAggregate` per node to the :class:`ClusterCoordinator`,
-    applies cluster actions, and maintains a fixed-size cluster telemetry
-    rollup (gauges derived from aggregates — never a full registry merge).
-    :attr:`payload_bytes` records each tick's total coordination payload,
-    the quantity the scale benchmark pins as O(nodes).
+    Fills :class:`repro.fleet.sharding.ShardedFleetRuntime`'s control slot
+    with the same surface as the flat loop (``tick`` / ``scrape`` /
+    ``cluster_telemetry`` / the journal fields).  Each :meth:`tick` runs
+    every node's local loop, ships one :class:`NodeAggregate` per node to
+    the :class:`ClusterCoordinator`, applies the cluster actions, and
+    maintains a fixed-size cluster telemetry rollup (gauges derived from
+    aggregates — never a full registry merge).  :attr:`payload_bytes`
+    records each tick's total coordination payload, the quantity the scale
+    benchmark pins as O(nodes).
     """
 
     def __init__(
@@ -764,18 +421,23 @@ class HierarchicalControlPlane:
         self.controllers_factory = controllers_factory or default_local_controllers
         self.interval_seconds = float(interval_seconds)
         self.coordinator = coordinator or ClusterCoordinator()
-        self.telemetry = telemetry or TelemetryRegistry()
         self.timeline = timeline
         self.planes: dict[str, NodeControlPlane] = {}
-        self.decision_log: list[str] = []
-        self.decision_records: list[dict] = []
+        self.journal = ControlJournal(telemetry, level="cluster")
+        self.telemetry = self.journal.telemetry
+        self.decision_log = self.journal.decision_log
+        self.decision_records = self.journal.decision_records
         self.payload_bytes: list[int] = []
         self.last_aggregates: dict[str, NodeAggregate] = {}
-        self.ticks = 0
+
+    @property
+    def ticks(self) -> int:
+        """Control intervals ticked so far."""
+        return self.journal.ticks
 
     # -- wiring ----------------------------------------------------------------
-    def bind(self, cluster) -> None:
-        """Create one local plane per cluster node (idempotent per cluster)."""
+    def bind(self, nodes: Mapping[str, FleetRuntime]) -> None:
+        """Create one local plane per node, journaling into this plane's stream."""
         self.planes = {
             node_id: NodeControlPlane(
                 node_id,
@@ -785,73 +447,74 @@ class HierarchicalControlPlane:
                 decision_log=self.decision_log,
                 decision_records=self.decision_records,
             )
-            for node_id, runtime in sorted(cluster.nodes.items())
+            for node_id, runtime in sorted(nodes.items())
         }
 
     # -- one control interval --------------------------------------------------
-    def tick(self, now: float, cluster) -> list[ControlAction]:
+    def tick(
+        self, now: float, nodes: Mapping[str, FleetRuntime], actuator
+    ) -> list[ControlAction]:
         """Local loops, aggregate exchange, cluster decisions — one interval."""
         if not self.planes:
-            self.bind(cluster)
-        self.ticks += 1
-        self.telemetry.counter("control.ticks").inc()
-        horizon = max(
-            (runtime.horizon for runtime in cluster.nodes.values()), default=0.0
-        )
-        guarantees = cluster.uplink_guarantees()
+            self.bind(nodes)
+        tick_index = self.journal.open_tick()
+        horizon = max((runtime.horizon for runtime in nodes.values()), default=0.0)
+        guarantees = actuator.uplink_guarantees
         # Level 1: every node runs its local loop, then sends one aggregate up.
-        aggregates: dict[str, NodeAggregate] = {}
-        for node_id in sorted(self.planes):
-            aggregates[node_id] = self.planes[node_id].tick(
-                now, horizon, guarantees.get(node_id)
-            )
-        self.last_aggregates = aggregates
+        self.last_aggregates = aggregates = {
+            node_id: plane.tick(now, horizon, guarantees.get(node_id))
+            for node_id, plane in self.planes.items()
+        }
         payload = sum(agg.payload_bytes() for agg in aggregates.values())
         self.payload_bytes.append(payload)
-        # Level 2: the coordinator acts on aggregates only.
-        actuator = ClusterActuator(cluster)
-        applied: list[ControlAction] = []
-        weights = cluster.current_uplink_weights()
-        action_start = len(self.decision_log)
-        uplink_action = self.coordinator.decide_uplink(aggregates, weights)
-        if uplink_action is not None:
-            actuator.apply(uplink_action, now)
-            self._account("cluster_uplink", uplink_action, now)
-            applied.append(uplink_action)
-        self._collect_coordinator(
-            [uplink_action] if uplink_action is not None else [], action_start, now
+        # Level 2: the coordinator's controllers see aggregates where the
+        # flat loop's see whole nodes.
+        view = ClusterView(
+            now=now,
+            interval=self.interval_seconds,
+            tick_index=tick_index,
+            nodes=tuple(aggregates.values()),
+            horizon=horizon,
+            uplink_weights=actuator.uplink_weights,
         )
-        action_start = len(self.decision_log)
-        migration_action: MigrateCamera | None = None
-        intent = self.coordinator.decide_migration(aggregates)
+        applied = run_controllers([self.coordinator.uplink], view, actuator, self.journal)
+        migration = self.coordinator.migration
+        moves: list[ControlAction] = []
+        intent = migration.gate(
+            {node_id: agg.offered_utilization for node_id, agg in aggregates.items()}
+        )
         if intent is not None:
             source, destination = intent
-            migration_action, candidates = self.planes[source].nominate_victim(
+            action, candidates = self.planes[source].nominate_victim(
                 aggregates[destination],
                 aggregates[source].offered_utilization,
-                aggregates[destination].offered_utilization,
-                max(0.0, horizon - now),
-                self.coordinator.migration_config,
-                self.coordinator.camera_cooldowns,
+                view.remaining_seconds,
+                migration,
             )
-            if migration_action is not None:
-                actuator.apply(migration_action, now)
-                self.coordinator.note_migration(now, migration_action, candidates)
-                self._account("cluster_migration", migration_action, now)
-                applied.append(migration_action)
-            else:
-                self.coordinator.note_no_candidate(candidates)
-        self._collect_coordinator(
-            [migration_action] if migration_action is not None else [], action_start, now
-        )
+            moves = migration.resolve(now, action, candidates)
+        for move in moves:
+            actuator.apply(move, now)
+        self.journal.commit(migration, moves, now)
+        applied += moves
         self._update_rollup(now, aggregates, payload)
-        if self.timeline is not None:
-            for node_id in sorted(self.planes):
-                self.timeline.scrape(
-                    now, node_id, self.planes[node_id].runtime.telemetry
-                )
-            self.timeline.scrape(now, "cluster", self.telemetry)
+        self.scrape(now, nodes)
         return applied
+
+    def scrape(self, now: float, nodes: Mapping[str, FleetRuntime]) -> None:
+        """Scrape both levels: every node's registry, then the cluster rollup."""
+        if self.timeline is not None:
+            for node_id in sorted(nodes):
+                self.timeline.scrape(now, node_id, nodes[node_id].telemetry)
+            self.timeline.scrape(now, "cluster", self.telemetry)
+
+    def cluster_telemetry(self, nodes: Mapping[str, FleetRuntime]) -> TelemetryRegistry:
+        """The end-of-run cluster registry: the fixed-size rollup.
+
+        Per-node registries are never merged in — the gauges derived from
+        aggregates each tick *are* the cluster's telemetry, so assembling
+        the report costs O(nodes), not O(cameras x metrics).
+        """
+        return self.telemetry
 
     # -- cluster rollup (O(nodes) per tick, fixed metric set) ------------------
     def _update_rollup(
@@ -885,51 +548,10 @@ class HierarchicalControlPlane:
             sum(utilizations) / len(utilizations) if utilizations else 0.0
         )
         gauges("cluster.coordination.payload_bytes").set(payload)
-        gauges("cluster.migrations.performed").set(len(self.coordinator.migrations))
-
-    # -- accounting & provenance ----------------------------------------------
-    def _account(self, controller_name: str, action: ControlAction, now: float) -> None:
-        self.decision_log.append(
-            f"t={now:.3f} cluster/{controller_name}: {action.describe()}"
-        )
-        self.telemetry.counter("control.actions.total").inc()
-        self.telemetry.counter(f"control.actions.{controller_name}").inc()
-        if isinstance(action, MigrateCamera):
-            self.telemetry.counter("control.migration.performed").inc()
-        elif isinstance(action, SetUplinkWeights):
-            self.telemetry.counter("control.uplink.rebalances").inc()
-
-    def _collect_coordinator(
-        self, actions: Sequence[ControlAction], action_start: int, now: float
-    ) -> None:
-        records = self.coordinator.drain_decision_records()
-        claimed = sum(len(record.actions) for record in records)
-        if claimed != len(actions):
-            records = [
-                DecisionRecord(
-                    controller="cluster",
-                    kind="action",
-                    actions=(action.describe(),),
-                )
-                for action in actions
-            ]
-        cursor = action_start
-        for record in records:
-            entry = record.to_dict()
-            entry["level"] = "cluster"
-            entry["tick"] = self.ticks - 1
-            entry["t"] = now
-            entry["seq"] = len(self.decision_records)
-            entry["action_seqs"] = list(range(cursor, cursor + len(record.actions)))
-            cursor += len(record.actions)
-            self.decision_records.append(entry)
-            self.telemetry.counter("control.decisions.total").inc()
-            if record.is_noop:
-                self.telemetry.counter("control.decisions.noop").inc()
+        gauges("cluster.migrations.performed").set(len(self.coordinator.migration.migrations))
 
     def counter_value(self, name: str) -> float:
         """One control counter summed across the coordinator and all planes."""
-        total = self.telemetry.counters().get(name, 0.0)
-        for node_id in sorted(self.planes):
-            total += self.planes[node_id].counter_value(name)
-        return total
+        return self.journal.counter_value(name) + sum(
+            plane.counter_value(name) for plane in self.planes.values()
+        )

@@ -10,14 +10,16 @@ identical views on identical runs, and every applied action lands in
 :attr:`ControlLoop.decision_log` plus the control telemetry registry, so two
 runs can be compared decision-for-decision.
 
-Two actuators ship here:
-
-* :class:`ClusterActuator` — binds the loop to a
-  :class:`~repro.fleet.sharding.ShardedFleetRuntime` (duck-typed: anything
-  with ``nodes``, ``record_migration`` and optionally ``set_uplink_weights``),
-  supporting shedding, uplink re-weighting, and camera migration;
-* :class:`NodeActuator` — binds it to one standalone ``FleetRuntime``
-  (shedding only; migration and uplink actions are rejected).
+The pieces every control plane shares live here, once: :func:`drive` (the
+lockstep driver), :func:`run_controllers` (the decide → apply → journal
+pass — the flat loop runs it over the whole cluster, a hierarchical node
+over itself, the hierarchy's coordinator over per-node aggregates),
+:class:`ControlJournal` (decision log, stamped decision records,
+``control.*`` counters) and the actuators: :class:`NodeActuator` applies
+node-scope actions (shedding, thresholds) to one ``FleetRuntime``;
+:class:`ClusterActuator` (duck-typed: anything with ``nodes``,
+``record_migration`` and optionally ``set_uplink_weights``) adds migration
+and uplink re-weighting and routes everything else to the owning node.
 """
 
 from __future__ import annotations
@@ -40,46 +42,14 @@ from repro.fleet.runtime import FleetRuntime
 from repro.fleet.telemetry import TelemetryRegistry
 from repro.obs.timeline import MetricsTimeline
 
-__all__ = ["ControlLoop", "ClusterActuator", "NodeActuator"]
-
-
-class ClusterActuator:
-    """Applies control actions to a sharded cluster runtime."""
-
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-
-    @property
-    def uplink_weights(self) -> dict[str, float] | None:
-        """Current shared-uplink weights (None when statically sliced)."""
-        getter = getattr(self.cluster, "current_uplink_weights", None)
-        return getter() if callable(getter) else None
-
-    @property
-    def uplink_guarantees(self) -> dict[str, float] | None:
-        """Per-node guaranteed uplink bps (None when the cluster has none)."""
-        getter = getattr(self.cluster, "uplink_guarantees", None)
-        return getter() if callable(getter) else None
-
-    def apply(self, action: ControlAction, now: float) -> None:
-        """Execute one action against the cluster at simulated time ``now``."""
-        nodes: Mapping[str, FleetRuntime] = self.cluster.nodes
-        if isinstance(action, SetDropPolicy):
-            nodes[action.node_id].set_drop_policy(action.camera_id, action.policy)
-        elif isinstance(action, SetCameraQuota):
-            nodes[action.node_id].set_camera_quota(action.camera_id, action.quota)
-        elif isinstance(action, SetCameraThreshold):
-            nodes[action.node_id].set_camera_threshold(action.camera_id, action.threshold)
-        elif isinstance(action, MigrateCamera):
-            handoff = nodes[action.source].detach_camera(action.camera_id, now)
-            nodes[action.destination].attach_camera(
-                handoff, now, resume_time=now + action.blackout_seconds
-            )
-            self.cluster.record_migration(action.camera_id, action.source, action.destination)
-        elif isinstance(action, SetUplinkWeights):
-            self.cluster.set_uplink_weights(now, action.as_mapping())
-        else:
-            raise TypeError(f"Unsupported control action {type(action).__name__}")
+__all__ = [
+    "ControlLoop",
+    "ControlJournal",
+    "ClusterActuator",
+    "NodeActuator",
+    "run_controllers",
+    "drive",
+]
 
 
 class NodeActuator:
@@ -113,119 +83,116 @@ class NodeActuator:
             )
 
 
-class ControlLoop:
-    """Ticks controllers at a fixed simulated interval and applies actions."""
+class ClusterActuator:
+    """Applies control actions to a sharded cluster runtime."""
+
+    def __init__(self, cluster) -> None:
+        self.cluster = cluster
+
+    @property
+    def uplink_weights(self) -> dict[str, float] | None:
+        """Current shared-uplink weights (None when statically sliced)."""
+        getter = getattr(self.cluster, "current_uplink_weights", None)
+        return getter() if callable(getter) else None
+
+    @property
+    def uplink_guarantees(self) -> dict[str, float] | None:
+        """Per-node guaranteed uplink bps (None when the cluster has none)."""
+        getter = getattr(self.cluster, "uplink_guarantees", None)
+        return getter() if callable(getter) else None
+
+    def apply(self, action: ControlAction, now: float) -> None:
+        """Execute one action against the cluster at simulated time ``now``."""
+        nodes: Mapping[str, FleetRuntime] = self.cluster.nodes
+        if isinstance(action, MigrateCamera):
+            handoff = nodes[action.source].detach_camera(action.camera_id, now)
+            nodes[action.destination].attach_camera(
+                handoff, now, resume_time=now + action.blackout_seconds
+            )
+            self.cluster.record_migration(action.camera_id, action.source, action.destination)
+        elif isinstance(action, SetUplinkWeights):
+            self.cluster.set_uplink_weights(now, action.as_mapping())
+        elif hasattr(action, "node_id"):
+            NodeActuator(nodes[action.node_id], action.node_id).apply(action, now)
+        else:
+            raise TypeError(f"Unsupported control action {type(action).__name__}")
+
+
+class ControlJournal:
+    """What a control plane did and why: log, decision records, counters.
+
+    Owns the three outputs every plane produces — one ``decision_log`` line
+    per applied action, the stamped decision-record dicts, the ``control.*``
+    counters — so the flat loop and both levels of the hierarchy account
+    identically.  A ``level`` (``"node"`` / ``"cluster"``) scopes log lines
+    (``node0/…``, ``cluster/…``) and is stamped, with the node id, into every
+    record; planes interleaving into one ordered stream share the two lists
+    and keep their own telemetry.
+    """
 
     def __init__(
         self,
-        controllers: Sequence[Controller],
-        interval_seconds: float = 0.25,
         telemetry: TelemetryRegistry | None = None,
-        timeline: MetricsTimeline | None = None,
+        decision_log: list[str] | None = None,
+        decision_records: list[dict] | None = None,
+        level: str | None = None,
+        node_id: str | None = None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        names = [c.name for c in controllers]
-        duplicates = {n for n in names if names.count(n) > 1}
-        if duplicates:
-            raise ValueError(f"Duplicate controller names: {sorted(duplicates)}")
-        self.controllers = list(controllers)
-        self.interval_seconds = float(interval_seconds)
         self.telemetry = telemetry or TelemetryRegistry()
-        # Optional metrics timeline: when set, every tick scrapes each node's
-        # registry (plus the loop's own control counters under "control"), so
-        # the time-series exporters see exactly the control-interval cadence.
-        self.timeline = timeline
-        self.decision_log: list[str] = []
-        # Decision provenance: one JSON-ready dict per DecisionRecord, stamped
-        # with tick index, simulated time, its own sequence number, and the
-        # decision_log indices of the actions it produced.
-        self.decision_records: list[dict] = []
+        self.decision_log = decision_log if decision_log is not None else []
+        # One JSON-ready dict per DecisionRecord, stamped with tick index,
+        # simulated time, its own sequence number, and the decision_log
+        # indices of the actions it produced.
+        self.decision_records = decision_records if decision_records is not None else []
+        self.level = level
+        self.node_id = node_id
         self.ticks = 0
 
-    # -- driving -------------------------------------------------------------
-    def drive(self, nodes: Mapping[str, FleetRuntime], actuator) -> None:
-        """Run every node to completion, ticking between intervals.
-
-        All nodes advance to each tick time before any controller observes,
-        so every controller sees a consistent cluster snapshot.  The loop
-        ends when no node has pending events (migrations can add events, so
-        the check re-runs every tick).
-        """
-        tick_time = self.interval_seconds
-        while any(runtime.has_pending_events for runtime in nodes.values()):
-            for runtime in nodes.values():
-                runtime.advance_until(tick_time)
-            self.tick(tick_time, nodes, actuator)
-            tick_time += self.interval_seconds
-
-    def run_node(self, runtime: FleetRuntime, node_id: str = "node0") -> None:
-        """Drive one standalone node under this loop (shedding policies)."""
-        runtime.start()
-        self.drive({node_id: runtime}, NodeActuator(runtime, node_id))
-
-    def tick(self, now: float, nodes: Mapping[str, FleetRuntime], actuator) -> list[ControlAction]:
-        """Observe, decide, and actuate once; returns the applied actions."""
+    def open_tick(self) -> int:
+        """Count one control interval; returns its zero-based index."""
         self.ticks += 1
         self.telemetry.counter("control.ticks").inc()
-        view = ClusterView(
-            now=now,
-            interval=self.interval_seconds,
-            tick_index=self.ticks - 1,
-            nodes=tuple(NodeView(node_id, runtime) for node_id, runtime in nodes.items()),
-            horizon=max((runtime.horizon for runtime in nodes.values()), default=0.0),
-            uplink_weights=actuator.uplink_weights,
-            uplink_guarantees=getattr(actuator, "uplink_guarantees", None),
-        )
-        applied: list[ControlAction] = []
-        for controller in self.controllers:
-            action_start = len(self.decision_log)
-            actions = controller.decide(view)
-            for action in actions:
-                actuator.apply(action, now)
-                self._account(controller, action, now)
-                applied.append(action)
-            self._collect_provenance(controller, actions, action_start, now)
-        if self.timeline is not None:
-            for node_id, runtime in nodes.items():
-                self.timeline.scrape(now, node_id, runtime.telemetry)
-            self.timeline.scrape(now, "control", self.telemetry)
-        return applied
+        return self.ticks - 1
 
-    # -- decision provenance ---------------------------------------------------
-    def _collect_provenance(
-        self,
-        controller: Controller,
-        actions: Sequence[ControlAction],
-        action_start: int,
-        now: float,
+    def commit(
+        self, controller: Controller, actions: Sequence[ControlAction], now: float
     ) -> None:
-        """Drain the controller's staged records and stamp them into the log.
+        """Log ``actions`` (already applied) and stamp the decisions behind them.
 
         Records are linked to the global action sequence (decision_log
         indices) positionally: each record consumes as many sequence numbers
         as it claims actions, in staged order.  A controller that stages
-        nothing still traces — the loop synthesizes one minimal record per
-        applied action, so third-party controllers show up in provenance
-        with at least *what* they did.
+        nothing still traces — one minimal record is synthesized per applied
+        action, so third-party controllers show up in provenance with at
+        least *what* they did.
         """
+        cursor = len(self.decision_log)
+        scope = f"{self.node_id or self.level}/" if self.level is not None else ""
+        for action in actions:
+            self.decision_log.append(
+                f"t={now:.3f} {scope}{controller.name}: {action.describe()}"
+            )
+            self._count(controller.name, action)
         drain = getattr(controller, "drain_decision_records", None)
         records = drain() if callable(drain) else []
-        claimed = sum(len(record.actions) for record in records)
-        if claimed != len(actions):
+        if sum(len(record.actions) for record in records) != len(actions):
             # The controller's account of its actions disagrees with what it
             # returned; trust the returned actions and synthesize.
             records = [
                 DecisionRecord(
                     controller=controller.name,
                     kind="action",
+                    node_id=self.node_id,
                     actions=(action.describe(),),
                 )
                 for action in actions
             ]
-        cursor = action_start
         for record in records:
             entry = record.to_dict()
+            if self.level is not None:
+                entry["level"] = self.level
+            if self.node_id is not None:
+                entry["node_id"] = self.node_id
             entry["tick"] = self.ticks - 1
             entry["t"] = now
             entry["seq"] = len(self.decision_records)
@@ -236,11 +203,9 @@ class ControlLoop:
             if record.is_noop:
                 self.telemetry.counter("control.decisions.noop").inc()
 
-    # -- accounting ----------------------------------------------------------
-    def _account(self, controller: Controller, action: ControlAction, now: float) -> None:
-        self.decision_log.append(f"t={now:.3f} {controller.name}: {action.describe()}")
+    def _count(self, controller_name: str, action: ControlAction) -> None:
         self.telemetry.counter("control.actions.total").inc()
-        self.telemetry.counter(f"control.actions.{controller.name}").inc()
+        self.telemetry.counter(f"control.actions.{controller_name}").inc()
         if isinstance(action, SetCameraQuota) and action.quota is not None:
             self.telemetry.counter("control.shedding.interventions").inc()
         elif isinstance(action, SetCameraThreshold):
@@ -253,3 +218,121 @@ class ControlLoop:
     def counter_value(self, name: str) -> float:
         """Current value of one control counter (0.0 when absent)."""
         return self.telemetry.counters().get(name, 0.0)
+
+
+def run_controllers(
+    controllers: Sequence[Controller], view: ClusterView, actuator, journal: ControlJournal
+) -> list[ControlAction]:
+    """One observe → decide → apply → journal pass; returns the applied actions.
+
+    Controllers run in order against the same ``view``; each one's actions
+    are applied and journaled before the next decides, so a later policy
+    already acts on an actuated cluster.
+    """
+    applied: list[ControlAction] = []
+    for controller in controllers:
+        actions = controller.decide(view)
+        for action in actions:
+            actuator.apply(action, view.now)
+        journal.commit(controller, actions, view.now)
+        applied += actions
+    return applied
+
+
+def drive(control, nodes: Mapping[str, FleetRuntime], actuator) -> None:
+    """Start every node and run it to completion, ticking ``control`` between intervals.
+
+    The one lockstep driver: all nodes advance to each tick time before
+    ``control.tick(now, nodes, actuator)`` observes, so it always sees a
+    consistent cluster snapshot.  The run ends when no node has pending
+    events (migrations can add events, so the check re-runs every tick).
+    """
+    for runtime in nodes.values():
+        runtime.start()
+    tick_time = control.interval_seconds
+    while any(runtime.has_pending_events for runtime in nodes.values()):
+        for runtime in nodes.values():
+            runtime.advance_until(tick_time)
+        control.tick(tick_time, nodes, actuator)
+        tick_time += control.interval_seconds
+
+
+def unique_controllers(controllers: Sequence[Controller]) -> list[Controller]:
+    """``controllers`` as a list, rejecting duplicate names (they key counters)."""
+    names = [c.name for c in controllers]
+    duplicates = {n for n in names if names.count(n) > 1}
+    if duplicates:
+        raise ValueError(f"Duplicate controller names: {sorted(duplicates)}")
+    return list(controllers)
+
+
+class ControlLoop:
+    """Ticks controllers at a fixed simulated interval and applies actions."""
+
+    # A flat loop sees whole nodes; no per-node aggregates cross any boundary.
+    payload_bytes: Sequence[int] = ()
+
+    def __init__(
+        self,
+        controllers: Sequence[Controller],
+        interval_seconds: float = 0.25,
+        telemetry: TelemetryRegistry | None = None,
+        timeline: MetricsTimeline | None = None,
+    ) -> None:
+        if interval_seconds <= 0:
+            raise ValueError("interval_seconds must be positive")
+        self.controllers = unique_controllers(controllers)
+        self.interval_seconds = float(interval_seconds)
+        # Optional metrics timeline: when set, every tick scrapes each node's
+        # registry (plus the loop's own control counters under "control"), so
+        # the time-series exporters see exactly the control-interval cadence.
+        self.timeline = timeline
+        self.journal = ControlJournal(telemetry)
+        self.telemetry = self.journal.telemetry
+        self.decision_log = self.journal.decision_log
+        self.decision_records = self.journal.decision_records
+        self.counter_value = self.journal.counter_value
+
+    @property
+    def ticks(self) -> int:
+        """Control intervals ticked so far."""
+        return self.journal.ticks
+
+    def run_node(self, runtime: FleetRuntime, node_id: str = "node0") -> None:
+        """Drive one standalone node under this loop (shedding policies)."""
+        drive(self, {node_id: runtime}, NodeActuator(runtime, node_id))
+
+    def tick(self, now: float, nodes: Mapping[str, FleetRuntime], actuator) -> list[ControlAction]:
+        """Observe, decide, and actuate once; returns the applied actions."""
+        view = ClusterView(
+            now=now,
+            interval=self.interval_seconds,
+            tick_index=self.journal.open_tick(),
+            nodes=tuple(NodeView(node_id, runtime) for node_id, runtime in nodes.items()),
+            horizon=max((runtime.horizon for runtime in nodes.values()), default=0.0),
+            uplink_weights=actuator.uplink_weights,
+            uplink_guarantees=getattr(actuator, "uplink_guarantees", None),
+        )
+        applied = run_controllers(self.controllers, view, actuator, self.journal)
+        self.scrape(now, nodes)
+        if self.timeline is not None:
+            self.timeline.scrape(now, "control", self.telemetry)
+        return applied
+
+    def scrape(self, now: float, nodes: Mapping[str, FleetRuntime]) -> None:
+        """Scrape every node's registry into the timeline (no-op without one)."""
+        if self.timeline is not None:
+            for node_id, runtime in nodes.items():
+                self.timeline.scrape(now, node_id, runtime.telemetry)
+
+    def cluster_telemetry(self, nodes: Mapping[str, FleetRuntime]) -> TelemetryRegistry:
+        """The end-of-run cluster registry: every node merged in full.
+
+        O(cameras x metrics) — each node's whole registry under a
+        ``<node_id>.`` prefix, plus this loop's own ``control.*`` counters.
+        """
+        registry = TelemetryRegistry()
+        for node_id, runtime in nodes.items():
+            registry.merge(runtime.telemetry, prefix=f"{node_id}.")
+        registry.merge(self.telemetry)
+        return registry

@@ -24,6 +24,7 @@ quiet period, and a camera that just moved cannot move again for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Collection, Mapping
 
 from repro.control.policies import (
     ClusterView,
@@ -34,7 +35,16 @@ from repro.control.policies import (
 )
 from repro.control.provenance import CandidateScore, DecisionRecord
 
-__all__ = ["MigrationCostModel", "MigrationConfig", "MigrationController"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.fleet.runtime import CameraLiveStats
+
+__all__ = [
+    "MigrationCostModel",
+    "MigrationConfig",
+    "MigrationController",
+    "offered_utilization",
+    "pick_victim",
+]
 
 
 @dataclass(frozen=True)
@@ -88,34 +98,137 @@ class MigrationConfig:
             raise ValueError("payback_factor must be at least 1.0")
 
 
+def offered_utilization(
+    last_generated: dict[str, int],
+    live: Mapping[str, CameraLiveStats],
+    num_workers: int,
+    interval: float,
+) -> float:
+    """One node's arriving work over the last ``interval``, per worker-second.
+
+    ``last_generated`` holds each camera's ``generated`` count at the
+    previous call and is updated in place; whoever measures a node tick over
+    tick owns one (the flat :class:`MigrationController` per node it is
+    shown, a hierarchical node its own — only the scalar travels upstream).
+    ``live`` is ``FleetRuntime.camera_live_stats()`` — id order, so the
+    float sum runs in the same order wherever it is measured.
+    """
+    work_seconds = 0.0
+    for camera_id, stats in live.items():
+        previous = last_generated.get(camera_id, 0)
+        delta = max(0, stats.generated - previous)
+        last_generated[camera_id] = stats.generated
+        # Attach-time blackout losses land in `generated` as one lump;
+        # cap the window at what the camera can physically offer so
+        # phantom frames cannot mark a just-relieved node as hot.
+        delta = min(delta, int(stats.frame_rate * interval) + 1)
+        work_seconds += delta * stats.service_seconds
+    return work_seconds / (num_workers * interval)
+
+
+def pick_victim(
+    source: NodeView,
+    destination_id: str,
+    destination_resolutions: Collection[tuple[int, int]],
+    source_utilization: float,
+    destination_utilization: float,
+    remaining_seconds: float,
+    config: MigrationConfig,
+    camera_cooldowns: Mapping[str, int],
+) -> tuple[MigrateCamera | None, tuple[CandidateScore, ...]]:
+    """Choose which of ``source``'s cameras to hand to the destination.
+
+    Needs per-camera stats, so it runs wherever those live: inside the flat
+    controller, or on the source node's own plane under the hierarchy (the
+    destination is its id and resident resolutions only).  A camera is
+    viable when its utilization fits the pair's gap and the frames its
+    departure saves repay the blackout ``payback_factor``-fold; the chosen
+    camera minimizes the pair-leveling residual.
+    """
+    gap = source_utilization - destination_utilization
+    if gap <= 0:
+        return None, ()
+    destination_resolutions = set(destination_resolutions)
+    workers = source.num_workers
+    best: tuple[float, str] | None = None
+    best_blackout = 0.0
+    # Every cooldown-free camera on the hotspot is a scored candidate;
+    # score is the pair-leveling residual (lower = better move).
+    scored: dict[str, tuple[float, tuple[tuple[str, float], ...], bool]] = {}
+    for camera_id, stats in sorted(source.live_stats().items()):
+        if camera_id in camera_cooldowns:
+            continue
+        camera_util = stats.frame_rate * stats.service_seconds / workers
+        blackout = config.cost_model.blackout_for(stats.resolution, destination_resolutions)
+        lost = config.cost_model.frames_lost(stats.frame_rate, blackout)
+        # Frames the hotspot sheds that this camera's departure would save:
+        # the source's excess arrival work, expressed in frames of this
+        # camera, over the remaining horizon — capped by what the camera
+        # itself will offer.
+        excess_util = max(0.0, source_utilization - 1.0)
+        saved_fps = min(
+            stats.frame_rate, excess_util * workers / max(stats.service_seconds, 1e-12)
+        )
+        saved = saved_fps * remaining_seconds
+        residual = abs(gap - 2.0 * camera_util)
+        detail = (
+            ("camera_utilization", camera_util),
+            ("blackout_seconds", blackout),
+            ("frames_lost", lost),
+            ("frames_saved", saved),
+        )
+        viable = 0 < camera_util <= gap and saved >= lost * config.payback_factor
+        scored[camera_id] = (residual, detail, viable)
+        if not viable:
+            continue
+        # Prefer the camera whose move best levels the pair.
+        if best is None or (residual, camera_id) < best:
+            best = (residual, camera_id)
+            best_blackout = blackout
+    candidates = tuple(
+        CandidateScore(
+            candidate_id=camera_id,
+            score=residual,
+            chosen=best is not None and camera_id == best[1],
+            detail=detail,
+        )
+        for camera_id, (residual, detail, _viable) in sorted(scored.items())
+    )
+    if best is None:
+        return None, candidates
+    return (
+        MigrateCamera(
+            camera_id=best[1],
+            source=source.node_id,
+            destination=destination_id,
+            blackout_seconds=best_blackout,
+        ),
+        candidates,
+    )
+
+
 class MigrationController(Controller):
-    """Moves cameras off sustained hotspots, with cost gating and hysteresis."""
+    """Moves cameras off sustained hotspots, with cost gating and hysteresis.
+
+    :meth:`gate` reads one offered utilization per node — measured here from
+    full node views, or shipped as a scalar by each node under the hierarchy
+    — and names a ``(hottest, coolest)`` pair once imbalance sustains;
+    :func:`pick_victim` scores the hottest node's cameras; :meth:`resolve`
+    records the outcome and starts the cooldowns.  :meth:`decide` chains the
+    three for a loop that sees whole nodes.
+    """
 
     name = "camera_migration"
 
     def __init__(self, config: MigrationConfig | None = None) -> None:
         self.config = config or MigrationConfig()
-        self._last_generated: dict[tuple[str, str], int] = {}
+        self._last_generated: dict[str, dict[str, int]] = {}
         self._sustained = 0
         self._cooldown = 0
-        self._camera_cooldowns: dict[str, int] = {}
+        self.camera_cooldowns: dict[str, int] = {}
         self.migrations: list[tuple[float, str, str, str]] = []
-
-    # -- observation ---------------------------------------------------------
-    def _offered_utilization(self, node: NodeView, interval: float) -> float:
-        """Arriving work over the last interval, per worker-second."""
-        work_seconds = 0.0
-        for camera_id, stats in node.live_stats().items():
-            key = (node.node_id, camera_id)
-            previous = self._last_generated.get(key, 0)
-            delta = max(0, stats.generated - previous)
-            self._last_generated[key] = stats.generated
-            # Attach-time blackout losses land in `generated` as one lump;
-            # cap the window at what the camera can physically offer so
-            # phantom frames cannot mark a just-relieved node as hot.
-            delta = min(delta, int(stats.frame_rate * interval) + 1)
-            work_seconds += delta * stats.service_seconds
-        return work_seconds / (node.num_workers * interval)
+        # Inputs and gates of the intent gate() last named, for resolve().
+        self._intent: tuple[dict, dict] = ({}, {})
 
     def _gates(self, extra: dict | None = None) -> dict:
         gates = {
@@ -130,7 +243,8 @@ class MigrationController(Controller):
             gates.update(extra)
         return gates
 
-    def _hold(self, reason: str, inputs: dict, gates_extra: dict | None = None) -> list:
+    def _hold(self, reason: str, inputs: dict, gates_extra: dict | None = None) -> None:
+        """Record a no-move decision; returns None so a gate can ``return`` it."""
         self.record_decision(
             DecisionRecord(
                 controller=self.name,
@@ -140,18 +254,45 @@ class MigrationController(Controller):
                 reason=reason,
             )
         )
-        return []
 
     def decide(self, view: ClusterView) -> list[ControlAction]:
         """Migrate one camera when imbalance sustains and the move pays back."""
         utilizations = {
-            node.node_id: self._offered_utilization(node, view.interval)
+            node.node_id: offered_utilization(
+                self._last_generated.setdefault(node.node_id, {}),
+                node.live_stats(),
+                node.num_workers,
+                view.interval,
+            )
             for node in view.nodes
         }
-        for camera_id in sorted(self._camera_cooldowns):
-            self._camera_cooldowns[camera_id] -= 1
-            if self._camera_cooldowns[camera_id] <= 0:
-                del self._camera_cooldowns[camera_id]
+        intent = self.gate(utilizations)
+        if intent is None:
+            return []
+        hottest, coolest = intent
+        action, candidates = pick_victim(
+            view.node(hottest),
+            coolest,
+            {stats.resolution for stats in view.node(coolest).live_stats().values()},
+            utilizations[hottest],
+            utilizations[coolest],
+            view.remaining_seconds,
+            self.config,
+            self.camera_cooldowns,
+        )
+        return self.resolve(view.now, action, candidates)
+
+    def gate(self, utilizations: Mapping[str, float]) -> tuple[str, str] | None:
+        """Name a ``(hottest, coolest)`` pair when imbalance has sustained.
+
+        Advances the cooldown and sustain counters one tick and records a
+        ``hold`` for the gate that stops the move.  A returned pair is an
+        intent: the caller picks a victim and reports through :meth:`resolve`.
+        """
+        for camera_id in sorted(self.camera_cooldowns):
+            self.camera_cooldowns[camera_id] -= 1
+            if self.camera_cooldowns[camera_id] <= 0:
+                del self.camera_cooldowns[camera_id]
         if self._cooldown > 0:
             self._cooldown -= 1
             self._sustained = 0
@@ -186,17 +327,25 @@ class MigrationController(Controller):
         self._sustained += 1
         inputs["sustained_ticks"] = float(self._sustained)
         if self._sustained < self.config.sustain_ticks:
-            return self._hold(
-                "imbalance observed but not yet sustained", inputs, gates_extra
-            )
-        action, candidates = self._pick_move(view, hottest, coolest, utilizations)
+            return self._hold("imbalance observed but not yet sustained", inputs, gates_extra)
+        self._intent = (inputs, self._gates(gates_extra))
+        return hottest, coolest
+
+    def resolve(
+        self,
+        now: float,
+        action: MigrateCamera | None,
+        candidates: tuple[CandidateScore, ...],
+    ) -> list[ControlAction]:
+        """Close the intent :meth:`gate` named: a move, or a no-candidate hold."""
+        inputs, gates = self._intent
         if action is None:
             self.record_decision(
                 DecisionRecord(
                     controller=self.name,
                     kind="hold",
                     inputs=inputs,
-                    gates=self._gates(gates_extra),
+                    gates=gates,
                     candidates=candidates,
                     reason="no candidate camera pays back its blackout",
                 )
@@ -204,94 +353,16 @@ class MigrationController(Controller):
             return []
         self._sustained = 0
         self._cooldown = self.config.cooldown_ticks
-        self._camera_cooldowns[action.camera_id] = self.config.camera_cooldown_ticks
-        self.migrations.append((view.now, action.camera_id, hottest, coolest))
+        self.camera_cooldowns[action.camera_id] = self.config.camera_cooldown_ticks
+        self.migrations.append((now, action.camera_id, action.source, action.destination))
         self.record_decision(
             DecisionRecord(
                 controller=self.name,
                 kind="migrate",
                 inputs=inputs,
-                gates=self._gates(gates_extra),
+                gates=gates,
                 candidates=candidates,
                 actions=(action.describe(),),
             )
         )
         return [action]
-
-    # -- the move ------------------------------------------------------------
-    def _pick_move(
-        self,
-        view: ClusterView,
-        source_id: str,
-        destination_id: str,
-        utilizations: dict[str, float],
-    ) -> tuple[MigrateCamera | None, tuple[CandidateScore, ...]]:
-        source = view.node(source_id)
-        destination = view.node(destination_id)
-        gap = utilizations[source_id] - utilizations[destination_id]
-        if gap <= 0:
-            return None, ()
-        destination_resolutions = {
-            stats.resolution for stats in destination.live_stats().values()
-        }
-        workers = source.num_workers
-        best: tuple[float, str] | None = None
-        best_blackout = 0.0
-        # Every cooldown-free camera on the hotspot is a scored candidate;
-        # score is the pair-leveling residual (lower = better move).
-        scored: dict[str, tuple[float, tuple[tuple[str, float], ...], bool]] = {}
-        for camera_id, stats in sorted(source.live_stats().items()):
-            if camera_id in self._camera_cooldowns:
-                continue
-            camera_util = stats.frame_rate * stats.service_seconds / workers
-            blackout = self.config.cost_model.blackout_for(
-                stats.resolution, destination_resolutions
-            )
-            lost = self.config.cost_model.frames_lost(stats.frame_rate, blackout)
-            # Frames the hotspot sheds that this camera's departure would save:
-            # the source's excess arrival work, expressed in frames of this
-            # camera, over the remaining horizon — capped by what the camera
-            # itself will offer.
-            excess_util = max(0.0, utilizations[source_id] - 1.0)
-            saved_fps = min(
-                stats.frame_rate, excess_util * workers / max(stats.service_seconds, 1e-12)
-            )
-            saved = saved_fps * view.remaining_seconds
-            residual = abs(gap - 2.0 * camera_util)
-            detail = (
-                ("camera_utilization", camera_util),
-                ("blackout_seconds", blackout),
-                ("frames_lost", lost),
-                ("frames_saved", saved),
-            )
-            viable = (
-                0 < camera_util <= gap
-                and saved >= lost * self.config.payback_factor
-            )
-            scored[camera_id] = (residual, detail, viable)
-            if not viable:
-                continue
-            # Prefer the camera whose move best levels the pair.
-            if best is None or (residual, camera_id) < best:
-                best = (residual, camera_id)
-                best_blackout = blackout
-        candidates = tuple(
-            CandidateScore(
-                candidate_id=camera_id,
-                score=residual,
-                chosen=best is not None and camera_id == best[1],
-                detail=detail,
-            )
-            for camera_id, (residual, detail, _viable) in sorted(scored.items())
-        )
-        if best is None:
-            return None, candidates
-        return (
-            MigrateCamera(
-                camera_id=best[1],
-                source=source_id,
-                destination=destination_id,
-                blackout_seconds=best_blackout,
-            ),
-            candidates,
-        )

@@ -26,7 +26,6 @@ The plane never imports :mod:`repro.fleet`; it duck-types the runtime
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from repro.core.events import EventRecord
@@ -34,6 +33,7 @@ from repro.edge.uplink import SharedTransferRequest
 from repro.events.broker import AttemptOutcome, BrokerConfig, SimulatedBroker
 from repro.events.ingest import DatacenterIngest
 from repro.events.outbox import NodeOutbox, OutboxConfig, OutboxEntry
+from repro.fleet.telemetry import nearest_rank
 from repro.obs.slo import DeliverySLOConfig
 
 __all__ = [
@@ -59,8 +59,7 @@ def nearest_rank_percentile(sorted_values: list[float], q: float) -> float:
         return 0.0
     if not 0.0 < q <= 1.0:
         raise ValueError("q must be in (0, 1]")
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
+    return nearest_rank(sorted_values, q)
 
 
 @dataclass(frozen=True)

@@ -1110,6 +1110,7 @@ class FleetRuntime:
         accuracies: dict[str, CameraAccuracy] = {}
         total_events = 0
         total_matched = 0
+        tails: list[tuple[float, str, _CameraState, EventRecord]] = []
         for key, state in self._states.items():
             spec = state.spec
             result = state.session.finish()
@@ -1132,7 +1133,7 @@ class FleetRuntime:
             )
             for tail in state.session.closed_records[state.records_consumed :]:
                 closed_at = max(stint_end, state.completion_times[tail.end - 1])
-                self._collect_records(state, [tail], closed_at)
+                tails.append((closed_at, key, state, tail))
             camera_bits = 0.0
             for mc_result in result.per_mc.values():
                 if mc_result.encoded is None:
@@ -1196,6 +1197,16 @@ class FleetRuntime:
                 reports[spec.camera_id] = self._merge_camera_reports(
                     existing, report, state.wait_total, state.wait_count
                 )
+
+        # Records leave the node in close order (the outbox's retry schedule
+        # is a function of close time and refuses a back-dated offer).  Tail
+        # close times follow each camera's own stint end and scoring lag, not
+        # camera order, and the flush that closes them runs after every live
+        # close was already published — so none may be stamped before the
+        # last of those.
+        published_until = self.event_records[-1].closed_at if self.event_records else 0.0
+        for closed_at, _, state, tail in sorted(tails, key=lambda t: t[:2]):
+            self._collect_records(state, [tail], max(closed_at, published_until))
 
         ordered = sorted(uploads, key=lambda u: (u[0], u[1]))
         if self.defer_uploads:

@@ -20,16 +20,16 @@ deterministic simulated clock.  Two uplink regimes are supported:
   per-node capacity flows to backlogged nodes, and the bits moved above a
   node's static guarantee are reported as reclaimed.
 
-With a :class:`~repro.control.loop.ControlLoop` attached, all nodes advance
-in lockstep between control ticks and the loop's controllers actuate the
-cluster live — adaptive shedding, uplink re-weighting, camera migration —
-with every decision logged and counted in the cluster report.  At kilocamera
-scale the flat loop's cluster-side cost — every controller walking every
+All nodes advance in lockstep, and whatever fills the runtime's one control
+slot ticks at each interval boundary.  A :class:`~repro.control.loop.ControlLoop`
+actuates the cluster live — adaptive shedding, uplink re-weighting, camera
+migration — with every decision logged and counted in the cluster report.
+At kilocamera scale its cluster-side cost — every controller walking every
 camera, plus an end-of-run merge of every node's full registry — grows as
-O(cameras x metrics); attaching a
-:class:`~repro.control.hierarchy.HierarchicalControlPlane` instead keeps
-local policies on their nodes and bounds per-interval cluster work (and the
-end-of-run cluster telemetry) at O(nodes).
+O(cameras x metrics); a :class:`~repro.control.hierarchy.HierarchicalControlPlane`
+in the same slot keeps local policies on their nodes and bounds cluster work
+per interval (and the end-of-run cluster telemetry) at O(nodes).  With
+neither, the slot holds a loop that only scrapes the timeline.
 :class:`ShardedFleetReport` aggregates the per-node
 :class:`~repro.fleet.runtime.FleetReport`\\ s into cluster-level metrics:
 cluster drop rate, shared-uplink utilization, per-camera fairness across the
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.control.hierarchy import HierarchicalControlPlane
-from repro.control.loop import ClusterActuator, ControlLoop
+from repro.control.loop import ClusterActuator, ControlLoop, drive
 from repro.edge.uplink import (
     SharedTransferRequest,
     SharedUplink,
@@ -326,6 +326,19 @@ class ShardedFleetReport:
         return "\n".join(lines)
 
 
+class _ScrapeOnlyLoop(ControlLoop):
+    """The control slot of a run with no control plane: it only scrapes.
+
+    No controllers, and it never counts a tick, so the cluster report and
+    the timeline carry no ``control.*`` metrics: such a run is the nodes run
+    one after another, observed at interval boundaries.
+    """
+
+    def tick(self, now: float, nodes, actuator) -> list:
+        self.scrape(now, nodes)
+        return []
+
+
 class ShardedFleetRuntime:
     """Runs a camera fleet across several edge nodes behind one uplink."""
 
@@ -364,8 +377,9 @@ class ShardedFleetRuntime:
         self.policy = (
             placement if placement is not None else make_placement_policy(self.config.placement)
         )
-        self.control_loop = control_loop
-        self.hierarchy = hierarchy
+        # One control slot, one protocol: the flat loop, the hierarchical
+        # plane, or a loop that only keeps the timeline's scrape cadence.
+        self.control = control_loop or hierarchy or _ScrapeOnlyLoop([], self.scrape_interval)
         self.shards = self.policy.place(cameras, self.config.num_nodes)
         self.node_ids = [f"node{i}" for i in range(self.config.num_nodes)]
         # Cost the shards with the same estimate the policy balanced them by,
@@ -453,66 +467,21 @@ class ShardedFleetRuntime:
         self._migrated_in[destination] += 1
 
     # -- orchestration -------------------------------------------------------
-    def _run_lockstep(self, interval: float, on_tick) -> dict[str, FleetReport]:
-        """Advance every node in lockstep, firing ``on_tick`` at each boundary.
-
-        The one driver behind every interval-synchronized run path (flat
-        control loop, hierarchical plane, timeline-only scraping): all nodes
-        advance to each tick time before the callback observes, so it always
-        sees a consistent cluster snapshot.  The run ends when no node has
-        pending events (migrations can add events, so the check re-runs
-        every tick).
-        """
-        for node_id in self.node_ids:
-            self.nodes[node_id].start()
-        tick_time = interval
-        while any(runtime.has_pending_events for runtime in self.nodes.values()):
-            for node_id in self.node_ids:
-                self.nodes[node_id].advance_until(tick_time)
-            on_tick(tick_time)
-            tick_time += interval
-        return {node_id: self.nodes[node_id].finalize() for node_id in self.node_ids}
-
     def run(self) -> ShardedFleetReport:
         """Execute every node to completion and assemble the cluster report.
 
-        Without a control plane, nodes only interact through their uplink
-        shares, so running them sequentially in node order reproduces the
-        concurrent cluster exactly.  With a flat loop or a hierarchical
-        plane attached, all nodes advance in lockstep between control ticks
-        so controllers see — and act on — a consistent cluster state.
+        All nodes advance in lockstep between the control slot's ticks, so
+        whatever observes — controllers, a coordinator, a timeline scrape —
+        sees a consistent cluster state.  Between ticks nodes only interact
+        through their uplink shares, so the stepping itself changes nothing:
+        a run whose slot only scrapes equals the nodes run one after another.
         """
-        if self.control_loop is not None:
-            if self.timeline is not None and self.control_loop.timeline is None:
-                # The control loop already ticks at the cadence the timeline
-                # wants; attach it so every tick scrapes all node registries.
-                self.control_loop.timeline = self.timeline
-            actuator = ClusterActuator(self)
-            reports = self._run_lockstep(
-                self.control_loop.interval_seconds,
-                lambda now: self.control_loop.tick(now, self.nodes, actuator),
-            )
-        elif self.hierarchy is not None:
-            if self.timeline is not None and self.hierarchy.timeline is None:
-                # The hierarchy scrapes both levels (per-node sources plus
-                # the fixed-size cluster rollup) at its own tick cadence.
-                self.hierarchy.timeline = self.timeline
-            self.hierarchy.bind(self)
-            reports = self._run_lockstep(
-                self.hierarchy.interval_seconds,
-                lambda now: self.hierarchy.tick(now, self),
-            )
-        elif self.timeline is not None:
-            # No control plane, but a timeline wants interval-boundary
-            # scrapes: lockstep stepping reproduces the sequential run
-            # exactly, since nodes only interact through uplink shares.
-            def scrape(now: float) -> None:
-                for node_id in self.node_ids:
-                    self.timeline.scrape(now, node_id, self.nodes[node_id].telemetry)
-
-            reports = self._run_lockstep(self.scrape_interval, scrape)
-        else:
-            reports = {node_id: self.nodes[node_id].run() for node_id in self.node_ids}
+        if self.timeline is not None and self.control.timeline is None:
+            # The control slot already ticks at the cadence the timeline
+            # wants; attach it so every tick scrapes all node registries.
+            self.control.timeline = self.timeline
+        drive(self.control, self.nodes, ClusterActuator(self))
+        reports = {node_id: self.nodes[node_id].finalize() for node_id in self.node_ids}
         sim_duration = max((r.sim_duration for r in reports.values()), default=0.0)
 
         reclaimed_bits = 0.0
@@ -590,26 +559,20 @@ class ShardedFleetRuntime:
                 report.telemetry = self.nodes[node_id].telemetry.snapshot()
 
         if self.timeline is not None:
-            # One final end-of-run scrape per node: captures the uplink
-            # gauges finalize() (or the work-conserving replay above) set
-            # after the last interval boundary.
-            for node_id in self.node_ids:
-                self.timeline.scrape(sim_duration, node_id, self.nodes[node_id].telemetry)
-            if self.hierarchy is not None:
-                self.timeline.scrape(sim_duration, "cluster", self.hierarchy.telemetry)
+            # One final end-of-run scrape: captures the uplink gauges
+            # finalize() (or the work-conserving replay above) set after the
+            # last interval boundary.
+            self.control.scrape(sim_duration, self.nodes)
 
+        guarantees = self.uplink_guarantees()
         node_reports: list[NodeReport] = []
         for node_id, cost in zip(self.node_ids, self._shard_costs):
-            if self._work_conserving:
-                allocation_bps = self.shared_uplink.guaranteed_bps(node_id)
-            else:
-                allocation_bps = self.shared_uplink.links[node_id].capacity_bps
             node_reports.append(
                 NodeReport(
                     node_id=node_id,
                     camera_ids=list(self._hosted[node_id]),
                     estimated_cost=cost,
-                    uplink_allocation_bps=allocation_bps,
+                    uplink_allocation_bps=guarantees[node_id],
                     report=reports[node_id],
                     reclaimed_uplink_bits=node_reclaimed[node_id],
                     cameras_migrated_in=self._migrated_in[node_id],
@@ -617,50 +580,6 @@ class ShardedFleetRuntime:
                 )
             )
 
-        cluster_telemetry = TelemetryRegistry()
-        control_ticks = 0
-        shedding_interventions = 0
-        uplink_rebalances = 0
-        threshold_drifts = 0
-        control_log: list[str] = []
-        decision_records: list[dict] = []
-        coordination_payload_bytes: list[int] = []
-        if self.hierarchy is not None:
-            # Hierarchical runs never merge per-node registries into the
-            # cluster view: the cluster's telemetry is the coordinator's
-            # fixed-size rollup (gauges derived from per-node aggregates),
-            # so assembling it costs O(nodes), not O(cameras x metrics).
-            cluster_telemetry.merge(self.hierarchy.telemetry)
-            control_ticks = self.hierarchy.ticks
-            shedding_interventions = int(
-                self.hierarchy.counter_value("control.shedding.interventions")
-            )
-            uplink_rebalances = int(
-                self.hierarchy.counter_value("control.uplink.rebalances")
-            )
-            threshold_drifts = int(
-                self.hierarchy.counter_value("control.threshold.drifts")
-            )
-            control_log = list(self.hierarchy.decision_log)
-            decision_records = list(self.hierarchy.decision_records)
-            coordination_payload_bytes = list(self.hierarchy.payload_bytes)
-        else:
-            for node_id in self.node_ids:
-                cluster_telemetry.merge(self.nodes[node_id].telemetry, prefix=f"{node_id}.")
-        if self.control_loop is not None:
-            cluster_telemetry.merge(self.control_loop.telemetry)
-            control_ticks = self.control_loop.ticks
-            shedding_interventions = int(
-                self.control_loop.counter_value("control.shedding.interventions")
-            )
-            uplink_rebalances = int(
-                self.control_loop.counter_value("control.uplink.rebalances")
-            )
-            threshold_drifts = int(
-                self.control_loop.counter_value("control.threshold.drifts")
-            )
-            control_log = list(self.control_loop.decision_log)
-            decision_records = list(self.control_loop.decision_records)
         alerts = (
             evaluate_alerts(self.timeline, self.alert_rules)
             if self.timeline is not None and self.alert_rules
@@ -681,14 +600,16 @@ class ShardedFleetRuntime:
             uplink_sharing=self.config.uplink_sharing,
             reclaimed_uplink_bits=reclaimed_bits,
             migrations_performed=len(self._migrations),
-            shedding_interventions=shedding_interventions,
-            uplink_rebalances=uplink_rebalances,
-            threshold_drifts=threshold_drifts,
-            control_ticks=control_ticks,
-            control_log=control_log,
-            decision_records=decision_records,
-            coordination_payload_bytes=coordination_payload_bytes,
-            telemetry=cluster_telemetry.snapshot(),
+            shedding_interventions=int(
+                self.control.counter_value("control.shedding.interventions")
+            ),
+            uplink_rebalances=int(self.control.counter_value("control.uplink.rebalances")),
+            threshold_drifts=int(self.control.counter_value("control.threshold.drifts")),
+            control_ticks=self.control.ticks,
+            control_log=list(self.control.decision_log),
+            decision_records=list(self.control.decision_records),
+            coordination_payload_bytes=list(self.control.payload_bytes),
+            telemetry=self.control.cluster_telemetry(self.nodes).snapshot(),
             alerts=alerts,
             delivery=(
                 self.event_plane.cluster_report if self.event_plane is not None else None

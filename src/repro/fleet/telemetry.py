@@ -15,7 +15,7 @@ import math
 import re
 from collections import deque
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_HISTOGRAM_WINDOW",
     "TelemetryRegistry",
     "jain_fairness",
+    "nearest_rank",
     "sanitize_metric_name",
 ]
 
@@ -63,6 +64,22 @@ def jain_fairness(shares: Iterable[float]) -> float:
     if square_sum == 0.0:
         return 1.0
     return sum(values) ** 2 / (len(values) * square_sum)
+
+
+def nearest_rank(ordered: Sequence[float], fraction: float) -> float:
+    """Exact nearest-rank quantile of an ascending sequence (0.0 when empty).
+
+    The smallest value with at least ``fraction`` of the observations at or
+    below it; ``fraction`` 0 is the minimum, 1 the maximum.  Every exact
+    percentile in the repository is this rank rule (the weighted-centroid
+    :class:`~repro.control.hierarchy.QuantileSketch` is an approximation
+    and a different algorithm).
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    if len(ordered) == 0:
+        return 0.0
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
 
 
 class Counter:
@@ -222,9 +239,7 @@ class Histogram:
         relative = max(0, start - self.discarded)
         if relative >= len(self._values):
             return 0.0
-        ordered = sorted(islice(self._values, relative, None))
-        rank = max(0, math.ceil(q / 100.0 * len(ordered)) - 1)
-        return ordered[rank]
+        return nearest_rank(sorted(islice(self._values, relative, None)), q / 100.0)
 
     def merge_from(self, other: "Histogram") -> None:
         """Fold ``other``'s distribution into this one.

@@ -27,20 +27,9 @@ from repro.control import (
     ThresholdDriftController,
 )
 from repro.control.trace import control_trace_records
-from repro.fleet import (
-    CameraSpec,
-    DropPolicy,
-    FleetConfig,
-    ShardedFleetRuntime,
-    ShardingConfig,
-)
+from repro.fleet import CameraSpec, ShardedFleetRuntime, ShardingConfig
 
-NODE_CONFIG = FleetConfig(
-    num_workers=1,
-    queue_capacity=4,
-    drop_policy=DropPolicy.DROP_OLDEST,
-    service_time_scale=0.12,
-)
+from golden_scenario import NODE_CONFIG  # the flat golden's single-worker node
 
 
 def golden_cameras() -> list[CameraSpec]:

@@ -1,9 +1,11 @@
 """Hierarchical control plane: sketches, aggregates, coordinator, two levels."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from control_helpers import FakeRuntime, make_stats
 from repro.control.hierarchy import (
     ClusterCoordinator,
     HierarchicalControlPlane,
@@ -12,8 +14,9 @@ from repro.control.hierarchy import (
     QuantileSketch,
     default_local_controllers,
 )
-from repro.control.migration import MigrationConfig
-from repro.control.uplink import UplinkShareConfig
+from repro.control.migration import MigrationConfig, MigrationController
+from repro.control.policies import ClusterView, NodeView
+from repro.control.uplink import UplinkShareConfig, UplinkShareController
 from repro.fleet.camera import generate_fleet
 from repro.fleet.runtime import FleetConfig
 from repro.fleet.sharding import ShardedFleetRuntime, ShardingConfig
@@ -158,80 +161,290 @@ class TestNodeControlPlane:
         assert "adaptive_shedding" in names or len(names) >= 1
 
 
+def make_aggregate(node_id, matched=0.0, utilization=0.5):
+    return NodeAggregate(
+        node_id=node_id,
+        now=1.0,
+        num_cameras=4,
+        num_workers=2,
+        frames_generated=100.0,
+        frames_scored=90.0,
+        frames_rejected=0.0,
+        frames_dropped=10.0,
+        frames_matched=matched,
+        events_closed=2.0,
+        estimated_upload_bits=1e5,
+        offered_utilization=utilization,
+        window_wait_count=10,
+        window_wait_sketch=QuantileSketch.from_values([0.01] * 10),
+        resolutions=((48, 32),),
+    )
+
+
+def aggregate_view(aggregates, uplink_weights, tick_index=0):
+    """What the hierarchy shows the coordinator's controllers at one tick."""
+    return ClusterView(
+        now=0.25 * (tick_index + 1),
+        interval=0.25,
+        tick_index=tick_index,
+        nodes=tuple(aggregates[node_id] for node_id in sorted(aggregates)),
+        horizon=10.0,
+        uplink_weights=uplink_weights,
+    )
+
+
+def migration_intent(coordinator, aggregates):
+    """The coordinator's migration gate, fed as the hierarchy feeds it."""
+    return coordinator.migration.gate(
+        {node_id: agg.offered_utilization for node_id, agg in sorted(aggregates.items())}
+    )
+
+
 class TestClusterCoordinator:
-    def _aggregate(self, node_id, matched, utilization=0.5):
-        return NodeAggregate(
-            node_id=node_id,
-            now=1.0,
-            num_cameras=4,
-            num_workers=2,
-            frames_generated=100.0,
-            frames_scored=90.0,
-            frames_rejected=0.0,
-            frames_dropped=10.0,
-            frames_matched=matched,
-            events_closed=2.0,
-            estimated_upload_bits=1e5,
-            offered_utilization=utilization,
-            window_wait_count=10,
-            window_wait_sketch=QuantileSketch.from_values([0.01] * 10),
-            resolutions=((48, 32),),
-        )
+    """The coordinator is the flat plane's two cluster policies over aggregates."""
+
+    def test_owns_renamed_flat_controllers(self):
+        coordinator = ClusterCoordinator()
+        assert isinstance(coordinator.uplink, UplinkShareController)
+        assert isinstance(coordinator.migration, MigrationController)
+        assert coordinator.uplink.name == "cluster_uplink"
+        assert coordinator.migration.name == "cluster_migration"
+        # Renaming the instances must not leak into the flat plane's classes.
+        assert UplinkShareController.name == "uplink_share"
+        assert MigrationController.name == "camera_migration"
+
+    def test_aggregate_answers_the_policy_read_surface(self):
+        aggregate = make_aggregate("node0", matched=7.0)
+        assert aggregate.counter_value("frames.matched") == 7.0
+        assert aggregate.counter_value("frames.generated") == 100.0
+        with pytest.raises(KeyError):
+            aggregate.counter_value("frames.never_carried")
 
     def test_uplink_skews_toward_demand(self):
         coordinator = ClusterCoordinator(
             uplink_config=UplinkShareConfig(smoothing=1.0, rebalance_threshold=0.05)
         )
         aggregates = {
-            "node0": self._aggregate("node0", matched=90.0),
-            "node1": self._aggregate("node1", matched=10.0),
+            "node0": make_aggregate("node0", matched=90.0),
+            "node1": make_aggregate("node1", matched=10.0),
         }
-        action = coordinator.decide_uplink(aggregates, {"node0": 1.0, "node1": 1.0})
-        assert action is not None
+        (action,) = coordinator.uplink.decide(
+            aggregate_view(aggregates, {"node0": 1.0, "node1": 1.0})
+        )
         weights = dict(action.weights)
         assert weights["node0"] > weights["node1"]
         assert all(w > 0 for w in weights.values())
+        (record,) = coordinator.uplink.drain_decision_records()
+        assert (record.controller, record.kind) == ("cluster_uplink", "rebalance")
 
     def test_uplink_holds_inside_threshold(self):
         coordinator = ClusterCoordinator(
             uplink_config=UplinkShareConfig(smoothing=1.0, rebalance_threshold=0.5)
         )
         aggregates = {
-            "node0": self._aggregate("node0", matched=55.0),
-            "node1": self._aggregate("node1", matched=45.0),
+            "node0": make_aggregate("node0", matched=55.0),
+            "node1": make_aggregate("node1", matched=45.0),
         }
-        action = coordinator.decide_uplink(aggregates, {"node0": 1.0, "node1": 1.0})
-        assert action is None
-        records = coordinator.drain_decision_records()
+        actions = coordinator.uplink.decide(
+            aggregate_view(aggregates, {"node0": 1.0, "node1": 1.0})
+        )
+        assert actions == []
+        records = coordinator.uplink.drain_decision_records()
         assert any(r.kind == "hold" for r in records)
 
     def test_uplink_none_when_statically_sliced(self):
         coordinator = ClusterCoordinator()
-        aggregates = {"node0": self._aggregate("node0", matched=10.0)}
-        assert coordinator.decide_uplink(aggregates, None) is None
+        aggregates = {"node0": make_aggregate("node0", matched=10.0)}
+        assert coordinator.uplink.decide(aggregate_view(aggregates, None)) == []
+        (record,) = coordinator.uplink.drain_decision_records()
+        assert record.kind == "idle"
 
     def test_migration_gates_on_sustained_imbalance(self):
         coordinator = ClusterCoordinator(
             migration_config=MigrationConfig(sustain_ticks=2)
         )
         hot = {
-            "node0": self._aggregate("node0", matched=0.0, utilization=2.0),
-            "node1": self._aggregate("node1", matched=0.0, utilization=0.1),
+            "node0": make_aggregate("node0", utilization=2.0),
+            "node1": make_aggregate("node1", utilization=0.1),
         }
-        assert coordinator.decide_migration(hot) is None  # not yet sustained
-        intent = coordinator.decide_migration(hot)
-        assert intent == ("node0", "node1")
+        assert migration_intent(coordinator, hot) is None  # not yet sustained
+        (record,) = coordinator.migration.drain_decision_records()
+        assert record.controller == "cluster_migration"
+        assert record.reason == "imbalance observed but not yet sustained"
+        assert migration_intent(coordinator, hot) == ("node0", "node1")
 
     def test_migration_holds_when_balanced(self):
         coordinator = ClusterCoordinator()
         balanced = {
-            "node0": self._aggregate("node0", matched=0.0, utilization=0.5),
-            "node1": self._aggregate("node1", matched=0.0, utilization=0.5),
+            "node0": make_aggregate("node0", utilization=0.5),
+            "node1": make_aggregate("node1", utilization=0.5),
         }
         for _ in range(4):
-            assert coordinator.decide_migration(balanced) is None
-        records = coordinator.drain_decision_records()
+            assert migration_intent(coordinator, balanced) is None
+        records = coordinator.migration.drain_decision_records()
+        assert len(records) == 4
         assert all(r.is_noop for r in records)
+
+    def test_resolved_intent_starts_cooldowns_or_holds(self):
+        from repro.control.policies import MigrateCamera
+
+        coordinator = ClusterCoordinator(
+            migration_config=MigrationConfig(sustain_ticks=1, cooldown_ticks=3)
+        )
+        hot = {
+            "node0": make_aggregate("node0", utilization=2.0),
+            "node1": make_aggregate("node1", utilization=0.1),
+        }
+        assert migration_intent(coordinator, hot) == ("node0", "node1")
+        assert coordinator.migration.resolve(1.0, None, ()) == []
+        assert migration_intent(coordinator, hot) == ("node0", "node1")  # no cooldown
+        move = MigrateCamera("cam0", "node0", "node1", blackout_seconds=0.25)
+        assert coordinator.migration.resolve(1.25, move, ()) == [move]
+        assert coordinator.migration.migrations == [(1.25, "cam0", "node0", "node1")]
+        assert "cam0" in coordinator.migration.camera_cooldowns
+        assert migration_intent(coordinator, hot) is None  # cluster cooldown
+        reasons = [r.reason for r in coordinator.migration.drain_decision_records()]
+        assert reasons == [
+            "no candidate camera pays back its blackout",
+            None,
+            "migration cooldown active",
+        ]
+
+
+def _without_controller(record):
+    entry = record.to_dict()
+    del entry["controller"]
+    return entry
+
+
+class TestOnePolicyTwoViews:
+    """Full node views and fixed-size aggregates drive identical decisions.
+
+    The property that makes a second policy implementation unnecessary: the
+    same matched-frame / utilization series, shown once through
+    ``NodeView`` objects over (fake) runtimes and once through aggregates,
+    produces the same actions and the same decision records — apart from
+    the controller's name.
+    """
+
+    # Per tick: cumulative frames.matched per node.
+    MATCHED_SERIES = {
+        "demand shifts to node1": [(10, 10), (30, 12), (40, 60), (41, 140), (42, 220)],
+        "quiet then one burst": [(0, 0), (0, 0), (50, 0), (50, 0), (50, 1)],
+        "steady even split": [(10, 10), (20, 20), (30, 30), (40, 40), (50, 50)],
+    }
+
+    @pytest.mark.parametrize("series", sorted(MATCHED_SERIES))
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_uplink_policy(self, series, weighted):
+        weights = {"node0": 1.0, "node1": 1.0} if weighted else None
+        flat = UplinkShareController()
+        coordinator = ClusterCoordinator()
+        runtimes = {"node0": FakeRuntime(), "node1": FakeRuntime()}
+        rebalances = 0
+        for tick, matched in enumerate(self.MATCHED_SERIES[series]):
+            aggregates = {}
+            for node_id, value in zip(sorted(runtimes), matched):
+                counter = runtimes[node_id].telemetry.counter("frames.matched")
+                counter.inc(value - counter.value)
+                aggregates[node_id] = make_aggregate(node_id, matched=float(value))
+            flat_view = ClusterView(
+                now=0.25 * (tick + 1),
+                interval=0.25,
+                tick_index=tick,
+                nodes=tuple(NodeView(n, runtimes[n]) for n in sorted(runtimes)),
+                horizon=10.0,
+                uplink_weights=weights,
+            )
+            flat_actions = flat.decide(flat_view)
+            cluster_actions = coordinator.uplink.decide(
+                aggregate_view(aggregates, weights, tick)
+            )
+            assert cluster_actions == flat_actions
+            assert [
+                _without_controller(r) for r in coordinator.uplink.drain_decision_records()
+            ] == [_without_controller(r) for r in flat.drain_decision_records()]
+            if flat_actions:
+                rebalances += 1
+                weights = flat_actions[0].as_mapping()
+        if weighted and series != "steady even split":
+            assert rebalances > 0, "the series must drive at least one rebalance"
+
+    # Per tick: frames generated since the last tick by (node0, node1)'s
+    # cameras (two 20 fps cameras on node0, one on node1; 2 workers each).
+    ARRIVAL_SERIES = {
+        "node0 hot throughout": [(5, 1)] * 8,
+        "hot, then level": [(5, 1)] * 3 + [(2, 2)] * 3,
+        "never imbalanced": [(2, 2)] * 5,
+        "too late to pay back": [(1, 1)] * 37 + [(5, 1)] * 2,
+    }
+
+    @pytest.mark.parametrize("series", sorted(ARRIVAL_SERIES))
+    def test_migration_policy(self, series):
+        config = MigrationConfig(sustain_ticks=2, cooldown_ticks=2)
+        flat = MigrationController(config)
+        coordinator = ClusterCoordinator(migration_config=config)
+        service = 0.1
+        runtimes = {
+            "node0": FakeRuntime(
+                {
+                    "cam0": make_stats("cam0", frame_rate=20.0, service_seconds=service),
+                    "cam1": make_stats("cam1", frame_rate=20.0, service_seconds=service),
+                }
+            ),
+            "node1": FakeRuntime(
+                {"cam2": make_stats("cam2", frame_rate=20.0, service_seconds=service)}
+            ),
+        }
+        planes = {n: NodeControlPlane(n, runtimes[n], controllers=[]) for n in runtimes}
+        outcomes = set()
+        for tick, arrivals in enumerate(self.ARRIVAL_SERIES[series]):
+            now = 0.25 * (tick + 1)
+            for node_id, per_camera in zip(sorted(runtimes), arrivals):
+                cameras = runtimes[node_id].cameras
+                for camera_id, stats in cameras.items():
+                    cameras[camera_id] = replace(
+                        stats, generated=stats.generated + per_camera
+                    )
+            flat_view = ClusterView(
+                now=now,
+                interval=0.25,
+                tick_index=tick,
+                nodes=tuple(NodeView(n, runtimes[n]) for n in sorted(runtimes)),
+                horizon=10.0,
+            )
+            flat_actions = flat.decide(flat_view)
+            # The hierarchical path: aggregates up, gate, victim picked on
+            # the source node, outcome resolved by the same controller.
+            aggregates = {n: planes[n].aggregate(now) for n in sorted(planes)}
+            cluster_actions = []
+            intent = migration_intent(coordinator, aggregates)
+            if intent is not None:
+                source, destination = intent
+                action, candidates = planes[source].nominate_victim(
+                    aggregates[destination],
+                    aggregates[source].offered_utilization,
+                    flat_view.remaining_seconds,
+                    coordinator.migration,
+                )
+                cluster_actions = coordinator.migration.resolve(now, action, candidates)
+            assert cluster_actions == flat_actions
+            flat_records = flat.drain_decision_records()
+            assert [
+                _without_controller(r)
+                for r in coordinator.migration.drain_decision_records()
+            ] == [_without_controller(r) for r in flat_records]
+            outcomes.update((r.kind, r.reason) for r in flat_records)
+            for action in flat_actions:
+                moved = runtimes[action.source].cameras.pop(action.camera_id)
+                runtimes[action.destination].cameras[action.camera_id] = moved
+        expected = {
+            "node0 hot throughout": ("migrate", None),
+            "hot, then level": ("hold", "cluster inside the imbalance gates"),
+            "never imbalanced": ("hold", "cluster inside the imbalance gates"),
+            "too late to pay back": ("hold", "no candidate camera pays back its blackout"),
+        }[series]
+        assert expected in outcomes
 
 
 class TestHierarchicalControlPlane:

@@ -232,3 +232,37 @@ class TestHierarchyPayloadContract:
         rollup = report.telemetry.get("cluster.events.published")
         assert rollup is not None and rollup["value"] >= 0
         assert report.coordination_payload_bytes, "hierarchy must have ticked"
+
+
+class TestTailRecordsReachTheSinkInCloseOrder:
+    def test_generated_fleet_with_open_tail_events_completes(self):
+        """finalize() once offered flush-closed tails in camera order.
+
+        Two cameras holding an open event at end-of-stream close at their
+        own ``max(stint end, last completion)``; handed over in camera
+        order, the second could precede the first and the node's outbox
+        refused it (``offers must arrive in non-decreasing closed_at
+        order``).  Any ``generate_fleet`` fleet of this size has such a pair.
+        """
+        from repro.fleet.camera import generate_fleet
+
+        plane = EventDeliveryPlane()
+        runtime = ShardedFleetRuntime(
+            generate_fleet(16, seed=0, duration_seconds=4.0),
+            ShardingConfig(num_nodes=2),
+            event_plane=plane,
+        )
+        report = runtime.run()
+        delivery = report.delivery
+        collected = sum(len(node.event_records) for node in runtime.nodes.values())
+        assert delivery.published == collected > 0
+        assert delivery.published == delivery.delivered + delivery.dropped
+        # Tails were really involved, and each node's sink saw them in order.
+        for node in runtime.nodes.values():
+            closes = [record.closed_at for record in node.event_records]
+            assert closes == sorted(closes)
+        assert any(
+            record.closed_at >= node_report.report.sim_duration
+            for node_report in report.nodes
+            for record in runtime.nodes[node_report.node_id].event_records
+        )

@@ -1,5 +1,7 @@
 """Telemetry counter/gauge/histogram accuracy and registry semantics."""
 
+import math
+
 import pytest
 
 from repro.fleet.telemetry import (
@@ -7,8 +9,66 @@ from repro.fleet.telemetry import (
     Gauge,
     Histogram,
     TelemetryRegistry,
+    nearest_rank,
     sanitize_metric_name,
 )
+
+
+# The three rank rules ``nearest_rank`` replaced, verbatim, as references.
+def _old_histogram_rank(ordered, q):  # Histogram.percentile_since, q in [0, 100]
+    if not ordered:
+        return 0.0
+    return ordered[max(0, math.ceil(q / 100.0 * len(ordered)) - 1)]
+
+
+def _old_events_rank(ordered, q):  # events.plane.nearest_rank_percentile, q in (0, 1]
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
+def _old_bench_rank(ordered, q):  # benchmarks/bench_events.nearest_rank (no empty case)
+    return float(ordered[max(1, math.ceil(q * len(ordered))) - 1])
+
+
+class TestNearestRank:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [3.5],
+            [1.0, 2.0, 3.0, 4.0],
+            [1.0, 1.0, 1.0, 2.0, 2.0],  # ties
+            [float(v) for v in range(1, 101)],
+            [0.25] * 7,
+        ],
+        ids=["empty", "single", "four", "ties", "hundred", "all-equal"],
+    )
+    @pytest.mark.parametrize("percent", [0, 1, 25, 50, 90, 99, 100])
+    def test_matches_the_three_rules_it_replaced(self, values, percent):
+        fraction = percent / 100.0
+        got = nearest_rank(values, fraction)
+        assert got == _old_histogram_rank(values, percent)
+        if percent > 0:  # the events rule rejected q=0 outright
+            assert got == _old_events_rank(values, fraction)
+            if values:
+                assert got == _old_bench_rank(values, fraction)
+
+    def test_ends_single_value_and_empty(self):
+        assert nearest_rank([], 0.5) == 0.0
+        assert nearest_rank([7.0], 0.0) == nearest_rank([7.0], 1.0) == 7.0
+        assert nearest_rank([1.0, 2.0, 3.0], 0.0) == 1.0
+        assert nearest_rank([1.0, 2.0, 3.0], 1.0) == 3.0
+
+    @pytest.mark.parametrize("fraction", [-0.01, 1.01])
+    def test_rejects_fractions_outside_the_unit_interval(self, fraction):
+        with pytest.raises(ValueError):
+            nearest_rank([1.0], fraction)
+
+    def test_accepts_any_ascending_sequence(self):
+        np = pytest.importorskip("numpy")
+        assert nearest_rank(np.array([1.0, 2.0, 3.0, 4.0]), 0.5) == 2.0
+        assert nearest_rank(np.array([]), 0.5) == 0.0
 
 
 class TestCounter:
