@@ -261,9 +261,9 @@ class NodeControlPlane:
 
     A tick is the flat loop's pass (:func:`~repro.control.loop.run_controllers`)
     over a single-node :class:`~repro.control.policies.ClusterView` — the
-    only cluster-scope input is the node's own uplink guarantee, handed
-    down by the coordinator as an O(1) downstream message — applied through
-    a :class:`~repro.control.loop.NodeActuator`.  The tick then distills the
+    only cluster-scope input is the node's own uplink guarantee, which it
+    reads off its link port — applied through a
+    :class:`~repro.control.loop.NodeActuator`.  The tick then distills the
     node into a :class:`NodeAggregate` for the coordinator.
     """
 
@@ -298,9 +298,7 @@ class NodeControlPlane:
         self._last_generated: dict[str, int] = {}
 
     # -- the local loop --------------------------------------------------------
-    def tick(
-        self, now: float, horizon: float, uplink_guarantee: float | None = None
-    ) -> NodeAggregate:
+    def tick(self, now: float, horizon: float) -> NodeAggregate:
         """Run local policies once, then summarize the node for the cluster."""
         view = ClusterView(
             now=now,
@@ -308,9 +306,7 @@ class NodeControlPlane:
             tick_index=self.journal.open_tick(),
             nodes=(NodeView(self.node_id, self.runtime),),
             horizon=horizon,
-            uplink_guarantees=(
-                {self.node_id: uplink_guarantee} if uplink_guarantee is not None else None
-            ),
+            uplink_guarantees=self.actuator.uplink_guarantees,
         )
         run_controllers(self.controllers, view, self.actuator, self.journal)
         return self.aggregate(now)
@@ -459,11 +455,9 @@ class HierarchicalControlPlane:
             self.bind(nodes)
         tick_index = self.journal.open_tick()
         horizon = max((runtime.horizon for runtime in nodes.values()), default=0.0)
-        guarantees = actuator.uplink_guarantees
         # Level 1: every node runs its local loop, then sends one aggregate up.
         self.last_aggregates = aggregates = {
-            node_id: plane.tick(now, horizon, guarantees.get(node_id))
-            for node_id, plane in self.planes.items()
+            node_id: plane.tick(now, horizon) for node_id, plane in self.planes.items()
         }
         payload = sum(agg.payload_bytes() for agg in aggregates.values())
         self.payload_bytes.append(payload)

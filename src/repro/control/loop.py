@@ -66,7 +66,7 @@ class NodeActuator:
 
     @property
     def uplink_guarantees(self) -> dict[str, float]:
-        """The node owns its whole uplink; the guarantee is its capacity."""
+        """The node's guarantee is its port's capacity: a whole link, or a share."""
         return {self.node_id: self.runtime.uplink.capacity_bps}
 
     def apply(self, action: ControlAction, now: float) -> None:

@@ -22,6 +22,10 @@ sat idle under static slicing.  The model is a deterministic fluid
 simulation over a globally time-ordered list of transfer requests from all
 nodes, which is exactly the cross-node event ordering static slicing let the
 cluster avoid.
+
+Either way a node holds a *link port* — ``upload``, ``capacity_bps``,
+``total_bits``, ``reclaimed_bits``, ``utilization``, ``backlog_seconds``,
+``transfers`` — and both shared links hand theirs out as ``links[node]``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,18 @@ __all__ = [
     "SharedTransfer",
     "WorkConservingUplink",
 ]
+
+
+def _utilization(bits: float, capacity_bps: float, duration: float) -> float:
+    """Fraction of ``capacity_bps`` that ``bits`` consumed over ``duration`` seconds.
+
+    An empty window (``duration <= 0`` — e.g. a zero-length run being
+    finalized) used nothing of the link, so it reports 0.0 rather than
+    raising and crashing report finalization.
+    """
+    if duration <= 0:
+        return 0.0
+    return bits / (capacity_bps * duration)
 
 
 @dataclass(frozen=True)
@@ -71,6 +87,8 @@ class ConstrainedUplink:
     keep_transfers: bool = True
     _busy_until: float = 0.0
     _total_bits: float = 0.0
+    # A serial link never moves a bit above its own capacity.
+    reclaimed_bits = 0.0
 
     def __post_init__(self) -> None:
         if self.capacity_bps <= 0:
@@ -106,15 +124,8 @@ class ConstrainedUplink:
         return self._busy_until
 
     def utilization(self, duration: float) -> float:
-        """Fraction of the link capacity consumed over ``duration`` seconds.
-
-        An empty window (``duration <= 0`` — e.g. a zero-length run being
-        finalized) used nothing of the link, so it reports 0.0 rather than
-        raising and crashing report finalization.
-        """
-        if duration <= 0:
-            return 0.0
-        return self.total_bits / (self.capacity_bps * duration)
+        """Fraction of the link capacity consumed over ``duration`` seconds."""
+        return _utilization(self.total_bits, self.capacity_bps, duration)
 
     def backlog_seconds(self, now: float) -> float:
         """How far behind real time the link currently is."""
@@ -145,6 +156,7 @@ class SharedUplink:
         if capacity_bps <= 0:
             raise ValueError("capacity_bps must be positive")
         self.capacity_bps = float(capacity_bps)
+        self.reclaimed_bits = 0.0  # slices never borrow each other's idle capacity
         self._links: dict[str, ConstrainedUplink] = {}
         self._allocated_bps = 0.0
         if weights is not None:
@@ -182,19 +194,17 @@ class SharedUplink:
         """Capacity handed out so far."""
         return self._allocated_bps
 
+    def drain(self) -> None:
+        """Nothing is pending: every slice served its uploads as they came."""
+
     @property
     def total_bits(self) -> float:
         """Bits sent across all allocations."""
         return sum(link.total_bits for link in self._links.values())
 
     def utilization(self, duration: float) -> float:
-        """Fraction of the *whole* link consumed over ``duration`` seconds.
-
-        0.0 for an empty window, matching :meth:`ConstrainedUplink.utilization`.
-        """
-        if duration <= 0:
-            return 0.0
-        return self.total_bits / (self.capacity_bps * duration)
+        """Fraction of the *whole* link consumed over ``duration`` seconds."""
+        return _utilization(self.total_bits, self.capacity_bps, duration)
 
     def backlog_seconds(self, now: float) -> float:
         """Worst per-node backlog: how far the most-behind slice lags ``now``."""
@@ -236,6 +246,38 @@ class SharedTransfer:
         return self.end_time - self.start_time
 
 
+@dataclass
+class _NodePort:
+    """One node's end of a :class:`WorkConservingUplink`.
+
+    Stands where a :class:`ConstrainedUplink` slice would: :meth:`upload`
+    queues the transfer for the link's one :meth:`~WorkConservingUplink.drain`,
+    which fills in the read side; ``capacity_bps`` is the node's guarantee.
+    """
+
+    node_id: str
+    capacity_bps: float
+    _submitted: list[SharedTransferRequest]
+    total_bits: float = 0.0
+    reclaimed_bits: float = 0.0
+    busy_until: float = 0.0
+    transfers: list[SharedTransfer] = field(default_factory=list)
+
+    def upload(self, bits: float, available_at: float = 0.0, description: str = "upload") -> None:
+        """Queue ``bits`` for the drain; there is no transfer until it has run."""
+        self._submitted.append(
+            SharedTransferRequest(self.node_id, bits, available_at, description)
+        )
+
+    def utilization(self, duration: float) -> float:
+        """Fraction of the node's guarantee consumed over ``duration`` seconds."""
+        return _utilization(self.total_bits, self.capacity_bps, duration)
+
+    def backlog_seconds(self, now: float) -> float:
+        """How far the node's last bit lags ``now``."""
+        return max(0.0, self.busy_until - float(now))
+
+
 class WorkConservingUplink:
     """One datacenter link shared by weighted generalized processor sharing.
 
@@ -246,11 +288,11 @@ class WorkConservingUplink:
     :class:`SharedUplink` slice would have given it — and every bit moved
     above that rate counts toward :attr:`reclaimed_bits`.
 
-    The simulation is *post-hoc*: callers collect every node's transfer
-    requests (globally time-ordered across the cluster), optionally schedule
-    weight updates via :meth:`schedule_weights` (the control plane's uplink
-    actuator), and call :meth:`drain` once.  The fluid GPS replay is exact
-    and deterministic: sorted inputs, no randomness, no wall-clock reads.
+    The simulation is *post-hoc*: every node submits its transfers through
+    its port (:attr:`links`), the control plane's uplink actuator optionally
+    schedules weight updates via :meth:`schedule_weights`, and the cluster
+    calls :meth:`drain` once.  The fluid GPS replay is exact and
+    deterministic: sorted inputs, no randomness, no wall-clock reads.
     """
 
     _EPS_BITS = 1e-9
@@ -269,15 +311,13 @@ class WorkConservingUplink:
         self._change_sequence = 0
         self.transfers: list[SharedTransfer] = []
         self.reclaimed_bits = 0.0
-        self._node_bits = {node_id: 0.0 for node_id in self._weights}
-        self._node_reclaimed = {node_id: 0.0 for node_id in self._weights}
-        self._node_busy_until = {node_id: 0.0 for node_id in self._weights}
         self._drained = False
-        # Optional callback invoked with each SharedTransfer the moment the
-        # fluid replay completes it (in completion order).  The sharded
-        # runtime's frame tracer uses it to stamp upload spans onto sampled
-        # frames without re-walking the transfer list.
-        self.on_transfer = None
+        self._submitted: list[SharedTransferRequest] = []
+        total = sum(self._weights.values())
+        self._ports = {
+            node_id: _NodePort(node_id, self.capacity_bps * weight / total, self._submitted)
+            for node_id, weight in self._weights.items()
+        }
 
     # -- configuration -------------------------------------------------------
     @property
@@ -290,9 +330,14 @@ class WorkConservingUplink:
         """Initial per-node weights."""
         return dict(self._weights)
 
+    @property
+    def links(self) -> dict[str, _NodePort]:
+        """Per-node ports by name, the counterpart of :attr:`SharedUplink.links`."""
+        return dict(self._ports)
+
     def guaranteed_bps(self, node_id: str) -> float:
         """A node's static-slice guarantee under the *initial* weights."""
-        return self.capacity_bps * self._weights[node_id] / sum(self._weights.values())
+        return self._ports[node_id].capacity_bps
 
     def schedule_weights(self, at_time: float, weights: Mapping[str, float]) -> None:
         """Install new GPS weights from ``at_time`` onward (applied in replay).
@@ -318,17 +363,18 @@ class WorkConservingUplink:
         self._change_sequence += 1
 
     # -- the fluid replay ----------------------------------------------------
-    def drain(self, requests: Iterable[SharedTransferRequest]) -> list[SharedTransfer]:
+    def drain(self, requests: Iterable[SharedTransferRequest] = ()) -> list[SharedTransfer]:
         """Replay every request through the shared link; returns the transfers.
 
-        Requests are served FIFO per node and GPS-shared across nodes.  May
-        only be called once.
+        ``requests`` join whatever the ports submitted.  Requests are served
+        FIFO per node and GPS-shared across nodes.  May only be called once.
         """
         if self._drained:
             raise RuntimeError("drain() may only be called once")
         self._drained = True
         reqs = sorted(
-            requests, key=lambda r: (r.available_at, r.node_id, r.description, r.bits)
+            [*self._submitted, *requests],
+            key=lambda r: (r.available_at, r.node_id, r.description, r.bits),
         )
         for req in reqs:
             if req.node_id not in self._weights:
@@ -340,10 +386,6 @@ class WorkConservingUplink:
         remaining: dict[str, float] = {}
         started: dict[str, float] = {}
         weights = dict(self._weights)
-        # The reclaim baseline is what *static slicing under the configured
-        # allocation* would have guaranteed — the initial weights.  Scheduled
-        # re-weighting changes the GPS rates, not the comparison point.
-        initial_total = sum(self._weights.values())
         capacity = self.capacity_bps
         results: list[SharedTransfer] = []
         i = 0  # next request to enqueue
@@ -374,10 +416,10 @@ class WorkConservingUplink:
                         end_time=t,
                     )
                     results.append(transfer)
-                    if self.on_transfer is not None:
-                        self.on_transfer(transfer)
-                    self._node_bits[node_id] += head.bits
-                    self._node_busy_until[node_id] = t
+                    port = self._ports[node_id]
+                    port.transfers.append(transfer)
+                    port.total_bits += head.bits
+                    port.busy_until = t
                     del remaining[node_id]
                     del started[node_id]
                     completed = True
@@ -410,10 +452,14 @@ class WorkConservingUplink:
                 rate = capacity * weights[n] / active_weight
                 drained = min(remaining[n], rate * dt)
                 remaining[n] -= drained
-                guaranteed = capacity * self._weights[n] / initial_total
+                # The reclaim baseline is what *static slicing under the
+                # configured allocation* would have guaranteed — the initial
+                # weights.  Scheduled re-weighting changes the GPS rates, not
+                # the comparison point.
+                guaranteed = self._ports[n].capacity_bps
                 if rate > guaranteed and dt > 0:
                     excess = min(drained, (rate - guaranteed) * dt)
-                    self._node_reclaimed[n] += excess
+                    self._ports[n].reclaimed_bits += excess
                     self.reclaimed_bits += excess
             t = t_next
         self.transfers = results
@@ -423,35 +469,24 @@ class WorkConservingUplink:
     @property
     def total_bits(self) -> float:
         """Bits moved across all nodes."""
-        return sum(self._node_bits.values())
+        return sum(port.total_bits for port in self._ports.values())
 
     def node_bits(self, node_id: str) -> float:
         """Bits node ``node_id`` moved through the link."""
-        return self._node_bits[node_id]
+        return self._ports[node_id].total_bits
 
     def node_reclaimed_bits(self, node_id: str) -> float:
         """Bits ``node_id`` moved above its static guarantee."""
-        return self._node_reclaimed[node_id]
-
-    def node_transfers(self, node_id: str) -> list[SharedTransfer]:
-        """Completed transfers of one node, in completion order."""
-        return [tr for tr in self.transfers if tr.node_id == node_id]
+        return self._ports[node_id].reclaimed_bits
 
     def utilization(self, duration: float) -> float:
-        """Fraction of the whole link consumed over ``duration`` seconds.
-
-        0.0 for an empty window, matching :meth:`ConstrainedUplink.utilization`.
-        """
-        if duration <= 0:
-            return 0.0
-        return self.total_bits / (self.capacity_bps * duration)
+        """Fraction of the whole link consumed over ``duration`` seconds."""
+        return _utilization(self.total_bits, self.capacity_bps, duration)
 
     def backlog_seconds(self, now: float) -> float:
         """How far the most-behind node's last bit lags ``now``."""
-        if not self._node_busy_until:
-            return 0.0
-        return max(0.0, max(self._node_busy_until.values()) - float(now))
+        return max(port.backlog_seconds(now) for port in self._ports.values())
 
     def node_backlog_seconds(self, node_id: str, now: float) -> float:
         """How far one node's last bit lags ``now``."""
-        return max(0.0, self._node_busy_until[node_id] - float(now))
+        return self._ports[node_id].backlog_seconds(now)

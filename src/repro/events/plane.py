@@ -52,6 +52,17 @@ STATE_DELIVERED_UNACKED = "delivered_unacked"
 STATE_DEAD_LETTER = "dead_letter"
 STATE_DROPPED_OVERFLOW = "dropped_overflow"
 
+# What finalize() tallies per node and sums for the cluster.
+TALLY_KEYS = (
+    "published",
+    "acked",
+    "delivered_unacked",
+    "dead_letter",
+    "retried",
+    "duped",
+    "ack_violations",
+)
+
 
 def nearest_rank_percentile(sorted_values: list[float], q: float) -> float:
     """Exact nearest-rank percentile of an ascending list (0 when empty)."""
@@ -223,9 +234,9 @@ class EventDeliveryPlane:
     def transfer_requests(self) -> list[SharedTransferRequest]:
         """Every attempt of every admitted record, as shared-uplink requests.
 
-        Event bytes ride the same link as frame uploads: the caller merges
-        these with the frame transfer requests before draining the shared
-        uplink, so event delivery contends for — and waits behind — video.
+        Event bytes ride the same link as frame uploads: the caller submits
+        each to its node's link port before the shared uplink drains, so
+        event delivery contends for — and waits behind — video.
         """
         requests = [
             SharedTransferRequest(
@@ -281,16 +292,7 @@ class EventDeliveryPlane:
         slo = self.config.slo
         per_node_latencies: dict[str, list[float]] = {n: [] for n in self._outboxes}
         counts: dict[str, dict[str, int]] = {
-            n: {
-                "published": 0,
-                "acked": 0,
-                "delivered_unacked": 0,
-                "dead_letter": 0,
-                "retried": 0,
-                "duped": 0,
-                "ack_violations": 0,
-            }
-            for n in self._outboxes
+            n: dict.fromkeys(TALLY_KEYS, 0) for n in self._outboxes
         }
         for publish in self._publishes:
             node = publish.node_id
@@ -330,16 +332,7 @@ class EventDeliveryPlane:
         }
         all_latencies = [lat for lats in per_node_latencies.values() for lat in lats]
         cluster_counts = {
-            metric: sum(counts[node][metric] for node in counts)
-            for metric in next(iter(counts.values()), {})
-        } or {
-            "published": 0,
-            "acked": 0,
-            "delivered_unacked": 0,
-            "dead_letter": 0,
-            "retried": 0,
-            "duped": 0,
-            "ack_violations": 0,
+            metric: sum(tally[metric] for tally in counts.values()) for metric in TALLY_KEYS
         }
         self.cluster_report = self._build_report(
             "cluster",

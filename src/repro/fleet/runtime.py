@@ -503,6 +503,13 @@ class _CameraState:
     matched: int = 0
     events: int = 0
 
+    @property
+    def stint_end(self) -> float:
+        """When the stint stopped offering frames: its detach, or the feed's end."""
+        if self.detached_at is not None:
+            return self.detached_at
+        return self.spec.start_time + self.spec.duration
+
 
 class FleetRuntime:
     """Runs a camera fleet through one edge node on a simulated clock."""
@@ -514,7 +521,6 @@ class FleetRuntime:
         config: FleetConfig | None = None,
         telemetry: TelemetryRegistry | None = None,
         uplink: ConstrainedUplink | None = None,
-        defer_uploads: bool = False,
         tracer: Tracer | NodeTracer | None = None,
         event_sink: Callable[[EventRecord], None] | None = None,
     ) -> None:
@@ -534,16 +540,12 @@ class FleetRuntime:
             service_time_scale=self.config.service_time_scale,
             telemetry=self.telemetry,
         )
-        # An injected uplink lets several nodes share one datacenter link
-        # (each node gets its allocation from repro.edge.uplink.SharedUplink).
+        # An injected uplink is this node's port on a datacenter link it
+        # shares with other nodes (``links[node]`` of a SharedUplink or a
+        # WorkConservingUplink); its ``capacity_bps`` is the node's guarantee.
         self.uplink = uplink if uplink is not None else ConstrainedUplink(
             self.config.uplink_capacity_bps
         )
-        # With deferred uploads the runtime computes each event's bits and
-        # availability time but leaves the transfer to an external shared
-        # link (the sharded runtime's work-conserving uplink).
-        self.defer_uploads = defer_uploads
-        self.pending_uploads: list[tuple[float, str, float]] = []
         # A fleet-level Tracer is resolved to this node's NodeTracer so the
         # standalone single-node case needs no node bookkeeping from callers;
         # the sharded runtime passes each node its NodeTracer directly.
@@ -590,6 +592,7 @@ class FleetRuntime:
         self._round_robin = 0
         self._starved = 0  # cameras with arrivals but no scored frame yet
         self._started = False
+        self._closed: tuple | None = None  # close()'s tallies, kept for finalize()
         self._finalized = False
 
     # -- orchestration -------------------------------------------------------
@@ -1090,26 +1093,24 @@ class FleetRuntime:
         self.telemetry.gauge("fairness.starved_cameras").set(self._starved)
 
     # -- reporting -----------------------------------------------------------
-    def finalize(self) -> FleetReport:
-        """Flush every session, replay uploads, and assemble the report."""
-        if not self._started:
-            raise RuntimeError("call start() (or run()) before finalize()")
-        if self._heap:
-            raise RuntimeError("finalize() with pending events; advance_until() first")
-        if self._finalized:
-            raise RuntimeError("finalize() may only be called once")
-        self._finalized = True
-        hosted_ends = [
-            s.detached_at if s.detached_at is not None else s.spec.start_time + s.spec.duration
-            for s in self._states.values()
-        ]
-        sim_duration = max([self._last_event_time, *hosted_ends])
+    def close(self) -> float:
+        """Flush every session and submit each event's upload to the link.
 
-        uploads: list[tuple[float, str, int, float]] = []
+        Returns the node's own simulated duration.  :meth:`finalize` runs
+        this when nobody has; a driver whose link serves several nodes closes
+        them all and lets the link drain before it asks any for its report.
+        """
+        if not self._started:
+            raise RuntimeError("call start() (or run()) before close()")
+        if self._heap:
+            raise RuntimeError("close() with pending events; advance_until() first")
+        if self._closed is not None:
+            raise RuntimeError("close() may only be called once")
+        sim_duration = max([self._last_event_time, *(s.stint_end for s in self._states.values())])
+
+        uploads: list[tuple[float, str, float]] = []
         reports: dict[str, CameraReport] = {}
         accuracies: dict[str, CameraAccuracy] = {}
-        total_events = 0
-        total_matched = 0
         tails: list[tuple[float, str, _CameraState, EventRecord]] = []
         for key, state in self._states.items():
             spec = state.spec
@@ -1126,23 +1127,19 @@ class FleetRuntime:
             # ... nor were their records: collect the flush-closed tail.  A
             # tail event closes when its stint ends, but never before its
             # last frame finished scoring (under overload, scoring lags).
-            stint_end = (
-                state.detached_at
-                if state.detached_at is not None
-                else spec.start_time + spec.duration
-            )
             for tail in state.session.closed_records[state.records_consumed :]:
-                closed_at = max(stint_end, state.completion_times[tail.end - 1])
+                closed_at = max(state.stint_end, state.completion_times[tail.end - 1])
                 tails.append((closed_at, key, state, tail))
             camera_bits = 0.0
             for mc_result in result.per_mc.values():
                 if mc_result.encoded is None:
                     continue
                 session = state.session
+                # Matched frames were encoded in matched order.
                 bits_by_position = {
-                    pos: compressed.bits
+                    int(pos): compressed.bits
                     for pos, compressed in zip(
-                        self._matched_positions(mc_result), mc_result.encoded.frames
+                        mc_result.matched_frame_indices, mc_result.encoded.frames
                     )
                 }
                 for event in mc_result.events:
@@ -1157,7 +1154,7 @@ class FleetRuntime:
                     scored_at = state.completion_times[event.end - 1]
                     available_at = max(captured_at, scored_at)
                     description = f"{key}/{mc_result.mc_name}/event{event.event_id}"
-                    uploads.append((available_at, description, event.event_id, bits))
+                    uploads.append((available_at, description, bits))
                     if self.tracer is not None:
                         for pos in range(event.start, event.end):
                             self.tracer.register_upload(
@@ -1167,8 +1164,6 @@ class FleetRuntime:
                                 available_at,
                             )
                     camera_bits += bits
-            total_events += state.events
-            total_matched += state.matched
             stats = state.queue.stats
             report = CameraReport(
                 camera_id=spec.camera_id,
@@ -1208,28 +1203,37 @@ class FleetRuntime:
         for closed_at, _, state, tail in sorted(tails, key=lambda t: t[:2]):
             self._collect_records(state, [tail], max(closed_at, published_until))
 
-        ordered = sorted(uploads, key=lambda u: (u[0], u[1]))
-        if self.defer_uploads:
-            # The shared-link replay sets the uplink gauges (and patches the
-            # report) once it has drained every node's uploads.
-            self.pending_uploads = [(t, description, bits) for t, description, _, bits in ordered]
-            total_bits = sum(bits for _, _, _, bits in ordered)
-            backlog = 0.0
-            utilization = 0.0
-        else:
-            for available_at, description, _, bits in ordered:
-                transfer = self.uplink.upload(
-                    bits, available_at=available_at, description=description
+        # The node's own bits, in the link's FIFO order.  The port's total
+        # may come to more: event-plane attempts ride the same link.
+        total_bits = 0.0
+        for available_at, description, bits in sorted(uploads):
+            self.uplink.upload(bits, available_at=available_at, description=description)
+            total_bits += bits
+        self._closed = (sim_duration, reports, accuracies, total_bits)
+        return sim_duration
+
+    def finalize(self, link_duration: float | None = None) -> FleetReport:
+        """Read the link once and assemble the report (closing first if need be).
+
+        ``link_duration`` is the clock the uplink figures are measured over —
+        the cluster's, when the link is shared; the node's own by default.
+        """
+        if self._finalized:
+            raise RuntimeError("finalize() may only be called once")
+        if self._closed is None:
+            self.close()
+        self._finalized = True
+        sim_duration, reports, accuracies, total_bits = self._closed
+        link_duration = sim_duration if link_duration is None else link_duration
+        if self.tracer is not None:
+            for transfer in self.uplink.transfers:
+                self.tracer.complete_upload(
+                    transfer.description, transfer.start_time, transfer.end_time
                 )
-                if self.tracer is not None:
-                    self.tracer.complete_upload(
-                        description, transfer.start_time, transfer.end_time
-                    )
-            total_bits = self.uplink.total_bits
-            backlog = self.uplink.backlog_seconds(sim_duration)
-            utilization = self.uplink.utilization(sim_duration)
-            self.telemetry.gauge("uplink.backlog_seconds").set(backlog)
-            self.telemetry.gauge("uplink.utilization").set(utilization)
+        backlog = self.uplink.backlog_seconds(link_duration)
+        utilization = self.uplink.utilization(link_duration)
+        self.telemetry.gauge("uplink.backlog_seconds").set(backlog)
+        self.telemetry.gauge("uplink.utilization").set(utilization)
 
         counters = self.telemetry.counters()
         generated = int(counters.get("frames.generated", 0))
@@ -1245,8 +1249,8 @@ class FleetRuntime:
             frames_scored=scored,
             frames_dropped=dropped,
             frames_rejected=rejected,
-            events_detected=total_events,
-            matched_frames=total_matched,
+            events_detected=sum(camera.events for camera in reports.values()),
+            matched_frames=sum(camera.matched_frames for camera in reports.values()),
             achieved_fps=scored / sim_duration if sim_duration > 0 else 0.0,
             offered_fps=generated / sim_duration if sim_duration > 0 else 0.0,
             worker_utilization=self.workers.utilization(sim_duration),
@@ -1312,8 +1316,3 @@ class FleetRuntime:
             ),
             uploaded_bits=first.uploaded_bits + second.uploaded_bits,
         )
-
-    @staticmethod
-    def _matched_positions(mc_result) -> list[int]:
-        """Stream positions of the matched frames, in matched order."""
-        return [int(i) for i in mc_result.matched_frame_indices]

@@ -8,17 +8,20 @@ boxes shares a camera fleet and a common datacenter uplink.
 :class:`ShardedFleetRuntime` partitions the fleet with a
 :class:`~repro.fleet.placement.PlacementPolicy`, gives every node its own
 full runtime (bounded queues, admission control, worker pool, telemetry) and
-a share of one datacenter link, then runs each node on the same
-deterministic simulated clock.  Two uplink regimes are supported:
+a port on one datacenter link, then runs each node on the same
+deterministic simulated clock.  Every byte — frame uploads when a node
+closes, then the event plane's publish attempts — is submitted through the
+node's port, the link drains once, and each node reads its port once for its
+report, over the cluster's duration.  What a port is depends on the regime:
 
-* ``static`` — each node owns a fixed slice of a
-  :class:`~repro.edge.uplink.SharedUplink`.  Nodes never interact, so
-  running them sequentially in node order is exact.
-* ``work_conserving`` — nodes defer their uploads and the cluster replays
-  them, globally time-ordered across nodes, through a
-  :class:`~repro.edge.uplink.WorkConservingUplink` (weighted GPS): idle
-  per-node capacity flows to backlogged nodes, and the bits moved above a
-  node's static guarantee are reported as reclaimed.
+* ``static`` — a fixed slice of a :class:`~repro.edge.uplink.SharedUplink`
+  that serves each upload the moment it is submitted.  Nodes never interact,
+  so running them sequentially in node order is exact.
+* ``work_conserving`` — a port of a
+  :class:`~repro.edge.uplink.WorkConservingUplink` (weighted GPS) that queues
+  for the drain, which replays every node's transfers globally time-ordered:
+  idle per-node capacity flows to backlogged nodes, and the bits moved above
+  a node's static guarantee are reported as reclaimed.
 
 All nodes advance in lockstep, and whatever fills the runtime's one control
 slot ticks at each interval boundary.  A :class:`~repro.control.loop.ControlLoop`
@@ -43,11 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.loop import ClusterActuator, ControlLoop, drive
-from repro.edge.uplink import (
-    SharedTransferRequest,
-    SharedUplink,
-    WorkConservingUplink,
-)
+from repro.edge.uplink import SharedUplink, WorkConservingUplink
 from repro.fleet.accuracy import FleetAccuracy
 from repro.fleet.camera import CameraSpec
 from repro.fleet.placement import (
@@ -400,6 +399,7 @@ class ShardedFleetRuntime:
         self._migrated_in: dict[str, int] = {node_id: 0 for node_id in self.node_ids}
         self._migrated_out: dict[str, int] = {node_id: 0 for node_id in self.node_ids}
         self.nodes: dict[str, FleetRuntime] = {}
+        ports = self.shared_uplink.links
         for node_id, shard in zip(self.node_ids, self.shards):
             self._hosted[node_id] = [spec.camera_id for spec in shard]
             self.nodes[node_id] = FleetRuntime(
@@ -409,10 +409,7 @@ class ShardedFleetRuntime:
                 pipeline_factory=pipeline_factory or default_pipeline_factory(),
                 config=self.config.node_config,
                 telemetry=TelemetryRegistry(),
-                uplink=(
-                    None if self._work_conserving else self.shared_uplink.links[node_id]
-                ),
-                defer_uploads=self._work_conserving,
+                uplink=ports[node_id],
                 tracer=(self.tracer.node(node_id) if self.tracer is not None else None),
             )
         self.event_plane = event_plane
@@ -443,11 +440,9 @@ class ShardedFleetRuntime:
 
         The observation surface of uplink-aware control: a node whose live
         estimated upload bits outrun ``guarantee * now`` is building backlog
-        the end-of-run replay will have to drain.
+        the end-of-run drain will have to clear.
         """
-        if self._work_conserving:
-            return {n: self.shared_uplink.guaranteed_bps(n) for n in self.node_ids}
-        return {n: self.shared_uplink.links[n].capacity_bps for n in self.node_ids}
+        return {n: self.nodes[n].uplink.capacity_bps for n in self.node_ids}
 
     def set_uplink_weights(self, now: float, weights: dict[str, float]) -> None:
         """Schedule new shared-uplink weights from ``now`` onward."""
@@ -481,105 +476,49 @@ class ShardedFleetRuntime:
             # wants; attach it so every tick scrapes all node registries.
             self.control.timeline = self.timeline
         drive(self.control, self.nodes, ClusterActuator(self))
-        reports = {node_id: self.nodes[node_id].finalize() for node_id in self.node_ids}
-        sim_duration = max((r.sim_duration for r in reports.values()), default=0.0)
-
-        reclaimed_bits = 0.0
-        node_reclaimed: dict[str, float] = {node_id: 0.0 for node_id in self.node_ids}
-        event_end_times: dict[str, float] = {}
-        if self._work_conserving:
-            requests = [
-                SharedTransferRequest(
-                    node_id=node_id,
-                    bits=bits,
-                    available_at=available_at,
-                    description=description,
-                )
-                for node_id in self.node_ids
-                for available_at, description, bits in self.nodes[node_id].pending_uploads
-            ]
-            if self.event_plane is not None:
-                # Event publish attempts join the same drain as the frame
-                # uploads: drain() globally time-orders the merged list, so
-                # event bytes genuinely contend with video for the link.
-                requests.extend(self.event_plane.transfer_requests())
-            if self.tracer is not None:
-                # Route each completed shared transfer back to its node's
-                # tracer so sampled frames get their upload spans even though
-                # the cluster (not the node) replayed the transfer.
-                self.shared_uplink.on_transfer = lambda tr: self.tracer.node(
-                    tr.node_id
-                ).complete_upload(tr.description, tr.start_time, tr.end_time)
-            self.shared_uplink.drain(requests)
-            reclaimed_bits = self.shared_uplink.reclaimed_bits
-            if self.event_plane is not None:
-                event_end_times = {
-                    transfer.description: transfer.end_time
-                    for transfer in self.shared_uplink.transfers
-                    if transfer.description.startswith("evt/")
-                }
-            for node_id in self.node_ids:
-                node_reclaimed[node_id] = self.shared_uplink.node_reclaimed_bits(node_id)
-                report = reports[node_id]
-                guaranteed = self.shared_uplink.guaranteed_bps(node_id)
-                if sim_duration > 0:
-                    report.uplink_utilization = self.shared_uplink.node_bits(node_id) / (
-                        guaranteed * sim_duration
-                    )
-                report.uplink_backlog_seconds = self.shared_uplink.node_backlog_seconds(
-                    node_id, sim_duration
-                )
-                # Keep the node's telemetry (and its snapshot in the report)
-                # consistent with the patched uplink fields.
-                telemetry = self.nodes[node_id].telemetry
-                telemetry.gauge("uplink.utilization").set(report.uplink_utilization)
-                telemetry.gauge("uplink.backlog_seconds").set(report.uplink_backlog_seconds)
-                report.telemetry = telemetry.snapshot()
-
+        sim_duration = max((self.nodes[n].close() for n in self.node_ids), default=0.0)
         if self.event_plane is not None:
-            if not self._work_conserving:
-                # Static slices: replay each admitted publish attempt
-                # through its node's own link slice.  Frame uploads already
-                # occupied the slice live during the run, so event bytes
-                # queue behind the node's video FIFO — same capacity, no
-                # free side channel.
-                for request in self.event_plane.transfer_requests():
-                    transfer = self.shared_uplink.links[request.node_id].upload(
-                        request.bits, request.available_at, request.description
-                    )
-                    event_end_times[request.description] = transfer.end_time
-            self.event_plane.finalize(event_end_times)
-            for node_id in self.node_ids:
-                report = reports[node_id]
+            # Publish attempts ride the node's port like its frame uploads —
+            # same capacity, no free side channel.  A slice has already
+            # served the node's video, so event bytes queue behind it; the
+            # work-conserving drain time-orders both kinds together.
+            for request in self.event_plane.transfer_requests():
+                self.nodes[request.node_id].uplink.upload(
+                    request.bits, request.available_at, request.description
+                )
+        self.shared_uplink.drain()
+        if self.event_plane is not None:
+            # Stamps delivery counters and the latency histogram into each
+            # node's registry, ahead of the one snapshot finalize() takes.
+            self.event_plane.finalize(
+                {
+                    transfer.description: transfer.end_time
+                    for node_id in self.node_ids
+                    for transfer in self.nodes[node_id].uplink.transfers
+                }
+            )
+        reports = {n: self.nodes[n].finalize(sim_duration) for n in self.node_ids}
+        if self.event_plane is not None:
+            for node_id, report in reports.items():
                 report.delivery = self.event_plane.node_reports[node_id]
-                # finalize() stamped post-hoc delivery counters and the
-                # latency histogram into each node's registry; refresh the
-                # report's snapshot (and let the end-of-run scrape below
-                # capture them) to match.
-                report.telemetry = self.nodes[node_id].telemetry.snapshot()
-
         if self.timeline is not None:
-            # One final end-of-run scrape: captures the uplink gauges
-            # finalize() (or the work-conserving replay above) set after the
-            # last interval boundary.
+            # One final end-of-run scrape: captures the uplink gauges and
+            # delivery counters set after the last interval boundary.
             self.control.scrape(sim_duration, self.nodes)
 
-        guarantees = self.uplink_guarantees()
-        node_reports: list[NodeReport] = []
-        for node_id, cost in zip(self.node_ids, self._shard_costs):
-            node_reports.append(
-                NodeReport(
-                    node_id=node_id,
-                    camera_ids=list(self._hosted[node_id]),
-                    estimated_cost=cost,
-                    uplink_allocation_bps=guarantees[node_id],
-                    report=reports[node_id],
-                    reclaimed_uplink_bits=node_reclaimed[node_id],
-                    cameras_migrated_in=self._migrated_in[node_id],
-                    cameras_migrated_out=self._migrated_out[node_id],
-                )
+        node_reports = [
+            NodeReport(
+                node_id=node_id,
+                camera_ids=list(self._hosted[node_id]),
+                estimated_cost=cost,
+                uplink_allocation_bps=self.nodes[node_id].uplink.capacity_bps,
+                report=reports[node_id],
+                reclaimed_uplink_bits=self.nodes[node_id].uplink.reclaimed_bits,
+                cameras_migrated_in=self._migrated_in[node_id],
+                cameras_migrated_out=self._migrated_out[node_id],
             )
-
+            for node_id, cost in zip(self.node_ids, self._shard_costs)
+        ]
         alerts = (
             evaluate_alerts(self.timeline, self.alert_rules)
             if self.timeline is not None and self.alert_rules
@@ -598,7 +537,7 @@ class ShardedFleetRuntime:
             total_uplink_bits=self.shared_uplink.total_bits,
             sim_duration=sim_duration,
             uplink_sharing=self.config.uplink_sharing,
-            reclaimed_uplink_bits=reclaimed_bits,
+            reclaimed_uplink_bits=self.shared_uplink.reclaimed_bits,
             migrations_performed=len(self._migrations),
             shedding_interventions=int(
                 self.control.counter_value("control.shedding.interventions")

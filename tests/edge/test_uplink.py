@@ -1,8 +1,10 @@
 """Tests for the constrained uplink."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.edge.uplink import ConstrainedUplink, SharedUplink
+from repro.edge.uplink import ConstrainedUplink, SharedUplink, WorkConservingUplink
 
 
 class TestConstrainedUplink:
@@ -116,8 +118,6 @@ class TestSharedUplink:
 
 class TestWorkConservingUplink:
     def make_link(self, capacity=100.0, weights=None):
-        from repro.edge.uplink import WorkConservingUplink
-
         return WorkConservingUplink(capacity, weights or {"a": 1.0, "b": 1.0})
 
     def request(self, node, bits, at, description="upload"):
@@ -212,8 +212,6 @@ class TestWorkConservingUplink:
         assert link.utilization(duration=0.0) == 0.0
 
     def test_validation(self):
-        from repro.edge.uplink import WorkConservingUplink
-
         with pytest.raises(ValueError):
             WorkConservingUplink(0.0, {"a": 1.0})
         with pytest.raises(ValueError):
@@ -252,3 +250,57 @@ class TestWorkConservingUplink:
             ], link.reclaimed_bits
 
         assert run() == run()
+
+
+# (node, bits, available_at) triples; descriptions are made unique per request.
+port_requests = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    ),
+    max_size=24,
+)
+
+
+class TestLinkPorts:
+    @given(requests=port_requests)
+    @settings(max_examples=60, deadline=None)
+    def test_ports_conserve_bits_and_serve_each_node_fifo(self, requests):
+        link = WorkConservingUplink(1000.0, {"a": 2.0, "b": 1.0, "c": 1.0})
+        submitted = {node: [] for node in link.node_ids}
+        for index, (node, bits, at) in enumerate(requests):
+            link.links[node].upload(bits, at, f"r{index:02d}")
+            submitted[node].append((at, f"r{index:02d}", bits))
+        link.drain()
+        for node, port in link.links.items():
+            assert port.total_bits == pytest.approx(sum(b for _, _, b in submitted[node]))
+            # FIFO in (available_at, description) order, one transfer at a time.
+            assert [t.description for t in port.transfers] == [
+                description for _, description, _ in sorted(submitted[node])
+            ]
+            for earlier, later in zip(port.transfers, port.transfers[1:]):
+                assert later.start_time >= earlier.end_time - 1e-9
+        assert link.total_bits == pytest.approx(sum(bits for _, bits, _ in requests))
+        assert len(link.transfers) == len(requests)
+
+    @given(requests=port_requests)
+    @settings(max_examples=60, deadline=None)
+    def test_a_one_node_link_is_a_constrained_uplink(self, requests):
+        """A slice is GPS with nobody to share with."""
+        link = WorkConservingUplink(1000.0, {"a": 1.0})
+        port = link.links["a"]
+        for index, (_, bits, at) in enumerate(requests):
+            port.upload(bits, at, f"r{index:02d}")
+        link.drain()
+        serial = ConstrainedUplink(1000.0)
+        for index, (_, bits, at) in sorted(enumerate(requests), key=lambda r: (r[1][2], r[0])):
+            serial.upload(bits, at, f"r{index:02d}")
+        assert port.capacity_bps == serial.capacity_bps
+        assert link.reclaimed_bits == 0.0
+        assert [t.description for t in port.transfers] == [
+            t.description for t in serial.transfers
+        ]
+        for shared, alone in zip(port.transfers, serial.transfers):
+            assert shared.end_time == pytest.approx(alone.end_time, abs=1e-9)
+        assert port.backlog_seconds(5.0) == pytest.approx(serial.backlog_seconds(5.0), abs=1e-9)

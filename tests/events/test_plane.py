@@ -244,6 +244,14 @@ class TestMultiNode:
             plane.node_reports[n].published for n in plane.node_ids()
         )
 
+    def test_plane_with_no_attached_nodes_finalizes_to_zero(self):
+        from repro.events import DeliveryReport
+
+        plane = EventDeliveryPlane()
+        assert plane.finalize({}) == DeliveryReport(scope="cluster")
+        assert plane.node_reports == {}
+        assert plane.delivery_log_jsonl() == ""
+
     def test_report_serialization(self):
         plane = EventDeliveryPlane()
         runtime = FakeRuntime()

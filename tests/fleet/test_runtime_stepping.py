@@ -264,16 +264,45 @@ class TestResolutionScaledService:
         )
 
 
-class TestDeferredUploads:
-    def test_pending_uploads_collected_not_sent(self):
+class TestLinkPort:
+    def test_work_conserving_port_moves_no_bits_before_the_drain(self):
+        from repro.edge.uplink import WorkConservingUplink
+
+        link = WorkConservingUplink(200_000.0, {"node0": 1.0, "node1": 1.0})
+        port = link.links["node0"]
         runtime = FleetRuntime(
-            cameras(n=2, frame_rate=10.0, duration=2.0), config=FAST, defer_uploads=True
+            cameras(n=2, frame_rate=10.0, duration=2.0), config=FAST, uplink=port
         )
-        report = runtime.run()
-        assert runtime.uplink.total_bits == 0.0
-        if report.total_uploaded_bits > 0:
-            assert runtime.pending_uploads
-            assert report.total_uploaded_bits == pytest.approx(
-                sum(bits for _, _, bits in runtime.pending_uploads)
-            )
-        assert report.uplink_utilization == 0.0
+        runtime.start()
+        runtime.advance_until(math.inf)
+        duration = runtime.close()
+        # Submitted, not sent: the port has nothing to show until the drain.
+        assert port.total_bits == 0.0
+        assert port.transfers == []
+        assert port.utilization(duration) == 0.0
+        link.drain()
+        report = runtime.finalize()
+        assert report.total_uploaded_bits > 0
+        assert report.total_uploaded_bits == port.total_bits == link.total_bits
+        assert [t.description for t in port.transfers] == [
+            t.description for t in link.transfers
+        ]
+        # The node measures itself against its guarantee, half the link.
+        assert port.capacity_bps == 100_000.0
+        assert report.uplink_utilization == port.total_bits / (100_000.0 * duration)
+        assert report.uplink_backlog_seconds == port.backlog_seconds(duration)
+
+    def test_close_is_once_only_and_finalize_runs_it_when_nobody_has(self):
+        runtime = FleetRuntime(cameras(), config=FAST)
+        with pytest.raises(RuntimeError, match="start"):
+            runtime.close()
+        runtime.start()
+        with pytest.raises(RuntimeError, match="pending"):
+            runtime.close()
+        runtime.advance_until(math.inf)
+        duration = runtime.close()
+        with pytest.raises(RuntimeError, match="once"):
+            runtime.close()
+        closed_first = runtime.finalize()
+        assert closed_first.sim_duration == duration
+        assert closed_first.telemetry == FleetRuntime(cameras(), config=FAST).run().telemetry

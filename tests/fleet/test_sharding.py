@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.events import DeliveryConfig, EventDeliveryPlane
 from repro.fleet.camera import generate_fleet
 from repro.fleet.runtime import FleetConfig
 from repro.fleet.sharding import ShardedFleetRuntime, ShardingConfig
+from repro.fleet.telemetry import TelemetryRegistry
+from repro.obs.timeline import MetricsTimeline
 
 FAST_NODE = FleetConfig(num_workers=2, queue_capacity=4, service_time_scale=0.05)
 
@@ -273,3 +276,89 @@ class TestUplinkUtilizationGuard:
     def test_normal_case_unchanged(self):
         report = self._report()
         assert report.uplink_utilization == pytest.approx(5e5 / (1e6 * 2.0))
+
+
+SHARING_MODES = ("static", "work_conserving")
+
+
+def one_path_cluster(sharing, with_events=False, timeline=None):
+    """Twelve cameras on three nodes behind a 200 kbit/s link."""
+    return ShardedFleetRuntime(
+        generate_fleet(12, seed=0, duration_seconds=3.0),
+        config=ShardingConfig(
+            num_nodes=3,
+            total_uplink_bps=200_000.0,
+            uplink_sharing=sharing,
+            node_config=FAST_NODE,
+        ),
+        event_plane=EventDeliveryPlane(DeliveryConfig()) if with_events else None,
+        timeline=timeline,
+    )
+
+
+class TestOneUploadPath:
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    def test_node_utilizations_add_up_to_the_clusters(self, sharing):
+        """Every node reads its port over the cluster's clock, so the
+        capacity-weighted node figures are the cluster's figure."""
+        report = one_path_cluster(sharing).run()
+        assert report.uplink_utilization > 0.1
+        weighted = sum(
+            node.report.uplink_utilization * node.uplink_allocation_bps
+            for node in report.nodes
+        )
+        assert weighted / report.total_uplink_bps == pytest.approx(
+            report.uplink_utilization, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    def test_event_bytes_count_toward_the_nodes_link_figures(self, sharing):
+        runtime = one_path_cluster(sharing, with_events=True)
+        report = runtime.run()
+        assert report.delivery.published > 0
+        for node in report.nodes:
+            port = runtime.nodes[node.node_id].uplink
+            assert port.total_bits > node.report.total_uploaded_bits
+            assert node.report.uplink_utilization == port.utilization(report.sim_duration)
+        assert report.total_uplink_bits == pytest.approx(
+            sum(runtime.nodes[n].uplink.total_bits for n in runtime.node_ids)
+        )
+
+    @pytest.mark.parametrize("with_events", (False, True))
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    def test_each_node_report_is_assembled_once(self, sharing, with_events, monkeypatch):
+        snapshots = []
+        snapshot = TelemetryRegistry.snapshot
+
+        def counted(registry):
+            snapshots.append(registry)
+            return snapshot(registry)
+
+        monkeypatch.setattr(TelemetryRegistry, "snapshot", counted)
+        runtime = one_path_cluster(sharing, with_events, timeline=MetricsTimeline())
+        control = runtime.control
+        tick, scrape = control.tick, control.scrape
+        seen_at_scrape = []
+
+        def ticking(*args):
+            applied = tick(*args)
+            snapshots.clear()
+            return applied
+
+        def scraping(*args):
+            seen_at_scrape.append(list(snapshots))
+            scrape(*args)
+
+        # The last scrape() entered is the end-of-run one; every earlier one
+        # ran inside a tick, which then cleared the tally.
+        control.tick, control.scrape = ticking, scraping
+        report = runtime.run()
+        for node in report.nodes:
+            registry = runtime.nodes[node.node_id].telemetry
+            assert sum(1 for seen in seen_at_scrape[-1] if seen is registry) == 1
+            assert node.report.telemetry == snapshot(registry)
+            for name in ("uplink.utilization", "uplink.backlog_seconds"):
+                gauge = node.report.telemetry[name]
+                assert gauge["min"] == gauge["max"] == gauge["value"]
+            if with_events:
+                assert node.report.telemetry["events.published"] > 0
