@@ -121,7 +121,9 @@ class FeatureExtractor:
                 f"for {tuple(expected)}"
             )
         batch = pixels[None, ...]
-        _, activations = self.base_dnn.forward_with_taps(batch, self.tap_layers)
+        _, activations = self.base_dnn.forward_with_taps(
+            batch, self.tap_layers, stop_at_last_tap=True
+        )
         self.frames_processed += 1
         return {name: act[0] for name, act in activations.items()}
 

@@ -13,9 +13,10 @@ kernels and blocking (and thread partitions) by matrix size, so
 ``(P, K) @ (K, F)`` calls.  This module therefore batches *everything except
 the GEMM row extents*:
 
-* one ``im2col`` lowering over the whole stacked batch (one strided copy
-  instead of N), whose rows are positionally identical to the per-sample
-  lowerings;
+* one lowering over the whole stacked batch (one strided copy instead of N),
+  whose rows are positionally identical to the per-sample lowerings —
+  :func:`repro.nn.im2col.conv_columns`, which ``Conv2D.forward(training=False)``
+  calls too, so pointwise convolutions skip the window copy on both paths;
 * the convolution GEMM computed in **per-sample row blocks** — each block is
   the same ``(P, K) @ (K, F)`` problem, on the same contiguous row layout,
   the per-sample path hands BLAS, so each sample's output bits are identical
@@ -38,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.nn.im2col import im2col
+from repro.nn.im2col import conv_columns
 from repro.nn.layers import Conv2D, Dense, Layer, SeparableConv2D
 from repro.nn.model import Sequential
 
@@ -70,25 +71,17 @@ def _chunked_gemm(rows: np.ndarray, weights: np.ndarray, samples: int) -> np.nda
 def batched_conv2d_forward(layer: Conv2D, x: np.ndarray) -> np.ndarray:
     """Inference forward of one :class:`Conv2D` over a stacked batch.
 
-    Bit-identical per sample to ``layer.forward(x[i:i+1])``.  Pointwise
-    (1x1, stride-1) convolutions skip the im2col lowering entirely: their
-    column matrix is just the channel-flattened input, so the window copy is
-    pure overhead.
+    Bit-identical per sample to ``layer.forward(x[i:i+1])``: the same
+    :func:`~repro.nn.im2col.conv_columns` lowering, the GEMM chunked per sample.
     """
     if not layer.built:
         raise RuntimeError(f"Layer {layer.name} used before build()")
-    kh, kw = layer.kernel_size
     n = x.shape[0]
-    if (kh, kw) == (1, 1) and layer.stride == (1, 1):
-        out_h, out_w = x.shape[1], x.shape[2]
-        cols = np.ascontiguousarray(x.reshape(n * out_h * out_w, x.shape[3]))
-    else:
-        cols, (out_h, out_w), _ = im2col(x, layer.kernel_size, layer.stride, layer.padding)
-    w_mat = layer.kernel.value.reshape(kh * kw * x.shape[3], layer.filters)
-    out = _chunked_gemm(cols, w_mat, n)
+    cols, out_size = conv_columns(x, layer.kernel_size, layer.stride, layer.padding)
+    out = _chunked_gemm(cols, layer.kernel.value.reshape(-1, layer.filters), n)
     if layer.use_bias:
         out += layer.bias.value
-    return out.reshape(n, out_h, out_w, layer.filters)
+    return out.reshape(n, *out_size, layer.filters)
 
 
 def batched_dense_forward(layer: Dense, x: np.ndarray) -> np.ndarray:
@@ -127,11 +120,7 @@ def batched_layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
 
 def batched_forward(model: Sequential, x: np.ndarray) -> np.ndarray:
     """Batch-exact inference pass through a whole :class:`Sequential`."""
-    model._require_built()
-    out = x
-    for layer in model.layers:
-        out = batched_layer_forward(layer, out)
-    return out
+    return model._run_tapped(x, (), False, batched_layer_forward)[0]
 
 
 def batched_forward_with_taps(
@@ -150,20 +139,6 @@ def batched_forward_with_taps(
     Returns the activations dict only; callers of the batched path never
     consume the head output.
     """
-    model._require_built()
-    wanted = set(taps)
-    if not wanted:
+    if not taps:
         raise ValueError("batched_forward_with_taps requires at least one tap")
-    names = [layer.name for layer in model.layers]
-    unknown = wanted - set(names)
-    if unknown:
-        raise KeyError(f"Unknown tap layer(s) {sorted(unknown)} in model {model.name!r}")
-    last = max(i for i, name in enumerate(names) if name in wanted)
-    layers = model.layers[: last + 1] if stop_at_last_tap else model.layers
-    activations: dict[str, np.ndarray] = {}
-    out = x
-    for layer in layers:
-        out = batched_layer_forward(layer, out)
-        if layer.name in wanted:
-            activations[layer.name] = out
-    return activations
+    return model._run_tapped(x, taps, stop_at_last_tap, batched_layer_forward)[1]

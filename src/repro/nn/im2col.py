@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pad_same", "im2col", "col2im", "conv_output_size"]
+__all__ = ["pad_same", "im2col", "conv_columns", "col2im", "conv_output_size"]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: str) -> int:
@@ -42,7 +42,10 @@ def pad_same(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) ->
     pw = _same_pad_amount(x.shape[2], kernel[1], stride[1])
     if ph == (0, 0) and pw == (0, 0):
         return x
-    return np.pad(x, ((0, 0), ph, pw, (0, 0)), mode="constant")
+    n, h, w, c = x.shape
+    padded = np.zeros((n, h + sum(ph), w + sum(pw), c), dtype=x.dtype)
+    padded[:, ph[0] : ph[0] + h, pw[0] : pw[0] + w, :] = x
+    return padded
 
 
 def im2col(
@@ -84,6 +87,25 @@ def im2col(
     )
     cols = windows.reshape(n * out_h * out_w, kh * kw * c)
     return np.ascontiguousarray(cols), (out_h, out_w), (n, h, w, c)
+
+
+def conv_columns(
+    x: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    padding: str,
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Inference-time lowering of a convolution to ``(cols, out_size)``.
+
+    A pointwise (1x1, stride-1) kernel's column matrix *is* the channel-
+    flattened input, so the window copy is skipped; ``cols`` is C-contiguous
+    either way, as BLAS picks kernels by layout and the bits must not move.
+    """
+    if kernel == (1, 1) and stride == (1, 1):
+        n, h, w, c = x.shape
+        return np.ascontiguousarray(x.reshape(n * h * w, c)), (h, w)
+    cols, out_size, _ = im2col(x, kernel, stride, padding)
+    return cols, out_size
 
 
 def col2im(

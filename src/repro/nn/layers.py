@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import col2im, conv_columns, conv_output_size, im2col
 from repro.nn.initializers import Constant, GlorotUniform, HeNormal, Initializer
 
 __all__ = [
@@ -46,21 +46,35 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(repr=False)
 class Parameter:
-    """A trainable tensor and its accumulated gradient."""
+    """A trainable tensor whose gradient buffer is allocated on first use of :attr:`grad`."""
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(init=False)
+    _grad: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.value = np.asarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient (zeros until something is accumulated)."""
+        if self._grad is None or self._grad.shape != self.value.shape:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray) -> None:
+        self._grad = grad
 
     def zero_grad(self) -> None:
-        """Reset the accumulated gradient to zero."""
-        self.grad[...] = 0.0
+        """Reset the accumulated gradient to zero (a no-op if there is none)."""
+        if self._grad is not None:
+            self._grad[...] = 0.0
+
+    def __repr__(self) -> str:
+        return f"Parameter({self.name!r}, shape={self.value.shape}, grad={self._grad is not None})"
 
     @property
     def size(self) -> int:
@@ -178,22 +192,21 @@ class Conv2D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not self.built:
             raise RuntimeError(f"Layer {self.name} used before build()")
-        kh, kw = self.kernel_size
-        cols, (out_h, out_w), padded_shape = im2col(x, self.kernel_size, self.stride, self.padding)
-        w_mat = self.kernel.value.reshape(kh * kw * x.shape[3], self.filters)
-        out = cols @ w_mat
-        if self.use_bias:
-            out += self.bias.value
-        out = out.reshape(x.shape[0], out_h, out_w, self.filters)
         if training:
+            cols, out_size, padded_shape = im2col(x, self.kernel_size, self.stride, self.padding)
             self._cache = {
                 "cols": cols,
                 "padded_shape": padded_shape,
-                "out_size": (out_h, out_w),
+                "out_size": out_size,
                 "input_spatial": (x.shape[1], x.shape[2]),
                 "in_channels": x.shape[3],
             }
-        return out
+        else:
+            cols, out_size = conv_columns(x, self.kernel_size, self.stride, self.padding)
+        out = cols @ self.kernel.value.reshape(-1, self.filters)
+        if self.use_bias:
+            out += self.bias.value
+        return out.reshape(x.shape[0], *out_size, self.filters)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -549,11 +562,11 @@ class GlobalMaxPool(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, h, w, c = x.shape
         flat = x.reshape(n, h * w, c)
-        idx = flat.argmax(axis=1)
-        out = np.take_along_axis(flat, idx[:, None, :], axis=1)[:, 0, :]
-        if training:
-            self._cache = {"idx": idx, "shape": x.shape}
-        return out
+        if not training:
+            return flat.max(axis=1)
+        idx = flat.argmax(axis=1)  # where ``backward`` routes the gradient
+        self._cache = {"idx": idx, "shape": x.shape}
+        return np.take_along_axis(flat, idx[:, None, :], axis=1)[:, 0, :]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         n, h, w, c = self._cache["shape"]

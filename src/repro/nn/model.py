@@ -9,7 +9,7 @@ activations (e.g. ``conv4_2/sep``) to microclassifiers.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,8 +90,42 @@ class Sequential:
         """Inference-mode forward pass."""
         return self.forward(x, training=False)
 
+    def _run_tapped(
+        self,
+        x: np.ndarray,
+        taps: Sequence[str],
+        stop_at_last_tap: bool,
+        step: Callable[[Layer, np.ndarray], np.ndarray],
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Thread ``x`` through ``step(layer, x)`` and collect the tapped outputs.
+
+        ``stop_at_last_tap`` ends the pass at the deepest tap: nothing past it is tapped.
+        """
+        self._require_built()
+        wanted = set(taps)
+        names = [layer.name for layer in self.layers]
+        unknown = wanted - set(names)
+        if unknown:
+            raise KeyError(f"Unknown tap layer(s) {sorted(unknown)} in model {self.name!r}")
+        layers = self.layers
+        if stop_at_last_tap:
+            if not wanted:
+                raise ValueError("stop_at_last_tap requires at least one tap")
+            layers = layers[: max(i for i, name in enumerate(names) if name in wanted) + 1]
+        activations: dict[str, np.ndarray] = {}
+        out = x
+        for layer in layers:
+            out = step(layer, out)
+            if layer.name in wanted:
+                activations[layer.name] = out
+        return out, activations
+
     def forward_with_taps(
-        self, x: np.ndarray, taps: Sequence[str], training: bool = False
+        self,
+        x: np.ndarray,
+        taps: Sequence[str],
+        training: bool = False,
+        stop_at_last_tap: bool = False,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Forward pass that also returns the activations of named layers.
 
@@ -101,24 +135,17 @@ class Sequential:
             Batch of inputs.
         taps:
             Layer names whose outputs should be captured.
+        stop_at_last_tap:
+            Skip the layers past the deepest tap; ``output`` is then its activation.
 
         Returns
         -------
         (output, activations):
             Final output and a dict mapping each tap name to its activation.
         """
-        self._require_built()
-        wanted = set(taps)
-        unknown = wanted - {layer.name for layer in self.layers}
-        if unknown:
-            raise KeyError(f"Unknown tap layer(s) {sorted(unknown)} in model {self.name!r}")
-        activations: dict[str, np.ndarray] = {}
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-            if layer.name in wanted:
-                activations[layer.name] = out
-        return out, activations
+        return self._run_tapped(
+            x, taps, stop_at_last_tap, lambda layer, out: layer.forward(out, training=training)
+        )
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Backpropagate through all layers (requires a prior training-mode forward)."""

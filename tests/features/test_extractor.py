@@ -101,3 +101,28 @@ class TestFeatureExtractor:
         a = tiny_extractor.extract_pixels(pixels)
         b = tiny_extractor.extract_pixels(pixels)
         np.testing.assert_array_equal(a["conv5_6/sep"], b["conv5_6/sep"])
+
+    def test_base_dnn_stops_at_the_deepest_tap(
+        self, tiny_extractor, tiny_base_dnn, rng, monkeypatch
+    ):
+        """Nothing consumes the head output, so layers past the last tap do not run."""
+        pixels = rng.random((32, 48, 3))
+        ran = []
+
+        def recording(layer):
+            def forward(x, training=False):
+                ran.append(layer.name)
+                return type(layer).forward(layer, x, training=training)
+
+            return forward
+
+        with monkeypatch.context() as patch:
+            for layer in tiny_base_dnn.layers:
+                patch.setattr(layer, "forward", recording(layer))
+            taps = tiny_extractor.extract_pixels(pixels)
+        names = tiny_base_dnn.layer_names()
+        assert ran == names[: names.index("conv5_6/sep") + 1]
+        assert len(ran) < len(names)
+        _, reference = tiny_base_dnn.forward_with_taps(pixels[None], tiny_extractor.tap_layers)
+        for name, activation in taps.items():
+            assert activation.tobytes() == reference[name][0].tobytes()

@@ -1,11 +1,16 @@
 """End-to-end fleet runtime: scheduling, shedding, telemetry, reporting."""
 
+import gc
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.fleet.camera import CameraSpec
 from repro.fleet.queues import DropPolicy
 from repro.fleet.runtime import FleetConfig, FleetRuntime, default_pipeline_factory
 from repro.fleet.worker import WorkerPool, default_schedule
+from repro.video.frame import Frame
 
 
 def tiny_fleet(num_cameras=3, num_frames=10, frame_rate=10.0, **spec_kwargs):
@@ -29,6 +34,36 @@ def run_fleet(cameras, **config_kwargs):
     config = FleetConfig(**config_kwargs)
     runtime = FleetRuntime(cameras, config=config)
     return runtime.run()
+
+
+class TestInferenceMemory:
+    def test_a_deployed_camera_holds_its_weights_and_little_else(self):
+        """A camera's pipeline costs ``8 * num_parameters`` bytes, not twice that.
+
+        Deployment never trains, so no parameter may carry a gradient buffer
+        (the same size again).  Measured with ``tracemalloc``, which NumPy
+        reports its buffers to, rather than RSS, so the pin is deterministic.
+        The slack covers the frames, the feature-map cache and initializer
+        temporaries.
+        """
+        spec = CameraSpec(camera_id="cam00", width=96, height=64, frame_rate=10.0, num_frames=3)
+        rng = np.random.default_rng(0)
+        frames = [Frame(i, i / 10.0, rng.random((64, 96, 3))) for i in range(3)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            session = default_pipeline_factory()(spec)
+            for frame in frames:
+                session.push(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = 8 * (
+            session.extractor.base_dnn.num_parameters()
+            + sum(mc.num_parameters() for mc in session.microclassifiers)
+        )
+        assert weights > 4_000_000  # the 96x64 localized MC of e2e finding 2
+        assert peak < 1.25 * weights + 256 * 1024, f"peak {peak} B for {weights} B of weights"
 
 
 class TestWorkerPool:

@@ -19,6 +19,7 @@ from repro.nn.batched import (
     batched_forward_with_taps,
     batched_layer_forward,
 )
+from repro.nn.im2col import im2col
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -90,6 +91,43 @@ class TestLayerSweep:
         dense = Dense(3)
         dense.build(x.shape[1:], rng)
         assert np.array_equal(batched_dense_forward(dense, x), per_sample_forward(dense, x))
+
+
+class TestPointwiseLowering:
+    """A 1x1 stride-1 ``Conv2D.forward`` skips im2col and keeps im2col's bits."""
+
+    @staticmethod
+    def im2col_lowered(conv, x):
+        cols, (out_h, out_w), _ = im2col(x, conv.kernel_size, conv.stride, conv.padding)
+        out = cols @ conv.kernel.value.reshape(x.shape[3], conv.filters) + conv.bias.value
+        return out.reshape(x.shape[0], out_h, out_w, conv.filters)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_bytes_equal_im2col_lowering(self, seed, padding):
+        rng = np.random.default_rng(seed)
+        feature_map = rng.standard_normal((1, 14, 18, 24))
+        inputs = {
+            "contiguous": feature_map,
+            "crop view": feature_map[:, 2:9, 3:15, :],
+            "channel-strided view": feature_map[..., ::2],
+            "batch": rng.standard_normal((5, 7, 6, 24)),
+        }
+        assert not inputs["crop view"].flags.c_contiguous
+        for label, x in inputs.items():
+            conv = Conv2D(int(rng.integers(1, 33)), 1, padding=padding)
+            conv.build(x.shape[1:], rng)
+            conv.bias.value[...] = rng.standard_normal(conv.filters)
+            out = conv.forward(x, training=False)
+            assert out.tobytes() == self.im2col_lowered(conv, x).tobytes(), label
+            assert out.tobytes() == conv.forward(x, training=True).tobytes(), label
+
+    def test_inference_forward_leaves_no_backward_state(self):
+        conv = Conv2D(3, 1)
+        conv.build((4, 4, 2), np.random.default_rng(0))
+        conv.forward(np.ones((1, 4, 4, 2)))
+        with pytest.raises(RuntimeError, match="before forward"):
+            conv.backward(np.ones((1, 4, 4, 3)))
 
 
 class TestModelEquivalence:

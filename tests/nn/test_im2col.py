@@ -53,6 +53,34 @@ class TestPadSame:
         padded = pad_same(x, (3, 3), (1, 1))
         np.testing.assert_array_equal(padded[:, 1:-1, 1:-1, :], x)
 
+    @given(
+        shape=st.tuples(
+            st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.integers(1, 4)
+        ),
+        kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        dtype=st.sampled_from([np.float64, np.uint8]),
+        crop_view=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_pad_reference_bytes(self, shape, kernel, stride, dtype, crop_view, seed):
+        """``pad_same`` is ``np.pad`` without ``np.pad``'s per-call overhead."""
+        n, h, w, c = shape
+        x = (np.random.default_rng(seed).random((n, h + 2, w + 2, c)) * 255).astype(dtype)
+        # Microclassifier inputs are non-contiguous crops of a feature map.
+        x = x[:, 1:-1, 1:-1, :] if crop_view else x[:, 1:-1, 1:-1, :].copy()
+        amounts = []
+        for size, k, s in zip(shape[1:3], kernel, stride):
+            total = max((-(-size // s) - 1) * s + k - size, 0)
+            amounts.append((total // 2, total - total // 2))
+        reference = np.pad(x, ((0, 0), *amounts, (0, 0)), mode="constant")
+        padded = pad_same(x, kernel, stride)
+        assert padded.dtype == reference.dtype and padded.shape == reference.shape
+        assert padded.tobytes() == reference.tobytes()
+        if reference.shape == x.shape:
+            assert padded is x
+
 
 class TestIm2Col:
     def test_columns_shape(self):

@@ -18,12 +18,15 @@ from repro.nn.layers import (
     GlobalAveragePool,
     GlobalMaxPool,
     MaxPool2D,
+    Parameter,
     ReLU,
     ReLU6,
     SeparableConv2D,
     Sigmoid,
     Softmax,
 )
+from repro.nn.model import Sequential
+from repro.nn.serialization import load_weights, save_weights
 
 RNG = np.random.default_rng(0)
 
@@ -86,6 +89,83 @@ def check_parameter_gradients(layer, x, rtol=1e-4, atol=1e-6):
             flat_v[i] = orig
             flat_n[i] = (plus - minus) / (2 * eps)
         np.testing.assert_allclose(p.grad, numeric, rtol=rtol, atol=atol)
+
+
+def grads_allocated(parameters):
+    """Which parameters hold a gradient buffer — read without touching ``grad``."""
+    return [p.name for p in parameters if p._grad is not None]
+
+
+class TestGradientLifecycle:
+    """``Parameter.grad`` exists from its first use on, never before."""
+
+    def _model(self, seed=0):
+        return Sequential(
+            [
+                Conv2D(4, 3, name="conv"),
+                ReLU(name="relu"),
+                SeparableConv2D(3, 3, name="sep"),
+                Conv2D(2, 1, name="pointwise"),
+                GlobalMaxPool(name="max"),
+                Dense(1, name="fc"),
+            ],
+            input_shape=(6, 6, 3),
+            rng=np.random.default_rng(seed),
+        )
+
+    def test_inference_path_allocates_no_gradient(self, tmp_path):
+        model = self._model()
+        x = RNG.random((2, 6, 6, 3))
+        model.forward(x)
+        model.forward_with_taps(x, ["sep"], stop_at_last_tap=True)
+        model.load_state_dict(self._model(seed=1).state_dict())
+        load_weights(model, save_weights(self._model(seed=2), tmp_path / "w"))
+        for p in model.parameters():
+            p.zero_grad()
+        assert grads_allocated(model.parameters()) == []
+
+    def test_backward_allocates_then_accumulates_in_place(self):
+        model = self._model()
+        x = RNG.random((2, 6, 6, 3))
+        upstream = np.ones((2, 1))
+        model.forward(x, training=True)
+        model.backward(upstream)
+        params = model.parameters()
+        assert grads_allocated(params) == [p.name for p in params]
+        buffers = [p.grad for p in params]
+        once = [g.copy() for g in buffers]
+        assert any(np.any(g != 0.0) for g in once)
+        model.forward(x, training=True)
+        model.backward(upstream)
+        for p, buffer, first in zip(params, buffers, once):
+            assert p.grad is buffer
+            np.testing.assert_array_equal(p.grad, first + first)
+            p.zero_grad()
+            assert p.grad is buffer
+            assert not p.grad.any()
+
+    def test_grad_is_a_plain_attribute_to_callers(self):
+        p = Parameter("w", [1.0, 2.0, 3.0])
+        assert grads_allocated([p]) == []
+        assert p.grad.shape == (3,) and not p.grad.any()  # a read allocates zeros
+        p.grad += 2.0
+        p.grad[0] = 5.0
+        np.testing.assert_array_equal(p.grad, [5.0, 2.0, 2.0])
+        replacement = np.arange(3.0)
+        p.grad = replacement
+        assert p.grad is replacement
+
+    def test_replacing_value_with_another_shape_drops_the_stale_gradient(self):
+        p = Parameter("w", np.ones((2, 2)))
+        p.grad += 1.0
+        p.value = np.ones((3,))
+        assert p.grad.shape == (3,) and not p.grad.any()
+
+    def test_repr_names_shape_and_gradient_state_without_array_dumps(self):
+        p = Parameter("conv/kernel", np.ones((3, 3, 2, 4)))
+        assert repr(p) == "Parameter('conv/kernel', shape=(3, 3, 2, 4), grad=False)"
+        p.grad += 1.0
+        assert repr(p) == "Parameter('conv/kernel', shape=(3, 3, 2, 4), grad=True)"
 
 
 class TestConv2D:
@@ -278,6 +358,18 @@ class TestPooling:
         out = layer.forward(x)
         np.testing.assert_allclose(out, x.reshape(2, 12, 5).max(axis=1))
         assert layer.output_shape((3, 4, 5)) == (5,)
+
+    def test_global_maxpool_inference_equals_training_forward(self):
+        """The direct max and the argmax/take pair agree, NaNs included."""
+        x = RNG.standard_normal((3, 4, 5, 6))
+        x[0, 1, 2, 3] = np.nan
+        x[1, :, :, 0] = np.nan
+        x[2, 0, 0, :] = x[2].max(axis=(0, 1))  # ties
+        layer = GlobalMaxPool()
+        inference = layer.forward(x, training=False)
+        assert layer._cache is None
+        assert inference.tobytes() == layer.forward(x, training=True).tobytes()
+        assert np.isnan(inference[0, 3]) and np.isnan(inference[1, 0])
 
     def test_global_maxpool_gradient(self):
         check_input_gradient(GlobalMaxPool(), RNG.random((2, 3, 4, 2)))

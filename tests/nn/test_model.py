@@ -73,6 +73,20 @@ class TestForwardBackward:
         assert taps["conv_b"].shape == (2, 4, 4, 8)
         np.testing.assert_array_equal(out, model.forward(x))
 
+    def test_forward_with_taps_can_stop_at_the_deepest_tap(self):
+        model = small_model()
+        x = np.random.default_rng(3).random((2, 8, 8, 3))
+        _, full = model.forward_with_taps(x, ["relu_a", "conv_b"])
+        out, early = model.forward_with_taps(x, ["relu_a", "conv_b"], stop_at_last_tap=True)
+        assert out is early["conv_b"]
+        assert out.shape != model.forward(x).shape  # the head did not run
+        for name in ("relu_a", "conv_b"):
+            assert early[name].tobytes() == full[name].tobytes()
+
+    def test_stop_at_last_tap_without_taps_raises(self):
+        with pytest.raises(ValueError, match="at least one tap"):
+            small_model().forward_with_taps(np.zeros((1, 8, 8, 3)), [], stop_at_last_tap=True)
+
     def test_forward_with_taps_unknown_layer_raises(self):
         with pytest.raises(KeyError):
             small_model().forward_with_taps(np.zeros((1, 8, 8, 3)), ["nope"])

@@ -5,9 +5,15 @@ every ``src/repro/*`` package must appear in ``docs/ARCHITECTURE.md`` and
 every python snippet in the README / docs must parse.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from repro.fleet.camera import CameraSpec
+from repro.fleet.runtime import default_pipeline_factory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,6 +100,28 @@ def test_batched_modules_documented():
         "repro.core.batched",
         "repro.fleet.runtime",
     }
+    assert set(check_docs.MEMORY_MODULES) == {"repro.nn.layers", "repro.features.extractor"}
+
+
+def test_memory_per_camera_table_matches_the_default_pipeline():
+    """FLEET.md's per-camera figures are what ``default_pipeline_factory`` builds."""
+    rows = re.findall(
+        r"^\| (\d+)×(\d+) \| ([\d.]+) MB \| ([\d.]+) MB \|$",
+        check_docs.FLEET_DOC.read_text(encoding="utf-8"),
+        flags=re.MULTILINE,
+    )
+    assert len(rows) == 4
+    factory = default_pipeline_factory()
+    for width, height, weights_mb, cache_mb in rows:
+        spec = CameraSpec("cam", width=int(width), height=int(height), frame_rate=10.0, num_frames=1)
+        session = factory(spec)
+        extractor = session.extractor
+        weights = 8 * sum(mc.num_parameters() for mc in session.microclassifiers)
+        cache = 8 * extractor.cache_size * sum(
+            int(np.prod(extractor.layer_shape(layer))) for layer in extractor.tap_layers
+        )
+        assert round(weights / 1e6, 2) == float(weights_mb), (width, height)
+        assert round(cache / 1e6, 2) == float(cache_mb), (width, height)
 
 
 def test_events_modules_documented():

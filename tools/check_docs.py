@@ -21,7 +21,9 @@ Five guarantees:
 6. **Batched dispatch** — ``docs/FLEET.md`` documents the batched
    cross-camera hot path and must reference every module that implements it
    (``repro.nn.batched``, ``repro.core.batched``, and the dispatch hook in
-   ``repro.fleet.runtime``).
+   ``repro.fleet.runtime``), and its memory-per-camera note the modules
+   holding a camera's resident state (``repro.nn.layers``,
+   ``repro.features.extractor``).
 7. **Hierarchical scale-out** — ``docs/CONTROL.md`` documents the two-level
    control plane and must reference every module that implements it
    (``repro.control.hierarchy``, the district-partitioned fleet generator in
@@ -70,6 +72,10 @@ ACCURACY_MODULES = ("repro.fleet.accuracy", "repro.control.trace", "repro.contro
 # the per-tick scorer, and the runtime dispatch hook.  FLEET.md owns the
 # data-flow story and must point at every implementing module.
 BATCHED_MODULES = ("repro.nn.batched", "repro.core.batched", "repro.fleet.runtime")
+# FLEET.md's "memory per camera" note says what a hosted camera keeps
+# resident; it must name where the weights (and no gradients) and the
+# feature-map cache live.
+MEMORY_MODULES = ("repro.nn.layers", "repro.features.extractor")
 FLEET_DOC = REPO_ROOT / "docs" / "FLEET.md"
 
 # The explainability layer must stay documented even if obs-module
@@ -175,14 +181,14 @@ def check_hierarchy_coverage(doc_path: Path | None = None) -> list[str]:
 
 
 def check_batched_coverage(doc_path: Path | None = None) -> list[str]:
-    """Batching modules missing from the fleet doc (empty list = covered)."""
+    """Batching and memory-note modules missing from the fleet doc (empty = covered)."""
     doc_path = doc_path or FLEET_DOC
     if not doc_path.is_file():
         return []  # existence is check_required_docs' problem
     text = doc_path.read_text(encoding="utf-8")
     return [
         f"module {name} is not mentioned in {doc_path.name}"
-        for name in BATCHED_MODULES
+        for name in BATCHED_MODULES + MEMORY_MODULES
         if name not in text
     ]
 
