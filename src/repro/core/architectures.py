@@ -21,11 +21,12 @@ input shape and keep the figure's filter counts by default.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.microclassifier import MicroClassifier, MicroClassifierConfig
+from repro.nn.batched import banked_forward, banked_layer_forward
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -49,7 +50,35 @@ __all__ = [
 _SIGMOID = SigmoidBinaryCrossEntropy._sigmoid
 
 
-class FullFrameObjectDetectorMC(MicroClassifier):
+class _SequentialMC(MicroClassifier):
+    """An architecture whose whole network is one :class:`Sequential` (Figures 2a and 2b)."""
+
+    model: Sequential | None = None
+
+    def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
+        self._require_built()
+        return self.model.forward(feature_maps, training=training)
+
+    def _predict(self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] | None):
+        self._require_built()
+        stacks = [mc.model.layers for mc in (self, *(peers or ()))]
+        logits = banked_forward(stacks, np.asarray(feature_maps, dtype=np.float64))
+        rows = _SIGMOID(logits.reshape(len(stacks), -1))  # one sigmoid for the bank
+        return rows[0] if peers is None else rows
+
+    def backward(self, grad_logits: np.ndarray) -> None:
+        self._require_built()
+        self.model.backward(grad_logits)
+
+    def parameters(self) -> list[Parameter]:
+        return self.model.parameters() if self.model is not None else []
+
+    def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
+        self._require_built()
+        return self.model.multiply_adds(input_shape)
+
+
+class FullFrameObjectDetectorMC(_SequentialMC):
     """Figure 2a: 1x1-convolution template matcher + max over logits.
 
     The figure applies a ReLU after the final single-filter convolution; we
@@ -69,7 +98,6 @@ class FullFrameObjectDetectorMC(MicroClassifier):
             raise ValueError("hidden_filters and num_hidden_layers must be positive")
         self.hidden_filters = int(hidden_filters)
         self.num_hidden_layers = int(num_hidden_layers)
-        self.model: Sequential | None = None
 
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         layers = []
@@ -82,27 +110,13 @@ class FullFrameObjectDetectorMC(MicroClassifier):
         self.input_shape = tuple(input_shape)
         self.built = True
 
-    def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
-        self._require_built()
-        return self.model.forward(feature_maps, training=training)
-
-    def predict_proba_batch(self, feature_maps: np.ndarray) -> np.ndarray:
-        logits = self.forward_logits(np.asarray(feature_maps, dtype=np.float64), training=False)
-        return _SIGMOID(logits[:, 0])
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        self._require_built()
-        self.model.backward(grad_logits)
-
-    def parameters(self) -> list[Parameter]:
-        return self.model.parameters() if self.model is not None else []
-
-    def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
-        self._require_built()
-        return self.model.multiply_adds(input_shape)
+    def predict_proba_batch(
+        self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] | None = None
+    ) -> np.ndarray:
+        return self._predict(feature_maps, peers)
 
 
-class LocalizedBinaryClassifierMC(MicroClassifier):
+class LocalizedBinaryClassifierMC(_SequentialMC):
     """Figure 2b: two separable convolutions + a 200-unit FC head."""
 
     def __init__(
@@ -118,7 +132,6 @@ class LocalizedBinaryClassifierMC(MicroClassifier):
         self.first_depth = int(first_depth)
         self.second_depth = int(second_depth)
         self.fc_units = int(fc_units)
-        self.model: Sequential | None = None
 
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         layers = [
@@ -135,24 +148,10 @@ class LocalizedBinaryClassifierMC(MicroClassifier):
         self.input_shape = tuple(input_shape)
         self.built = True
 
-    def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
-        self._require_built()
-        return self.model.forward(feature_maps, training=training)
-
-    def predict_proba_batch(self, feature_maps: np.ndarray) -> np.ndarray:
-        logits = self.forward_logits(np.asarray(feature_maps, dtype=np.float64), training=False)
-        return _SIGMOID(logits[:, 0])
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        self._require_built()
-        self.model.backward(grad_logits)
-
-    def parameters(self) -> list[Parameter]:
-        return self.model.parameters() if self.model is not None else []
-
-    def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
-        self._require_built()
-        return self.model.multiply_adds(input_shape)
+    def predict_proba_batch(
+        self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] | None = None
+    ) -> np.ndarray:
+        return self._predict(feature_maps, peers)
 
 
 class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
@@ -187,9 +186,6 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         self.reduce: Conv2D | None = None
         self.reduce_relu: ReLU | None = None
         self.head: Sequential | None = None
-        # Streaming buffer of reduced maps keyed by frame index.
-        self._reduction_buffer: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._buffer_capacity = 4 * self.window
 
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         h, w, c = input_shape
@@ -222,29 +218,51 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         out = self.reduce.forward(np.asarray(feature_map, dtype=np.float64)[None, ...], training)
         return self.reduce_relu.forward(out, training)[0]
 
-    def buffer_reduction(self, frame_index: int, feature_map: np.ndarray) -> np.ndarray:
-        """Compute (or reuse) the buffered reduction for ``frame_index``."""
-        cached = self._reduction_buffer.get(frame_index)
-        if cached is not None:
-            return cached
-        reduced = self.reduce_map(feature_map)
-        self._reduction_buffer[frame_index] = reduced
-        while len(self._reduction_buffer) > self._buffer_capacity:
-            self._reduction_buffer.popitem(last=False)
-        return reduced
+    def reduce_batch(
+        self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] = ()
+    ) -> np.ndarray:
+        """Reduced ``(n, H, W, C)`` maps of this MC and its bank ``peers``: ``(M, n, H, W, R)``."""
+        self._require_built()
+        members = (self, *peers)
+        feature_maps = np.asarray(feature_maps, dtype=np.float64)
+        reduced = banked_layer_forward([mc.reduce for mc in members], feature_maps, True)
+        reduced = self.reduce_relu.forward(reduced, False)
+        return reduced.reshape(len(members), feature_maps.shape[0], *reduced.shape[1:])
 
-    def _window_tensor(self, reduced_maps: list[np.ndarray]) -> np.ndarray:
-        """Depthwise-concatenate a window of reduced maps into ``(1, H, W, W*R)``."""
+    def _head_probabilities(
+        self, windows: Iterable[np.ndarray], peers: Sequence[MicroClassifier] | None
+    ) -> np.ndarray:
+        """Head pass over one ``(n, H, W, W*R)`` window tensor per bank member: ``(M, n)``."""
+        # A member's window is private and its conv1 im2col (K = 9*W*R) is the
+        # MC stage's largest array: every member runs its own layers through the
+        # last convolution (a bank-wide lowering costs the same and only raises
+        # peak memory) and the bank takes over at their small stride-2 output.
+        members, layers = (self, *(peers or ())), self.head.layers
+        own = 1 + max(i for i, layer in enumerate(layers) if isinstance(layer, Conv2D))
+        first = np.concatenate(
+            [banked_forward([mc.head.layers[:own]], w, False) for mc, w in zip(members, windows)]
+        )
+        logits = banked_forward([mc.head.layers[own:] for mc in members], first, False)
+        return _SIGMOID(logits.reshape(len(members), -1))
+
+    def predict_window(
+        self, reduced_maps: list[np.ndarray], peers: Sequence[MicroClassifier] | None = None
+    ) -> float | np.ndarray:
+        """Probability that the window's centre frame is relevant.
+
+        With ``peers`` (the rest of a bank) every entry is a stacked ``(M, H, W, R)``
+        slice of :meth:`reduce_batch` and one probability per member is returned.
+        """
         if len(reduced_maps) != self.window:
-            raise ValueError(
-                f"Expected {self.window} reduced maps, got {len(reduced_maps)}"
-            )
-        return np.concatenate(reduced_maps, axis=-1)[None, ...]
-
-    def predict_window(self, reduced_maps: list[np.ndarray]) -> float:
-        """Probability that the window's centre frame is relevant."""
-        logits = self.head.forward(self._window_tensor(reduced_maps), training=False)
-        return float(_SIGMOID(logits[0, 0]))
+            raise ValueError(f"Expected {self.window} reduced maps, got {len(reduced_maps)}")
+        if peers is None:
+            reduced_maps = [reduced[None] for reduced in reduced_maps]
+        windows = (  # lazily: one member's window tensor alive at a time
+            np.concatenate([reduced[k] for reduced in reduced_maps], axis=-1)[None]
+            for k in range(len(reduced_maps[0]))
+        )
+        probabilities = self._head_probabilities(windows, peers)[:, 0]
+        return float(probabilities[0]) if peers is None else probabilities
 
     def predict_proba_stream(self, feature_maps: np.ndarray) -> np.ndarray:
         """Probabilities for every frame of a *consecutive* sequence.
@@ -253,11 +271,9 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         a clamped (edge-replicated) window, mirroring a real-time deployment
         where the first/last frames lack full context.
         """
-        self._require_built()
-        feature_maps = np.asarray(feature_maps, dtype=np.float64)
-        n = feature_maps.shape[0]
         # One batched reduction for all frames (the buffered computation).
-        reduced = self.reduce_relu.forward(self.reduce.forward(feature_maps, False), False)
+        reduced = self.reduce_batch(feature_maps)[0]
+        n = reduced.shape[0]
         half = self.window // 2
         probs = np.empty(n)
         for i in range(n):
@@ -267,17 +283,19 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         return probs
 
     # -- MicroClassifier interface -------------------------------------------
-    def predict_proba_batch(self, feature_maps: np.ndarray) -> np.ndarray:
+    def predict_proba_batch(
+        self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] | None = None
+    ) -> np.ndarray:
         """Treat each batch entry as an independent frame with a static window.
 
         Without temporal context (e.g. when frames are shuffled for
         training), the window is the same frame repeated ``W`` times; the
         temporal path is exercised via :meth:`predict_proba_stream`.
         """
-        self._require_built()
-        feature_maps = np.asarray(feature_maps, dtype=np.float64)
-        logits = self.forward_logits(feature_maps, training=False)
-        return _SIGMOID(logits[:, 0])
+        reduced = self.reduce_batch(feature_maps, peers or ())
+        windows = (np.tile(member, (1, 1, 1, self.window)) for member in reduced)
+        rows = self._head_probabilities(windows, peers)
+        return rows[0] if peers is None else rows
 
     def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
         self._require_built()
@@ -310,10 +328,6 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         reduce_cost = self.reduce.multiply_adds(shape)
         head_cost = self.head.multiply_adds()
         return int(reduce_cost + head_cost)
-
-    def reset_buffer(self) -> None:
-        """Drop all buffered per-frame reductions."""
-        self._reduction_buffer.clear()
 
 
 _ARCHITECTURES = {

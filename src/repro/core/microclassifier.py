@@ -114,9 +114,21 @@ class MicroClassifier(ABC):
             raise RuntimeError(f"MicroClassifier {self.name!r} used before build()")
 
     # -- inference ---------------------------------------------------------
+    def bank_key(self) -> tuple:
+        """What MCs must share to be scored as one bank: concrete class, tap, crop, built
+        input shape and every weight's shape (which pins the architecture hyper-parameters)."""
+        shapes = tuple(p.value.shape for p in self.parameters())
+        return (type(self), self.input_layer, self.crop, self.input_shape, shapes)
+
     @abstractmethod
-    def predict_proba_batch(self, feature_maps: np.ndarray) -> np.ndarray:
-        """Relevance probabilities for a batch of feature maps ``(N, H, W, C)``."""
+    def predict_proba_batch(
+        self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] | None = None
+    ) -> np.ndarray:
+        """Relevance probabilities for a batch of feature maps ``(N, H, W, C)``.
+
+        With ``peers`` (the rest of this MC's bank, possibly empty) the input is lowered
+        once and one ``(N,)`` row per member, ``self`` first, bit-identical to its own call.
+        """
 
     def predict_proba(self, feature_map: np.ndarray) -> float:
         """Relevance probability for a single feature map ``(H, W, C)``."""

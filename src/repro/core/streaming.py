@@ -10,10 +10,11 @@ configuration, not the stream length (per-frame scalars — probabilities,
 decisions, timestamps — still accumulate, since they are the result).  The
 bounded heavy state is:
 
-* one chunk of up to ``batch_size`` feature maps per MC (scored as soon as
-  the chunk fills, with the same chunk boundaries the batch path uses, so
+* one chunk of up to ``batch_size`` feature maps per *bank* — the MCs of one
+  architecture on one input, grouped at bind time and scored together (as soon
+  as the chunk fills, with the same chunk boundaries the batch path uses, so
   probabilities are bit-identical);
-* a ring of reduced maps for windowed MCs (``window + batch_size`` entries);
+* a ring of reduced maps for windowed banks (``window + batch_size`` entries);
 * the frames still inside the smoothing lookahead (``batch_size`` plus a few
   window widths), needed for event annotation and codec rate accounting;
 * O(1) scalars per matched frame for the deferred H.264 bit accounting
@@ -40,7 +41,6 @@ from repro.core.pipeline import (
     MicroClassifierResult,
     PipelineConfig,
     PipelineResult,
-    mc_input_feature_map,
     validate_microclassifiers,
 )
 from repro.features.extractor import FeatureExtractor
@@ -79,16 +79,11 @@ class _McState:
     # threshold).  Kept on the session, not on the MC, so a trained model
     # shared by many sessions is never mutated by one camera's control loop.
     threshold_override: float | None = None
-    chunk: list[np.ndarray] = field(default_factory=list)
     probabilities: list[float] = field(default_factory=list)
     decisions: list[int] = field(default_factory=list)
     smoothed: list[int] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
     decisions_fed: int = 0
-    # Windowed-architecture extras: buffered 1x1 reductions by position.
-    is_windowed: bool = False
-    reduced: "OrderedDict[int, np.ndarray]" = field(default_factory=OrderedDict)
-    reduced_count: int = 0
     # Deferred codec accounting for matched frames.
     matched_source_indices: list[int] = field(default_factory=list)
     matched_diffs: list[float] = field(default_factory=list)
@@ -104,6 +99,43 @@ class _McState:
         if self.threshold_override is not None:
             return self.threshold_override
         return self.mc.config.threshold
+
+
+@dataclass
+class _Bank:
+    """The unit the MC stage scores: the installed MCs with one ``bank_key()``.
+
+    They read one (cropped) feature map: queued once, lowered once per layer.  Bank
+    state lives on the session, never on an MC (a trained MC serves many sessions).
+    """
+
+    states: list[_McState]
+    chunk: list[np.ndarray] = field(default_factory=list)
+    crop_slices: tuple[slice, slice] | None = None  # resolved by the first frame
+    # Windowed banks: stacked (M, H, W, R) reductions by stream position.
+    reduced: "OrderedDict[int, np.ndarray]" = field(default_factory=OrderedDict)
+    reduced_count: int = 0
+
+    def __post_init__(self) -> None:
+        self.first, *self.peers = (state.mc for state in self.states)
+        self.is_windowed = isinstance(self.first, WindowedLocalizedBinaryClassifierMC)
+
+    def queue_input(self, frame: Frame, activations: dict[str, np.ndarray]) -> None:
+        """Queue the members' common input for ``frame``."""
+        feature_map = activations[self.first.input_layer]
+        if self.first.crop is not None:
+            if self.crop_slices is None:
+                y0, y1, x0, x1 = self.first.crop.to_feature_coords(
+                    (frame.height, frame.width), feature_map.shape[:2]
+                )
+                self.crop_slices = (slice(y0, y1), slice(x0, x1))
+            feature_map = feature_map[self.crop_slices]
+        self.chunk.append(feature_map)
+
+    def record(self, rows: np.ndarray) -> None:
+        """Append one ``(n,)`` row of probabilities per member."""
+        for state, row in zip(self.states, rows.tolist()):
+            state.probabilities.extend(row)
 
 
 class StreamingPipeline:
@@ -157,10 +189,15 @@ class StreamingPipeline:
                     window=self.config.smoothing_window,
                     votes=self.config.smoothing_votes,
                 ),
-                is_windowed=isinstance(mc, WindowedLocalizedBinaryClassifierMC),
             )
             for mc in self.microclassifiers
         ]
+        # Banks are resolved once, at bind time: regrouping per push would tax
+        # every fleet camera, whose single MC is a bank of one.
+        by_key: dict[tuple, list[_McState]] = {}
+        for state in self._states:
+            by_key.setdefault(state.mc.bank_key(), []).append(state)
+        self._banks = [_Bank(states) for states in by_key.values()]
         # Name -> states resolved once at bind time, so the actuation hot
         # path (threshold reads during decision draining, control-plane
         # SetCameraThreshold) never rescans the state list per call.
@@ -244,13 +281,13 @@ class StreamingPipeline:
         self.timestamps.append(float(frame.timestamp))
 
         activations = self.extractor.extract(frame)
-        for state in self._states:
-            state.chunk.append(mc_input_feature_map(state.mc, frame, activations))
+        for bank in self._banks:
+            bank.queue_input(frame, activations)
 
         new_matches: list[tuple[str, int]] = []
         closed: list[Event] = []
         records: list[EventRecord] = []
-        if len(self._states[0].chunk) >= self.config.batch_size:
+        if len(self._banks[0].chunk) >= self.config.batch_size:
             self._score_chunks(final=False)
             self._drain_decisions(new_matches, closed, records)
         if self._tracer is not None:
@@ -377,24 +414,23 @@ class StreamingPipeline:
 
     # -- scoring -------------------------------------------------------------
     def _score_chunks(self, final: bool) -> None:
-        """Score every MC's queued chunk (all chunks fill in lockstep)."""
-        for state in self._states:
-            if state.chunk:
-                batch = np.stack(state.chunk, axis=0)
-                state.chunk = []
-                if state.is_windowed:
-                    mc = state.mc
-                    reduced = mc.reduce_relu.forward(mc.reduce.forward(batch, False), False)
-                    for k in range(reduced.shape[0]):
-                        state.reduced[state.reduced_count] = reduced[k]
-                        state.reduced_count += 1
+        """Score every bank's queued chunk (all chunks fill in lockstep)."""
+        for bank in self._banks:
+            if bank.chunk:
+                # A one-frame chunk stays a view of the tap: no stacking copy.
+                chunk, bank.chunk = bank.chunk, []
+                batch = chunk[0][None] if len(chunk) == 1 else np.stack(chunk, axis=0)
+                if bank.is_windowed:
+                    reduced = bank.first.reduce_batch(batch, bank.peers)
+                    for k in range(reduced.shape[1]):
+                        bank.reduced[bank.reduced_count] = reduced[:, k]
+                        bank.reduced_count += 1
                 else:
-                    probabilities = state.mc.predict_proba_batch(batch)
-                    state.probabilities.extend(float(p) for p in probabilities)
-            if state.is_windowed:
-                self._emit_windowed_probabilities(state, final)
+                    bank.record(bank.first.predict_proba_batch(batch, bank.peers))
+            if bank.is_windowed:
+                self._emit_windowed_probabilities(bank, final)
 
-    def _emit_windowed_probabilities(self, state: _McState, final: bool) -> None:
+    def _emit_windowed_probabilities(self, bank: _Bank, final: bool) -> None:
         """Score windowed frames whose temporal context is now available.
 
         Mirrors ``predict_proba_stream``: frame *i*'s window is the reduced
@@ -402,20 +438,19 @@ class StreamingPipeline:
         frames replicate the boundary reduction.  The right clamp only
         applies once the stream end is known.
         """
-        mc = state.mc
-        half = mc.window // 2
-        last = state.reduced_count - 1
-        while len(state.probabilities) < self._num_pushed:
-            i = len(state.probabilities)
+        scored = bank.states[0].probabilities
+        half = bank.first.window // 2
+        last = bank.reduced_count - 1
+        while len(scored) < self._num_pushed:
+            i = len(scored)
             if not final and i + half > last:
                 break
-            indices = np.clip(np.arange(i - half, i + half + 1), 0, last)
-            window = [state.reduced[int(j)] for j in indices]
-            state.probabilities.append(float(mc.predict_window(window)))
+            window = [bank.reduced[min(max(j, 0), last)] for j in range(i - half, i + half + 1)]
+            bank.record(bank.first.predict_window(window, bank.peers)[:, None])
             # Reductions earlier than the next frame's left edge are done.
             cutoff = (i + 1) - half
-            while state.reduced and next(iter(state.reduced)) < cutoff:
-                state.reduced.popitem(last=False)
+            while bank.reduced and next(iter(bank.reduced)) < cutoff:
+                bank.reduced.popitem(last=False)
 
     # -- smoothing, events, accounting ----------------------------------------
     def _drain_decisions(

@@ -18,6 +18,8 @@ matches the ``H x W x C`` feature-map dimensions quoted in the paper.
 """
 
 from repro.nn.batched import (
+    banked_forward,
+    banked_layer_forward,
     batched_conv2d_forward,
     batched_dense_forward,
     batched_forward,
@@ -49,6 +51,7 @@ from repro.nn.layers import (
     SeparableConv2D,
     Sigmoid,
     Softmax,
+    sigmoid,
 )
 from repro.nn.losses import (
     BinaryCrossEntropy,
@@ -97,6 +100,8 @@ __all__ = [
     "Sigmoid",
     "SigmoidBinaryCrossEntropy",
     "Softmax",
+    "banked_forward",
+    "banked_layer_forward",
     "batched_conv2d_forward",
     "batched_dense_forward",
     "batched_forward",
@@ -110,4 +115,5 @@ __all__ = [
     "model_multiply_adds",
     "save_weights",
     "separable_conv_multiply_adds",
+    "sigmoid",
 ]

@@ -24,6 +24,11 @@ the GEMM row extents*:
 * bias add, activations, depthwise ``einsum``, pooling, and reshapes fully
   batched (all per-sample-independent, order-stable element operations).
 
+A *bank* (:func:`banked_layer_forward`) is the same doctrine turned to "one
+input, many models": ``M`` same-shaped layers with private weights share one
+lowering and each runs the very GEMM (or depthwise ``einsum``) its own forward
+would.  A batch is just a bank of samples that all hold one layer's weights.
+
 :func:`batched_forward_with_taps` additionally stops at the deepest tapped
 layer: the base DNN's untapped tail (half the network when tapping
 ``conv2_2/sep``) contributes nothing to any subscriber and is skipped.
@@ -39,64 +44,98 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.nn.im2col import conv_columns
-from repro.nn.layers import Conv2D, Dense, Layer, SeparableConv2D
+from repro.nn.im2col import conv_columns, im2col
+from repro.nn.layers import Conv2D, Dense, DepthwiseConv2D, Layer, SeparableConv2D
 from repro.nn.model import Sequential
 
 __all__ = [
     "batched_conv2d_forward",
     "batched_dense_forward",
     "batched_layer_forward",
+    "banked_layer_forward",
+    "banked_forward",
     "batched_forward",
     "batched_forward_with_taps",
 ]
 
 
-def _chunked_gemm(rows: np.ndarray, weights: np.ndarray, samples: int) -> np.ndarray:
-    """``rows @ weights`` computed in ``samples`` equal contiguous row blocks.
+def _chunked_gemm(rows: np.ndarray, weights: Sequence[np.ndarray], shared: bool) -> np.ndarray:
+    """``rows @ weights[i]`` for each of ``len(weights)`` equal contiguous row blocks ``i``.
 
     Each block sees the exact GEMM problem (shape, contiguous layout) the
-    per-sample forward pass would submit, so each sample's rows of the result
-    are bit-identical to an ``N=1`` call regardless of how BLAS specializes
-    by size.
+    per-sample / per-member forward pass would submit, so each block of the
+    ``(blocks, rows, F)`` result is bit-identical to that call regardless of
+    how BLAS specializes by size.  With ``shared`` every block multiplies the
+    same ``rows`` (a bank's common input).
     """
-    per_sample = rows.shape[0] // samples
-    out = np.empty((rows.shape[0], weights.shape[1]), dtype=np.result_type(rows, weights))
-    for i in range(samples):
-        start = i * per_sample
-        np.matmul(rows[start : start + per_sample], weights, out=out[start : start + per_sample])
+    blocks = rows[None] if shared else rows.reshape(len(weights), -1, rows.shape[1])
+    shape = (len(weights), blocks.shape[1], weights[0].shape[1])
+    out = np.empty(shape, dtype=np.result_type(rows, weights[0]))
+    for i, matrix in enumerate(weights):
+        np.matmul(blocks[0 if shared else i], matrix, out=out[i])
     return out
+
+
+def banked_layer_forward(layers: Sequence[Layer], x: np.ndarray, shared: bool) -> np.ndarray:
+    """One inference step of a bank of ``M`` same-shaped layers.
+
+    ``x`` is the members' common ``(n, ...)`` input when ``shared``, else their
+    stacked ``(M * n, ...)`` activations, member-major; the result is always
+    stacked.  ``x`` is lowered once, every member multiplies its own weights
+    (read now, never copied), and the bias add and every parameter-free layer
+    run once over the stack.  Widening one GEMM across members would move bits.
+    """
+    first, m = layers[0], len(layers)
+    if m == 1:  # a bank of one is the layer's own forward: a fleet camera pays nothing extra
+        return first.forward(x, training=False)
+    if isinstance(first, SeparableConv2D):
+        mid = banked_layer_forward([layer.depthwise for layer in layers], x, shared)
+        return banked_layer_forward([layer.pointwise for layer in layers], mid, False)
+    if not isinstance(first, (Conv2D, DepthwiseConv2D, Dense)):
+        out = first.forward(x, training=False)
+        return np.tile(out, (m,) + (1,) * (out.ndim - 1)) if shared else out
+    if not first.built:
+        raise RuntimeError(f"Layer {first.name} used before build()")
+    if isinstance(first, Dense):
+        flat, out_size = np.ascontiguousarray(x.reshape(x.shape[0], -1)), ()
+        out = _chunked_gemm(flat, [layer.kernel.value for layer in layers], shared)
+    elif isinstance(first, Conv2D):
+        cols, out_size = conv_columns(x, first.kernel_size, first.stride, first.padding)
+        kernels = [layer.kernel.value.reshape(-1, layer.filters) for layer in layers]
+        out = _chunked_gemm(cols, kernels, shared)
+    else:
+        cols, out_size, _ = im2col(x, first.kernel_size, first.stride, first.padding)
+        taps, c = first.kernel_size[0] * first.kernel_size[1], x.shape[3]
+        windows = cols.reshape(1 if shared else m, -1, taps, c)
+        out = np.empty((m, windows.shape[1], c))
+        for i, layer in enumerate(layers):  # per member: a stacked einsum is not proven bit-safe
+            kernel = layer.kernel.value.reshape(taps, c)
+            np.einsum("nkc,kc->nc", windows[0 if shared else i], kernel, out=out[i])
+    if first.use_bias:
+        out += np.array([layer.bias.value for layer in layers])[:, None, :]
+    return out.reshape(-1, *out_size, out.shape[-1])
+
+
+def banked_forward(stacks: Sequence[Sequence[Layer]], x: np.ndarray, shared: bool = True):
+    """Inference of ``M`` same-architecture layer stacks (``model.layers``) as one bank.
+
+    Rows ``[i * n, (i + 1) * n)`` of the stacked result are bit-identical to
+    member ``i``'s own ``Sequential.forward`` of the common (``shared``) input
+    ``x``, or of its own slice of a stacked member-major ``x``.
+    """
+    for layers in zip(*stacks, strict=True):
+        x, shared = banked_layer_forward(layers, x, shared), False
+    return x
 
 
 def batched_conv2d_forward(layer: Conv2D, x: np.ndarray) -> np.ndarray:
-    """Inference forward of one :class:`Conv2D` over a stacked batch.
-
-    Bit-identical per sample to ``layer.forward(x[i:i+1])``: the same
-    :func:`~repro.nn.im2col.conv_columns` lowering, the GEMM chunked per sample.
-    """
-    if not layer.built:
-        raise RuntimeError(f"Layer {layer.name} used before build()")
-    n = x.shape[0]
-    cols, out_size = conv_columns(x, layer.kernel_size, layer.stride, layer.padding)
-    out = _chunked_gemm(cols, layer.kernel.value.reshape(-1, layer.filters), n)
-    if layer.use_bias:
-        out += layer.bias.value
-    return out.reshape(n, *out_size, layer.filters)
+    """One :class:`Conv2D` over a stacked batch, per sample bit-identical to ``layer.forward``."""
+    return banked_layer_forward([layer] * x.shape[0], x, False)
 
 
 def batched_dense_forward(layer: Dense, x: np.ndarray) -> np.ndarray:
-    """Inference forward of one :class:`Dense` over a stacked batch.
-
-    Each sample flattens to a single GEMM row, so the per-sample block here
-    is a one-row matmul — identical to what ``predict_proba`` submits.
-    """
-    if not layer.built:
-        raise RuntimeError(f"Layer {layer.name} used before build()")
-    flat = np.ascontiguousarray(x.reshape(x.shape[0], -1))
-    out = _chunked_gemm(flat, layer.kernel.value, x.shape[0])
-    if layer.use_bias:
-        out += layer.bias.value
-    return out
+    """One :class:`Dense` over a stacked batch: a one-row matmul per sample, as ``N=1`` submits."""
+    return banked_layer_forward([layer] * x.shape[0], x, False)
 
 
 def batched_layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -108,13 +147,9 @@ def batched_layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     is called directly in inference mode.
     """
     if isinstance(layer, SeparableConv2D):
-        return batched_conv2d_forward(
-            layer.pointwise, batched_layer_forward(layer.depthwise, x)
-        )
-    if isinstance(layer, Conv2D):
-        return batched_conv2d_forward(layer, x)
-    if isinstance(layer, Dense):
-        return batched_dense_forward(layer, x)
+        return batched_layer_forward(layer.pointwise, batched_layer_forward(layer.depthwise, x))
+    if isinstance(layer, (Conv2D, Dense)):
+        return banked_layer_forward([layer] * x.shape[0], x, False)
     return layer.forward(x, training=False)
 
 

@@ -22,7 +22,7 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: str) -> int:
     fully-covered windows.
     """
     if padding == "same":
-        return int(np.ceil(size / stride))
+        return -(-size // stride)
     if padding == "valid":
         return (size - kernel) // stride + 1
     raise ValueError(f"Unknown padding {padding!r}; expected 'same' or 'valid'")
@@ -30,7 +30,7 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: str) -> int:
 
 def _same_pad_amount(size: int, kernel: int, stride: int) -> tuple[int, int]:
     """Total (before, after) padding for 'same' output size along one dim."""
-    out = int(np.ceil(size / stride))
+    out = -(-size // stride)
     total = max((out - 1) * stride + kernel - size, 0)
     before = total // 2
     return before, total - before
@@ -79,12 +79,12 @@ def im2col(
         )
     # Strided view over sliding windows: (n, out_h, out_w, kh, kw, c).
     s = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, out_h, out_w, kh, kw, c),
-        strides=(s[0], s[1] * sh, s[2] * sw, s[1], s[2], s[3]),
-        writeable=False,
-    )
+    shape = (n, out_h, out_w, kh, kw, c)
+    strides = (s[0], s[1] * sh, s[2] * sw, s[1], s[2], s[3])
+    if x.flags.c_contiguous:  # the constructor skips as_strided's Python-level wrapper
+        windows = np.ndarray(shape, x.dtype, x, 0, strides)
+    else:
+        windows = np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
     cols = windows.reshape(n * out_h * out_w, kh * kw * c)
     return np.ascontiguousarray(cols), (out_h, out_w), (n, h, w, c)
 

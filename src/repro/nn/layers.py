@@ -27,6 +27,7 @@ from repro.nn.im2col import col2im, conv_columns, conv_output_size, im2col
 from repro.nn.initializers import Constant, GlorotUniform, HeNormal, Initializer
 
 __all__ = [
+    "sigmoid",
     "Parameter",
     "Layer",
     "Conv2D",
@@ -80,6 +81,12 @@ class Parameter:
     def size(self) -> int:
         """Number of scalar weights in this parameter."""
         return int(self.value.size)
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic sigmoid: ``exp`` only ever sees ``-|z|``, in one pass, no masks."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _as_pair(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -638,11 +645,7 @@ class Sigmoid(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        out = sigmoid(x)
         if training:
             self._out = out
         return out

@@ -6,6 +6,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.nn.layers import sigmoid
+
 __all__ = [
     "Loss",
     "MeanSquaredError",
@@ -92,14 +94,7 @@ class SigmoidBinaryCrossEntropy(Loss):
             raise ValueError("positive_weight must be positive")
         self.positive_weight = float(positive_weight)
 
-    @staticmethod
-    def _sigmoid(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z, dtype=np.float64)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+    _sigmoid = staticmethod(sigmoid)
 
     def _weights(self, targets: np.ndarray) -> np.ndarray:
         return np.where(targets > 0.5, self.positive_weight, 1.0)

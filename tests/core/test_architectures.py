@@ -160,21 +160,6 @@ class TestWindowedLocalizedBinaryClassifier:
         assert probs.shape == (9,)
         assert np.all((probs >= 0) & (probs <= 1))
 
-    def test_buffered_reductions_are_reused(self):
-        mc = build("windowed")
-        feature_map = RNG.random(FEATURE_SHAPE)
-        first = mc.buffer_reduction(0, feature_map)
-        second = mc.buffer_reduction(0, feature_map)
-        assert first is second
-
-    def test_buffer_eviction_keeps_recent_entries(self):
-        mc = build_microclassifier("windowed", config("w"), FEATURE_SHAPE, window=3)
-        for i in range(mc._buffer_capacity + 5):
-            mc.buffer_reduction(i, RNG.random(FEATURE_SHAPE))
-        assert len(mc._reduction_buffer) == mc._buffer_capacity
-        mc.reset_buffer()
-        assert len(mc._reduction_buffer) == 0
-
     def test_predict_window_requires_exact_window_length(self):
         mc = build_microclassifier("windowed", config("w"), FEATURE_SHAPE, window=3)
         reduced = [mc.reduce_map(RNG.random(FEATURE_SHAPE)) for _ in range(2)]

@@ -19,7 +19,8 @@ from repro.core.microclassifier import MicroClassifierConfig
 from repro.core.pipeline import FilterForwardPipeline, PipelineConfig
 from repro.core.smoothing import KVotingSmoother, StreamingKVotingSmoother
 from repro.core.streaming import StreamingPipeline
-from repro.features.extractor import FeatureMapCrop
+from repro.features.extractor import FeatureExtractor, FeatureMapCrop
+from repro.nn.model import Sequential
 from repro.video.frame import Frame
 from repro.video.stream import InMemoryVideoStream
 
@@ -249,10 +250,10 @@ class TestStreamingPipelineBehavior:
             # Pending frames: at most one chunk plus the smoothing lookahead
             # plus the windowed MC's temporal context.
             assert session.pending_frames <= config.batch_size + 5 + 5
-            for state in session._states:
-                assert len(state.chunk) < config.batch_size
-                if state.is_windowed:
-                    assert len(state.reduced) <= config.batch_size + state.mc.window + 1
+            for bank in session._banks:
+                assert len(bank.chunk) < config.batch_size
+                if bank.is_windowed:
+                    assert len(bank.reduced) <= config.batch_size + bank.first.window + 1
         result = session.finish()
         assert result.num_frames == 60
         assert session.pending_frames == 0
@@ -433,3 +434,305 @@ class TestStreamingEventRecords:
         )
         with pytest.raises(ValueError):
             session.bind_identity("cam0", session_epoch=-1)
+
+
+# -- banks: the MC stage scores same-architecture, same-input MCs together ------
+BANK_TAPS = ("conv2_2/sep", "conv3_2/sep")  # (8, 12, 16) and (4, 6, 32) on the tiny base DNN
+BANK_CROPS = (FeatureMapCrop(0, 8, 48, 32), FeatureMapCrop(12, 0, 36, 32))
+
+
+@pytest.fixture
+def bank_extractor(tiny_base_dnn):
+    return FeatureExtractor(tiny_base_dnn, list(BANK_TAPS), cache_size=4)
+
+
+def bank_mc(extractor, name, architecture, seed, layer=BANK_TAPS[1], crop=None, **hyper):
+    """An MC with its own weights (``make_mc`` gives every MC the seed-0 weights)."""
+    config = MicroClassifierConfig(name, layer, crop=crop, upload_bitrate=50_000)
+    shape = extractor.cropped_layer_shape(layer, crop, (32, 48))
+    return build_microclassifier(
+        architecture, config, shape, rng=np.random.default_rng(seed), **hyper
+    )
+
+
+def mixed_microclassifiers(extractor):
+    """All three architectures, two crops, two taps, one odd hyper-parameter: 8 banks of 1-3."""
+    specs = [
+        ("full_frame", {}),
+        ("full_frame", {"layer": BANK_TAPS[0]}),
+        ("localized", {"crop": BANK_CROPS[0]}),
+        ("localized", {"crop": BANK_CROPS[1]}),
+        ("localized", {"crop": BANK_CROPS[1], "fc_units": 50}),
+        ("windowed", {}),
+        ("windowed", {"layer": BANK_TAPS[0], "crop": BANK_CROPS[0], "window": 3}),
+    ]
+    mcs = []
+    for k in range(17):
+        architecture, options = specs[k % len(specs)]
+        mcs.append(bank_mc(extractor, f"mc{k:02d}", architecture, seed=100 + k, **options))
+    mcs.append(bank_mc(extractor, "loner", "full_frame", seed=99, hidden_filters=7))
+    return mcs
+
+
+def bank_frames(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        Frame(index=i, timestamp=i / 15.0, pixels=rng.random((32, 48, 3)).astype(np.float32))
+        for i in range(count)
+    ]
+
+
+def run_session(extractor, mcs, frames, batch_size, thresholds=None):
+    """Push ``frames`` through one session; ``thresholds`` are per-MC live overrides."""
+    extractor.reset_cache()
+    session = StreamingPipeline(
+        extractor,
+        mcs,
+        config=PipelineConfig(batch_size=batch_size, smoothing_window=3, smoothing_votes=2),
+        frame_rate=15.0,
+        annotate_frames=False,
+    )
+    for name, threshold in (thresholds or {}).items():
+        if name in session._states_by_name:
+            session.set_threshold(threshold, mc_name=name)
+    for frame in frames:
+        session.push(frame)
+    return session, session.finish()
+
+
+def assert_mc_results_identical(got, want, label):
+    assert got.probabilities.tobytes() == want.probabilities.tobytes(), label
+    assert got.decisions.tobytes() == want.decisions.tobytes(), label
+    assert got.smoothed.tobytes() == want.smoothed.tobytes(), label
+    assert got.events == want.events, label
+    assert got.matched_frame_indices.tobytes() == want.matched_frame_indices.tobytes(), label
+    assert (got.encoded is None) == (want.encoded is None), label
+    if got.encoded is not None:
+        assert got.encoded.total_bits == want.encoded.total_bits, label
+        assert [(f.index, f.bits) for f in got.encoded.frames] == [
+            (f.index, f.bits) for f in want.encoded.frames
+        ], label
+
+
+class TestBanks:
+    def test_banks_are_keyed_at_bind_time(self, bank_extractor):
+        mcs = mixed_microclassifiers(bank_extractor)
+        session = StreamingPipeline(bank_extractor, mcs, frame_rate=15.0)
+        banks = [[state.mc.name for state in bank.states] for bank in session._banks]
+        # Installed order is kept inside a bank and between banks' first members.
+        assert banks == [
+            ["mc00", "mc07", "mc14"],  # full_frame, deep tap
+            ["mc01", "mc08", "mc15"],  # full_frame, shallow tap
+            ["mc02", "mc09", "mc16"],  # localized, crop 0
+            ["mc03", "mc10"],  # localized, crop 1
+            ["mc04", "mc11"],  # ... but one differing hyper-parameter: a bank of its own
+            ["mc05", "mc12"],  # windowed
+            ["mc06", "mc13"],  # windowed, other tap, crop and window
+            ["loner"],
+        ]
+        assert sorted(name for bank in banks for name in bank) == sorted(mc.name for mc in mcs)
+        assert [bank.is_windowed for bank in session._banks] == [False] * 5 + [True] * 2 + [False]
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_mixed_session_equals_one_session_per_mc(self, bank_extractor, batch_size):
+        """Field by field: probabilities bytes, decisions, smoothed, events, records, bits."""
+        mcs = mixed_microclassifiers(bank_extractor)
+        frames = bank_frames(14)
+        # Thresholds at each MC's own median score, so every MC decides both ways.
+        _, probe = run_session(bank_extractor, mcs, frames, batch_size)
+        thresholds = {
+            name: float(np.clip(np.median(r.probabilities), 1e-6, 1 - 1e-6))
+            for name, r in probe.per_mc.items()
+        }
+        session, mixed = run_session(bank_extractor, mcs, frames, batch_size, thresholds)
+        assert sum(len(r.events) for r in mixed.per_mc.values()) >= len(mcs) // 2
+        total_bits, uploaded = 0.0, set()
+        for mc in mcs:
+            solo_session, solo = run_session(bank_extractor, [mc], frames, batch_size, thresholds)
+            assert_mc_results_identical(mixed.per_mc[mc.name], solo.per_mc[mc.name], mc.name)
+            records = [r for r in session.closed_records if r.mc_name == mc.name]
+            assert records == solo_session.closed_records, mc.name
+            total_bits += solo.total_uploaded_bits
+            uploaded.update(solo.uploaded_frame_indices.tolist())
+        assert mixed.total_uploaded_bits == pytest.approx(total_bits, rel=1e-12)
+        assert mixed.uploaded_frame_indices.tolist() == sorted(uploaded)
+
+    def test_set_threshold_on_one_member_moves_only_that_member(self, bank_extractor):
+        mcs = [bank_mc(bank_extractor, f"ff{k}", "full_frame", seed=k) for k in range(3)]
+        frames = bank_frames(8)
+        _, reference = run_session(bank_extractor, mcs, frames, 1)
+        session, result = run_session(bank_extractor, mcs, frames, 1, {"ff1": 1 - 1e-9})
+        assert len(session._banks) == 1
+        assert session.current_threshold("ff1") == 1 - 1e-9
+        assert session.current_threshold("ff0") == session.current_threshold("ff2") == 0.5
+        assert not result.per_mc["ff1"].decisions.any()
+        for name in ("ff0", "ff2"):
+            assert_mc_results_identical(result.per_mc[name], reference.per_mc[name], name)
+        assert result.per_mc["ff1"].probabilities.tobytes() == (
+            reference.per_mc["ff1"].probabilities.tobytes()
+        )
+
+    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
+    def test_weights_loaded_after_the_first_push_are_used_by_the_next(
+        self, bank_extractor, architecture
+    ):
+        """No stacked copy of the weights: the bank reads each member's at call time."""
+        frames = bank_frames(9)
+        mcs = [bank_mc(bank_extractor, f"m{k}", architecture, seed=k) for k in range(3)]
+        donor = bank_mc(bank_extractor, "m1", architecture, seed=77)
+        _, before = run_session(bank_extractor, mcs, frames, 1)
+        _, donor_alone = run_session(bank_extractor, [donor], frames, 1)
+
+        bank_extractor.reset_cache()
+        session = StreamingPipeline(
+            bank_extractor, mcs, config=PipelineConfig(batch_size=1), frame_rate=15.0
+        )
+        session.push(frames[0])
+        models = ["reduce", "head"] if architecture == "windowed" else ["model"]
+        for attribute in models:
+            target, source = getattr(mcs[1], attribute), getattr(donor, attribute)
+            state = {p.name: p.value for p in source.parameters()}
+            if isinstance(target, Sequential):
+                target.load_state_dict(state)
+            else:  # the windowed MC's bare reduce convolution
+                for parameter in target.parameters():
+                    parameter.value = state[parameter.name].copy()
+        for frame in frames[1:]:
+            session.push(frame)
+        after = session.finish()
+        for name in ("m0", "m2"):
+            assert after.per_mc[name].probabilities.tobytes() == (
+                before.per_mc[name].probabilities.tobytes()
+            )
+        swapped = after.per_mc["m1"].probabilities
+        # A windowed frame's score reads reductions of later frames, so only frames whose
+        # whole window postdates the swap must match the donor; the rest must have moved.
+        settled = 1 + (2 * mcs[1].window if architecture == "windowed" else 0)
+        donor_scores = donor_alone.per_mc["m1"].probabilities
+        assert swapped[settled:].tobytes() == donor_scores[settled:].tobytes()
+        assert swapped[1:].tobytes() != before.per_mc["m1"].probabilities[1:].tobytes()
+
+    def test_one_mc_in_two_sessions_is_left_unmutated(self, bank_extractor, tiny_base_dnn):
+        """Bank state (grouping, the windowed ring) lives on the session, never on the MC."""
+        shared = [
+            bank_mc(bank_extractor, "shared_ff", "full_frame", seed=1),
+            bank_mc(bank_extractor, "shared_win", "windowed", seed=2),
+        ]
+        before = [(sorted(vars(mc)), [p.value.copy() for p in mc.parameters()]) for mc in shared]
+        first_mates = [bank_mc(bank_extractor, "a_ff", "full_frame", seed=3)]
+        second_mates = [
+            bank_mc(bank_extractor, "b_win", "windowed", seed=4),
+            bank_mc(bank_extractor, "b_ff", "full_frame", seed=5),
+        ]
+        other_extractor = FeatureExtractor(tiny_base_dnn, list(BANK_TAPS), cache_size=4)
+        one, two = PipelineConfig(batch_size=1), PipelineConfig(batch_size=2)
+        first = StreamingPipeline(bank_extractor, shared + first_mates, config=one, frame_rate=15.0)
+        second = StreamingPipeline(other_extractor, second_mates + shared, config=two, frame_rate=15.0)
+        frames, other_frames = bank_frames(9, seed=1), bank_frames(7, seed=2)
+        for i in range(9):  # interleaved pushes: two rings, two chunkings, one MC object
+            first.push(frames[i])
+            if i < 7:
+                second.push(other_frames[i])
+        first_result, second_result = first.finish(), second.finish()
+        for mc, (attributes, weights) in zip(shared, before):
+            assert sorted(vars(mc)) == attributes
+            for parameter, weight in zip(mc.parameters(), weights):
+                assert parameter.value.tobytes() == weight.tobytes()
+        for mc in shared:
+            name = mc.name
+            _, alone = run_session(bank_extractor, [mc], frames, 1)
+            assert_mc_results_identical(first_result.per_mc[name], alone.per_mc[name], name)
+            _, alone = run_session(other_extractor, [mc], other_frames, 2)
+            assert_mc_results_identical(second_result.per_mc[name], alone.per_mc[name], name)
+
+
+class TestBankSharingCounts:
+    """The sharing as a count, not a ratio: lowerings and sigmoids per push, per bank."""
+
+    @staticmethod
+    def fifty_mcs(extractor, extra_members=0):
+        """The ``many_mc_stream`` mix (17 full-frame, 17 localized over 3 crops, 16 windowed)."""
+        crops = (*BANK_CROPS, FeatureMapCrop(0, 0, 24, 16))
+        mcs = []
+        for k in range(50 + extra_members):
+            architecture = ("full_frame", "localized", "windowed")[k % 3]
+            crop = crops[(k // 3) % 3] if architecture == "localized" else None
+            mcs.append(bank_mc(extractor, f"mc{k:02d}", architecture, seed=k, crop=crop))
+        return mcs
+
+    @staticmethod
+    def count_one_steady_push(monkeypatch, extractor, mcs):
+        import repro.core.architectures as architectures
+        import repro.nn.batched as batched
+        import repro.nn.layers as layers
+
+        session = StreamingPipeline(
+            extractor, mcs, config=PipelineConfig(batch_size=1), frame_rate=15.0
+        )
+        frames = bank_frames(6)
+        for frame in frames[:5]:  # past the windowed banks' warm-up: every bank scores a frame
+            session.push(frame)
+        extractor.extract(frames[5])  # the base DNN's own lowerings stay out of the count
+        counts = {"bank": 0, "member": 0, "sigmoid": 0}
+
+        def counted(patch, module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            patch.setattr(module, name, wrapper)
+
+        with monkeypatch.context() as patch:
+            counted(patch, batched, "conv_columns", "bank")
+            counted(patch, batched, "im2col", "bank")
+            counted(patch, layers, "conv_columns", "member")
+            counted(patch, layers, "im2col", "member")
+            counted(patch, architectures, "_SIGMOID", "sigmoid")
+            session.push(frames[5])
+        return session, counts
+
+    def test_lowerings_and_sigmoids_do_not_grow_with_bank_size(self, monkeypatch, bank_extractor):
+        session, counts = self.count_one_steady_push(
+            monkeypatch, bank_extractor, self.fifty_mcs(bank_extractor)
+        )
+        assert [len(bank.states) for bank in session._banks] == [17, 6, 16, 6, 5]
+        # full_frame: 3 pointwise convs; localized: 2 x (depthwise + pointwise) in each of 3
+        # banks; windowed: the stacked 1x1 reduction (its head's tail has no convolution).
+        assert counts["bank"] == 3 + 3 * 4 + 1
+        assert counts["sigmoid"] == len(session._banks) == 5
+        # A windowed member's private window goes through its own conv1 and conv2.
+        assert counts["member"] == 2 * 16
+
+        bank_extractor.reset_cache()
+        bigger, more = self.count_one_steady_push(
+            monkeypatch, bank_extractor, self.fifty_mcs(bank_extractor, extra_members=12)
+        )
+        assert [len(bank.states) for bank in bigger._banks] == [21, 7, 20, 7, 7]
+        assert more["bank"] == counts["bank"] and more["sigmoid"] == counts["sigmoid"]
+        assert more["member"] == 2 * 20
+
+    def test_a_one_frame_chunk_is_not_copied_and_the_crop_is_resolved_once(
+        self, monkeypatch, bank_extractor
+    ):
+        calls = {"stack": 0, "coords": 0}
+        real_stack, real_coords = np.stack, FeatureMapCrop.to_feature_coords
+
+        def stack(*args, **kwargs):
+            calls["stack"] += 1
+            return real_stack(*args, **kwargs)
+
+        def coords(self, *args, **kwargs):
+            calls["coords"] += 1
+            return real_coords(self, *args, **kwargs)
+
+        mcs = self.fifty_mcs(bank_extractor)
+        session = StreamingPipeline(
+            bank_extractor, mcs, config=PipelineConfig(batch_size=1), frame_rate=15.0
+        )
+        monkeypatch.setattr(np, "stack", stack)
+        monkeypatch.setattr(FeatureMapCrop, "to_feature_coords", coords)
+        for frame in bank_frames(6):
+            session.push(frame)
+        assert calls == {"stack": 0, "coords": 3}  # three cropped banks, first frame only

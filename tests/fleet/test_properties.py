@@ -160,8 +160,6 @@ def test_streaming_matches_batch_on_random_smoothing_configs(seed, tiny_extracto
         stream
     )
     tiny_extractor.reset_cache()
-    if architecture == "windowed":
-        mc.reset_buffer()
     streaming_result = StreamingPipeline(
         tiny_extractor, [mc], config=config, frame_rate=stream.frame_rate
     ).process_stream(stream)

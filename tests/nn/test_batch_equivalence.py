@@ -10,9 +10,13 @@ every layer family the base DNN and microclassifiers use.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.features.base_dnn import build_mobilenet_like
 from repro.nn.batched import (
+    banked_forward,
+    banked_layer_forward,
     batched_conv2d_forward,
     batched_dense_forward,
     batched_forward,
@@ -27,6 +31,8 @@ from repro.nn.layers import (
     GlobalAveragePool,
     GlobalMaxPool,
     MaxPool2D,
+    ReLU,
+    ReLU6,
     SeparableConv2D,
 )
 
@@ -128,6 +134,146 @@ class TestPointwiseLowering:
         conv.forward(np.ones((1, 4, 4, 2)))
         with pytest.raises(RuntimeError, match="before forward"):
             conv.backward(np.ones((1, 4, 4, 3)))
+
+
+def build_bank(make_layer, members, input_shape, rng):
+    """``members`` layers of one shape, each with its own weights and a non-zero bias."""
+    layers = []
+    for _ in range(members):
+        layer = make_layer()
+        layer.build(input_shape, rng)
+        for parameter in layer.parameters():
+            parameter.value[...] = rng.standard_normal(parameter.value.shape)
+        layers.append(layer)
+    return layers
+
+
+def assert_bank_rows_equal_solo(layers, x, shared, label=""):
+    """Member ``i``'s rows of the bank are the bytes of its own ``forward``."""
+    m = len(layers)
+    n = x.shape[0] if shared else x.shape[0] // m
+    out = banked_layer_forward(layers, x, shared)
+    assert out.shape[0] == m * n, label
+    for i, layer in enumerate(layers):
+        own_input = x if shared else x[i * n : (i + 1) * n]
+        solo = layer.forward(own_input, training=False)
+        assert out[i * n : (i + 1) * n].tobytes() == solo.tobytes(), (label, i)
+
+
+bank_shapes = dict(
+    members=st.integers(1, 6),
+    frames=st.integers(1, 4),
+    shared=st.booleans(),
+    crop_view=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+
+
+def bank_input(rng, members, frames, shared, crop_view, channels=5):
+    """The members' common input, or their stacked member-major activations."""
+    x = rng.standard_normal((frames if shared else members * frames, 9, 10, channels))
+    return x[:, 1:8, 2:9, :] if crop_view else x
+
+
+class TestBankedLayers:
+    """One input, many models: every member's bank rows are its solo forward's bytes."""
+
+    @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from(["same", "valid"]), filters=st.integers(1, 7), **bank_shapes)
+    @settings(max_examples=60, deadline=None)
+    def test_conv_bank(
+        self, kernel, stride, padding, filters, members, frames, shared, crop_view, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = bank_input(rng, members, frames, shared, crop_view)
+        make_layer = lambda: Conv2D(filters, kernel, stride, padding)  # noqa: E731
+        layers = build_bank(make_layer, members, x.shape[1:], rng)
+        assert_bank_rows_equal_solo(layers, x, shared)
+
+    @given(stride=st.sampled_from([1, 2]), padding=st.sampled_from(["same", "valid"]),
+           channels=st.integers(1, 9), **bank_shapes)
+    @settings(max_examples=60, deadline=None)
+    def test_depthwise_bank(
+        self, stride, padding, channels, members, frames, shared, crop_view, seed
+    ):
+        """The depthwise ``einsum`` runs per member, written into a stacked output."""
+        rng = np.random.default_rng(seed)
+        x = bank_input(rng, members, frames, shared, crop_view, channels)
+        layers = build_bank(lambda: DepthwiseConv2D(3, stride, padding), members, x.shape[1:], rng)
+        assert_bank_rows_equal_solo(layers, x, shared)
+
+    @given(stride=st.sampled_from([1, 2]), filters=st.integers(1, 7), **bank_shapes)
+    @settings(max_examples=40, deadline=None)
+    def test_separable_bank(self, stride, filters, members, frames, shared, crop_view, seed):
+        rng = np.random.default_rng(seed)
+        x = bank_input(rng, members, frames, shared, crop_view)
+        layers = build_bank(lambda: SeparableConv2D(filters, 3, stride), members, x.shape[1:], rng)
+        assert_bank_rows_equal_solo(layers, x, shared)
+
+    @given(units=st.sampled_from([1, 3, 200]), **bank_shapes)
+    @settings(max_examples=40, deadline=None)
+    def test_dense_bank(self, units, members, frames, shared, crop_view, seed):
+        """One GEMV (``frames`` = 1) or GEMM per member, never re-associated."""
+        rng = np.random.default_rng(seed)
+        x = bank_input(rng, members, frames, shared, crop_view)
+        layers = build_bank(lambda: Dense(units), members, x.shape[1:], rng)
+        assert_bank_rows_equal_solo(layers, x, shared)
+
+    @given(**bank_shapes)
+    @settings(max_examples=25, deadline=None)
+    def test_parameter_free_layers_run_once_over_the_stack(
+        self, members, frames, shared, crop_view, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = bank_input(rng, members, frames, shared, crop_view)
+        for make_layer in (ReLU, ReLU6, lambda: MaxPool2D(2), GlobalMaxPool):
+            layers = build_bank(make_layer, members, x.shape[1:], rng)
+            assert_bank_rows_equal_solo(layers, x, shared, type(layers[0]).__name__)
+
+    @given(members=st.integers(1, 6), frames=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_whole_stacks_as_one_bank(self, members, frames, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((frames, 8, 9, 4))[:, 1:7, :, :]
+
+        def stack():
+            return [SeparableConv2D(6, 3, 2), ReLU(), Conv2D(3, 1), ReLU6(), Dense(5), Dense(1)]
+
+        stacks, shape = [stack() for _ in range(members)], x.shape[1:]
+        for position in range(len(stacks[0])):
+            for layers in stacks:
+                layers[position].build(shape, rng)
+                for parameter in layers[position].parameters():
+                    parameter.value[...] = rng.standard_normal(parameter.value.shape)
+            shape = stacks[0][position].output_shape(shape)
+        out = banked_forward(stacks, x)
+        for i, layers in enumerate(stacks):
+            solo = x
+            for layer in layers:
+                solo = layer.forward(solo, training=False)
+            assert out[i * frames : (i + 1) * frames].tobytes() == solo.tobytes(), i
+
+    def test_weights_are_read_at_call_time_and_never_copied(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 6, 6, 4))
+        layers = build_bank(lambda: Conv2D(3, 3), 3, x.shape[1:], rng)
+        before = banked_layer_forward(layers, x, True)
+        # load_state_dict rebinds ``value``; an optimizer step writes in place.
+        layers[1].kernel.value = rng.standard_normal(layers[1].kernel.value.shape)
+        layers[2].bias.value[...] = 7.0
+        after = banked_layer_forward(layers, x, True)
+        assert after[:2].tobytes() == before[:2].tobytes()
+        assert_bank_rows_equal_solo(layers, x, True)
+        assert after[2:].tobytes() != before[2:].tobytes()
+
+    def test_mismatched_stacks_and_unbuilt_members_raise(self):
+        x = np.zeros((1, 6, 6, 2))
+        with pytest.raises(ValueError):
+            banked_forward([[ReLU()], [ReLU(), ReLU()]], x)
+        with pytest.raises(RuntimeError, match="before build"):
+            banked_layer_forward([Conv2D(2, 3), Conv2D(2, 3)], x, True)
+        with pytest.raises(RuntimeError, match="before build"):
+            banked_layer_forward([Dense(2)], x, True)  # a bank of one is the layer's own forward
 
 
 class TestModelEquivalence:

@@ -118,6 +118,82 @@ class TestIm2Col:
         np.testing.assert_array_equal(center, [7.0, 9.0])
 
 
+class TestWindowView:
+    """``im2col`` builds its sliding-window view with the ``ndarray`` constructor when the
+    (padded) input is C-contiguous and falls back to ``as_strided`` for views; same bytes."""
+
+    @staticmethod
+    def reference(x, kernel, stride, padding):
+        """Window by window, with plain slicing."""
+        (kh, kw), (sh, sw) = kernel, stride
+        if padding == "same":
+            x = pad_same(x, kernel, stride)
+        n, h, w, c = x.shape
+        out_h, out_w = (h - kh) // sh + 1, (w - kw) // sw + 1
+        rows = [
+            x[b, i * sh : i * sh + kh, j * sw : j * sw + kw, :].reshape(-1)
+            for b in range(n)
+            for i in range(out_h)
+            for j in range(out_w)
+        ]
+        return np.stack(rows), (out_h, out_w)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3), (1, 1)])
+    def test_bytes_equal_for_contiguous_input_and_views(self, kernel, stride, padding):
+        feature_map = np.random.default_rng(5).standard_normal((2, 11, 13, 6))
+        inputs = {
+            "contiguous": feature_map,
+            "crop view": feature_map[:, 2:9, 3:12, :],
+            "channel-strided view": feature_map[..., ::2],
+        }
+        assert not inputs["crop view"].flags.c_contiguous
+        for label, x in inputs.items():
+            cols, out_size, _ = im2col(x, kernel, stride, padding)
+            expected, expected_size = self.reference(x, kernel, stride, padding)
+            assert out_size == expected_size, label
+            assert cols.flags.c_contiguous, label
+            assert cols.tobytes() == expected.tobytes(), label
+
+    def test_as_strided_fallback_serves_only_non_contiguous_input(self, monkeypatch):
+        """'valid' padding on a crop view lowers the view itself: the one as_strided caller."""
+        calls = []
+        real = np.lib.stride_tricks.as_strided
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].flags.c_contiguous)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.stride_tricks, "as_strided", counting)
+        feature_map = np.random.default_rng(6).random((1, 8, 9, 4))
+        im2col(feature_map, (3, 3), (1, 1), "same")  # padded copy: contiguous
+        im2col(feature_map, (3, 3), (1, 1), "valid")  # contiguous as given
+        im2col(feature_map[:, 1:7, 2:8, :], (3, 3), (1, 1), "same")  # the pad is a fresh copy
+        assert calls == []
+        crop = feature_map[:, 1:7, 2:8, :]
+        cols, _, _ = im2col(crop, (3, 3), (2, 2), "valid")
+        assert calls == [False]
+        assert cols.tobytes() == self.reference(crop, (3, 3), (2, 2), "valid")[0].tobytes()
+
+    def test_read_only_and_empty_batches_lower_like_any_other(self):
+        x = np.random.default_rng(7).random((2, 5, 5, 3))
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        assert im2col(frozen, (3, 3), (1, 1), "valid")[0].tobytes() == im2col(
+            x, (3, 3), (1, 1), "valid"
+        )[0].tobytes()
+        assert im2col(x[:0], (3, 3), (1, 1), "valid")[0].shape == (0, 27)
+
+    @given(size=st.integers(1, 4096), kernel=st.integers(1, 7), stride=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_ceil_division_matches_np_ceil(self, size, kernel, stride):
+        assert conv_output_size(size, kernel, stride, "same") == int(np.ceil(size / stride))
+        padded = pad_same(np.zeros((1, size, 1, 1)), (kernel, 1), (stride, 1))
+        out = int(np.ceil(size / stride))
+        assert padded.shape[1] == size + max((out - 1) * stride + kernel - size, 0)
+
+
 class TestCol2Im:
     def test_adjoint_property(self):
         """col2im must be the exact adjoint of im2col: <im2col(x), y> == <x, col2im(y)>."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.nn.layers import Sigmoid, sigmoid
 from repro.nn.losses import BinaryCrossEntropy, MeanSquaredError, SigmoidBinaryCrossEntropy
 
 
@@ -124,3 +125,48 @@ class TestSigmoidBinaryCrossEntropy:
     @settings(max_examples=50, deadline=None)
     def test_loss_is_non_negative(self, logits, targets):
         assert SigmoidBinaryCrossEntropy().forward(logits, targets) >= 0.0
+
+
+def masked_sigmoid(z):
+    """The two-branch boolean-mask form both sigmoid copies used before they became one."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SPECIAL_LOGITS = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 800.0, -800.0, 1e-300, -1e-300]
+
+
+class TestBranchFreeSigmoid:
+    """``exp(-|z|)`` feeds each branch the argument the masked form fed it: same bits."""
+
+    @given(
+        logits=st.lists(
+            st.one_of(
+                st.sampled_from(SPECIAL_LOGITS),
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=17,  # past one SIMD register and its scalar tail
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_the_masked_form(self, logits):
+        z = np.array(logits, dtype=np.float64)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = sigmoid(z)
+        reference = masked_sigmoid(z)
+        # A NaN stays a NaN; its sign bit (which -|z| sets) is not part of the contract.
+        finite = ~np.isnan(z)
+        assert np.isnan(out[~finite]).all()
+        assert out[finite].tobytes() == reference[finite].tobytes()
+        assert out.dtype == np.float64 and out.shape == z.shape
+        assert SigmoidBinaryCrossEntropy._sigmoid(z)[finite].tobytes() == out[finite].tobytes()
+        assert Sigmoid().forward(z)[finite].tobytes() == out[finite].tobytes()
+
+    def test_one_helper_serves_the_loss_and_the_layer(self):
+        assert SigmoidBinaryCrossEntropy._sigmoid is sigmoid
+        assert float(sigmoid(np.float64(-3.0))) == float(masked_sigmoid(np.array([-3.0]))[0])
