@@ -3,17 +3,12 @@
 The accuracy benchmarks (Figures 4 and 7) train real classifiers, which is
 too slow to repeat many times under ``pytest-benchmark``; they therefore use
 compact datasets (roughly 1/20th of the paper's spatial scale, a few hundred
-frames) and run a single benchmark round.  The headline numbers recorded in
-``EXPERIMENTS.md`` come from the larger ``python -m repro.experiments.runner``
-presets; these benchmarks regenerate the same series at a size that finishes
-in minutes.
+frames) and run a single benchmark round.  The headline numbers are what
+``python -m repro.experiments.runner`` prints at its larger presets; these
+benchmarks regenerate the same series at a size that finishes in minutes.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 import pytest
 
@@ -23,45 +18,6 @@ from repro.video.datasets import make_jackson_like, make_roadway_like
 
 BENCH_FRAMES = 240
 BENCH_TRAINING = TrainingConfig(epochs=4.0, batch_size=16, learning_rate=2e-3, seed=0)
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--json",
-        action="store",
-        default=None,
-        help=(
-            "Write BENCH_*.json perf records (drop rate, p99 wait, wall time). "
-            "PATH is a directory (one BENCH_<NAME>.json per bench) or a .json "
-            "file when a single bench runs.  Env fallback: BENCH_JSON."
-        ),
-    )
-
-
-@pytest.fixture(scope="session")
-def perf_records(request: pytest.FixtureRequest) -> dict:
-    """Session-wide collector the fleet benches fill with perf records.
-
-    Each bench stores ``perf_records["NAME"] = {...}``; at session end the
-    records are written as JSON next to the path given by ``--json`` (or the
-    ``BENCH_JSON`` environment variable).  Without either, collection is a
-    no-op — the benches still run and assert.
-    """
-    records: dict[str, dict] = {}
-    yield records
-    target = request.config.getoption("--json") or os.environ.get("BENCH_JSON")
-    if not target or not records:
-        return
-    path = Path(target)
-    if path.suffix == ".json":
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = next(iter(records.values())) if len(records) == 1 else records
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
-    path.mkdir(parents=True, exist_ok=True)
-    for name, record in records.items():
-        out = path / f"BENCH_{name}.json"
-        out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ from repro.metrics import bits_to_mbps, event_f1_score
 from repro.video import make_roadway_like
 
 # Small but representative settings; increase num_frames / resolution for
-# numbers closer to the EXPERIMENTS.md presets.
+# numbers closer to the ``python -m repro.experiments.runner`` presets.
 NUM_FRAMES = 300
 WIDTH, HEIGHT = 128, 54
 TAP_LAYER = "conv2_2/sep"  # chosen by the paper's layer-size heuristic at this scale

@@ -107,6 +107,19 @@ class MicroClassifierResult:
         """Average uplink bandwidth (bits/s) this MC's uploads consumed."""
         return self.encoded.average_bandwidth if self.encoded is not None else 0.0
 
+    def event_bits(self, event: Event) -> float:
+        """Encoded bits of the matched frames inside one event.
+
+        ``event`` spans *stream positions*; ``encoded.frames`` holds one
+        compressed frame per matched position, in matched order (their own
+        ``index`` is the source frame index, which differs on any stream
+        that does not start at frame 0).
+        """
+        if self.encoded is None:
+            return 0.0
+        first, last = np.searchsorted(self.matched_frame_indices, (event.start, event.end))
+        return sum((compressed.bits for compressed in self.encoded.frames[first:last]), 0.0)
+
 
 @dataclass
 class PipelineResult:

@@ -72,13 +72,10 @@ class EdgeNode:
         # Upload each MC's encoded event frames; uploads become available as
         # the corresponding events end.
         for mc_result in result.per_mc.values():
-            if mc_result.encoded is None:
-                continue
             for event in mc_result.events:
-                event_bits = self._event_bits(mc_result, event.start, event.end)
                 available_at = event.end / stream.frame_rate
                 self.uplink.upload(
-                    event_bits,
+                    mc_result.event_bits(event),
                     available_at=available_at,
                     description=f"{mc_result.mc_name}/event{event.event_id}",
                 )
@@ -89,13 +86,6 @@ class EdgeNode:
             archived_frames=len(self.archive),
             uplink_utilization=utilization,
             uplink_backlog_seconds=backlog,
-        )
-
-    @staticmethod
-    def _event_bits(mc_result, start: int, end: int) -> float:
-        """Bits consumed by the encoded frames of one event."""
-        return float(
-            sum(cf.bits for cf in mc_result.encoded.frames if start <= cf.index < end)
         )
 
     def demand_fetch(self, start: int, end: int, report: EdgeNodeReport | None = None) -> ArchivedSegment:

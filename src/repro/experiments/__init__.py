@@ -4,7 +4,7 @@ Each module exposes a ``run_*`` function that produces the rows or series the
 paper reports, plus a ``summarize`` helper that extracts the headline numbers
 (bandwidth reduction factors, break-even classifier counts, cost/accuracy
 ratios).  ``repro.experiments.runner`` executes everything and renders a
-combined report, which is how ``EXPERIMENTS.md`` is generated.
+combined report: ``python -m repro.experiments.runner`` prints it.
 """
 
 from repro.experiments.common import ExperimentContext, TrainedClassifier

@@ -1,7 +1,7 @@
 """Run every reproduction experiment and render a combined report.
 
-``python -m repro.experiments.runner`` regenerates the measurements recorded
-in EXPERIMENTS.md.  The ``quick`` preset keeps the executable datasets small
+``python -m repro.experiments.runner`` prints every table and figure series
+of the reproduction.  The ``quick`` preset keeps the executable datasets small
 enough to finish in a few minutes on a laptop-class CPU; ``full`` uses larger
 synthetic datasets for tighter statistics.
 """

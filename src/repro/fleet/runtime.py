@@ -147,7 +147,6 @@ class FleetConfig:
     per_camera_quota: int | None = None
     service_time_scale: float = 1.0
     uplink_capacity_bps: float = 1_000_000.0
-    schedule_classifiers: int = 1
     resolution_scaled_service: bool = False
     accuracy_task: str | None = None
     slo: SLOConfig | None = None
@@ -167,8 +166,6 @@ class FleetConfig:
             raise ValueError("service_time_scale must be positive")
         if self.uplink_capacity_bps <= 0:
             raise ValueError("uplink_capacity_bps must be positive")
-        if self.schedule_classifiers < 1:
-            raise ValueError("schedule_classifiers must be at least 1")
         if self.event_cooldown_seconds < 0:
             raise ValueError("event_cooldown_seconds must be non-negative")
         if self.accuracy_task is not None and self.accuracy_task not in ACCURACY_TASKS:
@@ -178,9 +175,7 @@ class FleetConfig:
             )
 
 
-def resolution_scaled_schedule(
-    base: PhasedSchedule, resolution: tuple[int, int], num_classifiers: int = 1
-) -> PhasedSchedule:
+def resolution_scaled_schedule(base: PhasedSchedule, resolution: tuple[int, int]) -> PhasedSchedule:
     """Scale a paper-calibrated schedule to a camera's resolution.
 
     Every phase is multiplied by the multiply-add ratio between the camera's
@@ -191,8 +186,8 @@ def resolution_scaled_schedule(
     camera_model = CostModel(resolution=resolution)
     reference_model = CostModel()
     mc = "localized"
-    camera_ops = camera_model.base_dnn_cost() + num_classifiers * camera_model.mc_cost(mc)
-    reference_ops = reference_model.base_dnn_cost() + num_classifiers * reference_model.mc_cost(mc)
+    camera_ops = camera_model.base_dnn_cost() + camera_model.mc_cost(mc)
+    reference_ops = reference_model.base_dnn_cost() + reference_model.mc_cost(mc)
     ratio = camera_ops / reference_ops
     return PhasedSchedule(
         phases=tuple(
@@ -536,7 +531,7 @@ class FleetRuntime:
         self.pipeline_factory = pipeline_factory or default_pipeline_factory()
         self.workers = WorkerPool(
             num_workers=self.config.num_workers,
-            schedule=default_schedule(self.config.schedule_classifiers),
+            schedule=default_schedule(),
             service_time_scale=self.config.service_time_scale,
             telemetry=self.telemetry,
         )
@@ -647,7 +642,7 @@ class FleetRuntime:
             return None
         if spec.resolution not in self._schedules:
             self._schedules[spec.resolution] = resolution_scaled_schedule(
-                self.workers.schedule, spec.resolution, self.config.schedule_classifiers
+                self.workers.schedule, spec.resolution
             )
         return self._schedules[spec.resolution]
 
@@ -1132,20 +1127,9 @@ class FleetRuntime:
                 tails.append((closed_at, key, state, tail))
             camera_bits = 0.0
             for mc_result in result.per_mc.values():
-                if mc_result.encoded is None:
-                    continue
                 session = state.session
-                # Matched frames were encoded in matched order.
-                bits_by_position = {
-                    int(pos): compressed.bits
-                    for pos, compressed in zip(
-                        mc_result.matched_frame_indices, mc_result.encoded.frames
-                    )
-                }
                 for event in mc_result.events:
-                    bits = sum(
-                        bits_by_position.get(pos, 0.0) for pos in range(event.start, event.end)
-                    )
+                    bits = mc_result.event_bits(event)
                     # An event cannot be uploaded before its last frame was
                     # both captured and actually scored on the node (under
                     # overload, scoring lags capture by the queue wait).

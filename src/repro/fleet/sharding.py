@@ -350,13 +350,10 @@ class ShardedFleetRuntime:
         control_loop: ControlLoop | None = None,
         tracer: Tracer | None = None,
         timeline: MetricsTimeline | None = None,
-        scrape_interval: float = 0.25,
         alert_rules: Sequence = (),
         hierarchy: HierarchicalControlPlane | None = None,
         event_plane: "EventDeliveryPlane | None" = None,
     ) -> None:
-        if scrape_interval <= 0:
-            raise ValueError("scrape_interval must be positive")
         if alert_rules and timeline is None:
             raise ValueError("alert_rules need a timeline to evaluate over")
         if control_loop is not None and hierarchy is not None:
@@ -367,7 +364,6 @@ class ShardedFleetRuntime:
         self.config = config or ShardingConfig()
         self.tracer = tracer
         self.timeline = timeline
-        self.scrape_interval = float(scrape_interval)
         self.alert_rules = list(alert_rules)
         ids = [spec.camera_id for spec in cameras]
         duplicates = {i for i in ids if ids.count(i) > 1}
@@ -378,7 +374,7 @@ class ShardedFleetRuntime:
         )
         # One control slot, one protocol: the flat loop, the hierarchical
         # plane, or a loop that only keeps the timeline's scrape cadence.
-        self.control = control_loop or hierarchy or _ScrapeOnlyLoop([], self.scrape_interval)
+        self.control = control_loop or hierarchy or _ScrapeOnlyLoop([])
         self.shards = self.policy.place(cameras, self.config.num_nodes)
         self.node_ids = [f"node{i}" for i in range(self.config.num_nodes)]
         # Cost the shards with the same estimate the policy balanced them by,

@@ -3,18 +3,28 @@
 import pytest
 
 from repro.control import (
+    AdaptiveSheddingController,
     ControlLoop,
     NodeActuator,
     SetCameraQuota,
     SetCameraThreshold,
     SetDropPolicy,
+    SheddingConfig,
     ThresholdDriftConfig,
     ThresholdDriftController,
     ValueSheddingConfig,
     ValueSheddingController,
 )
 from repro.control.policies import Controller
-from repro.fleet import CameraSpec, FleetConfig, FleetRuntime
+from repro.fleet import (
+    AccuracyConfig,
+    CameraSpec,
+    FleetConfig,
+    FleetRuntime,
+    ShardedFleetRuntime,
+    ShardingConfig,
+    TrainedMicroClassifiers,
+)
 from repro.fleet.queues import DropPolicy
 
 from control_helpers import FakeRuntime, make_stats, make_view
@@ -658,3 +668,132 @@ class TestThresholdActuation:
         assert actuator.uplink_guarantees == {
             "node0": runtime.uplink.capacity_bps
         }
+
+
+@pytest.mark.slow
+class TestValueSheddingKeepsMoreF1:
+    """Who sheds decides what shedding costs: 64 trained cameras on 4 nodes.
+
+    32 sparse, heavy cameras (highway / night, 64x48, 8-10 fps) carry most of
+    the compute and few events; 16 dense steady ones (busy intersections,
+    6 fps) and 16 dense hot ones (retail entrances, 12 fps) that only come
+    online at mid-run push every node past capacity.  The hot cameras have
+    scored nothing when they appear, so their match density is exactly 0 and
+    ``AdaptiveSheddingController`` caps the event-densest cameras first;
+    ranking by truth density per service-second caps the sparse heavy ones.
+    Every loop under comparison has the same watermarks and ladder.
+    """
+
+    WATERMARKS = dict(
+        high_watermark_seconds=0.3,
+        low_watermark_seconds=0.1,
+        cameras_per_step=2,
+        quota_ladder=(1,),
+    )
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return TrainedMicroClassifiers(AccuracyConfig(train_frames=64, epochs=2.0))
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        def camera(camera_id, size, rate, seconds, scenario, seed, **kwargs):
+            return CameraSpec(
+                camera_id=camera_id,
+                width=size[0],
+                height=size[1],
+                frame_rate=rate,
+                num_frames=int(rate * seconds),
+                scenario=scenario,
+                seed=seed,
+                **kwargs,
+            )
+
+        small, large = (48, 32), (64, 48)
+        dense = dict(event_rate_scale=2.0)
+        hot = dict(start_time=1.5, **dense)
+        fleet = []
+        for i in range(16):
+            fleet.append(camera(f"hot{i:02d}", small, 12.0, 1.5, "retail_entrance", 900 + i, **hot))
+        for i in range(16):
+            spec = camera(f"den{i:03d}", small, 6.0, 3.0, "busy_intersection", 300 + i, **dense)
+            fleet.append(spec)
+        for i in range(32):
+            rate, scenario = ((10.0, "highway_overpass"), (8.0, "night_watch"))[i % 2]
+            fleet.append(camera(f"spr{i:03d}", large, rate, 3.0, scenario, i))
+        return fleet
+
+    @pytest.fixture(scope="class")
+    def run(self, models, fleet):
+        config = ShardingConfig(
+            num_nodes=4,
+            placement="load_aware",
+            total_uplink_bps=400_000.0,
+            uplink_sharing="work_conserving",
+            node_config=FleetConfig(
+                num_workers=2,
+                queue_capacity=4,
+                service_time_scale=40.0,
+                resolution_scaled_service=True,
+                accuracy_task=models.config.task,
+            ),
+        )
+
+        def run(*controllers):
+            return ShardedFleetRuntime(
+                fleet,
+                config=config,
+                pipeline_factory=models.pipeline_factory(),
+                control_loop=ControlLoop(list(controllers), interval_seconds=0.25),
+            ).run()
+
+        return run
+
+    def value_shedding(self, signal="truth_density"):
+        return ValueSheddingController(
+            ValueSheddingConfig(value_signal=signal, **self.WATERMARKS)
+        )
+
+    @pytest.fixture(scope="class")
+    def value(self, run):
+        return run(self.value_shedding())
+
+    def test_value_ranking_beats_the_match_density_baseline(self, run, value):
+        baseline = run(AdaptiveSheddingController(SheddingConfig(**self.WATERMARKS)))
+        assert baseline.accuracy.num_cameras == 64
+        assert baseline.shedding_interventions > 0 and value.shedding_interventions > 0
+        assert baseline.drop_rate > 0.05
+        assert value.frames_generated == baseline.frames_generated
+        # Macro-F1 0.6951 against 0.6703, at 10.97 % shed against 11.04 %.
+        assert value.accuracy.macro_f1 > baseline.accuracy.macro_f1
+        assert value.drop_rate <= baseline.drop_rate
+
+    def test_truth_density_is_worth_at_least_the_match_density_proxy(self, run, value):
+        proxy = run(self.value_shedding("match_density"))
+        # 0.6951 against 0.6703; the truth run must not buy it with more shedding.
+        assert value.accuracy.macro_f1 >= proxy.accuracy.macro_f1
+        assert value.drop_rate <= proxy.drop_rate + 1e-9
+
+    def test_threshold_drift_composes_without_costing_macro_f1(self, run, value, models, fleet):
+        drift = ThresholdDriftController(
+            ThresholdDriftConfig(tolerance=0.5, step=0.05, min_scored=12, cooldown_ticks=2)
+        )
+        drifted = run(self.value_shedding(), drift)
+        lines = [line for line in drifted.control_log if "set_camera_threshold" in line]
+        assert len(lines) == drifted.threshold_drifts > 0
+        # Over-firing cameras drift up from their calibrated threshold,
+        # under-firing ones down: "... set_camera_threshold node1/spr011 -> 0.4500".
+        calibrated = {spec.camera_id: models.trained(spec).threshold for spec in fleet}
+        raised = 0
+        for line in lines:
+            target, threshold = line.rsplit(" -> ", 1)
+            raised += float(threshold) > calibrated[target.rsplit("/", 1)[1]]
+        assert 0 < raised < len(lines)
+        # 0.6951 with drift and without.
+        assert drifted.accuracy.macro_f1 >= 0.95 * value.accuracy.macro_f1
+
+    def test_a_value_controlled_run_repeats_bit_for_bit(self, run, value):
+        again = run(self.value_shedding())
+        assert again.control_log == value.control_log
+        assert again.telemetry == value.telemetry
+        assert again.accuracy.macro_f1 == value.accuracy.macro_f1

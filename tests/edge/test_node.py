@@ -8,6 +8,7 @@ from repro.core.pipeline import FilterForwardPipeline
 from repro.edge.archive import FrameArchive
 from repro.edge.node import EdgeNode
 from repro.edge.uplink import ConstrainedUplink
+from repro.video.stream import InMemoryVideoStream
 
 
 def make_node(extractor, threshold=0.01, capacity_bps=1_000_000):
@@ -59,3 +60,15 @@ class TestEdgeNode:
         # The single all-frames event ends at the end of the stream, so the
         # upload cannot start before then.
         assert node.uplink.transfers[0].start_time >= tiny_pipeline_stream.duration - 1e-9
+
+    def test_offset_stream_uploads_what_the_pipeline_encoded(
+        self, tiny_extractor, tiny_pipeline_stream
+    ):
+        # The back half of a feed keeps its source frame indices (6..11), so
+        # an event's stream positions (0..5) are not its frames' indices.
+        frames = list(tiny_pipeline_stream)
+        tail = InMemoryVideoStream(frames[6:], tiny_pipeline_stream.frame_rate)
+        node = make_node(tiny_extractor, threshold=0.01)
+        report = node.process_stream(tail)
+        assert report.pipeline_result.total_uploaded_bits > 0
+        assert node.uplink.total_bits == report.pipeline_result.total_uploaded_bits

@@ -162,7 +162,10 @@ class TestLossyDelivery:
         assert report.retried > 0
         # Dedupe: the datacenter ingested each delivered key exactly once.
         assert plane.ingest.unique_ingests == report.delivered
-        assert plane.ingest.duplicates == report.duped
+        assert plane.ingest.duplicates == report.duped > 0
+        # Retried records (a quarter of these) wait out a backoff window
+        # before their payload can land, and the tail shows it.
+        assert report.latency_p99 >= plane.config.outbox.backoff_base_seconds
 
     def test_every_non_dropped_record_delivered(self):
         plane, _ = self.build()

@@ -382,3 +382,75 @@ class TestShardedAccuracy:
 
     def test_cluster_summary_mentions_accuracy(self, cluster_report):
         assert "macro-F1" in cluster_report.summary()
+
+
+@pytest.mark.slow
+class TestSheddingCostsAccuracy:
+    """The F1-vs-drop-rate curve scheduling and control changes are read against.
+
+    32 trained cameras over the four event-bearing scenarios at 8 / 10 /
+    12 fps for 4 s, on 4 workers with 2-deep queues, under four increasing
+    service times: provisioned, then 25 %, 60 % and 77 % shed.
+    """
+
+    SERVICE_SCALES = (0.004, 0.045, 0.09, 0.18)
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        scenarios = ("retail_entrance", "busy_intersection", "urban_day", "quiet_residential")
+        rates = (8.0, 10.0, 12.0)
+        cameras = [
+            CameraSpec(
+                camera_id=f"cam{i:03d}",
+                width=48,
+                height=32,
+                frame_rate=rates[i % 3],
+                num_frames=int(rates[i % 3] * 4.0),
+                scenario=scenarios[i % 4],
+                seed=500 + i,
+                event_rate_scale=2.0,
+            )
+            for i in range(32)
+        ]
+        accuracy = AccuracyConfig(train_frames=96, epochs=3.0)
+        models = TrainedMicroClassifiers(accuracy)
+
+        def run(service_time_scale, drop_policy=DropPolicy.DROP_OLDEST):
+            config = FleetConfig(
+                num_workers=4,
+                queue_capacity=2,
+                drop_policy=drop_policy,
+                service_time_scale=service_time_scale,
+                accuracy_task=accuracy.task,
+            )
+            return FleetRuntime(
+                cameras, pipeline_factory=models.pipeline_factory(), config=config
+            ).run()
+
+        return run
+
+    def test_macro_f1_never_rises_as_more_is_shed(self, run):
+        reports = [run(scale) for scale in self.SERVICE_SCALES]
+        drop_rates = [report.drop_rate for report in reports]
+        f1s = [report.accuracy.macro_f1 for report in reports]
+        assert drop_rates[0] == 0.0
+        assert all(b > a for a, b in zip(drop_rates, drop_rates[1:]))
+        # 0.6428, 0.6397, 0.6151, 0.5284.
+        assert all(b <= a for a, b in zip(f1s, f1s[1:]))
+        assert f1s[-1] < f1s[0]
+
+    @pytest.mark.parametrize("scale", SERVICE_SCALES[1:3])
+    def test_drop_oldest_keeps_more_f1_than_drop_newest(self, run, scale):
+        """Fresh frames keep smoothing runs alive; a stale head fragments them."""
+        oldest, newest = run(scale), run(scale, DropPolicy.DROP_NEWEST)
+        assert oldest.drop_rate == newest.drop_rate
+        # 0.6397 against 0.6311 at 25 % shed, 0.6151 against 0.5719 at 60 %.
+        assert oldest.accuracy.macro_f1 > newest.accuracy.macro_f1
+
+    def test_a_shedding_run_repeats_bit_for_bit(self, run):
+        first, second = run(self.SERVICE_SCALES[2]), run(self.SERVICE_SCALES[2])
+        assert first.telemetry == second.telemetry
+        assert first.accuracy.macro_f1 == second.accuracy.macro_f1
+        for camera_id, camera in first.accuracy.cameras.items():
+            twin = second.accuracy.cameras[camera_id]
+            assert np.array_equal(camera.predictions, twin.predictions)

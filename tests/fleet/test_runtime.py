@@ -101,7 +101,7 @@ class TestFleetRuntime:
         assert report.frames_scored == 16
         assert report.frames_dropped == 0
         assert report.drop_rate == 0.0
-        assert report.worker_utilization > 0
+        assert 0 < report.worker_utilization < 1.0
 
     def test_overload_sheds_load(self):
         report = run_fleet(

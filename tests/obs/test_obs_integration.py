@@ -14,6 +14,7 @@ from repro.fleet import (
 )
 from repro.fleet.runtime import default_pipeline_factory
 from repro.obs import (
+    AlertRule,
     MetricsTimeline,
     SLOConfig,
     SLOReport,
@@ -90,16 +91,30 @@ class TestFleetRuntimeObservability:
         assert observed.frames_dropped == plain.frames_dropped
 
 
-def _sharded_run(with_control: bool):
+ALERT_RULES = [
+    AlertRule(
+        name="queue_wait_p99",
+        metric="latency.queue_wait_seconds.p99",
+        threshold=0.3,
+        for_seconds=0.25,
+    ),
+    AlertRule(
+        name="uplink_demand",
+        metric="uplink.estimated_bits",
+        threshold=10_000.0,
+        mode="rate",
+        severity="page",
+    ),
+]
+
+
+def _sharded_run(with_control: bool, shedding=SheddingConfig(cameras_per_step=1)):
     fleet = generate_fleet(8, seed=2, duration_seconds=1.5)
     tracer = Tracer(sample_every=2)
     timeline = MetricsTimeline()
     loop = None
     if with_control:
-        loop = ControlLoop(
-            [AdaptiveSheddingController(SheddingConfig(cameras_per_step=1))],
-            interval_seconds=0.25,
-        )
+        loop = ControlLoop([AdaptiveSheddingController(shedding)], interval_seconds=0.25)
     runtime = ShardedFleetRuntime(
         fleet,
         config=ShardingConfig(
@@ -112,6 +127,7 @@ def _sharded_run(with_control: bool):
         control_loop=loop,
         tracer=tracer,
         timeline=timeline,
+        alert_rules=ALERT_RULES,
     )
     report = runtime.run()
     return report, tracer, timeline
@@ -155,6 +171,28 @@ class TestShardedObservability:
         assert first_timeline.to_jsonl() == second_timeline.to_jsonl()
         assert first_timeline.to_prometheus() == second_timeline.to_prometheus()
         assert first_report.slo.summary() == second_report.slo.summary()
+        assert (
+            profile_from_tracer(first_tracer).format_table()
+            == profile_from_tracer(second_tracer).format_table()
+        )
+        assert len(first_report.alerts) > 0
+        assert first_report.alerts.to_jsonl() == second_report.alerts.to_jsonl()
+        assert first_report.decision_records == second_report.decision_records
+
+    def test_watching_controller_leaves_provenance_and_steers_nothing(self):
+        # Watermarks no queue reaches: a decision is recorded per node per
+        # tick, none acts, so the run sheds and scores as the uncontrolled one.
+        watching = SheddingConfig(
+            high_watermark_seconds=1e9, low_watermark_seconds=1e8, quota_ladder=(2,)
+        )
+        report, _, _ = _sharded_run(with_control=True, shedding=watching)
+        plain, _, _ = _sharded_run(with_control=False)
+        assert not report.control_log
+        assert report.decision_records, "a watching controller must leave provenance"
+        assert all(not record["actions"] for record in report.decision_records)
+        assert report.frames_generated == plain.frames_generated
+        assert report.frames_scored == plain.frames_scored
+        assert report.alerts.to_jsonl() == plain.alerts.to_jsonl()
 
 
 class TestMigrationObservability:
