@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "UplinkTransfer",
@@ -57,8 +57,7 @@ def _utilization(bits: float, capacity_bps: float, duration: float) -> float:
     return bits / (capacity_bps * duration)
 
 
-@dataclass(frozen=True)
-class UplinkTransfer:
+class UplinkTransfer(NamedTuple):
     """One completed upload through the constrained link."""
 
     description: str
@@ -100,13 +99,14 @@ class ConstrainedUplink:
         Returns the completed transfer record; the link is then busy until
         the transfer's end time.
         """
-        if bits < 0:
-            raise ValueError("bits must be non-negative")
         start = max(float(available_at), self._busy_until)
+        # Both guards are written so that a NaN fails them.
+        if not 0 <= bits < math.inf:
+            raise ValueError("bits must be finite and non-negative")
+        if not start >= self._busy_until:
+            raise ValueError("available_at must not be NaN")
         duration = bits / self.capacity_bps
-        transfer = UplinkTransfer(
-            description=description, bits=float(bits), start_time=start, end_time=start + duration
-        )
+        transfer = UplinkTransfer(description, float(bits), start, start + duration)
         if self.keep_transfers:
             self.transfers.append(transfer)
         self._busy_until = transfer.end_time

@@ -67,6 +67,8 @@ class SimulatedBroker:
 
     def __init__(self, config: BrokerConfig | None = None) -> None:
         self.config = config or BrokerConfig()
+        # ``b"#{attempt}#{seed}"`` per attempt index, grown as plans ask for more.
+        self._suffixes: list[bytes] = []
 
     def outcome(self, key: str, attempt: int) -> AttemptOutcome:
         """The deterministic fate of attempt ``attempt`` for event ``key``."""
@@ -87,12 +89,21 @@ class SimulatedBroker:
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        config, suffixes = self.config, self._suffixes
+        for attempt in range(len(suffixes), max_attempts):
+            suffixes.append(f"#{attempt}#{config.seed}".encode())
+        lost, not_acked = config.loss_rate, config.loss_rate + config.ack_loss_rate
+        # crc32 is a running checksum: hash the key once, continue per attempt.
+        head = zlib.crc32(key.encode())
         outcomes: list[AttemptOutcome] = []
         for attempt in range(max_attempts):
-            fate = self.outcome(key, attempt)
-            outcomes.append(fate)
-            if fate.acked:
+            draw = zlib.crc32(suffixes[attempt], head) / 2**32
+            if draw >= not_acked:
+                outcomes.append(AttemptOutcome.DELIVERED)
                 break
+            outcomes.append(
+                AttemptOutcome.LOST if draw < lost else AttemptOutcome.DELIVERED_ACK_LOST
+            )
         return outcomes
 
     def _unit_uniform(self, key: str, attempt: int) -> float:

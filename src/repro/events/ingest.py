@@ -19,13 +19,12 @@ uplink's completed transfers before feeding them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["IngestResult", "DatacenterIngest"]
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     """Outcome of one arrival at the datacenter."""
 
     key: str
@@ -53,6 +52,8 @@ class DatacenterIngest:
         self._seen: set[str] = set()
         self._busy_until = 0.0
         self._last_arrival = float("-inf")
+        # The rate is fixed at construction: ingest() adds this, looked up.
+        self._service_seconds = self.service_seconds
 
     @property
     def service_seconds(self) -> float:
@@ -61,24 +62,20 @@ class DatacenterIngest:
 
     def ingest(self, key: str, arrived_at: float) -> IngestResult:
         """Apply one arrival; duplicates are suppressed without consumer cost."""
-        if arrived_at < self._last_arrival:
+        if not arrived_at >= self._last_arrival:  # a NaN fails closed
             raise ValueError("ingest arrivals must be in non-decreasing time order")
         self._last_arrival = arrived_at
         if key in self._seen:
             self.duplicates += 1
-            return IngestResult(
-                key=key, accepted=False, arrived_at=arrived_at, completed_at=arrived_at
-            )
+            return IngestResult(key, False, arrived_at, arrived_at)
         self._seen.add(key)
         self.unique_ingests += 1
-        completed = max(arrived_at, self._busy_until) + self.service_seconds
+        completed = max(arrived_at, self._busy_until) + self._service_seconds
         self._busy_until = completed
         lag = completed - arrived_at
         if lag > self.max_consumer_lag:
             self.max_consumer_lag = lag
-        return IngestResult(
-            key=key, accepted=True, arrived_at=arrived_at, completed_at=completed
-        )
+        return IngestResult(key, True, arrived_at, completed)
 
     def has_ingested(self, key: str) -> bool:
         """Whether ``key`` has been accepted (dedupe membership probe)."""

@@ -26,6 +26,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from math import inf
+from typing import NamedTuple
 
 __all__ = ["OutboxConfig", "OutboxEntry", "NodeOutbox"]
 
@@ -58,15 +61,29 @@ class OutboxConfig:
         """Ack-wait window after attempt ``attempt`` (capped exponential)."""
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        return min(self.backoff_base_seconds * 2**attempt, self.backoff_cap_seconds)
+        try:
+            return min(self.backoff_base_seconds * 2**attempt, self.backoff_cap_seconds)
+        except OverflowError:  # 2**attempt is past the float range: long since capped
+            return self.backoff_cap_seconds
 
     def send_time(self, closed_at: float, attempt: int) -> float:
         """When attempt ``attempt`` of a record closed at ``closed_at`` is sent."""
         return closed_at + sum(self.backoff(i) for i in range(attempt))
 
+    @cached_property
+    def schedule(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``(offsets, backoffs)`` per attempt, built once per config.
 
-@dataclass(frozen=True)
-class OutboxEntry:
+        ``offsets[a]`` is the sum :meth:`send_time` adds to the close time,
+        ``backoffs[a]`` is ``backoff(a)``: the same floats, looked up.
+        """
+        backoffs = tuple(self.backoff(attempt) for attempt in range(self.max_attempts))
+        # sum() per prefix, not a running total: only sum() is sure to round as
+        # send_time's sum() does (Python 3.12 made it a compensated sum).
+        return tuple(sum(backoffs[:attempt]) for attempt in range(len(backoffs))), backoffs
+
+
+class OutboxEntry(NamedTuple):
     """One admitted record's publish plan: when each attempt goes out."""
 
     key: str
@@ -100,23 +117,25 @@ class NodeOutbox:
         queue is full (an overflow drop).  ``attempts`` comes from the
         broker's plan for the record's key.
         """
-        if closed_at < self._last_offer_at:
+        offsets, backoffs = self.config.schedule
+        # Each guard is written so that a NaN fails it.
+        if not closed_at >= self._last_offer_at:
             raise ValueError("outbox offers must arrive in non-decreasing closed_at order")
-        if not 1 <= attempts <= self.config.max_attempts:
-            raise ValueError(f"attempts must be in [1, {self.config.max_attempts}]")
+        if not 1 <= attempts <= len(backoffs):
+            raise ValueError(f"attempts must be in [1, {len(backoffs)}]")
+        if not 0 <= bits < inf:
+            raise ValueError("bits must be finite and non-negative")
         self._last_offer_at = closed_at
         while self._occupied and self._occupied[0] <= closed_at:
             heapq.heappop(self._occupied)
         if len(self._occupied) >= self.config.max_queue:
             self.dropped += 1
             return None
-        send_times = tuple(
-            self.config.send_time(closed_at, attempt) for attempt in range(attempts)
-        )
-        entry = OutboxEntry(key=key, closed_at=closed_at, bits=bits, send_times=send_times)
+        send_times = tuple([closed_at + offset for offset in offsets[:attempts]])
+        entry = OutboxEntry(key, closed_at, bits, send_times)
         self.entries.append(entry)
         # The slot frees when the final attempt's ack window elapses.
-        heapq.heappush(self._occupied, send_times[-1] + self.config.backoff(attempts - 1))
+        heapq.heappush(self._occupied, send_times[-1] + backoffs[attempts - 1])
         return entry
 
     @property
