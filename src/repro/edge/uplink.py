@@ -23,9 +23,8 @@ simulation over a globally time-ordered list of transfer requests from all
 nodes, which is exactly the cross-node event ordering static slicing let the
 cluster avoid.
 
-Either way a node holds a *link port* — ``upload``, ``capacity_bps``,
-``total_bits``, ``reclaimed_bits``, ``utilization``, ``backlog_seconds``,
-``transfers`` — and both shared links hand theirs out as ``links[node]``.
+Either way a node holds a *link port* (:class:`LinkPort`), and both shared
+links hand theirs out as ``links[node]``.
 """
 
 from __future__ import annotations
@@ -33,10 +32,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 __all__ = [
     "UplinkTransfer",
+    "LinkPort",
     "ConstrainedUplink",
     "SharedUplink",
     "SharedTransferRequest",
@@ -69,6 +69,29 @@ class UplinkTransfer(NamedTuple):
     def duration(self) -> float:
         """Transfer duration in seconds (throttled by the link capacity)."""
         return self.end_time - self.start_time
+
+
+@runtime_checkable
+class LinkPort(Protocol):
+    """One node's end of a link: it submits uploads here and reads them back.
+
+    A :class:`ConstrainedUplink` (standalone, or a :class:`SharedUplink`
+    slice) serves each upload as it is submitted; a port of a
+    :class:`WorkConservingUplink` queues it for the link's one drain.
+    """
+
+    capacity_bps: float  # the node's guarantee
+    reclaimed_bits: float  # what it moved above that
+    transfers: Sequence[UplinkTransfer | SharedTransfer]
+
+    @property
+    def total_bits(self) -> float: ...
+
+    def upload(self, bits: float, available_at: float = 0.0, description: str = "upload"): ...
+
+    def utilization(self, duration: float) -> float: ...
+
+    def backlog_seconds(self, now: float) -> float: ...
 
 
 @dataclass
@@ -153,8 +176,8 @@ class SharedUplink:
         capacity_bps: float,
         weights: Mapping[str, float] | Sequence[str] | None = None,
     ) -> None:
-        if capacity_bps <= 0:
-            raise ValueError("capacity_bps must be positive")
+        if not 0 < capacity_bps < math.inf:  # written so that a NaN fails it, as below
+            raise ValueError("capacity_bps must be positive and finite")
         self.capacity_bps = float(capacity_bps)
         self.reclaimed_bits = 0.0  # slices never borrow each other's idle capacity
         self._links: dict[str, ConstrainedUplink] = {}
@@ -163,8 +186,8 @@ class SharedUplink:
             if not isinstance(weights, Mapping):
                 weights = {name: 1.0 for name in weights}
             total = sum(weights.values())
-            if total <= 0:
-                raise ValueError("allocation weights must sum to a positive value")
+            if not 0 < total < math.inf:
+                raise ValueError("allocation weights must sum to a positive, finite value")
             for name, weight in weights.items():
                 self.allocate(name, self.capacity_bps * weight / total)
 
@@ -172,8 +195,8 @@ class SharedUplink:
         """Carve ``bps`` of the link off for node ``name``."""
         if name in self._links:
             raise ValueError(f"Node {name!r} already holds an uplink allocation")
-        if bps <= 0:
-            raise ValueError("allocation must be positive")
+        if not 0 < bps < math.inf:
+            raise ValueError("allocation must be positive and finite")
         if self._allocated_bps + bps > self.capacity_bps * (1 + 1e-9):
             raise ValueError(
                 f"Allocating {bps:g} bps for {name!r} oversubscribes the link "
@@ -223,10 +246,11 @@ class SharedTransferRequest:
     description: str = "upload"
 
     def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise ValueError("bits must be non-negative")
-        if self.available_at < 0:
-            raise ValueError("available_at must be non-negative")
+        # A NaN fails both: drain() cannot step past a NaN arrival or finish a NaN residual.
+        if not 0 <= self.bits < math.inf:
+            raise ValueError("bits must be finite and non-negative")
+        if not 0 <= self.available_at < math.inf:
+            raise ValueError("available_at must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -298,13 +322,13 @@ class WorkConservingUplink:
     _EPS_BITS = 1e-9
 
     def __init__(self, capacity_bps: float, weights: Mapping[str, float]) -> None:
-        if capacity_bps <= 0:
-            raise ValueError("capacity_bps must be positive")
+        if not 0 < capacity_bps < math.inf:  # written so that a NaN fails it, as below
+            raise ValueError("capacity_bps must be positive and finite")
         if not weights:
             raise ValueError("WorkConservingUplink needs at least one node weight")
         for node_id, weight in weights.items():
-            if weight <= 0:
-                raise ValueError(f"weight for node {node_id!r} must be positive")
+            if not 0 < weight < math.inf:
+                raise ValueError(f"weight for node {node_id!r} must be positive and finite")
         self.capacity_bps = float(capacity_bps)
         self._weights = {node_id: float(w) for node_id, w in weights.items()}
         self._weight_changes: list[tuple[float, int, dict[str, float]]] = []
@@ -347,16 +371,16 @@ class WorkConservingUplink:
         """
         if self._drained:
             raise RuntimeError("cannot schedule weights after drain()")
-        if at_time < 0:
-            raise ValueError("at_time must be non-negative")
+        if not 0 <= at_time < math.inf:
+            raise ValueError("at_time must be finite and non-negative")
         if set(weights) != set(self._weights):
             raise ValueError(
                 f"weight update must cover exactly {sorted(self._weights)}, "
                 f"got {sorted(weights)}"
             )
         for node_id, weight in weights.items():
-            if weight <= 0:
-                raise ValueError(f"weight for node {node_id!r} must be positive")
+            if not 0 < weight < math.inf:
+                raise ValueError(f"weight for node {node_id!r} must be positive and finite")
         self._weight_changes.append(
             (float(at_time), self._change_sequence, {n: float(w) for n, w in weights.items()})
         )

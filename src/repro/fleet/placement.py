@@ -12,7 +12,7 @@ cameras each node hosts.  That decision drives three resources at once:
   share of the datacenter link.
 
 A :class:`PlacementPolicy` maps a camera list onto ``num_nodes`` shards.
-Three concrete policies ship here:
+Four concrete policies ship here:
 
 * :class:`RoundRobinPlacement` — cameras are dealt to nodes in arrival
   order, the baseline a naive deployment uses;
@@ -121,10 +121,7 @@ class RoundRobinPlacement(PlacementPolicy):
     name = "round_robin"
 
     def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
-        shards: list[list[CameraSpec]] = [[] for _ in range(num_nodes)]
-        for i, spec in enumerate(cameras):
-            shards[i % num_nodes].append(spec)
-        return shards
+        return [cameras[n::num_nodes] for n in range(num_nodes)]
 
 
 class LoadAwarePlacement(PlacementPolicy):
@@ -158,110 +155,83 @@ class LoadAwarePlacement(PlacementPolicy):
         return [sum(self.cost_fn(spec) for spec in shard) for shard in shards]
 
 
-class ResolutionAwarePlacement(PlacementPolicy):
+class _GroupedPlacement(PlacementPolicy):
+    """LPT on whole groups of cameras: locality first, then load.
+
+    Groups are placed whole onto the least-loaded node, largest estimated
+    load first; a group is split only when a node would otherwise sit empty.
+    """
+
+    def __init__(self, cost_fn: Callable[[CameraSpec], float] | None = None) -> None:
+        self.cost_fn = cost_fn or estimate_camera_cost
+
+    def _groups(self, cameras: Sequence[CameraSpec]) -> list[list[CameraSpec]]:
+        groups: dict[object, list[CameraSpec]] = {}
+        for spec in cameras:
+            groups.setdefault(self._group_key(spec), []).append(spec)
+        return list(groups.values())
+
+    def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
+        costs = {spec.camera_id: self.cost_fn(spec) for spec in cameras}
+        ranked = sorted(
+            self._groups(cameras),
+            key=lambda g: (-sum(costs[s.camera_id] for s in g), g[0].camera_id),
+        )
+        shards: list[list[CameraSpec]] = [[] for _ in range(num_nodes)]
+        loads = [0.0] * num_nodes
+        for group in ranked:
+            target = min(range(num_nodes), key=lambda n: (loads[n], n))
+            shards[target].extend(group)
+            loads[target] += sum(costs[s.camera_id] for s in group)
+        # Feed starved nodes from the camera-richest shard; the donated
+        # cameras share one key, so each split fragments exactly one group.
+        for target in range(num_nodes):
+            while not shards[target]:
+                donor = max(range(num_nodes), key=lambda n: (len(shards[n]), -n))
+                split = max(self._groups(shards[donor]), key=self._split_rank)
+                movable = sorted(split, key=lambda s: s.camera_id)
+                moved = movable[len(movable) // 2 :]
+                shards[donor] = [s for s in shards[donor] if s not in moved]
+                shards[target].extend(moved)
+        return shards
+
+
+class ResolutionAwarePlacement(_GroupedPlacement):
     """Co-locate same-resolution cameras to minimize resident base DNNs.
 
-    Resolution groups are placed whole (largest estimated load first) onto
-    the least-loaded node; a group is split only when a node would otherwise
-    sit empty.  The result hosts at most ``num_nodes + num_resolutions - 1``
-    distinct ``(node, resolution)`` pairs — i.e. nearly every node runs a
-    single shared base DNN.
+    Each split adds exactly one ``(node, resolution)`` pair, so the result
+    hosts at most ``num_nodes + num_resolutions - 1`` of them — i.e. nearly
+    every node runs a single shared base DNN.
     """
 
     name = "resolution_aware"
 
-    def __init__(self, cost_fn: Callable[[CameraSpec], float] | None = None) -> None:
-        self.cost_fn = cost_fn or estimate_camera_cost
+    def _group_key(self, spec: CameraSpec) -> tuple[int, int]:
+        return spec.resolution
 
-    def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
-        costs = {spec.camera_id: self.cost_fn(spec) for spec in cameras}
-        groups: dict[tuple[int, int], list[CameraSpec]] = {}
-        for spec in cameras:
-            groups.setdefault(spec.resolution, []).append(spec)
-        ranked = sorted(
-            groups.values(),
-            key=lambda g: (-sum(costs[s.camera_id] for s in g), g[0].camera_id),
-        )
-        shards: list[list[CameraSpec]] = [[] for _ in range(num_nodes)]
-        loads = [0.0] * num_nodes
-        for group in ranked:
-            target = min(range(num_nodes), key=lambda n: (loads[n], n))
-            shards[target].extend(group)
-            loads[target] += sum(costs[s.camera_id] for s in group)
-        # Feed starved nodes by splitting the largest shard; the donated
-        # cameras share one resolution, so each split adds exactly one
-        # (node, resolution) pair.
-        for target in range(num_nodes):
-            while not shards[target]:
-                donor = max(range(num_nodes), key=lambda n: (len(shards[n]), -n))
-                donor_shard = sorted(shards[donor], key=lambda s: s.camera_id)
-                resolution = donor_shard[-1].resolution
-                movable = [s for s in donor_shard if s.resolution == resolution]
-                moved = movable[len(movable) // 2 :] if len(movable) > 1 else movable[-1:]
-                moved_ids = {s.camera_id for s in moved}
-                moved_cost = sum(costs[s.camera_id] for s in moved)
-                shards[donor] = [s for s in shards[donor] if s.camera_id not in moved_ids]
-                shards[target].extend(moved)
-                loads[donor] -= moved_cost
-                loads[target] += moved_cost
-        return shards
+    def _split_rank(self, group: list[CameraSpec]) -> str:
+        """A donor splits the resolution of its last camera by id."""
+        return max(s.camera_id for s in group)
 
 
-class DistrictAwarePlacement(PlacementPolicy):
+class DistrictAwarePlacement(_GroupedPlacement):
     """Co-locate each district's cameras (locality-first LPT on districts).
 
-    District groups (from the camera id's ``d<district>-`` prefix; cameras
-    without one each form their own group) are placed whole onto the
-    least-loaded node, largest estimated load first, then starved nodes are
-    fed by splitting the camera-richest shard along its largest district.
-    Whole districts mean a district's spatially correlated load surge lands
-    on — and is shed or migrated from — a small fixed set of nodes, and the
-    hierarchy's per-node aggregates stay meaningful per-district summaries.
+    Groups are districts (the camera id's ``d<district>-`` prefix; cameras
+    without one each form their own group).  Whole districts mean a
+    district's spatially correlated load surge lands on — and is shed or
+    migrated from — a small fixed set of nodes, and the hierarchy's
+    per-node aggregates stay meaningful per-district summaries.
     """
 
     name = "district_aware"
 
-    def __init__(self, cost_fn: Callable[[CameraSpec], float] | None = None) -> None:
-        self.cost_fn = cost_fn or estimate_camera_cost
+    def _group_key(self, spec: CameraSpec) -> str:
+        return district_of(spec.camera_id) or spec.camera_id
 
-    def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
-        costs = {spec.camera_id: self.cost_fn(spec) for spec in cameras}
-        groups: dict[str, list[CameraSpec]] = {}
-        for spec in cameras:
-            key = district_of(spec.camera_id) or spec.camera_id
-            groups.setdefault(key, []).append(spec)
-        ranked = sorted(
-            groups.values(),
-            key=lambda g: (-sum(costs[s.camera_id] for s in g), g[0].camera_id),
-        )
-        shards: list[list[CameraSpec]] = [[] for _ in range(num_nodes)]
-        loads = [0.0] * num_nodes
-        for group in ranked:
-            target = min(range(num_nodes), key=lambda n: (loads[n], n))
-            shards[target].extend(group)
-            loads[target] += sum(costs[s.camera_id] for s in group)
-        # Feed starved nodes from the camera-richest shard's largest
-        # district; the donated cameras share one district, so each split
-        # fragments exactly one locality group.
-        for target in range(num_nodes):
-            while not shards[target]:
-                donor = max(range(num_nodes), key=lambda n: (len(shards[n]), -n))
-                by_district: dict[str, list[CameraSpec]] = {}
-                for spec in shards[donor]:
-                    key = district_of(spec.camera_id) or spec.camera_id
-                    by_district.setdefault(key, []).append(spec)
-                largest = max(
-                    by_district.values(), key=lambda g: (len(g), g[0].camera_id)
-                )
-                movable = sorted(largest, key=lambda s: s.camera_id)
-                moved = movable[len(movable) // 2 :] if len(movable) > 1 else movable[-1:]
-                moved_ids = {s.camera_id for s in moved}
-                moved_cost = sum(costs[s.camera_id] for s in moved)
-                shards[donor] = [s for s in shards[donor] if s.camera_id not in moved_ids]
-                shards[target].extend(moved)
-                loads[donor] -= moved_cost
-                loads[target] += moved_cost
-        return shards
+    def _split_rank(self, group: list[CameraSpec]) -> tuple[int, str]:
+        """A donor splits its largest district."""
+        return len(group), group[0].camera_id
 
 
 PLACEMENT_POLICIES: dict[str, type[PlacementPolicy]] = {

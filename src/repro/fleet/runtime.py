@@ -37,7 +37,7 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from repro.fleet.accuracy import (
     predictions_from_result,
 )
 from repro.edge.scheduler import Phase, PhasedSchedule
-from repro.edge.uplink import ConstrainedUplink
+from repro.edge.uplink import ConstrainedUplink, LinkPort
 from repro.features.base_dnn import build_mobilenet_like
 from repro.features.extractor import FeatureExtractor
 from repro.fleet.camera import CameraFeed, CameraSpec
@@ -460,6 +460,8 @@ class _CameraState:
 
     One state covers one *stint* of a camera on this node; a camera that
     migrates away and later returns gets a fresh state under a new key.
+    The stint is data plus pure derivations of it (live stats, event
+    uploads, flush-closed tails); the runtime is the only actor.
     """
 
     key: str
@@ -475,7 +477,6 @@ class _CameraState:
     truth: np.ndarray | None = None
     truth_positive_generated: int = 0
     truth_positive_scored: int = 0
-    active: bool = True
     attached_at: float = 0.0
     detached_at: float | None = None
     # Event-record bookkeeping: the stint's epoch in the global event key,
@@ -483,7 +484,6 @@ class _CameraState:
     # collected (finalize() picks up the flush-closed tail after this mark).
     session_epoch: int = 0
     records_consumed: int = 0
-    counted_starved: bool = False
     holding: set[int] = field(default_factory=set)
     source_backlog: list[Frame] = field(default_factory=list)
     arrival_times: dict[int, float] = field(default_factory=dict)
@@ -491,6 +491,7 @@ class _CameraState:
     wait_total: float = 0.0
     wait_count: int = 0
     estimated_upload_bits: float = 0.0
+    uploaded_bits: float = 0.0
     generated: int = 0
     rejected: int = 0
     blocked: int = 0
@@ -499,11 +500,94 @@ class _CameraState:
     events: int = 0
 
     @property
+    def camera_id(self) -> str:
+        """The hosted camera; ``key`` tells its stints on this node apart."""
+        return self.spec.camera_id
+
+    @property
     def stint_end(self) -> float:
         """When the stint stopped offering frames: its detach, or the feed's end."""
         if self.detached_at is not None:
             return self.detached_at
         return self.spec.start_time + self.spec.duration
+
+    def live_stats(self, service_seconds: float, slo: CameraSLOStatus | None) -> CameraLiveStats:
+        """The stint's point-in-time view, for control policies."""
+        return CameraLiveStats(
+            camera_id=self.camera_id,
+            scenario=self.spec.scenario,
+            resolution=self.spec.resolution,
+            frame_rate=self.spec.frame_rate,
+            generated=self.generated,
+            scored=self.scored,
+            matched=self.matched,
+            rejected=self.rejected,
+            dropped=self.queue.stats.dropped,
+            queue_depth=self.queue.depth,
+            service_seconds=service_seconds,
+            drop_policy=self.queue.policy,
+            truth_known=self.truth is not None,
+            truth_positive_generated=self.truth_positive_generated,
+            truth_positive_scored=self.truth_positive_scored,
+            estimated_upload_bits=self.estimated_upload_bits,
+            threshold=self.session.current_threshold(),
+            attached_at=self.attached_at,
+            slo=slo,
+        )
+
+    def flush_closed_tails(self) -> list[tuple[float, str, _CameraState, EventRecord]]:
+        """``(closed_at, key, stint, record)`` of the records only the session's flush closed."""
+        # A tail event closes when its stint ends, but never before its last
+        # frame finished scoring (under overload, scoring lags).
+        return [
+            (max(self.stint_end, self.completion_times[tail.end - 1]), self.key, self, tail)
+            for tail in self.session.closed_records[self.records_consumed :]
+        ]
+
+    def event_uploads(self, result) -> Iterator[tuple[float, str, float, Sequence[int]]]:
+        """``(available_at, description, bits, source frame indices)`` per detected event."""
+        spec = self.spec
+        for mc_result in result.per_mc.values():
+            for event in mc_result.events:
+                # An event cannot be uploaded before its last frame was
+                # both captured and actually scored on the node (under
+                # overload, scoring lags capture by the queue wait).
+                last_timestamp = self.session.timestamps[event.end - 1]
+                captured_at = spec.start_time + last_timestamp + 1.0 / spec.frame_rate
+                scored_at = self.completion_times[event.end - 1]
+                description = f"{self.key}/{mc_result.mc_name}/event{event.event_id}"
+                yield (
+                    max(captured_at, scored_at),
+                    description,
+                    mc_result.event_bits(event),
+                    self.session.source_indices[event.start : event.end],
+                )
+
+
+def _camera_report(stints: Sequence[_CameraState]) -> CameraReport:
+    """One camera's report: the summed tallies of its stints on this node."""
+    spec = stints[0].spec
+    wait_count = sum(s.wait_count for s in stints)
+    return CameraReport(
+        camera_id=spec.camera_id,
+        scenario=spec.scenario,
+        resolution=spec.resolution,
+        frame_rate=spec.frame_rate,
+        frames_generated=sum(s.generated for s in stints),
+        frames_admitted=sum(s.queue.stats.admitted for s in stints),
+        frames_dropped_oldest=sum(s.queue.stats.dropped_oldest for s in stints),
+        frames_dropped_newest=sum(s.queue.stats.dropped_newest for s in stints),
+        frames_rejected=sum(s.rejected for s in stints),
+        frames_blocked=sum(s.blocked for s in stints),
+        frames_scored=sum(s.scored for s in stints),
+        matched_frames=sum(s.matched for s in stints),
+        events=sum(s.events for s in stints),
+        queue_high_water=max(s.queue.stats.high_water for s in stints),
+        mean_queue_wait_seconds=(
+            sum(s.wait_total for s in stints) / wait_count if wait_count else 0.0
+        ),
+        uploaded_bits=sum(s.uploaded_bits for s in stints),
+    )
 
 
 class FleetRuntime:
@@ -515,7 +599,7 @@ class FleetRuntime:
         pipeline_factory: PipelineFactory | None = None,
         config: FleetConfig | None = None,
         telemetry: TelemetryRegistry | None = None,
-        uplink: ConstrainedUplink | None = None,
+        uplink: LinkPort | None = None,
         tracer: Tracer | NodeTracer | None = None,
         event_sink: Callable[[EventRecord], None] | None = None,
     ) -> None:
@@ -561,10 +645,6 @@ class FleetRuntime:
             )
         else:
             self.admission = None
-        # Cross-camera batched scoring: frames in flight on the worker pool
-        # awaiting their completion event, keyed by (stint key, frame index).
-        # The scorer batches them through one base-DNN forward per resident
-        # base DNN; bit-exact, so it changes wall-clock time and nothing else.
         # Event delivery: every closed EventRecord is collected (stamped with
         # its close time) into event_records; when a publish hook is attached
         # — at construction or later, e.g. by an EventDeliveryPlane — records
@@ -574,14 +654,19 @@ class FleetRuntime:
         self.event_sink = event_sink
         self.event_records: list[EventRecord] = []
         self._last_event_publish: dict[tuple[str, str], float] = {}
+        # Cross-camera batched scoring: frames in flight on the worker pool
+        # awaiting their completion event, keyed by (stint key, frame index),
+        # each with the session that will score it.  The scorer batches them
+        # through one base-DNN forward per resident base DNN; bit-exact, so
+        # it changes wall-clock time and nothing else.
         self.batched = BatchedScorer() if self.config.batched_scoring else None
-        self._pending_completions: dict[tuple[str, int], Frame] = {}
-        self._states: dict[str, _CameraState] = {}
-        self._active: dict[str, str] = {}  # camera_id -> state key
-        self._dispatch_keys: list[str] = []
+        self._pending_completions: dict[tuple[str, int], tuple[StreamingPipeline, Frame]] = {}
+        self._states: dict[str, _CameraState] = {}  # every stint by key, in hosting order
+        self._active: dict[str, _CameraState] = {}  # camera_id -> the stint it is in now
         self._schedules: dict[tuple[int, int], PhasedSchedule] = {}
-        self._stints: dict[str, int] = {}
-        self._heap: list[tuple[float, int, str, str, Frame | None]] = []
+        self._stints: dict[str, int] = {}  # camera_id -> stints installed so far
+        # The unique sequence number settles every comparison before the stint.
+        self._heap: list[tuple[float, int, str, _CameraState, Frame]] = []
         self._sequence = 0
         self._last_event_time = 0.0
         self._round_robin = 0
@@ -603,7 +688,9 @@ class FleetRuntime:
             raise RuntimeError("FleetRuntime.start() may only be called once")
         self._started = True
         for spec in self.cameras:
-            self._install_camera(spec, CameraFeed(spec), from_time=None, attached_at=0.0)
+            state = self._install_camera(spec, CameraFeed(spec), attached_at=0.0)
+            for arrival_time, frame in state.feed.arrivals():
+                self._schedule(arrival_time, "arrival", state, frame)
 
     @property
     def has_pending_events(self) -> bool:
@@ -625,11 +712,10 @@ class FleetRuntime:
         if not self._started:
             raise RuntimeError("call start() before advance_until()")
         while self._heap and self._heap[0][0] <= until:
-            now, _, kind, key, frame = heapq.heappop(self._heap)
+            now, _, kind, state, frame = heapq.heappop(self._heap)
             self._last_event_time = max(self._last_event_time, now)
-            state = self._states[key]
             if kind == "arrival":
-                if not state.active:
+                if state.detached_at is not None:
                     continue  # camera migrated away; the destination owns this frame
                 self._on_arrival(state, frame, now)
             else:
@@ -646,15 +732,14 @@ class FleetRuntime:
             )
         return self._schedules[spec.resolution]
 
+    def _schedule(self, at: float, kind: str, state: _CameraState, frame: Frame) -> None:
+        heapq.heappush(self._heap, (at, self._sequence, kind, state, frame))
+        self._sequence += 1
+
     def _install_camera(
-        self,
-        spec: CameraSpec,
-        feed: CameraFeed,
-        from_time: float | None,
-        attached_at: float,
-        after_time: float | None = None,
-        session_epoch: int = 0,
+        self, spec: CameraSpec, feed: CameraFeed, attached_at: float, session_epoch: int = 0
     ) -> _CameraState:
+        """Begin a stint: build its queue and session; the caller schedules its arrivals."""
         stint = self._stints.get(spec.camera_id, 0)
         self._stints[spec.camera_id] = stint + 1
         key = spec.camera_id if stint == 0 else f"{spec.camera_id}#{stint}"
@@ -682,17 +767,14 @@ class FleetRuntime:
             state.queue.tracer = self.tracer
             state.session.bind_tracer(self.tracer, spec.camera_id)
         self._states[key] = state
-        self._active[spec.camera_id] = key
-        self._dispatch_keys.append(key)
-        for arrival_time, frame in state.feed.arrivals():
-            if from_time is not None and arrival_time < from_time:
-                continue
-            # A frame arriving exactly at the detach instant was already
-            # processed by the source node (advance_until is inclusive).
-            if after_time is not None and arrival_time <= after_time:
-                continue
-            heapq.heappush(self._heap, (arrival_time, self._sequence, "arrival", key, frame))
-            self._sequence += 1
+        self._active[spec.camera_id] = state
+        return state
+
+    def _hosted(self, camera_id: str) -> _CameraState:
+        """The stint ``camera_id`` is in on this node right now."""
+        state = self._active.get(camera_id)
+        if state is None:
+            raise ValueError(f"Camera {camera_id!r} is not active on this node")
         return state
 
     def detach_camera(self, camera_id: str, now: float) -> CameraHandoff:
@@ -703,31 +785,23 @@ class FleetRuntime:
         a BLOCK policy had parked at the source are lost to the move and
         counted as rejected.
         """
-        key = self._active.get(camera_id)
-        if key is None:
-            raise ValueError(f"Camera {camera_id!r} is not active on this node")
-        state = self._states[key]
-        state.active = False
+        state = self._hosted(camera_id)
         state.detached_at = now
         del self._active[camera_id]
         if state.source_backlog:
             lost = len(state.source_backlog)
             for frame in state.source_backlog:
                 state.arrival_times.pop(id(frame), None)
-                if frame is not None and id(frame) in state.holding:
-                    state.holding.discard(id(frame))
-                    if self.admission is not None:
-                        self.admission.release(camera_id)
-                if self.tracer is not None and frame is not None:
+                self._release_admission(state, frame)
+                if self.tracer is not None:
                     self.tracer.record_drop(camera_id, frame.index, "migration_lost", now)
             state.source_backlog.clear()
             state.rejected += lost
             self.telemetry.counter("frames.rejected").inc(lost)
             self.telemetry.counter("frames.migration_dropped").inc(lost)
             self._slo_lost(camera_id, lost)
-        if state.counted_starved and state.scored == 0:
-            self._starved -= 1
-            state.counted_starved = False
+        if state.generated and not state.scored:
+            self._starved -= 1  # a detached stint no longer counts as starved
             self._record_starvation()
         # Any shedding override belongs to this hosting stint; a camera that
         # later returns starts from the node's default quota.
@@ -758,35 +832,31 @@ class FleetRuntime:
         if resume_time < handoff.detached_at:
             raise ValueError("resume_time cannot precede the detach time")
         state = self._install_camera(
-            handoff.spec,
-            handoff.feed,
-            from_time=resume_time,
-            attached_at=now,
-            after_time=handoff.detached_at,
-            session_epoch=handoff.session_epoch + 1,
+            handoff.spec, handoff.feed, attached_at=now, session_epoch=handoff.session_epoch + 1
         )
-        blackout = 0
-        blackout_positives = 0
-        for arrival_time, blackout_frame in handoff.feed.arrivals():
-            if handoff.detached_at < arrival_time < resume_time:
-                blackout += 1
-                if state.truth is not None and state.truth[blackout_frame.index]:
-                    blackout_positives += 1
+        for arrival_time, frame in handoff.feed.arrivals():
+            if arrival_time <= handoff.detached_at:
+                # The source's: a frame arriving exactly at the detach instant
+                # was already processed there (advance_until is inclusive).
+                continue
+            if arrival_time >= resume_time:
+                self._schedule(arrival_time, "arrival", state, frame)
+            else:
+                state.generated += 1
+                state.rejected += 1
+                if state.truth is not None and state.truth[frame.index]:
+                    state.truth_positive_generated += 1
+        blackout = state.generated  # the stint is new: all it has been offered so far
         if blackout:
-            state.generated += blackout
-            state.rejected += blackout
             self.telemetry.counter("frames.generated").inc(blackout)
             self.telemetry.counter("frames.rejected").inc(blackout)
             self.telemetry.counter("frames.migration_blackout").inc(blackout)
-            if blackout_positives:
-                state.truth_positive_generated += blackout_positives
+            if state.truth_positive_generated:
                 self.telemetry.counter("accuracy.truth_positive_generated").inc(
-                    blackout_positives
+                    state.truth_positive_generated
                 )
             self._slo_lost(camera_id, blackout)
-            if not state.counted_starved and state.scored == 0:
-                self._starved += 1
-                state.counted_starved = True
+            self._starved += 1  # the new stint was offered frames and scored none
             self._record_starvation()
 
     # -- control actuators ---------------------------------------------------
@@ -796,10 +866,7 @@ class FleetRuntime:
 
     def set_drop_policy(self, camera_id: str, policy: DropPolicy) -> None:
         """Switch one camera's queue overload policy live."""
-        key = self._active.get(camera_id)
-        if key is None:
-            raise ValueError(f"Camera {camera_id!r} is not active on this node")
-        self._states[key].queue.set_policy(policy)
+        self._hosted(camera_id).queue.set_policy(policy)
 
     def ensure_admission(self) -> AdmissionController:
         """The node's admission controller, created loose if absent."""
@@ -809,8 +876,7 @@ class FleetRuntime:
 
     def set_camera_quota(self, camera_id: str, quota: int | None) -> None:
         """Override (or with ``None`` restore) one camera's in-flight quota."""
-        if camera_id not in self._active:
-            raise ValueError(f"Camera {camera_id!r} is not active on this node")
+        self._hosted(camera_id)  # refuse before an admission controller is created
         self.ensure_admission().set_camera_quota(camera_id, quota)
 
     def set_camera_threshold(
@@ -829,10 +895,7 @@ class FleetRuntime:
         is deliberate — the drift controller re-derives it from the new
         stint's live densities.
         """
-        key = self._active.get(camera_id)
-        if key is None:
-            raise ValueError(f"Camera {camera_id!r} is not active on this node")
-        session = self._states[key].session
+        session = self._hosted(camera_id).session
         if mc_name is None:
             mc_name = session.microclassifiers[0].name
         session.set_threshold(threshold, mc_name=mc_name)
@@ -840,35 +903,15 @@ class FleetRuntime:
 
     def camera_service_seconds(self, camera_id: str) -> float:
         """Simulated per-frame service time of one active camera."""
-        key = self._active.get(camera_id)
-        if key is None:
-            raise ValueError(f"Camera {camera_id!r} is not active on this node")
-        return self.workers.service_seconds_for(self._states[key].schedule)
+        return self.workers.service_seconds_for(self._hosted(camera_id).schedule)
 
     def camera_live_stats(self) -> dict[str, CameraLiveStats]:
         """Point-in-time stats for every active camera (id order)."""
         stats: dict[str, CameraLiveStats] = {}
         for camera_id in sorted(self._active):
-            state = self._states[self._active[camera_id]]
-            stats[camera_id] = CameraLiveStats(
-                camera_id=camera_id,
-                scenario=state.spec.scenario,
-                resolution=state.spec.resolution,
-                frame_rate=state.spec.frame_rate,
-                generated=state.generated,
-                scored=state.scored,
-                matched=state.matched,
-                rejected=state.rejected,
-                dropped=state.queue.stats.dropped,
-                queue_depth=state.queue.depth,
+            state = self._active[camera_id]
+            stats[camera_id] = state.live_stats(
                 service_seconds=self.workers.service_seconds_for(state.schedule),
-                drop_policy=state.queue.policy,
-                truth_known=state.truth is not None,
-                truth_positive_generated=state.truth_positive_generated,
-                truth_positive_scored=state.truth_positive_scored,
-                estimated_upload_bits=state.estimated_upload_bits,
-                threshold=state.session.current_threshold(),
-                attached_at=state.attached_at,
                 slo=(self.slo.camera_status(camera_id) if self.slo is not None else None),
             )
         return stats
@@ -876,11 +919,10 @@ class FleetRuntime:
     # -- event handlers ------------------------------------------------------
     def _on_arrival(self, state: _CameraState, frame: Frame, now: float) -> None:
         counters = self.telemetry
-        camera_id = state.spec.camera_id
+        camera_id = state.camera_id
         state.generated += 1
-        if not state.counted_starved and state.scored == 0:
-            self._starved += 1
-            state.counted_starved = True
+        if state.generated == 1:
+            self._starved += 1  # offered a frame, scored none yet
         counters.counter("frames.generated").inc()
         if state.truth is not None and state.truth[frame.index]:
             state.truth_positive_generated += 1
@@ -924,11 +966,9 @@ class FleetRuntime:
 
     def _release_admission(self, state: _CameraState, frame: Frame) -> None:
         """Release the admission slot a frame holds, if it holds one."""
-        if self.admission is None:
-            return
-        if id(frame) in state.holding:
+        if id(frame) in state.holding:  # only ever filled by an admission controller
             state.holding.discard(id(frame))
-            self.admission.release(state.spec.camera_id)
+            self.admission.release(state.camera_id)
 
     def _slo_lost(self, camera_id: str, count: int) -> None:
         """Charge ``count`` lost frames against a camera's freshness budget."""
@@ -940,7 +980,7 @@ class FleetRuntime:
     def _on_completion(self, state: _CameraState, frame: Frame, now: float) -> None:
         counters = self.telemetry
         if self.tracer is not None:
-            self.tracer.record_completion(state.spec.camera_id, frame.index, now)
+            self.tracer.record_completion(state.camera_id, frame.index, now)
         if self.batched is not None:
             self._pending_completions.pop((state.key, frame.index), None)
             if not self.batched.has(state.session, frame):
@@ -949,19 +989,13 @@ class FleetRuntime:
                 # heap, so all of them will be pushed regardless of what
                 # happens between now and then — prefetching their (frozen-
                 # weight) activations early is observationally invisible.
-                entries = [(state.session, frame)]
-                entries.extend(
-                    (self._states[key].session, pending)
-                    for (key, _), pending in self._pending_completions.items()
-                )
-                self.batched.prefetch(entries)
+                self.batched.prefetch([(state.session, frame), *self._pending_completions.values()])
             self.batched.prime(state.session, frame)
         update = state.session.push(frame)
         state.completion_times.append(now)
         state.scored += 1
-        if state.scored == 1 and state.counted_starved:
+        if state.scored == 1 and state.detached_at is None:
             self._starved -= 1
-            state.counted_starved = False
         state.matched += len(update.new_matches)
         state.events += len(update.closed_events)
         counters.counter("frames.scored").inc()
@@ -998,7 +1032,7 @@ class FleetRuntime:
         publish-side telemetry is gated on a sink being attached so a
         sink-less runtime emits exactly the pre-delivery-plane counters.
         """
-        camera_id = state.spec.camera_id
+        camera_id = state.camera_id
         cooldown = self.config.event_cooldown_seconds
         for record in records:
             stamped = replace(record, closed_at=closed_at)
@@ -1018,10 +1052,7 @@ class FleetRuntime:
         """Move blocked frames into the queue as capacity frees (BLOCK policy)."""
         while state.source_backlog and not state.queue.is_full:
             frame = state.source_backlog.pop(0)
-            outcome = state.queue.offer(frame, now=now)
-            if not outcome.admitted:  # pragma: no cover - queue was checked not-full
-                state.source_backlog.insert(0, frame)
-                break
+            state.queue.offer(frame, now=now)  # admitted: the queue is not full
             # The wait clock keeps running from the original arrival time,
             # which _on_arrival recorded when the frame was blocked.
             state.arrival_times.setdefault(id(frame), now)
@@ -1030,20 +1061,18 @@ class FleetRuntime:
 
     def _dispatch(self, now: float) -> None:
         """Hand queued frames to idle workers, round-robin across cameras."""
-        keys = self._dispatch_keys
+        states = list(self._states.values())
         while True:
             worker = self.workers.idle_worker(now)
             if worker is None:
                 break
-            chosen: _CameraState | None = None
-            for offset in range(len(keys)):
-                state = self._states[keys[(self._round_robin + offset) % len(keys)]]
-                if state.queue.depth > 0:
-                    chosen = state
-                    self._round_robin = (self._round_robin + offset + 1) % len(keys)
+            for offset in range(len(states)):
+                chosen = states[(self._round_robin + offset) % len(states)]
+                if chosen.queue.depth > 0:
+                    self._round_robin = (self._round_robin + offset + 1) % len(states)
                     break
-            if chosen is None:
-                break
+            else:
+                break  # nothing is queued anywhere
             frame = chosen.queue.pop()
             arrival = chosen.arrival_times.pop(id(frame), now)
             wait = now - arrival
@@ -1051,7 +1080,7 @@ class FleetRuntime:
             chosen.wait_count += 1
             self.telemetry.histogram("latency.queue_wait_seconds").observe(wait)
             end_time = self.workers.start_frame(worker, now, chosen.schedule)
-            camera_id = chosen.spec.camera_id
+            camera_id = chosen.camera_id
             if self.slo is not None:
                 latency = end_time - arrival
                 fresh, within = self.slo.record_scored(camera_id, latency)
@@ -1067,15 +1096,14 @@ class FleetRuntime:
                     now,
                     self.workers.phase_intervals(now, chosen.schedule),
                 )
-            heapq.heappush(self._heap, (end_time, self._sequence, "completion", chosen.key, frame))
-            self._sequence += 1
+            self._schedule(end_time, "completion", chosen, frame)
             if self.batched is not None:
-                self._pending_completions[(chosen.key, frame.index)] = frame
+                self._pending_completions[(chosen.key, frame.index)] = (chosen.session, frame)
             self._drain_source_backlog(chosen, now)
             self._record_depth(chosen)
 
     def _record_depth(self, state: _CameraState) -> None:
-        self.telemetry.gauge(f"queue.depth.{state.spec.camera_id}").set(state.queue.depth)
+        self.telemetry.gauge(f"queue.depth.{state.camera_id}").set(state.queue.depth)
         if self.admission is not None:
             self.telemetry.gauge("admission.in_flight").set(self.admission.in_flight)
             if self.admission.per_camera_quota is not None or self.admission.quota_overrides:
@@ -1104,78 +1132,29 @@ class FleetRuntime:
         sim_duration = max([self._last_event_time, *(s.stint_end for s in self._states.values())])
 
         uploads: list[tuple[float, str, float]] = []
-        reports: dict[str, CameraReport] = {}
+        by_camera: dict[str, list[_CameraState]] = {}
         accuracies: dict[str, CameraAccuracy] = {}
         tails: list[tuple[float, str, _CameraState, EventRecord]] = []
-        for key, state in self._states.items():
-            spec = state.spec
+        for state in self._states.values():
+            camera_id = state.camera_id
+            by_camera.setdefault(camera_id, []).append(state)
             result = state.session.finish()
             if state.truth is not None:
                 stint = self._stint_accuracy(state, result)
-                previous = accuracies.get(spec.camera_id)
-                accuracies[spec.camera_id] = (
-                    stint if previous is None else previous.merged_with(stint)
-                )
+                previous = accuracies.get(camera_id)
+                accuracies[camera_id] = stint if previous is None else previous.merged_with(stint)
             # Events finalized by the flush were not seen by _on_completion.
             state.events = sum(len(r.events) for r in result.per_mc.values())
             state.matched = sum(r.num_matched_frames for r in result.per_mc.values())
-            # ... nor were their records: collect the flush-closed tail.  A
-            # tail event closes when its stint ends, but never before its
-            # last frame finished scoring (under overload, scoring lags).
-            for tail in state.session.closed_records[state.records_consumed :]:
-                closed_at = max(state.stint_end, state.completion_times[tail.end - 1])
-                tails.append((closed_at, key, state, tail))
-            camera_bits = 0.0
-            for mc_result in result.per_mc.values():
-                session = state.session
-                for event in mc_result.events:
-                    bits = mc_result.event_bits(event)
-                    # An event cannot be uploaded before its last frame was
-                    # both captured and actually scored on the node (under
-                    # overload, scoring lags capture by the queue wait).
-                    last_timestamp = session.timestamps[event.end - 1]
-                    captured_at = spec.start_time + last_timestamp + 1.0 / spec.frame_rate
-                    scored_at = state.completion_times[event.end - 1]
-                    available_at = max(captured_at, scored_at)
-                    description = f"{key}/{mc_result.mc_name}/event{event.event_id}"
-                    uploads.append((available_at, description, bits))
-                    if self.tracer is not None:
-                        for pos in range(event.start, event.end):
-                            self.tracer.register_upload(
-                                description,
-                                spec.camera_id,
-                                session.source_indices[pos],
-                                available_at,
-                            )
-                    camera_bits += bits
-            stats = state.queue.stats
-            report = CameraReport(
-                camera_id=spec.camera_id,
-                scenario=spec.scenario,
-                resolution=spec.resolution,
-                frame_rate=spec.frame_rate,
-                frames_generated=state.generated,
-                frames_admitted=stats.admitted,
-                frames_dropped_oldest=stats.dropped_oldest,
-                frames_dropped_newest=stats.dropped_newest,
-                frames_rejected=state.rejected,
-                frames_blocked=state.blocked,
-                frames_scored=state.scored,
-                matched_frames=state.matched,
-                events=state.events,
-                queue_high_water=stats.high_water,
-                mean_queue_wait_seconds=(
-                    state.wait_total / state.wait_count if state.wait_count else 0.0
-                ),
-                uploaded_bits=camera_bits,
-            )
-            existing = reports.get(spec.camera_id)
-            if existing is None:
-                reports[spec.camera_id] = report
-            else:
-                reports[spec.camera_id] = self._merge_camera_reports(
-                    existing, report, state.wait_total, state.wait_count
-                )
+            # ... nor were their records: collect the flush-closed tail.
+            tails.extend(state.flush_closed_tails())
+            for available_at, description, bits, frames in state.event_uploads(result):
+                uploads.append((available_at, description, bits))
+                if self.tracer is not None:
+                    for index in frames:
+                        self.tracer.register_upload(description, camera_id, index, available_at)
+                state.uploaded_bits += bits
+        reports = {camera_id: _camera_report(stints) for camera_id, stints in by_camera.items()}
 
         # Records leave the node in close order (the outbox's retry schedule
         # is a function of close time and refuses a back-dated offer).  Tail
@@ -1264,39 +1243,11 @@ class FleetRuntime:
             result, state.session.source_indices, state.spec.num_frames
         )
         return CameraAccuracy(
-            camera_id=state.spec.camera_id,
+            camera_id=state.camera_id,
             scenario=state.spec.scenario,
             task=self.config.accuracy_task,
             truth=state.truth,
             predictions=predictions,
             frames_generated=state.generated,
             frames_scored=state.scored,
-        )
-
-    @staticmethod
-    def _merge_camera_reports(
-        first: CameraReport, second: CameraReport, wait_total: float, wait_count: int
-    ) -> CameraReport:
-        """Combine two stints of the same camera on this node."""
-        first_waits = first.mean_queue_wait_seconds * first.frames_scored
-        combined_count = first.frames_scored + wait_count
-        return CameraReport(
-            camera_id=first.camera_id,
-            scenario=first.scenario,
-            resolution=first.resolution,
-            frame_rate=first.frame_rate,
-            frames_generated=first.frames_generated + second.frames_generated,
-            frames_admitted=first.frames_admitted + second.frames_admitted,
-            frames_dropped_oldest=first.frames_dropped_oldest + second.frames_dropped_oldest,
-            frames_dropped_newest=first.frames_dropped_newest + second.frames_dropped_newest,
-            frames_rejected=first.frames_rejected + second.frames_rejected,
-            frames_blocked=first.frames_blocked + second.frames_blocked,
-            frames_scored=first.frames_scored + second.frames_scored,
-            matched_frames=first.matched_frames + second.matched_frames,
-            events=first.events + second.events,
-            queue_high_water=max(first.queue_high_water, second.queue_high_water),
-            mean_queue_wait_seconds=(
-                (first_waits + wait_total) / combined_count if combined_count else 0.0
-            ),
-            uploaded_bits=first.uploaded_bits + second.uploaded_bits,
         )

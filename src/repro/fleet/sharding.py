@@ -390,14 +390,10 @@ class ShardedFleetRuntime:
         else:
             self.shared_uplink = SharedUplink(self.config.total_uplink_bps, weights)
             self._current_weights = None
-        self._hosted: dict[str, list[str]] = {}
-        self._migrations: list[tuple[str, str, str]] = []
-        self._migrated_in: dict[str, int] = {node_id: 0 for node_id in self.node_ids}
-        self._migrated_out: dict[str, int] = {node_id: 0 for node_id in self.node_ids}
+        self._migrations: list[tuple[str, str, str]] = []  # (camera, source, destination)
         self.nodes: dict[str, FleetRuntime] = {}
         ports = self.shared_uplink.links
         for node_id, shard in zip(self.node_ids, self.shards):
-            self._hosted[node_id] = [spec.camera_id for spec in shard]
             self.nodes[node_id] = FleetRuntime(
                 shard,
                 # Each node is its own box: without an injected factory every
@@ -451,11 +447,7 @@ class ShardedFleetRuntime:
 
     def record_migration(self, camera_id: str, source: str, destination: str) -> None:
         """Track one applied camera handoff in the cluster's bookkeeping."""
-        self._hosted[source].remove(camera_id)
-        self._hosted[destination].append(camera_id)
         self._migrations.append((camera_id, source, destination))
-        self._migrated_out[source] += 1
-        self._migrated_in[destination] += 1
 
     # -- orchestration -------------------------------------------------------
     def run(self) -> ShardedFleetReport:
@@ -505,13 +497,13 @@ class ShardedFleetRuntime:
         node_reports = [
             NodeReport(
                 node_id=node_id,
-                camera_ids=list(self._hosted[node_id]),
+                camera_ids=self.nodes[node_id].hosted_cameras(),
                 estimated_cost=cost,
                 uplink_allocation_bps=self.nodes[node_id].uplink.capacity_bps,
                 report=reports[node_id],
                 reclaimed_uplink_bits=self.nodes[node_id].uplink.reclaimed_bits,
-                cameras_migrated_in=self._migrated_in[node_id],
-                cameras_migrated_out=self._migrated_out[node_id],
+                cameras_migrated_in=sum(dst == node_id for _, _, dst in self._migrations),
+                cameras_migrated_out=sum(src == node_id for _, src, _ in self._migrations),
             )
             for node_id, cost in zip(self.node_ids, self._shard_costs)
         ]

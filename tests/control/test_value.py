@@ -590,7 +590,7 @@ class TestThresholdActuation:
         runtime = self.small_runtime()
         runtime.start()
         runtime.advance_until(0.5)
-        session = runtime._states[runtime._active["cam000"]].session
+        session = runtime._active["cam000"].session
         mc = session.microclassifiers[0]
         before = mc.config.threshold
         runtime.set_camera_threshold("cam000", 0.95)
@@ -644,7 +644,7 @@ class TestThresholdActuation:
         runtime = FleetRuntime([spec], pipeline_factory=factory, config=FleetConfig())
         runtime.start()
         runtime.set_camera_threshold("cam000", 0.9)
-        session = runtime._states[runtime._active["cam000"]].session
+        session = runtime._active["cam000"].session
         assert session.current_threshold("cam000/primary") == pytest.approx(0.9)
         assert session.current_threshold("cam000/secondary") == pytest.approx(0.7)
         assert runtime.camera_live_stats()["cam000"].threshold == pytest.approx(0.9)

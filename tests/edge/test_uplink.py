@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.edge.uplink import ConstrainedUplink, SharedUplink, WorkConservingUplink
+from repro.edge.uplink import (
+    ConstrainedUplink,
+    LinkPort,
+    SharedTransferRequest,
+    SharedUplink,
+    WorkConservingUplink,
+)
 
 
 class TestConstrainedUplink:
@@ -304,3 +310,69 @@ class TestLinkPorts:
         for shared, alone in zip(port.transfers, serial.transfers):
             assert shared.end_time == pytest.approx(alone.end_time, abs=1e-9)
         assert port.backlog_seconds(5.0) == pytest.approx(serial.backlog_seconds(5.0), abs=1e-9)
+
+    def test_every_port_is_a_link_port(self):
+        """The three things a node can be handed all satisfy the one protocol."""
+        ports = [
+            ConstrainedUplink(1000.0),
+            SharedUplink(1000.0, ["a"]).links["a"],
+            WorkConservingUplink(1000.0, {"a": 1.0}).links["a"],
+        ]
+        assert all(isinstance(port, LinkPort) for port in ports)
+        assert not isinstance(SharedUplink(1000.0), LinkPort)  # a link is not a port
+
+
+NOT_A_QUANTITY = [float("nan"), float("inf"), -1.0]
+
+
+class TestNonFiniteInputsAreRefused:
+    """A NaN or infinity must be refused where it is submitted.
+
+    Once queued it cannot be: ``drain()`` never advances past a NaN arrival
+    (``max(t, nan)``) and never finishes an infinite or NaN residual, so each
+    of these used to hang the drain rather than fail.  Nothing here drains.
+    """
+
+    @pytest.mark.parametrize("bits", NOT_A_QUANTITY)
+    def test_port_refuses_bad_bits_and_queues_nothing(self, bits):
+        link = WorkConservingUplink(100.0, {"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError, match="bits"):
+            link.links["a"].upload(bits, 0.0, "bad")
+        assert link.drain() == []
+
+    @pytest.mark.parametrize("available_at", NOT_A_QUANTITY)
+    def test_port_refuses_a_bad_arrival_time_and_queues_nothing(self, available_at):
+        link = WorkConservingUplink(100.0, {"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError, match="available_at"):
+            link.links["a"].upload(10.0, available_at, "bad")
+        assert link.drain() == []
+
+    @pytest.mark.parametrize("value", NOT_A_QUANTITY)
+    def test_a_request_cannot_be_built_around_one(self, value):
+        with pytest.raises(ValueError):
+            SharedTransferRequest("a", value, 0.0)
+        with pytest.raises(ValueError):
+            SharedTransferRequest("a", 1.0, value)
+
+    @pytest.mark.parametrize("value", NOT_A_QUANTITY + [0.0])
+    def test_schedule_weights_refuses_bad_times_and_weights(self, value):
+        link = WorkConservingUplink(100.0, {"a": 1.0, "b": 1.0})
+        if value != 0.0:  # a change at t = 0 is fine; a zero weight is not
+            with pytest.raises(ValueError, match="at_time"):
+                link.schedule_weights(value, {"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError, match="weight"):
+            link.schedule_weights(0.5, {"a": 1.0, "b": value})
+        # Nothing was scheduled: the link still shares evenly.
+        link.links["a"].upload(50.0, 0.0, "a0")
+        link.links["b"].upload(50.0, 0.0, "b0")
+        assert [t.end_time for t in link.drain()] == pytest.approx([1.0, 1.0])
+
+    @pytest.mark.parametrize("value", NOT_A_QUANTITY + [0.0])
+    def test_links_refuse_bad_capacities_and_weights(self, value):
+        for link_type in (WorkConservingUplink, SharedUplink):
+            with pytest.raises(ValueError):
+                link_type(value, {"a": 1.0})
+            with pytest.raises(ValueError):
+                link_type(100.0, {"a": 1.0, "b": value})
+        with pytest.raises(ValueError):
+            SharedUplink(100.0).allocate("a", value)

@@ -1,40 +1,18 @@
 #!/usr/bin/env python3
 """Docs-consistency checks, run by CI and by ``tests/test_docs.py``.
 
-Five guarantees:
+Four guarantees:
 
 1. **Coverage** — every package under ``src/repro/`` is mentioned in
    ``docs/ARCHITECTURE.md`` (as ``repro.<name>``), so the architecture page
    cannot silently fall behind the code.
 2. **Required pages** — the subsystem reference pages in ``REQUIRED_DOCS``
    exist (a rename or deletion fails CI rather than leaving dead links).
-3. **Subsystem depth** — every module of the control plane is mentioned in
-   ``docs/CONTROL.md`` (as ``repro.control.<name>``), mirroring the
-   package-level guarantee at module granularity for the policy catalog.
-4. **Accuracy plane** — ``docs/ACCURACY.md`` documents the trained-MC
-   methodology and must reference every module that implements it
-   (``repro.fleet.accuracy``, ``repro.control.trace``, and the
-   accuracy-aware control policies in ``repro.control.value``).
-5. **Observability plane** — every module of ``repro.obs`` is mentioned in
-   ``docs/OBSERVABILITY.md`` (as ``repro.obs.<name>``), the same
-   module-granularity guarantee the control plane gets.
-6. **Batched dispatch** — ``docs/FLEET.md`` documents the batched
-   cross-camera hot path and must reference every module that implements it
-   (``repro.nn.batched``, ``repro.core.batched``, and the dispatch hook in
-   ``repro.fleet.runtime``), and its memory-per-camera note the modules
-   holding a camera's resident state (``repro.nn.layers``,
-   ``repro.features.extractor``).
-7. **Hierarchical scale-out** — ``docs/CONTROL.md`` documents the two-level
-   control plane and must reference every module that implements it
-   (``repro.control.hierarchy``, the district-partitioned fleet generator in
-   ``repro.fleet.camera``, and the O(nodes) report path in
-   ``repro.fleet.sharding``).
-8. **Event delivery plane** — every module of ``repro.events`` is
-   mentioned in ``docs/EVENTS.md`` (as ``repro.events.<name>``), plus the
-   cross-package modules the delivery story depends on (the record schema
-   in ``repro.core.events``, the transport integration in
-   ``repro.fleet.sharding``).
-9. **Snippet validity** — every fenced ``python`` code block in
+3. **Subsystem depth** — each subsystem page names the modules that
+   implement what it documents: ``COVERAGE`` is the one table of page →
+   modules pinned by name + a package whose every module is discovered, the
+   package-level guarantee repeated at module granularity.
+4. **Snippet validity** — every fenced ``python`` code block in
    ``README.md`` and ``docs/*.md`` parses (``compile()``), so documented
    examples cannot rot into syntax errors.
 
@@ -45,14 +23,12 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARCHITECTURE_DOC = REPO_ROOT / "docs" / "ARCHITECTURE.md"
-CONTROL_DOC = REPO_ROOT / "docs" / "CONTROL.md"
-ACCURACY_DOC = REPO_ROOT / "docs" / "ACCURACY.md"
-OBSERVABILITY_DOC = REPO_ROOT / "docs" / "OBSERVABILITY.md"
-EVENTS_DOC = REPO_ROOT / "docs" / "EVENTS.md"
+FLEET_DOC = REPO_ROOT / "docs" / "FLEET.md"
 REQUIRED_DOCS = (
     "ARCHITECTURE.md",
     "FLEET.md",
@@ -76,18 +52,17 @@ BATCHED_MODULES = ("repro.nn.batched", "repro.core.batched", "repro.fleet.runtim
 # resident; it must name where the weights (and no gradients) and the
 # feature-map cache live.
 MEMORY_MODULES = ("repro.nn.layers", "repro.features.extractor")
-FLEET_DOC = REPO_ROOT / "docs" / "FLEET.md"
 
 # The explainability layer must stay documented even if obs-module
 # auto-discovery ever changes: alerting and incident correlation are pinned
-# by name, on top of the every-module check below.
+# by name, on top of the every-module check.
 OBS_REQUIRED_MODULES = ("repro.obs.alerts", "repro.obs.incident")
 
 # The hierarchical control plane spans two packages: the node/cluster
 # planes themselves, the district-partitioned fleet generator, and the
 # O(nodes) cluster report path.  CONTROL.md owns the scale-out story and
 # must point at every implementing module (the control-module
-# auto-discovery below only covers repro.control.*).
+# auto-discovery only covers repro.control.*).
 HIERARCHY_MODULES = (
     "repro.control.hierarchy",
     "repro.fleet.camera",
@@ -95,10 +70,21 @@ HIERARCHY_MODULES = (
 )
 
 # The event delivery plane spans three packages: the repro.events pipeline
-# (covered module-by-module below), the record/identity schema, and the
+# (covered module by module), the record/identity schema, and the
 # shared-uplink transport integration.  EVENTS.md owns the delivery story
 # and must point at every implementing module.
 EVENTS_REQUIRED_MODULES = ("repro.core.events", "repro.fleet.sharding")
+
+# check -> (page, modules pinned by name, package whose every module is
+# discovered or None).  A page may carry several checks.
+COVERAGE: dict[str, tuple[str, tuple[str, ...], str | None]] = {
+    "control": ("CONTROL.md", (), "control"),
+    "accuracy": ("ACCURACY.md", ACCURACY_MODULES, None),
+    "obs": ("OBSERVABILITY.md", OBS_REQUIRED_MODULES, "obs"),
+    "batched": ("FLEET.md", BATCHED_MODULES + MEMORY_MODULES, None),
+    "hierarchy": ("CONTROL.md", HIERARCHY_MODULES, None),
+    "events": ("EVENTS.md", EVENTS_REQUIRED_MODULES, "events"),
+}
 
 _FENCE_RE = re.compile(r"^```")
 
@@ -133,118 +119,39 @@ def check_required_docs() -> list[str]:
     ]
 
 
-def control_modules(src_root: Path | None = None) -> list[str]:
-    """Module names under ``src/repro/control/`` (excluding __init__)."""
-    root = (src_root or REPO_ROOT / "src") / "repro" / "control"
+def package_modules(package: str, src_root: Path | None = None) -> list[str]:
+    """Module names under ``src/repro/<package>/`` (excluding __init__)."""
+    root = (src_root or REPO_ROOT / "src") / "repro" / package
     if not root.is_dir():
         return []
     return sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__")
 
 
-def check_control_coverage(doc_path: Path | None = None) -> list[str]:
-    """Control modules missing from the control doc (empty list = covered)."""
-    doc_path = doc_path or CONTROL_DOC
+def check_coverage(check: str, doc_path: Path | None = None) -> list[str]:
+    """Modules of one ``COVERAGE`` row missing from its page (empty list = covered)."""
+    page, pinned, package = COVERAGE[check]
+    doc_path = doc_path or REPO_ROOT / "docs" / page
     if not doc_path.is_file():
         return []  # existence is check_required_docs' problem
     text = doc_path.read_text(encoding="utf-8")
+    names = [f"repro.{package}.{name}" for name in package_modules(package)] if package else []
+    # A pinned module that discovery also found is complained about once.
+    names += [name for name in pinned if name not in names]
     return [
-        f"module repro.control.{name} is not mentioned in {doc_path.name}"
-        for name in control_modules()
-        if f"repro.control.{name}" not in text
+        f"module {name} is not mentioned in {doc_path.name}" for name in names if name not in text
     ]
 
 
-def check_accuracy_coverage(doc_path: Path | None = None) -> list[str]:
-    """Accuracy modules missing from the accuracy doc (empty list = covered)."""
-    doc_path = doc_path or ACCURACY_DOC
-    if not doc_path.is_file():
-        return []  # existence is check_required_docs' problem
-    text = doc_path.read_text(encoding="utf-8")
-    return [
-        f"module {name} is not mentioned in {doc_path.name}"
-        for name in ACCURACY_MODULES
-        if name not in text
-    ]
-
-
-def check_hierarchy_coverage(doc_path: Path | None = None) -> list[str]:
-    """Hierarchy modules missing from the control doc (empty list = covered)."""
-    doc_path = doc_path or CONTROL_DOC
-    if not doc_path.is_file():
-        return []  # existence is check_required_docs' problem
-    text = doc_path.read_text(encoding="utf-8")
-    return [
-        f"module {name} is not mentioned in {doc_path.name}"
-        for name in HIERARCHY_MODULES
-        if name not in text
-    ]
-
-
-def check_batched_coverage(doc_path: Path | None = None) -> list[str]:
-    """Batching and memory-note modules missing from the fleet doc (empty = covered)."""
-    doc_path = doc_path or FLEET_DOC
-    if not doc_path.is_file():
-        return []  # existence is check_required_docs' problem
-    text = doc_path.read_text(encoding="utf-8")
-    return [
-        f"module {name} is not mentioned in {doc_path.name}"
-        for name in BATCHED_MODULES + MEMORY_MODULES
-        if name not in text
-    ]
-
-
-def obs_modules(src_root: Path | None = None) -> list[str]:
-    """Module names under ``src/repro/obs/`` (excluding __init__)."""
-    root = (src_root or REPO_ROOT / "src") / "repro" / "obs"
-    if not root.is_dir():
-        return []
-    return sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__")
-
-
-def check_obs_coverage(doc_path: Path | None = None) -> list[str]:
-    """Observability modules missing from the obs doc (empty list = covered)."""
-    doc_path = doc_path or OBSERVABILITY_DOC
-    if not doc_path.is_file():
-        return []  # existence is check_required_docs' problem
-    text = doc_path.read_text(encoding="utf-8")
-    problems = [
-        f"module repro.obs.{name} is not mentioned in {doc_path.name}"
-        for name in obs_modules()
-        if f"repro.obs.{name}" not in text
-    ]
-    problems.extend(
-        f"required module {name} is not mentioned in {doc_path.name}"
-        for name in OBS_REQUIRED_MODULES
-        if name not in text and not any(name in p for p in problems)
-    )
-    return problems
-
-
-def events_modules(src_root: Path | None = None) -> list[str]:
-    """Module names under ``src/repro/events/`` (excluding __init__)."""
-    root = (src_root or REPO_ROOT / "src") / "repro" / "events"
-    if not root.is_dir():
-        return []
-    return sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__")
-
-
-def check_events_coverage(doc_path: Path | None = None) -> list[str]:
-    """Delivery-plane modules missing from the events doc (empty = covered)."""
-    doc_path = doc_path or EVENTS_DOC
-    if not doc_path.is_file():
-        return []  # existence is check_required_docs' problem
-    text = doc_path.read_text(encoding="utf-8")
-    problems = [
-        f"module repro.events.{name} is not mentioned in {doc_path.name}"
-        for name in events_modules()
-        if f"repro.events.{name}" not in text
-    ]
-    problems.extend(
-        f"required module {name} is not mentioned in {doc_path.name}"
-        for name in EVENTS_REQUIRED_MODULES
-        if name not in text
-    )
-    return problems
+# The names tests/test_docs.py and older callers use, as entries over the table.
+control_modules = partial(package_modules, "control")
+obs_modules = partial(package_modules, "obs")
+events_modules = partial(package_modules, "events")
+check_control_coverage = partial(check_coverage, "control")
+check_accuracy_coverage = partial(check_coverage, "accuracy")
+check_obs_coverage = partial(check_coverage, "obs")
+check_batched_coverage = partial(check_coverage, "batched")
+check_hierarchy_coverage = partial(check_coverage, "hierarchy")
+check_events_coverage = partial(check_coverage, "events")
 
 
 def extract_python_snippets(markdown_path: Path) -> list[tuple[int, str]]:
@@ -297,17 +204,10 @@ def check_snippets() -> list[str]:
 
 
 def main() -> int:
-    problems = (
-        check_architecture_coverage()
-        + check_required_docs()
-        + check_control_coverage()
-        + check_accuracy_coverage()
-        + check_obs_coverage()
-        + check_batched_coverage()
-        + check_hierarchy_coverage()
-        + check_events_coverage()
-        + check_snippets()
-    )
+    problems = check_architecture_coverage() + check_required_docs()
+    for check in COVERAGE:
+        problems += check_coverage(check)
+    problems += check_snippets()
     if problems:
         print("Docs consistency check FAILED:")
         for problem in problems:
