@@ -15,7 +15,7 @@ lowest-density cameras are stepped down an admission-quota ladder
 (reject fresh frames at the door rather than churning the queue).  When the
 p99 falls back under ``low_watermark_seconds`` the most valuable capped
 camera is restored one step per tick — to the drop policy it had *before*
-tightening (``restore_policy`` is only the fallback when that is unknown).
+tightening (``DROP_OLDEST``, the fleet default, when that is unknown).
 The gap between the two watermarks plus the one-step-per-tick relaxation is
 the hysteresis that keeps the policy from flapping.
 """
@@ -58,7 +58,6 @@ class SheddingConfig:
     low_watermark_seconds: float = 0.05
     cameras_per_step: int = 2
     quota_ladder: tuple[int, ...] = (2, 1)
-    restore_policy: DropPolicy = DropPolicy.DROP_OLDEST
     value_signal: str = "match_density"
 
     def __post_init__(self) -> None:
@@ -94,7 +93,7 @@ class QuotaLadderShedder(Controller):
     one camera per calm tick to its pre-tighten policy — and differ only in
     *when* they act and *who* they rank first.  Subclasses implement
     :meth:`decide`; the config is duck-typed to anything exposing
-    ``quota_ladder``, ``cameras_per_step``, and ``restore_policy``.
+    ``quota_ladder`` and ``cameras_per_step``.
     """
 
     def __init__(self, config) -> None:
@@ -172,7 +171,7 @@ class QuotaLadderShedder(Controller):
             return []
         camera_id = candidates[0]
         del state.capped[camera_id]
-        restored = state.original_policy.pop(camera_id, self.config.restore_policy)
+        restored = state.original_policy.pop(camera_id, DropPolicy.DROP_OLDEST)
         return [
             SetCameraQuota(node_id=node_id, camera_id=camera_id, quota=None),
             SetDropPolicy(node_id=node_id, camera_id=camera_id, policy=restored),

@@ -69,10 +69,7 @@ class BatchedScorer:
     def has(self, session: StreamingPipeline, frame: Frame) -> bool:
         """Whether ``frame``'s activations are ready (prefetched or cached)."""
         extractor = session.extractor
-        return (
-            (id(extractor), frame.index) in self._ready
-            or frame.index in extractor._cache
-        )
+        return (id(extractor), frame.index) in self._ready or extractor.is_cached(frame.index)
 
     # -- the batched forward -----------------------------------------------
     def prefetch(self, entries: Iterable[Entry]) -> int:

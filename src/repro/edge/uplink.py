@@ -350,9 +350,9 @@ class WorkConservingUplink:
         return list(self._weights)
 
     @property
-    def weights(self) -> dict[str, float]:
-        """Initial per-node weights."""
-        return dict(self._weights)
+    def scheduled_weights(self) -> dict[str, float]:
+        """The weights last handed to :meth:`schedule_weights` (the initial ones until then)."""
+        return dict(self._weight_changes[-1][2] if self._weight_changes else self._weights)
 
     @property
     def links(self) -> dict[str, _NodePort]:

@@ -52,6 +52,8 @@ STATE_DELIVERED_UNACKED = "delivered_unacked"
 STATE_DEAD_LETTER = "dead_letter"
 STATE_DROPPED_OVERFLOW = "dropped_overflow"
 
+RECORD_BYTES = 256  # what one delivery attempt of one event record moves over the link
+
 # What finalize() tallies per node and sums for the cluster.
 TALLY_KEYS = (
     "published",
@@ -80,12 +82,9 @@ class DeliveryConfig:
     broker: BrokerConfig = field(default_factory=BrokerConfig)
     outbox: OutboxConfig = field(default_factory=OutboxConfig)
     consumer_rate_eps: float = 0.0
-    record_bytes: int = 256
     slo: DeliverySLOConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.record_bytes < 1:
-            raise ValueError("record_bytes must be at least 1")
         if self.consumer_rate_eps < 0:
             raise ValueError("consumer_rate_eps must be non-negative")
 
@@ -213,7 +212,7 @@ class EventDeliveryPlane:
         key = str(record.key)
         outcomes = tuple(self.broker.plan(key, self.config.outbox.max_attempts))
         entry = self._outboxes[node_id].offer(
-            key, record.closed_at, self.config.record_bytes * 8, len(outcomes)
+            key, record.closed_at, RECORD_BYTES * 8, len(outcomes)
         )
         if entry is None:
             self._overflow_records.append((node_id, record))

@@ -136,6 +136,10 @@ class FeatureExtractor:
         self._insert(frame.index, activations)
         return activations
 
+    def is_cached(self, frame_index: int) -> bool:
+        """Whether ``frame_index``'s feature maps are in the per-frame cache."""
+        return frame_index in self._cache
+
     def prime(self, frame_index: int, activations: dict[str, np.ndarray]) -> None:
         """Install precomputed activations for ``frame_index`` into the cache.
 

@@ -13,14 +13,14 @@ fleet runtime's simulated clock.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.video.annotations import FrameLabels
-from repro.video.frame import Frame
 from repro.video.scenes import MovingObject
 from repro.video.stream import InMemoryVideoStream
 from repro.video.synthetic import SceneConfig, SurveillanceSceneGenerator
@@ -178,14 +178,19 @@ class CameraFeed:
             self._labels[task] = self._generator.labels_for_task(self.objects, task)
         return self._labels[task]
 
-    def arrivals(self) -> Iterator[tuple[float, Frame]]:
-        """Yield ``(arrival_time, frame)`` in capture order."""
-        spec = self.spec
-        for i, frame in enumerate(self.stream):
-            yield spec.start_time + (i + 1) / spec.frame_rate, frame
+    def arrival_time(self, index: int) -> float:
+        """When frame ``index`` arrives (needs no rendering)."""
+        return self.spec.start_time + (index + 1) / self.spec.frame_rate
 
     def __len__(self) -> int:
         return self.spec.num_frames
+
+
+def reject_duplicate_ids(cameras: Sequence[CameraSpec]) -> None:
+    """Raise ``ValueError`` naming every camera id that occurs more than once."""
+    counts = Counter(spec.camera_id for spec in cameras)
+    if len(counts) < len(cameras):
+        raise ValueError(f"Duplicate camera ids: {sorted(i for i, n in counts.items() if n > 1)}")
 
 
 def district_of(camera_id: str) -> str | None:

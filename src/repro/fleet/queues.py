@@ -22,10 +22,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-
-from repro.video.frame import Frame
+from typing import Protocol
 
 __all__ = ["DropPolicy", "OfferOutcome", "QueueStats", "FrameQueue", "AdmissionController"]
+
+
+class QueuedFrame(Protocol):
+    """What a queue holds — a frame, or the fleet runtime's ticket for one: it reads ``index``."""
+
+    @property
+    def index(self) -> int: ...
 
 
 class DropPolicy(str, Enum):
@@ -41,7 +47,7 @@ class OfferOutcome:
     """Result of offering one frame to a bounded queue."""
 
     admitted: bool
-    evicted: Frame | None = None
+    evicted: QueuedFrame | None = None
     blocked: bool = False
 
 
@@ -78,7 +84,7 @@ class FrameQueue:
         self.capacity = int(capacity)
         self.policy = DropPolicy(policy)
         self.stats = QueueStats()
-        self._frames: deque[Frame] = deque()
+        self._frames: deque[QueuedFrame] = deque()
         # Optional frame-lifecycle tracer (repro.obs.trace.NodeTracer); the
         # fleet runtime installs it so enqueue/evict decisions land on the
         # sampled frames' span trees.  Emission needs the simulated time,
@@ -106,7 +112,7 @@ class FrameQueue:
         """
         self.policy = DropPolicy(policy)
 
-    def offer(self, frame: Frame, now: float | None = None) -> OfferOutcome:
+    def offer(self, frame: QueuedFrame, now: float | None = None) -> OfferOutcome:
         """Offer one frame; the policy decides what happens at capacity.
 
         ``now`` is the simulated offer time, only needed when a tracer is
@@ -137,20 +143,20 @@ class FrameQueue:
             self.tracer.annotate(self.camera_id, frame.index, "blocked_at", now)
         return OfferOutcome(admitted=False, blocked=True)
 
-    def _admit(self, frame: Frame) -> OfferOutcome:
+    def _admit(self, frame: QueuedFrame) -> OfferOutcome:
         self._frames.append(frame)
         self.stats.admitted += 1
         self.stats.high_water = max(self.stats.high_water, len(self._frames))
         return OfferOutcome(admitted=True)
 
-    def pop(self) -> Frame | None:
+    def pop(self) -> QueuedFrame | None:
         """Dequeue the oldest frame (None when empty)."""
         if not self._frames:
             return None
         self.stats.popped += 1
         return self._frames.popleft()
 
-    def peek(self) -> Frame | None:
+    def peek(self) -> QueuedFrame | None:
         """The oldest queued frame without removing it (None when empty)."""
         return self._frames[0] if self._frames else None
 

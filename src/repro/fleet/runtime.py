@@ -34,6 +34,7 @@ quotas (:meth:`set_camera_quota`), and whole-camera handoff between nodes
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 import math
 import zlib
 from dataclasses import dataclass, field, replace
@@ -57,7 +58,7 @@ from repro.edge.scheduler import Phase, PhasedSchedule
 from repro.edge.uplink import ConstrainedUplink, LinkPort
 from repro.features.base_dnn import build_mobilenet_like
 from repro.features.extractor import FeatureExtractor
-from repro.fleet.camera import CameraFeed, CameraSpec
+from repro.fleet.camera import CameraFeed, CameraSpec, reject_duplicate_ids
 from repro.fleet.queues import AdmissionController, DropPolicy, FrameQueue
 from repro.fleet.telemetry import TelemetryRegistry, jain_fairness
 from repro.fleet.worker import WorkerPool, default_schedule
@@ -82,11 +83,6 @@ __all__ = [
 ]
 
 PipelineFactory = Callable[[CameraSpec], StreamingPipeline]
-
-# Loose admission cap installed when the control plane needs per-camera
-# quotas on a node configured without admission control: quotas should bind,
-# the node-wide budget should not.
-_UNBOUNDED_IN_FLIGHT = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -354,16 +350,18 @@ class CameraHandoff:
     """A detached camera ready to be attached to another node.
 
     Carries the spec *and* the feed object, whose lazily-rendered stream is
-    cached — the destination node replays the remaining arrivals without
-    re-rendering the scene.  ``session_epoch`` is the epoch of the stint
-    that just ended; the destination installs the camera at ``epoch + 1``
-    so the rebuilt detector's restarted event-ID counter never aliases
-    global event keys across the migration.
+    cached — the destination node replays the arrivals from ``next_frame``
+    (the ended stint's cursor: every frame before it was offered to, or
+    charged against, some node) without re-rendering the scene.
+    ``session_epoch`` is the epoch of the stint that just ended; the
+    destination installs the camera at ``epoch + 1`` so the rebuilt detector's
+    restarted event-ID counter never aliases global event keys across it.
     """
 
     spec: CameraSpec
     feed: CameraFeed
     detached_at: float
+    next_frame: int
     session_epoch: int = 0
 
 
@@ -484,9 +482,9 @@ class _CameraState:
     # collected (finalize() picks up the flush-closed tail after this mark).
     session_epoch: int = 0
     records_consumed: int = 0
-    holding: set[int] = field(default_factory=set)
-    source_backlog: list[Frame] = field(default_factory=list)
-    arrival_times: dict[int, float] = field(default_factory=dict)
+    next_frame: int = 0  # the cursor: the stint's next arrival, its only one on the heap
+    sequence_offset: int = 0  # + a frame's index = the heap sequence reserved for its arrival
+    source_backlog: list[_Ticket] = field(default_factory=list)
     completion_times: list[float] = field(default_factory=list)
     wait_total: float = 0.0
     wait_count: int = 0
@@ -590,6 +588,21 @@ def _camera_report(stints: Sequence[_CameraState]) -> CameraReport:
     )
 
 
+@dataclass(eq=False)
+class _Ticket:
+    """One admitted frame: what queue, backlog, workers and completion event pass on."""
+
+    stint: _CameraState
+    frame: Frame
+    arrived_at: float
+    holds_slot: bool  # an admission slot, released when the frame is scored or shed
+
+    @property
+    def index(self) -> int:
+        """The frame's index in its feed — all a :class:`FrameQueue` reads."""
+        return self.frame.index
+
+
 class FleetRuntime:
     """Runs a camera fleet through one edge node on a simulated clock."""
 
@@ -605,10 +618,7 @@ class FleetRuntime:
     ) -> None:
         if not cameras:
             raise ValueError("FleetRuntime requires at least one camera")
-        ids = [spec.camera_id for spec in cameras]
-        duplicates = {i for i in ids if ids.count(i) > 1}
-        if duplicates:
-            raise ValueError(f"Duplicate camera ids: {sorted(duplicates)}")
+        reject_duplicate_ids(cameras)
         self.cameras = list(cameras)
         self.config = config or FleetConfig()
         self.telemetry = telemetry or TelemetryRegistry()
@@ -654,19 +664,19 @@ class FleetRuntime:
         self.event_sink = event_sink
         self.event_records: list[EventRecord] = []
         self._last_event_publish: dict[tuple[str, str], float] = {}
-        # Cross-camera batched scoring: frames in flight on the worker pool
-        # awaiting their completion event, keyed by (stint key, frame index),
-        # each with the session that will score it.  The scorer batches them
-        # through one base-DNN forward per resident base DNN; bit-exact, so
-        # it changes wall-clock time and nothing else.
+        # Cross-camera batched scoring: the tickets the workers hold (frames
+        # in service, awaiting their completion event) are what the scorer
+        # batches through one base-DNN forward per resident base DNN;
+        # bit-exact, so it changes wall-clock time and nothing else.
         self.batched = BatchedScorer() if self.config.batched_scoring else None
-        self._pending_completions: dict[tuple[str, int], tuple[StreamingPipeline, Frame]] = {}
+        self._in_service: list[_Ticket] = []
         self._states: dict[str, _CameraState] = {}  # every stint by key, in hosting order
         self._active: dict[str, _CameraState] = {}  # camera_id -> the stint it is in now
         self._schedules: dict[tuple[int, int], PhasedSchedule] = {}
         self._stints: dict[str, int] = {}  # camera_id -> stints installed so far
-        # The unique sequence number settles every comparison before the stint.
-        self._heap: list[tuple[float, int, str, _CameraState, Frame]] = []
+        # One "arrival" (of a Frame) per active stint, one "completion" (of a _Ticket) per frame
+        # in service, one "end_of_feed" per detached stint; the unique sequence settles ties.
+        self._heap: list[tuple[float, int, str, _CameraState, Frame | _Ticket | None]] = []
         self._sequence = 0
         self._last_event_time = 0.0
         self._round_robin = 0
@@ -683,14 +693,15 @@ class FleetRuntime:
         return self.finalize()
 
     def start(self) -> None:
-        """Install every camera and seed the event heap (idempotent guard)."""
+        """Install every camera and schedule its first arrival (idempotent guard).
+
+        Reading that frame renders the whole feed: eagerly, on purpose (docs/FLEET.md).
+        """
         if self._started:
             raise RuntimeError("FleetRuntime.start() may only be called once")
         self._started = True
         for spec in self.cameras:
-            state = self._install_camera(spec, CameraFeed(spec), attached_at=0.0)
-            for arrival_time, frame in state.feed.arrivals():
-                self._schedule(arrival_time, "arrival", state, frame)
+            self._install_camera(spec, CameraFeed(spec), 0.0, session_epoch=0, next_frame=0)
 
     @property
     def has_pending_events(self) -> bool:
@@ -712,14 +723,16 @@ class FleetRuntime:
         if not self._started:
             raise RuntimeError("call start() before advance_until()")
         while self._heap and self._heap[0][0] <= until:
-            now, _, kind, state, frame = heapq.heappop(self._heap)
+            now, _, kind, state, payload = heapq.heappop(self._heap)
             self._last_event_time = max(self._last_event_time, now)
             if kind == "arrival":
-                if state.detached_at is not None:
-                    continue  # camera migrated away; the destination owns this frame
-                self._on_arrival(state, frame, now)
-            else:
-                self._on_completion(state, frame, now)
+                state.next_frame += 1
+                self._schedule_arrival(state)
+                self._on_arrival(state, payload, now)
+            elif kind == "completion":
+                self._on_completion(payload, now)
+            else:  # "end_of_feed" of a camera that migrated away: only the clock moves (yet)
+                continue
             self._dispatch(now)
 
     # -- camera installation and handoff -------------------------------------
@@ -732,14 +745,17 @@ class FleetRuntime:
             )
         return self._schedules[spec.resolution]
 
-    def _schedule(self, at: float, kind: str, state: _CameraState, frame: Frame) -> None:
-        heapq.heappush(self._heap, (at, self._sequence, kind, state, frame))
-        self._sequence += 1
+    def _schedule_arrival(self, state: _CameraState) -> None:
+        """Put the stint's next arrival on the heap, unless its feed is spent."""
+        feed, index = state.feed, state.next_frame
+        if index < len(feed):
+            at, sequence = feed.arrival_time(index), state.sequence_offset + index
+            heapq.heappush(self._heap, (at, sequence, "arrival", state, feed.stream[index]))
 
     def _install_camera(
-        self, spec: CameraSpec, feed: CameraFeed, attached_at: float, session_epoch: int = 0
+        self, spec: CameraSpec, feed: CameraFeed, now: float, session_epoch: int, next_frame: int
     ) -> _CameraState:
-        """Begin a stint: build its queue and session; the caller schedules its arrivals."""
+        """Begin a stint at ``next_frame``: its queue, its session, its first arrival."""
         stint = self._stints.get(spec.camera_id, 0)
         self._stints[spec.camera_id] = stint + 1
         key = spec.camera_id if stint == 0 else f"{spec.camera_id}#{stint}"
@@ -755,8 +771,9 @@ class FleetRuntime:
                 if self.config.accuracy_task is not None
                 else None
             ),
-            attached_at=attached_at,
+            attached_at=now,
             session_epoch=session_epoch,
+            next_frame=next_frame,
         )
         state.upload_bits_per_match = {
             mc.name: mc.config.upload_bitrate / spec.frame_rate
@@ -768,6 +785,11 @@ class FleetRuntime:
             state.session.bind_tracer(self.tracer, spec.camera_id)
         self._states[key] = state
         self._active[spec.camera_id] = state
+        # Reserve the sequence numbers that pushing all its arrivals now would take: the
+        # (time, sequence) pop order is the same with only the next one on the heap.
+        state.sequence_offset = self._sequence - next_frame
+        self._sequence += len(feed) - next_frame
+        self._schedule_arrival(state)
         return state
 
     def _hosted(self, camera_id: str) -> _CameraState:
@@ -781,20 +803,27 @@ class FleetRuntime:
         """Stop hosting ``camera_id`` and hand its remaining feed over.
 
         Frames already queued keep draining here (they were decoded on this
-        node); arrivals after ``now`` are the destination's to admit.  Frames
-        a BLOCK policy had parked at the source are lost to the move and
-        counted as rejected.
+        node); the feed from the stint's cursor on is the destination's to
+        admit.  Frames a BLOCK policy had parked at the source are lost to
+        the move and counted as rejected.
         """
         state = self._hosted(camera_id)
         state.detached_at = now
         del self._active[camera_id]
+        last = len(state.feed) - 1
+        if state.next_frame <= last:
+            # An end-of-feed marker, keyed as the feed's last arrival, replaces the pending one;
+            # it keeps this node's clock and ``has_pending_events`` (``drive``'s ticks) alive.
+            at, sequence = state.feed.arrival_time(last), state.sequence_offset + last
+            self._heap = [e for e in self._heap if e[2] != "arrival" or e[3] is not state]
+            self._heap.append((at, sequence, "end_of_feed", state, None))
+            heapq.heapify(self._heap)
         if state.source_backlog:
             lost = len(state.source_backlog)
-            for frame in state.source_backlog:
-                state.arrival_times.pop(id(frame), None)
-                self._release_admission(state, frame)
+            for ticket in state.source_backlog:
+                self._release_admission(ticket)
                 if self.tracer is not None:
-                    self.tracer.record_drop(camera_id, frame.index, "migration_lost", now)
+                    self.tracer.record_drop(camera_id, ticket.index, "migration_lost", now)
             state.source_backlog.clear()
             state.rejected += lost
             self.telemetry.counter("frames.rejected").inc(lost)
@@ -811,6 +840,7 @@ class FleetRuntime:
             spec=state.spec,
             feed=state.feed,
             detached_at=now,
+            next_frame=state.next_frame,
             session_epoch=state.session_epoch,
         )
 
@@ -819,9 +849,9 @@ class FleetRuntime:
     ) -> None:
         """Start hosting a handed-off camera from ``resume_time`` onward.
 
-        Arrivals inside the migration blackout ``(detached_at, resume_time)``
-        are charged to this node as generated-and-rejected (the explicit
-        migration cost), plus a ``frames.migration_blackout`` counter.
+        Arrivals from the handoff's cursor up to ``resume_time`` — the migration
+        blackout — are charged to this node, once, as generated-and-rejected
+        (the explicit migration cost), plus a ``frames.migration_blackout`` counter.
         """
         if not self._started:
             raise RuntimeError("call start() before attach_camera()")
@@ -831,30 +861,20 @@ class FleetRuntime:
         resume_time = resume_time if resume_time is not None else now
         if resume_time < handoff.detached_at:
             raise ValueError("resume_time cannot precede the detach time")
+        feed, first = handoff.feed, handoff.next_frame
+        resume = bisect_left(range(len(feed)), resume_time, lo=first, key=feed.arrival_time)
         state = self._install_camera(
-            handoff.spec, handoff.feed, attached_at=now, session_epoch=handoff.session_epoch + 1
+            handoff.spec, feed, now, session_epoch=handoff.session_epoch + 1, next_frame=resume
         )
-        for arrival_time, frame in handoff.feed.arrivals():
-            if arrival_time <= handoff.detached_at:
-                # The source's: a frame arriving exactly at the detach instant
-                # was already processed there (advance_until is inclusive).
-                continue
-            if arrival_time >= resume_time:
-                self._schedule(arrival_time, "arrival", state, frame)
-            else:
-                state.generated += 1
-                state.rejected += 1
-                if state.truth is not None and state.truth[frame.index]:
-                    state.truth_positive_generated += 1
-        blackout = state.generated  # the stint is new: all it has been offered so far
+        blackout = resume - first
         if blackout:
+            state.generated = state.rejected = blackout
             self.telemetry.counter("frames.generated").inc(blackout)
             self.telemetry.counter("frames.rejected").inc(blackout)
             self.telemetry.counter("frames.migration_blackout").inc(blackout)
-            if state.truth_positive_generated:
-                self.telemetry.counter("accuracy.truth_positive_generated").inc(
-                    state.truth_positive_generated
-                )
+            if state.truth is not None and (positives := int(state.truth[first:resume].sum())):
+                state.truth_positive_generated = positives
+                self.telemetry.counter("accuracy.truth_positive_generated").inc(positives)
             self._slo_lost(camera_id, blackout)
             self._starved += 1  # the new stint was offered frames and scored none
             self._record_starvation()
@@ -868,16 +888,12 @@ class FleetRuntime:
         """Switch one camera's queue overload policy live."""
         self._hosted(camera_id).queue.set_policy(policy)
 
-    def ensure_admission(self) -> AdmissionController:
-        """The node's admission controller, created loose if absent."""
-        if self.admission is None:
-            self.admission = AdmissionController(_UNBOUNDED_IN_FLIGHT)
-        return self.admission
-
     def set_camera_quota(self, camera_id: str, quota: int | None) -> None:
         """Override (or with ``None`` restore) one camera's in-flight quota."""
         self._hosted(camera_id)  # refuse before an admission controller is created
-        self.ensure_admission().set_camera_quota(camera_id, quota)
+        if self.admission is None:  # created loose: the quota binds, the node budget does not
+            self.admission = AdmissionController(max_in_flight=1_000_000_000)
+        self.admission.set_camera_quota(camera_id, quota)
 
     def set_camera_threshold(
         self, camera_id: str, threshold: float, mc_name: str | None = None
@@ -939,36 +955,29 @@ class FleetRuntime:
             self._slo_lost(camera_id, 1)
             self._record_starvation()
             return
-        if self.admission is not None:
-            state.holding.add(id(frame))
-            if tracer is not None:
-                tracer.record_admission(camera_id, frame.index, True)
-        outcome = state.queue.offer(frame, now=now)
+        ticket = _Ticket(state, frame, arrived_at=now, holds_slot=self.admission is not None)
+        if ticket.holds_slot and tracer is not None:
+            tracer.record_admission(camera_id, frame.index, True)
+        outcome = state.queue.offer(ticket, now=now)
         if outcome.admitted:
-            state.arrival_times[id(frame)] = now
             counters.counter("frames.admitted").inc()
-            if outcome.evicted is not None:
-                state.arrival_times.pop(id(outcome.evicted), None)
-                counters.counter("frames.dropped_oldest").inc()
-                self._release_admission(state, outcome.evicted)
-                self._slo_lost(camera_id, 1)
         elif outcome.blocked:
-            state.source_backlog.append(frame)
-            state.arrival_times[id(frame)] = now
+            state.source_backlog.append(ticket)
             state.blocked += 1
             counters.counter("frames.blocked").inc()
-        else:
-            counters.counter("frames.dropped_newest").inc()
-            self._release_admission(state, frame)
+        if outcome.evicted is not None:  # the queue's head (DROP_OLDEST), or this ticket (NEWEST)
+            dropped = "frames.dropped_oldest" if outcome.admitted else "frames.dropped_newest"
+            counters.counter(dropped).inc()
+            self._release_admission(outcome.evicted)
             self._slo_lost(camera_id, 1)
         self._record_depth(state)
         self._record_starvation()
 
-    def _release_admission(self, state: _CameraState, frame: Frame) -> None:
-        """Release the admission slot a frame holds, if it holds one."""
-        if id(frame) in state.holding:  # only ever filled by an admission controller
-            state.holding.discard(id(frame))
-            self.admission.release(state.camera_id)
+    def _release_admission(self, ticket: _Ticket) -> None:
+        """Release the admission slot a ticket holds, if it holds one."""
+        if ticket.holds_slot:  # only ever set under an admission controller
+            ticket.holds_slot = False
+            self.admission.release(ticket.stint.camera_id)
 
     def _slo_lost(self, camera_id: str, count: int) -> None:
         """Charge ``count`` lost frames against a camera's freshness budget."""
@@ -977,19 +986,21 @@ class FleetRuntime:
         self.slo.record_lost(camera_id, count)
         self.telemetry.counter("slo.freshness_violations").inc(count)
 
-    def _on_completion(self, state: _CameraState, frame: Frame, now: float) -> None:
+    def _on_completion(self, ticket: _Ticket, now: float) -> None:
         counters = self.telemetry
+        state, frame = ticket.stint, ticket.frame
         if self.tracer is not None:
             self.tracer.record_completion(state.camera_id, frame.index, now)
+        self._in_service.remove(ticket)
         if self.batched is not None:
-            self._pending_completions.pop((state.key, frame.index), None)
             if not self.batched.has(state.session, frame):
-                # Batch this frame with every other frame still in flight on
-                # the worker pool: their completion events are already on the
-                # heap, so all of them will be pushed regardless of what
-                # happens between now and then — prefetching their (frozen-
-                # weight) activations early is observationally invisible.
-                self.batched.prefetch([(state.session, frame), *self._pending_completions.values()])
+                # Batch this frame with every other frame still in service:
+                # their completion events are already on the heap, so all of
+                # them will be pushed regardless of what happens between now
+                # and then — prefetching their (frozen-weight) activations
+                # early is observationally invisible.
+                batch = (ticket, *self._in_service)
+                self.batched.prefetch((t.stint.session, t.frame) for t in batch)
             self.batched.prime(state.session, frame)
         update = state.session.push(frame)
         state.completion_times.append(now)
@@ -1018,7 +1029,7 @@ class FleetRuntime:
             counters.counter("events.closed").inc(len(update.closed_events))
         if update.closed_records:
             self._collect_records(state, update.closed_records, now)
-        self._release_admission(state, frame)
+        self._release_admission(ticket)
         self._drain_source_backlog(state, now)
         self._record_starvation()
 
@@ -1051,11 +1062,7 @@ class FleetRuntime:
     def _drain_source_backlog(self, state: _CameraState, now: float) -> None:
         """Move blocked frames into the queue as capacity frees (BLOCK policy)."""
         while state.source_backlog and not state.queue.is_full:
-            frame = state.source_backlog.pop(0)
-            state.queue.offer(frame, now=now)  # admitted: the queue is not full
-            # The wait clock keeps running from the original arrival time,
-            # which _on_arrival recorded when the frame was blocked.
-            state.arrival_times.setdefault(id(frame), now)
+            state.queue.offer(state.source_backlog.pop(0), now=now)  # admitted: not full
             self.telemetry.counter("frames.admitted").inc()
         self._record_depth(state)
 
@@ -1073,32 +1080,31 @@ class FleetRuntime:
                     break
             else:
                 break  # nothing is queued anywhere
-            frame = chosen.queue.pop()
-            arrival = chosen.arrival_times.pop(id(frame), now)
-            wait = now - arrival
+            ticket = chosen.queue.pop()
+            wait = now - ticket.arrived_at
             chosen.wait_total += wait
             chosen.wait_count += 1
             self.telemetry.histogram("latency.queue_wait_seconds").observe(wait)
             end_time = self.workers.start_frame(worker, now, chosen.schedule)
             camera_id = chosen.camera_id
             if self.slo is not None:
-                latency = end_time - arrival
+                latency = end_time - ticket.arrived_at
                 fresh, within = self.slo.record_scored(camera_id, latency)
                 self.telemetry.histogram("latency.e2e_seconds").observe(latency)
                 if not fresh:
                     self.telemetry.counter("slo.freshness_violations").inc()
                 if not within:
                     self.telemetry.counter("slo.latency_violations").inc()
-            if self.tracer is not None and self.tracer.has_trace(camera_id, frame.index):
+            if self.tracer is not None and self.tracer.has_trace(camera_id, ticket.index):
                 self.tracer.record_dispatch(
                     camera_id,
-                    frame.index,
+                    ticket.index,
                     now,
                     self.workers.phase_intervals(now, chosen.schedule),
                 )
-            self._schedule(end_time, "completion", chosen, frame)
-            if self.batched is not None:
-                self._pending_completions[(chosen.key, frame.index)] = (chosen.session, frame)
+            heapq.heappush(self._heap, (end_time, self._sequence, "completion", chosen, ticket))
+            self._sequence += 1
+            self._in_service.append(ticket)
             self._drain_source_backlog(chosen, now)
             self._record_depth(chosen)
 
@@ -1198,20 +1204,15 @@ class FleetRuntime:
         self.telemetry.gauge("uplink.backlog_seconds").set(backlog)
         self.telemetry.gauge("uplink.utilization").set(utilization)
 
-        counters = self.telemetry.counters()
-        generated = int(counters.get("frames.generated", 0))
-        scored = int(counters.get("frames.scored", 0))
-        dropped = int(
-            counters.get("frames.dropped_oldest", 0) + counters.get("frames.dropped_newest", 0)
-        )
-        rejected = int(counters.get("frames.rejected", 0))
+        generated = sum(camera.frames_generated for camera in reports.values())
+        scored = sum(camera.frames_scored for camera in reports.values())
         return FleetReport(
             cameras=reports,
             sim_duration=sim_duration,
             frames_generated=generated,
             frames_scored=scored,
-            frames_dropped=dropped,
-            frames_rejected=rejected,
+            frames_dropped=sum(camera.frames_dropped for camera in reports.values()),
+            frames_rejected=sum(camera.frames_rejected for camera in reports.values()),
             events_detected=sum(camera.events for camera in reports.values()),
             matched_frames=sum(camera.matched_frames for camera in reports.values()),
             achieved_fps=scored / sim_duration if sim_duration > 0 else 0.0,

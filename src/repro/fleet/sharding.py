@@ -48,7 +48,7 @@ from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.loop import ClusterActuator, ControlLoop, drive
 from repro.edge.uplink import SharedUplink, WorkConservingUplink
 from repro.fleet.accuracy import FleetAccuracy
-from repro.fleet.camera import CameraSpec
+from repro.fleet.camera import CameraSpec, reject_duplicate_ids
 from repro.fleet.placement import (
     PlacementPolicy,
     estimate_camera_cost,
@@ -365,10 +365,7 @@ class ShardedFleetRuntime:
         self.tracer = tracer
         self.timeline = timeline
         self.alert_rules = list(alert_rules)
-        ids = [spec.camera_id for spec in cameras]
-        duplicates = {i for i in ids if ids.count(i) > 1}
-        if duplicates:
-            raise ValueError(f"Duplicate camera ids: {sorted(duplicates)}")
+        reject_duplicate_ids(cameras)
         self.policy = (
             placement if placement is not None else make_placement_policy(self.config.placement)
         )
@@ -383,13 +380,8 @@ class ShardedFleetRuntime:
         cost_fn = getattr(self.policy, "cost_fn", None) or estimate_camera_cost
         self._shard_costs = [sum(cost_fn(spec) for spec in shard) for shard in self.shards]
         self._work_conserving = self.config.uplink_sharing == "work_conserving"
-        weights = self._allocation_weights()
-        if self._work_conserving:
-            self.shared_uplink = WorkConservingUplink(self.config.total_uplink_bps, weights)
-            self._current_weights = dict(self.shared_uplink.weights)
-        else:
-            self.shared_uplink = SharedUplink(self.config.total_uplink_bps, weights)
-            self._current_weights = None
+        link = WorkConservingUplink if self._work_conserving else SharedUplink
+        self.shared_uplink = link(self.config.total_uplink_bps, self._allocation_weights())
         self._migrations: list[tuple[str, str, str]] = []  # (camera, source, destination)
         self.nodes: dict[str, FleetRuntime] = {}
         ports = self.shared_uplink.links
@@ -425,7 +417,7 @@ class ShardedFleetRuntime:
     # -- control-plane surface -----------------------------------------------
     def current_uplink_weights(self) -> dict[str, float] | None:
         """Latest GPS weights (None when the link is statically sliced)."""
-        return dict(self._current_weights) if self._current_weights is not None else None
+        return self.shared_uplink.scheduled_weights if self._work_conserving else None
 
     def uplink_guarantees(self) -> dict[str, float]:
         """Per-node guaranteed uplink bps (static slice, or the GPS guarantee).
@@ -443,7 +435,6 @@ class ShardedFleetRuntime:
                 "uplink weights can only be adjusted under work-conserving sharing"
             )
         self.shared_uplink.schedule_weights(now, weights)
-        self._current_weights = dict(weights)
 
     def record_migration(self, camera_id: str, source: str, destination: str) -> None:
         """Track one applied camera handoff in the cluster's bookkeeping."""

@@ -117,10 +117,6 @@ class WorkerPool:
                 return worker
         return None
 
-    def next_free_time(self) -> float:
-        """Earliest time any worker becomes available."""
-        return min(worker.busy_until for worker in self.workers)
-
     def start_frame(
         self, worker: Worker, now: float, schedule: PhasedSchedule | None = None
     ) -> float:

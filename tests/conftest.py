@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.features.base_dnn import build_mobilenet_like
 from repro.features.extractor import FeatureExtractor
 from repro.video.frame import Frame
 from repro.video.stream import InMemoryVideoStream
 from repro.video.synthetic import SceneConfig, SurveillanceSceneGenerator
+
+# CI's coverage job runs the property tests deeper and reproducibly
+# (``--hypothesis-profile=ci``); tier-1 keeps hypothesis's default 100 examples.
+settings.register_profile("ci", derandomize=True, max_examples=500)
 
 
 @pytest.fixture

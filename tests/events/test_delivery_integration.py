@@ -87,7 +87,7 @@ class TestShardedDelivery:
 
     def test_event_bytes_ride_the_shared_link(self, cluster):
         _, report, plane = cluster
-        # Every admitted attempt moved record_bytes * 8 bits through the
+        # Every admitted attempt moved RECORD_BYTES * 8 bits through the
         # cluster's shared link — no free side channel.
         event_bits = sum(
             publish.entry.bits * publish.entry.attempts for publish in plane._publishes

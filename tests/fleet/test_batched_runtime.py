@@ -234,5 +234,5 @@ class TestMigrationMidTick:
     def test_pending_completions_drain(self, batched_run):
         runtime, _, _ = batched_run
         for node in runtime.nodes.values():
-            assert node._pending_completions == {}
+            assert node._in_service == []
             assert node.batched is not None and node.batched.pending == 0

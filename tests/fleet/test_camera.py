@@ -32,12 +32,11 @@ class TestCameraFeed:
     def test_arrivals_are_monotonic_and_complete(self):
         spec = CameraSpec("cam", 32, 32, 10.0, 12, seed=5, start_time=0.5)
         feed = CameraFeed(spec)
-        arrivals = list(feed.arrivals())
-        assert len(arrivals) == 12
-        times = [t for t, _ in arrivals]
+        assert len(feed) == len(feed.stream) == 12
+        times = [feed.arrival_time(i) for i in range(len(feed))]
         assert times == sorted(times)
         assert times[0] == pytest.approx(0.5 + 0.1)
-        assert [f.index for _, f in arrivals] == list(range(12))
+        assert [f.index for f in feed.stream] == list(range(12))
 
     def test_stream_rendered_once(self):
         feed = CameraFeed(CameraSpec("cam", 32, 32, 10.0, 4, seed=1))

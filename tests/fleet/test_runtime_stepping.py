@@ -1,14 +1,17 @@
 """Incremental runtime execution: stepping, actuators, handoff, scaling."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.fleet import (
+    CameraReport,
     CameraSpec,
     DropPolicy,
     FleetConfig,
     FleetRuntime,
+    generate_fleet,
     resolution_scaled_schedule,
 )
 from repro.fleet.worker import default_schedule
@@ -140,9 +143,8 @@ class TestHandoff:
         moved = dst_report.cameras["cam001"]
         assert moved.frames_generated > 0
         # Blackout frames were charged as rejected on the destination.
-        blackout = sum(
-            1 for t, _ in handoff.feed.arrivals() if 1.0 < t < 1.25
-        )
+        feed = handoff.feed
+        blackout = sum(1.0 < feed.arrival_time(i) < 1.25 for i in range(len(feed)))
         assert moved.frames_rejected >= blackout
         assert (
             dst_report.frames_scored
@@ -221,6 +223,179 @@ class TestHandoff:
         assert (
             report.frames_scored + report.frames_dropped + report.frames_rejected
             == report.frames_generated
+        )
+
+
+def moving_camera(frame_rate=10.0, num_frames=30, seed=0):
+    return CameraSpec(
+        camera_id="cam000", width=48, height=32, frame_rate=frame_rate,
+        num_frames=num_frames, scenario="urban_day", seed=seed,
+    )
+
+
+def resident(camera_id, seed):
+    """A node's own slow camera, so a runtime can exist to be migrated to."""
+    return CameraSpec(
+        camera_id=camera_id, width=48, height=32, frame_rate=5.0,
+        num_frames=15, scenario="urban_day", seed=seed,
+    )
+
+
+def hand_over(nodes, moves, camera_id="cam000"):
+    """Advance every node to each move's time, then move the camera; run out the rest."""
+    for runtime in nodes.values():
+        runtime.start()
+    for now, source, destination, blackout in moves:
+        for runtime in nodes.values():
+            runtime.advance_until(now)
+        handoff = nodes[source].detach_camera(camera_id, now)
+        nodes[destination].attach_camera(handoff, now, resume_time=now + blackout)
+    for runtime in nodes.values():
+        runtime.advance_until(math.inf)
+    return {node_id: runtime.finalize() for node_id, runtime in nodes.items()}
+
+
+class TestHandoffCursor:
+    def test_redetach_inside_blackout_charges_each_frame_once(self):
+        """A camera moved on before its blackout ran out is not offered those frames again.
+
+        node1 charges the arrivals in (0.5, 1.0) as its blackout; detached
+        from node1 at 0.7, the handoff's cursor is already past them, so
+        node2 — resuming at 0.9 — neither charges 0.8 again nor serves 0.9.
+        """
+        spec = moving_camera(num_frames=20)
+        nodes = {
+            "node0": FleetRuntime([spec], config=FAST),
+            "node1": FleetRuntime([resident("res001", 1)], config=FAST),
+            "node2": FleetRuntime([resident("res002", 2)], config=FAST),
+        }
+        reports = hand_over(
+            nodes, [(0.5, "node0", "node1", 0.5), (0.7, "node1", "node2", 0.2)]
+        )
+        generated = {n: r.cameras["cam000"].frames_generated for n, r in reports.items()}
+        assert generated == {"node0": 5, "node1": 4, "node2": 11}
+        assert sum(generated.values()) == spec.num_frames
+        blackout = {
+            n: r.telemetry.get("frames.migration_blackout", 0) for n, r in reports.items()
+        }
+        assert blackout == {"node0": 0, "node1": 4, "node2": 0}
+        assert reports["node1"].cameras["cam000"].frames_rejected == 4
+        # node2 serves the feed from the frame node1 would have resumed at.
+        assert reports["node2"].cameras["cam000"].frames_scored == 11
+
+    def test_handoff_carries_the_cursor(self):
+        runtime = FleetRuntime([moving_camera()], config=FAST)
+        runtime.start()
+        runtime.advance_until(0.5)  # frames 0..4 arrive at 0.1 .. 0.5
+        handoff = runtime.detach_camera("cam000", 0.5)
+        assert handoff.next_frame == 5
+        runtime.attach_camera(handoff, 0.5, resume_time=1.0)  # 0.6 .. 0.9 blacked out
+        assert runtime.detach_camera("cam000", 0.5).next_frame == 9
+
+    def test_there_and_back_twice_matches_the_pinned_reports(self):
+        """The reports of PR 20's runtime on this schedule, field for field.
+
+        Every blackout runs out before the next move, so nothing here touches
+        the double charge the cursor removed: the numbers are the pre-cursor
+        runtime's (pre-seeded heap, ``id(frame)`` tables), pinned when the
+        event loop changed underneath them.
+        """
+        config = FleetConfig(
+            num_workers=1, queue_capacity=2, service_time_scale=0.5, max_in_flight=3
+        )
+        nodes = {
+            "node0": FleetRuntime(
+                [moving_camera(), replace(moving_camera(seed=1), camera_id="cam001")],
+                config=config,
+            ),
+            "node1": FleetRuntime([resident("cam002", 2)], config=config),
+        }
+        reports = hand_over(
+            nodes,
+            [
+                (0.5, "node0", "node1", 0.15),
+                (1.0, "node1", "node0", 0.25),
+                (1.5, "node0", "node1", 0.0),
+                (2.0, "node1", "node0", 0.35),
+            ],
+        )
+
+        def camera(camera_id, frame_rate=10.0, **tallies):
+            return CameraReport(camera_id, "urban_day", (48, 32), frame_rate, **tallies)
+
+        assert reports["node0"].cameras == {
+            "cam000": camera(
+                "cam000", frames_generated=20, frames_admitted=4, frames_rejected=16,
+                frames_scored=4, queue_high_water=2,
+                mean_queue_wait_seconds=0.3153446963333334,
+            ),
+            "cam001": camera(
+                "cam001", frames_generated=30, frames_admitted=13, frames_rejected=17,
+                frames_scored=13, matched_frames=13, events=1, queue_high_water=2,
+                mean_queue_wait_seconds=0.3317978996307698, uploaded_bits=15600.000000000002,
+            ),
+        }
+        assert reports["node1"].cameras == {
+            "cam002": camera(
+                "cam002", frame_rate=5.0, frames_generated=15, frames_admitted=15,
+                frames_scored=15, queue_high_water=2,
+                mean_queue_wait_seconds=0.28066171545777807,
+            ),
+            "cam000": camera(
+                "cam000", frames_generated=10, frames_admitted=2, frames_rejected=8,
+                frames_scored=2, queue_high_water=1,
+                mean_queue_wait_seconds=0.2422757570666666,
+            ),
+        }
+        totals = {
+            n: (r.frames_generated, r.frames_scored, r.frames_dropped, r.frames_rejected,
+                r.telemetry.get("frames.migration_blackout", 0), r.sim_duration)
+            for n, r in reports.items()
+        }
+        assert totals == {
+            "node0": (50, 17, 0, 33, 5, 3.434343935066668),
+            "node1": (25, 17, 0, 8, 1, 3.542068178000001),
+        }
+
+
+class TestHeap:
+    def test_start_schedules_one_arrival_per_camera(self):
+        fleet = generate_fleet(16, seed=0, duration_seconds=2.0)
+        runtime = FleetRuntime(fleet, config=FAST)
+        runtime.start()
+        assert len(runtime._heap) == len(fleet)
+        assert sorted(entry[3].camera_id for entry in runtime._heap) == sorted(
+            spec.camera_id for spec in fleet
+        )
+
+    def test_heap_never_outgrows_stints_and_frames_in_flight(self):
+        """At most one entry per stint (its next arrival, or its end-of-feed
+        marker once detached) plus one completion per frame in service."""
+        fleet = generate_fleet(16, seed=0, duration_seconds=2.0)
+        overloaded = FleetConfig(num_workers=2, queue_capacity=4, service_time_scale=0.5)
+        runtime = FleetRuntime(fleet, config=overloaded)
+        runtime.start()
+        moved = [spec.camera_id for spec in fleet[:3]]
+        handoffs = {}
+        step, now = 0, 0.0
+        while runtime.has_pending_events:
+            step, now = step + 1, (step + 1) * 0.05
+            runtime.advance_until(now)
+            if step == 10:
+                handoffs = {cid: runtime.detach_camera(cid, now) for cid in moved}
+            if step == 16:  # two of the three come back; the third stays away
+                for camera_id in moved[:2]:
+                    runtime.attach_camera(handoffs[camera_id], now, resume_time=now + 0.1)
+            stints = runtime._states.values()
+            markers = sum(s.detached_at is not None for s in stints)
+            bound = len(runtime.hosted_cameras()) + markers + len(runtime._in_service)
+            assert len(runtime._heap) <= bound, (now, len(runtime._heap), bound)
+        report = runtime.finalize()
+        # The camera that stayed away took the rest of its feed with it.
+        away = handoffs[moved[2]]
+        assert away.next_frame < len(away.feed)
+        assert report.frames_generated == sum(spec.num_frames for spec in fleet) - (
+            len(away.feed) - away.next_frame
         )
 
 

@@ -40,20 +40,17 @@ configs = st.builds(
 )
 
 
-def due(moves, num_cameras):
-    """Name each move's camera and keep the moves a controller could make.
+def named(moves, num_cameras):
+    """Each move's camera by name, in tick order.
 
-    A camera is not moved again before its blackout has run out: the frames
-    of a blackout are charged when it begins, so cutting one short would
-    offer them a second time.  (The same tick is fine once the blackout is 0.)
+    Nothing is filtered out: a camera may be moved again before its blackout
+    has run out (even within the tick that began it) — the handoff's cursor is
+    already past the frames that blackout charged.
     """
-    kept, resumes_at = [], {}
-    for tick, index, blackout in sorted(moves, key=lambda move: move[0]):
-        camera_id, now = f"cam{index % num_cameras:03d}", (tick + 1) * INTERVAL
-        if now >= resumes_at.get(camera_id, 0.0):
-            kept.append((tick, camera_id, blackout))
-            resumes_at[camera_id] = now + blackout
-    return kept
+    return [
+        (tick, f"cam{index % num_cameras:03d}", blackout)
+        for tick, index, blackout in sorted(moves, key=lambda move: move[0])
+    ]
 
 
 def fleet(num_cameras):
@@ -157,10 +154,17 @@ COUNTED = (
     config=FleetConfig(num_workers=1, queue_capacity=2, service_time_scale=0.25),
     moves=[(1, 0, 0.1), (2, 0, 0.0), (4, 0, 0.0), (4, 0, 0.25)],
 )
+# cam000 is moved on one tick into a two-tick blackout, and back within the
+# tick that began the next one.
+@example(
+    num_cameras=2,
+    config=FleetConfig(num_workers=1, queue_capacity=2, service_time_scale=0.25),
+    moves=[(1, 0, 0.25), (2, 0, 0.25), (2, 0, 0.1)],
+)
 @settings(deadline=None)
 def test_frames_are_conserved_across_hosting_stints(num_cameras, config, moves):
     specs = fleet(num_cameras)
-    moves = due(moves, num_cameras)
+    moves = named(moves, num_cameras)
     nodes, reports, applied = run_by_hand(specs, config, moves)
 
     for node_id, report in reports.items():

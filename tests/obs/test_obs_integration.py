@@ -264,7 +264,8 @@ class TestMigrationObservability:
         )
         # Migration losses and the blackout both burn freshness.
         assert moved.fresh < moved.frames
-        blackout = sum(1 for t, _ in handoff.feed.arrivals() if 0.5 < t < 0.75)
+        feed = handoff.feed
+        blackout = sum(0.5 < feed.arrival_time(i) < 0.75 for i in range(len(feed)))
         assert blackout > 0
         assert dst_report.slo.camera("cam001").frames >= blackout
 
