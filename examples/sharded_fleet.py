@@ -13,8 +13,8 @@ under all three placement policies:
    every node holds a single shared base DNN.
 
 All three runs are deterministic and use an identically-sized shared
-datacenter uplink (a fresh SharedUplink per run, same ShardingConfig), so
-the cluster reports are directly comparable.
+datacenter uplink (a fresh statically sliced link per run, same
+ShardingConfig), so the cluster reports are directly comparable.
 
 Run:  python examples/sharded_fleet.py
 Environment overrides (used by the CI smoke step):

@@ -19,7 +19,6 @@ from repro.edge.uplink import (
     ConstrainedUplink,
     SharedTransfer,
     SharedTransferRequest,
-    SharedUplink,
     UplinkTransfer,
     WorkConservingUplink,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "PhasedSchedule",
     "SharedTransfer",
     "SharedTransferRequest",
-    "SharedUplink",
     "UplinkTransfer",
     "WorkConservingUplink",
     "build_phased_schedule",

@@ -6,25 +6,23 @@ such a link: every upload is throttled to the link capacity, transfers are
 serialized, and utilization over the stream duration is tracked so
 experiments can check whether a filtering strategy stays within budget.
 
-:class:`SharedUplink` extends the model to a *cluster*: several edge nodes
-share one datacenter link, and each node receives a static allocation (a
-slice of the total capacity) as its own :class:`ConstrainedUplink`.  Static
-slicing keeps every node's simulation independent and deterministic while
-the shared object accounts for aggregate utilization and backlog.
+:class:`WorkConservingUplink` extends the model to a *cluster*: several
+edge nodes share one datacenter link, each through its own port, and every
+node holds a weight.  A node's static guarantee is
+``capacity * weight / sum(all weights)``.  With ``reclaim=True`` the link is
+weighted generalized processor sharing (GPS): every backlogged node drains
+at ``capacity * weight / sum(weights of backlogged nodes)``, so capacity a
+node is not using flows to the nodes that need it, and the bits a node
+moves above its guarantee are tracked as
+:attr:`~WorkConservingUplink.reclaimed_bits`.  With ``reclaim=False`` every
+backlogged node drains at its guarantee whatever its neighbours do — static
+slicing, where each port behaves as a :class:`ConstrainedUplink` at its
+guarantee and nothing is reclaimed.  Either way the model is one
+deterministic fluid simulation over a globally time-ordered list of
+transfer requests from all nodes.
 
-:class:`WorkConservingUplink` replaces the static slices with weighted
-generalized processor sharing (GPS): every backlogged node drains at
-``capacity * weight / sum(weights of backlogged nodes)``, so capacity a node
-is not using flows to the nodes that need it.  Bits a node moves *above* its
-static guarantee (``capacity * weight / sum(all weights)``) are tracked as
-:attr:`~WorkConservingUplink.reclaimed_bits` — the quantity that would have
-sat idle under static slicing.  The model is a deterministic fluid
-simulation over a globally time-ordered list of transfer requests from all
-nodes, which is exactly the cross-node event ordering static slicing let the
-cluster avoid.
-
-Either way a node holds a *link port* (:class:`LinkPort`), and both shared
-links hand theirs out as ``links[node]``.
+A node holds a *link port* (:class:`LinkPort`): a standalone
+:class:`ConstrainedUplink`, or ``links[node]`` of a shared link.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "UplinkTransfer",
     "LinkPort",
     "ConstrainedUplink",
-    "SharedUplink",
     "SharedTransferRequest",
     "SharedTransfer",
     "WorkConservingUplink",
@@ -75,9 +72,9 @@ class UplinkTransfer(NamedTuple):
 class LinkPort(Protocol):
     """One node's end of a link: it submits uploads here and reads them back.
 
-    A :class:`ConstrainedUplink` (standalone, or a :class:`SharedUplink`
-    slice) serves each upload as it is submitted; a port of a
-    :class:`WorkConservingUplink` queues it for the link's one drain.
+    A standalone :class:`ConstrainedUplink` serves each upload as it is
+    submitted; a port of a :class:`WorkConservingUplink` queues it for the
+    link's one drain.
     """
 
     capacity_bps: float  # the node's guarantee
@@ -97,6 +94,11 @@ class LinkPort(Protocol):
 @dataclass
 class ConstrainedUplink:
     """A serial uplink with a fixed capacity in bits per second.
+
+    It is the link of a standalone node (a
+    :class:`~repro.fleet.runtime.FleetRuntime` built without a port, or an
+    :class:`~repro.edge.node.EdgeNode`), and the reference a statically
+    sliced port of :class:`WorkConservingUplink` is tested against.
 
     ``keep_transfers=False`` drops the per-transfer history while keeping
     every aggregate (total bits, busy-until, utilization, backlog) exact —
@@ -161,81 +163,6 @@ class ConstrainedUplink:
         self._total_bits = 0.0
 
 
-class SharedUplink:
-    """One datacenter link statically sliced among several edge nodes.
-
-    Each node calls :meth:`allocate` (or the constructor does, via
-    ``weights``) and receives a private :class:`ConstrainedUplink` whose
-    capacity is its share of the total.  Allocations may not oversubscribe
-    the link.  Aggregate accounting (:attr:`total_bits`,
-    :meth:`utilization`, :meth:`backlog_seconds`) sums over every slice.
-    """
-
-    def __init__(
-        self,
-        capacity_bps: float,
-        weights: Mapping[str, float] | Sequence[str] | None = None,
-    ) -> None:
-        if not 0 < capacity_bps < math.inf:  # written so that a NaN fails it, as below
-            raise ValueError("capacity_bps must be positive and finite")
-        self.capacity_bps = float(capacity_bps)
-        self.reclaimed_bits = 0.0  # slices never borrow each other's idle capacity
-        self._links: dict[str, ConstrainedUplink] = {}
-        self._allocated_bps = 0.0
-        if weights is not None:
-            if not isinstance(weights, Mapping):
-                weights = {name: 1.0 for name in weights}
-            total = sum(weights.values())
-            if not 0 < total < math.inf:
-                raise ValueError("allocation weights must sum to a positive, finite value")
-            for name, weight in weights.items():
-                self.allocate(name, self.capacity_bps * weight / total)
-
-    def allocate(self, name: str, bps: float) -> ConstrainedUplink:
-        """Carve ``bps`` of the link off for node ``name``."""
-        if name in self._links:
-            raise ValueError(f"Node {name!r} already holds an uplink allocation")
-        if not 0 < bps < math.inf:
-            raise ValueError("allocation must be positive and finite")
-        if self._allocated_bps + bps > self.capacity_bps * (1 + 1e-9):
-            raise ValueError(
-                f"Allocating {bps:g} bps for {name!r} oversubscribes the link "
-                f"({self._allocated_bps:g} of {self.capacity_bps:g} bps already allocated)"
-            )
-        link = ConstrainedUplink(bps)
-        self._links[name] = link
-        self._allocated_bps += bps
-        return link
-
-    @property
-    def links(self) -> dict[str, ConstrainedUplink]:
-        """Per-node allocations by name (insertion order preserved)."""
-        return dict(self._links)
-
-    @property
-    def allocated_bps(self) -> float:
-        """Capacity handed out so far."""
-        return self._allocated_bps
-
-    def drain(self) -> None:
-        """Nothing is pending: every slice served its uploads as they came."""
-
-    @property
-    def total_bits(self) -> float:
-        """Bits sent across all allocations."""
-        return sum(link.total_bits for link in self._links.values())
-
-    def utilization(self, duration: float) -> float:
-        """Fraction of the *whole* link consumed over ``duration`` seconds."""
-        return _utilization(self.total_bits, self.capacity_bps, duration)
-
-    def backlog_seconds(self, now: float) -> float:
-        """Worst per-node backlog: how far the most-behind slice lags ``now``."""
-        if not self._links:
-            return 0.0
-        return max(link.backlog_seconds(now) for link in self._links.values())
-
-
 @dataclass(frozen=True)
 class SharedTransferRequest:
     """One node's request to move ``bits`` through the shared link."""
@@ -255,7 +182,7 @@ class SharedTransferRequest:
 
 @dataclass(frozen=True)
 class SharedTransfer:
-    """One completed transfer through the work-conserving shared link."""
+    """One completed transfer through the shared link."""
 
     node_id: str
     description: str
@@ -274,14 +201,14 @@ class SharedTransfer:
 class _NodePort:
     """One node's end of a :class:`WorkConservingUplink`.
 
-    Stands where a :class:`ConstrainedUplink` slice would: :meth:`upload`
-    queues the transfer for the link's one :meth:`~WorkConservingUplink.drain`,
-    which fills in the read side; ``capacity_bps`` is the node's guarantee.
+    :meth:`upload` queues the transfer for the link's one
+    :meth:`~WorkConservingUplink.drain`, which fills in the read side;
+    ``capacity_bps`` is the node's guarantee.
     """
 
     node_id: str
     capacity_bps: float
-    _submitted: list[SharedTransferRequest]
+    _link: WorkConservingUplink = field(repr=False)
     total_bits: float = 0.0
     reclaimed_bits: float = 0.0
     busy_until: float = 0.0
@@ -289,7 +216,9 @@ class _NodePort:
 
     def upload(self, bits: float, available_at: float = 0.0, description: str = "upload") -> None:
         """Queue ``bits`` for the drain; there is no transfer until it has run."""
-        self._submitted.append(
+        if self._link._drained:
+            raise RuntimeError("cannot upload after drain(): the link will not run again")
+        self._link._submitted.append(
             SharedTransferRequest(self.node_id, bits, available_at, description)
         )
 
@@ -303,25 +232,35 @@ class _NodePort:
 
 
 class WorkConservingUplink:
-    """One datacenter link shared by weighted generalized processor sharing.
+    """One datacenter link shared by several edge nodes, each through a port.
 
-    Every node holds a *weight*; at any instant the backlogged nodes split
-    the link capacity in proportion to their weights, so a node whose
-    neighbours are idle drains at up to the full link rate.  Each node's
-    static guarantee is ``capacity * weight / sum(all weights)`` — what a
-    :class:`SharedUplink` slice would have given it — and every bit moved
-    above that rate counts toward :attr:`reclaimed_bits`.
+    Every node holds a *weight*; its static guarantee is
+    ``capacity * weight / sum(all weights)``.  With ``reclaim`` on (the
+    default) the backlogged nodes split the link capacity in proportion to
+    their weights at any instant — weighted generalized processor sharing —
+    so a node whose neighbours are idle drains at up to the full link rate,
+    and every bit moved above its guarantee counts toward
+    :attr:`reclaimed_bits`.  With ``reclaim`` off a backlogged node drains
+    at its guarantee whether its neighbours are backlogged or not: static
+    slicing, whose weights are fixed and whose :attr:`reclaimed_bits` stay 0.
 
-    The simulation is *post-hoc*: every node submits its transfers through
-    its port (:attr:`links`), the control plane's uplink actuator optionally
-    schedules weight updates via :meth:`schedule_weights`, and the cluster
-    calls :meth:`drain` once.  The fluid GPS replay is exact and
-    deterministic: sorted inputs, no randomness, no wall-clock reads.
+    The simulation is *post-hoc*: nodes submit their transfers through their
+    ports (:attr:`links`) or hand them to :meth:`drain`, the control plane's
+    uplink actuator optionally schedules weight updates via
+    :meth:`schedule_weights`, and the cluster calls :meth:`drain` once.  The
+    fluid replay is exact and deterministic: sorted inputs, no randomness,
+    no wall-clock reads.
+
+    Both modes are this one class, named for its default, and it defines
+    :meth:`drain` itself: the e2e benchmark's span table wraps
+    ``WorkConservingUplink.drain`` by name.
     """
 
     _EPS_BITS = 1e-9
 
-    def __init__(self, capacity_bps: float, weights: Mapping[str, float]) -> None:
+    def __init__(
+        self, capacity_bps: float, weights: Mapping[str, float], reclaim: bool = True
+    ) -> None:
         if not 0 < capacity_bps < math.inf:  # written so that a NaN fails it, as below
             raise ValueError("capacity_bps must be positive and finite")
         if not weights:
@@ -330,6 +269,7 @@ class WorkConservingUplink:
             if not 0 < weight < math.inf:
                 raise ValueError(f"weight for node {node_id!r} must be positive and finite")
         self.capacity_bps = float(capacity_bps)
+        self.reclaim = reclaim
         self._weights = {node_id: float(w) for node_id, w in weights.items()}
         self._weight_changes: list[tuple[float, int, dict[str, float]]] = []
         self._change_sequence = 0
@@ -339,7 +279,7 @@ class WorkConservingUplink:
         self._submitted: list[SharedTransferRequest] = []
         total = sum(self._weights.values())
         self._ports = {
-            node_id: _NodePort(node_id, self.capacity_bps * weight / total, self._submitted)
+            node_id: _NodePort(node_id, self.capacity_bps * weight / total, self)
             for node_id, weight in self._weights.items()
         }
 
@@ -356,21 +296,20 @@ class WorkConservingUplink:
 
     @property
     def links(self) -> dict[str, _NodePort]:
-        """Per-node ports by name, the counterpart of :attr:`SharedUplink.links`."""
+        """Per-node ports by name (insertion order preserved)."""
         return dict(self._ports)
-
-    def guaranteed_bps(self, node_id: str) -> float:
-        """A node's static-slice guarantee under the *initial* weights."""
-        return self._ports[node_id].capacity_bps
 
     def schedule_weights(self, at_time: float, weights: Mapping[str, float]) -> None:
         """Install new GPS weights from ``at_time`` onward (applied in replay).
 
         The node set must not change; weights must be positive.  Multiple
         updates at the same instant apply in scheduling order (last wins).
+        A statically sliced link (``reclaim=False``) refuses re-weighting.
         """
         if self._drained:
             raise RuntimeError("cannot schedule weights after drain()")
+        if not self.reclaim:
+            raise RuntimeError("a statically sliced link (reclaim=False) cannot be re-weighted")
         if not 0 <= at_time < math.inf:
             raise ValueError("at_time must be finite and non-negative")
         if set(weights) != set(self._weights):
@@ -391,11 +330,13 @@ class WorkConservingUplink:
         """Replay every request through the shared link; returns the transfers.
 
         ``requests`` join whatever the ports submitted.  Requests are served
-        FIFO per node and GPS-shared across nodes.  May only be called once.
+        FIFO per node in ``(available_at, description, bits)`` order and
+        shared across nodes by weight.  May only be called once, and a
+        request for an unknown node is refused before the link counts as
+        drained.
         """
         if self._drained:
             raise RuntimeError("drain() may only be called once")
-        self._drained = True
         reqs = sorted(
             [*self._submitted, *requests],
             key=lambda r: (r.available_at, r.node_id, r.description, r.bits),
@@ -403,6 +344,7 @@ class WorkConservingUplink:
         for req in reqs:
             if req.node_id not in self._weights:
                 raise ValueError(f"Unknown node {req.node_id!r} in transfer request")
+        self._drained = True
         changes = sorted(self._weight_changes, key=lambda c: (c[0], c[1]))
         queues: dict[str, deque[SharedTransferRequest]] = {
             node_id: deque() for node_id in self._weights
@@ -410,6 +352,7 @@ class WorkConservingUplink:
         remaining: dict[str, float] = {}
         started: dict[str, float] = {}
         weights = dict(self._weights)
+        all_weight = sum(weights.values())
         capacity = self.capacity_bps
         results: list[SharedTransfer] = []
         i = 0  # next request to enqueue
@@ -455,7 +398,9 @@ class WorkConservingUplink:
                     t = max(t, reqs[i].available_at)
                     continue
                 break
-            active_weight = sum(weights[n] for n in active)
+            # Reclaim off: every node is charged the whole weight sum, idle
+            # neighbours included, so it drains at exactly its guarantee.
+            active_weight = sum(weights[n] for n in active) if self.reclaim else all_weight
             t_arrival = reqs[i].available_at if i < len(reqs) else math.inf
             t_change = changes[ci][0] if ci < len(changes) else math.inf
             t_complete = min(
@@ -495,14 +440,6 @@ class WorkConservingUplink:
         """Bits moved across all nodes."""
         return sum(port.total_bits for port in self._ports.values())
 
-    def node_bits(self, node_id: str) -> float:
-        """Bits node ``node_id`` moved through the link."""
-        return self._ports[node_id].total_bits
-
-    def node_reclaimed_bits(self, node_id: str) -> float:
-        """Bits ``node_id`` moved above its static guarantee."""
-        return self._ports[node_id].reclaimed_bits
-
     def utilization(self, duration: float) -> float:
         """Fraction of the whole link consumed over ``duration`` seconds."""
         return _utilization(self.total_bits, self.capacity_bps, duration)
@@ -510,7 +447,3 @@ class WorkConservingUplink:
     def backlog_seconds(self, now: float) -> float:
         """How far the most-behind node's last bit lags ``now``."""
         return max(port.backlog_seconds(now) for port in self._ports.values())
-
-    def node_backlog_seconds(self, node_id: str, now: float) -> float:
-        """How far one node's last bit lags ``now``."""
-        return self._ports[node_id].backlog_seconds(now)

@@ -233,11 +233,11 @@ class EventDeliveryPlane:
     def transfer_requests(self) -> list[SharedTransferRequest]:
         """Every attempt of every admitted record, as shared-uplink requests.
 
-        Event bytes ride the same link as frame uploads: the caller submits
-        each to its node's link port before the shared uplink drains, so
-        event delivery contends for — and waits behind — video.
+        Event bytes ride the same link as frame uploads: the caller hands
+        them to the shared uplink's drain, which time-orders them with every
+        node's video, so event delivery contends for the same capacity.
         """
-        requests = [
+        return [
             SharedTransferRequest(
                 node_id=publish.node_id,
                 bits=publish.entry.bits,
@@ -247,8 +247,6 @@ class EventDeliveryPlane:
             for publish in self._publishes
             for attempt, send_time in enumerate(publish.entry.send_times)
         ]
-        requests.sort(key=lambda r: (r.available_at, r.node_id, r.description))
-        return requests
 
     def node_ids(self) -> list[str]:
         """Attached nodes, in attach order."""

@@ -124,42 +124,13 @@ class RoundRobinPlacement(PlacementPolicy):
         return [cameras[n::num_nodes] for n in range(num_nodes)]
 
 
-class LoadAwarePlacement(PlacementPolicy):
-    """Greedy LPT bin-packing on the analytic per-camera cost estimate.
-
-    Cameras are sorted by :func:`estimate_camera_cost` descending and each is
-    assigned to the currently least-loaded node.  The classic LPT guarantee
-    applies: the spread between the heaviest and lightest node never exceeds
-    one camera's cost.
-    """
-
-    name = "load_aware"
-
-    def __init__(self, cost_fn: Callable[[CameraSpec], float] | None = None) -> None:
-        self.cost_fn = cost_fn or estimate_camera_cost
-
-    def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
-        shards: list[list[CameraSpec]] = [[] for _ in range(num_nodes)]
-        loads = [0.0] * num_nodes
-        costs = {spec.camera_id: self.cost_fn(spec) for spec in cameras}
-        # Ties broken by camera_id so equal-cost fleets still place deterministically.
-        ranked = sorted(cameras, key=lambda s: (-costs[s.camera_id], s.camera_id))
-        for spec in ranked:
-            target = min(range(num_nodes), key=lambda n: (loads[n], n))
-            shards[target].append(spec)
-            loads[target] += costs[spec.camera_id]
-        return shards
-
-    def node_loads(self, shards: Sequence[Sequence[CameraSpec]]) -> list[float]:
-        """Estimated aggregate load of each shard (for reports and tests)."""
-        return [sum(self.cost_fn(spec) for spec in shard) for shard in shards]
-
-
 class _GroupedPlacement(PlacementPolicy):
     """LPT on whole groups of cameras: locality first, then load.
 
     Groups are placed whole onto the least-loaded node, largest estimated
-    load first; a group is split only when a node would otherwise sit empty.
+    load first (ties broken by the group's first camera id, so equal-cost
+    fleets still place deterministically); a group is split only when a node
+    would otherwise sit empty.
     """
 
     def __init__(self, cost_fn: Callable[[CameraSpec], float] | None = None) -> None:
@@ -171,7 +142,7 @@ class _GroupedPlacement(PlacementPolicy):
             groups.setdefault(self._group_key(spec), []).append(spec)
         return list(groups.values())
 
-    def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
+    def _lpt(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
         costs = {spec.camera_id: self.cost_fn(spec) for spec in cameras}
         ranked = sorted(
             self._groups(cameras),
@@ -183,6 +154,10 @@ class _GroupedPlacement(PlacementPolicy):
             target = min(range(num_nodes), key=lambda n: (loads[n], n))
             shards[target].extend(group)
             loads[target] += sum(costs[s.camera_id] for s in group)
+        return shards
+
+    def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
+        shards = self._lpt(cameras, num_nodes)
         # Feed starved nodes from the camera-richest shard; the donated
         # cameras share one key, so each split fragments exactly one group.
         for target in range(num_nodes):
@@ -194,6 +169,30 @@ class _GroupedPlacement(PlacementPolicy):
                 shards[donor] = [s for s in shards[donor] if s not in moved]
                 shards[target].extend(moved)
         return shards
+
+
+class LoadAwarePlacement(_GroupedPlacement):
+    """Greedy LPT bin-packing on the analytic per-camera cost estimate.
+
+    Cameras are sorted by :func:`estimate_camera_cost` descending and each is
+    assigned to the currently least-loaded node: the grouped LPT pass with
+    one camera per group.  The classic LPT guarantee applies: the spread
+    between the heaviest and lightest node never exceeds one camera's cost.
+    No starved node is fed, so a degenerate cost function that piles every
+    camera onto one node is refused.
+    """
+
+    name = "load_aware"
+
+    def _group_key(self, spec: CameraSpec) -> str:
+        return spec.camera_id
+
+    def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
+        return self._lpt(cameras, num_nodes)
+
+    def node_loads(self, shards: Sequence[Sequence[CameraSpec]]) -> list[float]:
+        """Estimated aggregate load of each shard (for reports and tests)."""
+        return [sum(self.cost_fn(spec) for spec in shard) for shard in shards]
 
 
 class ResolutionAwarePlacement(_GroupedPlacement):

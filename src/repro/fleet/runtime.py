@@ -630,8 +630,8 @@ class FleetRuntime:
             telemetry=self.telemetry,
         )
         # An injected uplink is this node's port on a datacenter link it
-        # shares with other nodes (``links[node]`` of a SharedUplink or a
-        # WorkConservingUplink); its ``capacity_bps`` is the node's guarantee.
+        # shares with other nodes (``links[node]`` of a WorkConservingUplink);
+        # its ``capacity_bps`` is the node's guarantee.
         self.uplink = uplink if uplink is not None else ConstrainedUplink(
             self.config.uplink_capacity_bps
         )

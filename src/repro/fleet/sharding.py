@@ -9,19 +9,16 @@ boxes shares a camera fleet and a common datacenter uplink.
 :class:`~repro.fleet.placement.PlacementPolicy`, gives every node its own
 full runtime (bounded queues, admission control, worker pool, telemetry) and
 a port on one datacenter link, then runs each node on the same
-deterministic simulated clock.  Every byte — frame uploads when a node
-closes, then the event plane's publish attempts — is submitted through the
-node's port, the link drains once, and each node reads its port once for its
-report, over the cluster's duration.  What a port is depends on the regime:
-
-* ``static`` — a fixed slice of a :class:`~repro.edge.uplink.SharedUplink`
-  that serves each upload the moment it is submitted.  Nodes never interact,
-  so running them sequentially in node order is exact.
-* ``work_conserving`` — a port of a
-  :class:`~repro.edge.uplink.WorkConservingUplink` (weighted GPS) that queues
-  for the drain, which replays every node's transfers globally time-ordered:
-  idle per-node capacity flows to backlogged nodes, and the bits moved above
-  a node's static guarantee are reported as reclaimed.
+deterministic simulated clock.  The link is one
+:class:`~repro.edge.uplink.WorkConservingUplink`: a node submits its frame
+uploads to its port when it closes, the event plane's publish attempts join
+them at the link's one drain, which replays every node's transfers globally
+time-ordered, and each node reads its port once for its report, over the
+cluster's duration.  The two ``uplink_sharing`` regimes differ only in
+whether a backlogged node may borrow idle capacity: under
+``work_conserving`` it does (weighted GPS), and the bits moved above a
+node's static guarantee are reported as reclaimed; under ``static`` every
+node drains at its guarantee, so nodes never interact.
 
 All nodes advance in lockstep, and whatever fills the runtime's one control
 slot ticks at each interval boundary.  A :class:`~repro.control.loop.ControlLoop`
@@ -46,7 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.loop import ClusterActuator, ControlLoop, drive
-from repro.edge.uplink import SharedUplink, WorkConservingUplink
+from repro.edge.uplink import WorkConservingUplink
 from repro.fleet.accuracy import FleetAccuracy
 from repro.fleet.camera import CameraSpec, reject_duplicate_ids
 from repro.fleet.placement import (
@@ -379,9 +376,11 @@ class ShardedFleetRuntime:
         # load the placement actually considered.
         cost_fn = getattr(self.policy, "cost_fn", None) or estimate_camera_cost
         self._shard_costs = [sum(cost_fn(spec) for spec in shard) for shard in self.shards]
-        self._work_conserving = self.config.uplink_sharing == "work_conserving"
-        link = WorkConservingUplink if self._work_conserving else SharedUplink
-        self.shared_uplink = link(self.config.total_uplink_bps, self._allocation_weights())
+        self.shared_uplink = WorkConservingUplink(
+            self.config.total_uplink_bps,
+            self._allocation_weights(),
+            reclaim=self.config.uplink_sharing == "work_conserving",
+        )
         self._migrations: list[tuple[str, str, str]] = []  # (camera, source, destination)
         self.nodes: dict[str, FleetRuntime] = {}
         ports = self.shared_uplink.links
@@ -417,10 +416,10 @@ class ShardedFleetRuntime:
     # -- control-plane surface -----------------------------------------------
     def current_uplink_weights(self) -> dict[str, float] | None:
         """Latest GPS weights (None when the link is statically sliced)."""
-        return self.shared_uplink.scheduled_weights if self._work_conserving else None
+        return self.shared_uplink.scheduled_weights if self.shared_uplink.reclaim else None
 
     def uplink_guarantees(self) -> dict[str, float]:
-        """Per-node guaranteed uplink bps (static slice, or the GPS guarantee).
+        """Per-node guaranteed uplink bps: each port's share of the link.
 
         The observation surface of uplink-aware control: a node whose live
         estimated upload bits outrun ``guarantee * now`` is building backlog
@@ -429,11 +428,10 @@ class ShardedFleetRuntime:
         return {n: self.nodes[n].uplink.capacity_bps for n in self.node_ids}
 
     def set_uplink_weights(self, now: float, weights: dict[str, float]) -> None:
-        """Schedule new shared-uplink weights from ``now`` onward."""
-        if not self._work_conserving:
-            raise RuntimeError(
-                "uplink weights can only be adjusted under work-conserving sharing"
-            )
+        """Schedule new shared-uplink weights from ``now`` onward.
+
+        A statically sliced link refuses with a ``RuntimeError``.
+        """
         self.shared_uplink.schedule_weights(now, weights)
 
     def record_migration(self, camera_id: str, source: str, destination: str) -> None:
@@ -456,26 +454,16 @@ class ShardedFleetRuntime:
             self.control.timeline = self.timeline
         drive(self.control, self.nodes, ClusterActuator(self))
         sim_duration = max((self.nodes[n].close() for n in self.node_ids), default=0.0)
-        if self.event_plane is not None:
-            # Publish attempts ride the node's port like its frame uploads —
-            # same capacity, no free side channel.  A slice has already
-            # served the node's video, so event bytes queue behind it; the
-            # work-conserving drain time-orders both kinds together.
-            for request in self.event_plane.transfer_requests():
-                self.nodes[request.node_id].uplink.upload(
-                    request.bits, request.available_at, request.description
-                )
-        self.shared_uplink.drain()
-        if self.event_plane is not None:
+        if self.event_plane is None:
+            self.shared_uplink.drain()
+        else:
+            # Publish attempts share the node's capacity with its frame
+            # uploads — no free side channel — and the drain serves both
+            # kinds in availability order.
+            transfers = self.shared_uplink.drain(self.event_plane.transfer_requests())
             # Stamps delivery counters and the latency histogram into each
             # node's registry, ahead of the one snapshot finalize() takes.
-            self.event_plane.finalize(
-                {
-                    transfer.description: transfer.end_time
-                    for node_id in self.node_ids
-                    for transfer in self.nodes[node_id].uplink.transfers
-                }
-            )
+            self.event_plane.finalize({t.description: t.end_time for t in transfers})
         reports = {n: self.nodes[n].finalize(sim_duration) for n in self.node_ids}
         if self.event_plane is not None:
             for node_id, report in reports.items():

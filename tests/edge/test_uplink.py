@@ -8,7 +8,6 @@ from repro.edge.uplink import (
     ConstrainedUplink,
     LinkPort,
     SharedTransferRequest,
-    SharedUplink,
     WorkConservingUplink,
 )
 
@@ -75,51 +74,49 @@ class TestConstrainedUplink:
         assert uplink.transfers[0].description == "event 1"
 
 
-class TestSharedUplink:
-    def test_weighted_allocation(self):
-        shared = SharedUplink(1000.0, {"node0": 3.0, "node1": 1.0})
-        assert shared.links["node0"].capacity_bps == pytest.approx(750.0)
-        assert shared.links["node1"].capacity_bps == pytest.approx(250.0)
-        assert shared.allocated_bps == pytest.approx(1000.0)
+def static_link(capacity, weights):
+    """The shared link with reclaim off: every port is a fixed slice."""
+    return WorkConservingUplink(capacity, weights, reclaim=False)
 
-    def test_sequence_means_equal_split(self):
-        shared = SharedUplink(900.0, ["a", "b", "c"])
-        for link in shared.links.values():
-            assert link.capacity_bps == pytest.approx(300.0)
 
-    def test_manual_allocation_and_oversubscription(self):
-        shared = SharedUplink(1000.0)
-        shared.allocate("node0", 600.0)
-        with pytest.raises(ValueError, match="oversubscribes"):
-            shared.allocate("node1", 500.0)
-        shared.allocate("node1", 400.0)
-        with pytest.raises(ValueError, match="already holds"):
-            shared.allocate("node0", 1.0)
+class TestStaticSlices:
+    def test_weighted_split(self):
+        link = static_link(1000.0, {"node0": 3.0, "node1": 1.0})
+        assert link.links["node0"].capacity_bps == pytest.approx(750.0)
+        assert link.links["node1"].capacity_bps == pytest.approx(250.0)
+        assert sum(port.capacity_bps for port in link.links.values()) == pytest.approx(1000.0)
+
+    def test_equal_weights_split_evenly(self):
+        link = static_link(900.0, {"a": 1.0, "b": 1.0, "c": 1.0})
+        for port in link.links.values():
+            assert port.capacity_bps == pytest.approx(300.0)
 
     def test_aggregate_accounting(self):
-        shared = SharedUplink(1000.0, ["node0", "node1"])
-        shared.links["node0"].upload(500.0)  # 1s on a 500 bps slice
-        shared.links["node1"].upload(250.0)  # 0.5s
-        assert shared.total_bits == pytest.approx(750.0)
-        assert shared.utilization(duration=1.0) == pytest.approx(0.75)
-        assert shared.backlog_seconds(now=0.25) == pytest.approx(0.75)
+        link = static_link(1000.0, {"node0": 1.0, "node1": 1.0})
+        link.links["node0"].upload(500.0)  # 1s on a 500 bps slice
+        link.links["node1"].upload(250.0)  # 0.5s, and node0 does not speed up after
+        link.drain()
+        assert link.total_bits == pytest.approx(750.0)
+        assert link.utilization(duration=1.0) == pytest.approx(0.75)
+        assert link.backlog_seconds(now=0.25) == pytest.approx(0.75)
+        assert link.reclaimed_bits == 0.0
 
-    def test_empty_backlog_is_zero(self):
-        assert SharedUplink(100.0).backlog_seconds(now=1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SharedUplink(0.0)
-        with pytest.raises(ValueError):
-            SharedUplink(100.0, {"a": 0.0})
-        shared = SharedUplink(100.0)
-        with pytest.raises(ValueError):
-            shared.allocate("a", 0.0)
+    def test_idle_link_has_no_backlog(self):
+        link = static_link(100.0, {"a": 1.0})
+        link.drain()
+        assert link.backlog_seconds(now=1.0) == 0.0
 
     def test_empty_window_utilization_is_zero(self):
-        shared = SharedUplink(1000.0, ["node0"])
-        shared.links["node0"].upload(500.0)
-        assert shared.utilization(duration=0.0) == 0.0
+        link = static_link(1000.0, {"node0": 1.0})
+        link.links["node0"].upload(500.0)
+        link.drain()
+        assert link.utilization(duration=0.0) == 0.0
+
+    def test_slices_refuse_re_weighting(self):
+        link = static_link(100.0, {"a": 1.0, "b": 1.0})
+        with pytest.raises(RuntimeError, match="re-weighted"):
+            link.schedule_weights(0.0, {"a": 9.0, "b": 1.0})
+        assert link.scheduled_weights == {"a": 1.0, "b": 1.0}
 
 
 class TestWorkConservingUplink:
@@ -141,8 +138,8 @@ class TestWorkConservingUplink:
         assert transfer.end_time == pytest.approx(1.0)
         # Half the bits moved above the guarantee.
         assert link.reclaimed_bits == pytest.approx(50.0)
-        assert link.node_reclaimed_bits("a") == pytest.approx(50.0)
-        assert link.node_bits("a") == pytest.approx(100.0)
+        assert link.links["a"].reclaimed_bits == pytest.approx(50.0)
+        assert link.links["a"].total_bits == pytest.approx(100.0)
 
     def test_concurrent_nodes_split_by_weight(self):
         link = self.make_link(weights={"a": 3.0, "b": 1.0})
@@ -190,7 +187,7 @@ class TestWorkConservingUplink:
         assert transfer.start_time == pytest.approx(2.0)
         assert transfer.end_time == pytest.approx(3.0)
         assert link.backlog_seconds(now=2.5) == pytest.approx(0.5)
-        assert link.node_backlog_seconds("a", 2.5) == pytest.approx(0.5)
+        assert link.links["a"].backlog_seconds(2.5) == pytest.approx(0.5)
         assert link.utilization(duration=3.0) == pytest.approx(100.0 / 300.0)
 
     def test_scheduled_weight_change_shifts_rates(self):
@@ -207,10 +204,11 @@ class TestWorkConservingUplink:
         assert transfers["a"].end_time == pytest.approx(1.0 + 50.0 / 90.0, rel=1e-6)
         assert transfers["b"].end_time > transfers["a"].end_time
 
-    def test_guaranteed_bps_uses_initial_weights(self):
+    def test_port_guarantee_uses_initial_weights(self):
         link = self.make_link(weights={"a": 1.0, "b": 3.0})
-        assert link.guaranteed_bps("a") == pytest.approx(25.0)
-        assert link.guaranteed_bps("b") == pytest.approx(75.0)
+        link.schedule_weights(0.0, {"a": 1.0, "b": 1.0})
+        assert link.links["a"].capacity_bps == pytest.approx(25.0)
+        assert link.links["b"].capacity_bps == pytest.approx(75.0)
 
     def test_empty_window_utilization_is_zero(self):
         link = self.make_link()
@@ -239,6 +237,25 @@ class TestWorkConservingUplink:
             link.drain([])
         with pytest.raises(RuntimeError, match="after drain"):
             link.schedule_weights(0.0, {"a": 1.0, "b": 1.0})
+
+    def test_a_port_refuses_uploads_once_the_link_has_drained(self):
+        link = self.make_link()
+        link.links["a"].upload(100.0, 0.0, "early")
+        link.drain()
+        # The link will never run again, so a late upload would vanish.
+        with pytest.raises(RuntimeError, match="after drain"):
+            link.links["a"].upload(50.0, 1.0, "late")
+        assert link.total_bits == 100.0
+        assert [t.description for t in link.links["a"].transfers] == ["early"]
+
+    def test_an_unknown_node_leaves_the_link_drainable(self):
+        link = self.make_link()
+        link.links["a"].upload(100.0, 0.0, "a0")
+        with pytest.raises(ValueError, match="Unknown node"):
+            link.drain([self.request("zz", 1.0, 0.0)])
+        [transfer] = link.drain()
+        assert transfer.description == "a0"
+        assert transfer.end_time == pytest.approx(1.0)
 
     def test_drain_is_deterministic(self):
         def run():
@@ -271,7 +288,7 @@ port_requests = st.lists(
 
 class TestLinkPorts:
     @given(requests=port_requests)
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     def test_ports_conserve_bits_and_serve_each_node_fifo(self, requests):
         link = WorkConservingUplink(1000.0, {"a": 2.0, "b": 1.0, "c": 1.0})
         submitted = {node: [] for node in link.node_ids}
@@ -291,7 +308,7 @@ class TestLinkPorts:
         assert len(link.transfers) == len(requests)
 
     @given(requests=port_requests)
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     def test_a_one_node_link_is_a_constrained_uplink(self, requests):
         """A slice is GPS with nobody to share with."""
         link = WorkConservingUplink(1000.0, {"a": 1.0})
@@ -311,15 +328,38 @@ class TestLinkPorts:
             assert shared.end_time == pytest.approx(alone.end_time, abs=1e-9)
         assert port.backlog_seconds(5.0) == pytest.approx(serial.backlog_seconds(5.0), abs=1e-9)
 
+    @given(requests=port_requests)
+    @settings(deadline=None)
+    def test_a_static_port_is_a_constrained_uplink_at_its_guarantee(self, requests):
+        """With reclaim off a port never feels its neighbours, busy or idle."""
+        link = static_link(1000.0, {"a": 2.0, "b": 1.0, "c": 1.0})
+        alone = {node: ConstrainedUplink(port.capacity_bps) for node, port in link.links.items()}
+        for index, (node, bits, at) in enumerate(requests):
+            link.links[node].upload(bits, at, f"r{index:02d}")
+        for index, (node, bits, at) in sorted(enumerate(requests), key=lambda r: (r[1][2], r[0])):
+            alone[node].upload(bits, at, f"r{index:02d}")
+        link.drain()
+        assert link.reclaimed_bits == 0.0
+        for node, port in link.links.items():
+            serial = alone[node]
+            assert port.reclaimed_bits == 0.0
+            assert [t.description for t in port.transfers] == [
+                t.description for t in serial.transfers
+            ]
+            for shared, single in zip(port.transfers, serial.transfers):
+                assert shared.start_time == pytest.approx(single.start_time, abs=1e-9)
+                assert shared.end_time == pytest.approx(single.end_time, abs=1e-9)
+
     def test_every_port_is_a_link_port(self):
-        """The three things a node can be handed all satisfy the one protocol."""
+        """The things a node can be handed all satisfy the one protocol."""
         ports = [
             ConstrainedUplink(1000.0),
-            SharedUplink(1000.0, ["a"]).links["a"],
+            static_link(1000.0, {"a": 1.0}).links["a"],
             WorkConservingUplink(1000.0, {"a": 1.0}).links["a"],
         ]
         assert all(isinstance(port, LinkPort) for port in ports)
-        assert not isinstance(SharedUplink(1000.0), LinkPort)  # a link is not a port
+        link = WorkConservingUplink(1000.0, {"a": 1.0})
+        assert not isinstance(link, LinkPort)  # a link is not a port
 
 
 NOT_A_QUANTITY = [float("nan"), float("inf"), -1.0]
@@ -369,10 +409,8 @@ class TestNonFiniteInputsAreRefused:
 
     @pytest.mark.parametrize("value", NOT_A_QUANTITY + [0.0])
     def test_links_refuse_bad_capacities_and_weights(self, value):
-        for link_type in (WorkConservingUplink, SharedUplink):
+        for reclaim in (True, False):
             with pytest.raises(ValueError):
-                link_type(value, {"a": 1.0})
+                WorkConservingUplink(value, {"a": 1.0}, reclaim=reclaim)
             with pytest.raises(ValueError):
-                link_type(100.0, {"a": 1.0, "b": value})
-        with pytest.raises(ValueError):
-            SharedUplink(100.0).allocate("a", value)
+                WorkConservingUplink(100.0, {"a": 1.0, "b": value}, reclaim=reclaim)

@@ -185,10 +185,18 @@ class TestShardedFleetRuntime:
         )
         guarantees = conserving.uplink_guarantees()
         assert guarantees == {
-            node_id: conserving.shared_uplink.guaranteed_bps(node_id)
+            node_id: conserving.shared_uplink.links[node_id].capacity_bps
             for node_id in conserving.node_ids
         }
         assert sum(guarantees.values()) == pytest.approx(10_000.0)
+
+    def test_a_static_cluster_refuses_re_weighting(self):
+        runtime = ShardedFleetRuntime(
+            small_fleet(), config=ShardingConfig(num_nodes=2, node_config=FAST_NODE)
+        )
+        assert runtime.current_uplink_weights() is None
+        with pytest.raises(RuntimeError):
+            runtime.set_uplink_weights(0.0, {"node0": 2.0, "node1": 1.0})
 
 
 class TestPlacementUnderSkew:
@@ -363,6 +371,22 @@ class TestOneUploadPath:
         assert report.total_uplink_bits == pytest.approx(
             sum(runtime.nodes[n].uplink.total_bits for n in runtime.node_ids)
         )
+
+    def test_a_static_slice_serves_event_attempts_in_availability_order(self):
+        """An attempt available before a frame upload is not queued behind it."""
+        runtime = one_path_cluster("static", with_events=True)
+        runtime.run()
+        overtaken = 0
+        for node_id in runtime.node_ids:
+            transfers = runtime.nodes[node_id].uplink.transfers
+            attempts = [t for t in transfers if t.description.startswith("evt/")]
+            frames = [t for t in transfers if not t.description.startswith("evt/")]
+            for attempt in attempts:
+                for frame in frames:
+                    if attempt.available_at < frame.available_at:
+                        assert attempt.end_time <= frame.start_time
+                        overtaken += 1
+        assert overtaken > 0
 
     @pytest.mark.parametrize("with_events", (False, True))
     @pytest.mark.parametrize("sharing", SHARING_MODES)
