@@ -31,8 +31,8 @@ journal and actuators of :mod:`repro.control.loop`,
 :class:`HierarchicalControlPlane` wires the two levels to a sharded
 cluster runtime: per-interval cluster coordination exchanges exactly one
 aggregate per node upstream and one uplink guarantee per node downstream —
-O(nodes), asserted in ``tests/fleet/test_hierarchy_equivalence.py`` via
-:attr:`HierarchicalControlPlane.payload_bytes`.  Decision provenance is
+O(nodes), asserted by the kilocamera test in ``tests/control/test_hierarchy.py``
+via :attr:`HierarchicalControlPlane.payload_bytes`.  Decision provenance is
 stamped at both levels (``level="node"`` / ``level="cluster"``) into one
 globally ordered record stream, and the metrics timeline is scraped at
 both levels (per-node sources plus a fixed-size ``"cluster"`` rollup).

@@ -24,12 +24,7 @@ same inputs, bit-identical outputs.
 from repro.events.broker import AttemptOutcome, BrokerConfig, SimulatedBroker
 from repro.events.ingest import DatacenterIngest, IngestResult
 from repro.events.outbox import NodeOutbox, OutboxConfig, OutboxEntry
-from repro.events.plane import (
-    DeliveryConfig,
-    DeliveryReport,
-    EventDeliveryPlane,
-    nearest_rank_percentile,
-)
+from repro.events.plane import DeliveryConfig, DeliveryReport, EventDeliveryPlane
 
 __all__ = [
     "AttemptOutcome",
@@ -43,5 +38,4 @@ __all__ = [
     "OutboxConfig",
     "OutboxEntry",
     "SimulatedBroker",
-    "nearest_rank_percentile",
 ]

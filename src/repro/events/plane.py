@@ -40,7 +40,6 @@ __all__ = [
     "DeliveryConfig",
     "DeliveryReport",
     "EventDeliveryPlane",
-    "nearest_rank_percentile",
 ]
 
 # Final states a published record can end a run in (the delivery log's
@@ -64,15 +63,6 @@ TALLY_KEYS = (
     "duped",
     "ack_violations",
 )
-
-
-def nearest_rank_percentile(sorted_values: list[float], q: float) -> float:
-    """Exact nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
-    return nearest_rank(sorted_values, q)
 
 
 @dataclass(frozen=True)
@@ -354,8 +344,8 @@ class EventDeliveryPlane:
             retried=tally["retried"],
             duped=tally["duped"],
             ack_violations=tally["ack_violations"],
-            latency_p50=nearest_rank_percentile(latencies, 0.50),
-            latency_p99=nearest_rank_percentile(latencies, 0.99),
+            latency_p50=nearest_rank(latencies, 0.50),
+            latency_p99=nearest_rank(latencies, 0.99),
             # The consumer is a datacenter-side (cluster) resource; its lag
             # has no per-node decomposition.
             max_consumer_lag=self.ingest.max_consumer_lag if scope == "cluster" else 0.0,

@@ -18,7 +18,8 @@ from repro.video.stream import InMemoryVideoStream
 from repro.video.synthetic import SceneConfig, SurveillanceSceneGenerator
 
 # CI's coverage job runs the property tests deeper and reproducibly
-# (``--hypothesis-profile=ci``); tier-1 keeps hypothesis's default 100 examples.
+# (``--hypothesis-profile=ci``); tier-1 keeps hypothesis's default 100 examples,
+# and a few per entry of the oracle registry (tests/oracles).
 settings.register_profile("ci", derandomize=True, max_examples=500)
 
 

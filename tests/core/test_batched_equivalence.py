@@ -6,8 +6,8 @@ outputs, events, and upload accounting must be bit-identical
 (``np.array_equal``, never allclose) whether frames go through
 :meth:`BatchedScorer.score_tick` or one-at-a-time per-camera pushes — across
 randomized seeds, mixed resolutions, ragged batch tails, and live threshold
-drift.  The fleet-level composition is covered by
-``tests/fleet/test_batched_runtime.py``; this file pins the core mechanism.
+drift.  The fleet-level composition is the oracle registry's ``batched``
+entry (``tests/oracles``); this file pins the core mechanism.
 """
 
 import zlib

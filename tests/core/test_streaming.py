@@ -166,6 +166,39 @@ def three_mcs(tiny_extractor):
     ]
 
 
+def assert_matches_reference(extractor, mcs, stream, config):
+    """Streaming == the batch reference: probabilities to 1e-12, everything else exactly."""
+    pipeline = FilterForwardPipeline(extractor, mcs, config)
+    reference = reference_process(pipeline, stream)
+    session = StreamingPipeline(
+        extractor,
+        mcs,
+        config=config,
+        codec=pipeline.codec,
+        frame_rate=stream.frame_rate,
+        resolution=stream.resolution,
+    )
+    result = session.process_stream(stream)
+
+    assert result.num_frames == len(stream)
+    for name, (probabilities, decisions, smoothed, events, matched, encoded) in reference.items():
+        mc_result = result.per_mc[name]
+        np.testing.assert_allclose(mc_result.probabilities, probabilities, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(mc_result.decisions, decisions)
+        np.testing.assert_array_equal(mc_result.smoothed, smoothed)
+        assert mc_result.events == events
+        np.testing.assert_array_equal(mc_result.matched_frame_indices, matched)
+        if encoded is None:
+            assert mc_result.encoded is None
+        else:
+            got = [(f.index, f.bits) for f in mc_result.encoded.frames]
+            want = [(f.index, f.bits) for f in encoded.frames]
+            assert [i for i, _ in got] == [i for i, _ in want]
+            np.testing.assert_allclose(
+                [b for _, b in got], [b for _, b in want], rtol=0, atol=1e-9
+            )
+
+
 class TestStreamingPipelineEquivalence:
     @pytest.mark.parametrize(
         "seed,num_frames,batch_size,window,votes",
@@ -185,36 +218,31 @@ class TestStreamingPipelineEquivalence:
         arrays = [rng.random((32, 48, 3)).astype(np.float32) for _ in range(num_frames)]
         stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=15.0)
         config = PipelineConfig(batch_size=batch_size, smoothing_window=window, smoothing_votes=votes)
-        pipeline = FilterForwardPipeline(tiny_extractor, three_mcs, config)
-        reference = reference_process(pipeline, stream)
+        assert_matches_reference(tiny_extractor, three_mcs, stream, config)
 
-        session = StreamingPipeline(
-            tiny_extractor,
-            three_mcs,
-            config=config,
-            codec=pipeline.codec,
-            frame_rate=stream.frame_rate,
-            resolution=stream.resolution,
+    @pytest.mark.parametrize("seed", range(24))
+    def test_drawn_configurations_match_batch_reference(self, tiny_extractor, rng, seed):
+        """One MC per seed: drawn window, votes, batch size, architecture and threshold."""
+        draw = np.random.default_rng(2000 + seed)
+        window = int(draw.integers(1, 8))
+        config = PipelineConfig(
+            smoothing_window=window,
+            smoothing_votes=int(draw.integers(1, window + 1)),
+            batch_size=int(draw.integers(1, 7)),
         )
-        result = session.process_stream(stream)
-
-        assert result.num_frames == num_frames
-        for name, (probabilities, decisions, smoothed, events, matched, encoded) in reference.items():
-            mc_result = result.per_mc[name]
-            np.testing.assert_allclose(mc_result.probabilities, probabilities, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(mc_result.decisions, decisions)
-            np.testing.assert_array_equal(mc_result.smoothed, smoothed)
-            assert mc_result.events == events
-            np.testing.assert_array_equal(mc_result.matched_frame_indices, matched)
-            if encoded is None:
-                assert mc_result.encoded is None
-            else:
-                got = [(f.index, f.bits) for f in mc_result.encoded.frames]
-                want = [(f.index, f.bits) for f in encoded.frames]
-                assert [i for i, _ in got] == [i for i, _ in want]
-                np.testing.assert_allclose(
-                    [b for _, b in got], [b for _, b in want], rtol=0, atol=1e-9
-                )
+        architecture = ["localized", "full_frame", "windowed"][int(draw.integers(3))]
+        mc = build_microclassifier(
+            architecture,
+            MicroClassifierConfig(
+                f"sweep{seed}", "conv4_2/sep", threshold=float(draw.uniform(0.3, 0.7))
+            ),
+            tiny_extractor.layer_shape("conv4_2/sep"),
+            rng=np.random.default_rng(seed),
+            **({"window": 3} if architecture == "windowed" else {}),
+        )
+        arrays = [rng.random((32, 48, 3)).astype(np.float32) for _ in range(int(draw.integers(6, 14)))]
+        stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=10.0)
+        assert_matches_reference(tiny_extractor, [mc], stream, config)
 
     def test_batch_pipeline_delegates_identically(self, tiny_extractor, three_mcs, tiny_pipeline_stream):
         """FilterForwardPipeline.process_stream == explicit push/finish."""

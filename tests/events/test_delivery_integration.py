@@ -95,14 +95,6 @@ class TestShardedDelivery:
         assert event_bits > 0
         assert report.total_uplink_bits >= event_bits
 
-    def test_reruns_are_bit_identical(self, cluster):
-        runtime, _, plane = cluster
-        sharing = runtime.config.uplink_sharing
-        rerun_plane = EventDeliveryPlane(delivery_config())
-        _, rerun_report = run_cluster(sharing, rerun_plane)
-        assert plane.delivery_log_jsonl() == rerun_plane.delivery_log_jsonl()
-        assert rerun_report.delivery.to_dict() == plane.cluster_report.to_dict()
-
 
 class TestGoldenTraceSafety:
     def test_sinkless_run_has_no_delivery_counters(self):

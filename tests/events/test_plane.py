@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core.events import EventKey, EventRecord
-from repro.events import (
-    BrokerConfig,
-    DeliveryConfig,
-    EventDeliveryPlane,
-    OutboxConfig,
-    nearest_rank_percentile,
-)
+from repro.events import BrokerConfig, DeliveryConfig, EventDeliveryPlane, OutboxConfig
 from repro.events.plane import STATE_ACKED, STATE_DEAD_LETTER, STATE_DROPPED_OVERFLOW
 from repro.fleet.telemetry import TelemetryRegistry
 from repro.obs.slo import DeliverySLOConfig
@@ -43,23 +37,6 @@ def finalize_with_fixed_transport(plane, transport=0.01):
         for request in plane.transfer_requests()
     }
     return plane.finalize(end_times)
-
-
-class TestNearestRankPercentile:
-    def test_empty_is_zero(self):
-        assert nearest_rank_percentile([], 0.5) == 0.0
-
-    def test_exact_ranks(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert nearest_rank_percentile(values, 0.50) == 2.0
-        assert nearest_rank_percentile(values, 0.99) == 4.0
-        assert nearest_rank_percentile(values, 1.0) == 4.0
-
-    def test_invalid_q_raises(self):
-        with pytest.raises(ValueError):
-            nearest_rank_percentile([1.0], 0.0)
-        with pytest.raises(ValueError):
-            nearest_rank_percentile([1.0], 1.5)
 
 
 class TestAttachAndPublish:

@@ -138,6 +138,7 @@ class TestShardedObservability:
         report, tracer, timeline = _sharded_run(with_control=True)
         assert timeline.sources == ["control", "node0", "node1"]
         assert len(timeline) > 3
+        assert len(report.alerts) > 0
         assert report.slo is not None
         assert "slo: fresh" in report.summary()
         assert tracer.node_ids == ["node0", "node1"]
@@ -163,21 +164,6 @@ class TestShardedObservability:
         for trace in uploaded:
             assert trace.upload_start >= trace.completed_at
             assert abs(trace.unaccounted_seconds()) < 1e-9
-
-    def test_sharded_observability_is_deterministic(self):
-        first_report, first_tracer, first_timeline = _sharded_run(with_control=True)
-        second_report, second_tracer, second_timeline = _sharded_run(with_control=True)
-        assert first_tracer.chrome_trace_json() == second_tracer.chrome_trace_json()
-        assert first_timeline.to_jsonl() == second_timeline.to_jsonl()
-        assert first_timeline.to_prometheus() == second_timeline.to_prometheus()
-        assert first_report.slo.summary() == second_report.slo.summary()
-        assert (
-            profile_from_tracer(first_tracer).format_table()
-            == profile_from_tracer(second_tracer).format_table()
-        )
-        assert len(first_report.alerts) > 0
-        assert first_report.alerts.to_jsonl() == second_report.alerts.to_jsonl()
-        assert first_report.decision_records == second_report.decision_records
 
     def test_watching_controller_leaves_provenance_and_steers_nothing(self):
         # Watermarks no queue reaches: a decision is recorded per node per

@@ -1,0 +1,86 @@
+"""Conservation invariants every record of every entry must satisfy.
+
+Whatever the fleet, node config, control slot or handoff schedule: every
+frame is accounted for exactly once, a node's counters are the sums of its
+camera reports, a camera's report is the sum of its hosting stints, no frame
+is scored twice across stints, and every camera ends up hosted exactly once.
+"""
+
+from __future__ import annotations
+
+from repro.fleet.queues import DropPolicy
+
+from oracles.records import TALLIES
+
+COUNTED = (
+    "generated", "admitted", "dropped_oldest", "dropped_newest", "rejected", "blocked", "scored"
+)
+
+
+def assert_invariants(scenario, record) -> None:
+    generated = {spec.camera_id: 0 for spec in scenario.cameras}
+    scored_frames = {camera_id: [] for camera_id in generated}
+    hosted: list[str] = []
+    for node_id, node in record.nodes.items():
+        report, telemetry = node.report, node.report.telemetry
+        cameras = report.cameras.values()
+        for camera in cameras:
+            assert camera.frames_generated == (
+                camera.frames_scored + camera.frames_dropped + camera.frames_rejected
+            ), (node_id, camera)
+            generated[camera.camera_id] += camera.frames_generated
+        for name in COUNTED:
+            assert telemetry.get(f"frames.{name}", 0) == sum(
+                getattr(camera, f"frames_{name}") for camera in cameras
+            ), (node_id, name)
+        for name in ("generated", "scored", "dropped", "rejected"):
+            assert getattr(report, f"frames_{name}") == sum(
+                getattr(camera, f"frames_{name}") for camera in cameras
+            ), (node_id, name)
+        # One queue-wait and one service observation per scored frame.
+        for histogram in ("latency.queue_wait_seconds", "worker.service_seconds"):
+            assert telemetry.get(histogram, {"count": 0})["count"] == report.frames_scored
+        assert 0.0 <= report.drop_rate <= 1.0 and 0.0 < report.fairness_index <= 1.0
+        assert 0 <= report.starved_cameras <= report.num_cameras
+
+        # A camera's report is the field-wise sum of its stints on the node.
+        stints: dict[str, list[dict]] = {}
+        for stint in node.stints.values():
+            stints.setdefault(stint["camera_id"], []).append(stint)
+            scored_frames[stint["camera_id"]] += stint["scored_frames"]
+        assert list(stints) == list(report.cameras), node_id
+        for camera_id, tallies in stints.items():
+            camera = report.cameras[camera_id]
+            for name in TALLIES:
+                assert getattr(camera, name) == sum(t[name] for t in tallies), (camera_id, name)
+            assert camera.queue_high_water == max(t["queue_high_water"] for t in tallies)
+            waits = sum(t["wait_count"] for t in tallies)
+            assert waits == camera.frames_scored, camera_id
+            assert camera.mean_queue_wait_seconds == (
+                sum(t["wait_total"] for t in tallies) / waits if waits else 0.0
+            )
+        hosted += node.hosted
+
+    # Across handoffs no frame is offered twice or scored twice, none goes
+    # missing, and every camera ends up on exactly one node.
+    for spec in scenario.cameras:
+        assert generated[spec.camera_id] == spec.num_frames, spec.camera_id
+    for camera_id, frames in scored_frames.items():
+        assert len(frames) == len(set(frames)), camera_id
+    assert sorted(hosted) == sorted(generated)
+    migrations = sum(node.migrated_in for node in record.nodes.values())
+    assert migrations == sum(node.migrated_out for node in record.nodes.values())
+    assert record.cluster.get("migrations_performed", migrations) == migrations
+
+    # BLOCK loses no frame when nothing else sheds: backpressure stalls the source.
+    config = scenario.node
+    if (
+        config.drop_policy is DropPolicy.BLOCK
+        and config.max_in_flight is None
+        and config.per_camera_quota is None
+        and not migrations
+        and not record.cluster.get("control_log")
+    ):
+        for node in record.nodes.values():
+            assert node.report.frames_dropped == node.report.frames_rejected == 0
+            assert node.report.frames_scored == node.report.frames_generated

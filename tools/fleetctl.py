@@ -40,7 +40,7 @@ except ImportError:  # running from a checkout without an installed package
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.control.trace import explain_action, load_trace  # noqa: E402
-from repro.events import nearest_rank_percentile  # noqa: E402
+from repro.fleet.telemetry import nearest_rank  # noqa: E402
 from repro.obs.alerts import AlertEvent, AlertLog  # noqa: E402
 from repro.obs.incident import incident_reports  # noqa: E402
 
@@ -233,17 +233,17 @@ def cmd_events(out_dir: Path, worst: int) -> int:
         by_state[entry["state"]] = by_state.get(entry["state"], 0) + 1
     retries = sum(max(0, entry["attempts"] - 1) for entry in entries)
     duped = sum(entry["dup_suppressed"] for entry in entries)
-    latencies = [
+    latencies = sorted(
         entry["latency"] for entry in entries if entry["delivered_at"] is not None
-    ]
+    )
 
     states = ", ".join(f"{state}={count}" for state, count in sorted(by_state.items()))
     print(f"{len(entries)} event records: {states}")
     print(f"retries {retries} | duplicate deliveries suppressed {duped}")
     if latencies:
-        p50 = nearest_rank_percentile(latencies, 0.50)
-        p95 = nearest_rank_percentile(latencies, 0.95)
-        p99 = nearest_rank_percentile(latencies, 0.99)
+        p50 = nearest_rank(latencies, 0.50)
+        p95 = nearest_rank(latencies, 0.95)
+        p99 = nearest_rank(latencies, 0.99)
         print(
             f"delivery latency over {len(latencies)} delivered: "
             f"p50 {p50 * 1e3:.1f} ms | p95 {p95 * 1e3:.1f} ms | p99 {p99 * 1e3:.1f} ms"
