@@ -516,12 +516,8 @@ class TestHierarchicalControlPlane:
 def districted_cluster(num_cameras, node_config, pipeline_factory=None, **control):
     """A citywide 16-district fleet on 16 nodes, one simulated second."""
     fleet = generate_fleet(
-        num_cameras,
-        seed=11,
-        duration_seconds=1.0,
-        resolutions=((32, 32), (48, 32)),
-        frame_rates=(2.0, 4.0),
-        districts=16,
+        num_cameras, seed=11, duration_seconds=1.0, resolutions=((32, 32), (48, 32)),
+        frame_rates=(2.0, 4.0), districts=16,
     )
     config = ShardingConfig(
         num_nodes=16,

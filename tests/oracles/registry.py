@@ -1,8 +1,8 @@
 """The registry: one ``(name, reference, variant)`` entry per fleet-level equivalence.
 
 An entry names two runners of :mod:`oracles.records`, the scenarios it holds
-on (the one strategy, narrowed), the tolerances it declares with their
-reasons (none: bit-identical), pinned examples, and one planted
+on (the one strategy's dimensions, narrowed), the tolerances it declares
+with their reasons (none: bit-identical), pinned examples, and one planted
 :class:`Mutation` its comparator must catch.  docs/ARCHITECTURE.md says how
 to add one.
 """
@@ -17,7 +17,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 import pytest
-from hypothesis.strategies import SearchStrategy
 
 from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.loop import ClusterActuator
@@ -30,7 +29,7 @@ from repro.fleet.runtime import FleetConfig, FleetRuntime
 
 from oracles.compare import Tolerance, not_compared
 from oracles.records import run_bare, run_by_hand, run_cluster, run_stepped
-from oracles.scenarios import Scenario, fleet, scenarios
+from oracles.scenarios import Scenario, fleet
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class Entry:
     name: str
     reference: Callable
     variant: Callable
-    scenarios: SearchStrategy
+    dimensions: Mapping[str, tuple]  # narrows oracles.scenarios.DIMENSIONS
     mutation: Mutation
     tolerances: Mapping[str, Tolerance] = field(default_factory=dict)
     examples: tuple = ()  # pytest.param(scenario, id=...)
@@ -183,7 +182,7 @@ ENTRIES = {
     entry.name: entry
     for entry in (
         Entry(
-            "batched", per_camera, run_cluster, scenarios(),
+            "batched", per_camera, run_cluster, {},
             Mutation("BatchedScorer.prime hands a frame its batch neighbour's activations",
                      neighbour_activations, SMALL, "nodes.node0.stints.*.probabilities*"),
             examples=(
@@ -192,25 +191,25 @@ ENTRIES = {
             ),
         ),
         Entry(
-            "rerun", run_cluster, run_cluster, scenarios(),
+            "rerun", run_cluster, run_cluster, {},
             Mutation("every base DNN draws its weights from one generator that outlives the run",
                      shared_generator, IMBALANCED, "nodes.node0.report.cameras.*"),
             examples=(pytest.param(IMBALANCED, id="whole_control_plane"),),
         ),
         Entry(
-            "stepped", run_bare, run_stepped, scenarios(**BARE),
+            "stepped", run_bare, run_stepped, BARE,
             Mutation("advance_until drops an event due exactly at its bound",
                      skipped_boundary, SMALL, "nodes.node0.report.cameras.*.frames_generated"),
         ),
         Entry(
-            "one_node_cluster", run_bare, run_cluster, scenarios(**BARE),
+            "one_node_cluster", run_bare, run_cluster, BARE,
             Mutation("a cluster link slices its guarantees off 99 % of its capacity",
                      shaved_guarantee, SMALL, "nodes.node0.report.uplink_*"),
             tolerances={"cluster": NO_CLUSTER},
         ),
         Entry(
             "handoff", run_by_hand, run_cluster,
-            scenarios(**BARE | dict(num_nodes=(2,), control=("moves",), uplink_sharing=("static",))),
+            BARE | dict(num_nodes=(2,), control=("moves",), uplink_sharing=("static",)),
             Mutation("the control slot resumes a moved camera one frame past its handoff cursor",
                      resume_past_cursor, handoffs((1, 0.1)), "nodes.node1.report.cameras.*"),
             tolerances={
@@ -227,7 +226,7 @@ ENTRIES = {
         ),
         Entry(
             "hierarchy_rollup", partial(run_cluster, flat_rollup=True), run_cluster,
-            scenarios(control=("hierarchy",)),
+            dict(control=("hierarchy",)),
             Mutation("the scored-frames rollup gauge leaves the last node out",
                      rollup_one_node_short, replace(SMALL, num_nodes=2, control="hierarchy"),
                      "rollup.cluster.frames.scored"),

@@ -16,11 +16,15 @@ from repro.fleet.queues import DropPolicy
 from repro.fleet.runtime import FleetConfig
 from repro.obs.slo import SLOConfig
 
-# "moves": only the scenario's schedule acts; "flat": shedding, uplink
-# re-weighting and migration act too, in one ControlLoop.
-CONTROLS = ("none", "moves", "flat", "hierarchy")
-PLACEMENTS = ("round_robin", "load_aware", "resolution_aware")
-SHARING = ("static", "work_conserving")
+# The values each listed dimension of a scenario may take; an entry narrows
+# some.  Control "moves": only the scenario's schedule acts; "flat":
+# shedding, uplink re-weighting and migration act too, in one ControlLoop.
+DIMENSIONS = dict(
+    num_nodes=(1, 2), control=("none", "moves", "flat", "hierarchy"),
+    placement=("round_robin", "load_aware", "resolution_aware"),
+    uplink_sharing=("static", "work_conserving"), drop_policy=tuple(DropPolicy),
+    event_plane=(False, True), observe=(False, True),
+)
 OBSERVED_SLO = SLOConfig(objective=0.9, burn_window=8)
 
 
@@ -55,21 +59,14 @@ class Scenario:
 
 
 @st.composite
-def scenarios(
-    draw,
-    num_nodes=(1, 2),
-    control=CONTROLS,
-    placement=PLACEMENTS,
-    uplink_sharing=SHARING,
-    event_plane=(False, True),
-    observe=(False, True),
-) -> Scenario:
-    """Scenarios whose every listed dimension takes one of the given values."""
+def scenarios(draw, **narrowed) -> Scenario:
+    """Scenarios whose dimensions take their ``narrowed``, else :data:`DIMENSIONS`, values."""
+    dimensions = DIMENSIONS | narrowed
 
     def pick(values):
         return draw(st.sampled_from(values))
 
-    nodes, control, observe = pick(num_nodes), pick(control), pick(observe)
+    nodes, control, observe = (pick(dimensions[d]) for d in ("num_nodes", "control", "observe"))
     count = draw(st.integers(nodes, 4))
     cameras = tuple(
         CameraSpec(
@@ -97,22 +94,22 @@ def scenarios(
         node=FleetConfig(
             num_workers=draw(st.integers(1, 2)),
             queue_capacity=draw(st.integers(1, 3)),
-            drop_policy=pick(list(DropPolicy)),
+            drop_policy=pick(dimensions["drop_policy"]),
             max_in_flight=draw(st.none() | st.integers(1, 6)),
             per_camera_quota=draw(st.none() | st.integers(1, 3)),
             service_time_scale=pick([0.1, 0.5, 1.0]),
             slo=OBSERVED_SLO if observe else None,
         ),
         num_nodes=nodes,
-        placement=pick(placement),
-        uplink_sharing=pick(uplink_sharing),
+        placement=pick(dimensions["placement"]),
+        uplink_sharing=pick(dimensions["uplink_sharing"]),
         uplink_bps=pick([40_000.0, 2_000_000.0]),
         control=control,
         interval=pick([0.125, 0.25]),
         moves=schedule([0.0, 0.1, 0.25], 6 if scheduled and nodes > 1 else 0),
         drifts=schedule([0.35, 0.8], 2 if scheduled else 0),
         threshold=pick([0.05, 0.6]),
-        event_plane=pick(event_plane),
+        event_plane=pick(dimensions["event_plane"]),
         observe=observe,
     )
 

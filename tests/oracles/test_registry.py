@@ -1,20 +1,34 @@
 """Every registry entry over drawn scenarios and pinned examples, and its planted mutation."""
 
+import itertools
+import zlib
 from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given, seed, settings
 
 from oracles.compare import Tolerance, first_difference, not_compared
 from oracles.invariants import assert_invariants
 from oracles.records import run_cluster
 from oracles.registry import ENTRIES, IMBALANCED
+from oracles.scenarios import DIMENSIONS, scenarios
 
-# Tier-1 draws a few scenarios per entry; the derandomized ci profile
-# (tests/conftest.py) gives every entry its whole budget.
-EXAMPLES = settings.default.max_examples if settings.default.derandomize else 10
+# One test per (control, uplink sharing, drop policy) cell an entry allows,
+# each on a seed of its own.  An entry's ~10 draws (500 under the ci profile,
+# tests/conftest.py) spread over its cells, at least two a cell: hypothesis
+# draws the simplest scenario first.
+BUDGET = settings.default.max_examples if settings.default.derandomize else 10
+SPLIT = ("control", "uplink_sharing", "drop_policy")
+
+
+def cells():
+    for entry in ENTRIES.values():
+        cells = list(itertools.product(*((DIMENSIONS | entry.dimensions)[d] for d in SPLIT)))
+        for cell in cells:
+            narrowed = entry.dimensions | {d: (value,) for d, value in zip(SPLIT, cell)}
+            cell_id = "-".join([entry.name, *(getattr(value, "value", value) for value in cell)])
+            yield pytest.param(entry, narrowed, max(2, -(-BUDGET // len(cells))), id=cell_id)
 
 
 def assert_equivalent(entry, scenario):
@@ -25,12 +39,15 @@ def assert_equivalent(entry, scenario):
     assert difference is None, f"{entry.name}: {difference}"
 
 
-@pytest.mark.parametrize("name", ENTRIES)
-@settings(max_examples=EXAMPLES, deadline=None)
-@given(data=st.data())
-def test_variant_matches_reference(name, data):
-    entry = ENTRIES[name]
-    assert_equivalent(entry, data.draw(entry.scenarios, label="scenario"))
+@pytest.mark.parametrize("entry, narrowed, examples", cells())
+def test_variant_matches_reference(entry, narrowed, examples, request):
+    @seed(zlib.crc32(request.node.callspec.id.encode()))
+    @settings(max_examples=examples, deadline=None)
+    @given(scenario=scenarios(**narrowed))
+    def check(scenario):
+        assert_equivalent(entry, scenario)
+
+    check()
 
 
 @pytest.mark.parametrize(
