@@ -41,6 +41,7 @@ from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.model import Sequential
 
 __all__ = [
+    "ARCHITECTURES",
     "FullFrameObjectDetectorMC",
     "LocalizedBinaryClassifierMC",
     "WindowedLocalizedBinaryClassifierMC",
@@ -330,7 +331,7 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         return int(reduce_cost + head_cost)
 
 
-_ARCHITECTURES = {
+ARCHITECTURES = {
     "full_frame": FullFrameObjectDetectorMC,
     "localized": LocalizedBinaryClassifierMC,
     "windowed": WindowedLocalizedBinaryClassifierMC,
@@ -358,10 +359,10 @@ def build_microclassifier(
         Architecture-specific options (e.g. ``window=5``).
     """
     key = architecture.lower()
-    if key not in _ARCHITECTURES:
+    if key not in ARCHITECTURES:
         raise ValueError(
-            f"Unknown architecture {architecture!r}; expected one of {sorted(_ARCHITECTURES)}"
+            f"Unknown architecture {architecture!r}; expected one of {sorted(ARCHITECTURES)}"
         )
-    mc = _ARCHITECTURES[key](config, **kwargs)
+    mc = ARCHITECTURES[key](config, **kwargs)
     mc.build(tuple(input_shape), rng or np.random.default_rng(0))
     return mc

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.architectures import WindowedLocalizedBinaryClassifierMC
 from repro.core.events import Event
 from repro.core.microclassifier import MicroClassifier
 from repro.features.extractor import FeatureExtractor
@@ -199,18 +198,6 @@ class FilterForwardPipeline:
             for mc in self.microclassifiers:
                 per_mc[mc.name].append(mc_input_feature_map(mc, frame, activations))
         return {name: np.stack(maps, axis=0) for name, maps in per_mc.items()}
-
-    # -- scoring --------------------------------------------------------------
-    def _score(self, mc: MicroClassifier, feature_maps: np.ndarray) -> np.ndarray:
-        """Per-frame probabilities for one MC over a consecutive frame batch."""
-        if isinstance(mc, WindowedLocalizedBinaryClassifierMC):
-            return mc.predict_proba_stream(feature_maps)
-        probabilities = np.empty(feature_maps.shape[0])
-        step = self.config.batch_size
-        for start in range(0, feature_maps.shape[0], step):
-            chunk = feature_maps[start : start + step]
-            probabilities[start : start + chunk.shape[0]] = mc.predict_proba_batch(chunk)
-        return probabilities
 
     # -- end-to-end -----------------------------------------------------------
     def streaming_session(

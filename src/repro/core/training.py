@@ -8,26 +8,43 @@ trainer covers them.
 
 Class imbalance matters: relevant events are rare, so the trainer supports
 positive-class weighting and balanced mini-batch sampling.
+
+The loop every offline caller runs around the trainer (paper §4.2, §4.5) is
+here once: :func:`score_classifier`, :func:`calibrate_threshold` and
+:func:`fit_and_calibrate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro.core.architectures import WindowedLocalizedBinaryClassifierMC
+from repro.core.smoothing import KVotingSmoother
+from repro.metrics.event_metrics import event_f1_score
 from repro.nn.layers import Parameter
 from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.optimizers import Adam, Optimizer
 
-__all__ = ["TrainableClassifier", "TrainingConfig", "TrainingHistory", "train_classifier"]
+__all__ = [
+    "TrainableClassifier",
+    "TrainingConfig",
+    "TrainingHistory",
+    "calibrate_threshold",
+    "fit_and_calibrate",
+    "score_classifier",
+    "train_classifier",
+]
 
 
 class TrainableClassifier(Protocol):
-    """Anything the trainer can optimize (microclassifiers, discrete classifiers)."""
+    """Anything the trainer can optimize and score (microclassifiers, discrete classifiers)."""
 
     def forward_logits(self, inputs: np.ndarray, training: bool) -> np.ndarray: ...
+
+    def predict_proba_batch(self, inputs: np.ndarray) -> np.ndarray: ...
 
     def backward(self, grad_logits: np.ndarray) -> None: ...
 
@@ -79,6 +96,10 @@ class TrainingHistory:
     def mean_loss(self) -> float:
         """Mean loss over all steps (NaN if no steps ran)."""
         return float(np.mean(self.losses)) if self.losses else float("nan")
+
+
+# Inputs per predict_proba_batch call in score_classifier (bounds peak memory).
+_SCORE_CHUNK = 32
 
 
 def _auto_positive_weight(labels: np.ndarray) -> float:
@@ -185,3 +206,79 @@ def train_classifier(
         if config.log_every and history.steps % config.log_every == 0:
             print(f"step {history.steps}: loss={loss:.4f}")
     return history
+
+
+def score_classifier(classifier: TrainableClassifier, inputs: np.ndarray) -> np.ndarray:
+    """Per-input probabilities of ``classifier`` over a stack of inputs.
+
+    A windowed microclassifier reads ``inputs`` as one consecutive stream
+    (each frame's window is its neighbours); every other classifier scores
+    chunks of 32 inputs through ``predict_proba_batch``.  BLAS specializes
+    by problem size, so another chunk size can move the last bit of a row.
+    """
+    if isinstance(classifier, WindowedLocalizedBinaryClassifierMC):
+        return classifier.predict_proba_stream(inputs)
+    probabilities = np.empty(inputs.shape[0])
+    for start in range(0, inputs.shape[0], _SCORE_CHUNK):
+        chunk = inputs[start : start + _SCORE_CHUNK]
+        probabilities[start : start + chunk.shape[0]] = classifier.predict_proba_batch(chunk)
+    return probabilities
+
+
+def calibrate_threshold(
+    probabilities: np.ndarray, labels: np.ndarray, smoother: KVotingSmoother, default: float
+) -> float:
+    """The decision threshold maximizing smoothed event F1 on a labelled split.
+
+    Candidates are 19 quantiles of ``probabilities`` clipped to
+    ``[0.02, 0.98]``; the first with the highest event F1 after K-vote
+    smoothing wins.  A split with zero positive frames gives the sweep no
+    signal: every candidate scores either F1 = 0.0 (it fires on something,
+    all false positives) or the degenerate 1.0 of an empty prediction against
+    empty truth, and the sweep would "win" with an arbitrary quantile — often
+    the lowest, a threshold that fires on everything live.  So ``default`` is
+    kept both on an all-negative split and whenever no candidate beats F1 = 0.
+    """
+    if not np.asarray(labels).any():
+        return default
+    candidates = np.unique(
+        np.clip(np.quantile(probabilities, np.linspace(0.05, 0.95, 19)), 0.02, 0.98)
+    )
+    best_threshold, best_f1 = default, 0.0
+    for candidate in candidates:
+        smoothed = smoother.smooth((probabilities >= candidate).astype(np.int8))
+        f1 = event_f1_score(labels, smoothed)
+        if f1 > best_f1:
+            best_threshold, best_f1 = float(candidate), f1
+    return best_threshold
+
+
+def fit_and_calibrate(
+    classifier: TrainableClassifier,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    config: TrainingConfig,
+    smoother: KVotingSmoother,
+    augment_flip: bool = False,
+    calibrate: bool = True,
+) -> tuple[TrainingHistory, np.ndarray]:
+    """Train ``classifier`` on a labelled split, then calibrate its threshold there.
+
+    ``augment_flip`` also trains on the horizontally mirrored inputs.  The
+    split is scored unaugmented with :func:`score_classifier`; with
+    ``calibrate`` the :func:`calibrate_threshold` result (defaulting to the
+    configured threshold) is written back into ``classifier.config``.
+    Returns the training history and the split's probabilities.
+    """
+    fit_inputs, fit_labels = inputs, labels
+    if augment_flip:
+        fit_inputs = np.concatenate([inputs, inputs[:, :, ::-1, :]], axis=0)
+        fit_labels = np.concatenate([labels, labels])
+    history = train_classifier(classifier, fit_inputs, fit_labels, config)
+    probabilities = score_classifier(classifier, inputs)
+    if calibrate:
+        threshold = calibrate_threshold(
+            probabilities, labels, smoother, default=classifier.config.threshold
+        )
+        classifier.config = replace(classifier.config, threshold=threshold)
+    return history, probabilities

@@ -14,16 +14,16 @@ data, while paper-scale costs are always reported through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.baselines.discrete_classifier import DiscreteClassifier, DiscreteClassifierConfig
-from repro.core.architectures import WindowedLocalizedBinaryClassifierMC, build_microclassifier
+from repro.core.architectures import build_microclassifier
 from repro.core.layer_selection import select_input_layer
-from repro.core.microclassifier import MicroClassifier, MicroClassifierConfig
+from repro.core.microclassifier import MicroClassifierConfig
 from repro.core.smoothing import KVotingSmoother
-from repro.core.training import TrainingConfig, train_classifier
+from repro.core.training import TrainingConfig, fit_and_calibrate, score_classifier
 from repro.features.base_dnn import build_mobilenet_like
 from repro.features.extractor import FeatureExtractor, FeatureMapCrop
 from repro.metrics.event_metrics import EventF1Breakdown, event_f1_score
@@ -161,56 +161,12 @@ class ExperimentContext:
             threshold=threshold,
         )
         train_maps = self.cropped_feature_maps(self.dataset.train_stream, layer, crop)
-        train_labels = self.dataset.train_labels.labels
-        input_shape = train_maps.shape[1:]
         mc = build_microclassifier(
-            architecture, config, input_shape, rng=np.random.default_rng(self.seed + 1), **mc_kwargs
+            architecture, config, train_maps.shape[1:], rng=np.random.default_rng(self.seed + 1), **mc_kwargs
         )
-        fit_maps, fit_labels = train_maps, train_labels
-        if augment_flip:
-            fit_maps = np.concatenate([train_maps, train_maps[:, :, ::-1, :]], axis=0)
-            fit_labels = np.concatenate([train_labels, train_labels])
-        training = training or TrainingConfig(
-            epochs=6.0, batch_size=16, learning_rate=2e-3, seed=self.seed
-        )
-        train_classifier(mc, fit_maps, fit_labels, training)
-        if calibrate_threshold:
-            train_probs = self._classifier_probabilities(mc, train_maps)
-            best = self._calibrate_threshold(train_probs, train_labels)
-            mc.config = replace(mc.config, threshold=best)
-        return self._evaluate_microclassifier(mc, architecture, layer, crop)
-
-    @staticmethod
-    def _classifier_probabilities(mc: MicroClassifier, feature_maps: np.ndarray) -> np.ndarray:
-        if isinstance(mc, WindowedLocalizedBinaryClassifierMC):
-            return mc.predict_proba_stream(feature_maps)
-        return ExperimentContext._batched_proba(mc.predict_proba_batch, feature_maps)
-
-    def _calibrate_threshold(self, probabilities: np.ndarray, labels: np.ndarray) -> float:
-        """Pick the decision threshold maximizing event F1 on a labelled split."""
-        candidates = np.unique(np.clip(np.quantile(probabilities, np.linspace(0.05, 0.95, 19)), 0.02, 0.98))
-        best_threshold, best_f1 = 0.5, -1.0
-        for candidate in candidates:
-            decisions = (probabilities >= candidate).astype(np.int8)
-            smoothed = self.smoother.smooth(decisions)
-            breakdown = event_f1_score(labels, smoothed, return_breakdown=True)
-            if breakdown.f1 > best_f1:
-                best_threshold, best_f1 = float(candidate), breakdown.f1
-        return best_threshold
-
-    def _evaluate_microclassifier(
-        self, mc: MicroClassifier, architecture: str, layer: str, crop: FeatureMapCrop | None
-    ) -> TrainedClassifier:
+        self._fit(mc, train_maps, training, augment_flip, calibrate_threshold)
         test_maps = self.cropped_feature_maps(self.dataset.test_stream, layer, crop)
-        probabilities = self._classifier_probabilities(mc, test_maps)
-        return self._score(
-            name=mc.name,
-            kind=f"microclassifier/{architecture}",
-            classifier=mc,
-            marginal_multiply_adds=mc.multiply_adds(),
-            probabilities=probabilities,
-            threshold=mc.config.threshold,
-        )
+        return self._evaluate(f"microclassifier/{architecture}", mc, test_maps)
 
     def train_discrete_classifier(
         self,
@@ -232,53 +188,32 @@ class ExperimentContext:
             x0, y0, x1, y1 = self.dataset.spec.crop
             train_pixels = train_pixels[:, y0:y1, x0:x1, :]
             test_pixels = test_pixels[:, y0:y1, x0:x1, :]
-        train_labels = self.dataset.train_labels.labels
         dc = DiscreteClassifier(config)
         dc.build(train_pixels.shape[1:], rng=np.random.default_rng(self.seed + 2))
-        fit_pixels, fit_labels = train_pixels, train_labels
-        if augment_flip:
-            fit_pixels = np.concatenate([train_pixels, train_pixels[:, :, ::-1, :]], axis=0)
-            fit_labels = np.concatenate([train_labels, train_labels])
-        training = training or TrainingConfig(
-            epochs=6.0, batch_size=16, learning_rate=2e-3, seed=self.seed
-        )
-        train_classifier(dc, fit_pixels, fit_labels, training)
-        threshold = config.threshold
-        if calibrate_threshold:
-            train_probs = self._batched_proba(dc.predict_proba_batch, train_pixels)
-            threshold = self._calibrate_threshold(train_probs, train_labels)
-            dc.config = replace(dc.config, threshold=threshold)
-        probabilities = self._batched_proba(dc.predict_proba_batch, test_pixels)
-        return self._score(
-            name=config.name,
-            kind="discrete_classifier",
-            classifier=dc,
-            marginal_multiply_adds=dc.multiply_adds(),
-            probabilities=probabilities,
-            threshold=threshold,
+        self._fit(dc, train_pixels, training, augment_flip, calibrate_threshold)
+        return self._evaluate("discrete_classifier", dc, test_pixels)
+
+    def _fit(
+        self, classifier, inputs: np.ndarray, training: TrainingConfig | None, augment_flip: bool, calibrate: bool
+    ) -> None:
+        """Train on the train split (6 epochs by default) and calibrate the threshold there."""
+        training = training or TrainingConfig(epochs=6.0, batch_size=16, learning_rate=2e-3, seed=self.seed)
+        labels = self.dataset.train_labels.labels
+        fit_and_calibrate(
+            classifier, inputs, labels, training, self.smoother, augment_flip=augment_flip, calibrate=calibrate
         )
 
     # -- evaluation ----------------------------------------------------------
-    def _score(
-        self,
-        name: str,
-        kind: str,
-        classifier: object,
-        marginal_multiply_adds: int,
-        probabilities: np.ndarray,
-        threshold: float,
-    ) -> TrainedClassifier:
-        decisions = (probabilities >= threshold).astype(np.int8)
-        smoothed = self.smoother.smooth(decisions)
-        breakdown = event_f1_score(
-            self.dataset.test_labels.labels, smoothed, return_breakdown=True
-        )
+    def _evaluate(self, kind: str, classifier, test_inputs: np.ndarray) -> TrainedClassifier:
+        """Score a trained classifier on the test split at its configured threshold."""
+        probabilities = score_classifier(classifier, test_inputs)
+        smoothed = self.smoother.smooth((probabilities >= classifier.config.threshold).astype(np.int8))
         return TrainedClassifier(
-            name=name,
+            name=classifier.name,
             kind=kind,
             classifier=classifier,
-            marginal_multiply_adds=int(marginal_multiply_adds),
-            breakdown=breakdown,
+            marginal_multiply_adds=int(classifier.multiply_adds()),
+            breakdown=event_f1_score(self.dataset.test_labels.labels, smoothed, return_breakdown=True),
             probabilities=probabilities,
             smoothed=smoothed,
         )
@@ -288,11 +223,3 @@ class ExperimentContext:
         decisions = (np.asarray(probabilities) >= threshold).astype(np.int8)
         smoothed = self.smoother.smooth(decisions)
         return event_f1_score(self.dataset.test_labels.labels, smoothed, return_breakdown=True)
-
-    @staticmethod
-    def _batched_proba(predict, inputs: np.ndarray, batch_size: int = 32) -> np.ndarray:
-        out = np.empty(inputs.shape[0])
-        for start in range(0, inputs.shape[0], batch_size):
-            chunk = inputs[start : start + batch_size]
-            out[start : start + chunk.shape[0]] = predict(chunk)
-        return out

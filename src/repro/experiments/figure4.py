@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.pipeline import mc_input_feature_map
+from repro.core.training import score_classifier
 from repro.experiments.common import ExperimentContext, TrainedClassifier
 from repro.metrics.bandwidth import bits_to_mbps
 from repro.video.codec import H264Simulator
-from repro.video.stream import InMemoryVideoStream
 
 __all__ = ["Figure4Point", "Figure4Result", "run_figure4", "summarize_figure4"]
 
@@ -128,27 +129,17 @@ def run_figure4(
     # Compress everything: degrade the whole stream at each bitrate, run the
     # *same trained MC* on the degraded video, and pay the full-stream bitrate.
     mc = trained.classifier
-    layer = mc.config.input_layer
-    crop = mc.config.crop
     compress_points: list[Figure4Point] = []
     for bitrate in compress_bitrates:
         degraded_frames, encoded = codec.transcode_stream(test_stream, bitrate)
-        degraded_stream = InMemoryVideoStream(degraded_frames, test_stream.frame_rate)
-        maps = []
-        for frame in degraded_stream:
-            activations = context.extractor.extract_pixels(frame.pixels)
-            feature_map = activations[layer]
-            if crop is not None:
-                y0, y1, x0, x1 = crop.to_feature_coords(
-                    (frame.height, frame.width), feature_map.shape[:2]
-                )
-                feature_map = feature_map[y0:y1, x0:x1, :]
-            maps.append(feature_map)
-        feature_maps = np.stack(maps, axis=0)
-        if hasattr(mc, "predict_proba_stream"):
-            probabilities = mc.predict_proba_stream(feature_maps)
-        else:
-            probabilities = ExperimentContext._batched_proba(mc.predict_proba_batch, feature_maps)
+        feature_maps = np.stack(
+            [
+                mc_input_feature_map(mc, frame, context.extractor.extract_pixels(frame.pixels))
+                for frame in degraded_frames
+            ],
+            axis=0,
+        )
+        probabilities = score_classifier(mc, feature_maps)
         breakdown = context.evaluate_predictions(probabilities, threshold=mc.config.threshold)
         compress_points.append(
             Figure4Point(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -65,8 +66,9 @@ def run_all(preset: str = "quick", seed: int = 0, verbose: bool = True) -> Repro
     report = ReproductionReport(preset=preset)
 
     def log(message: str) -> None:
+        # Progress goes to stderr so that stdout carries only the report.
         if verbose:
-            print(message, flush=True)
+            print(message, file=sys.stderr, flush=True)
 
     log("[table3] generating datasets ...")
     jackson_ctx, roadway_ctx = _make_contexts(preset, seed)

@@ -44,12 +44,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.architectures import build_microclassifier
+from repro.core.architectures import ARCHITECTURES, build_microclassifier
 from repro.core.microclassifier import MicroClassifier, MicroClassifierConfig
 from repro.core.pipeline import PipelineConfig
 from repro.core.smoothing import KVotingSmoother
 from repro.core.streaming import StreamingPipeline
-from repro.core.training import TrainingConfig, TrainingHistory, train_classifier
+from repro.core.training import TrainingConfig, TrainingHistory, fit_and_calibrate
 from repro.features.base_dnn import build_mobilenet_like
 from repro.features.extractor import FeatureExtractor
 from repro.fleet.camera import CameraFeed, CameraSpec
@@ -62,7 +62,6 @@ from repro.video.synthetic import (
 
 __all__ = [
     "ACCURACY_TASKS",
-    "TRAINABLE_ARCHITECTURES",
     "camera_seed_ladder",
     "predictions_from_result",
     "AccuracyConfig",
@@ -74,11 +73,6 @@ __all__ = [
 ]
 
 ACCURACY_TASKS = (TASK_PEDESTRIAN, TASK_PEOPLE_WITH_RED)
-
-# Architectures safe to train once and share across any number of pipeline
-# sessions: inference must be stateless.  The windowed MC buffers per-stream
-# reductions, so wiring it through the cache is a tracked follow-on.
-TRAINABLE_ARCHITECTURES = ("localized", "full_frame")
 
 # Rungs of the per-camera seed ladder; each purpose gets an independent,
 # reproducible stream so changing e.g. the training shuffle cannot silently
@@ -116,7 +110,7 @@ class AccuracyConfig:
     """
 
     task: str = TASK_PEDESTRIAN
-    architecture: str = "localized"  # one of TRAINABLE_ARCHITECTURES
+    architecture: str = "localized"  # a key of repro.core.architectures.ARCHITECTURES
     tap_layer: str = "conv2_2/sep"
     alpha: float = 0.125
     train_frames: int = 96
@@ -135,11 +129,10 @@ class AccuracyConfig:
     def __post_init__(self) -> None:
         if self.task not in ACCURACY_TASKS:
             raise ValueError(f"Unknown task {self.task!r}; expected one of {ACCURACY_TASKS}")
-        if self.architecture not in TRAINABLE_ARCHITECTURES:
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(
-                f"Unsupported architecture {self.architecture!r}; expected one of "
-                f"{TRAINABLE_ARCHITECTURES} (the windowed MC keeps per-stream state "
-                "and is not yet wired through the shared trained-model cache)"
+                f"Unknown architecture {self.architecture!r}; expected one of "
+                f"{sorted(ARCHITECTURES)}"
             )
         if self.train_frames < 8:
             raise ValueError("train_frames must be at least 8")
@@ -254,7 +247,8 @@ class TrainedMicroClassifiers:
             extractor.layer_shape(config.tap_layer),
             rng=np.random.default_rng(seeds["weights"]),
         )
-        history = train_classifier(
+        smoother = KVotingSmoother(config.smoothing_window, config.smoothing_votes)
+        history, probabilities = fit_and_calibrate(
             mc,
             maps,
             labels,
@@ -264,13 +258,10 @@ class TrainedMicroClassifiers:
                 learning_rate=config.learning_rate,
                 seed=seeds["training"],
             ),
+            smoother,
+            calibrate=config.calibrate_threshold,
         )
-        probabilities = mc.predict_proba_batch(maps)
-        threshold = config.threshold
-        if config.calibrate_threshold:
-            threshold = self._calibrate(probabilities, labels)
-            mc.config = replace(mc.config, threshold=threshold)
-        smoother = KVotingSmoother(config.smoothing_window, config.smoothing_votes)
+        threshold = mc.config.threshold
         smoothed = smoother.smooth((probabilities >= threshold).astype(np.int8))
         breakdown = event_f1_score(labels, smoothed, return_breakdown=True)
         return TrainedCameraModel(
@@ -283,42 +274,16 @@ class TrainedMicroClassifiers:
             seeds=seeds,
         )
 
-    def _calibrate(self, probabilities: np.ndarray, labels: np.ndarray) -> float:
-        """Pick the threshold maximizing event F1 on the training split.
-
-        A training clip with zero positive events gives calibration no
-        signal: every candidate scores either F1 = 0.0 (it fires on
-        something, all false positives) or the degenerate 1.0 of an empty
-        prediction against empty truth.  Either way the sweep would "win"
-        with an arbitrary quantile of the probability distribution — often
-        the lowest, an overly permissive threshold that fires on everything
-        live — so calibration keeps the configured threshold instead, both
-        for the explicit all-negative case and whenever no candidate beats
-        F1 = 0.
-        """
-        if not labels.any():
-            return self.config.threshold
-        smoother = KVotingSmoother(self.config.smoothing_window, self.config.smoothing_votes)
-        candidates = np.unique(
-            np.clip(np.quantile(probabilities, np.linspace(0.05, 0.95, 19)), 0.02, 0.98)
-        )
-        best_threshold, best_f1 = self.config.threshold, 0.0
-        for candidate in candidates:
-            smoothed = smoother.smooth((probabilities >= candidate).astype(np.int8))
-            f1 = event_f1_score(labels, smoothed)
-            if f1 > best_f1:
-                best_threshold, best_f1 = float(candidate), f1
-        return best_threshold
-
     # -- fleet integration ----------------------------------------------------
     def pipeline_factory(self):
         """A :class:`~repro.fleet.runtime.FleetRuntime` pipeline factory.
 
         Each camera gets a fresh :class:`StreamingPipeline` wrapping its
         cached trained microclassifier and a per-camera feature-map cache
-        over the shared per-resolution base DNN.  Localized and full-frame
-        MCs are stateless at inference time, so one trained model safely
-        backs any number of pipeline sessions (reruns, migration stints).
+        over the shared per-resolution base DNN.  Inference state (a
+        windowed MC's ring of reductions included) lives on the session, not
+        the MC, so one trained model safely backs any number of pipeline
+        sessions (reruns, migration stints).
         """
 
         def factory(spec: CameraSpec) -> StreamingPipeline:

@@ -19,6 +19,7 @@ from repro.core.microclassifier import MicroClassifierConfig
 from repro.core.pipeline import FilterForwardPipeline, PipelineConfig
 from repro.core.smoothing import KVotingSmoother, StreamingKVotingSmoother
 from repro.core.streaming import StreamingPipeline
+from repro.core.training import score_classifier
 from repro.features.extractor import FeatureExtractor, FeatureMapCrop
 from repro.nn.model import Sequential
 from repro.video.frame import Frame
@@ -130,7 +131,7 @@ def reference_process(pipeline, stream):
     reference = {}
     for mc in pipeline.microclassifiers:
         maps = feature_maps[mc.name]
-        probabilities = pipeline._score(mc, maps)
+        probabilities = score_classifier(mc, maps)
         decisions = (probabilities >= mc.config.threshold).astype(np.int8)
         detector = EventDetector(
             mc.name,

@@ -1,20 +1,29 @@
-"""Tests for the classifier trainer."""
+"""Tests for the classifier trainer and the shared score / calibrate / fit steps."""
 
 import numpy as np
 import pytest
 
-from repro.core.architectures import build_microclassifier
+from repro.baselines.discrete_classifier import DiscreteClassifier, DiscreteClassifierConfig
+from repro.core.architectures import ARCHITECTURES, build_microclassifier
 from repro.core.microclassifier import MicroClassifierConfig
-from repro.core.training import TrainingConfig, TrainingHistory, train_classifier
+from repro.core.smoothing import KVotingSmoother
+from repro.core.training import (
+    TrainingConfig,
+    TrainingHistory,
+    calibrate_threshold,
+    fit_and_calibrate,
+    score_classifier,
+    train_classifier,
+)
 from repro.nn.optimizers import SGD
 
 FEATURE_SHAPE = (3, 4, 6)
 
 
-def make_mc(seed=0):
+def make_mc(seed=0, architecture="localized"):
     cfg = MicroClassifierConfig("trainee", "conv4_2/sep")
     return build_microclassifier(
-        "localized", cfg, FEATURE_SHAPE, rng=np.random.default_rng(seed)
+        architecture, cfg, FEATURE_SHAPE, rng=np.random.default_rng(seed)
     )
 
 
@@ -107,3 +116,106 @@ class TestTrainClassifier:
         x, _ = make_dataset(n=16)
         history = train_classifier(mc, x, np.zeros(16), TrainingConfig(epochs=1, batch_size=8))
         assert history.steps > 0
+
+
+def make_dc():
+    dc = DiscreteClassifier(DiscreteClassifierConfig(name="dc", kernels=(16, 16), strides=(1, 1)))
+    dc.build(FEATURE_SHAPE, rng=np.random.default_rng(0))
+    return dc
+
+
+class TestScoreClassifier:
+    @pytest.mark.parametrize(
+        "make", [lambda: make_mc(architecture="full_frame"), make_mc, make_dc],
+        ids=["full_frame", "localized", "discrete"],
+    )
+    def test_scores_every_input_through_predict_proba_batch(self, make):
+        classifier = make()
+        x, _ = make_dataset(n=97)  # three full chunks and a ragged tail
+        np.testing.assert_allclose(
+            score_classifier(classifier, x), classifier.predict_proba_batch(x), rtol=0, atol=1e-12
+        )
+
+    def test_windowed_mc_scores_in_stream_order(self):
+        mc = make_mc(architecture="windowed")
+        x, _ = make_dataset(n=40)
+        assert score_classifier(mc, x).tobytes() == mc.predict_proba_stream(x).tobytes()
+        assert score_classifier(mc, x).tobytes() != mc.predict_proba_batch(x).tobytes()
+
+
+class TestCalibrateThreshold:
+    """An all-negative split must not calibrate a permissive threshold."""
+
+    SMOOTHER = KVotingSmoother(window=5, votes=2)
+
+    def test_zero_f1_sweep_keeps_the_configured_threshold(self):
+        # Every candidate quantile of these probabilities fires on some
+        # frames, and with all-negative labels each scores exactly F1 = 0;
+        # an unguarded sweep returns the lowest quantile (~0.61 here) purely
+        # because it was evaluated first.
+        probabilities = np.linspace(0.6, 0.9, 40)
+        labels = np.zeros(40, dtype=np.int8)
+        assert calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.5) == 0.5
+
+    def test_all_negative_labels_short_circuit(self):
+        # Probabilities driven near zero: high candidates would predict
+        # nothing and score the degenerate empty-vs-empty F1 = 1.0, winning
+        # with an arbitrary quantile.  No positives -> no signal -> keep.
+        probabilities = np.full(40, 0.01)
+        labels = np.zeros(40, dtype=np.int8)
+        assert calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.5) == 0.5
+
+    def test_no_candidate_beating_zero_keeps_the_default(self):
+        # One positive frame the classifier never ranks above a negative:
+        # labels carry signal, yet every candidate scores F1 = 0.
+        probabilities = np.linspace(0.9, 0.1, 40)
+        labels = np.zeros(40, dtype=np.int8)
+        labels[-1] = 1
+        assert calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.3) == 0.3
+
+    def test_positive_signal_picks_the_best_candidate(self):
+        labels = np.zeros(40, dtype=np.int8)
+        labels[10:20] = 1
+        probabilities = np.where(labels == 1, 0.8, 0.2)
+        threshold = calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.95)
+        assert 0.2 < threshold <= 0.8
+
+
+class TestFitAndCalibrate:
+    SMOOTHER = KVotingSmoother(window=5, votes=2)
+
+    def test_writes_the_calibrated_threshold_into_the_config(self):
+        mc = make_mc()
+        x, y = make_dataset(n=48)
+        config = TrainingConfig(epochs=2, batch_size=8, seed=0)
+        history, probabilities = fit_and_calibrate(mc, x, y, config, self.SMOOTHER)
+        assert history.steps > 0
+        assert probabilities.tobytes() == score_classifier(mc, x).tobytes()
+        assert mc.config.threshold == calibrate_threshold(probabilities, y, self.SMOOTHER, 0.5)
+
+    def test_without_calibration_the_threshold_stays(self):
+        mc = make_mc()
+        x, y = make_dataset(n=48)
+        fit_and_calibrate(mc, x, y, TrainingConfig(epochs=1, seed=0), self.SMOOTHER, calibrate=False)
+        assert mc.config.threshold == 0.5
+
+    def test_flip_augmentation_doubles_the_training_set(self):
+        x, y = make_dataset(n=48)
+        config = TrainingConfig(epochs=1, batch_size=8, balanced_sampling=False, seed=0)
+        plain, _ = fit_and_calibrate(make_mc(), x, y, config, self.SMOOTHER)
+        flipped, probabilities = fit_and_calibrate(
+            make_mc(), x, y, config, self.SMOOTHER, augment_flip=True
+        )
+        assert (plain.samples_seen, flipped.samples_seen) == (48, 96)
+        assert probabilities.shape == (48,)  # calibration scores the unaugmented split
+
+
+def test_every_registered_architecture_trains_and_scores():
+    x, y = make_dataset(n=24)
+    for architecture in ARCHITECTURES:
+        mc = make_mc(architecture=architecture)
+        _, probabilities = fit_and_calibrate(
+            mc, x, y, TrainingConfig(epochs=1, seed=0), KVotingSmoother()
+        )
+        assert probabilities.shape == (24,)
+        assert 0.0 < mc.config.threshold < 1.0

@@ -11,6 +11,7 @@ import pytest
 from repro.baselines.discrete_classifier import DiscreteClassifierConfig
 from repro.core.training import TrainingConfig
 from repro.experiments.common import ExperimentContext
+from repro.video.annotations import FrameLabels
 from repro.video.datasets import make_roadway_like
 
 FAST_TRAINING = TrainingConfig(epochs=2.0, batch_size=16, learning_rate=2e-3, seed=0)
@@ -77,6 +78,16 @@ class TestTrainingAndEvaluation:
             "localized", training=FAST_TRAINING, calibrate_threshold=True
         )
         assert 0.0 < result.classifier.config.threshold < 1.0
+
+    def test_all_negative_training_split_keeps_the_default_threshold(self, context, monkeypatch):
+        # No positive training frame gives calibration no signal: the sweep
+        # must not lock in an arbitrary quantile of the probabilities.
+        negatives = FrameLabels(np.zeros(len(context.dataset.train_stream), dtype=np.int8))
+        monkeypatch.setattr(context.dataset, "train_labels", negatives)
+        result = context.train_microclassifier(
+            "localized", training=TrainingConfig(epochs=0.25, seed=0), threshold=0.3
+        )
+        assert result.classifier.config.threshold == 0.3
 
     def test_evaluate_predictions_scores_against_test_labels(self, context):
         perfect = context.dataset.test_labels.labels.astype(float)

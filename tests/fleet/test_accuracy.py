@@ -4,9 +4,12 @@ Training is real but tiny (32x32 frames, short clips); one module-scoped
 trained cache is shared across tests so each camera trains exactly once.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.architectures import WindowedLocalizedBinaryClassifierMC
 from repro.fleet import (
     AccuracyConfig,
     CameraAccuracy,
@@ -106,11 +109,7 @@ class TestAccuracyConfig:
         with pytest.raises(ValueError, match="accuracy_task"):
             FleetConfig(accuracy_task="jaywalking")
 
-    def test_stateful_architecture_rejected(self):
-        # The windowed MC buffers per-stream state, so it cannot be shared
-        # across pipeline sessions yet; fail at construction, not mid-train.
-        with pytest.raises(ValueError, match="architecture"):
-            AccuracyConfig(architecture="windowed")
+    def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError, match="architecture"):
             AccuracyConfig(architecture="localised")
 
@@ -153,23 +152,6 @@ class TestTrainedCache:
 class TestCalibrationFallback:
     """An all-negative training clip must not calibrate a permissive threshold."""
 
-    def test_zero_f1_sweep_keeps_the_configured_threshold(self, models):
-        # Every candidate quantile of these probabilities fires on some
-        # frames, and with all-negative labels each scores exactly F1 = 0;
-        # the sweep used to return the lowest quantile (~0.61 here) purely
-        # because it was evaluated first.
-        probabilities = np.linspace(0.6, 0.9, 40)
-        labels = np.zeros(40, dtype=np.int8)
-        assert models._calibrate(probabilities, labels) == ACCURACY.threshold
-
-    def test_all_negative_labels_short_circuit(self, models):
-        # Probabilities driven near zero: high candidates would predict
-        # nothing and score the degenerate empty-vs-empty F1 = 1.0, winning
-        # with an arbitrary quantile.  No positives -> no signal -> keep.
-        probabilities = np.full(40, 0.01)
-        labels = np.zeros(40, dtype=np.int8)
-        assert models._calibrate(probabilities, labels) == ACCURACY.threshold
-
     def test_all_negative_training_clip_end_to_end(self):
         # event_rate_scale=0 spawns no pedestrians at all: the rendered
         # training clip is all-negative and calibration must fall back.
@@ -188,6 +170,42 @@ class TestCalibrationFallback:
         assert model.train_positive_frames == 0
         assert model.threshold == ACCURACY.threshold
         assert model.mc.config.threshold == ACCURACY.threshold
+
+
+class TestWindowedCameras:
+    """A windowed MC trains through the same cache: its window ring lives on the session."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        models = TrainedMicroClassifiers(replace(ACCURACY, architecture="windowed"))
+        cameras = tiny_fleet(2)
+        config = FleetConfig(num_workers=2, service_time_scale=0.01, accuracy_task=ACCURACY.task)
+
+        def run():
+            return FleetRuntime(
+                cameras, pipeline_factory=models.pipeline_factory(), config=config
+            ).run()
+
+        return models, cameras, run
+
+    def test_trains_windowed_mcs(self, setup):
+        models, cameras, _ = setup
+        for spec in cameras:
+            model = models.trained(spec)
+            assert isinstance(model.mc, WindowedLocalizedBinaryClassifierMC)
+            assert model.mc.config.threshold == model.threshold
+
+    def test_no_shed_run_equals_offline_and_reruns_bit_for_bit(self, setup):
+        models, cameras, run = setup
+        first, second = run(), run()
+        offline = evaluate_offline(cameras, models)
+        assert first.drop_rate == 0.0
+        assert first.accuracy.macro_f1 == offline.macro_f1
+        assert first.telemetry == second.telemetry
+        for camera_id, offline_camera in offline.cameras.items():
+            for report in (first, second):
+                camera = report.accuracy.cameras[camera_id]
+                assert np.array_equal(camera.predictions, offline_camera.predictions)
 
 
 class TestFleetAccuracyReport:
