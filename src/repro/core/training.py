@@ -260,15 +260,14 @@ def fit_and_calibrate(
     config: TrainingConfig,
     smoother: KVotingSmoother,
     augment_flip: bool = False,
-    calibrate: bool = True,
 ) -> tuple[TrainingHistory, np.ndarray]:
     """Train ``classifier`` on a labelled split, then calibrate its threshold there.
 
     ``augment_flip`` also trains on the horizontally mirrored inputs.  The
-    split is scored unaugmented with :func:`score_classifier`; with
-    ``calibrate`` the :func:`calibrate_threshold` result (defaulting to the
-    configured threshold) is written back into ``classifier.config``.
-    Returns the training history and the split's probabilities.
+    split is scored unaugmented with :func:`score_classifier`, and the
+    :func:`calibrate_threshold` result (defaulting to the configured
+    threshold) is written back into ``classifier.config``.  Returns the
+    training history and the split's probabilities.
     """
     fit_inputs, fit_labels = inputs, labels
     if augment_flip:
@@ -276,9 +275,8 @@ def fit_and_calibrate(
         fit_labels = np.concatenate([labels, labels])
     history = train_classifier(classifier, fit_inputs, fit_labels, config)
     probabilities = score_classifier(classifier, inputs)
-    if calibrate:
-        threshold = calibrate_threshold(
-            probabilities, labels, smoother, default=classifier.config.threshold
-        )
-        classifier.config = replace(classifier.config, threshold=threshold)
+    threshold = calibrate_threshold(
+        probabilities, labels, smoother, default=classifier.config.threshold
+    )
+    classifier.config = replace(classifier.config, threshold=threshold)
     return history, probabilities

@@ -15,6 +15,7 @@ data, while paper-scale costs are always reported through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from repro.core.architectures import build_microclassifier
 from repro.core.layer_selection import select_input_layer
 from repro.core.microclassifier import MicroClassifierConfig
 from repro.core.smoothing import KVotingSmoother
-from repro.core.training import TrainingConfig, fit_and_calibrate, score_classifier
+from repro.core.training import TrainableClassifier, TrainingConfig, fit_and_calibrate, score_classifier
 from repro.features.base_dnn import build_mobilenet_like
 from repro.features.extractor import FeatureExtractor, FeatureMapCrop
 from repro.metrics.event_metrics import EventF1Breakdown, event_f1_score
@@ -35,6 +36,9 @@ __all__ = ["TrainedClassifier", "ExperimentContext"]
 # Candidate tap layers offered to the layer-selection heuristic, ordered from
 # shallow (fine spatial detail) to deep (more semantic).
 _CANDIDATE_TAPS = ["conv2_1/sep", "conv2_2/sep", "conv3_2/sep", "conv4_2/sep", "conv5_6/sep"]
+
+# Training used when a caller passes none: six epochs on the train split.
+_DEFAULT_TRAINING = partial(TrainingConfig, epochs=6.0, batch_size=16, learning_rate=2e-3)
 
 
 @dataclass
@@ -141,7 +145,6 @@ class ExperimentContext:
         training: TrainingConfig | None = None,
         threshold: float = 0.5,
         augment_flip: bool = True,
-        calibrate_threshold: bool = True,
         **mc_kwargs,
     ) -> TrainedClassifier:
         """Train one microclassifier on the train split and evaluate it on the test split.
@@ -149,8 +152,8 @@ class ExperimentContext:
         ``augment_flip`` horizontally mirrors the training feature maps (the
         scenes are left/right symmetric for both tasks), which compensates
         for the scaled datasets containing far fewer training events than the
-        paper's six-hour videos.  ``calibrate_threshold`` picks the decision
-        threshold that maximizes event F1 on the *training* split.
+        paper's six-hour videos.  The decision threshold is the one that
+        maximizes event F1 on the *training* split.
         """
         layer = self.full_frame_tap if architecture == "full_frame" else self.localized_tap
         crop = self.crop() if (use_crop and architecture != "full_frame") else None
@@ -164,7 +167,14 @@ class ExperimentContext:
         mc = build_microclassifier(
             architecture, config, train_maps.shape[1:], rng=np.random.default_rng(self.seed + 1), **mc_kwargs
         )
-        self._fit(mc, train_maps, training, augment_flip, calibrate_threshold)
+        fit_and_calibrate(
+            mc,
+            train_maps,
+            self.dataset.train_labels.labels,
+            training or _DEFAULT_TRAINING(seed=self.seed),
+            self.smoother,
+            augment_flip=augment_flip,
+        )
         test_maps = self.cropped_feature_maps(self.dataset.test_stream, layer, crop)
         return self._evaluate(f"microclassifier/{architecture}", mc, test_maps)
 
@@ -174,11 +184,10 @@ class ExperimentContext:
         use_crop: bool = False,
         training: TrainingConfig | None = None,
         augment_flip: bool = True,
-        calibrate_threshold: bool = True,
     ) -> TrainedClassifier:
         """Train a NoScope-style discrete classifier on raw pixels.
 
-        The same augmentation and threshold-calibration options as
+        The same augmentation option and threshold calibration as
         :meth:`train_microclassifier` apply, so the MC/DC comparison in
         Figure 7 is apples to apples.
         """
@@ -190,21 +199,18 @@ class ExperimentContext:
             test_pixels = test_pixels[:, y0:y1, x0:x1, :]
         dc = DiscreteClassifier(config)
         dc.build(train_pixels.shape[1:], rng=np.random.default_rng(self.seed + 2))
-        self._fit(dc, train_pixels, training, augment_flip, calibrate_threshold)
+        fit_and_calibrate(
+            dc,
+            train_pixels,
+            self.dataset.train_labels.labels,
+            training or _DEFAULT_TRAINING(seed=self.seed),
+            self.smoother,
+            augment_flip=augment_flip,
+        )
         return self._evaluate("discrete_classifier", dc, test_pixels)
 
-    def _fit(
-        self, classifier, inputs: np.ndarray, training: TrainingConfig | None, augment_flip: bool, calibrate: bool
-    ) -> None:
-        """Train on the train split (6 epochs by default) and calibrate the threshold there."""
-        training = training or TrainingConfig(epochs=6.0, batch_size=16, learning_rate=2e-3, seed=self.seed)
-        labels = self.dataset.train_labels.labels
-        fit_and_calibrate(
-            classifier, inputs, labels, training, self.smoother, augment_flip=augment_flip, calibrate=calibrate
-        )
-
     # -- evaluation ----------------------------------------------------------
-    def _evaluate(self, kind: str, classifier, test_inputs: np.ndarray) -> TrainedClassifier:
+    def _evaluate(self, kind: str, classifier: TrainableClassifier, test_inputs: np.ndarray) -> TrainedClassifier:
         """Score a trained classifier on the test split at its configured threshold."""
         probabilities = score_classifier(classifier, test_inputs)
         smoothed = self.smoother.smooth((probabilities >= classifier.config.threshold).astype(np.int8))

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.architectures import ARCHITECTURES
 from repro.perf.throughput_model import ExecutionBreakdown, ThroughputModel
 
 __all__ = ["Figure6Result", "run_figure6", "PAPER_BREAKDOWN_COUNTS"]
 
 PAPER_BREAKDOWN_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 25, 30, 35, 40, 45, 50]
-
-_ARCHITECTURES = ("full_frame", "localized", "windowed")
 
 
 @dataclass
@@ -46,7 +45,7 @@ class Figure6Result:
 def run_figure6(
     model: ThroughputModel | None = None,
     classifier_counts: list[int] | None = None,
-    architectures: tuple[str, ...] = _ARCHITECTURES,
+    architectures: tuple[str, ...] = tuple(ARCHITECTURES),
 ) -> Figure6Result:
     """Compute the execution breakdown sweep for every architecture."""
     model = model or ThroughputModel()

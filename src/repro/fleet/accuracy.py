@@ -119,7 +119,6 @@ class AccuracyConfig:
     batch_size: int = 16
     learning_rate: float = 2e-3
     threshold: float = 0.5
-    calibrate_threshold: bool = True
     smoothing_window: int = 5
     smoothing_votes: int = 2
     pipeline_batch_size: int = 1
@@ -259,7 +258,6 @@ class TrainedMicroClassifiers:
                 seed=seeds["training"],
             ),
             smoother,
-            calibrate=config.calibrate_threshold,
         )
         threshold = mc.config.threshold
         smoothed = smoother.smooth((probabilities >= threshold).astype(np.int8))

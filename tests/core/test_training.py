@@ -193,12 +193,6 @@ class TestFitAndCalibrate:
         assert probabilities.tobytes() == score_classifier(mc, x).tobytes()
         assert mc.config.threshold == calibrate_threshold(probabilities, y, self.SMOOTHER, 0.5)
 
-    def test_without_calibration_the_threshold_stays(self):
-        mc = make_mc()
-        x, y = make_dataset(n=48)
-        fit_and_calibrate(mc, x, y, TrainingConfig(epochs=1, seed=0), self.SMOOTHER, calibrate=False)
-        assert mc.config.threshold == 0.5
-
     def test_flip_augmentation_doubles_the_training_set(self):
         x, y = make_dataset(n=48)
         config = TrainingConfig(epochs=1, batch_size=8, balanced_sampling=False, seed=0)

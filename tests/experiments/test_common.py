@@ -74,9 +74,7 @@ class TestTrainingAndEvaluation:
         assert result.marginal_multiply_adds > 0
 
     def test_threshold_calibration_changes_config(self, context):
-        result = context.train_microclassifier(
-            "localized", training=FAST_TRAINING, calibrate_threshold=True
-        )
+        result = context.train_microclassifier("localized", training=FAST_TRAINING)
         assert 0.0 < result.classifier.config.threshold < 1.0
 
     def test_all_negative_training_split_keeps_the_default_threshold(self, context, monkeypatch):
