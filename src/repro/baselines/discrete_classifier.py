@@ -81,9 +81,27 @@ class DiscreteClassifier:
 
     def __init__(self, config: DiscreteClassifierConfig) -> None:
         self.config = config
-        self.model: Sequential | None = None
         self.input_shape: tuple[int, int, int] | None = None
         self.built = False
+        name = config.name
+        conv_cls = SeparableConv2D if config.separable else Conv2D
+        layers = []
+        for i, (filters, stride) in enumerate(zip(config.kernels, config.strides)):
+            layers.append(
+                conv_cls(filters, config.kernel_size, stride=stride, name=f"{name}/conv{i}")
+            )
+            layers.append(ReLU(name=f"{name}/relu{i}"))
+            if i < config.pooling_layers:
+                layers.append(MaxPool2D(2, name=f"{name}/pool{i}"))
+        layers.extend(
+            [
+                Flatten(name=f"{name}/flatten"),
+                Dense(config.fc_units, name=f"{name}/fc1"),
+                ReLU(name=f"{name}/fc_relu"),
+                Dense(1, name=f"{name}/fc2"),
+            ]
+        )
+        self.model = Sequential(layers, name=name)
 
     @property
     def name(self) -> str:
@@ -91,27 +109,8 @@ class DiscreteClassifier:
         return self.config.name
 
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator | None = None) -> None:
-        """Build the CNN for raw-pixel inputs of ``input_shape`` (H, W, 3)."""
-        rng = rng or np.random.default_rng(0)
-        cfg = self.config
-        conv_cls = SeparableConv2D if cfg.separable else Conv2D
-        layers = []
-        for i, (filters, stride) in enumerate(zip(cfg.kernels, cfg.strides)):
-            layers.append(
-                conv_cls(filters, cfg.kernel_size, stride=stride, name=f"{cfg.name}/conv{i}")
-            )
-            layers.append(ReLU(name=f"{cfg.name}/relu{i}"))
-            if i < cfg.pooling_layers:
-                layers.append(MaxPool2D(2, name=f"{cfg.name}/pool{i}"))
-        layers.extend(
-            [
-                Flatten(name=f"{cfg.name}/flatten"),
-                Dense(cfg.fc_units, name=f"{cfg.name}/fc1"),
-                ReLU(name=f"{cfg.name}/fc_relu"),
-                Dense(1, name=f"{cfg.name}/fc2"),
-            ]
-        )
-        self.model = Sequential(layers, input_shape=input_shape, rng=rng, name=cfg.name)
+        """Allocate the weights for raw-pixel inputs of ``input_shape`` (H, W, 3)."""
+        self.model.build(input_shape, rng or np.random.default_rng(0))
         self.input_shape = tuple(input_shape)
         self.built = True
 
@@ -145,17 +144,19 @@ class DiscreteClassifier:
 
     def parameters(self) -> list[Parameter]:
         """All trainable parameters."""
-        return self.model.parameters() if self.model is not None else []
+        return self.model.parameters()
 
     # -- cost accounting ---------------------------------------------------------
     def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
-        """Multiply-adds for one frame — the DC's *total* cost (nothing is shared)."""
-        self._require_built()
+        """Multiply-adds for one frame — the DC's *total* cost (nothing is shared).
+
+        ``input_shape`` defaults to the built one; any shape can be asked, built or not.
+        """
         return self.model.multiply_adds(input_shape)
 
     def num_parameters(self) -> int:
         """Total scalar weights."""
-        return self.model.num_parameters() if self.model is not None else 0
+        return self.model.num_parameters()
 
 
 def discrete_classifier_pareto_configs() -> list[DiscreteClassifierConfig]:

@@ -15,8 +15,10 @@
   buffered, so the marginal per-frame cost stays low.
 
 The exact channel widths of the figure correspond to full-scale MobileNet
-feature maps; the constructors accept the actual (possibly width-scaled)
-input shape and keep the figure's filter counts by default.
+feature maps.  Each constructor lays out the layer graph with the figure's
+filter counts by default, so :meth:`multiply_adds` answers for any input
+shape (the paper-scale cost model asks at 1920x1080); ``build`` allocates the
+weights for the actual (possibly width-scaled) input shape.
 """
 
 from __future__ import annotations
@@ -52,9 +54,17 @@ _SIGMOID = SigmoidBinaryCrossEntropy._sigmoid
 
 
 class _SequentialMC(MicroClassifier):
-    """An architecture whose whole network is one :class:`Sequential` (Figures 2a and 2b)."""
+    """An architecture whose whole network is one :class:`Sequential` (Figures 2a and 2b).
 
-    model: Sequential | None = None
+    The constructor lays out ``model``, unbuilt; :meth:`build` allocates its weights.
+    """
+
+    model: Sequential
+
+    def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
+        self.model.build(input_shape, rng)
+        self.input_shape = tuple(input_shape)
+        self.built = True
 
     def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:
         self._require_built()
@@ -72,10 +82,9 @@ class _SequentialMC(MicroClassifier):
         self.model.backward(grad_logits)
 
     def parameters(self) -> list[Parameter]:
-        return self.model.parameters() if self.model is not None else []
+        return self.model.parameters()
 
     def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
-        self._require_built()
         return self.model.multiply_adds(input_shape)
 
 
@@ -99,17 +108,13 @@ class FullFrameObjectDetectorMC(_SequentialMC):
             raise ValueError("hidden_filters and num_hidden_layers must be positive")
         self.hidden_filters = int(hidden_filters)
         self.num_hidden_layers = int(num_hidden_layers)
-
-    def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         layers = []
         for i in range(self.num_hidden_layers):
             layers.append(Conv2D(self.hidden_filters, 1, name=f"{self.name}/conv1x1_{i}"))
             layers.append(ReLU(name=f"{self.name}/relu_{i}"))
         layers.append(Conv2D(1, 1, name=f"{self.name}/logit_conv"))
         layers.append(GlobalMaxPool(name=f"{self.name}/max"))
-        self.model = Sequential(layers, input_shape=input_shape, rng=rng, name=self.name)
-        self.input_shape = tuple(input_shape)
-        self.built = True
+        self.model = Sequential(layers, name=self.name)
 
     def predict_proba_batch(
         self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] | None = None
@@ -133,8 +138,6 @@ class LocalizedBinaryClassifierMC(_SequentialMC):
         self.first_depth = int(first_depth)
         self.second_depth = int(second_depth)
         self.fc_units = int(fc_units)
-
-    def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         layers = [
             SeparableConv2D(self.first_depth, 3, stride=1, name=f"{self.name}/sepconv1"),
             ReLU(name=f"{self.name}/relu1"),
@@ -145,9 +148,7 @@ class LocalizedBinaryClassifierMC(_SequentialMC):
             ReLU6(name=f"{self.name}/relu6"),
             Dense(1, name=f"{self.name}/fc2"),
         ]
-        self.model = Sequential(layers, input_shape=input_shape, rng=rng, name=self.name)
-        self.input_shape = tuple(input_shape)
-        self.built = True
+        self.model = Sequential(layers, name=self.name)
 
     def predict_proba_batch(
         self, feature_maps: np.ndarray, peers: Sequence[MicroClassifier] | None = None
@@ -184,16 +185,8 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         self.reduce_filters = int(reduce_filters)
         self.conv_filters = int(conv_filters)
         self.fc_units = int(fc_units)
-        self.reduce: Conv2D | None = None
-        self.reduce_relu: ReLU | None = None
-        self.head: Sequential | None = None
-
-    def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
-        h, w, c = input_shape
         self.reduce = Conv2D(self.reduce_filters, 1, name=f"{self.name}/reduce1x1")
-        self.reduce.build((h, w, c), rng)
         self.reduce_relu = ReLU(name=f"{self.name}/reduce_relu")
-        head_input = (h, w, self.reduce_filters * self.window)
         self.head = Sequential(
             [
                 Conv2D(self.conv_filters, 3, stride=1, name=f"{self.name}/conv1"),
@@ -205,10 +198,17 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
                 ReLU(name=f"{self.name}/fc_relu"),
                 Dense(1, name=f"{self.name}/fc2"),
             ],
-            input_shape=head_input,
-            rng=rng,
             name=f"{self.name}/head",
         )
+
+    def _head_input(self, input_shape: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The head's input for a feature map of ``input_shape``: ``window`` reductions deep."""
+        h, w, _ = input_shape
+        return (h, w, self.reduce_filters * self.window)
+
+    def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
+        self.reduce.build(tuple(input_shape), rng)
+        self.head.build(self._head_input(input_shape), rng)
         self.input_shape = tuple(input_shape)
         self.built = True
 
@@ -315,20 +315,14 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         self.reduce.backward(grad_reduced)
 
     def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        if self.reduce is not None:
-            params.extend(self.reduce.parameters())
-        if self.head is not None:
-            params.extend(self.head.parameters())
-        return params
+        return self.reduce.parameters() + self.head.parameters()
 
     def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
         """Marginal per-frame multiply-adds: one 1x1 reduction + one head pass."""
-        self._require_built()
         shape = tuple(input_shape) if input_shape is not None else self.input_shape
-        reduce_cost = self.reduce.multiply_adds(shape)
-        head_cost = self.head.multiply_adds()
-        return int(reduce_cost + head_cost)
+        if shape is None:
+            raise RuntimeError("Provide input_shape or build the model first")
+        return self.reduce.multiply_adds(shape) + self.head.multiply_adds(self._head_input(shape))
 
 
 ARCHITECTURES = {

@@ -159,7 +159,10 @@ class MicroClassifier(ABC):
     # -- cost accounting ---------------------------------------------------
     @abstractmethod
     def multiply_adds(self, input_shape: tuple[int, int, int] | None = None) -> int:
-        """Marginal multiply-adds this MC spends per frame (excludes base DNN)."""
+        """Marginal multiply-adds this MC spends per frame (excludes base DNN).
+
+        ``input_shape`` defaults to the built one; any shape can be asked, built or not.
+        """
 
     def num_parameters(self) -> int:
         """Total scalar weights in this MC."""

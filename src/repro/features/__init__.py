@@ -10,6 +10,7 @@ from repro.features.base_dnn import (
     FULL_SCALE_ALPHA,
     MOBILENET_BLOCKS,
     build_mobilenet_like,
+    mobilenet_graph,
     mobilenet_layer_shapes,
     mobilenet_multiply_adds,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "FeatureMapCrop",
     "MOBILENET_BLOCKS",
     "build_mobilenet_like",
+    "mobilenet_graph",
     "mobilenet_layer_shapes",
     "mobilenet_multiply_adds",
 ]

@@ -24,6 +24,8 @@ Layer naming follows the Caffe MobileNet the paper cites, so
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.nn.layers import (
@@ -40,6 +42,7 @@ __all__ = [
     "MOBILENET_BLOCKS",
     "FULL_SCALE_ALPHA",
     "build_mobilenet_like",
+    "mobilenet_graph",
     "mobilenet_layer_shapes",
     "mobilenet_multiply_adds",
 ]
@@ -75,6 +78,45 @@ def _scaled(channels: int, alpha: float) -> int:
     return max(4, int(round(channels * alpha)))
 
 
+def mobilenet_graph(
+    alpha: float = 0.25, num_classes: int = 0, include_head: bool = False
+) -> Sequential:
+    """The MobileNet-style layer graph, unbuilt: layers, no weights.
+
+    Shape and multiply-add queries (``layer_output_shapes(input_shape)``,
+    ``multiply_adds(input_shape)``) work on it at any input size, 1920x1080
+    included; :func:`build_mobilenet_like` allocates its weights.  ``alpha``
+    and the head options are as in :func:`build_mobilenet_like`.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    layers = [
+        Conv2D(_scaled(_FIRST_CONV_CHANNELS, alpha), 3, stride=2, name="conv1"),
+        ReLU(name="conv1/relu"),
+    ]
+    for block_name, stride, channels in MOBILENET_BLOCKS:
+        out_channels = _scaled(channels, alpha)
+        layers.extend(
+            [
+                DepthwiseConv2D(3, stride=stride, name=f"{block_name}/dw"),
+                ReLU(name=f"{block_name}/dw/relu"),
+                Conv2D(out_channels, 1, stride=1, name=f"{block_name}/sep/pw"),
+                ReLU(name=f"{block_name}/sep"),
+            ]
+        )
+    if include_head:
+        if num_classes <= 0:
+            raise ValueError("num_classes must be positive when include_head=True")
+        layers.extend(
+            [
+                GlobalAveragePool(name="pool6"),
+                Dense(num_classes, name="fc7"),
+                Softmax(name="prob"),
+            ]
+        )
+    return Sequential(layers, name=f"mobilenet_alpha{alpha}")
+
+
 def build_mobilenet_like(
     input_shape: tuple[int, int, int],
     alpha: float = 0.25,
@@ -106,83 +148,46 @@ def build_mobilenet_like(
     """
     if len(input_shape) != 3 or input_shape[2] != 3:
         raise ValueError(f"input_shape must be (H, W, 3); got {input_shape}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    rng = rng or np.random.default_rng(0)
-    layers = [
-        Conv2D(_scaled(_FIRST_CONV_CHANNELS, alpha), 3, stride=2, name="conv1"),
-        ReLU(name="conv1/relu"),
-    ]
-    for block_name, stride, channels in MOBILENET_BLOCKS:
-        out_channels = _scaled(channels, alpha)
-        layers.extend(
-            [
-                DepthwiseConv2D(3, stride=stride, name=f"{block_name}/dw"),
-                ReLU(name=f"{block_name}/dw/relu"),
-                Conv2D(out_channels, 1, stride=1, name=f"{block_name}/sep/pw"),
-                ReLU(name=f"{block_name}/sep"),
-            ]
-        )
-    if include_head:
-        if num_classes <= 0:
-            raise ValueError("num_classes must be positive when include_head=True")
-        layers.extend(
-            [
-                GlobalAveragePool(name="pool6"),
-                Dense(num_classes, name="fc7"),
-                Softmax(name="prob"),
-            ]
-        )
-    return Sequential(layers, input_shape=input_shape, rng=rng, name=f"mobilenet_alpha{alpha}")
+    model = mobilenet_graph(alpha, num_classes, include_head)
+    model.build(input_shape, rng or np.random.default_rng(0))
+    return model
+
+
+@lru_cache(maxsize=4096)
+def _frame_query(
+    resolution: tuple[int, int], alpha: float
+) -> tuple[int, tuple[tuple[str, tuple[int, ...]], ...]]:
+    """One pass over a ``(width, height)`` frame: its multiply-adds and its tap shapes."""
+    width, height = resolution
+    graph = mobilenet_graph(alpha)
+    input_shape = (height, width, 3)
+    taps = tuple(
+        (name, shape)
+        for name, shape in graph.layer_output_shapes(input_shape).items()
+        if name == "conv1" or name.endswith("/sep")
+    )
+    return graph.multiply_adds(input_shape), taps
 
 
 def mobilenet_layer_shapes(
     input_resolution: tuple[int, int], alpha: float = FULL_SCALE_ALPHA
 ) -> dict[str, tuple[int, int, int]]:
-    """Per-block output shapes ``(H, W, C)`` without building any weights.
+    """Output shapes ``(H, W, C)`` of ``conv1`` and every ``<block>/sep``, in network order.
 
     ``input_resolution`` is ``(width, height)`` in pixels (the paper's
-    convention).  Useful for reasoning about paper-scale feature-map sizes
-    (e.g. 1920x1080 -> ``conv4_2/sep`` of 68x120x512) and for the layer
-    selection heuristic.
+    convention).  Read off :func:`mobilenet_graph` without building any
+    weights, so it serves paper-scale reasoning (e.g. 1920x1080 ->
+    ``conv4_2/sep`` of 68x120x512) and the layer selection heuristic.
     """
-    width, height = input_resolution
-    h = -(-height // 2)
-    w = -(-width // 2)
-    shapes: dict[str, tuple[int, int, int]] = {"conv1": (h, w, _scaled(_FIRST_CONV_CHANNELS, alpha))}
-    channels = _scaled(_FIRST_CONV_CHANNELS, alpha)
-    for block_name, stride, block_channels in MOBILENET_BLOCKS:
-        if stride == 2:
-            h = -(-h // 2)
-            w = -(-w // 2)
-        channels = _scaled(block_channels, alpha)
-        shapes[f"{block_name}/sep"] = (h, w, channels)
-    return shapes
+    return dict(_frame_query(tuple(input_resolution), alpha)[1])
 
 
 def mobilenet_multiply_adds(
     input_resolution: tuple[int, int], alpha: float = FULL_SCALE_ALPHA
 ) -> int:
-    """Analytic multiply-adds of one base-DNN forward pass (no head).
+    """Multiply-adds of one base-DNN forward pass (no head) over a ``(width, height)`` frame.
 
-    Uses the paper's per-layer formulas without instantiating weights, so it
-    can be evaluated at full 1920x1080 scale cheaply.
+    Read off :func:`mobilenet_graph` without building any weights, so it can
+    be evaluated at full 1920x1080 scale cheaply.
     """
-    width, height = input_resolution
-    h = -(-height // 2)
-    w = -(-width // 2)
-    in_channels = 3
-    out_channels = _scaled(_FIRST_CONV_CHANNELS, alpha)
-    total = h * w * in_channels * 9 * out_channels  # conv1, 3x3 stride 2
-    in_channels = out_channels
-    for _, stride, block_channels in MOBILENET_BLOCKS:
-        if stride == 2:
-            h_out = -(-h // 2)
-            w_out = -(-w // 2)
-        else:
-            h_out, w_out = h, w
-        out_channels = _scaled(block_channels, alpha)
-        total += h_out * w_out * in_channels * 9  # depthwise 3x3
-        total += h_out * w_out * in_channels * out_channels  # pointwise 1x1
-        h, w, in_channels = h_out, w_out, out_channels
-    return int(total)
+    return _frame_query(tuple(input_resolution), alpha)[0]

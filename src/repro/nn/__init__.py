@@ -10,7 +10,8 @@ architectures, and the NoScope-style discrete classifiers:
 * losses (:mod:`repro.nn.losses`),
 * optimizers (:mod:`repro.nn.optimizers`),
 * a :class:`~repro.nn.model.Sequential` container with named-layer taps,
-* analytic multiply-add cost accounting (:mod:`repro.nn.cost`),
+* the paper's per-layer multiply-add formulas (:mod:`repro.nn.cost`), which
+  ``Layer.multiply_adds`` is tested against,
 * weight (de)serialization (:mod:`repro.nn.serialization`).
 
 All tensors use the NHWC layout ``(batch, height, width, channels)``, which
@@ -64,7 +65,6 @@ from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer
 from repro.nn.cost import (
     conv_multiply_adds,
     dense_multiply_adds,
-    model_multiply_adds,
     separable_conv_multiply_adds,
 )
 from repro.nn.serialization import load_weights, save_weights
@@ -112,7 +112,6 @@ __all__ = [
     "dense_multiply_adds",
     "initializer_from_name",
     "load_weights",
-    "model_multiply_adds",
     "save_weights",
     "separable_conv_multiply_adds",
     "sigmoid",

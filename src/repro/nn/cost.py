@@ -1,4 +1,4 @@
-"""Analytic multiply-add cost accounting.
+"""The paper's per-layer multiply-add formulas.
 
 These are exactly the formulas quoted in Section 4.5 of the paper:
 
@@ -9,19 +9,17 @@ These are exactly the formulas quoted in Section 4.5 of the paper:
 * separable ("factored") convolutional layer with the same parameters:
   ``H/S * W/S * M * (K^2 + F)``
 
-Multiply-adds are the paper's proxy for marginal compute cost (Figure 7);
-the throughput model in :mod:`repro.perf` converts them into frame rates.
+They are the independent reference that each layer's ``multiply_adds`` is
+tested against; costs themselves are read off the layer graphs
+(:meth:`repro.nn.model.Sequential.multiply_adds`).
 """
 
 from __future__ import annotations
-
-from repro.nn.model import Sequential
 
 __all__ = [
     "dense_multiply_adds",
     "conv_multiply_adds",
     "separable_conv_multiply_adds",
-    "model_multiply_adds",
 ]
 
 
@@ -49,11 +47,6 @@ def separable_conv_multiply_adds(
     out_h = -(-int(height) // int(stride))
     out_w = -(-int(width) // int(stride))
     return out_h * out_w * int(depth) * (int(kernel) ** 2 + int(filters))
-
-
-def model_multiply_adds(model: Sequential, input_shape: tuple[int, ...] | None = None) -> int:
-    """Total analytic multiply-adds of a built :class:`Sequential` model."""
-    return model.multiply_adds(input_shape)
 
 
 def _validate(**named_values: int) -> None:

@@ -177,37 +177,34 @@ class Sequential:
         """Names of all layers, in order."""
         return [layer.name for layer in self.layers]
 
-    def layer_output_shapes(self) -> dict[str, tuple[int, ...]]:
+    # The shape queries below need no weights: an unbuilt model answers them for
+    # any ``input_shape``, a built one defaults to the shape it was built with.
+    def _query_shape(self, input_shape: tuple[int, ...] | None) -> tuple[int, ...]:
+        shape = tuple(input_shape) if input_shape is not None else self.input_shape
+        if shape is None:
+            raise RuntimeError("Provide input_shape or build the model first")
+        return shape
+
+    def layer_output_shapes(
+        self, input_shape: tuple[int, ...] | None = None
+    ) -> dict[str, tuple[int, ...]]:
         """Per-sample output shape of every layer, keyed by layer name."""
-        self._require_built()
+        shape = self._query_shape(input_shape)
         shapes: dict[str, tuple[int, ...]] = {}
-        shape = self.input_shape
         for layer in self.layers:
             shape = layer.output_shape(shape)
             shapes[layer.name] = shape
         return shapes
 
     def multiply_adds(self, input_shape: tuple[int, ...] | None = None) -> int:
-        """Total analytic multiply-adds for one sample.
-
-        If ``input_shape`` is omitted, uses the shape the model was built with.
-        """
-        shape = tuple(input_shape) if input_shape is not None else self.input_shape
-        if shape is None:
-            raise RuntimeError("Provide input_shape or build the model first")
-        total = 0
-        for layer in self.layers:
-            total += layer.multiply_adds(shape)
-            shape = layer.output_shape(shape)
-        return int(total)
+        """Total analytic multiply-adds for one sample."""
+        return sum(self.per_layer_multiply_adds(input_shape).values())
 
     def per_layer_multiply_adds(
         self, input_shape: tuple[int, ...] | None = None
     ) -> dict[str, int]:
         """Per-layer analytic multiply-adds for one sample, keyed by layer name."""
-        shape = tuple(input_shape) if input_shape is not None else self.input_shape
-        if shape is None:
-            raise RuntimeError("Provide input_shape or build the model first")
+        shape = self._query_shape(input_shape)
         costs: dict[str, int] = {}
         for layer in self.layers:
             costs[layer.name] = int(layer.multiply_adds(shape))

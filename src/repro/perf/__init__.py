@@ -5,17 +5,11 @@ quad-core Intel CPU running Caffe (base DNN) and TensorFlow (MCs/DCs).
 This repository reproduces those results with an analytic model driven by
 per-component multiply-add counts and calibrated effective compute rates,
 plus wall-clock micro-benchmarks of the NumPy kernels to confirm the same
-ordering.  The cost model (Figure 7's x-axis) uses the exact formulas from
-Section 4.5 at full paper-scale resolutions.
+ordering.  The cost model (Figure 7's x-axis) reads those counts off the
+executable layer graphs at full paper-scale resolutions.
 """
 
-from repro.perf.cost_model import (
-    CostModel,
-    discrete_classifier_cost,
-    full_frame_mc_cost,
-    localized_mc_cost,
-    windowed_mc_cost,
-)
+from repro.perf.cost_model import CostModel
 from repro.perf.memory_model import MemoryModel, MemoryEstimate
 from repro.perf.throughput_model import (
     ExecutionBreakdown,
@@ -30,8 +24,4 @@ __all__ = [
     "MemoryModel",
     "ThroughputModel",
     "ThroughputModelConfig",
-    "discrete_classifier_cost",
-    "full_frame_mc_cost",
-    "localized_mc_cost",
-    "windowed_mc_cost",
 ]

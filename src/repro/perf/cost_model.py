@@ -1,116 +1,34 @@
-"""Analytic multiply-add cost model at paper-scale resolutions.
+"""Multiply-add cost model at paper-scale resolutions.
 
-Each function evaluates the paper's Section 4.5 formulas for one component
-at arbitrary feature-map or frame sizes, so costs can be computed for the
-full 1920x1080 / 2048x850 inputs without instantiating (or running) any
-weights.  :class:`CostModel` bundles them for a given camera resolution.
+Every cost is read off the layer graph the runtime builds: the MobileNet base
+DNN of :func:`~repro.features.base_dnn.mobilenet_graph`, the microclassifiers
+of :mod:`repro.core.architectures` and
+:class:`~repro.baselines.discrete_classifier.DiscreteClassifier`.  A graph
+answers shape and multiply-add queries before any weight is allocated, so the
+full 1920x1080 / 2048x850 inputs cost nothing to evaluate.
+:class:`CostModel` asks them for one camera resolution and caches the answers.
 
-Reference feature-map shapes for a 1920x1080 frame (Figure 2):
+Reference feature-map shapes for a 1920x1080 frame (Figure 2 rounds the
+heights down, to 33 and 67):
 
-* ``conv5_6/sep`` (full-frame object detector input): ``33 x 60 x 1024``
-* ``conv4_2/sep`` (localized / windowed input):       ``67 x 120 x 512``
+* ``conv5_6/sep`` (full-frame object detector input): ``34 x 60 x 1024``
+* ``conv4_2/sep`` (localized / windowed input):       ``68 x 120 x 512``
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.baselines.discrete_classifier import DiscreteClassifierConfig
+from repro.baselines.discrete_classifier import DiscreteClassifier, DiscreteClassifierConfig
+from repro.core.architectures import ARCHITECTURES
+from repro.core.microclassifier import MicroClassifierConfig
 from repro.features.base_dnn import mobilenet_layer_shapes, mobilenet_multiply_adds
-from repro.nn.cost import conv_multiply_adds, dense_multiply_adds, separable_conv_multiply_adds
 
-__all__ = [
-    "full_frame_mc_cost",
-    "localized_mc_cost",
-    "windowed_mc_cost",
-    "discrete_classifier_cost",
-    "CostModel",
-]
+__all__ = ["CostModel"]
 
-
-def full_frame_mc_cost(
-    feature_shape: tuple[int, int, int],
-    hidden_filters: int = 32,
-    num_hidden_layers: int = 2,
-) -> int:
-    """Multiply-adds of the full-frame object detector MC (Figure 2a)."""
-    h, w, c = feature_shape
-    total = 0
-    in_channels = c
-    for _ in range(num_hidden_layers):
-        total += conv_multiply_adds(h, w, in_channels, kernel=1, filters=hidden_filters)
-        in_channels = hidden_filters
-    total += conv_multiply_adds(h, w, in_channels, kernel=1, filters=1)
-    return int(total)
-
-
-def localized_mc_cost(
-    feature_shape: tuple[int, int, int],
-    first_depth: int = 16,
-    second_depth: int = 32,
-    fc_units: int = 200,
-) -> int:
-    """Multiply-adds of the localized binary classifier MC (Figure 2b)."""
-    h, w, c = feature_shape
-    total = separable_conv_multiply_adds(h, w, c, kernel=3, filters=first_depth, stride=1)
-    total += separable_conv_multiply_adds(h, w, first_depth, kernel=3, filters=second_depth, stride=2)
-    h2, w2 = -(-h // 2), -(-w // 2)
-    total += dense_multiply_adds(h2, w2, second_depth, fc_units)
-    total += fc_units  # final 1-unit head
-    return int(total)
-
-
-def windowed_mc_cost(
-    feature_shape: tuple[int, int, int],
-    window: int = 5,
-    reduce_filters: int = 32,
-    conv_filters: int = 32,
-    fc_units: int = 200,
-) -> int:
-    """Marginal per-frame multiply-adds of the windowed, localized MC (Figure 2c).
-
-    Because the shared 1x1 reductions are buffered and reused across
-    overlapping windows, each new frame pays for exactly one reduction plus
-    one pass of the window head.
-    """
-    h, w, c = feature_shape
-    total = conv_multiply_adds(h, w, c, kernel=1, filters=reduce_filters)
-    concat_depth = reduce_filters * window
-    total += conv_multiply_adds(h, w, concat_depth, kernel=3, filters=conv_filters, stride=1)
-    total += conv_multiply_adds(h, w, conv_filters, kernel=3, filters=conv_filters, stride=2)
-    h2, w2 = -(-h // 2), -(-w // 2)
-    total += dense_multiply_adds(h2, w2, conv_filters, fc_units)
-    total += fc_units
-    return int(total)
-
-
-def discrete_classifier_cost(
-    config: DiscreteClassifierConfig, resolution: tuple[int, int]
-) -> int:
-    """Multiply-adds of a discrete classifier on full-resolution pixels.
-
-    ``resolution`` is ``(width, height)``.  This is the DC's *total* cost —
-    nothing is amortized across applications.
-    """
-    width, height = resolution
-    h, w, channels = height, width, 3
-    total = 0
-    for i, (filters, stride) in enumerate(zip(config.kernels, config.strides)):
-        if config.separable:
-            total += separable_conv_multiply_adds(
-                h, w, channels, kernel=config.kernel_size, filters=filters, stride=stride
-            )
-        else:
-            total += conv_multiply_adds(
-                h, w, channels, kernel=config.kernel_size, filters=filters, stride=stride
-            )
-        h, w = -(-h // stride), -(-w // stride)
-        channels = filters
-        if i < config.pooling_layers:
-            h, w = max(1, h // 2), max(1, w // 2)
-    total += dense_multiply_adds(h, w, channels, config.fc_units)
-    total += config.fc_units
-    return int(total)
+# The base-DNN layer each architecture consumes (Figure 2).
+_MC_TAPS = {"full_frame": "conv5_6/sep", "localized": "conv4_2/sep", "windowed": "conv4_2/sep"}
 
 
 @dataclass(frozen=True)
@@ -124,21 +42,21 @@ class CostModel:
     alpha:
         Base-DNN width multiplier (1.0 reproduces the paper's MobileNet).
     crop_fraction:
-        Fraction of the feature-map *area* retained by the microclassifiers'
-        optional spatial crop (1.0 = no crop).  Cropping reduces MC cost
-        proportionally (Section 3.2).
+        Fraction in ``(0, 1]`` of the feature-map *area* retained by the
+        microclassifiers' optional spatial crop (1.0 = no crop).  Cropping
+        reduces MC cost proportionally (Section 3.2).
     """
 
     resolution: tuple[int, int] = (1920, 1080)
     alpha: float = 1.0
     crop_fraction: float = 1.0
 
-    def _scaled_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        if self.crop_fraction >= 1.0:
-            return shape
-        h, w, c = shape
-        # The paper's crops are horizontal bands, so the crop reduces height.
-        return (max(1, int(round(h * self.crop_fraction))), w, c)
+    def __post_init__(self) -> None:
+        if len(self.resolution) != 2 or min(self.resolution) <= 0:
+            raise ValueError(f"resolution must be a positive (width, height); got {self.resolution}")
+        if not 0.0 < self.crop_fraction <= 1.0:
+            raise ValueError(f"crop_fraction must be in (0, 1]; got {self.crop_fraction}")
+        object.__setattr__(self, "resolution", tuple(self.resolution))
 
     def layer_shapes(self) -> dict[str, tuple[int, int, int]]:
         """Base-DNN feature-map shapes at this resolution."""
@@ -148,28 +66,40 @@ class CostModel:
         """Multiply-adds of one base-DNN (feature extractor) pass."""
         return mobilenet_multiply_adds(self.resolution, alpha=self.alpha)
 
-    def full_dnn_cost(self) -> int:
-        """Multiply-adds of one complete MobileNet pass (the per-app naive baseline)."""
-        return self.base_dnn_cost()
-
     def mc_cost(self, architecture: str, **kwargs) -> int:
-        """Marginal multiply-adds of one microclassifier of ``architecture``."""
-        shapes = self.layer_shapes()
-        key = architecture.lower()
-        if key == "full_frame":
-            return full_frame_mc_cost(self._scaled_shape(shapes["conv5_6/sep"]), **kwargs)
-        if key == "localized":
-            return localized_mc_cost(self._scaled_shape(shapes["conv4_2/sep"]), **kwargs)
-        if key == "windowed":
-            return windowed_mc_cost(self._scaled_shape(shapes["conv4_2/sep"]), **kwargs)
-        raise ValueError(
-            f"Unknown architecture {architecture!r}; expected full_frame, localized, or windowed"
-        )
+        """Marginal multiply-adds of one microclassifier of ``architecture``.
+
+        ``kwargs`` go to the architecture's constructor (e.g. ``window=3``).
+        """
+        return _query_mc(self, architecture.lower(), tuple(sorted(kwargs.items())))
 
     def dc_cost(self, config: DiscreteClassifierConfig) -> int:
         """Total multiply-adds of one discrete classifier at this resolution."""
-        return discrete_classifier_cost(config, self.resolution)
+        return _query_dc(self.resolution, config)
 
     def marginal_cost_ratio(self, architecture: str, dc_config: DiscreteClassifierConfig) -> float:
         """How many times cheaper an MC is than a DC (the paper's 11x-23x claim)."""
         return self.dc_cost(dc_config) / self.mc_cost(architecture)
+
+
+@lru_cache(maxsize=4096)
+def _query_mc(model: CostModel, architecture: str, kwargs: tuple[tuple[str, object], ...]) -> int:
+    if architecture not in ARCHITECTURES:
+        raise ValueError(
+            f"Unknown architecture {architecture!r}; expected one of {sorted(ARCHITECTURES)}"
+        )
+    tap = _MC_TAPS[architecture]
+    h, w, c = model.layer_shapes()[tap]
+    if model.crop_fraction < 1.0:
+        # The paper's crops are horizontal bands, so the crop reduces height.
+        h = max(1, int(round(h * model.crop_fraction)))
+    mc = ARCHITECTURES[architecture](
+        MicroClassifierConfig(name=architecture, input_layer=tap), **dict(kwargs)
+    )
+    return mc.multiply_adds((h, w, c))
+
+
+@lru_cache(maxsize=4096)
+def _query_dc(resolution: tuple[int, int], config: DiscreteClassifierConfig) -> int:
+    width, height = resolution
+    return DiscreteClassifier(config).multiply_adds((height, width, 3))

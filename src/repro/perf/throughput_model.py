@@ -143,7 +143,7 @@ class ThroughputModel:
         if not self.memory_model.mobilenets_fit(num_classifiers):
             return float("nan")
         cfg = self.config
-        per_instance = self.cost_model.full_dnn_cost() / cfg.base_dnn_ops_per_second
+        per_instance = self.cost_model.base_dnn_cost() / cfg.base_dnn_ops_per_second
         total = cfg.fixed_overhead_seconds + num_classifiers * (
             per_instance + cfg.per_classifier_overhead_seconds
         )

@@ -9,7 +9,7 @@ from repro.baselines.discrete_classifier import (
     discrete_classifier_pareto_configs,
 )
 from repro.core.training import TrainingConfig, train_classifier
-from repro.perf.cost_model import discrete_classifier_cost
+from repro.perf.cost_model import CostModel
 
 PIXEL_SHAPE = (24, 32, 3)
 RNG = np.random.default_rng(0)
@@ -56,9 +56,8 @@ class TestConfig:
 
     def test_pareto_costs_span_paper_range_at_1080p(self):
         """Costs should span roughly the paper's 100M-2.5B multiply-add range."""
-        costs = [
-            discrete_classifier_cost(c, (1920, 1080)) for c in discrete_classifier_pareto_configs()
-        ]
+        model = CostModel(resolution=(1920, 1080))
+        costs = [model.dc_cost(c) for c in discrete_classifier_pareto_configs()]
         assert min(costs) < 150e6
         assert max(costs) > 1.5e9
         assert max(costs) < 3.0e9
@@ -88,8 +87,23 @@ class TestDiscreteClassifier:
         dc = DiscreteClassifier(DiscreteClassifierConfig())
         with pytest.raises(RuntimeError):
             dc.predict_proba_batch(RNG.random((1, *PIXEL_SHAPE)))
+        with pytest.raises(RuntimeError):
+            dc.multiply_adds()
         assert dc.parameters() == []
         assert dc.num_parameters() == 0
+
+    def test_unbuilt_graph_is_costed_at_any_shape(self):
+        config = DiscreteClassifierConfig()
+        unbuilt = DiscreteClassifier(config)
+        assert unbuilt.multiply_adds(PIXEL_SHAPE) == build_dc(config).multiply_adds()
+        assert unbuilt.parameters() == []
+
+    def test_build_allocates_the_same_weights_as_a_fresh_classifier(self):
+        costed = DiscreteClassifier(DiscreteClassifierConfig())
+        costed.multiply_adds((1080, 1920, 3))
+        costed.build(PIXEL_SHAPE, rng=np.random.default_rng(1))
+        for a, b in zip(costed.parameters(), build_dc().parameters(), strict=True):
+            np.testing.assert_array_equal(a.value, b.value)
 
     def test_trainable_on_pixel_task(self):
         dc = build_dc()
@@ -106,9 +120,7 @@ class TestDiscreteClassifier:
         dc = DiscreteClassifier(config)
         dc.build((64, 96, 3), rng=np.random.default_rng(0))
         # Cost model takes (width, height); the built model was given (H, W, C).
-        assert dc.multiply_adds() == pytest.approx(
-            discrete_classifier_cost(config, (96, 64)), rel=0.05
-        )
+        assert dc.multiply_adds() == CostModel(resolution=(96, 64)).dc_cost(config)
 
     def test_cost_grows_with_depth(self):
         shallow = build_dc(DiscreteClassifierConfig(kernels=(16, 16), strides=(2, 2)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.architectures import (
+    ARCHITECTURES,
     FullFrameObjectDetectorMC,
     LocalizedBinaryClassifierMC,
     WindowedLocalizedBinaryClassifierMC,
@@ -90,6 +91,28 @@ class TestCommonBehaviour:
         mc = classes[architecture](config("raw"))
         with pytest.raises(RuntimeError):
             mc.predict_proba_batch(RNG.random((1, *FEATURE_SHAPE)))
+        with pytest.raises(RuntimeError):
+            mc.multiply_adds()
+
+    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
+    def test_unbuilt_graph_is_costed_at_any_shape(self, architecture):
+        unbuilt = ARCHITECTURES[architecture](config(architecture))
+        assert unbuilt.multiply_adds(FEATURE_SHAPE) == build(architecture).multiply_adds()
+        assert unbuilt.parameters() == []
+
+    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
+    def test_cost_at_another_shape_is_the_cost_built_at_it(self, architecture):
+        built_large = build_microclassifier(architecture, config(architecture), (12, 16, 32))
+        built_small = build_microclassifier(architecture, config(architecture), (6, 8, 32))
+        assert built_large.multiply_adds((6, 8, 32)) == built_small.multiply_adds()
+
+    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
+    def test_build_after_costing_draws_the_same_weights(self, architecture):
+        costed = ARCHITECTURES[architecture](config(architecture))
+        costed.multiply_adds((68, 120, 512))
+        costed.build(FEATURE_SHAPE, np.random.default_rng(0))
+        for a, b in zip(costed.parameters(), build(architecture).parameters(), strict=True):
+            np.testing.assert_array_equal(a.value, b.value)
 
     @pytest.mark.parametrize(
         "architecture, margin",

@@ -6,6 +6,7 @@ import pytest
 from repro.features.base_dnn import (
     MOBILENET_BLOCKS,
     build_mobilenet_like,
+    mobilenet_graph,
     mobilenet_layer_shapes,
     mobilenet_multiply_adds,
 )
@@ -61,6 +62,15 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             build_mobilenet_like((32, 32, 3), alpha=0.0)
 
+    def test_graph_is_unbuilt_and_builds_to_the_same_weights(self):
+        built = build_mobilenet_like((32, 48, 3), alpha=0.125)
+        graph = mobilenet_graph(alpha=0.125)
+        assert not graph.built and graph.parameters() == []
+        assert graph.layer_names() == built.layer_names()
+        graph.build((32, 48, 3), np.random.default_rng(0))
+        for a, b in zip(graph.parameters(), built.parameters(), strict=True):
+            np.testing.assert_array_equal(a.value, b.value)
+
 
 class TestLayerShapes:
     def test_paper_scale_feature_map_dimensions(self):
@@ -72,6 +82,11 @@ class TestLayerShapes:
         assert w42 == 120 and w56 == 60
         # Heights are 67/33 in the paper (floor rounding) vs 68/34 here (ceil).
         assert h42 in (67, 68) and h56 in (33, 34)
+
+    def test_keys_are_conv1_then_every_block_tap_in_network_order(self):
+        shapes = mobilenet_layer_shapes((1920, 1080), alpha=1.0)
+        assert list(shapes) == ["conv1", *(f"{block}/sep" for block, _, _ in MOBILENET_BLOCKS)]
+        assert shapes["conv1"] == (540, 960, 32)
 
     def test_shapes_agree_with_built_model(self, tiny_base_dnn):
         analytic = mobilenet_layer_shapes((48, 32), alpha=0.125)
@@ -91,6 +106,17 @@ class TestCost:
 
     def test_analytic_cost_matches_built_model(self, tiny_base_dnn):
         assert mobilenet_multiply_adds((48, 32), alpha=0.125) == tiny_base_dnn.multiply_adds()
+
+    def test_cost_is_the_graph_cost(self):
+        graph = mobilenet_graph(alpha=1.0)
+        assert mobilenet_multiply_adds((1920, 1080)) == graph.multiply_adds((1080, 1920, 3))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_non_positive_alpha_rejected_like_the_built_model(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            mobilenet_multiply_adds((1920, 1080), alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            mobilenet_layer_shapes((1920, 1080), alpha=alpha)
 
     def test_cost_scales_with_alpha(self):
         thin = mobilenet_multiply_adds((256, 144), alpha=0.25)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro.nn.cost import (
     conv_multiply_adds,
     dense_multiply_adds,
-    model_multiply_adds,
     separable_conv_multiply_adds,
 )
-from repro.nn.layers import Conv2D, Dense, ReLU, SeparableConv2D
-from repro.nn.model import Sequential
+from repro.nn.layers import Conv2D, Dense, SeparableConv2D
 
 
 class TestPaperFormulas:
@@ -77,10 +75,3 @@ class TestLayerAgreement:
         layer = Dense(16)
         layer.build((5, 6, 7), np.random.default_rng(0))
         assert layer.multiply_adds((5, 6, 7)) == dense_multiply_adds(5, 6, 7, 16)
-
-    def test_model_multiply_adds_helper(self):
-        model = Sequential(
-            [Conv2D(4, 3, name="c"), ReLU(name="r"), Dense(2, name="d")],
-            input_shape=(6, 6, 3),
-        )
-        assert model_multiply_adds(model) == model.multiply_adds()

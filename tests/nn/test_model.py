@@ -52,6 +52,17 @@ class TestConstruction:
         assert shapes["conv_b"] == (4, 4, 8)
         assert shapes["head"] == (1,)
 
+    def test_unbuilt_model_answers_shape_and_cost_queries_at_any_shape(self):
+        built = small_model()
+        unbuilt = Sequential(built.layers, name="unbuilt")
+        assert unbuilt.layer_output_shapes((8, 8, 3)) == built.layer_output_shapes()
+        assert unbuilt.multiply_adds((8, 8, 3)) == built.multiply_adds()
+        assert unbuilt.layer_output_shapes((16, 16, 3))["conv_b"] == (8, 8, 8)
+        with pytest.raises(RuntimeError):
+            unbuilt.layer_output_shapes()
+        with pytest.raises(RuntimeError):
+            unbuilt.multiply_adds()
+
 
 class TestForwardBackward:
     def test_forward_shape(self):
