@@ -8,9 +8,9 @@ drives the shared uplink hard, so in the same control windows:
 
 * an :class:`~repro.obs.AlertRule` in rate mode fires on the monotonic
   ``uplink.estimated_bits`` counter of the hot node, and
-* the adaptive shedding controller tightens per-camera quotas, recording a
+* the shedding controller tightens per-camera quotas, recording a
   :class:`~repro.control.DecisionRecord` — inputs read, candidates ranked,
-  watermark gates — for every tighten/relax/idle decision.
+  watermark gates — for every tighten/tighten_uplink/relax/idle decision.
 
 After the run the demo groups the fired alerts into incidents
 (``repro.obs.incident``), joins them with the decision provenance records
@@ -173,9 +173,10 @@ def main() -> None:
             d for d in incident_report.decisions
             if d.get("actions") and d.get("candidates")
         ]
-        # Prefer a tighten (a camera being capped) over a relax in the window.
+        # Prefer a tighten (a camera being capped, for compute or for the
+        # uplink) over a relax in the window.
         for decision in acting:
-            if decision.get("kind") == "tighten":
+            if decision.get("kind", "").startswith("tighten"):
                 explained = decision
                 break
         if explained is None and acting:

@@ -5,12 +5,14 @@ One overloaded node, every camera a real trained microclassifier, three
 control regimes on the same cameras and models:
 
 1. **static** — no control plane: the bounded queues shed whoever overflows;
-2. **adaptive** — the PR-3 `AdaptiveSheddingController` (match-density
-   ranking, drop-rate objective);
-3. **value** — `ValueSheddingController` ranking by live ground-truth event
-   value per service-second, composed with `ThresholdDriftController`
-   nudging each camera's frozen calibrated threshold toward its live event
-   rate (`SetCameraThreshold` actions, visible in the decision log).
+2. **match-density proxy** — `AdaptiveSheddingController` ranking cameras
+   by matched / scored frames per service-second (its default
+   `value_signal`);
+3. **truth density + drift** — the same controller with
+   `value_signal="truth_density"`, ranking by live ground-truth event value
+   per service-second, composed with `ThresholdDriftController` nudging
+   each camera's frozen calibrated threshold toward its live event rate
+   (`SetCameraThreshold` actions, visible in the decision log).
 
 The fleet mixes event-dense retail/intersection cameras with sparse
 night/highway cameras, so *who* sheds decides the macro event F1.
@@ -33,8 +35,6 @@ from repro.control import (
     SheddingConfig,
     ThresholdDriftConfig,
     ThresholdDriftController,
-    ValueSheddingConfig,
-    ValueSheddingController,
 )
 from repro.fleet import (
     AccuracyConfig,
@@ -124,21 +124,21 @@ def main() -> None:
     static, _ = run_regime(models, None)
     print(f"\n--- static (queues shed blindly) ---\n{static.summary()}")
 
-    adaptive, _ = run_regime(
+    proxy, _ = run_regime(
         models,
         ControlLoop(
             [AdaptiveSheddingController(SheddingConfig(**WATERMARKS))],
             interval_seconds=0.25,
         ),
     )
-    print(f"\n--- adaptive shedding (match-density ranking) ---\n{adaptive.summary()}")
+    print(f"\n--- shedding by the match-density proxy ---\n{proxy.summary()}")
 
-    value, loop = run_regime(
+    truth, loop = run_regime(
         models,
         ControlLoop(
             [
-                ValueSheddingController(
-                    ValueSheddingConfig(value_signal="truth_density", **WATERMARKS)
+                AdaptiveSheddingController(
+                    SheddingConfig(value_signal="truth_density", **WATERMARKS)
                 ),
                 ThresholdDriftController(
                     ThresholdDriftConfig(min_scored=8, cooldown_ticks=2)
@@ -147,7 +147,7 @@ def main() -> None:
             interval_seconds=0.25,
         ),
     )
-    print(f"\n--- value shedding + threshold drift ---\n{value.summary()}")
+    print(f"\n--- shedding by truth density + threshold drift ---\n{truth.summary()}")
     drift_lines = [line for line in loop.decision_log if "set_camera_threshold" in line]
     print(f"\nthreshold drift actions ({len(drift_lines)}):")
     for line in drift_lines[:8]:
@@ -155,9 +155,9 @@ def main() -> None:
 
     print(
         f"\nmacro-F1: static {static.accuracy.macro_f1:.3f} "
-        f"(drop {static.drop_rate:.1%}) -> adaptive "
-        f"{adaptive.accuracy.macro_f1:.3f} (drop {adaptive.drop_rate:.1%}) -> "
-        f"value {value.accuracy.macro_f1:.3f} (drop {value.drop_rate:.1%}) | "
+        f"(drop {static.drop_rate:.1%}) -> proxy "
+        f"{proxy.accuracy.macro_f1:.3f} (drop {proxy.drop_rate:.1%}) -> "
+        f"truth {truth.accuracy.macro_f1:.3f} (drop {truth.drop_rate:.1%}) | "
         f"trained once, reused {models.cache_hits}x"
     )
 

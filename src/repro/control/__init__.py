@@ -8,13 +8,12 @@ observes the telemetry registry every control interval and actuates the
 runtime through typed, logged actions:
 
 * :mod:`repro.control.shedding` — per-camera drop policies and admission
-  quotas driven by windowed queue-wait p99 and per-camera match density,
-  replacing fixed-capacity drops;
-* :mod:`repro.control.value` — accuracy-aware control: shedding ranked by
-  predicted event value per service-second (with an uplink-backlog detector
-  that sheds upload-heavy cameras when the link, not the CPU, is the
-  bottleneck) and runtime threshold drift
-  (:class:`~repro.control.policies.SetCameraThreshold`) keeping each
+  quotas, replacing fixed-capacity drops: one controller watches windowed
+  queue-wait p99 (compute) and the estimated uplink backlog (the link) and
+  sheds the cameras buying the least event value per service-second, or
+  per upload bit when the link, not the CPU, is the bottleneck;
+* :mod:`repro.control.value` — accuracy-aware control: runtime threshold
+  drift (:class:`~repro.control.policies.SetCameraThreshold`) keeping each
   camera's frozen calibrated threshold near its live event rate;
 * :mod:`repro.control.uplink` — guaranteed-share re-weighting of the
   work-conserving shared uplink
@@ -77,12 +76,7 @@ from repro.control.policies import (
 )
 from repro.control.provenance import CandidateScore, DecisionRecord
 from repro.control.shedding import AdaptiveSheddingController, SheddingConfig
-from repro.control.value import (
-    ThresholdDriftConfig,
-    ThresholdDriftController,
-    ValueSheddingConfig,
-    ValueSheddingController,
-)
+from repro.control.value import ThresholdDriftConfig, ThresholdDriftController
 from repro.control.trace import (
     TRACE_SCHEMA,
     control_trace_records,
@@ -124,8 +118,6 @@ __all__ = [
     "ThresholdDriftController",
     "UplinkShareConfig",
     "UplinkShareController",
-    "ValueSheddingConfig",
-    "ValueSheddingController",
     "control_trace_records",
     "default_local_controllers",
     "diff_traces",

@@ -11,9 +11,8 @@ This module adds no policy of its own: it arranges the one policy set,
 journal and actuators of :mod:`repro.control.loop`,
 :mod:`repro.control.uplink` and :mod:`repro.control.migration` in two levels.
 
-* :class:`NodeControlPlane` — one per edge node.  Local policies (adaptive
-  shedding, threshold drift, value shedding — anything emitting node-scope
-  actions) run the flat loop's pass over that node alone and actuate it
+* :class:`NodeControlPlane` — one per edge node.  Local policies (shedding,
+  threshold drift — anything emitting node-scope actions) run the flat loop's pass over that node alone and actuate it
   directly.  The plane then distills the node into one
   :class:`NodeAggregate`: a **fixed-size** summary — counts, rates, an
   offered-utilization estimate, and a mergeable :class:`QuantileSketch` of
@@ -248,8 +247,8 @@ class NodeAggregate:
 def default_local_controllers(node_id: str) -> list[Controller]:
     """The local policy set a node runs when none is injected.
 
-    Adaptive shedding (windowed queue-wait p99 against that node's own
-    telemetry) plus threshold drift (a no-op on nodes without the accuracy
+    Shedding (windowed queue-wait p99 and the estimated backlog on the
+    node's own uplink guarantee) plus threshold drift (a no-op on nodes without the accuracy
     plane).  Uplink re-weighting and migration are cluster-scope and live in
     the coordinator.
     """

@@ -1,300 +1,33 @@
-"""Accuracy-aware control: shed by event value per service-second, drift thresholds.
+"""Accuracy-aware control: drift frozen per-camera thresholds at runtime.
 
-The adaptive shedding policy of :mod:`repro.control.shedding` answers *when*
-to shed (windowed queue-wait p99) and *who* (raw per-camera value), but it
-optimizes a proxy objective — drop rate — and it is blind to two things the
-accuracy plane made measurable:
+:class:`ThresholdDriftController` closes a loop the training protocol
+leaves open: per-camera thresholds are calibrated once, on a short training
+clip, and frozen.  Live, the accuracy plane exposes both what the camera's
+microclassifier is matching and how many truly-positive frames it actually
+scored (both rates over *scored* frames, so co-deployed shedding cannot
+masquerade as under-firing); when the two run apart over a windowed sample,
+the controller nudges the camera's *session* threshold — a typed
+:class:`~repro.control.policies.SetCameraThreshold` action applied through
+:meth:`repro.fleet.runtime.FleetRuntime.set_camera_threshold` — up when the
+MC over-fires (precision leak) and down when it under-fires (recall leak).
+The shared trained model is never mutated, so cached models stay
+calibration-clean for other runs.
 
-* **what a scored frame costs**: at equal event density, a camera whose
-  frames take 3x the service time buys 3x less accuracy per worker-second,
-  so value alone mis-ranks heterogeneous fleets;
-* **which resource is actually scarce**: queue-wait watermarks only see the
-  CPU.  When the shared uplink, not compute, is the bottleneck, the right
-  cameras to shed are the *upload-heavy* ones, whatever their queue waits
-  look like.
-
-:class:`ValueSheddingController` closes both gaps.  It ranks cameras by
-**predicted event value per service-second** — the configured value signal
-(:attr:`ValueSheddingConfig.value_signal`: live ``truth_density`` from the
-accuracy plane, or the ``match_density`` proxy) divided by the camera's
-cost-model service time — and it watches two overload detectors per node:
-the windowed queue-wait p99 (compute pressure) and the node's *estimated
-uplink backlog* (live ``uplink.estimated_bits`` against the node's
-guaranteed share from :attr:`~repro.control.policies.ClusterView.uplink_guarantees`).
-Compute overload sheds the cameras buying the least accuracy per
-worker-second; uplink overload sheds the cameras buying the least accuracy
-per uplink bit.  Relaxation restores the most valuable capped camera first,
-one per tick, with the same watermark hysteresis the adaptive policy uses.
-
-:class:`ThresholdDriftController` closes a second loop the training
-protocol leaves open: per-camera thresholds are calibrated once, on a short
-training clip, and frozen.  Live, the accuracy plane exposes both what the
-camera's microclassifier is matching and how many truly-positive frames it
-actually scored (both rates over *scored* frames, so co-deployed shedding
-cannot masquerade as under-firing); when the two run apart over a windowed
-sample, the controller nudges the camera's *session* threshold —
-a typed :class:`~repro.control.policies.SetCameraThreshold` action applied
-through :meth:`repro.fleet.runtime.FleetRuntime.set_camera_threshold` —
-up when the MC over-fires (precision leak) and down when it under-fires
-(recall leak).  The shared trained model is never mutated, so cached models
-stay calibration-clean for other runs.
-
-Both controllers are deterministic functions of the views they observe;
-composed in one :class:`~repro.control.loop.ControlLoop` they give the
-cluster an accuracy objective: shed where events are not, score where they
-are, and keep every camera's operating point near its live event rate.
+Composed with :class:`~repro.control.shedding.AdaptiveSheddingController`
+ranking by ``truth_density`` in one :class:`~repro.control.loop.ControlLoop`,
+it gives the cluster an accuracy objective: shed where events are not,
+score where they are, and keep every camera's operating point near its live
+event rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.control.policies import (
-    ClusterView,
-    ControlAction,
-    Controller,
-    NodeView,
-    SetCameraThreshold,
-)
+from repro.control.policies import ClusterView, ControlAction, Controller, SetCameraThreshold
 from repro.control.provenance import CandidateScore, DecisionRecord
-from repro.control.shedding import QuotaLadderShedder, SheddingConfig
 
-__all__ = [
-    "ValueSheddingConfig",
-    "ValueSheddingController",
-    "ThresholdDriftConfig",
-    "ThresholdDriftController",
-]
-
-
-@dataclass(frozen=True)
-class ValueSheddingConfig(SheddingConfig):
-    """Tuning knobs of the value-per-service-second shedding policy.
-
-    Extends :class:`~repro.control.shedding.SheddingConfig` (compute
-    watermarks, ladder, value signal — validation included) with uplink
-    watermarks bounding the node's *estimated* upload backlog in seconds
-    (a fluid-queue model: estimated bits arrive, the node's guaranteed
-    uplink rate drains).  The inherited ``value_signal`` defaults to
-    ``"truth_density"`` here — the accuracy plane's live oracle, falling
-    back to match density on cameras without ground truth.
-    """
-
-    uplink_high_watermark_seconds: float = 1.50
-    uplink_low_watermark_seconds: float = 0.50
-    value_signal: str = "truth_density"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.uplink_high_watermark_seconds <= self.uplink_low_watermark_seconds:
-            raise ValueError(
-                "uplink high watermark must exceed the uplink low watermark (hysteresis)"
-            )
-
-
-@dataclass
-class _NodeUplinkEstimate:
-    """Fluid-queue state of one node's estimated uplink backlog."""
-
-    last_bits: float = 0.0
-    last_time: float = 0.0
-    backlog_seconds: float = 0.0
-
-
-class ValueSheddingController(QuotaLadderShedder):
-    """Sheds by predicted event value per scarce-resource unit, not by queue luck.
-
-    The tighten/relax/ladder mechanics are shared with
-    :class:`~repro.control.shedding.AdaptiveSheddingController`; this
-    controller differs in its two overload detectors and in ranking victims
-    by value per scarce-resource unit.
-    """
-
-    name = "value_shedding"
-
-    def __init__(self, config: ValueSheddingConfig | None = None) -> None:
-        super().__init__(config or ValueSheddingConfig())
-        self._uplink: dict[str, _NodeUplinkEstimate] = {}
-
-    # -- value estimates (``_value`` comes from the shared base) ---------------
-    def _value_per_service_second(self, stats) -> float:
-        """Predicted event value bought per worker-second spent on this camera."""
-        return self._value(stats) / max(stats.service_seconds, 1e-12)
-
-    def _compute_key(self, stats) -> tuple:
-        """Ascending sort key for compute-bound shedding.
-
-        Value per service-second: at equal density an expensive camera is
-        shed first, because capping it frees more worker time per unit of
-        accuracy given up.  Ties shed the higher frame rate first (more
-        capacity freed), then break on id for replayable decisions.
-        """
-        return (self._value_per_service_second(stats), -stats.frame_rate, stats.camera_id)
-
-    @staticmethod
-    def _upload_bps(stats) -> float:
-        """The camera's estimated offered upload rate in bits per second."""
-        return getattr(stats, "upload_bits_per_scored_frame", 0.0) * stats.frame_rate
-
-    def _uplink_key(self, stats) -> tuple:
-        """Ascending sort key for uplink-bound shedding.
-
-        Value per estimated uplink bit: upload-heavy low-value cameras go
-        first.  Cameras uploading nothing are excluded from uplink-mode
-        tightening before ranking — capping them cannot relieve the link.
-        """
-        upload_bps = self._upload_bps(stats)
-        return (self._value(stats) / upload_bps, -upload_bps, stats.camera_id)
-
-    def _estimated_backlog_seconds(self, node: NodeView, view: ClusterView) -> float:
-        """How far the node's estimated upload bits outrun its guarantee.
-
-        A windowed fluid-queue model, advanced one control tick at a time:
-        the interval's new estimated bits arrive as ``delta / guarantee``
-        transmission-seconds of work, the link drains one second per
-        second, and the backlog never goes negative.  Windowing matters —
-        a run-average (total bits over total time) would credit an idle
-        prefix as transmission time and go blind to late-run saturation.
-        """
-        guarantees = view.uplink_guarantees
-        if not guarantees:
-            return 0.0
-        guarantee = guarantees.get(node.node_id, 0.0)
-        if guarantee <= 0.0:
-            return 0.0
-        estimate = self._uplink.setdefault(node.node_id, _NodeUplinkEstimate())
-        bits = node.counter_value("uplink.estimated_bits")
-        dt = max(0.0, view.now - estimate.last_time)
-        delta = max(0.0, bits - estimate.last_bits)
-        estimate.backlog_seconds = max(0.0, estimate.backlog_seconds + delta / guarantee - dt)
-        estimate.last_bits = bits
-        estimate.last_time = view.now
-        return estimate.backlog_seconds
-
-    # -- the loop body --------------------------------------------------------
-    def decide(self, view: ClusterView) -> list[ControlAction]:
-        """Tighten the bottlenecked nodes, relax the recovered ones."""
-        config = self.config
-        actions: list[ControlAction] = []
-        for node in view.nodes:
-            state = self._node_state(node.node_id)
-            histogram = node.wait_histogram()
-            window_p99 = histogram.percentile_since(99, state.wait_index)
-            state.wait_index = histogram.count
-            stats = node.live_stats()
-            self._forget_departed(state, stats)
-            backlog = self._estimated_backlog_seconds(node, view)
-            inputs = {
-                "window_queue_wait_p99": window_p99,
-                "uplink_backlog_seconds": backlog,
-                "capped_cameras": float(len(state.capped)),
-            }
-            candidates: tuple[CandidateScore, ...] = ()
-            reason = None
-            if window_p99 > config.high_watermark_seconds:
-                kind = "tighten_compute"
-                ranked = self._ranked_candidates(stats, self._compute_key)
-                node_actions = self._tighten(node.node_id, state, ranked)
-                candidates = self._ladder_candidates(
-                    ranked,
-                    self._value_per_service_second,
-                    self._chosen_cameras(node_actions),
-                )
-                if not node_actions:
-                    reason = "every candidate already sits at the ladder floor"
-            elif backlog > config.uplink_high_watermark_seconds:
-                # Only cameras actually uploading can relieve the link; a
-                # zero-upload camera is never the uplink-mode victim, even
-                # once every uploader sits at the bottom of the ladder.
-                kind = "tighten_uplink"
-                ranked = self._ranked_candidates(
-                    stats, self._uplink_key, candidate=lambda s: self._upload_bps(s) > 0.0
-                )
-                node_actions = self._tighten(node.node_id, state, ranked)
-                candidates = tuple(
-                    CandidateScore(
-                        candidate_id=s.camera_id,
-                        score=self._value(s) / self._upload_bps(s),
-                        chosen=s.camera_id in self._chosen_cameras(node_actions),
-                        detail=(
-                            ("upload_bps", self._upload_bps(s)),
-                            ("frame_rate", s.frame_rate),
-                        ),
-                    )
-                    for s in ranked
-                )
-                if not node_actions:
-                    reason = (
-                        "no uploading camera left to cap"
-                        if not ranked
-                        else "every uploading candidate already sits at the ladder floor"
-                    )
-            elif (
-                window_p99 < config.low_watermark_seconds
-                and backlog < config.uplink_low_watermark_seconds
-                and state.capped
-            ):
-                kind = "relax"
-                ranked = sorted(
-                    (stats[c] for c in state.capped if c in stats),
-                    key=lambda s: (-self._value_per_service_second(s), s.camera_id),
-                )
-                node_actions = self._relax(
-                    node.node_id, state, stats, self._value_per_service_second
-                )
-                candidates = self._ladder_candidates(
-                    ranked,
-                    self._value_per_service_second,
-                    self._chosen_cameras(node_actions),
-                )
-                if not node_actions:
-                    reason = "every capped camera migrated away"
-            else:
-                kind = "idle"
-                node_actions = []
-                reason = (
-                    "compute and uplink detectors inside their watermark bands"
-                    if state.capped
-                    else "compute and uplink detectors calm, nothing capped"
-                )
-            self.record_decision(
-                DecisionRecord(
-                    controller=self.name,
-                    kind=kind,
-                    node_id=node.node_id,
-                    inputs=inputs,
-                    gates={
-                        **self._shed_gates(),
-                        "uplink_high_watermark_seconds": config.uplink_high_watermark_seconds,
-                        "uplink_low_watermark_seconds": config.uplink_low_watermark_seconds,
-                    },
-                    candidates=candidates,
-                    actions=tuple(a.describe() for a in node_actions),
-                    reason=reason,
-                )
-            )
-            actions.extend(node_actions)
-        return actions
-
-    @staticmethod
-    def _ranked_candidates(stats: dict, rank_key: Callable, candidate=None) -> list:
-        """Cappable cameras in shed-first order.
-
-        A camera that has not offered a single frame yet (e.g. a feed whose
-        start time lies ahead) cannot relieve any pressure, and its value
-        estimate is undefined — it is excluded rather than pre-emptively
-        capping tomorrow's possibly-dense burst at rank 0.0 today.
-        ``candidate`` adds a detector-specific filter on top.
-        """
-        return sorted(
-            (
-                s
-                for s in stats.values()
-                if s.generated > 0 and (candidate is None or candidate(s))
-            ),
-            key=rank_key,
-        )
+__all__ = ["ThresholdDriftConfig", "ThresholdDriftController"]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ control plane saw and did.  This module joins the two: overlapping
 that happened inside an incident's window — decision provenance records,
 applied control-log actions, and sampled frame traces — into one
 :class:`IncidentReport` with deterministic markdown and JSON renderings:
-"uplink burn-rate fired on node1 → value_shedding ranked cam017, cam031 →
+"uplink burn-rate fired on node1 → adaptive_shedding ranked cam017, cam031 →
 migration held for cooldown", straight from one run's artifacts.
 
 Everything here is duck-typed over plain data — decision records are the

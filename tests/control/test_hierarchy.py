@@ -162,9 +162,7 @@ class TestNodeControlPlane:
 
     def test_default_controllers_are_node_scope(self):
         controllers = default_local_controllers("node0")
-        assert len(controllers) >= 1
-        names = {c.name for c in controllers}
-        assert "adaptive_shedding" in names or len(names) >= 1
+        assert [c.name for c in controllers] == ["adaptive_shedding", "threshold_drift"]
 
 
 def make_aggregate(node_id, matched=0.0, utilization=0.5):

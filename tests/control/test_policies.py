@@ -10,7 +10,6 @@ from repro.control import (
     SetCameraThreshold,
     SetDropPolicy,
     SetUplinkWeights,
-    SheddingConfig,
     UplinkShareConfig,
 )
 from repro.fleet.queues import DropPolicy
@@ -68,16 +67,6 @@ class TestClusterView:
 
 
 class TestConfigValidation:
-    def test_shedding_config(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            SheddingConfig(high_watermark_seconds=0.1, low_watermark_seconds=0.1)
-        with pytest.raises(ValueError, match="cameras_per_step"):
-            SheddingConfig(cameras_per_step=0)
-        with pytest.raises(ValueError, match="rung"):
-            SheddingConfig(quota_ladder=())
-        with pytest.raises(ValueError, match="rung"):
-            SheddingConfig(quota_ladder=(2, 0))
-
     def test_migration_config(self):
         with pytest.raises(ValueError, match="imbalance_threshold"):
             MigrationConfig(imbalance_threshold=1.0)

@@ -18,7 +18,6 @@ from repro.control import (
     CandidateScore,
     ControlLoop,
     DecisionRecord,
-    SheddingConfig,
     control_trace_records,
     diff_traces,
     explain_action,
@@ -254,25 +253,26 @@ def test_golden_scenario_every_action_has_a_decision():
             assert report.control_log[seq].endswith(decision["actions"][offset])
 
 
-def test_perturbed_gate_changes_the_trace():
-    """The provenance layer records real thresholds: nudging the shedding
+@pytest.mark.parametrize(
+    "gate, value",
+    [("high_watermark_seconds", 0.31), ("uplink_high_watermark_seconds", 1.51)],
+)
+def test_perturbed_gate_changes_the_trace(gate, value):
+    """The provenance layer records real thresholds: nudging a shedding
     watermark produces a different trace (mutation-verified explainability)."""
+    from dataclasses import replace
+
     from golden_scenario import build_control_loop
     from repro.fleet import ShardedFleetRuntime, ShardingConfig
 
     baseline = control_trace_records(build_report())
     loop = build_control_loop()
-    assert isinstance(loop.controllers[0], AdaptiveSheddingController)
+    shedding = loop.controllers[0]
+    assert isinstance(shedding, AdaptiveSheddingController)
+    assert getattr(shedding.config, gate) != value
     perturbed_loop = ControlLoop(
         [
-            AdaptiveSheddingController(
-                SheddingConfig(
-                    high_watermark_seconds=0.31,  # was 0.3
-                    low_watermark_seconds=0.1,
-                    cameras_per_step=1,
-                    quota_ladder=(2,),
-                )
-            ),
+            AdaptiveSheddingController(replace(shedding.config, **{gate: value})),
             *loop.controllers[1:],
         ],
         interval_seconds=loop.interval_seconds,
@@ -293,8 +293,8 @@ def test_perturbed_gate_changes_the_trace():
     assert problems, "perturbing a recorded gate must change the trace"
     # The drifted gate itself is visible in some decision record's gates.
     gates = [
-        r["gates"].get("high_watermark_seconds")
+        r["gates"].get(gate)
         for r in perturbed
         if r.get("type") == "decision" and r.get("controller") == "adaptive_shedding"
     ]
-    assert 0.31 in gates
+    assert value in gates

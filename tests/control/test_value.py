@@ -1,4 +1,4 @@
-"""Value-aware control: value-per-service-second shedding and threshold drift."""
+"""Value-aware control: threshold drift, and what value-ranked shedding buys."""
 
 import pytest
 
@@ -6,14 +6,10 @@ from repro.control import (
     AdaptiveSheddingController,
     ControlLoop,
     NodeActuator,
-    SetCameraQuota,
     SetCameraThreshold,
-    SetDropPolicy,
     SheddingConfig,
     ThresholdDriftConfig,
     ThresholdDriftController,
-    ValueSheddingConfig,
-    ValueSheddingController,
 )
 from repro.control.policies import Controller
 from repro.fleet import (
@@ -25,329 +21,8 @@ from repro.fleet import (
     ShardingConfig,
     TrainedMicroClassifiers,
 )
-from repro.fleet.queues import DropPolicy
 
 from control_helpers import FakeRuntime, make_stats, make_view
-
-CONFIG = ValueSheddingConfig(
-    high_watermark_seconds=0.2,
-    low_watermark_seconds=0.05,
-    uplink_high_watermark_seconds=1.5,
-    uplink_low_watermark_seconds=0.5,
-    cameras_per_step=2,
-    quota_ladder=(2, 1),
-    value_signal="truth_density",
-)
-
-
-def overload(runtime: FakeRuntime, wait: float = 0.5, count: int = 10) -> None:
-    for _ in range(count):
-        runtime.telemetry.histogram("latency.queue_wait_seconds").observe(wait)
-
-
-class TestValueSheddingConfig:
-    def test_watermark_hysteresis_required(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            ValueSheddingConfig(high_watermark_seconds=0.1, low_watermark_seconds=0.1)
-        with pytest.raises(ValueError, match="uplink high watermark"):
-            ValueSheddingConfig(
-                uplink_high_watermark_seconds=0.5, uplink_low_watermark_seconds=0.5
-            )
-
-    def test_ladder_and_signal_validation(self):
-        with pytest.raises(ValueError, match="cameras_per_step"):
-            ValueSheddingConfig(cameras_per_step=0)
-        with pytest.raises(ValueError, match="rung"):
-            ValueSheddingConfig(quota_ladder=())
-        with pytest.raises(ValueError, match="rungs"):
-            ValueSheddingConfig(quota_ladder=(2, 0))
-        with pytest.raises(ValueError, match="value_signal"):
-            ValueSheddingConfig(value_signal="vibes")
-
-
-class TestComputeBoundRanking:
-    def test_sheds_lowest_value_per_service_second_first(self):
-        # cam_cheap and cam_dear have equal truth density, but cam_dear's
-        # frames cost 4x the service time — it buys less accuracy per
-        # worker-second and sheds first.  cam_rich is densest and safe.
-        runtime = FakeRuntime(
-            {
-                "cam_rich": make_stats(
-                    "cam_rich", generated=20, scored=10,
-                    truth_known=True, truth_positive_generated=16,
-                ),
-                "cam_cheap": make_stats(
-                    "cam_cheap", generated=20, scored=10, service_seconds=0.01,
-                    truth_known=True, truth_positive_generated=4,
-                ),
-                "cam_dear": make_stats(
-                    "cam_dear", generated=20, scored=10, service_seconds=0.04,
-                    truth_known=True, truth_positive_generated=4,
-                ),
-            }
-        )
-        overload(runtime)
-        actions = ValueSheddingController(CONFIG).decide(make_view({"node0": runtime}))
-        quotas = [a for a in actions if isinstance(a, SetCameraQuota)]
-        assert [a.camera_id for a in quotas] == ["cam_dear", "cam_cheap"]
-        assert all(a.quota == 2 for a in quotas)
-        policies = [a for a in actions if isinstance(a, SetDropPolicy)]
-        assert all(a.policy is DropPolicy.DROP_NEWEST for a in policies)
-
-    def test_idle_cameras_are_never_capped(self):
-        # A feed that has not started offers no load: capping it frees
-        # nothing and would pre-judge a possibly-dense future burst at 0.0.
-        runtime = FakeRuntime(
-            {
-                "cam_future": make_stats(
-                    "cam_future", frame_rate=24.0, generated=0, scored=0,
-                    truth_known=True,
-                ),
-                "cam_live": make_stats(
-                    "cam_live", generated=10, scored=10,
-                    truth_known=True, truth_positive_generated=5,
-                ),
-            }
-        )
-        overload(runtime)
-        actions = ValueSheddingController(CONFIG).decide(make_view({"node0": runtime}))
-        quotas = [a for a in actions if isinstance(a, SetCameraQuota)]
-        assert [a.camera_id for a in quotas] == ["cam_live"]
-
-    def test_truth_density_falls_back_to_match_density(self):
-        # No accuracy plane: the oracle signal degrades to the proxy.
-        runtime = FakeRuntime(
-            {
-                "cam_matchy": make_stats("cam_matchy", generated=10, scored=10, matched=8),
-                "cam_quiet": make_stats("cam_quiet", generated=10, scored=10, matched=0),
-            }
-        )
-        overload(runtime)
-        controller = ValueSheddingController(
-            ValueSheddingConfig(cameras_per_step=1, value_signal="truth_density")
-        )
-        actions = controller.decide(make_view({"node0": runtime}))
-        quota = next(a for a in actions if isinstance(a, SetCameraQuota))
-        assert quota.camera_id == "cam_quiet"
-
-    def test_second_overloaded_tick_steps_down_the_ladder(self):
-        runtime = FakeRuntime(
-            {
-                "cam_a": make_stats("cam_a", generated=10, scored=10, matched=0),
-                "cam_b": make_stats("cam_b", generated=10, scored=10, matched=9),
-            }
-        )
-        overload(runtime)
-        controller = ValueSheddingController(
-            ValueSheddingConfig(cameras_per_step=1, value_signal="match_density")
-        )
-        controller.decide(make_view({"node0": runtime}))
-        overload(runtime, count=5)
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=1))
-        assert [(a.camera_id, a.quota) for a in actions if isinstance(a, SetCameraQuota)] == [
-            ("cam_a", 1)
-        ]
-        # Bottom of the ladder: the next overloaded tick caps the other camera.
-        overload(runtime, count=5)
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=2))
-        assert [(a.camera_id, a.quota) for a in actions if isinstance(a, SetCameraQuota)] == [
-            ("cam_b", 2)
-        ]
-
-
-class TestUplinkBoundShedding:
-    def make_upload_node(self) -> FakeRuntime:
-        return FakeRuntime(
-            {
-                # cam_hog uploads a lot for little truth; cam_rich uploads a
-                # lot but is event-dense; cam_silent uploads nothing.
-                "cam_hog": make_stats(
-                    "cam_hog", generated=20, scored=10, estimated_upload_bits=5_000.0,
-                    truth_known=True, truth_positive_generated=2,
-                ),
-                "cam_rich": make_stats(
-                    "cam_rich", generated=20, scored=10, estimated_upload_bits=5_000.0,
-                    truth_known=True, truth_positive_generated=16,
-                ),
-                "cam_silent": make_stats(
-                    "cam_silent", generated=20, scored=10, estimated_upload_bits=0.0,
-                    truth_known=True, truth_positive_generated=1,
-                ),
-            }
-        )
-
-    def test_uplink_backlog_sheds_upload_heavy_low_value_first(self):
-        runtime = self.make_upload_node()
-        # CPU calm, link drowning: 50 kbit estimated against a 10 kbps
-        # guarantee at t=1 -> ~4s of estimated backlog.
-        runtime.telemetry.counter("uplink.estimated_bits").inc(50_000.0)
-        controller = ValueSheddingController(CONFIG)
-        actions = controller.decide(
-            make_view({"node0": runtime}, uplink_guarantees={"node0": 10_000.0})
-        )
-        quotas = [a for a in actions if isinstance(a, SetCameraQuota)]
-        # cam_hog first (most upload per unit of value); cam_silent cannot
-        # relieve the link and is never the uplink-mode victim.
-        assert [a.camera_id for a in quotas] == ["cam_hog", "cam_rich"]
-
-    def test_exhausted_ladder_never_spills_onto_zero_upload_cameras(self):
-        # Once every uploading camera sits at the bottom of the ladder,
-        # persistent link backlog must NOT start capping cameras that
-        # upload nothing — capping them cannot relieve the link.
-        runtime = self.make_upload_node()
-        runtime.telemetry.counter("uplink.estimated_bits").inc(50_000.0)
-        controller = ValueSheddingController(CONFIG)
-        guarantees = {"node0": 10_000.0}
-        first = controller.decide(
-            make_view({"node0": runtime}, uplink_guarantees=guarantees)
-        )
-        second = controller.decide(
-            make_view({"node0": runtime}, tick_index=1, uplink_guarantees=guarantees)
-        )
-        # Ladder (2, 1): both uploaders stepped to the bottom rung.
-        assert [(a.camera_id, a.quota) for a in second if isinstance(a, SetCameraQuota)] == [
-            ("cam_hog", 1),
-            ("cam_rich", 1),
-        ]
-        third = controller.decide(
-            make_view({"node0": runtime}, tick_index=2, uplink_guarantees=guarantees)
-        )
-        assert third == []
-        touched = {
-            a.camera_id for a in first + second if isinstance(a, SetCameraQuota)
-        }
-        assert "cam_silent" not in touched
-
-    def test_no_guarantees_means_no_uplink_detection(self):
-        runtime = self.make_upload_node()
-        runtime.telemetry.counter("uplink.estimated_bits").inc(50_000.0)
-        controller = ValueSheddingController(CONFIG)
-        assert controller.decide(make_view({"node0": runtime})) == []
-        assert (
-            controller.decide(
-                make_view({"node0": runtime}, uplink_guarantees={"other_node": 1.0})
-            )
-            == []
-        )
-
-    def test_backlog_below_watermark_is_quiet(self):
-        runtime = self.make_upload_node()
-        runtime.telemetry.counter("uplink.estimated_bits").inc(11_000.0)
-        controller = ValueSheddingController(CONFIG)
-        # ~0.1s estimated backlog at t=1: under the high watermark.
-        assert (
-            controller.decide(
-                make_view({"node0": runtime}, uplink_guarantees={"node0": 10_000.0})
-            )
-            == []
-        )
-
-    def test_late_run_saturation_is_not_masked_by_an_idle_prefix(self):
-        # A long idle prefix must not bank transmission credit: the backlog
-        # model is windowed per tick, so uploads arriving at 2x the
-        # guarantee late in the run still trip the detector.
-        runtime = self.make_upload_node()
-        controller = ValueSheddingController(CONFIG)
-        guarantees = {"node0": 10_000.0}
-        # 60 idle seconds: nothing estimated, nothing detected.
-        assert (
-            controller.decide(
-                make_view({"node0": runtime}, now=60.0, uplink_guarantees=guarantees)
-            )
-            == []
-        )
-        # One second later, 30 kbit arrived (3x guarantee for that window,
-        # ~2s of queued work net of drain): a run-average
-        # (bits/guarantee - now ~= -58s) would stay blind.
-        runtime.telemetry.counter("uplink.estimated_bits").inc(30_000.0)
-        overloaded = controller.decide(
-            make_view({"node0": runtime}, now=61.0, tick_index=1, uplink_guarantees=guarantees)
-        )
-        assert [a.camera_id for a in overloaded if isinstance(a, SetCameraQuota)] == [
-            "cam_hog",
-            "cam_rich",
-        ]
-        # The queued work drains at one second per second once arrivals stop.
-        calm = controller.decide(
-            make_view({"node0": runtime}, now=64.0, tick_index=2, uplink_guarantees=guarantees)
-        )
-        restored = [a for a in calm if isinstance(a, SetCameraQuota)]
-        assert restored and restored[0].quota is None
-
-
-class TestRelax:
-    def test_restores_most_valuable_per_service_second_first(self):
-        runtime = FakeRuntime(
-            {
-                "cam_good": make_stats(
-                    "cam_good", generated=20, scored=10, service_seconds=0.01,
-                    truth_known=True, truth_positive_generated=8,
-                    drop_policy=DropPolicy.BLOCK,
-                ),
-                "cam_poor": make_stats(
-                    "cam_poor", generated=20, scored=10, service_seconds=0.01,
-                    truth_known=True, truth_positive_generated=0,
-                ),
-            }
-        )
-        overload(runtime)
-        controller = ValueSheddingController(CONFIG)
-        controller.decide(make_view({"node0": runtime}))  # caps both
-        first = controller.decide(make_view({"node0": runtime}, tick_index=1))
-        quota = next(a for a in first if isinstance(a, SetCameraQuota))
-        policy = next(a for a in first if isinstance(a, SetDropPolicy))
-        assert quota.camera_id == "cam_good"
-        assert quota.quota is None
-        assert policy.policy is DropPolicy.BLOCK  # the pre-tighten policy
-        second = controller.decide(make_view({"node0": runtime}, tick_index=2))
-        assert next(a for a in second if isinstance(a, SetCameraQuota)).camera_id == "cam_poor"
-        assert controller.decide(make_view({"node0": runtime}, tick_index=3)) == []
-
-    def test_uplink_backlog_blocks_relaxation(self):
-        runtime = FakeRuntime(
-            {
-                "cam_a": make_stats("cam_a", generated=10, scored=10, matched=0),
-                "cam_b": make_stats("cam_b", generated=10, scored=10, matched=9),
-            }
-        )
-        overload(runtime)
-        controller = ValueSheddingController(CONFIG)
-        guarantees = {"node0": 10_000.0}
-        controller.decide(make_view({"node0": runtime}, uplink_guarantees=guarantees))
-        # CPU calm now, but the estimated link backlog sits between the
-        # uplink watermarks (10 kbit arriving within one tick on a 10 kbps
-        # guarantee = 1s of queued work): hold.
-        runtime.telemetry.counter("uplink.estimated_bits").inc(10_000.0)
-        assert (
-            controller.decide(
-                make_view({"node0": runtime}, tick_index=1, uplink_guarantees=guarantees)
-            )
-            == []
-        )
-
-    def test_capped_camera_that_migrated_away_is_forgotten(self):
-        runtime = FakeRuntime(
-            {
-                "cam_a": make_stats("cam_a", generated=10, scored=10, matched=0),
-                "cam_b": make_stats("cam_b", generated=10, scored=10, matched=9),
-            }
-        )
-        overload(runtime)
-        controller = ValueSheddingController(CONFIG)
-        controller.decide(make_view({"node0": runtime}))
-        runtime.cameras.pop("cam_a")
-        runtime.cameras.pop("cam_b")
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
-        assert controller.decide(make_view({"node0": runtime}, tick_index=2)) == []
-
-    def test_between_watermarks_holds(self):
-        runtime = FakeRuntime({"cam_a": make_stats("cam_a", generated=10, scored=10)})
-        overload(runtime)
-        controller = ValueSheddingController(CONFIG)
-        controller.decide(make_view({"node0": runtime}))
-        overload(runtime, wait=0.1, count=5)  # between the watermarks
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
-
 
 def drift_stats(
     camera_id: str = "cam000",
@@ -671,17 +346,18 @@ class TestThresholdActuation:
 
 
 @pytest.mark.slow
-class TestValueSheddingKeepsMoreF1:
+class TestTruthRankingKeepsMoreF1:
     """Who sheds decides what shedding costs: 64 trained cameras on 4 nodes.
 
     32 sparse, heavy cameras (highway / night, 64x48, 8-10 fps) carry most of
     the compute and few events; 16 dense steady ones (busy intersections,
     6 fps) and 16 dense hot ones (retail entrances, 12 fps) that only come
     online at mid-run push every node past capacity.  The hot cameras have
-    scored nothing when they appear, so their match density is exactly 0 and
-    ``AdaptiveSheddingController`` caps the event-densest cameras first;
+    scored nothing when they appear, so their match-density proxy reads
+    exactly 0 and ranking by it caps the event-densest cameras first;
     ranking by truth density per service-second caps the sparse heavy ones.
-    Every loop under comparison has the same watermarks and ladder.
+    Every loop under comparison is the one shedding controller with the same
+    watermarks and ladder; only ``value_signal`` differs.
     """
 
     WATERMARKS = dict(
@@ -749,36 +425,31 @@ class TestValueSheddingKeepsMoreF1:
 
         return run
 
-    def value_shedding(self, signal="truth_density"):
-        return ValueSheddingController(
-            ValueSheddingConfig(value_signal=signal, **self.WATERMARKS)
+    def shedding(self, signal="truth_density"):
+        return AdaptiveSheddingController(
+            SheddingConfig(value_signal=signal, **self.WATERMARKS)
         )
 
     @pytest.fixture(scope="class")
     def value(self, run):
-        return run(self.value_shedding())
+        return run(self.shedding())
 
-    def test_value_ranking_beats_the_match_density_baseline(self, run, value):
-        baseline = run(AdaptiveSheddingController(SheddingConfig(**self.WATERMARKS)))
-        assert baseline.accuracy.num_cameras == 64
-        assert baseline.shedding_interventions > 0 and value.shedding_interventions > 0
-        assert baseline.drop_rate > 0.05
-        assert value.frames_generated == baseline.frames_generated
-        # Macro-F1 0.6951 against 0.6703, at 10.97 % shed against 11.04 %.
-        assert value.accuracy.macro_f1 > baseline.accuracy.macro_f1
-        assert value.drop_rate <= baseline.drop_rate
-
-    def test_truth_density_is_worth_at_least_the_match_density_proxy(self, run, value):
-        proxy = run(self.value_shedding("match_density"))
-        # 0.6951 against 0.6703; the truth run must not buy it with more shedding.
-        assert value.accuracy.macro_f1 >= proxy.accuracy.macro_f1
-        assert value.drop_rate <= proxy.drop_rate + 1e-9
+    def test_truth_density_beats_the_match_density_proxy(self, run, value):
+        proxy = run(self.shedding("match_density"))
+        assert proxy.accuracy.num_cameras == 64
+        assert proxy.shedding_interventions > 0 and value.shedding_interventions > 0
+        assert proxy.drop_rate > 0.05
+        assert value.frames_generated == proxy.frames_generated
+        # Macro-F1 0.6951 against 0.6703, at 10.97 % shed against 11.04 %:
+        # the truth run must not buy its F1 with more shedding.
+        assert value.accuracy.macro_f1 > proxy.accuracy.macro_f1
+        assert value.drop_rate <= proxy.drop_rate
 
     def test_threshold_drift_composes_without_costing_macro_f1(self, run, value, models, fleet):
         drift = ThresholdDriftController(
             ThresholdDriftConfig(tolerance=0.5, step=0.05, min_scored=12, cooldown_ticks=2)
         )
-        drifted = run(self.value_shedding(), drift)
+        drifted = run(self.shedding(), drift)
         lines = [line for line in drifted.control_log if "set_camera_threshold" in line]
         assert len(lines) == drifted.threshold_drifts > 0
         # Over-firing cameras drift up from their calibrated threshold,
@@ -793,7 +464,7 @@ class TestValueSheddingKeepsMoreF1:
         assert drifted.accuracy.macro_f1 >= 0.95 * value.accuracy.macro_f1
 
     def test_a_value_controlled_run_repeats_bit_for_bit(self, run, value):
-        again = run(self.value_shedding())
+        again = run(self.shedding())
         assert again.control_log == value.control_log
         assert again.telemetry == value.telemetry
         assert again.accuracy.macro_f1 == value.accuracy.macro_f1

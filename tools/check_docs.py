@@ -40,8 +40,8 @@ REQUIRED_DOCS = (
 
 # The accuracy plane spans two packages; its methodology page must point at
 # every implementing module so none can be renamed out from under it.
-# repro.control.value is the accuracy-aware control half (value shedding +
-# threshold drift), documented alongside the signals it consumes.
+# repro.control.value is the accuracy-aware control half (threshold drift),
+# documented alongside the signals it consumes.
 ACCURACY_MODULES = ("repro.fleet.accuracy", "repro.control.trace", "repro.control.value")
 
 # The batched cross-camera hot path spans three packages: the N>1 kernels,
