@@ -68,6 +68,11 @@ class UplinkTransfer(NamedTuple):
         return self.end_time - self.start_time
 
 
+# Builds an UplinkTransfer from the tuple of its fields without the Python
+# frame of the generated __new__: ConstrainedUplink.upload makes one per call.
+_new_transfer = tuple.__new__
+
+
 @runtime_checkable
 class LinkPort(Protocol):
     """One node's end of a link: it submits uploads here and reads them back.
@@ -124,18 +129,22 @@ class ConstrainedUplink:
         Returns the completed transfer record; the link is then busy until
         the transfer's end time.
         """
-        start = max(float(available_at), self._busy_until)
+        available_at, busy = float(available_at), self._busy_until
+        # max(available_at, busy) exactly, without the call: a NaN available_at
+        # stays NaN for the guard below, and a tie keeps available_at.
+        start = busy if busy > available_at else available_at
         # Both guards are written so that a NaN fails them.
         if not 0 <= bits < math.inf:
             raise ValueError("bits must be finite and non-negative")
-        if not start >= self._busy_until:
+        if not start >= busy:
             raise ValueError("available_at must not be NaN")
-        duration = bits / self.capacity_bps
-        transfer = UplinkTransfer(description, float(bits), start, start + duration)
+        end = start + bits / self.capacity_bps
+        bits = float(bits)
+        transfer = _new_transfer(UplinkTransfer, (description, bits, start, end))
         if self.keep_transfers:
             self.transfers.append(transfer)
-        self._busy_until = transfer.end_time
-        self._total_bits += transfer.bits
+        self._busy_until = end
+        self._total_bits += bits
         return transfer
 
     @property

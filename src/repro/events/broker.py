@@ -20,29 +20,37 @@ carrying it.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from enum import Enum
+from zlib import crc32
 
 __all__ = ["AttemptOutcome", "BrokerConfig", "SimulatedBroker"]
 
 
 class AttemptOutcome(Enum):
-    """Fate of one publish attempt through the broker."""
+    """Fate of one publish attempt through the broker.
+
+    Every member carries two flags, set once when the enum is created
+    (callers read them per attempt):
+
+    * ``reaches_datacenter`` — whether the payload arrives (regardless of
+      the ack's fate);
+    * ``acked`` — whether the sender receives the ack and stops retrying.
+    """
 
     LOST = "lost"
     DELIVERED = "delivered"
     DELIVERED_ACK_LOST = "delivered_ack_lost"
 
-    @property
-    def reaches_datacenter(self) -> bool:
-        """Whether the payload arrives (regardless of the ack's fate)."""
-        return self is not AttemptOutcome.LOST
+    def __init__(self, value: str) -> None:
+        self.reaches_datacenter = value != "lost"
+        self.acked = value == "delivered"
 
-    @property
-    def acked(self) -> bool:
-        """Whether the sender receives the ack and stops retrying."""
-        return self is AttemptOutcome.DELIVERED
+
+# plan() appends one of these per attempt; module globals are its cheapest read.
+_LOST = AttemptOutcome.LOST
+_DELIVERED = AttemptOutcome.DELIVERED
+_DELIVERED_ACK_LOST = AttemptOutcome.DELIVERED_ACK_LOST
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,19 @@ class SimulatedBroker:
     """Seeded per-attempt outcome oracle over the :class:`BrokerConfig`."""
 
     def __init__(self, config: BrokerConfig | None = None) -> None:
-        self.config = config or BrokerConfig()
+        self._config = config = config or BrokerConfig()
         # ``b"#{attempt}#{seed}"`` per attempt index, grown as plans ask for more.
         self._suffixes: list[bytes] = []
+        # plan()'s two thresholds in the crc32 integer domain.  Exact:
+        # ``crc / 2**32`` and ``rate * 2**32`` are power-of-two scalings of
+        # doubles, so ``crc < rate * 2**32`` whenever ``crc / 2**32 < rate``.
+        self._lost_below = config.loss_rate * 2**32
+        self._acked_from = (config.loss_rate + config.ack_loss_rate) * 2**32
+
+    @property
+    def config(self) -> BrokerConfig:
+        """The loss model, fixed at construction (plan() holds it pre-scaled)."""
+        return self._config
 
     def outcome(self, key: str, attempt: int) -> AttemptOutcome:
         """The deterministic fate of attempt ``attempt`` for event ``key``."""
@@ -89,23 +107,22 @@ class SimulatedBroker:
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        config, suffixes = self.config, self._suffixes
-        for attempt in range(len(suffixes), max_attempts):
-            suffixes.append(f"#{attempt}#{config.seed}".encode())
-        lost, not_acked = config.loss_rate, config.loss_rate + config.ack_loss_rate
+        suffixes = self._suffixes
+        if len(suffixes) < max_attempts:
+            for attempt in range(len(suffixes), max_attempts):
+                suffixes.append(f"#{attempt}#{self._config.seed}".encode())
+        lost, not_acked = self._lost_below, self._acked_from
         # crc32 is a running checksum: hash the key once, continue per attempt.
-        head = zlib.crc32(key.encode())
+        head = crc32(key.encode())
         outcomes: list[AttemptOutcome] = []
         for attempt in range(max_attempts):
-            draw = zlib.crc32(suffixes[attempt], head) / 2**32
+            draw = crc32(suffixes[attempt], head)
             if draw >= not_acked:
-                outcomes.append(AttemptOutcome.DELIVERED)
+                outcomes.append(_DELIVERED)
                 break
-            outcomes.append(
-                AttemptOutcome.LOST if draw < lost else AttemptOutcome.DELIVERED_ACK_LOST
-            )
+            outcomes.append(_LOST if draw < lost else _DELIVERED_ACK_LOST)
         return outcomes
 
     def _unit_uniform(self, key: str, attempt: int) -> float:
         token = f"{key}#{attempt}#{self.config.seed}".encode()
-        return zlib.crc32(token) / 2**32
+        return crc32(token) / 2**32

@@ -38,6 +38,11 @@ class IngestResult(NamedTuple):
         return self.completed_at - self.arrived_at
 
 
+# Builds an IngestResult from the tuple of its fields without the Python frame
+# of the generated __new__: ingest() makes one per arrival.
+_new_result = tuple.__new__
+
+
 class DatacenterIngest:
     """Serial, deduplicating consumer of delivered event payloads."""
 
@@ -45,7 +50,7 @@ class DatacenterIngest:
         """``consumer_rate_eps`` is events per second; 0 = infinitely fast."""
         if consumer_rate_eps < 0:
             raise ValueError("consumer_rate_eps must be non-negative")
-        self.consumer_rate_eps = float(consumer_rate_eps)
+        self._consumer_rate_eps = float(consumer_rate_eps)
         self.unique_ingests = 0
         self.duplicates = 0
         self.max_consumer_lag = 0.0
@@ -54,6 +59,11 @@ class DatacenterIngest:
         self._last_arrival = float("-inf")
         # The rate is fixed at construction: ingest() adds this, looked up.
         self._service_seconds = self.service_seconds
+
+    @property
+    def consumer_rate_eps(self) -> float:
+        """Events per second the consumer serves (0 = infinitely fast); read-only."""
+        return self._consumer_rate_eps
 
     @property
     def service_seconds(self) -> float:
@@ -65,17 +75,20 @@ class DatacenterIngest:
         if not arrived_at >= self._last_arrival:  # a NaN fails closed
             raise ValueError("ingest arrivals must be in non-decreasing time order")
         self._last_arrival = arrived_at
-        if key in self._seen:
+        seen = self._seen
+        if key in seen:
             self.duplicates += 1
-            return IngestResult(key, False, arrived_at, arrived_at)
-        self._seen.add(key)
+            return _new_result(IngestResult, (key, False, arrived_at, arrived_at))
+        seen.add(key)
         self.unique_ingests += 1
-        completed = max(arrived_at, self._busy_until) + self._service_seconds
+        busy = self._busy_until
+        # max(arrived_at, busy) exactly, without the call: ties keep arrived_at.
+        completed = (busy if busy > arrived_at else arrived_at) + self._service_seconds
         self._busy_until = completed
         lag = completed - arrived_at
         if lag > self.max_consumer_lag:
             self.max_consumer_lag = lag
-        return IngestResult(key, True, arrived_at, completed)
+        return _new_result(IngestResult, (key, True, arrived_at, completed))
 
     def has_ingested(self, key: str) -> bool:
         """Whether ``key`` has been accepted (dedupe membership probe)."""

@@ -24,9 +24,9 @@ non-decreasing ``closed_at`` order — the order the runtime closes events in.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from math import inf
 from typing import NamedTuple
 
@@ -52,7 +52,7 @@ class OutboxConfig:
         if self.backoff_cap_seconds < self.backoff_base_seconds:
             raise ValueError("backoff_cap_seconds must be at least the base")
 
-    @property
+    @cached_property
     def max_attempts(self) -> int:
         """Total sends per record: the first try plus every retry."""
         return self.max_retries + 1
@@ -97,18 +97,31 @@ class OutboxEntry(NamedTuple):
         return len(self.send_times)
 
 
+# Builds an OutboxEntry from the tuple of its fields without the Python frame
+# of the generated __new__: offer() makes one per admitted record.
+_new_entry = tuple.__new__
+
+
 class NodeOutbox:
     """Bounded, deterministic publish queue for one edge node."""
 
     def __init__(self, node_id: str, config: OutboxConfig | None = None) -> None:
         self.node_id = str(node_id)
-        self.config = config or OutboxConfig()
+        self._config = config = config or OutboxConfig()
         self.entries: list[OutboxEntry] = []
         self.dropped = 0
         self._last_offer_at = float("-inf")
         # Occupancy-end times of admitted entries still holding a slot; a
         # min-heap popped as offers advance the clock keeps admission O(log n).
         self._occupied: list[float] = []
+        # What offer() reads of the config per record, bound once.
+        self._offsets, self._backoffs = config.schedule
+        self._max_queue = config.max_queue
+
+    @property
+    def config(self) -> OutboxConfig:
+        """The sizing and retry policy, fixed at construction."""
+        return self._config
 
     def offer(self, key: str, closed_at: float, bits: float, attempts: int) -> OutboxEntry | None:
         """Admit a record closing at ``closed_at`` that will make ``attempts`` sends.
@@ -117,7 +130,7 @@ class NodeOutbox:
         queue is full (an overflow drop).  ``attempts`` comes from the
         broker's plan for the record's key.
         """
-        offsets, backoffs = self.config.schedule
+        offsets, backoffs, occupied = self._offsets, self._backoffs, self._occupied
         # Each guard is written so that a NaN fails it.
         if not closed_at >= self._last_offer_at:
             raise ValueError("outbox offers must arrive in non-decreasing closed_at order")
@@ -126,16 +139,19 @@ class NodeOutbox:
         if not 0 <= bits < inf:
             raise ValueError("bits must be finite and non-negative")
         self._last_offer_at = closed_at
-        while self._occupied and self._occupied[0] <= closed_at:
-            heapq.heappop(self._occupied)
-        if len(self._occupied) >= self.config.max_queue:
+        while occupied and occupied[0] <= closed_at:
+            heappop(occupied)
+        if len(occupied) >= self._max_queue:
             self.dropped += 1
             return None
-        send_times = tuple([closed_at + offset for offset in offsets[:attempts]])
-        entry = OutboxEntry(key, closed_at, bits, send_times)
+        if attempts == 1:  # most records: acked on the first try
+            send_times = (closed_at + offsets[0],)
+        else:
+            send_times = tuple([closed_at + offset for offset in offsets[:attempts]])
+        entry = _new_entry(OutboxEntry, (key, closed_at, bits, send_times))
         self.entries.append(entry)
         # The slot frees when the final attempt's ack window elapses.
-        heapq.heappush(self._occupied, send_times[-1] + backoffs[attempts - 1])
+        heappush(occupied, send_times[-1] + backoffs[attempts - 1])
         return entry
 
     @property

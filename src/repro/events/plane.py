@@ -144,15 +144,13 @@ class _Publish:
     """One admitted record's full plan and (post-finalize) outcome."""
 
     node_id: str
+    key: str  # str(record.key)
     record: EventRecord
     entry: OutboxEntry
     outcomes: tuple[AttemptOutcome, ...]
+    descriptions: tuple[str, ...]  # each attempt's transfer description
     delivered_at: float | None = None
     dup_arrivals: int = 0
-
-    @property
-    def key(self) -> str:
-        return str(self.record.key)
 
     @property
     def state(self) -> str:
@@ -211,8 +209,18 @@ class EventDeliveryPlane:
         telemetry.counter("events.published").inc()
         if entry.attempts > 1:
             telemetry.counter("events.retried").inc(entry.attempts - 1)
+        descriptions = tuple(
+            self.attempt_description(node_id, key, attempt) for attempt in range(entry.attempts)
+        )
         self._publishes.append(
-            _Publish(node_id=node_id, record=record, entry=entry, outcomes=outcomes)
+            _Publish(
+                node_id=node_id,
+                key=key,
+                record=record,
+                entry=entry,
+                outcomes=outcomes,
+                descriptions=descriptions,
+            )
         )
 
     # -- uplink integration --------------------------------------------------
@@ -232,10 +240,10 @@ class EventDeliveryPlane:
                 node_id=publish.node_id,
                 bits=publish.entry.bits,
                 available_at=send_time,
-                description=self.attempt_description(publish.node_id, publish.key, attempt),
+                description=description,
             )
             for publish in self._publishes
-            for attempt, send_time in enumerate(publish.entry.send_times)
+            for description, send_time in zip(publish.descriptions, publish.entry.send_times)
         ]
 
     def node_ids(self) -> list[str]:
@@ -258,12 +266,9 @@ class EventDeliveryPlane:
 
         arrivals: list[tuple[float, str, _Publish]] = []
         for publish in self._publishes:
-            for attempt, outcome in enumerate(publish.outcomes):
+            for description, outcome in zip(publish.descriptions, publish.outcomes):
                 if not outcome.reaches_datacenter:
                     continue
-                description = self.attempt_description(
-                    publish.node_id, publish.key, attempt
-                )
                 if description not in attempt_end_times:
                     raise KeyError(f"no uplink end time for attempt {description!r}")
                 arrivals.append((attempt_end_times[description], description, publish))

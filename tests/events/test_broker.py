@@ -21,16 +21,6 @@ class TestBrokerConfig:
             BrokerConfig(loss_rate=0.6, ack_loss_rate=0.4)
 
 
-class TestAttemptOutcome:
-    def test_semantics(self):
-        assert not AttemptOutcome.LOST.reaches_datacenter
-        assert AttemptOutcome.DELIVERED.reaches_datacenter
-        assert AttemptOutcome.DELIVERED_ACK_LOST.reaches_datacenter
-        assert AttemptOutcome.DELIVERED.acked
-        assert not AttemptOutcome.DELIVERED_ACK_LOST.acked
-        assert not AttemptOutcome.LOST.acked
-
-
 class TestSimulatedBroker:
     def test_outcome_is_deterministic(self):
         a = SimulatedBroker(BrokerConfig(loss_rate=0.3, ack_loss_rate=0.2, seed=7))

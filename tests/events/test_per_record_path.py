@@ -8,6 +8,7 @@ floats, never ``approx``.
 """
 
 import math
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.edge import ConstrainedUplink, UplinkTransfer
 from repro.events import (
+    AttemptOutcome,
     BrokerConfig,
     DatacenterIngest,
     IngestResult,
@@ -23,6 +25,56 @@ from repro.events import (
     OutboxEntry,
     SimulatedBroker,
 )
+
+
+class TestCachedConstantsAreReadOnly:
+    @pytest.mark.parametrize(
+        "owner, attr",
+        [
+            (DatacenterIngest(consumer_rate_eps=10.0), "consumer_rate_eps"),
+            (SimulatedBroker(BrokerConfig(loss_rate=0.1)), "config"),
+            (NodeOutbox("node0", OutboxConfig(max_queue=4)), "config"),
+        ],
+        ids=["ingest.consumer_rate_eps", "broker.config", "outbox.config"],
+    )
+    def test_what_the_fast_path_caches_cannot_be_reassigned(self, owner, attr):
+        # Each is copied into the per-record path at construction; assigning
+        # it afterwards would leave that copy stale.
+        with pytest.raises(AttributeError):
+            setattr(owner, attr, getattr(owner, attr))
+
+
+class TestFastPathsAreExact:
+    def test_outcome_flags(self):
+        table = {outcome: (outcome.reaches_datacenter, outcome.acked) for outcome in AttemptOutcome}
+        assert table == {
+            AttemptOutcome.LOST: (False, False),
+            AttemptOutcome.DELIVERED: (True, True),
+            AttemptOutcome.DELIVERED_ACK_LOST: (True, False),
+        }
+
+    def test_plan_thresholds_tie_exactly(self):
+        # loss_rate sits exactly on attempt 0's draw and loss_rate +
+        # ack_loss_rate exactly on attempt 1's: a draw equal to a threshold is
+        # not below it, so attempt 0 is not lost and attempt 1 is acked.
+        seed = 3
+        draws = {
+            key: [zlib.crc32(f"{key}#{attempt}#{seed}".encode()) for attempt in (0, 1)]
+            for key in (f"cam0/e0/{index}" for index in range(64))
+        }
+        key, (first, second) = next((k, d) for k, d in draws.items() if d[0] < d[1])
+        loss_rate = first / 2**32
+        ack_loss_rate = second / 2**32 - loss_rate
+        assert loss_rate + ack_loss_rate == second / 2**32  # both sums are exact
+        broker = SimulatedBroker(BrokerConfig(loss_rate, ack_loss_rate, seed))
+        expected = [broker.outcome(key, 0), broker.outcome(key, 1)]
+        assert expected == [AttemptOutcome.DELIVERED_ACK_LOST, AttemptOutcome.DELIVERED]
+        assert broker.plan(key, 4) == expected
+
+    def test_upload_tie_keeps_available_at(self):
+        # A fresh link is free at +0.0: the tie keeps available_at, sign bit too.
+        transfer = ConstrainedUplink(100.0).upload(8.0, available_at=-0.0)
+        assert math.copysign(1.0, transfer.start_time) == -1.0
 
 
 class TestGuardsFailClosedOnNaN:
