@@ -14,7 +14,7 @@ subpackages for the full API:
 * :mod:`repro.video` — frames, streams, synthetic datasets, codec simulator,
 * :mod:`repro.features` — MobileNet-style base DNN and feature extractor,
 * :mod:`repro.core` — microclassifiers, smoothing, events, the pipeline,
-* :mod:`repro.baselines` — discrete classifiers, full DNNs, compress-everything,
+* :mod:`repro.baselines` — discrete classifiers,
 * :mod:`repro.metrics` — event F1, bandwidth, throughput,
 * :mod:`repro.perf` — cost, throughput, and memory models,
 * :mod:`repro.edge` — uplink, archive, edge node, phased scheduling,

@@ -3,28 +3,22 @@
 * :mod:`repro.baselines.discrete_classifier` — NoScope-style *discrete
   classifiers* (DCs): cheap task-specific CNNs that operate on raw pixels
   instead of shared feature maps (Sections 4.4, 4.5, 5.2.1).
-* :mod:`repro.baselines.full_dnn` — naively running one full MobileNet per
-  application (Section 4.4).
-* :mod:`repro.baselines.compression` — the "compress everything" strategy:
-  upload the entire stream at a low bitrate and filter in the cloud
-  (Section 4.3, Figure 4).
+
+The other two baselines have one implementation each outside this package:
+compress-everything is Figure 4's inline transcode-and-score sweep
+(:mod:`repro.experiments.figure4`), and one full MobileNet per application
+is :meth:`repro.perf.throughput_model.ThroughputModel.multiple_mobilenets_fps`
+over :class:`repro.perf.memory_model.MemoryModel` (Figure 5).
 """
 
-from repro.baselines.compression import CompressEverythingResult, run_compress_everything
 from repro.baselines.discrete_classifier import (
     DiscreteClassifier,
     DiscreteClassifierConfig,
     discrete_classifier_pareto_configs,
 )
-from repro.baselines.full_dnn import FullDNNClassifier, MultipleFullDNNEstimate, estimate_multiple_full_dnns
 
 __all__ = [
-    "CompressEverythingResult",
     "DiscreteClassifier",
     "DiscreteClassifierConfig",
-    "FullDNNClassifier",
-    "MultipleFullDNNEstimate",
     "discrete_classifier_pareto_configs",
-    "estimate_multiple_full_dnns",
-    "run_compress_everything",
 ]

@@ -203,11 +203,6 @@ class NodeAggregate:
     events_published: float = 0.0
     events_dropped: float = 0.0
 
-    @property
-    def window_wait_p99(self) -> float:
-        """p99 queue wait over the summarized interval (from the sketch)."""
-        return self.window_wait_sketch.percentile(99)
-
     def counter_value(self, name: str) -> float:
         """One carried counter by its node-registry name (else ``KeyError``).
 

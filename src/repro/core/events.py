@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.smoothing import KVotingSmoother, StreamingKVotingSmoother, TransitionDetector
-from repro.video.annotations import EventAnnotation
 from repro.video.frame import Frame
 
 __all__ = ["Event", "EventDetector", "EventKey", "EventRecord", "SmoothedDecision"]
@@ -43,10 +42,6 @@ class Event:
     def frames(self) -> range:
         """Frame indices covered by the event."""
         return range(self.start, self.end)
-
-    def to_annotation(self) -> EventAnnotation:
-        """Convert to a ground-truth-style annotation (for metric computation)."""
-        return EventAnnotation(self.start, self.end, label=self.mc_name)
 
 
 @dataclass(frozen=True)

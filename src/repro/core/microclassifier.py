@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.features.extractor import FeatureExtractor, FeatureMapCrop
+from repro.features.extractor import FeatureMapCrop
 from repro.nn.layers import Parameter
-from repro.video.frame import Frame
 
 __all__ = ["MicroClassifierConfig", "MicroClassifier"]
 
@@ -99,16 +98,6 @@ class MicroClassifier(ABC):
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         """Build the internal model for a (cropped) feature map of ``input_shape``."""
 
-    def build_for_extractor(
-        self,
-        extractor: FeatureExtractor,
-        frame_size: tuple[int, int],
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        """Convenience: build against an extractor's (cropped) layer shape."""
-        shape = extractor.cropped_layer_shape(self.input_layer, self.crop, frame_size)
-        self.build(shape, rng or np.random.default_rng(0))
-
     def _require_built(self) -> None:
         if not self.built:
             raise RuntimeError(f"MicroClassifier {self.name!r} used before build()")
@@ -133,11 +122,6 @@ class MicroClassifier(ABC):
     def predict_proba(self, feature_map: np.ndarray) -> float:
         """Relevance probability for a single feature map ``(H, W, C)``."""
         return float(self.predict_proba_batch(feature_map[None, ...])[0])
-
-    def score_frame(self, extractor: FeatureExtractor, frame: Frame) -> float:
-        """Extract this MC's input for ``frame`` and return its probability."""
-        feature_map = extractor.feature_map(frame, self.input_layer, self.crop)
-        return self.predict_proba(feature_map)
 
     def classify(self, probability: float) -> bool:
         """Apply the decision threshold."""
@@ -173,10 +157,3 @@ class MicroClassifier(ABC):
             f"{type(self).__name__}(name={self.name!r}, layer={self.input_layer!r}, "
             f"crop={self.crop is not None})"
         )
-
-
-def stack_feature_maps(feature_maps: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack per-frame feature maps into a single ``(N, H, W, C)`` batch."""
-    if not feature_maps:
-        raise ValueError("feature_maps must be non-empty")
-    return np.stack([np.asarray(m, dtype=np.float64) for m in feature_maps], axis=0)

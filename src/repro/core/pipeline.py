@@ -146,13 +146,6 @@ class PipelineResult:
             return 0.0
         return self.uploaded_frame_indices.size / self.num_frames
 
-    def bandwidth_savings_versus(self, baseline_bandwidth: float) -> float:
-        """How many times less bandwidth the pipeline used than ``baseline_bandwidth``."""
-        own = self.average_uplink_bandwidth
-        if own <= 0:
-            return float("inf")
-        return baseline_bandwidth / own
-
 
 class FilterForwardPipeline:
     """Runs many microclassifiers against one camera stream on the edge node.

@@ -133,11 +133,6 @@ class TransitionDetector:
             raise ValueError("first_event_id must be non-negative")
         self._next_id = int(first_event_id)
 
-    @property
-    def next_event_id(self) -> int:
-        """The ID that will be assigned to the next detected event."""
-        return self._next_id
-
     def allocate_event_id(self) -> int:
         """Consume and return the next event ID (for online event assembly)."""
         allocated = self._next_id

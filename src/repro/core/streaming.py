@@ -263,11 +263,6 @@ class StreamingPipeline:
         """Number of frames whose smoothed decisions are final for all MCs."""
         return min(state.finalized for state in self._states)
 
-    @property
-    def pending_frames(self) -> int:
-        """Frames buffered awaiting scoring or smoothing lookahead."""
-        return len(self._pending)
-
     def push(self, frame: Frame) -> StreamUpdate:
         """Ingest one decoded frame; returns what this push finalized."""
         if self._finished:

@@ -92,11 +92,6 @@ class TrainingHistory:
         """Loss of the final training step (NaN if no steps ran)."""
         return self.losses[-1] if self.losses else float("nan")
 
-    @property
-    def mean_loss(self) -> float:
-        """Mean loss over all steps (NaN if no steps ran)."""
-        return float(np.mean(self.losses)) if self.losses else float("nan")
-
 
 # Inputs per predict_proba_batch call in score_classifier (bounds peak memory).
 _SCORE_CHUNK = 32

@@ -30,10 +30,6 @@ class Figure6Result:
         first = next(iter(per_count.values()))
         return first.base_dnn_seconds
 
-    def classifier_seconds(self, architecture: str, num_classifiers: int) -> float:
-        """Time spent in microclassifiers at a given concurrency."""
-        return self.breakdowns[architecture][num_classifiers].classifiers_seconds
-
     def equivalent_mcs_to_base_dnn(self, architecture: str) -> float:
         """How many MCs cost as much CPU time as the base DNN (paper: 15-40)."""
         per_count = self.breakdowns[architecture]

@@ -153,11 +153,6 @@ class TrainedCameraModel:
     train_positive_frames: int
     seeds: dict[str, int]
 
-    @property
-    def train_f1(self) -> float:
-        """Event F1 on the (smoothed) training split — a sanity signal only."""
-        return self.train_breakdown.f1
-
 
 class TrainedMicroClassifiers:
     """Per-camera trained-model cache and fleet pipeline factory.
@@ -372,16 +367,6 @@ class CameraAccuracy:
     def num_events(self) -> int:
         """Ground-truth events in this camera's feed."""
         return self._breakdown.num_events
-
-    @property
-    def truth_positive_frames(self) -> int:
-        """Ground-truth positive frames in this camera's feed."""
-        return int(self.truth.sum())
-
-    @property
-    def predicted_positive_frames(self) -> int:
-        """Frames this camera's pipeline matched (would upload)."""
-        return int(self.predictions.sum())
 
     @property
     def drop_rate(self) -> float:

@@ -29,7 +29,7 @@ __all__ = ["SCENARIOS", "CameraSpec", "CameraFeed", "generate_fleet", "district_
 
 # Scenario presets: object spawn rates (events per frame) and rendering
 # knobs, before the per-camera ``event_rate_scale`` is applied.
-SCENARIOS: dict[str, dict[str, float | bool]] = {
+SCENARIOS: dict[str, dict[str, float]] = {
     "quiet_residential": {
         "pedestrian_rate": 0.010,
         "red_pedestrian_rate": 0.004,
@@ -71,7 +71,6 @@ SCENARIOS: dict[str, dict[str, float | bool]] = {
         "car_rate": 0.020,
         "cyclist_rate": 0.002,
         "noise_std": 0.035,
-        "night": True,
     },
 }
 
@@ -113,11 +112,6 @@ class CameraSpec:
     def duration(self) -> float:
         """Recording duration in seconds."""
         return self.num_frames / self.frame_rate
-
-    @property
-    def is_night(self) -> bool:
-        """Whether the scenario is a night-time feed."""
-        return bool(SCENARIOS[self.scenario].get("night", False))
 
     def scene_config(self) -> SceneConfig:
         """The synthetic-scene configuration implementing this spec."""

@@ -190,10 +190,6 @@ class LoadAwarePlacement(_GroupedPlacement):
     def _place(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
         return self._lpt(cameras, num_nodes)
 
-    def node_loads(self, shards: Sequence[Sequence[CameraSpec]]) -> list[float]:
-        """Estimated aggregate load of each shard (for reports and tests)."""
-        return [sum(self.cost_fn(spec) for spec in shard) for shard in shards]
-
 
 class ResolutionAwarePlacement(_GroupedPlacement):
     """Co-locate same-resolution cameras to minimize resident base DNNs.

@@ -156,10 +156,6 @@ class FrameQueue:
         self.stats.popped += 1
         return self._frames.popleft()
 
-    def peek(self) -> QueuedFrame | None:
-        """The oldest queued frame without removing it (None when empty)."""
-        return self._frames[0] if self._frames else None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FrameQueue({self.camera_id!r}, depth={self.depth}/{self.capacity}, "
@@ -208,10 +204,6 @@ class AdmissionController:
     def in_flight(self) -> int:
         """Frames currently admitted but not yet released."""
         return self._in_flight
-
-    def camera_in_flight(self, camera_id: str) -> int:
-        """Frames camera ``camera_id`` currently holds in flight."""
-        return self._per_camera.get(camera_id, 0)
 
     def quota_for(self, camera_id: str) -> int | None:
         """The quota in force for ``camera_id`` (override, else the default)."""

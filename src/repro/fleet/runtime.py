@@ -708,10 +708,6 @@ class FleetRuntime:
         """Whether any arrival or completion remains to be processed."""
         return bool(self._heap)
 
-    def next_event_time(self) -> float | None:
-        """Simulated time of the next pending event (None when drained)."""
-        return self._heap[0][0] if self._heap else None
-
     @property
     def horizon(self) -> float:
         """Latest feed end time across every camera ever hosted here."""
@@ -916,10 +912,6 @@ class FleetRuntime:
             mc_name = session.microclassifiers[0].name
         session.set_threshold(threshold, mc_name=mc_name)
         self.telemetry.gauge(f"accuracy.threshold.{camera_id}").set(threshold)
-
-    def camera_service_seconds(self, camera_id: str) -> float:
-        """Simulated per-frame service time of one active camera."""
-        return self.workers.service_seconds_for(self._hosted(camera_id).schedule)
 
     def camera_live_stats(self) -> dict[str, CameraLiveStats]:
         """Point-in-time stats for every active camera (id order)."""

@@ -401,16 +401,3 @@ class TelemetryRegistry:
             lines.append(f"{metric}_sum{label_block()} {fmt(hist.total)}")
             lines.append(f"{metric}_count{label_block()} {fmt(hist.count)}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def format_lines(self, prefixes: Iterable[str] = ("",)) -> list[str]:
-        """Human-readable ``name = value`` lines (for examples/benchmarks)."""
-        lines = []
-        for name, value in self.snapshot().items():
-            if not any(name.startswith(p) for p in prefixes):
-                continue
-            if isinstance(value, dict):
-                body = ", ".join(f"{k}={v:g}" for k, v in value.items())
-                lines.append(f"{name}: {body}")
-            else:
-                lines.append(f"{name} = {value:g}")
-        return lines

@@ -1,6 +1,6 @@
 """Evaluation metrics: event recall, precision, event F1, bandwidth, throughput."""
 
-from repro.metrics.bandwidth import BandwidthReport, bandwidth_reduction, bits_to_mbps
+from repro.metrics.bandwidth import bandwidth_reduction, bits_to_mbps
 from repro.metrics.event_metrics import (
     EventF1Breakdown,
     event_f1_score,
@@ -12,7 +12,6 @@ from repro.metrics.event_metrics import (
 from repro.metrics.throughput import ThroughputMeasurement, measure_throughput
 
 __all__ = [
-    "BandwidthReport",
     "EventF1Breakdown",
     "ThroughputMeasurement",
     "bandwidth_reduction",

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["bits_to_mbps", "bandwidth_reduction", "BandwidthReport"]
+__all__ = ["bits_to_mbps", "bandwidth_reduction"]
 
 
 def bits_to_mbps(bits_per_second: float) -> float:
@@ -14,35 +12,9 @@ def bits_to_mbps(bits_per_second: float) -> float:
 
 def bandwidth_reduction(baseline_bps: float, filtered_bps: float) -> float:
     """How many times less bandwidth the filtered upload uses than the baseline."""
-    if baseline_bps < 0 or filtered_bps < 0:
-        raise ValueError("bandwidths must be non-negative")
+    # Written so that a NaN fails the guard too.
+    if not (baseline_bps >= 0 and filtered_bps >= 0):
+        raise ValueError("bandwidths must be non-negative numbers")
     if filtered_bps == 0:
         return float("inf")
     return baseline_bps / filtered_bps
-
-
-@dataclass(frozen=True)
-class BandwidthReport:
-    """Bandwidth use of one upload strategy over one stream."""
-
-    strategy: str
-    average_bps: float
-    uploaded_frames: int
-    total_frames: int
-    stream_duration: float
-
-    @property
-    def average_mbps(self) -> float:
-        """Average bandwidth in Mb/s."""
-        return bits_to_mbps(self.average_bps)
-
-    @property
-    def upload_fraction(self) -> float:
-        """Fraction of frames uploaded."""
-        if self.total_frames == 0:
-            return 0.0
-        return self.uploaded_frames / self.total_frames
-
-    def reduction_versus(self, other: "BandwidthReport") -> float:
-        """Bandwidth reduction of this strategy relative to ``other``."""
-        return bandwidth_reduction(other.average_bps, self.average_bps)

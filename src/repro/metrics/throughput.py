@@ -30,13 +30,6 @@ class ThroughputMeasurement:
             return float("inf")
         return self.frames / self.seconds
 
-    @property
-    def seconds_per_frame(self) -> float:
-        """Average processing latency per frame."""
-        if self.frames == 0:
-            return 0.0
-        return self.seconds / self.frames
-
 
 def measure_throughput(
     process_frame: Callable[[int], None],

@@ -22,7 +22,6 @@ from repro.nn.batched import (
     banked_forward,
     banked_layer_forward,
     batched_conv2d_forward,
-    batched_dense_forward,
     batched_forward,
     batched_forward_with_taps,
     batched_layer_forward,
@@ -32,8 +31,6 @@ from repro.nn.initializers import (
     Initializer,
     Constant,
     GlorotUniform,
-    Orthogonal,
-    initializer_from_name,
 )
 from repro.nn.layers import (
     Concat,
@@ -57,11 +54,10 @@ from repro.nn.layers import (
 from repro.nn.losses import (
     BinaryCrossEntropy,
     Loss,
-    MeanSquaredError,
     SigmoidBinaryCrossEntropy,
 )
 from repro.nn.model import Sequential, count_parameters
-from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer
+from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.cost import (
     conv_multiply_adds,
     dense_multiply_adds,
@@ -87,10 +83,7 @@ __all__ = [
     "Layer",
     "Loss",
     "MaxPool2D",
-    "MeanSquaredError",
-    "Momentum",
     "Optimizer",
-    "Orthogonal",
     "Parameter",
     "ReLU",
     "ReLU6",
@@ -103,14 +96,12 @@ __all__ = [
     "banked_forward",
     "banked_layer_forward",
     "batched_conv2d_forward",
-    "batched_dense_forward",
     "batched_forward",
     "batched_forward_with_taps",
     "batched_layer_forward",
     "conv_multiply_adds",
     "count_parameters",
     "dense_multiply_adds",
-    "initializer_from_name",
     "load_weights",
     "save_weights",
     "separable_conv_multiply_adds",

@@ -50,7 +50,6 @@ from repro.nn.model import Sequential
 
 __all__ = [
     "batched_conv2d_forward",
-    "batched_dense_forward",
     "batched_layer_forward",
     "banked_layer_forward",
     "banked_forward",
@@ -130,11 +129,6 @@ def banked_forward(stacks: Sequence[Sequence[Layer]], x: np.ndarray, shared: boo
 
 def batched_conv2d_forward(layer: Conv2D, x: np.ndarray) -> np.ndarray:
     """One :class:`Conv2D` over a stacked batch, per sample bit-identical to ``layer.forward``."""
-    return banked_layer_forward([layer] * x.shape[0], x, False)
-
-
-def batched_dense_forward(layer: Dense, x: np.ndarray) -> np.ndarray:
-    """One :class:`Dense` over a stacked batch: a one-row matmul per sample, as ``N=1`` submits."""
     return banked_layer_forward([layer] * x.shape[0], x, False)
 
 

@@ -16,8 +16,6 @@ __all__ = [
     "Constant",
     "GlorotUniform",
     "HeNormal",
-    "Orthogonal",
-    "initializer_from_name",
 ]
 
 
@@ -79,49 +77,3 @@ class HeNormal(Initializer):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "HeNormal()"
-
-
-class Orthogonal(Initializer):
-    """Orthogonal initializer (useful for small dense heads)."""
-
-    def __init__(self, gain: float = 1.0) -> None:
-        self.gain = float(gain)
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        shape = tuple(int(s) for s in shape)
-        flat_rows = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
-        flat_cols = shape[-1] if len(shape) > 1 else 1
-        a = rng.normal(0.0, 1.0, size=(max(flat_rows, flat_cols), min(flat_rows, flat_cols)))
-        q, r = np.linalg.qr(a)
-        q = q * np.sign(np.diag(r))
-        q = q[:flat_rows, :flat_cols] if flat_rows >= flat_cols else q.T[:flat_rows, :flat_cols]
-        return (self.gain * q).reshape(shape)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Orthogonal(gain={self.gain})"
-
-
-_REGISTRY = {
-    "constant": Constant,
-    "glorot_uniform": GlorotUniform,
-    "he_normal": HeNormal,
-    "orthogonal": Orthogonal,
-}
-
-
-def initializer_from_name(name: str, **kwargs) -> Initializer:
-    """Look up an initializer by its registry name.
-
-    Parameters
-    ----------
-    name:
-        One of ``constant``, ``glorot_uniform``, ``he_normal``, ``orthogonal``.
-    kwargs:
-        Forwarded to the initializer constructor.
-    """
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ValueError(
-            f"Unknown initializer {name!r}; expected one of {sorted(_REGISTRY)}"
-        )
-    return _REGISTRY[key](**kwargs)

@@ -10,7 +10,6 @@ from repro.nn.layers import sigmoid
 
 __all__ = [
     "Loss",
-    "MeanSquaredError",
     "BinaryCrossEntropy",
     "SigmoidBinaryCrossEntropy",
 ]
@@ -37,18 +36,6 @@ def _align(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(predictions.shape)
     return predictions, targets
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error."""
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions, targets = _align(predictions, targets)
-        return float(np.mean((predictions - targets) ** 2))
-
-    def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        predictions, targets = _align(predictions, targets)
-        return 2.0 * (predictions - targets) / predictions.size
 
 
 class BinaryCrossEntropy(Loss):

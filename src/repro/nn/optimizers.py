@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.nn.layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer(ABC):
@@ -37,26 +37,6 @@ class SGD(Optimizer):
     def step(self, parameters: Iterable[Parameter]) -> None:
         for p in parameters:
             p.value -= self.learning_rate * p.grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self, parameters: Iterable[Parameter]) -> None:
-        for p in parameters:
-            v = self._velocity.get(id(p))
-            if v is None:
-                v = np.zeros_like(p.value)
-            v = self.momentum * v - self.learning_rate * p.grad
-            self._velocity[id(p)] = v
-            p.value += v
 
 
 class Adam(Optimizer):

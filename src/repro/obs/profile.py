@@ -64,13 +64,6 @@ class FleetProfile:
         """Sampled end-to-end seconds of one camera (top-level stages only)."""
         return sum(row.seconds for row in self.camera_rows(camera_id) if row.depth == 0)
 
-    def stage_totals(self) -> dict[str, float]:
-        """Fleet-wide sampled seconds per stage (insertion order preserved)."""
-        totals: dict[str, float] = {}
-        for row in self.rows:
-            totals[row.stage] = totals.get(row.stage, 0.0) + row.seconds
-        return totals
-
     def format_table(self) -> str:
         """A flamegraph-style indented table, one block per camera."""
         lines = [

@@ -77,10 +77,6 @@ class CostModel:
         """Total multiply-adds of one discrete classifier at this resolution."""
         return _query_dc(self.resolution, config)
 
-    def marginal_cost_ratio(self, architecture: str, dc_config: DiscreteClassifierConfig) -> float:
-        """How many times cheaper an MC is than a DC (the paper's 11x-23x claim)."""
-        return self.dc_cost(dc_config) / self.mc_cost(architecture)
-
 
 @lru_cache(maxsize=4096)
 def _query_mc(model: CostModel, architecture: str, kwargs: tuple[tuple[str, object], ...]) -> int:

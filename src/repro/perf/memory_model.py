@@ -5,6 +5,10 @@ The paper's edge node has 32 GB of RAM; one full MobileNet instance consumes
 multiple-MobileNets baseline runs out of memory beyond ~30 concurrent
 classifiers (Section 4.4).  Microclassifiers, by contrast, add only their
 (small) weights and activation buffers on top of the single shared base DNN.
+
+This is the one module that holds the paper's node and per-MobileNet memory
+constants; Figure 5's multiple-MobileNets series reads them through
+:meth:`repro.perf.throughput_model.ThroughputModel.multiple_mobilenets_fps`.
 """
 
 from __future__ import annotations
@@ -51,16 +55,12 @@ class MemoryModel:
         Memory of FilterForward's single shared base DNN.
     mc_instance_bytes:
         Memory added by each microclassifier (weights + activation buffers).
-    dc_instance_bytes:
-        Memory of one discrete classifier (weights + full-resolution
-        activations, which dominate).
     """
 
     node_memory_bytes: float = 32.0 * _GIB
     mobilenet_instance_bytes: float = 1.05 * _GIB
     base_dnn_bytes: float = 1.05 * _GIB
     mc_instance_bytes: float = 40.0 * 1024**2
-    dc_instance_bytes: float = 350.0 * 1024**2
 
     def mobilenets_memory(self, num_classifiers: int) -> MemoryEstimate:
         """Footprint of running ``num_classifiers`` full MobileNets."""
@@ -82,23 +82,9 @@ class MemoryModel:
             bytes_available=self.node_memory_bytes,
         )
 
-    def discrete_classifiers_memory(self, num_classifiers: int) -> MemoryEstimate:
-        """Footprint of running ``num_classifiers`` discrete classifiers."""
-        self._validate(num_classifiers)
-        return MemoryEstimate(
-            strategy="discrete_classifiers",
-            num_classifiers=num_classifiers,
-            bytes_used=num_classifiers * self.dc_instance_bytes,
-            bytes_available=self.node_memory_bytes,
-        )
-
     def mobilenets_fit(self, num_classifiers: int) -> bool:
         """Whether ``num_classifiers`` full MobileNets fit in memory."""
         return self.mobilenets_memory(num_classifiers).fits
-
-    def max_mobilenets(self) -> int:
-        """Largest number of full MobileNet instances that fit (paper: ~30)."""
-        return int(self.node_memory_bytes // self.mobilenet_instance_bytes)
 
     @staticmethod
     def _validate(num_classifiers: int) -> None:

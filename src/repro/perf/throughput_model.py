@@ -159,17 +159,6 @@ class ThroughputModel:
                 return n
         return -1
 
-    def speedup_versus_dcs(
-        self,
-        num_classifiers: int,
-        architecture: str = "localized",
-        dc_config: DiscreteClassifierConfig | None = None,
-    ) -> float:
-        """FilterForward throughput divided by DC throughput at ``num_classifiers``."""
-        return self.filterforward_fps(num_classifiers, architecture) / self.discrete_classifier_fps(
-            num_classifiers, dc_config
-        )
-
     def sweep(
         self,
         classifier_counts: list[int],

@@ -80,21 +80,9 @@ class FrameLabels:
         """Number of positive (event) frames."""
         return int(self.labels.sum())
 
-    @property
-    def positive_fraction(self) -> float:
-        """Fraction of frames that are part of an event."""
-        return float(self.labels.mean()) if len(self) else 0.0
-
     def events(self) -> list[EventAnnotation]:
         """Contiguous positive runs as :class:`EventAnnotation` objects."""
         return frame_labels_to_events(self.labels, label=self.task)
-
-    @classmethod
-    def from_events(
-        cls, events: Iterable[EventAnnotation], num_frames: int, task: str = "task"
-    ) -> "FrameLabels":
-        """Build per-frame labels from event ranges."""
-        return cls(events_to_frame_labels(events, num_frames), task=task)
 
 
 def frame_labels_to_events(

@@ -68,11 +68,6 @@ class EncodedSegment:
         return float(sum(f.bits for f in self.frames))
 
     @property
-    def encoded_duration(self) -> float:
-        """Wall-clock duration covered by the encoded frames."""
-        return len(self.frames) / self.frame_rate
-
-    @property
     def average_bandwidth(self) -> float:
         """Average uplink bandwidth (bits/second) over the *whole* stream.
 

@@ -129,7 +129,7 @@ class TestNodeAggregate:
 
     def test_window_p99_from_sketch(self):
         aggregate = self._aggregate(wait_values=1000)
-        assert aggregate.window_wait_p99 == pytest.approx(0.99, abs=0.05)
+        assert aggregate.window_wait_sketch.percentile(99) == pytest.approx(0.99, abs=0.05)
 
 
 class TestNodeControlPlane:

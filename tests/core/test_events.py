@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.events import Event, EventDetector, EventKey, EventRecord
-from repro.video.annotations import EventAnnotation
 from repro.video.frame import Frame
 
 
@@ -17,11 +16,6 @@ class TestEvent:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             Event(1, "mc", 5, 5)
-
-    def test_to_annotation(self):
-        annotation = Event(3, "dogs", 2, 6).to_annotation()
-        assert isinstance(annotation, EventAnnotation)
-        assert (annotation.start, annotation.end, annotation.label) == (2, 6, "dogs")
 
 
 class TestEventDetector:

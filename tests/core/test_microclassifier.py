@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.architectures import build_microclassifier
-from repro.core.microclassifier import MicroClassifierConfig, stack_feature_maps
+from repro.core.architectures import FullFrameObjectDetectorMC, build_microclassifier
+from repro.core.microclassifier import MicroClassifierConfig
+from repro.core.pipeline import mc_input_feature_map
+from repro.core.training import score_classifier
 from repro.features.extractor import FeatureMapCrop
+from repro.video.codec import H264Simulator
 from repro.video.frame import Frame
 
 
@@ -37,7 +40,7 @@ class TestMicroClassifierConfig:
 
 
 class TestMicroClassifierWithExtractor:
-    def test_build_for_extractor_uses_cropped_shape(self, tiny_extractor):
+    def test_build_uses_cropped_shape(self, tiny_extractor):
         crop = FeatureMapCrop(0, 16, 48, 32)
         cfg = MicroClassifierConfig("mc", "conv4_2/sep", crop=crop)
         mc = build_microclassifier(
@@ -45,39 +48,67 @@ class TestMicroClassifierWithExtractor:
         )
         assert mc.input_shape == tiny_extractor.cropped_layer_shape("conv4_2/sep", crop, (32, 48))
 
-    def test_score_frame_end_to_end(self, tiny_extractor, rng):
-        cfg = MicroClassifierConfig("mc", "conv4_2/sep")
-        mc = build_microclassifier("localized", cfg, tiny_extractor.layer_shape("conv4_2/sep"))
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
-        probability = mc.score_frame(tiny_extractor, frame)
-        assert 0.0 <= probability <= 1.0
 
-    def test_score_frame_with_crop(self, tiny_extractor, rng):
-        crop = FeatureMapCrop(0, 16, 48, 32)
-        cfg = MicroClassifierConfig("mc", "conv4_2/sep", crop=crop)
-        mc = build_microclassifier(
-            "localized", cfg, tiny_extractor.cropped_layer_shape("conv4_2/sep", crop, (32, 48))
+CROP = FeatureMapCrop(0, 16, 48, 32)
+
+
+def random_frame(rng, index=0):
+    return Frame(index, index / 15, rng.random((32, 48, 3)).astype(np.float32))
+
+
+def localized_mc(extractor, crop=None):
+    cfg = MicroClassifierConfig("mc", "conv4_2/sep", crop=crop)
+    return build_microclassifier(
+        "localized", cfg, extractor.cropped_layer_shape("conv4_2/sep", crop, (32, 48))
+    )
+
+
+class TestScoringThroughExtractor:
+    """A frame goes pixels -> tapped (cropped) feature map -> MC probability."""
+
+    @pytest.mark.parametrize("crop", [None, CROP], ids=["full", "cropped"])
+    def test_feature_map_scores_end_to_end(self, tiny_extractor, rng, crop):
+        mc = localized_mc(tiny_extractor, crop)
+        feature_map = tiny_extractor.feature_map(random_frame(rng), mc.input_layer, mc.crop)
+        assert feature_map.shape == mc.input_shape
+        assert 0.0 <= mc.predict_proba(feature_map) <= 1.0
+
+    @pytest.mark.parametrize("crop", [None, CROP], ids=["full", "cropped"])
+    def test_pipeline_input_map_equals_extractor_feature_map(self, tiny_extractor, rng, crop):
+        mc = localized_mc(tiny_extractor, crop)
+        frame = random_frame(rng)
+        from_pipeline = mc_input_feature_map(mc, frame, tiny_extractor.extract(frame))
+        np.testing.assert_array_equal(
+            from_pipeline, tiny_extractor.feature_map(frame, mc.input_layer, mc.crop)
         )
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
-        assert 0.0 <= mc.score_frame(tiny_extractor, frame) <= 1.0
 
-    def test_build_for_extractor_convenience(self, tiny_extractor):
-        cfg = MicroClassifierConfig("mc", "conv5_6/sep")
-        from repro.core.architectures import FullFrameObjectDetectorMC
-
-        mc = FullFrameObjectDetectorMC(cfg)
-        mc.build_for_extractor(tiny_extractor, frame_size=(32, 48))
+    def test_build_on_deepest_tap(self, tiny_extractor):
+        mc = FullFrameObjectDetectorMC(MicroClassifierConfig("mc", "conv5_6/sep"))
+        mc.build(tiny_extractor.layer_shape("conv5_6/sep"), np.random.default_rng(0))
         assert mc.built
         assert mc.input_shape == tiny_extractor.layer_shape("conv5_6/sep")
 
+    def test_stacked_batch_equals_single_scores(self, tiny_extractor, rng):
+        mc = localized_mc(tiny_extractor)
+        maps = [
+            tiny_extractor.feature_map(random_frame(rng, i), mc.input_layer) for i in range(3)
+        ]
+        batch = mc.predict_proba_batch(np.stack(maps, axis=0))
+        assert batch.shape == (3,)
+        np.testing.assert_allclose(batch, [mc.predict_proba(m) for m in maps], rtol=1e-12)
 
-class TestStackFeatureMaps:
-    def test_stacks_to_batch(self, rng):
-        maps = [rng.random((3, 4, 2)) for _ in range(5)]
-        batch = stack_feature_maps(maps)
-        assert batch.shape == (5, 3, 4, 2)
-        assert batch.dtype == np.float64
+    def test_heavy_compression_changes_probabilities(self, tiny_extractor, tiny_pipeline_stream):
+        """Figure 4's compress-everything path scores the same MC on transcoded frames."""
+        mc = localized_mc(tiny_extractor)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stack_feature_maps([])
+        def scores(frames):
+            maps = [
+                mc_input_feature_map(mc, f, tiny_extractor.extract_pixels(f.pixels))
+                for f in frames
+            ]
+            return score_classifier(mc, np.stack(maps, axis=0))
+
+        degraded, _ = H264Simulator().transcode_stream(tiny_pipeline_stream, 2_000)
+        original = scores(list(tiny_pipeline_stream))
+        assert original.shape == (len(tiny_pipeline_stream),)
+        assert not np.allclose(original, scores(degraded))

@@ -107,7 +107,6 @@ class TestProcessStream:
         assert result.total_uploaded_bits > 0
         # Uploading everything at 50 kb/s costs ~50 kb/s on average.
         assert result.average_uplink_bandwidth == pytest.approx(50_000, rel=0.1)
-        assert result.bandwidth_savings_versus(500_000) == pytest.approx(10.0, rel=0.1)
 
     def test_frames_annotated_with_events(self, tiny_extractor, tiny_pipeline_stream):
         accept_all = make_mc(tiny_extractor, "accept", threshold=0.01)
@@ -130,9 +129,3 @@ class TestProcessStream:
         assert costs["base_dnn"] == tiny_extractor.multiply_adds_per_frame()
         for name in ("mc_localized", "mc_full_frame", "mc_windowed"):
             assert costs[name] > 0
-
-    def test_no_savings_when_everything_matches_at_same_bitrate(self, tiny_extractor, tiny_pipeline_stream):
-        mc = make_mc(tiny_extractor, "all", threshold=0.01)
-        pipeline = FilterForwardPipeline(tiny_extractor, [mc])
-        result = pipeline.process_stream(tiny_pipeline_stream)
-        assert result.bandwidth_savings_versus(50_000) == pytest.approx(1.0, rel=0.1)

@@ -109,7 +109,7 @@ class TestTransitionDetector:
         second = detector.detect(np.array([0, 1, 1]), frame_offset=3)
         assert first == [(1, 0, 2)]
         assert second == [(2, 4, 6)]
-        assert detector.next_event_id == 3
+        assert detector.allocate_event_id() == 3
 
     def test_frame_offset_shifts_boundaries(self):
         detector = TransitionDetector()
@@ -124,7 +124,7 @@ class TestTransitionDetector:
         detector = TransitionDetector()
         assert detector.detect(np.array([])) == []
         assert detector.detect(np.zeros(5)) == []
-        assert detector.next_event_id == 1
+        assert detector.allocate_event_id() == 1
 
     def test_invalid_first_id(self):
         with pytest.raises(ValueError):

@@ -278,14 +278,14 @@ class TestStreamingPipelineBehavior:
             session.push(Frame(index=i, timestamp=i / 15.0, pixels=pixels))
             # Pending frames: at most one chunk plus the smoothing lookahead
             # plus the windowed MC's temporal context.
-            assert session.pending_frames <= config.batch_size + 5 + 5
+            assert len(session._pending) <= config.batch_size + 5 + 5
             for bank in session._banks:
                 assert len(bank.chunk) < config.batch_size
                 if bank.is_windowed:
                     assert len(bank.reduced) <= config.batch_size + bank.first.window + 1
         result = session.finish()
         assert result.num_frames == 60
-        assert session.pending_frames == 0
+        assert len(session._pending) == 0
 
     def test_updates_report_matches_and_events(self, tiny_extractor, tiny_pipeline_stream):
         accept = make_mc(tiny_extractor, "accept", threshold=0.01)

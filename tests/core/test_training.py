@@ -106,10 +106,9 @@ class TestTrainClassifier:
         with pytest.raises(ValueError):
             train_classifier(mc, np.zeros((0, *FEATURE_SHAPE)), np.zeros(0))
 
-    def test_mean_and_final_loss_nan_when_untrained(self):
+    def test_final_loss_nan_when_untrained(self):
         history = TrainingHistory()
         assert np.isnan(history.final_loss)
-        assert np.isnan(history.mean_loss)
 
     def test_all_negative_labels_do_not_crash(self):
         mc = make_mc()

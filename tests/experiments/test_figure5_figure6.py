@@ -58,7 +58,8 @@ class TestFigure6:
         assert len(values) == 1
 
     def test_classifier_time_grows_with_count(self, result):
-        assert result.classifier_seconds("localized", 50) > result.classifier_seconds("localized", 1)
+        per_count = result.breakdowns["localized"]
+        assert per_count[50].classifiers_seconds > per_count[1].classifiers_seconds
 
     def test_base_dnn_equivalent_to_tens_of_mcs(self, result):
         """Paper: the base DNN's CPU time equals roughly 15-40 MCs."""

@@ -67,6 +67,16 @@ class TestFeatureExtractor:
         tiny_extractor.extract(frame)
         assert tiny_extractor.frames_processed == 2
 
+    def test_extract_pixels_bypasses_cache(self, tiny_extractor, rng):
+        """Figure 4 scores degraded frames this way, so they never shadow the originals."""
+        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
+        original = tiny_extractor.extract(frame)["conv4_2/sep"].copy()
+        tiny_extractor.extract_pixels(np.zeros((32, 48, 3), dtype=np.float32))
+        processed = tiny_extractor.frames_processed
+        assert tiny_extractor.is_cached(0)
+        np.testing.assert_array_equal(tiny_extractor.extract(frame)["conv4_2/sep"], original)
+        assert tiny_extractor.frames_processed == processed
+
     def test_feature_map_with_crop_reduces_spatial_extent(self, tiny_extractor, rng):
         frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
         full = tiny_extractor.feature_map(frame, "conv4_2/sep")

@@ -241,7 +241,7 @@ class TestFleetAccuracyReport:
 
     def test_truth_telemetry_counts_generated_positives(self, no_shed_report):
         accuracy = no_shed_report.accuracy
-        total_positives = sum(c.truth_positive_frames for c in accuracy.cameras.values())
+        total_positives = sum(int(c.truth.sum()) for c in accuracy.cameras.values())
         assert (
             no_shed_report.telemetry["accuracy.truth_positive_generated"] == total_positives
         )

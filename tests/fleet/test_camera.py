@@ -15,10 +15,6 @@ class TestCameraSpec:
         assert (config.width, config.height) == (64, 48)
         assert config.num_frames == 40
 
-    def test_night_flag(self):
-        assert CameraSpec("n", 64, 48, 10.0, 10, scenario="night_watch").is_night
-        assert not CameraSpec("d", 64, 48, 10.0, 10, scenario="urban_day").is_night
-
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="Unknown scenario"):
             CameraSpec("cam", 64, 48, 10.0, 40, scenario="volcano")

@@ -229,12 +229,6 @@ class TestTelemetryRegistry:
         registry.counter("events.closed").inc(9)
         assert registry.counters("frames.") == {"frames.scored": 2, "frames.dropped": 1}
 
-    def test_format_lines(self):
-        registry = TelemetryRegistry()
-        registry.counter("frames.scored").inc(2)
-        lines = registry.format_lines()
-        assert any("frames.scored" in line for line in lines)
-
 
 class TestMergeAndWindows:
     def test_merge_counters_add_under_prefix(self):

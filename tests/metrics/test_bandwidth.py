@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.bandwidth import BandwidthReport, bandwidth_reduction, bits_to_mbps
+from repro.metrics.bandwidth import bandwidth_reduction, bits_to_mbps
 
 
 class TestConversions:
@@ -12,34 +12,21 @@ class TestConversions:
     def test_bandwidth_reduction(self):
         assert bandwidth_reduction(10_000_000, 1_000_000) == pytest.approx(10.0)
 
+    def test_reduction_is_unit_free(self):
+        """A 2.6 Mb/s full stream against a 0.2 Mb/s filtered upload is 13x, in b/s or Mb/s."""
+        in_bps = bandwidth_reduction(2_600_000, 200_000)
+        assert in_bps == pytest.approx(13.0)
+        assert bandwidth_reduction(bits_to_mbps(2_600_000), bits_to_mbps(200_000)) == pytest.approx(
+            in_bps
+        )
+
     def test_zero_filtered_bandwidth_is_infinite_reduction(self):
         assert bandwidth_reduction(1_000_000, 0.0) == float("inf")
 
-    def test_negative_bandwidth_rejected(self):
+    @pytest.mark.parametrize(
+        "baseline, filtered",
+        [(-1.0, 1.0), (float("nan"), 1e6), (1e6, float("nan"))],
+    )
+    def test_negative_bandwidth_rejected(self, baseline, filtered):
         with pytest.raises(ValueError):
-            bandwidth_reduction(-1.0, 1.0)
-
-
-class TestBandwidthReport:
-    def make(self, strategy="ff", bps=250_000, uploaded=100, total=1000):
-        return BandwidthReport(
-            strategy=strategy,
-            average_bps=bps,
-            uploaded_frames=uploaded,
-            total_frames=total,
-            stream_duration=60.0,
-        )
-
-    def test_mbps_and_upload_fraction(self):
-        report = self.make()
-        assert report.average_mbps == pytest.approx(0.25)
-        assert report.upload_fraction == pytest.approx(0.1)
-
-    def test_reduction_versus_other(self):
-        ff = self.make(bps=200_000)
-        compress = self.make(strategy="compress", bps=2_600_000, uploaded=1000)
-        assert ff.reduction_versus(compress) == pytest.approx(13.0)
-
-    def test_empty_stream_fraction(self):
-        report = self.make(uploaded=0, total=0)
-        assert report.upload_fraction == 0.0
+            bandwidth_reduction(baseline, filtered)

@@ -6,16 +6,12 @@ from repro.metrics.throughput import ThroughputMeasurement, measure_throughput
 
 
 class TestThroughputMeasurement:
-    def test_fps_and_latency(self):
+    def test_fps(self):
         measurement = ThroughputMeasurement(frames=30, seconds=2.0)
         assert measurement.fps == pytest.approx(15.0)
-        assert measurement.seconds_per_frame == pytest.approx(2.0 / 30)
 
     def test_zero_duration_is_infinite_fps(self):
         assert ThroughputMeasurement(frames=5, seconds=0.0).fps == float("inf")
-
-    def test_zero_frames_latency(self):
-        assert ThroughputMeasurement(frames=0, seconds=1.0).seconds_per_frame == 0.0
 
 
 class TestMeasureThroughput:

@@ -18,7 +18,6 @@ from repro.nn.batched import (
     banked_forward,
     banked_layer_forward,
     batched_conv2d_forward,
-    batched_dense_forward,
     batched_forward,
     batched_forward_with_taps,
     batched_layer_forward,
@@ -96,7 +95,7 @@ class TestLayerSweep:
         assert np.array_equal(batched_conv2d_forward(conv, x), per_sample_forward(conv, x))
         dense = Dense(3)
         dense.build(x.shape[1:], rng)
-        assert np.array_equal(batched_dense_forward(dense, x), per_sample_forward(dense, x))
+        assert np.array_equal(batched_layer_forward(dense, x), per_sample_forward(dense, x))
 
 
 class TestPointwiseLowering:
@@ -313,7 +312,7 @@ class TestErrors:
 
     def test_unbuilt_dense_raises(self):
         with pytest.raises(RuntimeError, match="before build"):
-            batched_dense_forward(Dense(2), np.zeros((2, 8)))
+            batched_layer_forward(Dense(2), np.zeros((2, 8)))
 
     def test_empty_taps_raises(self):
         model = build_mobilenet_like((16, 16, 3), alpha=0.25)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn.layers import Sigmoid, sigmoid
-from repro.nn.losses import BinaryCrossEntropy, MeanSquaredError, SigmoidBinaryCrossEntropy
+from repro.nn.losses import BinaryCrossEntropy, SigmoidBinaryCrossEntropy
 
 
 def numerical_grad(loss, predictions, targets, eps=1e-6):
@@ -23,29 +23,6 @@ def numerical_grad(loss, predictions, targets, eps=1e-6):
         flat[i] = orig
         gflat[i] = (plus - minus) / (2 * eps)
     return grad
-
-
-class TestMeanSquaredError:
-    def test_zero_for_perfect_prediction(self):
-        loss = MeanSquaredError()
-        x = np.array([[1.0], [2.0]])
-        assert loss.forward(x, x) == 0.0
-
-    def test_known_value(self):
-        loss = MeanSquaredError()
-        assert loss.forward(np.array([[1.0], [3.0]]), np.array([[0.0], [0.0]])) == pytest.approx(5.0)
-
-    def test_gradient_matches_numerical(self):
-        loss = MeanSquaredError()
-        rng = np.random.default_rng(0)
-        predictions = rng.random((4, 2))
-        targets = rng.random((4, 2))
-        np.testing.assert_allclose(
-            loss.backward(predictions, targets),
-            numerical_grad(loss, predictions, targets),
-            rtol=1e-5,
-            atol=1e-7,
-        )
 
 
 class TestBinaryCrossEntropy:
@@ -170,3 +147,42 @@ class TestBranchFreeSigmoid:
     def test_one_helper_serves_the_loss_and_the_layer(self):
         assert SigmoidBinaryCrossEntropy._sigmoid is sigmoid
         assert float(sigmoid(np.float64(-3.0))) == float(masked_sigmoid(np.array([-3.0]))[0])
+
+
+class TestLossContract:
+    @pytest.mark.parametrize(
+        "loss, even_odds",
+        [(BinaryCrossEntropy(), 0.5), (SigmoidBinaryCrossEntropy(), 0.0)],
+        ids=["probabilities", "logits"],
+    )
+    def test_even_odds_cost_log_two(self, loss, even_odds):
+        predictions = np.full((4, 1), even_odds)
+        targets = np.array([[0.0], [1.0], [1.0], [0.0]])
+        assert loss.forward(predictions, targets) == pytest.approx(np.log(2.0))
+
+    @pytest.mark.parametrize(
+        "loss, predictions",
+        [
+            (BinaryCrossEntropy(positive_weight=2.0), np.array([[0.2], [0.7], [0.9]])),
+            (SigmoidBinaryCrossEntropy(positive_weight=2.0), np.array([[-1.0], [0.3], [2.0]])),
+        ],
+        ids=["probabilities", "logits"],
+    )
+    def test_flat_targets_align_with_column_predictions(self, loss, predictions):
+        column = np.array([[1.0], [0.0], [1.0]])
+        flat = column.ravel()
+        assert loss.forward(predictions, flat) == loss.forward(predictions, column)
+        np.testing.assert_array_equal(
+            loss.backward(predictions, flat), loss.backward(predictions, column)
+        )
+
+    def test_call_is_forward(self):
+        loss = SigmoidBinaryCrossEntropy()
+        logits = np.array([[0.4], [-2.0]])
+        targets = np.array([[1.0], [1.0]])
+        assert loss(logits, targets) == loss.forward(logits, targets)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_sigmoid_bce_rejects_non_positive_weight(self, weight):
+        with pytest.raises(ValueError):
+            SigmoidBinaryCrossEntropy(positive_weight=weight)

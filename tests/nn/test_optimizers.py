@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Parameter
-from repro.nn.optimizers import SGD, Adam, Momentum
+from repro.nn.optimizers import SGD, Adam
 
 
 def quadratic_grad(p: Parameter, target: np.ndarray) -> None:
@@ -39,31 +39,6 @@ class TestSGD:
         assert np.all(p.grad == 0.0)
 
 
-class TestMomentum:
-    def test_accumulates_velocity(self):
-        p = Parameter("w", np.array([0.0]))
-        opt = Momentum(learning_rate=0.1, momentum=0.9)
-        p.grad[...] = np.array([1.0])
-        opt.step([p])
-        first_step = p.value.copy()
-        p.grad[...] = np.array([1.0])
-        opt.step([p])
-        # Second update is larger because velocity accumulates.
-        assert abs(p.value[0] - first_step[0]) > abs(first_step[0])
-
-    def test_converges_on_quadratic(self):
-        p = Parameter("w", np.array([4.0]))
-        opt = Momentum(learning_rate=0.05, momentum=0.8)
-        for _ in range(200):
-            quadratic_grad(p, np.array([1.5]))
-            opt.step([p])
-        np.testing.assert_allclose(p.value, [1.5], atol=1e-5)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            Momentum(momentum=1.0)
-
-
 class TestAdam:
     def test_first_step_size_close_to_learning_rate(self):
         p = Parameter("w", np.array([0.0]))
@@ -95,3 +70,35 @@ class TestAdam:
             Adam(beta1=1.0)
         with pytest.raises(ValueError):
             Adam(beta2=-0.1)
+
+
+class TestOptimizerContract:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: SGD(learning_rate=-0.1), lambda: Adam(learning_rate=0.0)],
+        ids=["sgd_negative", "adam_zero"],
+    )
+    def test_non_positive_learning_rate_rejected(self, make):
+        with pytest.raises(ValueError, match="learning_rate"):
+            make()
+
+    def test_adam_step_size_ignores_gradient_scale(self):
+        small = Parameter("s", np.array([0.0]))
+        large = Parameter("l", np.array([0.0]))
+        small.grad[...] = np.array([1e-3])
+        large.grad[...] = np.array([1e3])
+        Adam(learning_rate=0.05).step([small])
+        Adam(learning_rate=0.05).step([large])
+        assert small.value[0] == pytest.approx(large.value[0], rel=1e-3)
+
+    @pytest.mark.parametrize("make", [lambda: SGD(0.1), lambda: Adam(0.1)], ids=["sgd", "adam"])
+    def test_step_leaves_gradient_for_zero_grad(self, make):
+        p = Parameter("w", np.array([1.0, 2.0]))
+        p.grad[...] = np.array([0.5, -0.5])
+        make().step([p])
+        np.testing.assert_array_equal(p.grad, [0.5, -0.5])
+
+    def test_zero_gradient_is_a_no_op_for_sgd(self):
+        p = Parameter("w", np.array([1.0, -1.0]))
+        SGD(0.5).step([p])
+        np.testing.assert_array_equal(p.value, [1.0, -1.0])

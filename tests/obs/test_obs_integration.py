@@ -302,9 +302,3 @@ class TestProfileAttribution:
         for camera_id in profile.cameras():
             assert camera_id in table
         assert "  base_dnn" in table or "service" in table
-
-    def test_stage_totals_aggregate_across_cameras(self, profile):
-        totals = profile.stage_totals()
-        assert totals["queue"] == pytest.approx(
-            sum(r.seconds for r in profile.rows if r.stage == "queue")
-        )

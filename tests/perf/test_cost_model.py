@@ -106,8 +106,9 @@ class TestCostModel:
             assert model.base_dnn_cost() > 20 * model.mc_cost(architecture)
 
     def test_mc_costs_much_lower_than_representative_dc(self, model):
-        assert model.marginal_cost_ratio("localized", REPRESENTATIVE_DC) > 5
-        assert model.marginal_cost_ratio("full_frame", REPRESENTATIVE_DC) > 10
+        dc_cost = model.dc_cost(REPRESENTATIVE_DC)
+        assert dc_cost > 5 * model.mc_cost("localized")
+        assert dc_cost > 10 * model.mc_cost("full_frame")
 
     def test_unknown_architecture_rejected(self, model):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ class TestMemoryModel:
     def test_mobilenets_fit_up_to_about_thirty(self, model):
         assert model.mobilenets_fit(30)
         assert not model.mobilenets_fit(31)
-        assert model.max_mobilenets() == 30
 
     def test_filterforward_scales_to_many_classifiers(self, model):
         assert model.filterforward_memory(50).fits
@@ -24,11 +23,6 @@ class TestMemoryModel:
         one = model.filterforward_memory(1)
         fifty = model.filterforward_memory(50)
         assert fifty.bytes_used < 3 * one.bytes_used
-
-    def test_discrete_classifiers_memory(self, model):
-        estimate = model.discrete_classifiers_memory(10)
-        assert estimate.fits
-        assert estimate.gigabytes_used == pytest.approx(10 * 350 / 1024, rel=0.01)
 
     def test_estimates_carry_strategy_labels(self, model):
         assert model.mobilenets_memory(2).strategy == "multiple_mobilenets"
@@ -41,4 +35,42 @@ class TestMemoryModel:
     def test_filterforward_uses_less_memory_than_mobilenets_for_many_apps(self, model):
         assert (
             model.filterforward_memory(30).bytes_used < model.mobilenets_memory(30).bytes_used
+        )
+
+
+class TestMobileNetConstant:
+    """The paper's node and per-MobileNet memory constants, as Figure 5 reads them."""
+
+    def test_mobilenet_footprint_scales_linearly(self, model):
+        one = model.mobilenets_memory(1)
+        ten = model.mobilenets_memory(10)
+        assert ten.bytes_used == pytest.approx(10 * one.bytes_used)
+        assert ten.bytes_available == one.bytes_available == model.node_memory_bytes
+
+    def test_gigabytes_used_per_mobilenet(self, model):
+        assert model.mobilenets_memory(4).gigabytes_used == pytest.approx(4 * 1.05)
+
+    @pytest.mark.parametrize("method", ["mobilenets_memory", "filterforward_memory"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_count_rejected(self, model, method, count):
+        with pytest.raises(ValueError, match="num_classifiers"):
+            getattr(model, method)(count)
+
+    @pytest.mark.parametrize(
+        "instance_gib, limit", [(1.0, 32), (1.05, 30), (2.0, 16), (4.0, 8)]
+    )
+    def test_mobilenet_limit_follows_instance_size(self, instance_gib, limit):
+        sized = MemoryModel(mobilenet_instance_bytes=instance_gib * 1024**3)
+        assert sized.mobilenets_fit(limit)
+        assert not sized.mobilenets_fit(limit + 1)
+
+    def test_exact_capacity_fits(self):
+        exact = MemoryModel(node_memory_bytes=4 * 1024**3, mobilenet_instance_bytes=1024**3)
+        assert exact.mobilenets_memory(4).fits
+        assert not exact.mobilenets_memory(5).fits
+
+    def test_filterforward_footprint_is_one_base_dnn_plus_mcs(self, model):
+        estimate = model.filterforward_memory(7)
+        assert estimate.bytes_used == pytest.approx(
+            model.base_dnn_bytes + 7 * model.mc_instance_bytes
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.perf.memory_model import MemoryModel
 from repro.perf.throughput_model import ThroughputModel, ThroughputModelConfig
 
 
@@ -83,7 +84,8 @@ class TestPaperTrends:
     def test_large_speedup_at_fifty_classifiers(self, model):
         """Paper: up to 6.1x higher throughput with 50 concurrent MCs."""
         best = max(
-            model.speedup_versus_dcs(50, arch) for arch in ("full_frame", "localized", "windowed")
+            model.filterforward_fps(50, arch) / model.discrete_classifier_fps(50)
+            for arch in ("full_frame", "localized", "windowed")
         )
         assert 4.0 < best < 9.0
 
@@ -94,6 +96,10 @@ class TestPaperTrends:
     def test_mobilenets_out_of_memory_past_thirty(self, model):
         assert not np.isnan(model.multiple_mobilenets_fps(30))
         assert np.isnan(model.multiple_mobilenets_fps(31))
+        # The limit is the memory model's one per-MobileNet constant: 32 GiB / 2 GiB = 16.
+        halved = ThroughputModel(memory_model=MemoryModel(mobilenet_instance_bytes=2 * 1024**3))
+        assert np.isfinite(halved.multiple_mobilenets_fps(16))
+        assert np.isnan(halved.multiple_mobilenets_fps(17))
 
     def test_sweep_contains_all_series(self, model):
         series = model.sweep([1, 10, 50])
@@ -112,3 +118,32 @@ class TestPaperTrends:
         breakdown = model.filterforward_breakdown(1, "localized")
         equivalent = breakdown.base_dnn_seconds / breakdown.classifiers_seconds
         assert 10 <= equivalent <= 55
+
+
+class TestMultipleMobileNets:
+    """One full MobileNet per application (Figure 5's baseline series)."""
+
+    def test_one_instance_costs_one_base_dnn_pass(self, model):
+        cfg = model.config
+        expected = (
+            cfg.fixed_overhead_seconds
+            + model.cost_model.base_dnn_cost() / cfg.base_dnn_ops_per_second
+            + cfg.per_classifier_overhead_seconds
+        )
+        assert 1.0 / model.multiple_mobilenets_fps(1) == pytest.approx(expected)
+
+    def test_time_per_frame_scales_linearly(self, model):
+        overhead = model.config.fixed_overhead_seconds
+        one = 1.0 / model.multiple_mobilenets_fps(1) - overhead
+        ten = 1.0 / model.multiple_mobilenets_fps(10) - overhead
+        assert ten == pytest.approx(10 * one)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_count_rejected(self, model, count):
+        with pytest.raises(ValueError, match="num_classifiers"):
+            model.multiple_mobilenets_fps(count)
+
+    def test_sweep_series_is_nan_past_memory_limit(self, model):
+        series = model.sweep([10, 30, 31, 50])["multiple_mobilenets"]
+        assert np.isfinite(series[:2]).all()
+        assert np.isnan(series[2:]).all()

@@ -1,8 +1,9 @@
 """Docs-consistency guarantees, enforced by the tier-1 suite.
 
 Mirrors ``tools/check_docs.py`` (which CI also runs as a standalone step):
-every ``src/repro/*`` package must appear in ``docs/ARCHITECTURE.md`` and
-every python snippet in the README / docs must parse.
+every ``src/repro/*`` package must appear in ``docs/ARCHITECTURE.md``,
+every python snippet in the README / docs must parse, and every dotted
+``repro.…`` name in them must resolve.
 """
 
 import re
@@ -153,6 +154,28 @@ def test_events_required_modules_pinned(tmp_path):
 
 def test_doc_snippets_parse():
     assert check_docs.check_snippets() == []
+
+
+def test_dotted_names_in_docs_resolve():
+    assert check_docs.check_dotted_names() == []
+
+
+def test_stale_dotted_name_is_flagged(tmp_path):
+    """A doc naming a module, class or method that is not there fails the reverse check."""
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`repro.core.pipeline.FilterForwardPipeline` and `repro.fleet` and\n"
+        "repro.StreamingPipeline and repro.fleet.runtime.FleetRuntime.run resolve.\n"
+        "\n"
+        "repro.baselines.full_dnn is gone, repro.features.extractor.prime is a method,\n"
+        "and repro.nosuchpackage never existed.\n",
+        encoding="utf-8",
+    )
+    problems = check_docs.check_dotted_names([doc])
+    assert len(problems) == 3
+    assert problems[0].startswith("doc.md:4: repro.baselines.full_dnn does not resolve")
+    assert problems[1].startswith("doc.md:4: repro.features.extractor.prime does not resolve")
+    assert problems[2].startswith("doc.md:5: repro.nosuchpackage does not resolve")
 
 
 def test_fence_info_strings_do_not_derail_parser(tmp_path):

@@ -100,10 +100,8 @@ class TestEndToEnd:
             rng=np.random.default_rng(123),
         )
         load_weights(fresh.model, path, strict=False)
-        frame = dataset.test_stream[10]
-        assert fresh.score_frame(extractor, frame) == pytest.approx(
-            mc.score_frame(extractor, frame)
-        )
+        feature_map = extractor.feature_map(dataset.test_stream[10], mc.input_layer, mc.crop)
+        assert fresh.predict_proba(feature_map) == pytest.approx(mc.predict_proba(feature_map))
 
     def test_demand_fetch_retrieves_event_context(self, dataset, deployment):
         extractor, mc = deployment

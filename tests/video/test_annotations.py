@@ -86,7 +86,6 @@ class TestFrameLabels:
         labels = FrameLabels([0, 1, 1, 0, 1], task="demo")
         assert len(labels) == 5
         assert labels.num_positive == 3
-        assert labels.positive_fraction == pytest.approx(0.6)
         assert labels[1] == 1
 
     def test_rejects_non_binary(self):
@@ -101,7 +100,9 @@ class TestFrameLabels:
         labels = FrameLabels([0, 1, 1, 0, 1])
         assert [(e.start, e.end) for e in labels.events()] == [(1, 3), (4, 5)]
 
-    def test_from_events_roundtrip(self):
-        original = FrameLabels([0, 1, 1, 0, 0, 1, 1, 1])
-        rebuilt = FrameLabels.from_events(original.events(), len(original))
+    def test_events_roundtrip_through_frame_labels(self):
+        original = FrameLabels([0, 1, 1, 0, 0, 1, 1, 1], task="dogs")
+        events = original.events()
+        assert {e.label for e in events} == {"dogs"}
+        rebuilt = FrameLabels(events_to_frame_labels(events, len(original)))
         np.testing.assert_array_equal(rebuilt.labels, original.labels)

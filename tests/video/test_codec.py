@@ -132,3 +132,31 @@ class TestDistortion:
         decoded = codec.decode(tiny_frame, segment.frames[0])
         assert decoded.index == tiny_frame.index
         assert decoded.timestamp == tiny_frame.timestamp
+
+
+class TestTranscodeStream:
+    """Compress-everything's half of Figure 4: every frame, at whatever quality fits."""
+
+    def test_average_bandwidth_is_target_bitrate(self, codec, tiny_pipeline_stream):
+        _, segment = codec.transcode_stream(tiny_pipeline_stream, target_bitrate=80_000)
+        assert segment.average_bandwidth == pytest.approx(80_000, rel=0.05)
+        assert segment.target_bitrate == 80_000
+
+    def test_decodes_every_frame_in_order(self, codec, tiny_stream):
+        decoded, segment = codec.transcode_stream(tiny_stream, target_bitrate=50_000)
+        assert [f.index for f in decoded] == list(range(len(tiny_stream)))
+        assert [f.index for f in segment.frames] == list(range(len(tiny_stream)))
+        assert all(f.pixels.shape == tiny_stream[0].pixels.shape for f in decoded)
+
+    def test_lower_bitrate_loses_more_detail(self, codec, tiny_stream):
+        # 24x32 at 15 fps: 2 Mb/s is far above transparent, 200 b/s is ~0.02 bits per pixel.
+        _, high = codec.transcode_stream(tiny_stream, target_bitrate=2_000_000)
+        _, low = codec.transcode_stream(tiny_stream, target_bitrate=200)
+        assert all(f.detail_scale == 1.0 for f in high.frames)
+        assert np.mean([f.detail_scale for f in low.frames]) < 0.5
+
+    def test_source_stream_is_untouched(self, codec, tiny_stream):
+        before = [tiny_stream[i].pixels.copy() for i in range(len(tiny_stream))]
+        codec.transcode_stream(tiny_stream, target_bitrate=2_000)
+        for i, pixels in enumerate(before):
+            np.testing.assert_array_equal(tiny_stream[i].pixels, pixels)

@@ -100,7 +100,7 @@ class TestEventStatistics:
         """Events occupy a minority of frames but several distinct events exist."""
         dataset = make_roadway_like(num_frames=480, width=96, height=40, seed=23)
         for labels in (dataset.train_labels, dataset.test_labels):
-            assert 0.02 < labels.positive_fraction < 0.6
+            assert 0.02 < labels.num_positive / len(labels) < 0.6
             assert len(labels.events()) >= 2
 
     def test_dataset_spec_is_frozen(self, small_jackson):

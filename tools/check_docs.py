@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency checks, run by CI and by ``tests/test_docs.py``.
 
-Four guarantees:
+Five guarantees:
 
 1. **Coverage** — every package under ``src/repro/`` is mentioned in
    ``docs/ARCHITECTURE.md`` (as ``repro.<name>``), so the architecture page
@@ -15,12 +15,17 @@ Four guarantees:
 4. **Snippet validity** — every fenced ``python`` code block in
    ``README.md`` and ``docs/*.md`` parses (``compile()``), so documented
    examples cannot rot into syntax errors.
+5. **Names resolve** — the reverse of 1: every dotted ``repro.…`` name in
+   ``README.md`` and ``docs/*.md`` resolves on disk to a package or module,
+   and a component past the module is defined or imported at that module's
+   top level (read with ``ast``; nothing is imported).
 
 Exit status 0 when everything holds; 1 with a problem list otherwise.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from functools import partial
@@ -87,6 +92,7 @@ COVERAGE: dict[str, tuple[str, tuple[str, ...], str | None]] = {
 }
 
 _FENCE_RE = re.compile(r"^```")
+_DOTTED_NAME_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 
 
 def repro_packages(src_root: Path | None = None) -> list[str]:
@@ -203,11 +209,58 @@ def check_snippets() -> list[str]:
     return problems
 
 
+def top_level_names(module_path: Path) -> set[str]:
+    """Names a module defines, assigns or imports at top level."""
+    names: set[str] = set()
+    for node in ast.parse(module_path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def resolve_dotted_name(name: str) -> str | None:
+    """Why ``name`` (``repro.…``) does not resolve on disk, or None when it does."""
+    path = REPO_ROOT / "src" / "repro"
+    parts = name.split(".")
+    for i, part in enumerate(parts[1:], 1):
+        parent = ".".join(parts[:i])
+        if (path / part / "__init__.py").is_file():
+            path = path / part
+        elif (path / f"{part}.py").is_file():
+            if i + 1 < len(parts) and parts[i + 1] not in top_level_names(path / f"{part}.py"):
+                return f"{parts[i + 1]!r} is not defined at the top level of {parent}.{part}"
+            return None
+        elif part in top_level_names(path / "__init__.py"):
+            return None
+        else:
+            return f"{part!r} is neither a module nor a top-level name of {parent}"
+    return None
+
+
+def check_dotted_names(files: list[Path] | None = None) -> list[str]:
+    """Dotted ``repro.…`` names in the docs that name nothing (empty = all resolve)."""
+    problems = []
+    for path in files if files is not None else documentation_files():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for name in dict.fromkeys(_DOTTED_NAME_RE.findall(line)):
+                reason = resolve_dotted_name(name)
+                if reason is not None:
+                    problems.append(f"{path.name}:{lineno}: {name} does not resolve: {reason}")
+    return problems
+
+
 def main() -> int:
     problems = check_architecture_coverage() + check_required_docs()
     for check in COVERAGE:
         problems += check_coverage(check)
     problems += check_snippets()
+    problems += check_dotted_names()
     if problems:
         print("Docs consistency check FAILED:")
         for problem in problems:
