@@ -167,10 +167,10 @@ def summarize_figure4(result: Figure4Result) -> dict[str, float]:
 
     * ``bandwidth_reduction`` — bandwidth of the cheapest compress-everything
       point that (approximately) matches FilterForward's accuracy, divided by
-      FilterForward's bandwidth (paper: 6.3x / 13x).
+      FilterForward's bandwidth (claims ``fig4.bandwidth_reduction.*``).
     * ``f1_improvement`` — FilterForward's event F1 divided by the F1 of the
       compress-everything point using a comparable amount of bandwidth
-      (paper: 1.5x / 1.9x).
+      (claims ``fig4.f1_gain.*``).
     """
     ff = result.filterforward[0]
     points = sorted(result.compress_everything, key=lambda p: p.average_bandwidth)

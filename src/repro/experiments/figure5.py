@@ -6,8 +6,9 @@ MobileNets as the number of concurrent classifiers grows from 1 to 50, on a
 quad-core CPU at 1920x1080.  The reproduction evaluates the calibrated
 analytic throughput model at paper scale (see
 :mod:`repro.perf.throughput_model`); the wall-clock scaling of the NumPy
-implementation itself is exercised separately by the micro-benchmarks in
-``benchmarks/``.
+implementation itself is checked by the ``slow`` test
+``test_figure5_measured_scaling_trend``.  The paper's headline values are the
+``fig5.*`` claims of :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -30,18 +31,6 @@ class Figure5Result:
     classifier_counts: list[int]
     series: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def as_rows(self) -> list[dict[str, float]]:
-        """One row per classifier count, matching the figure's x-axis."""
-        rows = []
-        for i, n in enumerate(self.classifier_counts):
-            row: dict[str, float] = {"num_classifiers": float(n)}
-            for name, values in self.series.items():
-                if name == "num_classifiers":
-                    continue
-                row[name] = float(values[i])
-            rows.append(row)
-        return rows
-
 
 def run_figure5(
     model: ThroughputModel | None = None,
@@ -58,15 +47,15 @@ def summarize_figure5(result: Figure5Result, model: ThroughputModel | None = Non
     """Headline numbers from Section 4.4.
 
     * ``break_even_classifiers`` — smallest count at which the fastest
-      FilterForward architecture beats the DCs (paper: 3-4);
+      FilterForward architecture beats the DCs (claim ``fig5.break_even``);
     * ``speedup_at_20`` / ``speedup_at_50`` — best FilterForward throughput
-      over DC throughput at 20 and 50 classifiers (paper: 3.0-4.1x and up to
-      6.1x);
+      over DC throughput at 20 and 50 classifiers (``fig5.speedup_at_20`` /
+      ``fig5.speedup_at_50``);
     * ``single_classifier_ratio_vs_dc`` / ``..._vs_mobilenet`` — the
-      single-classifier slowdowns, over the FF architectures (paper:
-      0.32-0.34x and 0.83-0.90x);
+      single-classifier slowdowns, over the FF architectures
+      (``fig5.single_vs_dc`` / ``fig5.single_vs_mobilenet``);
     * ``mobilenet_oom_classifiers`` — where the MobileNet baseline runs out
-      of memory (paper: beyond 30).
+      of memory (``fig5.mobilenet_oom``).
     """
     model = model or ThroughputModel()
     counts = np.asarray(result.classifier_counts)

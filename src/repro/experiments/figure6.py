@@ -24,14 +24,8 @@ class Figure6Result:
 
     breakdowns: dict[str, dict[int, ExecutionBreakdown]]
 
-    def base_dnn_seconds(self, architecture: str) -> float:
-        """The (count-independent) base-DNN time for one architecture."""
-        per_count = self.breakdowns[architecture]
-        first = next(iter(per_count.values()))
-        return first.base_dnn_seconds
-
     def equivalent_mcs_to_base_dnn(self, architecture: str) -> float:
-        """How many MCs cost as much CPU time as the base DNN (paper: 15-40)."""
+        """How many MCs cost as much CPU time as the base DNN (claims ``fig6.base_dnn_in_mcs.*``)."""
         per_count = self.breakdowns[architecture]
         one = per_count[min(per_count)]
         per_mc = one.classifiers_seconds / one.num_classifiers

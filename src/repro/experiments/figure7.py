@@ -123,16 +123,22 @@ def summarize_figure7(result: Figure7Result) -> dict[str, float]:
     """Headline numbers from Section 4.5.
 
     * ``accuracy_ratio`` — best MC event F1 over best DC event F1
-      (paper: up to 1.3x on Jackson, 1.1x on Roadway);
+      (claims ``fig7.accuracy_ratio.*``);
     * ``marginal_cost_ratio_vs_best_dc`` — paper-scale multiply-adds of the
       most accurate DC over the best MC's;
     * ``marginal_cost_ratio_vs_representative_dc`` — multiply-adds of the
       most expensive trained DC (the paper's "representative example from the
-      Pareto frontier") over the best MC's (paper: 23x on Jackson, 11x on
-      Roadway).
+      Pareto frontier") over the best MC's (claims
+      ``fig7.cost_vs_representative_dc.*``).
+
+    Every key is present; without an MC or a DC the values are NaN.
     """
     if not result.microclassifiers or not result.discrete_classifiers:
-        return {"accuracy_ratio": float("nan"), "marginal_cost_ratio_vs_best_dc": float("nan")}
+        return dict.fromkeys(
+            ("accuracy_ratio", "marginal_cost_ratio_vs_best_dc",
+             "marginal_cost_ratio_vs_representative_dc", "best_mc_f1", "best_dc_f1"),
+            float("nan"),
+        )
     best_mc = max(result.microclassifiers, key=lambda p: p.event_f1)
     best_dc = max(result.discrete_classifiers, key=lambda p: p.event_f1)
     representative_dc = max(result.discrete_classifiers, key=lambda p: p.paper_scale_multiply_adds)

@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from repro.experiments import claims
 from repro.experiments.common import ExperimentContext
 from repro.experiments.figure4 import run_figure4, summarize_figure4
 from repro.experiments.figure5 import run_figure5, summarize_figure5
@@ -33,7 +34,7 @@ _PRESETS = {
 
 @dataclass
 class ReproductionReport:
-    """All experiment outputs plus their headline summaries."""
+    """All experiment outputs, their headline summaries and the paper scorecard."""
 
     preset: str
     table3: list[dict[str, Any]] = field(default_factory=list)
@@ -41,6 +42,7 @@ class ReproductionReport:
     figure5: dict[str, float] = field(default_factory=dict)
     figure6: dict[str, float] = field(default_factory=dict)
     figure7: dict[str, dict[str, float]] = field(default_factory=dict)
+    claims: list[dict[str, Any]] = field(default_factory=list)
 
     def to_json(self) -> str:
         """Serialize the report for archival."""
@@ -60,7 +62,7 @@ def _make_contexts(preset: str, seed: int) -> tuple[ExperimentContext, Experimen
 
 
 def run_all(preset: str = "quick", seed: int = 0, verbose: bool = True) -> ReproductionReport:
-    """Run Table 3 and Figures 4-7 and summarize the headline numbers."""
+    """Run Table 3 and Figures 4-7, summarize the headline numbers and score the claims."""
     if preset not in _PRESETS:
         raise ValueError(f"Unknown preset {preset!r}; expected one of {sorted(_PRESETS)}")
     report = ReproductionReport(preset=preset)
@@ -99,6 +101,7 @@ def run_all(preset: str = "quick", seed: int = 0, verbose: bool = True) -> Repro
         result = run_figure4(roadway_ctx, architecture=architecture, trained=trained)
         report.figure4[architecture] = summarize_figure4(result)
 
+    report.claims = [asdict(row) for row in claims.score(report)]
     return report
 
 
@@ -134,7 +137,16 @@ def render_report(report: ReproductionReport) -> str:
         lines.append(
             f"  {name:<8s} accuracy ratio {summary['accuracy_ratio']:.2f}x, "
             f"marginal cost ratio vs representative DC "
-            f"{summary['marginal_cost_ratio_vs_representative_dc']:.1f}x"
+            f"{summary['marginal_cost_ratio_vs_representative_dc']:.1f}x, "
+            f"vs most accurate DC {summary['marginal_cost_ratio_vs_best_dc']:.2f}x"
+        )
+    lines.append("")
+    lines.append(f"Paper scorecard — {claims.tally([row['state'] for row in report.claims])}:")
+    for row in report.claims:
+        flag = "" if row["state"] == row["declared"] else f"  (declared {row['declared']})"
+        lines.append(
+            f"  {row['id']:<40s} {row['state']:<13s} here {row['measured']:<8.4g} "
+            f"margin {row['margin']:<+8.3g} paper ({row['locus']}): {row['quoted']}{flag}"
         )
     return "\n".join(lines)
 

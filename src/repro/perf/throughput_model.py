@@ -11,12 +11,12 @@ Calibration targets the paper's testbed (quad-core i7-6700K, CPU only):
 
 * one full-resolution MobileNet pass takes ~0.3 s (Figure 6's base-DNN bar),
 * a single discrete classifier filters at roughly 8-10 fps,
-* FilterForward with one MC runs at 0.83-0.90x the speed of one MobileNet.
+* FilterForward with one MC runs a little slower than one MobileNet
+  (claim ``fig5.single_vs_mobilenet``).
 
-The *shape* of the resulting curves — break-even at 3-4 concurrent
-classifiers, several-fold advantage at 50, MobileNets running out of memory
-past 30 — follows from the cost ratios and is robust to the calibration
-constants.
+The ``fig5.*`` and ``fig6.*`` claims of :mod:`repro.experiments.claims` score
+the resulting curves against the paper; the misses they expect are this
+calibration's.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class ThroughputModel:
         """Throughput of running one full MobileNet per application.
 
         Returns NaN when the instances no longer fit in the edge node's
-        memory (the paper observes out-of-memory beyond 30 classifiers).
+        memory (claim ``fig5.mobilenet_oom``).
         """
         if num_classifiers < 1:
             raise ValueError("num_classifiers must be positive")

@@ -17,7 +17,8 @@ from repro.experiments.figure4 import (
     run_figure4,
     summarize_figure4,
 )
-from repro.experiments.figure7 import run_figure7, summarize_figure7
+from repro.experiments.figure7 import Figure7Point, Figure7Result, run_figure7, summarize_figure7
+from repro.experiments.runner import ReproductionReport, render_report
 from repro.video.datasets import make_roadway_like
 
 FAST_TRAINING = TrainingConfig(epochs=2.0, batch_size=16, learning_rate=2e-3, seed=0)
@@ -119,3 +120,13 @@ class TestFigure7:
     def test_trained_classifiers_recorded(self, result):
         assert "roadway_localized" in result.trained
         assert "dc_test" in result.trained
+
+
+def test_a_figure7_without_classifiers_keeps_every_key_and_renders():
+    point = Figure7Point("p", "mc", 1, 1, event_f1=0.5, precision=0.5, recall=0.5)
+    full = summarize_figure7(Figure7Result("roadway", [point], [point], trained={}))
+    empty = summarize_figure7(Figure7Result("roadway", [], [], trained={}))
+    assert list(empty) == list(full)
+    assert np.isnan(list(empty.values())).all()
+    text = render_report(ReproductionReport(preset="quick", figure7={"roadway": empty}))
+    assert "roadway  accuracy ratio nanx" in text

@@ -30,6 +30,7 @@ class TestTable3:
         for row in rows:
             assert row.generated_frames == 400
             assert 0 <= row.generated_event_frames <= row.generated_frames
+            assert row.generated_unique_events >= 2
             assert row.generated_event_fraction == pytest.approx(
                 row.generated_event_frames / row.generated_frames
             )

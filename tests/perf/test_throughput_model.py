@@ -66,7 +66,7 @@ class TestFilterForwardScaling:
 
 class TestPaperTrends:
     def test_single_classifier_dcs_are_faster(self, model):
-        """Paper: with one classifier, FF runs at ~0.3x the speed of a DC."""
+        """The model side of claim ``fig5.single_vs_dc``."""
         ratio = model.filterforward_fps(1, "localized") / model.discrete_classifier_fps(1)
         assert 0.2 < ratio < 0.6
 
@@ -75,14 +75,14 @@ class TestPaperTrends:
         assert 0.8 < ratio < 1.0
 
     def test_break_even_at_a_handful_of_classifiers(self, model):
-        """Paper: FF overtakes the DCs at 3-4 concurrent classifiers."""
+        """The model side of claim ``fig5.break_even``."""
         break_even = min(
             model.break_even_classifiers(arch) for arch in ("full_frame", "localized")
         )
         assert 3 <= break_even <= 6
 
     def test_large_speedup_at_fifty_classifiers(self, model):
-        """Paper: up to 6.1x higher throughput with 50 concurrent MCs."""
+        """The model side of claim ``fig5.speedup_at_50``."""
         best = max(
             model.filterforward_fps(50, arch) / model.discrete_classifier_fps(50)
             for arch in ("full_frame", "localized", "windowed")
@@ -114,7 +114,7 @@ class TestPaperTrends:
         assert all(len(values) == 3 for values in series.values())
 
     def test_base_dnn_equivalent_to_tens_of_mcs(self, model):
-        """Paper: the base DNN's CPU time equals that of roughly 15-40 MCs."""
+        """The model side of claims ``fig6.base_dnn_in_mcs.*``."""
         breakdown = model.filterforward_breakdown(1, "localized")
         equivalent = breakdown.base_dnn_seconds / breakdown.classifiers_seconds
         assert 10 <= equivalent <= 55
