@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import (
-    FilterForwardPipeline,
-    MicroClassifierConfig,
-    PipelineConfig,
-    build_microclassifier,
-)
+from repro.core import MicroClassifierConfig, StreamingPipeline, build_microclassifier
 from repro.edge import ConstrainedUplink, EdgeNode, FrameArchive, build_phased_schedule
 from repro.features import FeatureExtractor, FeatureMapCrop, build_mobilenet_like
 from repro.metrics import bits_to_mbps
@@ -84,9 +79,11 @@ def main() -> None:
     extractor = FeatureExtractor(base_dnn, [TAP_LAYER], cache_size=8)
     microclassifiers = build_applications(extractor, crop)
 
-    pipeline = FilterForwardPipeline(extractor, microclassifiers, PipelineConfig())
+    session = StreamingPipeline(
+        extractor, microclassifiers, frame_rate=dataset.test_stream.frame_rate
+    )
     node = EdgeNode(
-        pipeline,
+        session,
         uplink=ConstrainedUplink(capacity_bps=UPLINK_KBPS * 1000),
         archive=FrameArchive(capacity_bytes=512 * 1024**2),
     )
@@ -111,7 +108,11 @@ def main() -> None:
     print(f"Archive holds {report.archived_frames} frames for demand-fetch.")
 
     print("\nCompute sharing (per-frame multiply-adds on this node):")
-    for component, cost in pipeline.multiply_adds_per_frame().items():
+    costs = {
+        "base_dnn": result.base_dnn_multiply_adds_per_frame,
+        **result.mc_multiply_adds_per_frame,
+    }
+    for component, cost in costs.items():
         print(f"  {component:<24s} {cost / 1e6:>8.1f}M")
 
     print("\nPaper-scale comparison (1920x1080, full-width MobileNet):")

@@ -8,7 +8,7 @@ This walks the core FilterForward loop end to end in a few minutes on a CPU:
 2. build the shared MobileNet-style base DNN and a feature extractor,
 3. train a localized binary classifier microclassifier offline on the
    training video,
-4. deploy it in a :class:`FilterForwardPipeline` and filter the test video,
+4. deploy it in a :class:`StreamingPipeline` and filter the test video,
 5. report event-level accuracy and bandwidth use against ground truth.
 
 Run:  python examples/quickstart.py
@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import (
-    FilterForwardPipeline,
     MicroClassifierConfig,
+    StreamingPipeline,
     TrainingConfig,
     build_microclassifier,
     train_classifier,
@@ -75,8 +75,8 @@ def main() -> None:
           f"({base_dnn.multiply_adds() / mc.multiply_adds():.0f}x cheaper than the base DNN)")
 
     print("4) Filtering the test stream on the (simulated) edge node ...")
-    pipeline = FilterForwardPipeline(extractor, [mc])
-    result = pipeline.process_stream(dataset.test_stream)
+    stream = dataset.test_stream
+    result = StreamingPipeline(extractor, [mc], frame_rate=stream.frame_rate).process_stream(stream)
     mc_result = result.per_mc["people_with_red"]
     print(
         f"   matched {mc_result.num_matched_frames}/{result.num_frames} frames "

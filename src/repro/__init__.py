@@ -23,7 +23,6 @@ subpackages for the full API:
 """
 
 from repro.core import (
-    FilterForwardPipeline,
     FullFrameObjectDetectorMC,
     LocalizedBinaryClassifierMC,
     MicroClassifierConfig,
@@ -47,7 +46,6 @@ __version__ = "1.3.0"
 __all__ = [
     "FeatureExtractor",
     "FeatureMapCrop",
-    "FilterForwardPipeline",
     "FleetConfig",
     "FleetReport",
     "FleetRuntime",

@@ -11,9 +11,9 @@ This package implements the paper's primary contribution:
 * offline microclassifier training (:mod:`repro.core.training`);
 * the layer-selection heuristic (Section 3.4) in
   :mod:`repro.core.layer_selection`;
-* :class:`~repro.core.pipeline.FilterForwardPipeline`, which ties the feature
+* :class:`~repro.core.streaming.StreamingPipeline`, which ties the feature
   extractor, many concurrent MCs, smoothing, re-encoding and upload
-  accounting together.
+  accounting together frame by frame.
 """
 
 from repro.core.batched import BatchedScorer
@@ -26,7 +26,7 @@ from repro.core.architectures import (
 from repro.core.events import Event, EventDetector, EventKey, EventRecord, SmoothedDecision
 from repro.core.layer_selection import LayerSelection, select_input_layer
 from repro.core.microclassifier import MicroClassifier, MicroClassifierConfig
-from repro.core.pipeline import FilterForwardPipeline, PipelineConfig, PipelineResult
+from repro.core.pipeline import PipelineConfig, PipelineResult
 from repro.core.smoothing import KVotingSmoother, StreamingKVotingSmoother, TransitionDetector
 from repro.core.streaming import StreamingPipeline, StreamUpdate
 from repro.core.training import TrainingConfig, TrainingHistory, train_classifier
@@ -37,7 +37,6 @@ __all__ = [
     "EventDetector",
     "EventKey",
     "EventRecord",
-    "FilterForwardPipeline",
     "FullFrameObjectDetectorMC",
     "KVotingSmoother",
     "LayerSelection",

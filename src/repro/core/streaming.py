@@ -1,14 +1,14 @@
-"""Incremental execution of the FilterForward pipeline in O(1) heavy state.
+"""The FilterForward pipeline, executed incrementally in O(1) heavy state.
 
-:class:`StreamingPipeline` consumes one decoded frame at a time and produces
-results identical to :meth:`repro.core.pipeline.FilterForwardPipeline.process_stream`
-on the same stream — per-frame probabilities, thresholded decisions, K-voting
-smoothed outputs, events, and upload accounting — without ever materializing
-per-microclassifier feature-map batches.  Memory is O(1) in the *heavyweight*
-sense: the frames and feature maps held at any moment are bounded by the
-configuration, not the stream length (per-frame scalars — probabilities,
-decisions, timestamps — still accumulate, since they are the result).  The
-bounded heavy state is:
+:class:`StreamingPipeline` is the one way to filter a stream (Figure 1 of
+the paper): it consumes one decoded frame at a time and produces per-frame
+probabilities, thresholded decisions, K-voting smoothed outputs, events, and
+upload accounting identical to scoring the whole stream in batch, without
+ever materializing per-microclassifier feature-map batches.  Memory is O(1)
+in the *heavyweight* sense: the frames and feature maps held at any moment
+are bounded by the configuration, not the stream length (per-frame scalars —
+probabilities, decisions, timestamps — still accumulate, since they are the
+result).  The bounded heavy state is:
 
 * one chunk of up to ``batch_size`` feature maps per *bank* — the MCs of one
   architecture on one input, grouped at bind time and scored together (as soon
@@ -37,12 +37,7 @@ import numpy as np
 from repro.core.architectures import WindowedLocalizedBinaryClassifierMC
 from repro.core.events import Event, EventDetector, EventKey, EventRecord
 from repro.core.microclassifier import MicroClassifier
-from repro.core.pipeline import (
-    MicroClassifierResult,
-    PipelineConfig,
-    PipelineResult,
-    validate_microclassifiers,
-)
+from repro.core.pipeline import MicroClassifierResult, PipelineConfig, PipelineResult
 from repro.features.extractor import FeatureExtractor
 from repro.video.codec import H264Simulator
 from repro.video.frame import Frame
@@ -146,7 +141,8 @@ class StreamingPipeline:
     extractor:
         The shared feature extractor (one base-DNN pass per pushed frame).
     microclassifiers:
-        Installed microclassifiers (same contract as the batch pipeline).
+        Installed microclassifiers: at least one, uniquely named, each
+        reading a layer the extractor taps.
     config:
         Pipeline knobs; ``batch_size`` bounds both scoring latency and the
         feature-map memory held per MC.
@@ -171,7 +167,18 @@ class StreamingPipeline:
         resolution: tuple[int, int] | None = None,
         annotate_frames: bool = True,
     ) -> None:
-        validate_microclassifiers(extractor, microclassifiers)
+        if not microclassifiers:
+            raise ValueError("StreamingPipeline requires at least one microclassifier")
+        names = [mc.name for mc in microclassifiers]
+        duplicates = {n for n in names if names.count(n) > 1}
+        if duplicates:
+            raise ValueError(f"Duplicate microclassifier names: {sorted(duplicates)}")
+        missing_taps = {mc.input_layer for mc in microclassifiers} - set(extractor.tap_layers)
+        if missing_taps:
+            raise ValueError(
+                f"Extractor does not tap layer(s) {sorted(missing_taps)} required by "
+                "installed microclassifiers"
+            )
         if frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
         self.extractor = extractor
@@ -371,7 +378,22 @@ class StreamingPipeline:
         return self._result
 
     def process_stream(self, stream: VideoStream) -> PipelineResult:
-        """Convenience: push every frame of ``stream`` and finish."""
+        """Filter one whole stream: push every frame of ``stream`` and finish.
+
+        Uploads are accounted at the session's ``frame_rate``, so a stream at
+        another rate (or at another resolution than the session's) raises
+        ``ValueError`` instead of being silently mis-accounted.
+        """
+        if stream.frame_rate != self.frame_rate:
+            raise ValueError(
+                f"stream frame rate {stream.frame_rate} differs from the session's "
+                f"{self.frame_rate}"
+            )
+        if self.resolution is not None and self.resolution != stream.resolution:
+            raise ValueError(
+                f"stream resolution {stream.resolution} differs from the session's "
+                f"{self.resolution}"
+            )
         for frame in stream:
             self.push(frame)
         return self.finish(stream_duration=stream.duration)

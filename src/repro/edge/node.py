@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.pipeline import FilterForwardPipeline, PipelineResult
+from repro.core.pipeline import PipelineResult
+from repro.core.streaming import StreamingPipeline
 from repro.edge.archive import ArchivedSegment, FrameArchive
 from repro.edge.uplink import ConstrainedUplink
 from repro.video.stream import VideoStream
@@ -40,8 +41,9 @@ class EdgeNode:
 
     Parameters
     ----------
-    pipeline:
-        The filtering pipeline (feature extractor + microclassifiers).
+    session:
+        The filtering session (feature extractor + microclassifiers) at the
+        stream's frame rate; a session filters one stream.
     uplink:
         The constrained wide-area uplink.
     archive:
@@ -50,25 +52,24 @@ class EdgeNode:
 
     def __init__(
         self,
-        pipeline: FilterForwardPipeline,
+        session: StreamingPipeline,
         uplink: ConstrainedUplink,
         archive: FrameArchive | None = None,
     ) -> None:
-        self.pipeline = pipeline
+        self.session = session
         self.uplink = uplink
         self.archive = archive or FrameArchive()
 
     def process_stream(self, stream: VideoStream) -> EdgeNodeReport:
         """Archive, filter, and upload one camera stream.
 
-        The stream is decoded exactly once: each frame is archived and fed to
-        the incremental pipeline in the same pass.
+        The session filters the stream, then every frame is archived.  The
+        session raises (before anything is archived) on a stream at another
+        frame rate or resolution, or on a second stream.
         """
-        session = self.pipeline.streaming_session(stream.frame_rate, stream.resolution)
+        result = self.session.process_stream(stream)
         for frame in stream:
             self.archive.store(frame)
-            session.push(frame)
-        result = session.finish(stream_duration=stream.duration)
         # Upload each MC's encoded event frames; uploads become available as
         # the corresponding events end.
         for mc_result in result.per_mc.values():

@@ -142,12 +142,6 @@ class H264Simulator:
         relative = diffs / mean
         return 1.0 + self.complexity_weight * (relative - 1.0)
 
-    def _frame_complexities(self, frames: Sequence[Frame]) -> np.ndarray:
-        """Relative bit-cost multipliers (mean 1.0) from temporal differences."""
-        if len(frames) <= 1:
-            return np.ones(len(frames))
-        return self.complexities_from_diffs(self.temporal_diffs(frames))
-
     def detail_scale_for_bpp(self, bits_per_pixel: float) -> float:
         """Fraction of spatial detail retained at ``bits_per_pixel``.
 
@@ -181,7 +175,7 @@ class H264Simulator:
         """
         return self.encode_precomputed(
             [frame.index for frame in frames],
-            self._frame_complexities(frames),
+            self.complexities_from_diffs(self.temporal_diffs(frames)),
             target_bitrate,
             frame_rate,
             resolution,

@@ -1,12 +1,13 @@
-"""Tests for the end-to-end FilterForward pipeline."""
+"""Tests for the end-to-end FilterForward pipeline over one whole stream."""
 
 import numpy as np
 import pytest
 
 from repro.core.architectures import build_microclassifier
 from repro.core.microclassifier import MicroClassifierConfig
-from repro.core.pipeline import FilterForwardPipeline, PipelineConfig
-from repro.features.extractor import FeatureExtractor, FeatureMapCrop
+from repro.core.pipeline import PipelineConfig
+from repro.core.streaming import StreamingPipeline
+from repro.features.extractor import FeatureExtractor
 
 
 def make_mc(extractor, name, architecture="localized", layer="conv4_2/sep", crop=None, threshold=0.5):
@@ -22,18 +23,18 @@ def pipeline(tiny_extractor):
         make_mc(tiny_extractor, "mc_full_frame", architecture="full_frame", layer="conv5_6/sep"),
         make_mc(tiny_extractor, "mc_windowed", architecture="windowed"),
     ]
-    return FilterForwardPipeline(tiny_extractor, mcs, PipelineConfig(batch_size=4))
+    return StreamingPipeline(tiny_extractor, mcs, PipelineConfig(batch_size=4), frame_rate=15.0)
 
 
 class TestConstruction:
     def test_requires_at_least_one_mc(self, tiny_extractor):
         with pytest.raises(ValueError):
-            FilterForwardPipeline(tiny_extractor, [])
+            StreamingPipeline(tiny_extractor, [])
 
     def test_rejects_duplicate_names(self, tiny_extractor):
         mcs = [make_mc(tiny_extractor, "same"), make_mc(tiny_extractor, "same")]
         with pytest.raises(ValueError, match="Duplicate"):
-            FilterForwardPipeline(tiny_extractor, mcs)
+            StreamingPipeline(tiny_extractor, mcs)
 
     def test_rejects_untapped_layer(self, tiny_base_dnn):
         extractor = FeatureExtractor(tiny_base_dnn, ["conv5_6/sep"])
@@ -41,7 +42,7 @@ class TestConstruction:
             FeatureExtractor(tiny_base_dnn, ["conv4_2/sep"]), "mc", layer="conv4_2/sep"
         )
         with pytest.raises(ValueError, match="does not tap"):
-            FilterForwardPipeline(extractor, [mc])
+            StreamingPipeline(extractor, [mc])
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
@@ -59,23 +60,11 @@ class TestConstruction:
 
 class TestFeatureCollection:
     def test_base_dnn_runs_once_per_frame(self, pipeline, tiny_pipeline_stream, tiny_extractor):
+        # Three MCs share one base-DNN pass per pushed frame.
         before = tiny_extractor.frames_processed
-        pipeline.collect_feature_maps(tiny_pipeline_stream)
+        for frame in tiny_pipeline_stream:
+            pipeline.push(frame)
         assert tiny_extractor.frames_processed == before + len(tiny_pipeline_stream)
-
-    def test_collected_shapes(self, pipeline, tiny_pipeline_stream, tiny_extractor):
-        maps = pipeline.collect_feature_maps(tiny_pipeline_stream)
-        assert set(maps) == {"mc_localized", "mc_full_frame", "mc_windowed"}
-        assert maps["mc_localized"].shape == (12, *tiny_extractor.layer_shape("conv4_2/sep"))
-        assert maps["mc_full_frame"].shape == (12, *tiny_extractor.layer_shape("conv5_6/sep"))
-
-    def test_crop_applied_per_mc(self, tiny_extractor, tiny_pipeline_stream):
-        crop = FeatureMapCrop(0, 16, 48, 32)
-        mc = make_mc(tiny_extractor, "cropped", crop=crop)
-        pipeline = FilterForwardPipeline(tiny_extractor, [mc])
-        maps = pipeline.collect_feature_maps(tiny_pipeline_stream)
-        expected = tiny_extractor.cropped_layer_shape("conv4_2/sep", crop, (32, 48))
-        assert maps["cropped"].shape[1:] == expected
 
 
 class TestProcessStream:
@@ -92,7 +81,7 @@ class TestProcessStream:
     def test_thresholds_control_matches(self, tiny_extractor, tiny_pipeline_stream):
         accept_all = make_mc(tiny_extractor, "accept", threshold=0.01)
         reject_all = make_mc(tiny_extractor, "reject", threshold=0.99)
-        pipeline = FilterForwardPipeline(tiny_extractor, [accept_all, reject_all])
+        pipeline = StreamingPipeline(tiny_extractor, [accept_all, reject_all], frame_rate=15.0)
         result = pipeline.process_stream(tiny_pipeline_stream)
         assert result.per_mc["accept"].num_matched_frames == 12
         assert result.per_mc["reject"].num_matched_frames == 0
@@ -101,7 +90,7 @@ class TestProcessStream:
 
     def test_upload_accounting(self, tiny_extractor, tiny_pipeline_stream):
         accept_all = make_mc(tiny_extractor, "accept", threshold=0.01)
-        pipeline = FilterForwardPipeline(tiny_extractor, [accept_all])
+        pipeline = StreamingPipeline(tiny_extractor, [accept_all], frame_rate=15.0)
         result = pipeline.process_stream(tiny_pipeline_stream)
         assert result.upload_fraction == 1.0
         assert result.total_uploaded_bits > 0
@@ -110,8 +99,8 @@ class TestProcessStream:
 
     def test_frames_annotated_with_events(self, tiny_extractor, tiny_pipeline_stream):
         accept_all = make_mc(tiny_extractor, "accept", threshold=0.01)
-        pipeline = FilterForwardPipeline(tiny_extractor, [accept_all])
-        result = pipeline.process_stream(tiny_pipeline_stream, annotate_frames=True)
+        pipeline = StreamingPipeline(tiny_extractor, [accept_all], frame_rate=15.0)
+        result = pipeline.process_stream(tiny_pipeline_stream)
         assert len(result.per_mc["accept"].events) == 1
         event_id = result.per_mc["accept"].events[0].event_id
         assert tiny_pipeline_stream[5].event_memberships() == {"accept": event_id}
@@ -124,8 +113,12 @@ class TestProcessStream:
                 covered[event.start : event.end] = 1
             np.testing.assert_array_equal(covered, mc_result.smoothed)
 
-    def test_multiply_adds_accounting(self, pipeline, tiny_extractor):
-        costs = pipeline.multiply_adds_per_frame()
-        assert costs["base_dnn"] == tiny_extractor.multiply_adds_per_frame()
-        for name in ("mc_localized", "mc_full_frame", "mc_windowed"):
-            assert costs[name] > 0
+    def test_multiply_adds_accounting(self, pipeline, tiny_pipeline_stream, tiny_extractor):
+        result = pipeline.process_stream(tiny_pipeline_stream)
+        assert result.base_dnn_multiply_adds_per_frame == tiny_extractor.multiply_adds_per_frame()
+        assert set(result.mc_multiply_adds_per_frame) == {
+            "mc_localized",
+            "mc_full_frame",
+            "mc_windowed",
+        }
+        assert all(cost > 0 for cost in result.mc_multiply_adds_per_frame.values())

@@ -1,13 +1,13 @@
 """Tests for the incremental streaming pipeline and its online primitives.
 
 The load-bearing property: :class:`StreamingPipeline` must produce results
-*identical* to the batch :class:`FilterForwardPipeline` — probabilities,
+*identical* to scoring the whole stream in batch — probabilities,
 decisions, smoothed outputs, events, matched indices, and encoded upload
-bits — while holding only O(1) state per frame.  The batch pipeline now
-delegates to the streaming engine, so the reference below independently
-re-implements the seed's original triple-pass flow from public pieces
-(``collect_feature_maps`` + chunked scoring + batch ``EventDetector.detect``
-+ ``codec.encode``) to keep the comparison meaningful.
+bits — while holding only O(1) state per frame.  The reference below
+independently re-implements the original triple-pass batch flow from public
+pieces (per-MC feature-map batches from ``extractor.extract`` +
+``mc_input_feature_map``, chunked scoring, batch ``EventDetector.detect``,
+``codec.encode``) to keep the comparison meaningful.
 """
 
 import numpy as np
@@ -16,10 +16,13 @@ import pytest
 from repro.core.architectures import build_microclassifier
 from repro.core.events import EventDetector
 from repro.core.microclassifier import MicroClassifierConfig
-from repro.core.pipeline import FilterForwardPipeline, PipelineConfig
+from repro.core.pipeline import PipelineConfig, mc_input_feature_map
 from repro.core.smoothing import KVotingSmoother, StreamingKVotingSmoother
 from repro.core.streaming import StreamingPipeline
 from repro.core.training import score_classifier
+from repro.edge.archive import FrameArchive
+from repro.edge.node import EdgeNode
+from repro.edge.uplink import ConstrainedUplink
 from repro.features.extractor import FeatureExtractor, FeatureMapCrop
 from repro.nn.model import Sequential
 from repro.video.frame import Frame
@@ -124,25 +127,33 @@ def make_mc(extractor, name, architecture="localized", layer="conv4_2/sep", crop
     return build_microclassifier(architecture, cfg, shape)
 
 
-def reference_process(pipeline, stream):
-    """The seed's original triple-pass batch flow, re-implemented independently."""
-    feature_maps = pipeline.collect_feature_maps(stream)
+def collect_feature_maps(extractor, mcs, stream):
+    """Each MC's ``(N, H, W, C)`` batch of (cropped) input maps, one base-DNN pass per frame."""
+    per_mc = {mc.name: [] for mc in mcs}
+    for frame in stream:
+        activations = extractor.extract(frame)
+        for mc in mcs:
+            per_mc[mc.name].append(mc_input_feature_map(mc, frame, activations))
+    return {name: np.stack(maps, axis=0) for name, maps in per_mc.items()}
+
+
+def reference_process(extractor, mcs, stream, config, codec):
+    """The original triple-pass batch flow, re-implemented independently."""
+    feature_maps = collect_feature_maps(extractor, mcs, stream)
     frames = list(stream)
     reference = {}
-    for mc in pipeline.microclassifiers:
+    for mc in mcs:
         maps = feature_maps[mc.name]
         probabilities = score_classifier(mc, maps)
         decisions = (probabilities >= mc.config.threshold).astype(np.int8)
         detector = EventDetector(
-            mc.name,
-            window=pipeline.config.smoothing_window,
-            votes=pipeline.config.smoothing_votes,
+            mc.name, window=config.smoothing_window, votes=config.smoothing_votes
         )
         smoothed, events = detector.detect(decisions)
         matched = np.flatnonzero(smoothed)
         encoded = None
         if matched.size:
-            encoded = pipeline.codec.encode(
+            encoded = codec.encode(
                 [frames[i] for i in matched],
                 mc.config.upload_bitrate,
                 stream.frame_rate,
@@ -169,16 +180,10 @@ def three_mcs(tiny_extractor):
 
 def assert_matches_reference(extractor, mcs, stream, config):
     """Streaming == the batch reference: probabilities to 1e-12, everything else exactly."""
-    pipeline = FilterForwardPipeline(extractor, mcs, config)
-    reference = reference_process(pipeline, stream)
     session = StreamingPipeline(
-        extractor,
-        mcs,
-        config=config,
-        codec=pipeline.codec,
-        frame_rate=stream.frame_rate,
-        resolution=stream.resolution,
+        extractor, mcs, config=config, frame_rate=stream.frame_rate, resolution=stream.resolution
     )
+    reference = reference_process(extractor, mcs, stream, config, session.codec)
     result = session.process_stream(stream)
 
     assert result.num_frames == len(stream)
@@ -245,25 +250,30 @@ class TestStreamingPipelineEquivalence:
         stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=10.0)
         assert_matches_reference(tiny_extractor, [mc], stream, config)
 
-    def test_batch_pipeline_delegates_identically(self, tiny_extractor, three_mcs, tiny_pipeline_stream):
-        """FilterForwardPipeline.process_stream == explicit push/finish."""
-        config = PipelineConfig(batch_size=4)
-        pipeline = FilterForwardPipeline(tiny_extractor, three_mcs, config)
-        batch_result = pipeline.process_stream(tiny_pipeline_stream, annotate_frames=False)
-        session = pipeline.streaming_session(
-            tiny_pipeline_stream.frame_rate,
-            tiny_pipeline_stream.resolution,
-            annotate_frames=False,
-        )
-        for frame in tiny_pipeline_stream:
-            session.push(frame)
-        stream_result = session.finish(stream_duration=tiny_pipeline_stream.duration)
-        for name, mc_result in batch_result.per_mc.items():
-            other = stream_result.per_mc[name]
+    def test_edge_node_filters_like_a_bare_session(
+        self, tiny_extractor, three_mcs, tiny_pipeline_stream
+    ):
+        """EdgeNode.process_stream == the bare session's process_stream on the same stream."""
+
+        def session():
+            return StreamingPipeline(
+                tiny_extractor,
+                three_mcs,
+                config=PipelineConfig(batch_size=4),
+                frame_rate=tiny_pipeline_stream.frame_rate,
+                annotate_frames=False,
+            )
+
+        node = EdgeNode(session(), ConstrainedUplink(10_000_000), FrameArchive(64 * 1024**2))
+        node_result = node.process_stream(tiny_pipeline_stream).pipeline_result
+        bare_result = session().process_stream(tiny_pipeline_stream)
+        for name, mc_result in bare_result.per_mc.items():
+            other = node_result.per_mc[name]
             np.testing.assert_array_equal(mc_result.probabilities, other.probabilities)
             np.testing.assert_array_equal(mc_result.smoothed, other.smoothed)
             assert mc_result.events == other.events
-        assert batch_result.total_uploaded_bits == stream_result.total_uploaded_bits
+        assert node_result.total_uploaded_bits == bare_result.total_uploaded_bits
+        assert node.uplink.total_bits == bare_result.total_uploaded_bits
 
 
 class TestStreamingPipelineBehavior:
@@ -326,8 +336,8 @@ class TestStreamingPipelineBehavior:
         accept = make_mc(tiny_extractor, "accept", threshold=0.01)
         arrays = [rng.random((32, 48, 3)).astype(np.float32) for _ in range(8)]
         stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=15.0)
-        pipeline = FilterForwardPipeline(tiny_extractor, [accept])
-        result = pipeline.process_stream(stream, annotate_frames=True)
+        pipeline = StreamingPipeline(tiny_extractor, [accept], frame_rate=15.0)
+        result = pipeline.process_stream(stream)
         event_id = result.per_mc["accept"].events[0].event_id
         assert stream[3].event_memberships() == {"accept": event_id}
 
@@ -342,6 +352,26 @@ class TestStreamingPipelineBehavior:
     def test_validates_microclassifiers(self, tiny_extractor):
         with pytest.raises(ValueError):
             StreamingPipeline(tiny_extractor, [], frame_rate=15.0)
+
+    @pytest.mark.parametrize(
+        "frame_rate,resolution,mismatch",
+        [(30.0, None, "frame rate"), (15.0, (32, 48), "resolution")],
+        ids=["frame_rate", "resolution"],
+    )
+    def test_process_stream_rejects_a_stream_the_session_was_not_built_for(
+        self, tiny_extractor, tiny_pipeline_stream, frame_rate, resolution, mismatch
+    ):
+        # Uploads are charged at the session's rate: built at 30 fps, a
+        # 15 fps stream would otherwise report half its upload bandwidth.
+        session = StreamingPipeline(
+            tiny_extractor,
+            [make_mc(tiny_extractor, "mc", threshold=0.01)],
+            frame_rate=frame_rate,
+            resolution=resolution,
+        )
+        with pytest.raises(ValueError, match=mismatch):
+            session.process_stream(tiny_pipeline_stream)
+        assert session.num_pushed == 0
 
     def test_set_threshold_overrides_decisions_from_now_on(self, tiny_extractor, rng):
         # Same frames, one session with the trained threshold and one whose

@@ -4,18 +4,18 @@ import pytest
 
 from repro.core.architectures import build_microclassifier
 from repro.core.microclassifier import MicroClassifierConfig
-from repro.core.pipeline import FilterForwardPipeline
+from repro.core.streaming import StreamingPipeline
 from repro.edge.archive import FrameArchive
 from repro.edge.node import EdgeNode
 from repro.edge.uplink import ConstrainedUplink
 from repro.video.stream import InMemoryVideoStream
 
 
-def make_node(extractor, threshold=0.01, capacity_bps=1_000_000):
+def make_node(extractor, threshold=0.01, capacity_bps=1_000_000, frame_rate=15.0):
     cfg = MicroClassifierConfig("mc", "conv4_2/sep", threshold=threshold, upload_bitrate=50_000)
     mc = build_microclassifier("localized", cfg, extractor.layer_shape("conv4_2/sep"))
-    pipeline = FilterForwardPipeline(extractor, [mc])
-    return EdgeNode(pipeline, ConstrainedUplink(capacity_bps), FrameArchive(64 * 1024**2))
+    session = StreamingPipeline(extractor, [mc], frame_rate=frame_rate)
+    return EdgeNode(session, ConstrainedUplink(capacity_bps), FrameArchive(64 * 1024**2))
 
 
 class TestEdgeNode:
@@ -72,3 +72,19 @@ class TestEdgeNode:
         report = node.process_stream(tail)
         assert report.pipeline_result.total_uploaded_bits > 0
         assert node.uplink.total_bits == report.pipeline_result.total_uploaded_bits
+
+    def test_second_stream_raises(self, tiny_extractor, tiny_pipeline_stream):
+        # A node hosts one session, and a session filters one stream.
+        node = make_node(tiny_extractor)
+        node.process_stream(tiny_pipeline_stream)
+        with pytest.raises(RuntimeError, match="already finished"):
+            node.process_stream(tiny_pipeline_stream)
+
+    def test_stream_at_another_frame_rate_raises_before_archiving(
+        self, tiny_extractor, tiny_pipeline_stream
+    ):
+        node = make_node(tiny_extractor, frame_rate=30.0)
+        with pytest.raises(ValueError, match="frame rate"):
+            node.process_stream(tiny_pipeline_stream)
+        assert len(node.archive) == 0
+        assert node.uplink.total_bits == 0

@@ -164,7 +164,7 @@ def test_stale_dotted_name_is_flagged(tmp_path):
     """A doc naming a module, class or method that is not there fails the reverse check."""
     doc = tmp_path / "doc.md"
     doc.write_text(
-        "`repro.core.pipeline.FilterForwardPipeline` and `repro.fleet` and\n"
+        "`repro.core.pipeline.PipelineResult` and `repro.fleet` and\n"
         "repro.StreamingPipeline and repro.fleet.runtime.FleetRuntime.run resolve.\n"
         "\n"
         "repro.baselines.full_dnn is gone, repro.features.extractor.prime is a method,\n"

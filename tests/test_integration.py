@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.architectures import build_microclassifier
 from repro.core.microclassifier import MicroClassifierConfig
-from repro.core.pipeline import FilterForwardPipeline, PipelineConfig
+from repro.core.streaming import StreamingPipeline
 from repro.core.training import TrainingConfig, train_classifier
 from repro.edge.archive import FrameArchive
 from repro.edge.node import EdgeNode
@@ -54,8 +54,8 @@ def deployment(dataset):
 class TestEndToEnd:
     def test_edge_node_filters_and_uploads_events(self, dataset, deployment):
         extractor, mc = deployment
-        pipeline = FilterForwardPipeline(extractor, [mc], PipelineConfig())
-        node = EdgeNode(pipeline, ConstrainedUplink(capacity_bps=200_000), FrameArchive(256 * 1024**2))
+        session = StreamingPipeline(extractor, [mc], frame_rate=dataset.test_stream.frame_rate)
+        node = EdgeNode(session, ConstrainedUplink(capacity_bps=200_000), FrameArchive(256 * 1024**2))
         report = node.process_stream(dataset.test_stream)
 
         result = report.pipeline_result
@@ -74,8 +74,10 @@ class TestEndToEnd:
 
     def test_detections_beat_chance_on_ground_truth(self, dataset, deployment):
         extractor, mc = deployment
-        pipeline = FilterForwardPipeline(extractor, [mc])
-        result = pipeline.process_stream(dataset.test_stream, annotate_frames=False)
+        pipeline = StreamingPipeline(
+            extractor, [mc], frame_rate=dataset.test_stream.frame_rate, annotate_frames=False
+        )
+        result = pipeline.process_stream(dataset.test_stream)
         smoothed = result.per_mc["red_people"].smoothed
         truth = dataset.test_labels.labels
         f1 = event_f1_score(truth, smoothed)
@@ -105,8 +107,8 @@ class TestEndToEnd:
 
     def test_demand_fetch_retrieves_event_context(self, dataset, deployment):
         extractor, mc = deployment
-        pipeline = FilterForwardPipeline(extractor, [mc])
-        node = EdgeNode(pipeline, ConstrainedUplink(capacity_bps=1_000_000), FrameArchive(256 * 1024**2))
+        session = StreamingPipeline(extractor, [mc], frame_rate=dataset.test_stream.frame_rate)
+        node = EdgeNode(session, ConstrainedUplink(capacity_bps=1_000_000), FrameArchive(256 * 1024**2))
         report = node.process_stream(dataset.test_stream)
         events = report.pipeline_result.per_mc["red_people"].events
         if not events:
