@@ -80,7 +80,6 @@ from repro.control.value import ThresholdDriftConfig, ThresholdDriftController
 from repro.control.trace import (
     TRACE_SCHEMA,
     control_trace_records,
-    diff_traces,
     explain_action,
     load_trace,
     trace_to_jsonl,
@@ -120,7 +119,6 @@ __all__ = [
     "UplinkShareController",
     "control_trace_records",
     "default_local_controllers",
-    "diff_traces",
     "explain_action",
     "load_trace",
     "trace_to_jsonl",

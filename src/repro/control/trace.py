@@ -29,9 +29,11 @@ number back to the decision record — inputs and candidate ranking — that
 produced it.
 
 Any nondeterminism — a different decision, a shifted actuation time, a
-telemetry counter off by one — shows up as a diff on a specific line.
-``tests/control/test_golden_trace.py`` pins one small scenario's trace as a
-golden file; mutating any policy constant fails tier-1.
+telemetry counter off by one — shows up as a difference on a specific line
+and key: the repository's one comparator (``first_difference`` in
+``tools/parity.py``) names it.  ``tests/control/test_golden_trace.py`` pins
+one small scenario's trace as a golden file; mutating any policy constant
+fails tier-1.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "trace_to_jsonl",
     "write_control_trace",
     "load_trace",
-    "diff_traces",
     "explain_action",
 ]
 
@@ -166,40 +167,3 @@ def explain_action(records: Sequence[dict], action_seq: int) -> dict:
     raise KeyError(
         f"No decision record claims action seq={action_seq} (pre-provenance trace?)"
     )
-
-
-def _describe(record: dict) -> str:
-    kind = record.get("type", "?")
-    if kind == "action":
-        return f"action seq={record.get('seq')}: {record.get('entry')!r}"
-    if kind == "decision":
-        return (
-            f"decision seq={record.get('seq')} {record.get('controller')}/"
-            f"{record.get('kind')} @t={record.get('t')}: "
-            f"actions={record.get('action_seqs')!r}"
-        )
-    if kind == "telemetry":
-        return f"telemetry {record.get('name')!r} = {record.get('value')!r}"
-    return f"{kind} {json.dumps(record, sort_keys=True)}"
-
-
-def diff_traces(expected: Sequence[dict], actual: Sequence[dict]) -> list[str]:
-    """Human-readable differences between two traces (empty = identical).
-
-    Records are compared positionally and exactly — the schema fixes the
-    record order, so a positional diff names the first drifting decision,
-    telemetry value, or summary counter instead of a noisy set difference.
-    """
-    problems: list[str] = []
-    if len(expected) != len(actual):
-        problems.append(f"record count differs: expected {len(expected)}, got {len(actual)}")
-    for index, (want, got) in enumerate(zip(expected, actual)):
-        if want == got:
-            continue
-        problems.append(
-            f"record {index} differs:\n  expected {_describe(want)}\n  actual   {_describe(got)}"
-        )
-        if len(problems) >= 20:
-            problems.append("... (further diffs suppressed)")
-            break
-    return problems

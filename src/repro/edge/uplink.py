@@ -120,8 +120,8 @@ class ConstrainedUplink:
     reclaimed_bits = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_bps <= 0:
-            raise ValueError("capacity_bps must be positive")
+        if not 0 < self.capacity_bps < math.inf:  # written so that a NaN fails it
+            raise ValueError("capacity_bps must be positive and finite")
 
     def upload(self, bits: float, available_at: float = 0.0, description: str = "upload") -> UplinkTransfer:
         """Send ``bits`` as soon as the link is free at or after ``available_at``.

@@ -13,6 +13,7 @@ fleet runtime's simulated clock.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,12 +97,14 @@ class CameraSpec:
             )
         if self.num_frames <= 0:
             raise ValueError("num_frames must be positive")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
-        if self.event_rate_scale < 0:
-            raise ValueError("event_rate_scale must be non-negative")
-        if self.start_time < 0:
-            raise ValueError("start_time must be non-negative")
+        # Written so that a NaN fails each guard.
+        if not 0 < self.frame_rate < math.inf:
+            raise ValueError("frame_rate must be positive and finite")
+        if not 0 <= self.event_rate_scale < math.inf:
+            raise ValueError("event_rate_scale must be finite and non-negative")
+        if not 0 <= self.start_time < math.inf:
+            raise ValueError("start_time must be finite and non-negative")
+        self.scene_config()  # the renderer's own guards (its minimum size among them)
 
     @property
     def resolution(self) -> tuple[int, int]:

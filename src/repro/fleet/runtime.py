@@ -158,11 +158,12 @@ class FleetConfig:
             raise ValueError("max_in_flight must be at least 1 when set")
         if self.per_camera_quota is not None and self.per_camera_quota < 1:
             raise ValueError("per_camera_quota must be at least 1 when set")
-        if self.service_time_scale <= 0:
-            raise ValueError("service_time_scale must be positive")
-        if self.uplink_capacity_bps <= 0:
-            raise ValueError("uplink_capacity_bps must be positive")
-        if self.event_cooldown_seconds < 0:
+        # Written so that a NaN fails each guard.
+        if not 0 < self.service_time_scale < math.inf:
+            raise ValueError("service_time_scale must be positive and finite")
+        if not 0 < self.uplink_capacity_bps < math.inf:
+            raise ValueError("uplink_capacity_bps must be positive and finite")
+        if not self.event_cooldown_seconds >= 0:
             raise ValueError("event_cooldown_seconds must be non-negative")
         if self.accuracy_task is not None and self.accuracy_task not in ACCURACY_TASKS:
             raise ValueError(

@@ -38,6 +38,7 @@ whole fleet, load imbalance, and the control plane's interventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -92,8 +93,8 @@ class ShardingConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
-        if self.total_uplink_bps <= 0:
-            raise ValueError("total_uplink_bps must be positive")
+        if not 0 < self.total_uplink_bps < math.inf:  # written so that a NaN fails it
+            raise ValueError("total_uplink_bps must be positive and finite")
         if self.uplink_allocation not in UPLINK_ALLOCATIONS:
             raise ValueError(
                 f"Unknown uplink_allocation {self.uplink_allocation!r}; "

@@ -14,6 +14,7 @@ generated video comes with per-frame ground truth for the two paper tasks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +61,12 @@ class SceneConfig:
             raise ValueError("Scene must be at least 32x32 pixels")
         if self.num_frames <= 0:
             raise ValueError("num_frames must be positive")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        # Written so that a NaN fails each guard.
+        if not 0 < self.frame_rate < math.inf:
+            raise ValueError("frame_rate must be positive and finite")
         for name in ("pedestrian_rate", "red_pedestrian_rate", "car_rate", "cyclist_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0.0 <= self.crossing_fraction <= 1.0:
             raise ValueError("crossing_fraction must be in [0, 1]")
         for name in ("person_speed_range", "vehicle_speed_range"):

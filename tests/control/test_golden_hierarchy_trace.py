@@ -16,8 +16,9 @@ If a behavior change is *intentional*, regenerate the golden file::
 from pathlib import Path
 
 import pytest
+from parity import first_difference
 
-from repro.control.trace import diff_traces, load_trace
+from repro.control.trace import load_trace
 
 from golden_hierarchy_scenario import build_report, hierarchy_trace_records
 
@@ -63,9 +64,9 @@ class TestGoldenHierarchyTrace:
         assert len(payload["payload_bytes"]) == golden_records[-2]["control_ticks"] > 0
 
     def test_replay_matches_golden_exactly(self, golden_records):
-        problems = diff_traces(golden_records, hierarchy_trace_records(build_report()))
-        assert problems == [], (
+        difference = first_difference(golden_records, hierarchy_trace_records(build_report()))
+        assert difference is None, (
             "Hierarchical control replay drifted from the golden trace. If this "
             "change is intentional, regenerate tests/data/golden_hierarchy_trace.jsonl "
-            "(see golden_hierarchy_scenario.py).\n" + "\n".join(problems)
+            f"(see golden_hierarchy_scenario.py).\n{difference}"
         )

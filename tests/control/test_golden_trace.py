@@ -19,6 +19,7 @@ If a behavior change is *intentional*, regenerate the golden file::
 from pathlib import Path
 
 import pytest
+from parity import first_difference
 
 from repro.control import (
     AdaptiveSheddingController,
@@ -29,7 +30,7 @@ from repro.control import (
     SheddingConfig,
     UplinkShareController,
 )
-from repro.control.trace import control_trace_records, diff_traces, load_trace
+from repro.control.trace import control_trace_records, load_trace
 from repro.fleet import ShardedFleetRuntime, ShardingConfig
 
 from golden_scenario import NODE_CONFIG, build_control_loop, build_report, golden_cameras
@@ -57,11 +58,11 @@ class TestGoldenTrace:
         assert golden_records[0]["actions"] > 0
 
     def test_replay_matches_golden_exactly(self, replayed_records, golden_records):
-        problems = diff_traces(golden_records, replayed_records)
-        assert problems == [], (
+        difference = first_difference(golden_records, replayed_records)
+        assert difference is None, (
             "Control replay drifted from the golden trace. If this change is "
             "intentional, regenerate tests/data/golden_control_trace.jsonl "
-            "(see golden_scenario.py).\n" + "\n".join(problems)
+            f"(see golden_scenario.py).\n{difference}"
         )
 
     def test_batched_dispatch_leaves_golden_trace_unchanged(self, golden_records):
@@ -86,10 +87,10 @@ class TestGoldenTrace:
         unbatched = ShardedFleetRuntime(
             golden_cameras(), config=config, control_loop=build_control_loop()
         ).run()
-        problems = diff_traces(golden_records, control_trace_records(unbatched))
-        assert problems == [], (
+        difference = first_difference(golden_records, control_trace_records(unbatched))
+        assert difference is None, (
             "Per-camera dispatch drifted from the golden trace, so batched "
-            "and per-camera scoring are no longer equivalent:\n" + "\n".join(problems)
+            f"and per-camera scoring are no longer equivalent:\n{difference}"
         )
 
     def test_mutated_policy_constant_is_caught(self, golden_records):
@@ -134,5 +135,5 @@ class TestGoldenTrace:
         mutated = ShardedFleetRuntime(
             golden_cameras(), config=config, control_loop=loop
         ).run()
-        problems = diff_traces(golden_records, control_trace_records(mutated))
-        assert problems, "mutating a policy constant must drift the trace"
+        difference = first_difference(golden_records, control_trace_records(mutated))
+        assert difference is not None, "mutating a policy constant must drift the trace"

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from parity import first_difference
 
 from repro.control import (
     AdaptiveSheddingController,
@@ -19,7 +20,6 @@ from repro.control import (
     ControlLoop,
     DecisionRecord,
     control_trace_records,
-    diff_traces,
     explain_action,
 )
 from repro.control.policies import Controller
@@ -229,12 +229,13 @@ def test_explain_action_unclaimed_action_raises_key_error():
         explain_action(records, 0)
 
 
-def test_diff_traces_describes_decision_records():
+def test_first_difference_names_the_decision_record_key():
     a = _trace_with_decisions()
     b = _trace_with_decisions()
     b[1 + 1]["kind"] = "other"  # header, action, then the decision line
-    problems = diff_traces(a, b)
-    assert problems and "decision seq=0" in problems[0]
+    difference = first_difference(a, b)
+    assert difference.path == "[2].kind"
+    assert a[2]["type"] == "decision" and difference.variant == "other"
 
 
 # --- every controller explains every action ---------------------------------
@@ -289,8 +290,9 @@ def test_perturbed_gate_changes_the_trace(gate, value):
             golden_cameras(), config=config, control_loop=perturbed_loop
         ).run()
     )
-    problems = diff_traces(baseline, perturbed)
-    assert problems, "perturbing a recorded gate must change the trace"
+    assert first_difference(baseline, perturbed) is not None, (
+        "perturbing a recorded gate must change the trace"
+    )
     # The drifted gate itself is visible in some decision record's gates.
     gates = [
         r["gates"].get(gate)

@@ -1,13 +1,13 @@
-"""repro.control.trace: schema, round-trip, and diff behavior."""
+"""repro.control.trace: schema, round-trip, and where a difference is named."""
 
 from dataclasses import dataclass, field
 
 import pytest
+from parity import first_difference
 
 from repro.control.trace import (
     TRACE_SCHEMA,
     control_trace_records,
-    diff_traces,
     load_trace,
     trace_to_jsonl,
     write_control_trace,
@@ -89,7 +89,7 @@ class TestRoundTrip:
         written = write_control_trace(path, make_report())
         loaded = load_trace(path)
         assert loaded == written
-        assert diff_traces(written, loaded) == []
+        assert first_difference(written, loaded) is None
 
     def test_jsonl_is_one_object_per_line(self):
         text = trace_to_jsonl(control_trace_records(make_report()))
@@ -110,10 +110,10 @@ class TestRoundTrip:
             load_trace(path)
 
 
-class TestDiff:
-    def test_identical_traces_have_no_diff(self):
-        assert diff_traces(control_trace_records(make_report()),
-                           control_trace_records(make_report())) == []
+class TestFirstDifference:
+    def test_identical_traces_have_no_difference(self):
+        assert first_difference(control_trace_records(make_report()),
+                                control_trace_records(make_report())) is None
 
     def test_changed_action_is_located(self):
         expected = control_trace_records(make_report())
@@ -121,24 +121,25 @@ class TestDiff:
         drifted_report.control_log[1] = (
             "t=0.750 camera_migration: migrate cam000 node0 -> node1 (blackout 0.200s)"
         )
-        problems = diff_traces(expected, control_trace_records(drifted_report))
-        assert len(problems) == 1
-        assert "record 2" in problems[0] and "t=0.750" in problems[0]
+        difference = first_difference(expected, control_trace_records(drifted_report))
+        assert difference.path == "[2].entry"
+        assert difference.variant.startswith("t=0.750")
 
     def test_changed_telemetry_counter_is_located(self):
         expected = control_trace_records(make_report())
         drifted_report = make_report()
         drifted_report.telemetry["node0.frames.generated"] = 61.0
-        problems = diff_traces(expected, control_trace_records(drifted_report))
-        assert len(problems) == 1
-        assert "node0.frames.generated" in problems[0]
+        difference = first_difference(expected, control_trace_records(drifted_report))
+        assert difference.path == "[4].value"
+        assert expected[4]["name"] == "node0.frames.generated"
+        assert (difference.reference, difference.variant) == (60.0, 61.0)
 
-    def test_extra_action_changes_count_and_content(self):
+    def test_extra_action_changes_the_record_count(self):
         expected = control_trace_records(make_report())
         drifted_report = make_report()
         drifted_report.control_log.append("t=1.000 adaptive_shedding: relax")
-        problems = diff_traces(expected, control_trace_records(drifted_report))
-        assert any("record count differs" in p for p in problems)
+        difference = first_difference(expected, control_trace_records(drifted_report))
+        assert (difference.path, difference.reference, difference.variant) == ("length", 7, 8)
 
 
 class TestSetCameraThreshold:
@@ -157,16 +158,17 @@ class TestSetCameraThreshold:
         written = write_control_trace(path, self.make_drift_report())
         loaded = load_trace(path)
         assert loaded == written
-        assert diff_traces(written, loaded) == []
+        assert first_difference(written, loaded) is None
         entry = next(
             r["entry"] for r in loaded if r["type"] == "action" and "threshold" in r["entry"]
         )
         assert entry == "t=0.750 threshold_drift: set_camera_threshold node1/cam007 -> 0.5500"
         assert loaded[-1]["threshold_drifts"] == 1
 
-    def test_drifted_threshold_is_located_by_diff(self):
+    def test_drifted_threshold_is_located(self):
         expected = control_trace_records(self.make_drift_report(0.55))
         actual = control_trace_records(self.make_drift_report(0.6))
-        problems = diff_traces(expected, actual)
-        assert len(problems) == 1
-        assert "0.5500" in problems[0] and "0.6000" in problems[0]
+        difference = first_difference(expected, actual)
+        assert difference.path == "[3].entry"
+        assert difference.reference.endswith("-> 0.5500")
+        assert difference.variant.endswith("-> 0.6000")

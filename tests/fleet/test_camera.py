@@ -1,5 +1,7 @@
 """Camera specs, scenarios, and the synthetic fleet generator."""
 
+import math
+
 import pytest
 
 from repro.fleet.camera import SCENARIOS, CameraFeed, CameraSpec, generate_fleet
@@ -22,6 +24,22 @@ class TestCameraSpec:
     def test_duration(self):
         spec = CameraSpec("cam", 64, 48, 8.0, 16)
         assert spec.duration == 2.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame_rate", math.nan),
+            ("frame_rate", math.inf),
+            ("start_time", math.nan),
+            ("event_rate_scale", math.nan),
+            ("width", 31),
+            ("height", 16),
+        ],
+    )
+    def test_a_spec_that_cannot_render_is_rejected_when_built(self, field, value):
+        sizes = {"width": 64, "height": 48, "frame_rate": 10.0, "num_frames": 4, field: value}
+        with pytest.raises(ValueError, match="must be|at least 32x32"):
+            CameraSpec("cam", **sizes)
 
 
 class TestCameraFeed:

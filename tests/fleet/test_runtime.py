@@ -1,14 +1,17 @@
 """End-to-end fleet runtime: scheduling, shedding, telemetry, reporting."""
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.edge.uplink import ConstrainedUplink
 from repro.fleet.camera import CameraSpec
 from repro.fleet.queues import DropPolicy
 from repro.fleet.runtime import FleetConfig, FleetRuntime, default_pipeline_factory
+from repro.fleet.sharding import ShardingConfig
 from repro.fleet.worker import WorkerPool, default_schedule
 from repro.video.frame import Frame
 
@@ -231,6 +234,27 @@ class TestFleetRuntime:
     def test_requires_cameras(self):
         with pytest.raises(ValueError):
             FleetRuntime([])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda nan: FleetConfig(service_time_scale=nan),
+            lambda nan: FleetConfig(uplink_capacity_bps=nan),
+            lambda nan: FleetConfig(event_cooldown_seconds=nan),
+            lambda nan: ShardingConfig(total_uplink_bps=nan),
+            lambda nan: ConstrainedUplink(nan),
+        ],
+        ids=[
+            "service_time_scale",
+            "uplink_capacity_bps",
+            "event_cooldown_seconds",
+            "total_uplink_bps",
+            "link_capacity_bps",
+        ],
+    )
+    def test_a_nan_node_or_link_setting_is_rejected(self, build):
+        with pytest.raises(ValueError, match="must be"):
+            build(math.nan)
 
     def test_per_camera_quota_improves_fairness(self):
         """A high-rate camera cannot monopolize the in-flight budget under quota."""

@@ -17,6 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 import pytest
+from parity import Tolerance, not_compared
 
 from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.loop import ClusterActuator
@@ -27,7 +28,6 @@ from repro.fleet import runtime
 from repro.fleet.camera import CameraSpec
 from repro.fleet.runtime import FleetConfig, FleetRuntime
 
-from oracles.compare import Tolerance, not_compared
 from oracles.records import run_bare, run_by_hand, run_cluster, run_stepped
 from oracles.scenarios import Scenario, fleet
 

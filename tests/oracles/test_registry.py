@@ -7,8 +7,8 @@ from fnmatch import fnmatchcase
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
+from parity import Tolerance, first_difference, not_compared
 
-from oracles.compare import Tolerance, first_difference, not_compared
 from oracles.invariants import assert_invariants
 from oracles.records import run_cluster
 from oracles.registry import ENTRIES, IMBALANCED

@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
+import ab_pairs
 import pytest
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-import ab_pairs  # noqa: E402
 
 PARENT, CHANGE = Path("/trees/parent"), Path("/trees/change")
 

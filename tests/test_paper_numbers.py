@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-import paper_numbers  # noqa: E402
+import paper_numbers
 
 
 def test_prints_sorted_json_of_the_pinned_numbers(capsys, monkeypatch):

@@ -8,11 +8,9 @@ Figure 6's ``equivalent_mcs_<architecture>`` values, and the ``CostModel``
 multiply-adds at 1920x1080, at 2048x850 and at 2048x850 with the Roadway
 crop: the base DNN, each microclassifier architecture and each discrete
 classifier of the Pareto sweep.  All of them are pure functions of the cost
-and throughput models, so two trees whose models agree print the same bytes:
-
-    python tools/paper_numbers.py --src ../base/src > base.json
-    python tools/paper_numbers.py > head.json
-    cmp base.json head.json
+and throughput models, so two trees whose models agree print the same
+numbers; ``python tools/parity.py base ../base --only paper_numbers`` runs
+each tree's copy and names the first differing key.
 
 ``--src`` (default: the ``src/`` beside this script) goes first on
 ``sys.path``; the script fails if ``repro`` is imported from anywhere else,
