@@ -35,16 +35,22 @@ def flip_one_bit(data: bytes, needle: bytes, occurrence: int) -> bytes:
 
 
 class CannedRunner:
-    """Writes each call's canned files into the run directory and logs the calls."""
+    """Writes each call's canned files into the run directory and logs the calls.
 
-    def __init__(self, outputs: list[dict[str, bytes]], status: int = 0) -> None:
+    A ``None`` in place of the files is a tree without the producer.
+    """
+
+    def __init__(self, outputs: list[dict[str, bytes] | None], status: int = 0) -> None:
         self.outputs = iter(outputs)
         self.status = status
         self.calls: list[tuple[Path, str]] = []
 
-    def __call__(self, tree: Path, entry: dict, workdir: Path) -> int:
+    def __call__(self, tree: Path, entry: dict, workdir: Path) -> int | None:
         self.calls.append((tree, entry["name"]))
-        for name, data in next(self.outputs).items():
+        files = next(self.outputs)
+        if files is None:
+            return None
+        for name, data in files.items():
             (workdir / name).parent.mkdir(parents=True, exist_ok=True)
             (workdir / name).write_bytes(data)
         return self.status
@@ -77,6 +83,23 @@ def test_a_json_artifact_names_its_first_differing_key_path(tmp_path, capsys):
     assert gate(tmp_path, runner, "rerun", "--only", "event_demo") == 1
     out = capsys.readouterr().out
     assert "out/delivery_report.json outcomes.acked: reference 20 != variant 19" in out
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        b'{"outcomes": {"acked": 20.0, "dead_letter": 0}}',
+        b'{"outcomes": {"acked": 20, "dead_letter": -0}}',
+        b'{"outcomes": {"dead_letter": 0, "acked": 20}}',
+        b'{"outcomes": {"acked": 20,  "dead_letter": 0}}',
+    ],
+    ids=["int-to-float", "negative-zero", "key-order", "spacing"],
+)
+def test_equal_values_in_unequal_bytes_are_named_by_their_first_byte(tmp_path, capsys, planted):
+    runner = CannedRunner([EVENT_DEMO, {**EVENT_DEMO, "out/delivery_report.json": planted}])
+    assert gate(tmp_path, runner, "rerun", "--only", "event_demo") == 1
+    out = capsys.readouterr().out
+    assert "DIFFERENT" in out and "out/delivery_report.json:1 byte " in out
 
 
 def test_a_byte_artifact_names_its_first_differing_offset(tmp_path, capsys):
@@ -115,18 +138,46 @@ def e2e_file(digest: str, mc_forward_calls: int) -> dict[str, bytes]:
 
 def test_base_prints_a_moved_exact_count_and_gates_the_digest(tmp_path, capsys):
     only = ("--only", "e2e")
-    runner = CannedRunner([e2e_file("abc", 100), e2e_file("abc", 80)])
+    head, base = e2e_file("abc", 80), e2e_file("abc", 100)
+    runner = CannedRunner([head, head, base])
     assert gate(tmp_path, runner, "base", str(BASE), *only) == 0
-    assert runner.calls == [(BASE, "e2e"), (parity.REPO, "e2e")]
+    assert runner.calls == [(parity.REPO, "e2e"), (parity.REPO, "e2e"), (BASE, "e2e")]
     out = capsys.readouterr().out
-    assert "moved" in out
-    assert "exact_counts.core.mc_forward_calls: reference 100 != variant 80" in out
+    assert "rerun same, base moved" in out
+    assert "base: moved: e2e.json many_mc_stream.exact_counts.core.mc_forward_calls: " \
+        "reference 100 != variant 80" in out  # fmt: skip
     # A rerun gates the same count; the base gates a digest; wall clock is never read.
-    runner = CannedRunner([e2e_file("abc", 100), e2e_file("abc", 80)])
-    assert gate(tmp_path, runner, "rerun", *only) == 1
-    runner = CannedRunner([e2e_file("abc", 100), e2e_file("abd", 100)])
+    runner = CannedRunner([head, e2e_file("abc", 100), base])
+    assert gate(tmp_path, runner, "base", str(BASE), *only) == 1
+    assert "rerun DIFFERENT" in capsys.readouterr().out
+    runner = CannedRunner([e2e_file("abd", 100), e2e_file("abd", 100), base])
     assert gate(tmp_path, runner, "base", str(BASE), *only) == 1
     assert "many_mc_stream.sim_digest: reference 'abc' != variant 'abd'" in capsys.readouterr().out
+
+
+def test_base_runs_each_producer_only_against_the_references_its_entry_lists(tmp_path, capsys):
+    stdout = {"stdout.txt": b"frames 96\n"}
+    runner = CannedRunner([EVENT_DEMO, EVENT_DEMO, EVENT_DEMO, stdout, stdout])
+    argv = ("base", str(BASE), "--only", "event_demo", "quickstart")
+    assert gate(tmp_path, runner, *argv) == 0
+    head = [(parity.REPO, "event_demo"), (parity.REPO, "event_demo"), (BASE, "event_demo")]
+    assert runner.calls == [*head, (parity.REPO, "quickstart"), (BASE, "quickstart")]
+    out = capsys.readouterr().out
+    assert "rerun same, base same" in out and "ok: 2 of 2 entries pass" in out
+
+
+def test_an_entry_the_base_tree_cannot_produce_is_new(tmp_path, capsys):
+    only = ("--only", "event_demo")
+    runner = CannedRunner([EVENT_DEMO, EVENT_DEMO, None])
+    assert gate(tmp_path, runner, "base", str(BASE), *only) == 0
+    assert "rerun same, base new" in capsys.readouterr().out
+    without_report = {k: v for k, v in EVENT_DEMO.items() if k != "out/delivery_report.json"}
+    runner = CannedRunner([EVENT_DEMO, EVENT_DEMO, without_report])
+    assert gate(tmp_path, runner, "base", str(BASE), *only) == 0
+    assert "base: new: the base tree writes no out/delivery_report.json" in capsys.readouterr().out
+    # The head must produce it, though.
+    runner = CannedRunner([without_report, without_report, EVENT_DEMO])
+    assert gate(tmp_path, runner, "base", str(BASE), *only) == 1
 
 
 def test_a_producer_that_exits_non_zero_fails_its_entry(tmp_path, capsys):
@@ -135,17 +186,10 @@ def test_a_producer_that_exits_non_zero_fails_its_entry(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-def test_base_reuses_the_head_run_a_rerun_left(tmp_path):
-    only = ("--only", "event_demo")
-    assert gate(tmp_path, CannedRunner([EVENT_DEMO, EVENT_DEMO]), "rerun", *only) == 0
-    runner = CannedRunner([EVENT_DEMO])
-    assert gate(tmp_path, runner, "base", str(BASE), *only, "--reuse") == 0
-    assert runner.calls == [(BASE, "event_demo")]
-
-
 def test_every_manifest_artifact_has_a_reader():
     for entry in parity.MANIFEST:
         assert set(entry["artifacts"].values()) <= {"bytes", "json", "jsonl", "e2e"}
+        assert set(entry.get("references", ("rerun",))) <= {"rerun", "base"}
 
 
 @pytest.mark.parametrize("argv", [["rerun", "/some/tree"], ["base"], ["rerun", "--only", "nope"]])

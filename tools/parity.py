@@ -2,36 +2,46 @@
 """parity: one gate for every deterministic artifact the repository produces.
 
     python tools/parity.py rerun [--only NAME ...] [--out DIR]
-    python tools/parity.py base TREE [--only NAME ...] [--out DIR] [--reuse]
+    python tools/parity.py base TREE [--only NAME ...] [--out DIR]
 
 Everything here is simulated and seeded, so the evidence is bit-identity.
-``rerun`` runs every entry of :data:`MANIFEST` in this checkout twice;
-``base`` runs it in ``TREE`` (another checkout, such as the merge base) and
-in this one, each tree on its own ``src/``.  An entry is one producing
-command, run in a fresh directory ``DIR/<run>/<entry>/`` with its sizes in
-the environment, and the artifacts it leaves there, each with its reader:
+An entry of :data:`MANIFEST` is one producing command, run in a fresh
+directory ``DIR/<run>/<entry>/`` with its sizes in the environment, and the
+artifacts it leaves there.  Each run is compared with the ``head`` run, this
+checkout's first:
 
-* ``bytes`` -- compared byte for byte; a difference names its first offset;
-* ``json`` -- one document;
-* ``jsonl`` -- one document per line; a difference names file, line and
-  key, e.g. ``out/delivery_log.jsonl:17 state: reference 'acked' != variant
+* ``rerun`` runs every entry twice in this checkout (``head``, ``rerun``);
+* ``base`` runs ``head``, then each entry's ``references``: ``rerun`` again
+  here and ``base`` in ``TREE`` (another checkout, such as the merge base),
+  each tree on its own ``src/``.  An entry lists only the references it
+  needs, so one ``base`` call is all CI runs.
+
+Every artifact is gated byte for byte.  Its reader only says where two runs
+part:
+
+* ``bytes`` -- the first differing offset and its line;
+* ``json`` -- the first differing key path;
+* ``jsonl`` -- one document per line: file, line and key, e.g.
+  ``out/delivery_log.jsonl:17 state: reference 'acked' != variant
   'dead_letter'``;
-* ``e2e`` -- a ``benchmarks/e2e/run.py --out`` file read as each workload's
-  ``sim_digest`` and the ledger's ``EXACT_METRICS`` (its wall-clock readings
-  are ``compare.py``'s to judge).
+* ``e2e`` -- a ``benchmarks/e2e/run.py --out`` file, read as each workload's
+  ``sim_digest`` and the ledger's ``EXACT_METRICS`` only (its wall-clock
+  readings are ``compare.py``'s to judge), so it is the one artifact not
+  gated by its bytes.
 
 Documents go through :func:`first_difference`, the repository's one
-comparator (the oracle registry under ``tests/oracles`` uses it too): exact,
-except the paths an entry lists as ``not_compared``.  Only a wall-clock
-field may be listed there, with its reason; no artifact has one today.
+comparator (the oracle registry under ``tests/oracles`` uses it too).  Equal
+documents in unequal bytes (``1`` against ``1.0``, key order, spacing) are
+reported at their first differing byte.  Only a path an entry lists as
+``not_compared`` may differ, and only a wall-clock field may be listed
+there, with its reason; no artifact has one today.
 
-A producer that exits non-zero fails its entry.  ``rerun`` gates every
-compared path.  ``base`` gates them too, except the paths an entry lists
-under ``moves_in_base``: an exact count may move on purpose, and the change
-names it, so those are printed (``moved``) and not failed on.  ``--reuse``
-takes a run already under ``DIR`` instead of producing it again, so
-``rerun`` then ``base TREE --reuse`` runs this tree twice in all.  Exit
-status 0 when no entry is ``DIFFERENT`` or ``FAILED``.
+A producer that exits non-zero fails its entry.  Against ``rerun`` every
+compared path is gated.  Against ``base`` so is every path except those an
+entry lists under ``moves_in_base``: an exact count may move on purpose, and
+the change names it, so those are printed (``moved``) and not failed on.
+An entry whose producer or artifact the base tree lacks is ``new``: printed,
+not gated.  Exit status 0 when no entry is ``DIFFERENT`` or ``FAILED``.
 """
 
 from __future__ import annotations
@@ -164,13 +174,24 @@ def first_difference(
     return next(differences(reference, variant, tolerances), None)
 
 
+
+
 # --- the manifest --------------------------------------------------------------
 
 # Each entry: ``command`` (arguments to the Python interpreter; ``{tree}`` is
 # the checkout's absolute path; the run directory is the working directory),
 # ``env`` (added to the environment), ``artifacts`` (path in the run
 # directory -> reader; ``stdout.txt`` is the command's standard output) and,
-# optionally, ``not_compared`` / ``moves_in_base`` (path pattern -> reason).
+# optionally, ``references`` (what ``base`` compares the head run with;
+# both ``rerun`` and ``base`` unless listed) and ``not_compared`` /
+# ``moves_in_base`` (path pattern -> reason).  Each entry lists the
+# references CI compared before this gate, so CI runs no producer more often:
+# a rerun where it checked determinism, the base where it checked a change,
+# the base alone where it only smoke-ran (the observable-fleet demo, the
+# quick-preset report).  ``base`` runs the base tree with the head's entry: a
+# renamed output path reads as ``new`` there, but a renamed size variable
+# runs the base at its own defaults and fails, so a change that renames one
+# says so.
 MANIFEST = (
     {
         "name": "e2e",
@@ -196,6 +217,7 @@ MANIFEST = (
         "artifacts": {"stdout.txt": "bytes", "out/control_trace.jsonl": "jsonl",
                       "out/alerts.jsonl": "jsonl", "out/timeline.jsonl": "jsonl",
                       "out/incidents.json": "json", "out/incidents.md": "bytes"},
+        "references": ("rerun",),
     },
     {
         "name": "observable_fleet",
@@ -204,21 +226,24 @@ MANIFEST = (
                 "OBSERVABLE_FLEET_DURATION": "1.5", "OBSERVABLE_FLEET_OUT": "out"},
         "artifacts": {"stdout.txt": "bytes", "out/trace.json": "json",
                       "out/metrics.prom": "bytes", "out/metrics.jsonl": "jsonl"},
+        "references": ("base",),
     },
     *(
         {"name": example, "command": [f"{{tree}}/examples/{example}.py"],
-         "artifacts": {"stdout.txt": "bytes"}}
+         "artifacts": {"stdout.txt": "bytes"}, "references": ("base",)}
         for example in ("quickstart", "multi_tenant_edge_node", "bandwidth_planning")
     ),
     {
         "name": "paper_numbers",
         "command": ["{tree}/tools/paper_numbers.py"],
         "artifacts": {"stdout.txt": "json"},
+        "references": ("base",),
     },
     {
         "name": "paper_report",
         "command": ["-m", "repro.experiments.runner", "--preset", "quick", "--json"],
         "artifacts": {"stdout.txt": "json"},
+        "references": ("base",),
     },
     {
         "name": "golden_control_trace",
@@ -235,8 +260,18 @@ MANIFEST = (
 # --- producing and reading ---------------------------------------------------
 
 
-def run_entry(tree: Path, entry: dict, workdir: Path) -> int:
-    """Run ``entry``'s command for ``tree`` in ``workdir``; its exit status."""
+def run_entry(tree: Path, entry: dict, workdir: Path) -> int | None:
+    """Run ``entry``'s command for ``tree`` in ``workdir``.
+
+    Its exit status, or ``None`` when ``tree`` has no such producer.
+    """
+    first, second, *_ = [*entry["command"], ""]
+    if first == "-m":
+        script = tree / "src" / (second.replace(".", "/") + ".py")
+    else:
+        script = Path(first.replace("{tree}", str(tree)))
+    if not script.exists():
+        return None
     command = [sys.executable, *(arg.replace("{tree}", str(tree)) for arg in entry["command"])]
     env = {
         **os.environ,
@@ -259,10 +294,8 @@ def exact_metrics() -> tuple[str, ...]:
     return EXACT_METRICS
 
 
-def read(path: Path, kind: str):
-    if kind == "bytes":
-        return path.read_bytes()
-    text = path.read_text(encoding="utf-8")
+def parse(data: bytes, kind: str):
+    text = data.decode("utf-8")
     if kind == "jsonl":
         return [json.loads(line) for line in text.splitlines()]
     document = json.loads(text)
@@ -280,62 +313,97 @@ def read(path: Path, kind: str):
     }
 
 
+def byte_difference(name: str, reference: bytes, variant: bytes) -> tuple[str, Difference]:
+    """Where two unequal byte strings first part: line, offset and what is there.
+
+    What is there is the offset's line, cut to 40 bytes either side.
+    """
+    offset = next(
+        (i for i, (x, y) in enumerate(zip(reference, variant)) if x != y),
+        min(len(reference), len(variant)),
+    )
+
+    def line_at(data: bytes) -> str:
+        start, end = data.rfind(b"\n", 0, offset) + 1, data.find(b"\n", offset)
+        end = len(data) if end < 0 else end
+        return data[max(start, offset - 40) : min(end, offset + 40)].decode(errors="replace")
+
+    line = reference.count(b"\n", 0, offset) + 1
+    return f"{name}:{line}", Difference(f"byte {offset}", line_at(reference), line_at(variant))
+
+
 def artifact_differences(
-    name: str, kind: str, reference, variant, tolerances
+    name: str, kind: str, reference: bytes, variant: bytes, tolerances
 ) -> Iterator[tuple[str, Difference]]:
-    """Each difference between two readings of artifact ``name``, and where it is."""
+    """Each difference between two runs' bytes of artifact ``name``, and where it is."""
+    if kind != "e2e" and reference == variant:
+        return
     if kind == "bytes":
-        if reference != variant:
-            offset = next(
-                (i for i, (x, y) in enumerate(zip(reference, variant)) if x != y),
-                min(len(reference), len(variant)),
-            )
-
-            def line_at(data: bytes) -> str:
-                start, end = data.rfind(b"\n", 0, offset) + 1, data.find(b"\n", offset)
-                return data[start : len(data) if end < 0 else end].decode(errors="replace")
-
-            line = reference.count(b"\n", 0, offset) + 1
-            difference = Difference(f"byte {offset}", line_at(reference), line_at(variant))
-            yield f"{name}:{line}", difference
+        yield byte_difference(name, reference, variant)
         return
+    a, b = parse(reference, kind), parse(variant, kind)
+    found = False
     if kind == "jsonl":
-        if len(reference) != len(variant):
-            yield name, Difference("lines", len(reference), len(variant))
-        for line, (a, b) in enumerate(zip(reference, variant), 1):
-            yield from ((f"{name}:{line}", d) for d in differences(a, b, tolerances))
-        return
-    yield from ((name, d) for d in differences(reference, variant, tolerances))
+        if len(a) != len(b):
+            found = True
+            yield name, Difference("lines", len(a), len(b))
+        for line, (x, y) in enumerate(zip(a, b), 1):
+            for difference in differences(x, y, tolerances):
+                found = True
+                yield f"{name}:{line}", difference
+    else:
+        for difference in differences(a, b, tolerances):
+            found = True
+            yield name, difference
+    # Equal values in unequal bytes (1 and 1.0, key order, spacing), unless
+    # every value that differs is one the entry does not compare.
+    if not found and kind != "e2e" and first_difference(a, b) is None:
+        yield byte_difference(name, reference, variant)
 
 
 @dataclass
 class Verdict:
-    status: str  # same, moved, DIFFERENT or FAILED
+    status: str  # same, new, moved, DIFFERENT or FAILED
     lines: list[str]
 
 
-def judge(entry: dict, runs: tuple[Path, Path], statuses: tuple[int, int], base: bool) -> Verdict:
-    """Compare one entry's two runs: reference first, variant second."""
+def judge(
+    entry: dict, runs: tuple[Path, Path], statuses: tuple[int | None, int | None], base: bool
+) -> Verdict:
+    """Compare one entry's two runs: reference first, variant second.
+
+    In a ``base`` comparison the reference is the base tree's run.
+    """
+    if base and statuses[0] is None:
+        return Verdict("new", ["the base tree has no producer for this entry"])
     failed = [
-        f"{run} exited {status}:\n{tail(run / 'stderr.txt')}"
+        f"{run} " + ("has no producer" if status is None else f"exited {status}:")
+        + f"\n{tail(run / 'stderr.txt')}"
         for run, status in zip(runs, statuses)
-        if status
+        if status != 0
     ]
     if failed:
         return Verdict("FAILED", failed)
     tolerances = {p: not_compared(reason) for p, reason in entry.get("not_compared", {}).items()}
     moves = entry.get("moves_in_base", {}) if base else {}
-    moved = []
+    notes, status = [], "same"
     for name, kind in entry["artifacts"].items():
+        if base and not (runs[0] / name).exists():
+            notes.append(f"new: the base tree writes no {name}")
+            status = "new" if status == "same" else status
+            continue
         try:
-            reference, variant = (read(run / name, kind) for run in runs)
+            reference, variant = ((run / name).read_bytes() for run in runs)
+            for where, difference in artifact_differences(
+                name, kind, reference, variant, tolerances
+            ):
+                if not any(fnmatchcase(difference.path, pattern) for pattern in moves):
+                    return Verdict("DIFFERENT", [*notes, f"{where} {difference}"])
+                notes.append(f"moved: {where} {difference}")
+                status = "moved"
         except (OSError, ValueError, KeyError) as error:
-            return Verdict("FAILED", [f"{name}: {error}"])
-        for where, difference in artifact_differences(name, kind, reference, variant, tolerances):
-            if not any(fnmatchcase(difference.path, pattern) for pattern in moves):
-                return Verdict("DIFFERENT", [*moved, f"{where} {difference}"])
-            moved.append(f"moved: {where} {difference}")
-    return Verdict("moved" if moved else "same", moved)
+            return Verdict("FAILED", [*notes, f"{name}: {error}"])
+    return Verdict(status, notes)
 
 
 def tail(path: Path, lines: int = 5) -> str:
@@ -344,44 +412,47 @@ def tail(path: Path, lines: int = 5) -> str:
 
 
 def main(
-    argv: list[str] | None = None, runner: Callable[[Path, dict, Path], int] = run_entry
+    argv: list[str] | None = None, runner: Callable[[Path, dict, Path], int | None] = run_entry
 ) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("mode", choices=("rerun", "base"))
     parser.add_argument("tree", nargs="?", type=Path, help="base: the other checkout")
     parser.add_argument("--only", nargs="+", metavar="NAME", help="these entries only")
     parser.add_argument("--out", type=Path, default=Path("parity_out"), help="run directories")
-    parser.add_argument("--reuse", action="store_true", help="take runs already under --out")
     args = parser.parse_args(argv)
     if (args.mode == "base") != (args.tree is not None):
         parser.error("base takes the other checkout, rerun takes none")
     entries = [e for e in MANIFEST if not args.only or e["name"] in args.only]
     if args.only and len(entries) != len(set(args.only)):
         parser.error(f"unknown entry; the manifest has {[e['name'] for e in MANIFEST]}")
-    if args.mode == "rerun":
-        trees = {"head": REPO, "rerun": REPO}
-    else:
-        trees = {"base": args.tree.resolve(), "head": REPO}
-    print(f"parity {args.mode}: " + " vs ".join(f"{label} {tree}" for label, tree in trees.items()))
+    trees = {"head": REPO, "rerun": REPO, "base": args.tree.resolve() if args.tree else None}
+    print(f"parity {args.mode}: head {REPO}" + (f" vs base {trees['base']}" if args.tree else ""))
     bad = 0
     for entry in entries:
         started = time.monotonic()
-        runs, statuses = [], []
-        for label, tree in trees.items():
+        references = entry.get("references", ("rerun", "base")) if args.tree else ("rerun",)
+        statuses = {}
+        for label in ("head", *references):
             workdir = args.out.resolve() / label / entry["name"]
-            stamp = workdir / "exit_status"
-            if not (args.reuse and stamp.exists()):
-                shutil.rmtree(workdir, ignore_errors=True)
-                workdir.mkdir(parents=True)
-                stamp.write_text(f"{runner(tree, entry, workdir)}\n")
-            runs.append(workdir)
-            statuses.append(int(stamp.read_text()))
-        verdict = judge(entry, tuple(runs), tuple(statuses), base=args.mode == "base")
-        bad += verdict.status in ("DIFFERENT", "FAILED")
-        elapsed = time.monotonic() - started
-        print(f"  {entry['name']:<24s} {verdict.status:<9s} ({elapsed:.1f} s)", flush=True)
-        for line in verdict.lines:
-            print(textwrap.indent(line, " " * 6))
+            shutil.rmtree(workdir, ignore_errors=True)
+            workdir.mkdir(parents=True)
+            statuses[label] = runner(trees[label], entry, workdir)
+        verdicts = {}
+        for label in references:
+            # The reference goes first: the rerun is judged against head,
+            # head against the base.
+            pair = ("head", label) if label == "rerun" else (label, "head")
+            runs = tuple(args.out.resolve() / run / entry["name"] for run in pair)
+            verdicts[label] = judge(
+                entry, runs, tuple(statuses[run] for run in pair), base=label == "base"
+            )
+        bad += any(v.status in ("DIFFERENT", "FAILED") for v in verdicts.values())
+        summary = ", ".join(f"{label} {v.status}" for label, v in verdicts.items())
+        print(f"  {entry['name']:<24s} {summary:<28s} ({time.monotonic() - started:.1f} s)",
+              flush=True)  # fmt: skip
+        for label, verdict in verdicts.items():
+            for line in verdict.lines:
+                print(textwrap.indent(f"{label}: {line}", " " * 6))
     print(f"{'FAILED' if bad else 'ok'}: {len(entries) - bad} of {len(entries)} entries pass")
     return 1 if bad else 0
 
