@@ -270,7 +270,7 @@ class NodeControlPlane:
         decision_log: list[str] | None = None,
         decision_records: list[dict] | None = None,
     ) -> None:
-        if interval_seconds <= 0:
+        if not interval_seconds > 0:  # written so that a NaN fails it
             raise ValueError("interval_seconds must be positive")
         self.node_id = node_id
         self.runtime = runtime
@@ -406,7 +406,7 @@ class HierarchicalControlPlane:
         telemetry: TelemetryRegistry | None = None,
         timeline: MetricsTimeline | None = None,
     ) -> None:
-        if interval_seconds <= 0:
+        if not interval_seconds > 0:  # written so that a NaN fails it
             raise ValueError("interval_seconds must be positive")
         self.controllers_factory = controllers_factory or default_local_controllers
         self.interval_seconds = float(interval_seconds)

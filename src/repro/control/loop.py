@@ -279,7 +279,7 @@ class ControlLoop:
         telemetry: TelemetryRegistry | None = None,
         timeline: MetricsTimeline | None = None,
     ) -> None:
-        if interval_seconds <= 0:
+        if not interval_seconds > 0:  # written so that a NaN fails it
             raise ValueError("interval_seconds must be positive")
         self.controllers = unique_controllers(controllers)
         self.interval_seconds = float(interval_seconds)

@@ -55,7 +55,7 @@ class MigrationCostModel:
     cold_start_seconds: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.blackout_seconds < 0 or self.cold_start_seconds < 0:
+        if not (self.blackout_seconds >= 0 and self.cold_start_seconds >= 0):  # NaN fails
             raise ValueError("blackout and cold-start seconds must be non-negative")
 
     def blackout_for(

@@ -48,7 +48,7 @@ class DatacenterIngest:
 
     def __init__(self, consumer_rate_eps: float = 0.0) -> None:
         """``consumer_rate_eps`` is events per second; 0 = infinitely fast."""
-        if consumer_rate_eps < 0:
+        if not consumer_rate_eps >= 0:  # written so that a NaN fails it
             raise ValueError("consumer_rate_eps must be non-negative")
         self._consumer_rate_eps = float(consumer_rate_eps)
         self.unique_ingests = 0

@@ -47,9 +47,10 @@ class OutboxConfig:
             raise ValueError("max_queue must be at least 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_seconds <= 0:
+        # Written so that a NaN fails each guard: min(x, nan) would drop the cap.
+        if not self.backoff_base_seconds > 0:
             raise ValueError("backoff_base_seconds must be positive")
-        if self.backoff_cap_seconds < self.backoff_base_seconds:
+        if not self.backoff_cap_seconds >= self.backoff_base_seconds:
             raise ValueError("backoff_cap_seconds must be at least the base")
 
     @cached_property

@@ -75,7 +75,7 @@ class DeliveryConfig:
     slo: DeliverySLOConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.consumer_rate_eps < 0:
+        if not self.consumer_rate_eps >= 0:  # written so that a NaN fails it
             raise ValueError("consumer_rate_eps must be non-negative")
 
 

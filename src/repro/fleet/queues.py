@@ -8,9 +8,10 @@ with an explicit overload policy:
 * ``DROP_OLDEST`` — evict the head to admit the new frame (freshness wins;
   the right default for live monitoring, where a stale frame is worthless);
 * ``DROP_NEWEST`` — reject the incoming frame (completeness of what is
-  already queued wins);
-* ``BLOCK`` — admit nothing and signal backpressure to the caller, who
-  decides whether to stall the source or shed elsewhere.
+  already queued wins).
+
+There is no blocking policy: a live camera cannot be made to wait, so a node
+that falls behind sheds frames.
 
 An optional :class:`AdmissionController` bounds the *total* number of frames
 in flight across the whole node, providing load shedding before queues even
@@ -39,7 +40,6 @@ class DropPolicy(str, Enum):
 
     DROP_OLDEST = "drop_oldest"
     DROP_NEWEST = "drop_newest"
-    BLOCK = "block"
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class OfferOutcome:
 
     admitted: bool
     evicted: QueuedFrame | None = None
-    blocked: bool = False
 
 
 @dataclass
@@ -59,7 +58,6 @@ class QueueStats:
     admitted: int = 0
     dropped_oldest: int = 0
     dropped_newest: int = 0
-    blocked: int = 0
     popped: int = 0
     high_water: int = 0
 
@@ -133,15 +131,10 @@ class FrameQueue:
                 self.tracer.record_enqueue(self.camera_id, frame.index, self.depth)
                 self.tracer.record_drop(self.camera_id, evicted.index, "evicted_oldest", now)
             return OfferOutcome(admitted=True, evicted=evicted)
-        if self.policy is DropPolicy.DROP_NEWEST:
-            self.stats.dropped_newest += 1
-            if tracing:
-                self.tracer.record_drop(self.camera_id, frame.index, "dropped_newest", now)
-            return OfferOutcome(admitted=False, evicted=frame)
-        self.stats.blocked += 1
+        self.stats.dropped_newest += 1  # DROP_NEWEST
         if tracing:
-            self.tracer.annotate(self.camera_id, frame.index, "blocked_at", now)
-        return OfferOutcome(admitted=False, blocked=True)
+            self.tracer.record_drop(self.camera_id, frame.index, "dropped_newest", now)
+        return OfferOutcome(admitted=False, evicted=frame)
 
     def _admit(self, frame: QueuedFrame) -> OfferOutcome:
         self._frames.append(frame)

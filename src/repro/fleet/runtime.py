@@ -120,14 +120,6 @@ class FleetConfig:
     telemetry.  ``None`` (the default) keeps the hot path identical to a
     runtime without SLO accounting.
 
-    ``event_cooldown_seconds`` rate-limits the *publish hook*: after a
-    camera publishes an event record for one microclassifier, further
-    records for that (camera, MC) pair closing within the cooldown are
-    suppressed (counted as ``events.suppressed``) instead of handed to the
-    sink.  0.0 (the default) publishes every record.  Collection into
-    :attr:`FleetRuntime.event_records` is never suppressed — cooldowns
-    shape the delivery plane's load, not the run's ground truth.
-
     ``batched_scoring`` (on by default) scores the frames in flight on the
     worker pool through one batched base-DNN forward per resident base DNN
     (:class:`repro.core.batched.BatchedScorer`) instead of one ``N=1``
@@ -147,7 +139,6 @@ class FleetConfig:
     accuracy_task: str | None = None
     slo: SLOConfig | None = None
     batched_scoring: bool = True
-    event_cooldown_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -163,8 +154,6 @@ class FleetConfig:
             raise ValueError("service_time_scale must be positive and finite")
         if not 0 < self.uplink_capacity_bps < math.inf:
             raise ValueError("uplink_capacity_bps must be positive and finite")
-        if not self.event_cooldown_seconds >= 0:
-            raise ValueError("event_cooldown_seconds must be non-negative")
         if self.accuracy_task is not None and self.accuracy_task not in ACCURACY_TASKS:
             raise ValueError(
                 f"Unknown accuracy_task {self.accuracy_task!r}; "
@@ -194,55 +183,41 @@ def resolution_scaled_schedule(base: PhasedSchedule, resolution: tuple[int, int]
     )
 
 
-def default_pipeline_factory(
-    alpha: float = 0.125,
-    tap_layer: str = "conv2_2/sep",
-    threshold: float = 0.6,
-    upload_bitrate: float = 12_000.0,
-    batch_size: int = 1,
-    smoothing_window: int = 5,
-    smoothing_votes: int = 2,
-    seed: int = 0,
-) -> PipelineFactory:
+def default_pipeline_factory(alpha: float = 0.125, threshold: float = 0.6) -> PipelineFactory:
     """Build the default per-camera pipeline factory.
 
     One thin MobileNet-like base DNN is built per distinct camera resolution
     and shared by every camera at that resolution (the FilterForward
     computation-sharing premise); each camera gets its own feature-map cache
-    and one localized binary microclassifier.  ``batch_size=1`` keeps the
-    streaming decision latency at the smoothing lookahead alone.
+    and one localized binary microclassifier on ``conv2_2/sep``.  A batch of
+    one keeps the streaming decision latency at the smoothing lookahead alone.
     """
+    tap_layer = "conv2_2/sep"
     base_dnns: dict[tuple[int, int], object] = {}
 
     def factory(spec: CameraSpec) -> StreamingPipeline:
         shape = (spec.height, spec.width, 3)
         key = (spec.height, spec.width)
         if key not in base_dnns:
-            base_dnns[key] = build_mobilenet_like(
-                shape, alpha=alpha, rng=np.random.default_rng(seed)
-            )
+            base_dnns[key] = build_mobilenet_like(shape, alpha=alpha, rng=np.random.default_rng(0))
         base_dnn = base_dnns[key]
         extractor = FeatureExtractor(base_dnn, [tap_layer], cache_size=4)
         mc_config = MicroClassifierConfig(
             name=f"{spec.camera_id}/primary",
             input_layer=tap_layer,
             threshold=threshold,
-            upload_bitrate=upload_bitrate,
+            upload_bitrate=12_000.0,
         )
         mc = build_microclassifier(
             "localized",
             mc_config,
             extractor.layer_shape(tap_layer),
-            rng=np.random.default_rng(seed + zlib.crc32(spec.camera_id.encode()) % 10_000),
+            rng=np.random.default_rng(zlib.crc32(spec.camera_id.encode()) % 10_000),
         )
         return StreamingPipeline(
             extractor,
             [mc],
-            config=PipelineConfig(
-                batch_size=batch_size,
-                smoothing_window=smoothing_window,
-                smoothing_votes=smoothing_votes,
-            ),
+            config=PipelineConfig(batch_size=1),  # the paper's N=5, K=2 smoothing
             frame_rate=spec.frame_rate,
             resolution=spec.resolution,
         )
@@ -263,7 +238,6 @@ class CameraReport:
     frames_dropped_oldest: int = 0
     frames_dropped_newest: int = 0
     frames_rejected: int = 0
-    frames_blocked: int = 0
     frames_scored: int = 0
     matched_frames: int = 0
     events: int = 0
@@ -485,7 +459,6 @@ class _CameraState:
     records_consumed: int = 0
     next_frame: int = 0  # the cursor: the stint's next arrival, its only one on the heap
     sequence_offset: int = 0  # + a frame's index = the heap sequence reserved for its arrival
-    source_backlog: list[_Ticket] = field(default_factory=list)
     completion_times: list[float] = field(default_factory=list)
     wait_total: float = 0.0
     wait_count: int = 0
@@ -493,7 +466,6 @@ class _CameraState:
     uploaded_bits: float = 0.0
     generated: int = 0
     rejected: int = 0
-    blocked: int = 0
     scored: int = 0
     matched: int = 0
     events: int = 0
@@ -577,7 +549,6 @@ def _camera_report(stints: Sequence[_CameraState]) -> CameraReport:
         frames_dropped_oldest=sum(s.queue.stats.dropped_oldest for s in stints),
         frames_dropped_newest=sum(s.queue.stats.dropped_newest for s in stints),
         frames_rejected=sum(s.rejected for s in stints),
-        frames_blocked=sum(s.blocked for s in stints),
         frames_scored=sum(s.scored for s in stints),
         matched_frames=sum(s.matched for s in stints),
         events=sum(s.events for s in stints),
@@ -591,7 +562,7 @@ def _camera_report(stints: Sequence[_CameraState]) -> CameraReport:
 
 @dataclass(eq=False)
 class _Ticket:
-    """One admitted frame: what queue, backlog, workers and completion event pass on."""
+    """One admitted frame: what queue, workers and completion event pass on."""
 
     stint: _CameraState
     frame: Frame
@@ -658,13 +629,11 @@ class FleetRuntime:
             self.admission = None
         # Event delivery: every closed EventRecord is collected (stamped with
         # its close time) into event_records; when a publish hook is attached
-        # — at construction or later, e.g. by an EventDeliveryPlane — records
-        # surviving the per-(camera, MC) cooldown are handed to it instead of
-        # being summed away.  With no sink attached the run's telemetry is
-        # byte-identical to a runtime predating the delivery plane.
+        # — at construction or later, e.g. by an EventDeliveryPlane — each
+        # record is handed to it as well.  With no sink attached the run's
+        # telemetry is byte-identical to a runtime predating the delivery plane.
         self.event_sink = event_sink
         self.event_records: list[EventRecord] = []
-        self._last_event_publish: dict[tuple[str, str], float] = {}
         # Cross-camera batched scoring: the tickets the workers hold (frames
         # in service, awaiting their completion event) are what the scorer
         # batches through one base-DNN forward per resident base DNN;
@@ -801,8 +770,7 @@ class FleetRuntime:
 
         Frames already queued keep draining here (they were decoded on this
         node); the feed from the stint's cursor on is the destination's to
-        admit.  Frames a BLOCK policy had parked at the source are lost to
-        the move and counted as rejected.
+        admit.
         """
         state = self._hosted(camera_id)
         state.detached_at = now
@@ -815,17 +783,6 @@ class FleetRuntime:
             self._heap = [e for e in self._heap if e[2] != "arrival" or e[3] is not state]
             self._heap.append((at, sequence, "end_of_feed", state, None))
             heapq.heapify(self._heap)
-        if state.source_backlog:
-            lost = len(state.source_backlog)
-            for ticket in state.source_backlog:
-                self._release_admission(ticket)
-                if self.tracer is not None:
-                    self.tracer.record_drop(camera_id, ticket.index, "migration_lost", now)
-            state.source_backlog.clear()
-            state.rejected += lost
-            self.telemetry.counter("frames.rejected").inc(lost)
-            self.telemetry.counter("frames.migration_dropped").inc(lost)
-            self._slo_lost(camera_id, lost)
         if state.generated and not state.scored:
             self._starved -= 1  # a detached stint no longer counts as starved
             self._record_starvation()
@@ -954,10 +911,6 @@ class FleetRuntime:
         outcome = state.queue.offer(ticket, now=now)
         if outcome.admitted:
             counters.counter("frames.admitted").inc()
-        elif outcome.blocked:
-            state.source_backlog.append(ticket)
-            state.blocked += 1
-            counters.counter("frames.blocked").inc()
         if outcome.evicted is not None:  # the queue's head (DROP_OLDEST), or this ticket (NEWEST)
             dropped = "frames.dropped_oldest" if outcome.admitted else "frames.dropped_newest"
             counters.counter(dropped).inc()
@@ -1023,41 +976,19 @@ class FleetRuntime:
         if update.closed_records:
             self._collect_records(state, update.closed_records, now)
         self._release_admission(ticket)
-        self._drain_source_backlog(state, now)
+        self._record_depth(state)  # admission.in_flight just fell
         self._record_starvation()
 
     def _collect_records(
         self, state: _CameraState, records: Sequence[EventRecord], closed_at: float
     ) -> None:
-        """Stamp closed records with their close time, collect, and publish.
-
-        Collection into :attr:`event_records` is unconditional; the publish
-        hook additionally applies the per-(camera, MC) cooldown.  All
-        publish-side telemetry is gated on a sink being attached so a
-        sink-less runtime emits exactly the pre-delivery-plane counters.
-        """
-        camera_id = state.camera_id
-        cooldown = self.config.event_cooldown_seconds
+        """Stamp closed records with their close time, collect, and publish each to the sink."""
         for record in records:
             stamped = replace(record, closed_at=closed_at)
             state.records_consumed += 1
             self.event_records.append(stamped)
-            if self.event_sink is None:
-                continue
-            pair = (camera_id, stamped.mc_name)
-            last = self._last_event_publish.get(pair)
-            if cooldown > 0.0 and last is not None and stamped.closed_at - last < cooldown:
-                self.telemetry.counter("events.suppressed").inc()
-                continue
-            self._last_event_publish[pair] = stamped.closed_at
-            self.event_sink(stamped)
-
-    def _drain_source_backlog(self, state: _CameraState, now: float) -> None:
-        """Move blocked frames into the queue as capacity frees (BLOCK policy)."""
-        while state.source_backlog and not state.queue.is_full:
-            state.queue.offer(state.source_backlog.pop(0), now=now)  # admitted: not full
-            self.telemetry.counter("frames.admitted").inc()
-        self._record_depth(state)
+            if self.event_sink is not None:
+                self.event_sink(stamped)
 
     def _dispatch(self, now: float) -> None:
         """Hand queued frames to idle workers, round-robin across cameras."""
@@ -1098,7 +1029,6 @@ class FleetRuntime:
             heapq.heappush(self._heap, (end_time, self._sequence, "completion", chosen, ticket))
             self._sequence += 1
             self._in_service.append(ticket)
-            self._drain_source_backlog(chosen, now)
             self._record_depth(chosen)
 
     def _record_depth(self, state: _CameraState) -> None:

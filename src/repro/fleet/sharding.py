@@ -75,7 +75,7 @@ __all__ = [
     "ShardedFleetRuntime",
 ]
 
-UPLINK_ALLOCATIONS = ("equal", "by_cameras", "by_cost")
+UPLINK_ALLOCATIONS = ("equal", "by_cost")
 UPLINK_SHARING_MODES = ("static", "work_conserving")
 
 
@@ -377,9 +377,11 @@ class ShardedFleetRuntime:
         # load the placement actually considered.
         cost_fn = getattr(self.policy, "cost_fn", None) or estimate_camera_cost
         self._shard_costs = [sum(cost_fn(spec) for spec in shard) for shard in self.shards]
+        by_cost = self.config.uplink_allocation == "by_cost"
+        weights = self._shard_costs if by_cost else [1.0] * len(self.shards)
         self.shared_uplink = WorkConservingUplink(
             self.config.total_uplink_bps,
-            self._allocation_weights(),
+            dict(zip(self.node_ids, weights)),
             reclaim=self.config.uplink_sharing == "work_conserving",
         )
         self._migrations: list[tuple[str, str, str]] = []  # (camera, source, destination)
@@ -398,21 +400,11 @@ class ShardedFleetRuntime:
             )
         self.event_plane = event_plane
         if event_plane is not None:
-            # Installs the plane as every node's publish hook: records the
-            # runtime closes (cooldown permitting) land in the node's
-            # outbox, ready to ride the shared uplink with the frames.
+            # Installs the plane as every node's publish hook: every record
+            # the runtime closes lands in the node's outbox, ready to ride
+            # the shared uplink with the frames.
             for node_id in self.node_ids:
                 event_plane.attach(node_id, self.nodes[node_id])
-
-    def _allocation_weights(self) -> dict[str, float]:
-        mode = self.config.uplink_allocation
-        if mode == "equal":
-            weights = [1.0] * len(self.shards)
-        elif mode == "by_cameras":
-            weights = [float(len(shard)) for shard in self.shards]
-        else:  # by_cost
-            weights = list(self._shard_costs)
-        return dict(zip(self.node_ids, weights))
 
     # -- control-plane surface -----------------------------------------------
     def current_uplink_weights(self) -> dict[str, float] | None:

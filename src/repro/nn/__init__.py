@@ -33,11 +33,9 @@ from repro.nn.initializers import (
     GlorotUniform,
 )
 from repro.nn.layers import (
-    Concat,
     Conv2D,
     Dense,
     DepthwiseConv2D,
-    Dropout,
     Flatten,
     GlobalAveragePool,
     GlobalMaxPool,
@@ -68,12 +66,10 @@ from repro.nn.serialization import load_weights, save_weights
 __all__ = [
     "Adam",
     "BinaryCrossEntropy",
-    "Concat",
     "Constant",
     "Conv2D",
     "Dense",
     "DepthwiseConv2D",
-    "Dropout",
     "Flatten",
     "GlobalAveragePool",
     "GlobalMaxPool",

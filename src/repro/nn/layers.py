@@ -7,8 +7,8 @@ Every layer used by the FilterForward paper's models is implemented here:
 * :class:`Dense` fully-connected heads,
 * :class:`MaxPool2D`, :class:`GlobalMaxPool` (the "max over the grid of
   logits" in the full-frame object detector), :class:`GlobalAveragePool`,
-* :class:`ReLU`, :class:`ReLU6`, :class:`Sigmoid`, :class:`Softmax`,
-  :class:`Dropout`, :class:`Flatten`, and :class:`Concat`.
+* :class:`ReLU`, :class:`ReLU6`, :class:`Sigmoid`, :class:`Softmax` and
+  :class:`Flatten`.
 
 Layers are stateful: ``forward`` caches whatever the subsequent ``backward``
 needs.  All activations use NHWC layout.  Cost accounting follows the
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "ReLU6",
     "Sigmoid",
     "Softmax",
-    "Dropout",
-    "Concat",
 ]
 
 
@@ -673,62 +670,3 @@ class Softmax(Layer):
         out = self._out
         dot = (grad * out).sum(axis=-1, keepdims=True)
         return out * (grad - dot)
-
-
-class Dropout(Layer):
-    """Inverted dropout (active only when ``training=True``)."""
-
-    def __init__(self, rate: float = 0.5, seed: int = 0, name: str | None = None) -> None:
-        super().__init__(name)
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = float(rate)
-        self._rng = np.random.default_rng(seed)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
-
-
-class Concat(Layer):
-    """Channel-wise concatenation of multiple NHWC tensors.
-
-    Used by the windowed, localized binary classifier to depthwise-concat the
-    per-frame 1x1-convolution outputs of a temporal window.  Unlike other
-    layers, ``forward`` takes a *list* of inputs and ``backward`` returns a
-    list of per-input gradients.
-    """
-
-    def __init__(self, axis: int = -1, name: str | None = None) -> None:
-        super().__init__(name)
-        self.axis = axis
-        self._splits: list[int] | None = None
-
-    def forward(self, inputs: Sequence[np.ndarray], training: bool = False) -> np.ndarray:  # type: ignore[override]
-        arrays = list(inputs)
-        if not arrays:
-            raise ValueError("Concat requires at least one input")
-        if training:
-            sizes = [a.shape[self.axis] for a in arrays]
-            self._splits = list(np.cumsum(sizes[:-1]))
-        return np.concatenate(arrays, axis=self.axis)
-
-    def backward(self, grad: np.ndarray) -> list[np.ndarray]:  # type: ignore[override]
-        return np.split(grad, self._splits, axis=self.axis)
-
-    def output_shape(self, input_shapes: Iterable[tuple[int, ...]]) -> tuple[int, ...]:  # type: ignore[override]
-        shapes = list(input_shapes)
-        first = list(shapes[0])
-        axis = self.axis % len(first)
-        first[axis] = sum(s[axis] for s in shapes)
-        return tuple(first)

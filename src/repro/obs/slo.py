@@ -45,15 +45,16 @@ class SLOConfig:
     burn_alert: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.freshness_target_seconds <= 0:
+        # Written so that a NaN fails each guard.
+        if not self.freshness_target_seconds > 0:
             raise ValueError("freshness_target_seconds must be positive")
-        if self.latency_target_seconds <= 0:
+        if not self.latency_target_seconds > 0:
             raise ValueError("latency_target_seconds must be positive")
         if not 0.0 < self.objective < 1.0:
             raise ValueError("objective must be in (0, 1)")
         if self.burn_window < 1:
             raise ValueError("burn_window must be at least 1")
-        if self.burn_alert <= 0:
+        if not self.burn_alert > 0:
             raise ValueError("burn_alert must be positive")
 
 
@@ -74,11 +75,12 @@ class DeliverySLOConfig:
     burn_alert: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.ack_latency_seconds <= 0:
+        # Written so that a NaN fails each guard.
+        if not self.ack_latency_seconds > 0:
             raise ValueError("ack_latency_seconds must be positive")
         if not 0.0 < self.objective < 1.0:
             raise ValueError("objective must be in (0, 1)")
-        if self.burn_alert <= 0:
+        if not self.burn_alert > 0:
             raise ValueError("burn_alert must be positive")
 
 

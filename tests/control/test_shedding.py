@@ -324,7 +324,7 @@ def relax_runtime() -> FakeRuntime:
             "cam_good": make_stats(
                 "cam_good", generated=20, scored=10, service_seconds=0.01,
                 truth_known=True, truth_positive_generated=8,
-                drop_policy=DropPolicy.BLOCK,
+                drop_policy=DropPolicy.DROP_NEWEST,
             ),
             "cam_dear": make_stats(
                 "cam_dear", generated=20, scored=10, service_seconds=0.04,
@@ -345,7 +345,7 @@ class TestRelax:
                 id="match_density",
             ),
             pytest.param(
-                TRUTH, relax_runtime, ["cam_good", "cam_dear"], DropPolicy.BLOCK,
+                TRUTH, relax_runtime, ["cam_good", "cam_dear"], DropPolicy.DROP_NEWEST,
                 id="truth_density_per_service_second",
             ),
         ],
@@ -369,9 +369,9 @@ class TestRelax:
         controller = AdaptiveSheddingController(CONFIG)
         runtime = FakeRuntime(
             {
-                "cam_block": make_stats(
-                    "cam_block", generated=10, scored=10, matched=0,
-                    drop_policy=DropPolicy.BLOCK,
+                "cam_newest": make_stats(
+                    "cam_newest", generated=10, scored=10, matched=0,
+                    drop_policy=DropPolicy.DROP_NEWEST,
                 ),
                 "cam_rich": make_stats("cam_rich", generated=10, scored=10, matched=9),
             }
@@ -381,8 +381,8 @@ class TestRelax:
         controller.decide(make_view({"node0": runtime}, tick_index=1))  # restores cam_rich
         restored = controller.decide(make_view({"node0": runtime}, tick_index=2))
         policy = next(a for a in restored if isinstance(a, SetDropPolicy))
-        assert policy.camera_id == "cam_block"
-        assert policy.policy is DropPolicy.BLOCK
+        assert policy.camera_id == "cam_newest"
+        assert policy.policy is DropPolicy.DROP_NEWEST
 
     def test_uplink_backlog_blocks_relaxation(self):
         runtime = FakeRuntime(

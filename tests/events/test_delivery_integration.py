@@ -1,4 +1,4 @@
-"""Fleet-level delivery-plane integration: both uplink modes, cooldowns,
+"""Fleet-level delivery-plane integration: both uplink modes, the publish hook,
 golden-trace safety, and the O(nodes) hierarchy-payload contract."""
 
 import pytest
@@ -118,29 +118,8 @@ class TestGoldenTraceSafety:
         )
 
 
-class TestCooldown:
-    def test_cooldown_rate_limits_publishes_not_collection(self):
-        published = []
-        runtime = FleetRuntime(
-            cameras(n=6),
-            config=FleetConfig(
-                num_workers=2,
-                queue_capacity=8,
-                service_time_scale=0.05,
-                event_cooldown_seconds=1e9,
-            ),
-            event_sink=published.append,
-        )
-        runtime.run()
-        records = runtime.event_records
-        assert len(records) > len(published) > 0
-        pairs = {(r.key.camera_id, r.mc_name) for r in records}
-        # One publish per (camera, MC) pair — everything else suppressed.
-        assert len(published) == len(pairs)
-        suppressed = runtime.telemetry.counter("events.suppressed").value
-        assert suppressed == len(records) - len(published)
-
-    def test_zero_cooldown_publishes_everything(self):
+class TestPublishHook:
+    def test_every_collected_record_is_published(self):
         published = []
         runtime = FleetRuntime(
             cameras(n=3),
@@ -148,7 +127,7 @@ class TestCooldown:
             event_sink=published.append,
         )
         runtime.run()
-        assert len(published) == len(runtime.event_records) > 0
+        assert published == runtime.event_records and published
 
 
 class TestHierarchyPayloadContract:

@@ -53,18 +53,6 @@ class TestDropPoliciesUnderOverload:
         assert queue.stats.dropped_oldest == 0
         assert [queue.pop().index for _ in range(3)] == [0, 1, 2]
 
-    def test_block_admits_nothing_and_signals(self):
-        queue = FrameQueue("cam", capacity=2, policy=DropPolicy.BLOCK)
-        assert queue.offer(make_frame(0)).admitted
-        assert queue.offer(make_frame(1)).admitted
-        outcome = queue.offer(make_frame(2))
-        assert not outcome.admitted and outcome.blocked and outcome.evicted is None
-        assert queue.stats.blocked == 1
-        assert queue.stats.dropped == 0
-        # Space frees -> offers succeed again.
-        queue.pop()
-        assert queue.offer(make_frame(2)).admitted
-
     def test_stats_conservation(self):
         for policy in DropPolicy:
             queue = FrameQueue("cam", capacity=2, policy=policy)
@@ -72,7 +60,7 @@ class TestDropPoliciesUnderOverload:
                 queue.offer(make_frame(i))
             stats = queue.stats
             assert stats.offered == 9
-            assert stats.admitted + stats.dropped_newest + stats.blocked == 9
+            assert stats.admitted + stats.dropped_newest == 9
             assert stats.admitted - stats.dropped_oldest == queue.depth
 
 

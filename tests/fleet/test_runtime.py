@@ -7,12 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.control import ControlLoop, MigrationCostModel
+from repro.control.hierarchy import HierarchicalControlPlane, NodeControlPlane
 from repro.edge.uplink import ConstrainedUplink
+from repro.events import DeliveryConfig, OutboxConfig
+from repro.events.ingest import DatacenterIngest
 from repro.fleet.camera import CameraSpec
-from repro.fleet.queues import DropPolicy
 from repro.fleet.runtime import FleetConfig, FleetRuntime, default_pipeline_factory
 from repro.fleet.sharding import ShardingConfig
 from repro.fleet.worker import WorkerPool, default_schedule
+from repro.obs.slo import DeliverySLOConfig, SLOConfig
 from repro.video.frame import Frame
 
 
@@ -138,19 +142,6 @@ class TestFleetRuntime:
         # Every camera still made some progress (round-robin fairness).
         assert all(c.frames_scored > 0 for c in report.cameras.values())
 
-    def test_block_policy_never_drops(self):
-        report = run_fleet(
-            tiny_fleet(2, num_frames=10, frame_rate=15.0),
-            num_workers=1,
-            queue_capacity=2,
-            drop_policy=DropPolicy.BLOCK,
-            service_time_scale=0.5,
-        )
-        assert report.frames_dropped == 0
-        # Backpressure stalls the source instead; every frame is eventually scored.
-        assert report.frames_scored == report.frames_generated
-        assert any(c.frames_blocked > 0 for c in report.cameras.values())
-
     def test_admission_control_rejects_over_budget(self):
         report = run_fleet(
             tiny_fleet(3, num_frames=12, frame_rate=15.0),
@@ -186,27 +177,6 @@ class TestFleetRuntime:
         if report.total_uploaded_bits > 0:
             assert report.uplink_utilization > 0
 
-    def test_block_policy_wait_clock_starts_at_arrival(self):
-        """Backlogged frames count their wait from first arrival, not drain time."""
-        cameras = tiny_fleet(1, num_frames=6, frame_rate=30.0)
-        runtime = FleetRuntime(
-            cameras,
-            config=FleetConfig(
-                num_workers=1,
-                queue_capacity=1,
-                drop_policy=DropPolicy.BLOCK,
-                service_time_scale=1.0,
-            ),
-        )
-        report = runtime.run()
-        camera = report.cameras["cam00"]
-        service = runtime.workers.service_seconds
-        # All six frames arrive within 0.2s but are scored serially one
-        # service time apart, so waits accumulate to ~service * (n-1)/2 on
-        # average — well above the single service time a drain-time wait
-        # clock would report.
-        assert camera.mean_queue_wait_seconds > service
-
     def test_event_uploads_wait_for_scoring(self):
         """Under overload, events reach the uplink only after their frames are scored."""
         cameras = tiny_fleet(2, num_frames=10, frame_rate=15.0)
@@ -238,21 +208,35 @@ class TestFleetRuntime:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda nan: FleetConfig(service_time_scale=nan),
-            lambda nan: FleetConfig(uplink_capacity_bps=nan),
-            lambda nan: FleetConfig(event_cooldown_seconds=nan),
-            lambda nan: ShardingConfig(total_uplink_bps=nan),
-            lambda nan: ConstrainedUplink(nan),
-        ],
-        ids=[
-            "service_time_scale",
-            "uplink_capacity_bps",
-            "event_cooldown_seconds",
-            "total_uplink_bps",
-            "link_capacity_bps",
+            pytest.param(lambda nan: FleetConfig(service_time_scale=nan), id="service_time_scale"),
+            pytest.param(lambda nan: FleetConfig(uplink_capacity_bps=nan), id="uplink_capacity_bps"),
+            pytest.param(lambda nan: ShardingConfig(total_uplink_bps=nan), id="total_uplink_bps"),
+            pytest.param(lambda nan: ConstrainedUplink(nan), id="link_capacity_bps"),
+            # A NaN control interval would make ControlLoop.drive() spin forever.
+            pytest.param(lambda nan: ControlLoop([], interval_seconds=nan), id="loop_interval"),
+            pytest.param(
+                lambda nan: HierarchicalControlPlane(interval_seconds=nan), id="hierarchy_interval"
+            ),
+            pytest.param(
+                lambda nan: NodeControlPlane("node0", None, interval_seconds=nan),
+                id="node_plane_interval",
+            ),
+            pytest.param(lambda nan: OutboxConfig(backoff_base_seconds=nan), id="backoff_base"),
+            pytest.param(lambda nan: OutboxConfig(backoff_cap_seconds=nan), id="backoff_cap"),
+            pytest.param(lambda nan: DatacenterIngest(nan), id="ingest_consumer_rate"),
+            pytest.param(
+                lambda nan: DeliveryConfig(consumer_rate_eps=nan), id="delivery_consumer_rate"
+            ),
+            pytest.param(lambda nan: SLOConfig(freshness_target_seconds=nan), id="freshness"),
+            pytest.param(lambda nan: SLOConfig(latency_target_seconds=nan), id="latency"),
+            pytest.param(lambda nan: SLOConfig(burn_alert=nan), id="burn_alert"),
+            pytest.param(lambda nan: DeliverySLOConfig(ack_latency_seconds=nan), id="ack_latency"),
+            pytest.param(lambda nan: DeliverySLOConfig(burn_alert=nan), id="delivery_burn_alert"),
+            pytest.param(lambda nan: MigrationCostModel(blackout_seconds=nan), id="blackout"),
+            pytest.param(lambda nan: MigrationCostModel(cold_start_seconds=nan), id="cold_start"),
         ],
     )
-    def test_a_nan_node_or_link_setting_is_rejected(self, build):
+    def test_a_nan_setting_is_rejected(self, build):
         with pytest.raises(ValueError, match="must be"):
             build(math.nan)
 
@@ -308,8 +292,6 @@ class TestFleetRuntime:
         assert 1.0 / overloaded.num_cameras <= overloaded.fairness_index <= 1.0
 
     def test_injected_uplink_is_used(self):
-        from repro.edge.uplink import ConstrainedUplink
-
         link = ConstrainedUplink(123_456.0)
         runtime = FleetRuntime(
             tiny_fleet(2, num_frames=5),

@@ -73,7 +73,7 @@ class TestActuators:
         runtime.set_drop_policy("cam000", DropPolicy.DROP_NEWEST)
         assert runtime._states["cam000"].queue.policy is DropPolicy.DROP_NEWEST
         with pytest.raises(ValueError, match="not active"):
-            runtime.set_drop_policy("cam999", DropPolicy.BLOCK)
+            runtime.set_drop_policy("cam999", DropPolicy.DROP_NEWEST)
 
     def test_quota_mid_run_without_prior_admission(self):
         """Installing admission control mid-run must not unbalance releases."""

@@ -87,7 +87,7 @@ class TestShardedFleetRuntime:
         assert report.worst_node_queue_wait_p99 >= 0.0
 
     def test_uplink_allocations_respect_total(self):
-        for mode in ("equal", "by_cameras", "by_cost"):
+        for mode in ("equal", "by_cost"):
             runtime = ShardedFleetRuntime(
                 small_fleet(),
                 config=ShardingConfig(
@@ -112,20 +112,19 @@ class TestShardedFleetRuntime:
         for link in runtime.shared_uplink.links.values():
             assert link.capacity_bps == pytest.approx(300_000.0)
 
-    def test_by_cameras_allocation_tracks_shard_sizes(self):
+    def test_by_cost_allocation_tracks_shard_costs(self):
         runtime = ShardedFleetRuntime(
             small_fleet(5),
             config=ShardingConfig(
                 num_nodes=2,
                 total_uplink_bps=500_000.0,
-                uplink_allocation="by_cameras",
+                uplink_allocation="by_cost",
                 node_config=FAST_NODE,
             ),
         )
-        links = runtime.shared_uplink.links
-        sizes = {node_id: len(shard) for node_id, shard in zip(runtime.node_ids, runtime.shards)}
-        assert links["node0"].capacity_bps == pytest.approx(500_000.0 * sizes["node0"] / 5)
-        assert links["node1"].capacity_bps == pytest.approx(500_000.0 * sizes["node1"] / 5)
+        links, costs = runtime.shared_uplink.links, runtime._shard_costs
+        for node_id, cost in zip(runtime.node_ids, costs):
+            assert links[node_id].capacity_bps == pytest.approx(500_000.0 * cost / sum(costs))
 
     def test_uplink_utilization_uses_shared_capacity(self):
         report = run_cluster(total_uplink_bps=10_000.0)

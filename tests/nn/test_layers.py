@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    Concat,
     Conv2D,
     Dense,
     DepthwiseConv2D,
-    Dropout,
     Flatten,
     GlobalAveragePool,
     GlobalMaxPool,
@@ -425,44 +423,10 @@ class TestActivations:
         np.testing.assert_allclose(layer.forward(x), layer.forward(x + 100.0))
 
 
-class TestFlattenDropoutConcat:
+class TestFlatten:
     def test_flatten_roundtrip(self):
         layer = Flatten()
         x = RNG.random((2, 3, 4, 5))
         out = layer.forward(x, training=True)
         assert out.shape == (2, 60)
         assert layer.backward(out).shape == x.shape
-
-    def test_dropout_inactive_at_inference(self):
-        layer = Dropout(0.5)
-        x = RNG.random((4, 8))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_dropout_scales_surviving_units(self):
-        layer = Dropout(0.5, seed=0)
-        x = np.ones((1, 10000))
-        out = layer.forward(x, training=True)
-        # Inverted dropout: surviving activations are scaled by 1/keep.
-        assert set(np.round(np.unique(out), 6)) <= {0.0, 2.0}
-        assert out.mean() == pytest.approx(1.0, rel=0.05)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_concat_forward_and_backward(self):
-        layer = Concat()
-        a = RNG.random((1, 2, 3, 4))
-        b = RNG.random((1, 2, 3, 2))
-        out = layer.forward([a, b], training=True)
-        assert out.shape == (1, 2, 3, 6)
-        grads = layer.backward(np.ones_like(out))
-        assert grads[0].shape == a.shape and grads[1].shape == b.shape
-
-    def test_concat_empty_raises(self):
-        with pytest.raises(ValueError):
-            Concat().forward([])
-
-    def test_concat_output_shape(self):
-        layer = Concat()
-        assert layer.output_shape([(2, 3, 4), (2, 3, 6)]) == (2, 3, 10)

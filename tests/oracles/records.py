@@ -55,7 +55,6 @@ TALLIES = {
     "frames_dropped_oldest": lambda s: s.queue.stats.dropped_oldest,
     "frames_dropped_newest": lambda s: s.queue.stats.dropped_newest,
     "frames_rejected": lambda s: s.rejected,
-    "frames_blocked": lambda s: s.blocked,
     "frames_scored": lambda s: s.scored,
     "matched_frames": lambda s: s.matched,
     "events": lambda s: s.events,
@@ -80,6 +79,8 @@ class NodeRun:
     migrated_in: int
     migrated_out: int
     stints: dict[str, dict]  # by stint key, in hosting order
+    admission_rejected: int  # arrivals the admission controller turned away
+    slots_held: int  # admission slots still held when the run ended
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,16 @@ def node_run(runtime: FleetRuntime, report: FleetReport, migrated_in=0, migrated
         }
         for key, stint in runtime._states.items()
     }
-    return NodeRun(report, tuple(runtime.hosted_cameras()), migrated_in, migrated_out, stints)
+    admission = runtime.admission
+    return NodeRun(
+        report,
+        tuple(runtime.hosted_cameras()),
+        migrated_in,
+        migrated_out,
+        stints,
+        admission.rejected if admission is not None else 0,
+        admission.in_flight if admission is not None else 0,
+    )
 
 
 def jsonl(text: str) -> list[dict]:
