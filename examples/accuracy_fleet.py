@@ -17,7 +17,7 @@ Three regimes on the same cameras and trained models:
    cost becomes visible.
 
 Run:  python examples/accuracy_fleet.py
-Environment overrides (used by the CI smoke step):
+Environment overrides (the parity gate, tools/parity.py, sets small ones):
     ACCURACY_FLEET_CAMERAS       cameras          (default 8)
     ACCURACY_FLEET_DURATION      seconds/camera   (default 3.0)
     ACCURACY_FLEET_TRAIN_FRAMES  training frames  (default 96)

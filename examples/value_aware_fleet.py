@@ -18,7 +18,7 @@ The fleet mixes event-dense retail/intersection cameras with sparse
 night/highway cameras, so *who* sheds decides the macro event F1.
 
 Run:  python examples/value_aware_fleet.py
-Environment overrides (used by the CI smoke step):
+Environment overrides (the parity gate, tools/parity.py, sets small ones):
     VALUE_FLEET_DENSE         dense cameras      (default 6)
     VALUE_FLEET_SPARSE        sparse cameras     (default 6)
     VALUE_FLEET_DURATION      seconds/camera     (default 3.0)

@@ -90,11 +90,12 @@ class MigrationConfig:
     cost_model: MigrationCostModel = field(default_factory=MigrationCostModel)
 
     def __post_init__(self) -> None:
-        if self.imbalance_threshold <= 1.0:
-            raise ValueError("imbalance_threshold must exceed 1.0")
+        # Written so that a NaN fails each float guard.
+        if not self.imbalance_threshold > 1.0:
+            raise ValueError("imbalance_threshold must be above 1.0")
         if self.sustain_ticks < 1 or self.cooldown_ticks < 0 or self.camera_cooldown_ticks < 0:
             raise ValueError("tick windows must be non-negative (sustain at least 1)")
-        if self.payback_factor < 1.0:
+        if not self.payback_factor >= 1.0:
             raise ValueError("payback_factor must be at least 1.0")
 
 

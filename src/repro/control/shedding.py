@@ -75,11 +75,12 @@ class SheddingConfig:
     value_signal: str = "match_density"
 
     def __post_init__(self) -> None:
-        if self.high_watermark_seconds <= self.low_watermark_seconds:
-            raise ValueError("high watermark must exceed the low watermark (hysteresis)")
-        if self.uplink_high_watermark_seconds <= self.uplink_low_watermark_seconds:
+        # Written so that a NaN fails each guard.
+        if not self.high_watermark_seconds > self.low_watermark_seconds:
+            raise ValueError("high watermark must be above the low watermark (hysteresis)")
+        if not self.uplink_high_watermark_seconds > self.uplink_low_watermark_seconds:
             raise ValueError(
-                "uplink high watermark must exceed the uplink low watermark (hysteresis)"
+                "uplink high watermark must be above the uplink low watermark (hysteresis)"
             )
         if self.cameras_per_step < 1:
             raise ValueError("cameras_per_step must be at least 1")

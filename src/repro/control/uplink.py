@@ -44,7 +44,7 @@ class UplinkShareConfig:
             raise ValueError("smoothing must be in (0, 1]")
         if not 0.0 <= self.min_share < 1.0:
             raise ValueError("min_share must be in [0, 1)")
-        if self.rebalance_threshold <= 0:
+        if not self.rebalance_threshold > 0:  # written so that a NaN fails it
             raise ValueError("rebalance_threshold must be positive")
 
 

@@ -54,7 +54,7 @@ class ThresholdDriftConfig:
     cooldown_ticks: int = 4
 
     def __post_init__(self) -> None:
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:  # written so that a NaN fails it
             raise ValueError("tolerance must be non-negative")
         if not 0.0 < self.step < 1.0:
             raise ValueError("step must be in (0, 1)")

@@ -59,7 +59,7 @@ class MicroClassifierConfig:
             raise ValueError("MicroClassifier name must be non-empty")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
-        if self.upload_bitrate <= 0:
+        if not self.upload_bitrate > 0:  # written so that a NaN fails it
             raise ValueError("upload_bitrate must be positive")
 
 

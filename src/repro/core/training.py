@@ -6,8 +6,8 @@ the same way but on raw pixels.  Both expose the same minimal training
 interface — logits forward, gradient backward, parameter list — so a single
 trainer covers them.
 
-Class imbalance matters: relevant events are rare, so the trainer supports
-positive-class weighting and balanced mini-batch sampling.
+Class imbalance matters: relevant events are rare, so the trainer draws
+balanced mini-batches (positives and negatives in near-equal numbers).
 
 The loop every offline caller runs around the trainer (paper §4.2, §4.5) is
 here once: :func:`score_classifier`, :func:`calibrate_threshold` and
@@ -26,7 +26,7 @@ from repro.core.smoothing import KVotingSmoother
 from repro.metrics.event_metrics import event_f1_score
 from repro.nn.layers import Parameter
 from repro.nn.losses import SigmoidBinaryCrossEntropy
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.optimizers import Adam
 
 __all__ = [
     "TrainableClassifier",
@@ -62,21 +62,16 @@ class TrainingConfig:
     epochs: float = 2.0
     batch_size: int = 16
     learning_rate: float = 1e-3
-    positive_weight: float | None = None
-    balanced_sampling: bool = True
-    shuffle: bool = True
     seed: int = 0
-    log_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
+        # Written so that a NaN fails each guard.
+        if not self.epochs > 0:
             raise ValueError("epochs must be positive")
-        if self.batch_size <= 0:
+        if not self.batch_size > 0:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.positive_weight is not None and self.positive_weight <= 0:
-            raise ValueError("positive_weight must be positive")
 
 
 @dataclass
@@ -96,14 +91,8 @@ class TrainingHistory:
 # Inputs per predict_proba_batch call in score_classifier (bounds peak memory).
 _SCORE_CHUNK = 32
 
-
-def _auto_positive_weight(labels: np.ndarray) -> float:
-    """Weight positives by the negative:positive ratio (capped for stability)."""
-    positives = float(labels.sum())
-    negatives = float(labels.size - positives)
-    if positives <= 0:
-        return 1.0
-    return float(np.clip(negatives / positives, 1.0, 20.0))
+# Calibration smooths as the live pipeline does: the paper's N=5, K=2.
+_CALIBRATION_SMOOTHER = KVotingSmoother()
 
 
 def _balanced_order(labels: np.ndarray, total: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,9 +115,11 @@ def train_classifier(
     inputs: np.ndarray | Sequence[np.ndarray],
     labels: np.ndarray | Sequence[int],
     config: TrainingConfig | None = None,
-    optimizer: Optimizer | None = None,
 ) -> TrainingHistory:
-    """Train a classifier on labelled inputs with sigmoid BCE.
+    """Train a classifier on labelled inputs with sigmoid BCE and Adam.
+
+    Each epoch's worth of samples is drawn balanced: half positives, half
+    negatives (uniform over all inputs when one class is absent).
 
     Parameters
     ----------
@@ -140,8 +131,6 @@ def train_classifier(
         Length-``N`` binary labels.
     config:
         Training hyper-parameters (defaults to :class:`TrainingConfig`).
-    optimizer:
-        Optimizer to use; defaults to Adam at ``config.learning_rate``.
 
     Returns
     -------
@@ -159,28 +148,15 @@ def train_classifier(
         raise ValueError("Cannot train on an empty dataset")
 
     rng = np.random.default_rng(config.seed)
-    positive_weight = (
-        config.positive_weight
-        if config.positive_weight is not None
-        else (1.0 if config.balanced_sampling else _auto_positive_weight(labels))
-    )
-    loss_fn = SigmoidBinaryCrossEntropy(positive_weight=positive_weight)
-    optimizer = optimizer or Adam(learning_rate=config.learning_rate)
+    loss_fn = SigmoidBinaryCrossEntropy()
+    optimizer = Adam(learning_rate=config.learning_rate)
     params = classifier.parameters()
     if not params:
         raise ValueError("Classifier has no trainable parameters (was it built?)")
 
     total_samples = int(round(config.epochs * inputs.shape[0]))
     total_samples = max(total_samples, config.batch_size)
-    if config.balanced_sampling:
-        order = _balanced_order(labels, total_samples, rng)
-    else:
-        reps = int(np.ceil(total_samples / inputs.shape[0]))
-        order = np.concatenate([rng.permutation(inputs.shape[0]) for _ in range(reps)])[
-            :total_samples
-        ]
-        if not config.shuffle:
-            order = np.resize(np.arange(inputs.shape[0]), total_samples)
+    order = _balanced_order(labels, total_samples, rng)
 
     history = TrainingHistory()
     for start in range(0, total_samples, config.batch_size):
@@ -198,8 +174,6 @@ def train_classifier(
         history.losses.append(float(loss))
         history.steps += 1
         history.samples_seen += int(batch_idx.size)
-        if config.log_every and history.steps % config.log_every == 0:
-            print(f"step {history.steps}: loss={loss:.4f}")
     return history
 
 
@@ -220,19 +194,18 @@ def score_classifier(classifier: TrainableClassifier, inputs: np.ndarray) -> np.
     return probabilities
 
 
-def calibrate_threshold(
-    probabilities: np.ndarray, labels: np.ndarray, smoother: KVotingSmoother, default: float
-) -> float:
+def calibrate_threshold(probabilities: np.ndarray, labels: np.ndarray, default: float) -> float:
     """The decision threshold maximizing smoothed event F1 on a labelled split.
 
     Candidates are 19 quantiles of ``probabilities`` clipped to
-    ``[0.02, 0.98]``; the first with the highest event F1 after K-vote
-    smoothing wins.  A split with zero positive frames gives the sweep no
-    signal: every candidate scores either F1 = 0.0 (it fires on something,
-    all false positives) or the degenerate 1.0 of an empty prediction against
-    empty truth, and the sweep would "win" with an arbitrary quantile — often
-    the lowest, a threshold that fires on everything live.  So ``default`` is
-    kept both on an all-negative split and whenever no candidate beats F1 = 0.
+    ``[0.02, 0.98]``; the first with the highest event F1 after the
+    pipeline's K-vote smoothing (N=5, K=2) wins.  A split with zero positive
+    frames gives the sweep no signal: every candidate scores either F1 = 0.0
+    (it fires on something, all false positives) or the degenerate 1.0 of an
+    empty prediction against empty truth, and the sweep would "win" with an
+    arbitrary quantile — often the lowest, a threshold that fires on
+    everything live.  So ``default`` is kept both on an all-negative split
+    and whenever no candidate beats F1 = 0.
     """
     if not np.asarray(labels).any():
         return default
@@ -241,7 +214,7 @@ def calibrate_threshold(
     )
     best_threshold, best_f1 = default, 0.0
     for candidate in candidates:
-        smoothed = smoother.smooth((probabilities >= candidate).astype(np.int8))
+        smoothed = _CALIBRATION_SMOOTHER.smooth((probabilities >= candidate).astype(np.int8))
         f1 = event_f1_score(labels, smoothed)
         if f1 > best_f1:
             best_threshold, best_f1 = float(candidate), f1
@@ -253,7 +226,6 @@ def fit_and_calibrate(
     inputs: np.ndarray,
     labels: np.ndarray,
     config: TrainingConfig,
-    smoother: KVotingSmoother,
     augment_flip: bool = False,
 ) -> tuple[TrainingHistory, np.ndarray]:
     """Train ``classifier`` on a labelled split, then calibrate its threshold there.
@@ -270,8 +242,6 @@ def fit_and_calibrate(
         fit_labels = np.concatenate([labels, labels])
     history = train_classifier(classifier, fit_inputs, fit_labels, config)
     probabilities = score_classifier(classifier, inputs)
-    threshold = calibrate_threshold(
-        probabilities, labels, smoother, default=classifier.config.threshold
-    )
+    threshold = calibrate_threshold(probabilities, labels, default=classifier.config.threshold)
     classifier.config = replace(classifier.config, threshold=threshold)
     return history, probabilities

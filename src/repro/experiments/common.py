@@ -40,6 +40,10 @@ _CANDIDATE_TAPS = ["conv2_1/sep", "conv2_2/sep", "conv3_2/sep", "conv4_2/sep", "
 # Training used when a caller passes none: six epochs on the train split.
 _DEFAULT_TRAINING = partial(TrainingConfig, epochs=6.0, batch_size=16, learning_rate=2e-3)
 
+# Target-object height as a fraction of the frame height, read by the
+# layer-selection heuristic.
+_OBJECT_HEIGHT_FRACTION = 0.07
+
 
 @dataclass
 class TrainedClassifier:
@@ -62,24 +66,16 @@ class TrainedClassifier:
 class ExperimentContext:
     """Everything needed to train and evaluate classifiers on one dataset."""
 
-    def __init__(
-        self,
-        dataset: SyntheticDataset,
-        alpha: float = 0.25,
-        object_height_fraction: float = 0.07,
-        smoothing_window: int = 5,
-        smoothing_votes: int = 2,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, dataset: SyntheticDataset, alpha: float = 0.25, seed: int = 0) -> None:
         self.dataset = dataset
         self.alpha = float(alpha)
         self.seed = int(seed)
-        self.smoother = KVotingSmoother(window=smoothing_window, votes=smoothing_votes)
+        self.smoother = KVotingSmoother()  # the paper's N=5, K=2
         width, height = dataset.spec.resolution
         self.frame_shape = (height, width, 3)
         self.rng = np.random.default_rng(seed)
         self.base_dnn = build_mobilenet_like(self.frame_shape, alpha=alpha, rng=self.rng)
-        object_height = max(4, int(round(object_height_fraction * height)))
+        object_height = max(4, int(round(_OBJECT_HEIGHT_FRACTION * height)))
         layer_shapes = {
             name: shape
             for name, shape in self.base_dnn.layer_output_shapes().items()
@@ -90,13 +86,9 @@ class ExperimentContext:
         # target object size.  (At paper scale this resolves to conv4_2/sep
         # and conv5_6/sep; at 1/8 scale the objects are 1/8 as tall, so the
         # heuristic selects a proportionally shallower layer.)
-        selection = select_input_layer(height, object_height, layer_shapes)
-        self.localized_tap = selection.layer
-        self.full_frame_tap = selection.layer
-        self.extractor = FeatureExtractor(
-            self.base_dnn, [self.localized_tap, self.full_frame_tap], cache_size=8
-        )
-        self._feature_cache: dict[tuple[int, str], np.ndarray] = {}
+        self.tap = select_input_layer(height, object_height, layer_shapes).layer
+        self.extractor = FeatureExtractor(self.base_dnn, [self.tap], cache_size=8)
+        self._feature_cache: dict[int, np.ndarray] = {}
 
     # -- feature collection -------------------------------------------------
     def crop(self) -> FeatureMapCrop:
@@ -104,29 +96,27 @@ class ExperimentContext:
         x0, y0, x1, y1 = self.dataset.spec.crop
         return FeatureMapCrop(x0, y0, x1, y1)
 
-    def feature_maps(self, stream: VideoStream, layer: str) -> np.ndarray:
-        """All frames' feature maps for ``layer`` (cached per stream+layer).
+    def feature_maps(self, stream: VideoStream) -> np.ndarray:
+        """All frames' feature maps at the tap (cached per stream).
 
-        The base DNN runs once per frame; both tapped layers are collected in
-        the same pass and cached as float32, so training several classifiers
-        on the same dataset never repeats feature extraction.
+        The base DNN runs once per frame and the maps are cached as float32,
+        so training several classifiers on the same dataset never repeats
+        feature extraction.
         """
-        key = (id(stream), layer)
-        cached = self._feature_cache.get(key)
-        if cached is not None:
-            return cached
-        collected: dict[str, list[np.ndarray]] = {tap: [] for tap in self.extractor.tap_layers}
-        for frame in stream:
-            activations = self.extractor.extract_pixels(frame.pixels)
-            for tap in collected:
-                collected[tap].append(activations[tap].astype(np.float32))
-        for tap, maps in collected.items():
-            self._feature_cache[(id(stream), tap)] = np.stack(maps, axis=0)
-        return self._feature_cache[key]
+        cached = self._feature_cache.get(id(stream))
+        if cached is None:
+            cached = self._feature_cache[id(stream)] = np.stack(
+                [
+                    self.extractor.extract_pixels(frame.pixels)[self.tap].astype(np.float32)
+                    for frame in stream
+                ],
+                axis=0,
+            )
+        return cached
 
-    def cropped_feature_maps(self, stream: VideoStream, layer: str, crop: FeatureMapCrop | None) -> np.ndarray:
-        """Feature maps for ``layer``, cropped to the task region if requested."""
-        maps = self.feature_maps(stream, layer)
+    def cropped_feature_maps(self, stream: VideoStream, crop: FeatureMapCrop | None) -> np.ndarray:
+        """Feature maps at the tap, cropped to the task region if requested."""
+        maps = self.feature_maps(stream)
         if crop is None:
             return maps
         height, width = self.frame_shape[:2]
@@ -139,43 +129,33 @@ class ExperimentContext:
 
     # -- training -----------------------------------------------------------
     def train_microclassifier(
-        self,
-        architecture: str,
-        use_crop: bool = True,
-        training: TrainingConfig | None = None,
-        threshold: float = 0.5,
-        augment_flip: bool = True,
-        **mc_kwargs,
+        self, architecture: str, training: TrainingConfig | None = None
     ) -> TrainedClassifier:
         """Train one microclassifier on the train split and evaluate it on the test split.
 
-        ``augment_flip`` horizontally mirrors the training feature maps (the
-        scenes are left/right symmetric for both tasks), which compensates
-        for the scaled datasets containing far fewer training events than the
-        paper's six-hour videos.  The decision threshold is the one that
-        maximizes event F1 on the *training* split.
+        Every architecture but ``full_frame`` reads the task's crop.  Training
+        also sees the horizontally mirrored feature maps (the scenes are
+        left/right symmetric for both tasks), which compensates for the scaled
+        datasets containing far fewer training events than the paper's
+        six-hour videos.  The decision threshold is the one that maximizes
+        event F1 on the *training* split.
         """
-        layer = self.full_frame_tap if architecture == "full_frame" else self.localized_tap
-        crop = self.crop() if (use_crop and architecture != "full_frame") else None
+        crop = None if architecture == "full_frame" else self.crop()
         config = MicroClassifierConfig(
-            name=f"{self.dataset.spec.name}_{architecture}",
-            input_layer=layer,
-            crop=crop,
-            threshold=threshold,
+            name=f"{self.dataset.spec.name}_{architecture}", input_layer=self.tap, crop=crop
         )
-        train_maps = self.cropped_feature_maps(self.dataset.train_stream, layer, crop)
+        train_maps = self.cropped_feature_maps(self.dataset.train_stream, crop)
         mc = build_microclassifier(
-            architecture, config, train_maps.shape[1:], rng=np.random.default_rng(self.seed + 1), **mc_kwargs
+            architecture, config, train_maps.shape[1:], rng=np.random.default_rng(self.seed + 1)
         )
         fit_and_calibrate(
             mc,
             train_maps,
             self.dataset.train_labels.labels,
             training or _DEFAULT_TRAINING(seed=self.seed),
-            self.smoother,
-            augment_flip=augment_flip,
+            augment_flip=True,
         )
-        test_maps = self.cropped_feature_maps(self.dataset.test_stream, layer, crop)
+        test_maps = self.cropped_feature_maps(self.dataset.test_stream, crop)
         return self._evaluate(f"microclassifier/{architecture}", mc, test_maps)
 
     def train_discrete_classifier(
@@ -183,11 +163,10 @@ class ExperimentContext:
         config: DiscreteClassifierConfig,
         use_crop: bool = False,
         training: TrainingConfig | None = None,
-        augment_flip: bool = True,
     ) -> TrainedClassifier:
         """Train a NoScope-style discrete classifier on raw pixels.
 
-        The same augmentation option and threshold calibration as
+        The same flip augmentation and threshold calibration as
         :meth:`train_microclassifier` apply, so the MC/DC comparison in
         Figure 7 is apples to apples.
         """
@@ -204,8 +183,7 @@ class ExperimentContext:
             train_pixels,
             self.dataset.train_labels.labels,
             training or _DEFAULT_TRAINING(seed=self.seed),
-            self.smoother,
-            augment_flip=augment_flip,
+            augment_flip=True,
         )
         return self._evaluate("discrete_classifier", dc, test_pixels)
 

@@ -80,19 +80,17 @@ def run_figure7(
     context: ExperimentContext,
     architectures: tuple[str, ...] = ("full_frame", "localized"),
     dc_configs: list[DiscreteClassifierConfig] | None = None,
-    dc_use_crop: bool | None = None,
 ) -> Figure7Result:
     """Train the MCs and the DC sweep on one dataset and collect their points.
 
     The paper uses spatial crops for the applicable MCs and for the Roadway
-    dataset's DC only; ``dc_use_crop`` defaults to that rule.
+    dataset's DC only.
     """
     cost_model = CostModel(
         resolution=context.dataset.spec.paper_resolution,
         crop_fraction=1.0,
     )
-    if dc_use_crop is None:
-        dc_use_crop = context.dataset.spec.name == "roadway"
+    crop_dcs = context.dataset.spec.name == "roadway"
     if dc_configs is None:
         # Train a cheap / medium / expensive subset of the Pareto sweep.
         sweep = discrete_classifier_pareto_configs()
@@ -107,7 +105,7 @@ def run_figure7(
 
     dc_points: list[Figure7Point] = []
     for config in dc_configs:
-        result = context.train_discrete_classifier(config, use_crop=dc_use_crop)
+        result = context.train_discrete_classifier(config, use_crop=crop_dcs)
         trained[result.name] = result
         dc_points.append(_dc_point(result, config, cost_model))
 

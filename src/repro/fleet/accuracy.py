@@ -15,8 +15,11 @@ own evaluation loop, at fleet scale:
   Figure-2 architecture) per camera on that camera's *own* synthetic
   labelled frames, with per-camera threshold calibration, behind an
   in-process cache keyed by camera spec.  Its :meth:`pipeline_factory`
-  plugs directly into :class:`~repro.fleet.runtime.FleetRuntime`, sharing
-  one base DNN per resolution (the FilterForward premise).
+  plugs directly into :class:`~repro.fleet.runtime.FleetRuntime`: every
+  session follows the same recipe as
+  :func:`~repro.fleet.runtime.default_pipeline_factory` (one shared base
+  DNN per resolution, the FilterForward premise) and only the trained head
+  differs.
 * :class:`CameraAccuracy` / :class:`FleetAccuracy` — event-level scoring of
   a fleet run against ground truth: every generated frame has a known label
   (:meth:`~repro.fleet.camera.CameraFeed.labels`), every dropped or
@@ -44,14 +47,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.architectures import ARCHITECTURES, build_microclassifier
-from repro.core.microclassifier import MicroClassifier, MicroClassifierConfig
-from repro.core.pipeline import PipelineConfig
-from repro.core.smoothing import KVotingSmoother
+from repro.core.architectures import ARCHITECTURES
+from repro.core.microclassifier import MicroClassifier
 from repro.core.streaming import StreamingPipeline
-from repro.core.training import TrainingConfig, TrainingHistory, fit_and_calibrate
-from repro.features.base_dnn import build_mobilenet_like
-from repro.features.extractor import FeatureExtractor
+from repro.core.training import TrainingConfig, fit_and_calibrate
 from repro.fleet.camera import CameraFeed, CameraSpec
 from repro.metrics.event_metrics import EventF1Breakdown, event_f1_score
 from repro.video.synthetic import (
@@ -80,50 +79,38 @@ ACCURACY_TASKS = (TASK_PEDESTRIAN, TASK_PEOPLE_WITH_RED)
 _SEED_PURPOSES = ("train_scene", "weights", "training")
 
 
-def camera_seed_ladder(spec: CameraSpec, purpose: str, base_seed: int = 0) -> int:
+def camera_seed_ladder(spec: CameraSpec, purpose: str) -> int:
     """Deterministic derived seed for one camera and one purpose.
 
-    The ladder hashes ``(camera_id, spec.seed, purpose, base_seed)`` through
-    a 64-bit SHA-256 digest so that (a) two cameras get distinct seeds even
-    when their spec seeds collide (64 bits makes accidental collisions
-    negligible at any realistic fleet size), (b) the same camera gets
-    independent streams per purpose, and (c) a fleet-level ``base_seed``
-    shifts every camera's ladder at once.
+    The ladder hashes ``(camera_id, spec.seed, purpose)`` through a 64-bit
+    SHA-256 digest so that (a) two cameras get distinct seeds even when
+    their spec seeds collide (64 bits makes accidental collisions negligible
+    at any realistic fleet size) and (b) the same camera gets independent
+    streams per purpose.  The token ends in ``:0``, the fleet-wide base seed
+    every ladder has been hashed with.
     """
     if purpose not in _SEED_PURPOSES:
         raise ValueError(f"Unknown seed purpose {purpose!r}; expected one of {_SEED_PURPOSES}")
-    token = f"{spec.camera_id}:{spec.seed}:{purpose}:{base_seed}".encode()
+    token = f"{spec.camera_id}:{spec.seed}:{purpose}:0".encode()
     return int.from_bytes(hashlib.sha256(token).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
 class AccuracyConfig:
-    """Knobs of the per-camera training protocol.
+    """What an application trains: its task, its head, and how long.
 
     ``train_frames`` sizes each camera's labelled training clip — rendered
     from the same scenario and resolution as the live feed but under the
     seed ladder's ``train_scene`` rung, so training and live content are
-    drawn from the same distribution without overlapping.
-    ``train_event_rate_scale`` optionally densifies training events (rare
-    events are the paper's regime; short training clips may need more
-    positives than a live feed would show).
+    drawn from the same distribution without overlapping.  Everything
+    else about a camera's session is the fleet's recipe
+    (:func:`~repro.fleet.runtime.default_pipeline_factory`).
     """
 
     task: str = TASK_PEDESTRIAN
     architecture: str = "localized"  # a key of repro.core.architectures.ARCHITECTURES
-    tap_layer: str = "conv2_2/sep"
-    alpha: float = 0.125
     train_frames: int = 96
-    train_event_rate_scale: float = 1.0
     epochs: float = 3.0
-    batch_size: int = 16
-    learning_rate: float = 2e-3
-    threshold: float = 0.5
-    smoothing_window: int = 5
-    smoothing_votes: int = 2
-    pipeline_batch_size: int = 1
-    upload_bitrate: float = 12_000.0
-    base_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.task not in ACCURACY_TASKS:
@@ -135,10 +122,8 @@ class AccuracyConfig:
             )
         if self.train_frames < 8:
             raise ValueError("train_frames must be at least 8")
-        if self.train_event_rate_scale <= 0:
-            raise ValueError("train_event_rate_scale must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+        if not self.epochs > 0:  # written so that a NaN fails it
+            raise ValueError("epochs must be positive")
 
 
 @dataclass
@@ -148,8 +133,6 @@ class TrainedCameraModel:
     camera_id: str
     mc: MicroClassifier
     threshold: float
-    history: TrainingHistory
-    train_breakdown: EventF1Breakdown
     train_positive_frames: int
     seeds: dict[str, int]
 
@@ -157,35 +140,24 @@ class TrainedCameraModel:
 class TrainedMicroClassifiers:
     """Per-camera trained-model cache and fleet pipeline factory.
 
-    One instance owns one base DNN per distinct camera resolution (shared by
-    every camera at that resolution) and one trained microclassifier per
-    camera spec.  Training happens lazily on first use and is cached for the
-    life of the process, so a benchmark sweeping many shedding regimes over
-    the same fleet trains each camera exactly once — and a camera migrating
-    between nodes keeps its trained model.
+    One instance owns one fleet session recipe — one base DNN per distinct
+    camera resolution, shared by every camera at that resolution — and one
+    trained microclassifier per camera spec.  Training happens lazily on
+    first use and is cached for the life of the process, so a benchmark
+    sweeping many shedding regimes over the same fleet trains each camera
+    exactly once — and a camera migrating between nodes keeps its trained
+    model.
     """
 
     def __init__(self, config: AccuracyConfig | None = None) -> None:
+        # Imported here: the runtime imports this module's scoring types.
+        from repro.fleet.runtime import _SessionRecipe
+
         self.config = config or AccuracyConfig()
-        self._base_dnns: dict[tuple[int, int], object] = {}
+        self._recipe = _SessionRecipe()
         self._models: dict[CameraSpec, TrainedCameraModel] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-
-    # -- shared components ---------------------------------------------------
-    def base_dnn(self, spec: CameraSpec):
-        """The shared base DNN for ``spec``'s resolution (built on first use)."""
-        key = (spec.height, spec.width)
-        if key not in self._base_dnns:
-            self._base_dnns[key] = build_mobilenet_like(
-                (spec.height, spec.width, 3),
-                alpha=self.config.alpha,
-                rng=np.random.default_rng(self.config.base_seed),
-            )
-        return self._base_dnns[key]
-
-    def _extractor(self, spec: CameraSpec) -> FeatureExtractor:
-        return FeatureExtractor(self.base_dnn(spec), [self.config.tap_layer], cache_size=4)
 
     # -- training ------------------------------------------------------------
     def trained(self, spec: CameraSpec) -> TrainedCameraModel:
@@ -203,66 +175,44 @@ class TrainedMicroClassifiers:
         """The labelled training clip's spec: same camera, disjoint seed rung."""
         return replace(
             spec,
-            seed=camera_seed_ladder(spec, "train_scene", self.config.base_seed),
+            seed=camera_seed_ladder(spec, "train_scene"),
             num_frames=self.config.train_frames,
-            event_rate_scale=spec.event_rate_scale * self.config.train_event_rate_scale,
             start_time=0.0,
         )
 
     def _train(self, spec: CameraSpec) -> TrainedCameraModel:
         config = self.config
-        seeds = {
-            purpose: camera_seed_ladder(spec, purpose, config.base_seed)
-            for purpose in _SEED_PURPOSES
-        }
+        seeds = {purpose: camera_seed_ladder(spec, purpose) for purpose in _SEED_PURPOSES}
         train_spec = self._training_spec(spec)
         generator = SurveillanceSceneGenerator(train_spec.scene_config())
         objects = generator.spawn_objects()
         stream = generator.render_stream(objects)
         labels = generator.labels_for_task(objects, config.task).labels
 
-        extractor = self._extractor(spec)
+        extractor = self._recipe.extractor(spec)
         maps = np.stack(
             [
-                extractor.extract_pixels(frame.pixels)[config.tap_layer].astype(np.float32)
+                extractor.extract_pixels(frame.pixels)[self._recipe.TAP].astype(np.float32)
                 for frame in stream
             ],
             axis=0,
         )
-        mc_config = MicroClassifierConfig(
-            name=f"{spec.camera_id}/trained",
-            input_layer=config.tap_layer,
-            threshold=config.threshold,
-            upload_bitrate=config.upload_bitrate,
-        )
-        mc = build_microclassifier(
+        mc = self._recipe.head(
             config.architecture,
-            mc_config,
-            extractor.layer_shape(config.tap_layer),
-            rng=np.random.default_rng(seeds["weights"]),
+            f"{spec.camera_id}/trained",
+            extractor,
+            np.random.default_rng(seeds["weights"]),
         )
-        smoother = KVotingSmoother(config.smoothing_window, config.smoothing_votes)
-        history, probabilities = fit_and_calibrate(
+        fit_and_calibrate(
             mc,
             maps,
             labels,
-            TrainingConfig(
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                learning_rate=config.learning_rate,
-                seed=seeds["training"],
-            ),
-            smoother,
+            TrainingConfig(epochs=config.epochs, learning_rate=2e-3, seed=seeds["training"]),
         )
-        threshold = mc.config.threshold
-        smoothed = smoother.smooth((probabilities >= threshold).astype(np.int8))
-        breakdown = event_f1_score(labels, smoothed, return_breakdown=True)
         return TrainedCameraModel(
             camera_id=spec.camera_id,
             mc=mc,
-            threshold=threshold,
-            history=history,
-            train_breakdown=breakdown,
+            threshold=mc.config.threshold,
             train_positive_frames=int(labels.sum()),
             seeds=seeds,
         )
@@ -271,27 +221,16 @@ class TrainedMicroClassifiers:
     def pipeline_factory(self):
         """A :class:`~repro.fleet.runtime.FleetRuntime` pipeline factory.
 
-        Each camera gets a fresh :class:`StreamingPipeline` wrapping its
-        cached trained microclassifier and a per-camera feature-map cache
-        over the shared per-resolution base DNN.  Inference state (a
-        windowed MC's ring of reductions included) lives on the session, not
-        the MC, so one trained model safely backs any number of pipeline
+        Each camera gets a fresh :class:`StreamingPipeline` of the fleet
+        recipe wrapping its cached trained microclassifier.  Inference state
+        (a windowed MC's ring of reductions included) lives on the session,
+        not the MC, so one trained model safely backs any number of pipeline
         sessions (reruns, migration stints).
         """
 
         def factory(spec: CameraSpec) -> StreamingPipeline:
             model = self.trained(spec)
-            return StreamingPipeline(
-                self._extractor(spec),
-                [model.mc],
-                config=PipelineConfig(
-                    batch_size=self.config.pipeline_batch_size,
-                    smoothing_window=self.config.smoothing_window,
-                    smoothing_votes=self.config.smoothing_votes,
-                ),
-                frame_rate=spec.frame_rate,
-                resolution=spec.resolution,
-            )
+            return self._recipe.session(spec, self._recipe.extractor(spec), model.mc)
 
         return factory
 
@@ -487,7 +426,6 @@ class FleetAccuracy:
 def evaluate_offline(
     cameras: Sequence[CameraSpec],
     models: TrainedMicroClassifiers,
-    feeds: dict[str, CameraFeed] | None = None,
 ) -> FleetAccuracy:
     """Score the trained pipelines with *no* fleet between them and the frames.
 
@@ -495,13 +433,12 @@ def evaluate_offline(
     :class:`StreamingPipeline` — no queues, no admission, no drops — which
     is the offline upper bound the fleet's F1-vs-drop-rate curves are
     anchored to (a no-shedding fleet run reproduces it exactly).
-    ``feeds`` allows reusing already-rendered :class:`CameraFeed` streams.
     """
     factory = models.pipeline_factory()
     task = models.config.task
     scored: dict[str, CameraAccuracy] = {}
     for spec in cameras:
-        feed = (feeds or {}).get(spec.camera_id) or CameraFeed(spec)
+        feed = CameraFeed(spec)
         pipeline = factory(spec)
         result = pipeline.process_stream(feed.stream)
         predictions = predictions_from_result(

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.architectures import build_microclassifier
 from repro.core.batched import BatchedScorer
-from repro.core.microclassifier import MicroClassifierConfig
+from repro.core.microclassifier import MicroClassifier, MicroClassifierConfig
 from repro.core.events import EventRecord
 from repro.core.pipeline import PipelineConfig
 from repro.core.streaming import StreamingPipeline
@@ -70,6 +70,7 @@ from repro.video.frame import Frame
 
 if TYPE_CHECKING:
     from repro.events.plane import DeliveryReport
+    from repro.nn.model import Sequential
 
 __all__ = [
     "FleetConfig",
@@ -183,37 +184,54 @@ def resolution_scaled_schedule(base: PhasedSchedule, resolution: tuple[int, int]
     )
 
 
-def default_pipeline_factory(alpha: float = 0.125, threshold: float = 0.6) -> PipelineFactory:
-    """Build the default per-camera pipeline factory.
+class _SessionRecipe:
+    """The fleet's per-camera session, stated once; only the head varies.
 
-    One thin MobileNet-like base DNN is built per distinct camera resolution
-    and shared by every camera at that resolution (the FilterForward
-    computation-sharing premise); each camera gets its own feature-map cache
-    and one localized binary microclassifier on ``conv2_2/sep``.  A batch of
-    one keeps the streaming decision latency at the smoothing lookahead alone.
+    One thin MobileNet-like base DNN (seed 0) is built per distinct camera
+    resolution and shared by every camera at that resolution (the
+    FilterForward computation-sharing premise).  Each camera gets its own
+    feature-map cache of four frames on ``conv2_2/sep`` and one
+    microclassifier head, the only per-application part (paper §3.1).  A
+    batch of one keeps the streaming decision latency at the smoothing
+    lookahead alone.
     """
-    tap_layer = "conv2_2/sep"
-    base_dnns: dict[tuple[int, int], object] = {}
 
-    def factory(spec: CameraSpec) -> StreamingPipeline:
-        shape = (spec.height, spec.width, 3)
+    TAP = "conv2_2/sep"
+    ALPHA = 0.125
+
+    def __init__(self, alpha: float = ALPHA) -> None:
+        self.alpha = alpha
+        self._base_dnns: dict[tuple[int, int], Sequential] = {}
+
+    def extractor(self, spec: CameraSpec) -> FeatureExtractor:
+        """A fresh feature-map cache over the shared base DNN at ``spec``'s resolution."""
         key = (spec.height, spec.width)
-        if key not in base_dnns:
-            base_dnns[key] = build_mobilenet_like(shape, alpha=alpha, rng=np.random.default_rng(0))
-        base_dnn = base_dnns[key]
-        extractor = FeatureExtractor(base_dnn, [tap_layer], cache_size=4)
-        mc_config = MicroClassifierConfig(
-            name=f"{spec.camera_id}/primary",
-            input_layer=tap_layer,
-            threshold=threshold,
-            upload_bitrate=12_000.0,
+        if key not in self._base_dnns:
+            self._base_dnns[key] = build_mobilenet_like(
+                (spec.height, spec.width, 3), alpha=self.alpha, rng=np.random.default_rng(0)
+            )
+        return FeatureExtractor(self._base_dnns[key], [self.TAP], cache_size=4)
+
+    def head(
+        self,
+        architecture: str,
+        name: str,
+        extractor: FeatureExtractor,
+        rng: np.random.Generator,
+        threshold: float = 0.5,
+    ) -> MicroClassifier:
+        """An untrained ``architecture`` microclassifier on the recipe's tap."""
+        config = MicroClassifierConfig(
+            name=name, input_layer=self.TAP, threshold=threshold, upload_bitrate=12_000.0
         )
-        mc = build_microclassifier(
-            "localized",
-            mc_config,
-            extractor.layer_shape(tap_layer),
-            rng=np.random.default_rng(zlib.crc32(spec.camera_id.encode()) % 10_000),
+        return build_microclassifier(
+            architecture, config, extractor.layer_shape(self.TAP), rng=rng
         )
+
+    def session(
+        self, spec: CameraSpec, extractor: FeatureExtractor, mc: MicroClassifier
+    ) -> StreamingPipeline:
+        """One camera's streaming session running ``mc`` over ``extractor``."""
         return StreamingPipeline(
             extractor,
             [mc],
@@ -221,6 +239,28 @@ def default_pipeline_factory(alpha: float = 0.125, threshold: float = 0.6) -> Pi
             frame_rate=spec.frame_rate,
             resolution=spec.resolution,
         )
+
+
+def default_pipeline_factory(
+    alpha: float = _SessionRecipe.ALPHA, threshold: float = 0.6
+) -> PipelineFactory:
+    """Build the default per-camera pipeline factory.
+
+    Every camera's session follows the fleet recipe (:class:`_SessionRecipe`)
+    with one untrained localized binary microclassifier, seeded per camera.
+    """
+    recipe = _SessionRecipe(alpha)
+
+    def factory(spec: CameraSpec) -> StreamingPipeline:
+        extractor = recipe.extractor(spec)
+        mc = recipe.head(
+            "localized",
+            f"{spec.camera_id}/primary",
+            extractor,
+            np.random.default_rng(zlib.crc32(spec.camera_id.encode()) % 10_000),
+            threshold,
+        )
+        return recipe.session(spec, extractor, mc)
 
     return factory
 

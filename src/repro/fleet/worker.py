@@ -70,7 +70,7 @@ class WorkerPool:
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if self.service_time_scale <= 0:
+        if not self.service_time_scale > 0:  # written so that a NaN fails it
             raise ValueError("service_time_scale must be positive")
         self.workers = [Worker(worker_id=i) for i in range(self.num_workers)]
 

@@ -7,8 +7,8 @@ architectures, and the NoScope-style discrete classifiers:
 
 * layers with forward/backward passes (:mod:`repro.nn.layers`),
 * parameter initializers (:mod:`repro.nn.initializers`),
-* losses (:mod:`repro.nn.losses`),
-* optimizers (:mod:`repro.nn.optimizers`),
+* binary cross-entropy (:mod:`repro.nn.losses`),
+* the Adam optimizer (:mod:`repro.nn.optimizers`),
 * a :class:`~repro.nn.model.Sequential` container with named-layer taps,
 * the paper's per-layer multiply-add formulas (:mod:`repro.nn.cost`), which
   ``Layer.multiply_adds`` is tested against,
@@ -49,13 +49,9 @@ from repro.nn.layers import (
     Softmax,
     sigmoid,
 )
-from repro.nn.losses import (
-    BinaryCrossEntropy,
-    Loss,
-    SigmoidBinaryCrossEntropy,
-)
+from repro.nn.losses import BinaryCrossEntropy, SigmoidBinaryCrossEntropy
 from repro.nn.model import Sequential, count_parameters
-from repro.nn.optimizers import SGD, Adam, Optimizer
+from repro.nn.optimizers import Adam
 from repro.nn.cost import (
     conv_multiply_adds,
     dense_multiply_adds,
@@ -77,13 +73,10 @@ __all__ = [
     "HeNormal",
     "Initializer",
     "Layer",
-    "Loss",
     "MaxPool2D",
-    "Optimizer",
     "Parameter",
     "ReLU",
     "ReLU6",
-    "SGD",
     "SeparableConv2D",
     "Sequential",
     "Sigmoid",

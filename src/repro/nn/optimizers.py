@@ -1,28 +1,31 @@
-"""Gradient-descent optimizers."""
+"""The one optimizer the trainer runs: Adam."""
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Iterable
 
 import numpy as np
 
 from repro.nn.layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
+
+# Kingma & Ba's defaults; every training run in this repository uses them.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
-class Optimizer(ABC):
-    """Base class: applies accumulated gradients to a set of parameters."""
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015): applies accumulated gradients in place."""
 
-    def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0:
+    def __init__(self, learning_rate: float = 1e-3) -> None:
+        if not learning_rate > 0:  # written so that a NaN fails it
             raise ValueError("learning_rate must be positive")
         self.learning_rate = float(learning_rate)
-
-    @abstractmethod
-    def step(self, parameters: Iterable[Parameter]) -> None:
-        """Update each parameter in place from its ``grad`` field."""
+        self._m: dict[int, np.ndarray] = {}
+        self._v: dict[int, np.ndarray] = {}
+        self._t = 0
 
     @staticmethod
     def zero_grad(parameters: Iterable[Parameter]) -> None:
@@ -30,48 +33,18 @@ class Optimizer(ABC):
         for p in parameters:
             p.zero_grad()
 
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
     def step(self, parameters: Iterable[Parameter]) -> None:
-        for p in parameters:
-            p.value -= self.learning_rate * p.grad
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._t = 0
-
-    def step(self, parameters: Iterable[Parameter]) -> None:
+        """Update each parameter in place from its ``grad`` field."""
         self._t += 1
-        lr_t = self.learning_rate * (
-            np.sqrt(1.0 - self.beta2**self._t) / (1.0 - self.beta1**self._t)
-        )
+        lr_t = self.learning_rate * (np.sqrt(1.0 - _BETA2**self._t) / (1.0 - _BETA1**self._t))
         for p in parameters:
             m = self._m.get(id(p))
             v = self._v.get(id(p))
             if m is None:
                 m = np.zeros_like(p.value)
                 v = np.zeros_like(p.value)
-            m = self.beta1 * m + (1.0 - self.beta1) * p.grad
-            v = self.beta2 * v + (1.0 - self.beta2) * (p.grad**2)
+            m = _BETA1 * m + (1.0 - _BETA1) * p.grad
+            v = _BETA2 * v + (1.0 - _BETA2) * (p.grad**2)
             self._m[id(p)] = m
             self._v[id(p)] = v
-            p.value -= lr_t * m / (np.sqrt(v) + self.epsilon)
+            p.value -= lr_t * m / (np.sqrt(v) + _EPSILON)

@@ -25,6 +25,7 @@ class TestMicroClassifierConfig:
             {"threshold": 0.0},
             {"threshold": 1.0},
             {"upload_bitrate": 0.0},
+            {"upload_bitrate": float("nan")},
         ],
     )
     def test_invalid_configs(self, kwargs):

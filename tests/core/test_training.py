@@ -1,12 +1,13 @@
 """Tests for the classifier trainer and the shared score / calibrate / fit steps."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.baselines.discrete_classifier import DiscreteClassifier, DiscreteClassifierConfig
 from repro.core.architectures import ARCHITECTURES, build_microclassifier
 from repro.core.microclassifier import MicroClassifierConfig
-from repro.core.smoothing import KVotingSmoother
 from repro.core.training import (
     TrainingConfig,
     TrainingHistory,
@@ -15,7 +16,6 @@ from repro.core.training import (
     score_classifier,
     train_classifier,
 )
-from repro.nn.optimizers import SGD
 
 FEATURE_SHAPE = (3, 4, 6)
 
@@ -41,7 +41,13 @@ class TestTrainingConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0}, {"positive_weight": 0.0}],
+        [
+            {"epochs": 0},
+            {"batch_size": 0},
+            {"learning_rate": 0},
+            {"learning_rate": math.nan},
+            {"epochs": math.nan},
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -68,32 +74,16 @@ class TestTrainClassifier:
     def test_fractional_epoch_sees_fraction_of_samples(self):
         mc = make_mc()
         x, y = make_dataset(n=64)
-        history = train_classifier(
-            mc, x, y, TrainingConfig(epochs=0.5, batch_size=8, balanced_sampling=False, seed=0)
-        )
+        history = train_classifier(mc, x, y, TrainingConfig(epochs=0.5, batch_size=8, seed=0))
         assert history.samples_seen == 32
 
     def test_balanced_sampling_with_rare_positives(self):
         mc = make_mc()
         x, y = make_dataset(n=60, positive_fraction=0.1)
-        history = train_classifier(
-            mc, x, y, TrainingConfig(epochs=3, batch_size=10, balanced_sampling=True, seed=0)
-        )
+        history = train_classifier(mc, x, y, TrainingConfig(epochs=3, batch_size=10, seed=0))
         probs = mc.predict_proba_batch(x)
         assert probs[y == 1].mean() > probs[y == 0].mean()
         assert history.samples_seen >= 60
-
-    def test_custom_optimizer_is_used(self):
-        mc = make_mc()
-        x, y = make_dataset(n=16)
-        history = train_classifier(
-            mc,
-            x,
-            y,
-            TrainingConfig(epochs=1, batch_size=8),
-            optimizer=SGD(learning_rate=0.01),
-        )
-        assert history.steps == 2
 
     def test_shape_mismatch_rejected(self):
         mc = make_mc()
@@ -145,8 +135,6 @@ class TestScoreClassifier:
 class TestCalibrateThreshold:
     """An all-negative split must not calibrate a permissive threshold."""
 
-    SMOOTHER = KVotingSmoother(window=5, votes=2)
-
     def test_zero_f1_sweep_keeps_the_configured_threshold(self):
         # Every candidate quantile of these probabilities fires on some
         # frames, and with all-negative labels each scores exactly F1 = 0;
@@ -154,7 +142,7 @@ class TestCalibrateThreshold:
         # because it was evaluated first.
         probabilities = np.linspace(0.6, 0.9, 40)
         labels = np.zeros(40, dtype=np.int8)
-        assert calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.5) == 0.5
+        assert calibrate_threshold(probabilities, labels, 0.5) == 0.5
 
     def test_all_negative_labels_short_circuit(self):
         # Probabilities driven near zero: high candidates would predict
@@ -162,7 +150,7 @@ class TestCalibrateThreshold:
         # with an arbitrary quantile.  No positives -> no signal -> keep.
         probabilities = np.full(40, 0.01)
         labels = np.zeros(40, dtype=np.int8)
-        assert calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.5) == 0.5
+        assert calibrate_threshold(probabilities, labels, 0.5) == 0.5
 
     def test_no_candidate_beating_zero_keeps_the_default(self):
         # One positive frame the classifier never ranks above a negative:
@@ -170,35 +158,42 @@ class TestCalibrateThreshold:
         probabilities = np.linspace(0.9, 0.1, 40)
         labels = np.zeros(40, dtype=np.int8)
         labels[-1] = 1
-        assert calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.3) == 0.3
+        assert calibrate_threshold(probabilities, labels, 0.3) == 0.3
 
     def test_positive_signal_picks_the_best_candidate(self):
         labels = np.zeros(40, dtype=np.int8)
         labels[10:20] = 1
         probabilities = np.where(labels == 1, 0.8, 0.2)
-        threshold = calibrate_threshold(probabilities, labels, self.SMOOTHER, 0.95)
+        threshold = calibrate_threshold(probabilities, labels, 0.95)
         assert 0.2 < threshold <= 0.8
+
+    def test_candidates_are_scored_after_the_pipelines_smoothing(self):
+        # An event scored on every other frame, and two lone spikes at 0.7.
+        # The pipeline's K=2-of-N=5 vote fills the event and erases the
+        # spikes, so 0.7 wins; scored unsmoothed, 0.8 would.
+        labels = np.zeros(60, dtype=np.int8)
+        labels[20:30] = 1
+        probabilities = np.full(60, 0.1)
+        probabilities[20:30] = [0.8, 0.6] * 5
+        probabilities[[5, 45]] = 0.7
+        assert calibrate_threshold(probabilities, labels, 0.95) == pytest.approx(0.7)
 
 
 class TestFitAndCalibrate:
-    SMOOTHER = KVotingSmoother(window=5, votes=2)
-
     def test_writes_the_calibrated_threshold_into_the_config(self):
         mc = make_mc()
         x, y = make_dataset(n=48)
         config = TrainingConfig(epochs=2, batch_size=8, seed=0)
-        history, probabilities = fit_and_calibrate(mc, x, y, config, self.SMOOTHER)
+        history, probabilities = fit_and_calibrate(mc, x, y, config)
         assert history.steps > 0
         assert probabilities.tobytes() == score_classifier(mc, x).tobytes()
-        assert mc.config.threshold == calibrate_threshold(probabilities, y, self.SMOOTHER, 0.5)
+        assert mc.config.threshold == calibrate_threshold(probabilities, y, 0.5)
 
     def test_flip_augmentation_doubles_the_training_set(self):
         x, y = make_dataset(n=48)
-        config = TrainingConfig(epochs=1, batch_size=8, balanced_sampling=False, seed=0)
-        plain, _ = fit_and_calibrate(make_mc(), x, y, config, self.SMOOTHER)
-        flipped, probabilities = fit_and_calibrate(
-            make_mc(), x, y, config, self.SMOOTHER, augment_flip=True
-        )
+        config = TrainingConfig(epochs=1, batch_size=8, seed=0)
+        plain, _ = fit_and_calibrate(make_mc(), x, y, config)
+        flipped, probabilities = fit_and_calibrate(make_mc(), x, y, config, augment_flip=True)
         assert (plain.samples_seen, flipped.samples_seen) == (48, 96)
         assert probabilities.shape == (48,)  # calibration scores the unaugmented split
 
@@ -207,8 +202,6 @@ def test_every_registered_architecture_trains_and_scores():
     x, y = make_dataset(n=24)
     for architecture in ARCHITECTURES:
         mc = make_mc(architecture=architecture)
-        _, probabilities = fit_and_calibrate(
-            mc, x, y, TrainingConfig(epochs=1, seed=0), KVotingSmoother()
-        )
+        _, probabilities = fit_and_calibrate(mc, x, y, TrainingConfig(epochs=1, seed=0))
         assert probabilities.shape == (24,)
         assert 0.0 < mc.config.threshold < 1.0

@@ -27,26 +27,25 @@ class TestContextSetup:
     def test_tap_selection_uses_shallow_layer_for_small_objects(self, context):
         # At 1/20th of the paper's resolution, objects are a few pixels tall,
         # so the heuristic must choose an early layer.
-        assert context.localized_tap in ("conv2_1/sep", "conv2_2/sep", "conv3_2/sep")
+        assert context.tap in ("conv2_1/sep", "conv2_2/sep", "conv3_2/sep")
+        assert context.extractor.tap_layers == [context.tap]
 
     def test_crop_matches_dataset_spec(self, context):
         crop = context.crop()
         x0, y0, x1, y1 = context.dataset.spec.crop
         assert (crop.x0, crop.y0, crop.x1, crop.y1) == (x0, y0, x1, y1)
 
-    def test_feature_maps_cached_per_stream_and_layer(self, context):
-        first = context.feature_maps(context.dataset.train_stream, context.localized_tap)
+    def test_feature_maps_cached_per_stream(self, context):
+        first = context.feature_maps(context.dataset.train_stream)
         processed = context.extractor.frames_processed
-        second = context.feature_maps(context.dataset.train_stream, context.localized_tap)
+        second = context.feature_maps(context.dataset.train_stream)
         assert context.extractor.frames_processed == processed
         assert first is second
         assert first.shape[0] == 150
 
     def test_cropped_feature_maps_shrink_height(self, context):
-        full = context.feature_maps(context.dataset.test_stream, context.localized_tap)
-        cropped = context.cropped_feature_maps(
-            context.dataset.test_stream, context.localized_tap, context.crop()
-        )
+        full = context.feature_maps(context.dataset.test_stream)
+        cropped = context.cropped_feature_maps(context.dataset.test_stream, context.crop())
         assert cropped.shape[1] < full.shape[1]
         assert cropped.shape[0] == full.shape[0]
 
@@ -83,9 +82,9 @@ class TestTrainingAndEvaluation:
         negatives = FrameLabels(np.zeros(len(context.dataset.train_stream), dtype=np.int8))
         monkeypatch.setattr(context.dataset, "train_labels", negatives)
         result = context.train_microclassifier(
-            "localized", training=TrainingConfig(epochs=0.25, seed=0), threshold=0.3
+            "localized", training=TrainingConfig(epochs=0.25, seed=0)
         )
-        assert result.classifier.config.threshold == 0.3
+        assert result.classifier.config.threshold == 0.5
 
     def test_evaluate_predictions_scores_against_test_labels(self, context):
         perfect = context.dataset.test_labels.labels.astype(float)

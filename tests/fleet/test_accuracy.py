@@ -87,10 +87,6 @@ class TestSeedLadder:
         b = CameraSpec("b", 32, 32, frame_rate=10.0, num_frames=10, seed=7)
         assert camera_seed_ladder(a, "weights") != camera_seed_ladder(b, "weights")
 
-    def test_base_seed_shifts_ladder(self):
-        spec = tiny_fleet(1)[0]
-        assert camera_seed_ladder(spec, "weights", 0) != camera_seed_ladder(spec, "weights", 1)
-
     def test_unknown_purpose_rejected(self):
         with pytest.raises(ValueError, match="purpose"):
             camera_seed_ladder(tiny_fleet(1)[0], "lunch")
@@ -112,6 +108,12 @@ class TestAccuracyConfig:
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError, match="architecture"):
             AccuracyConfig(architecture="localised")
+
+    @pytest.mark.parametrize("epochs", [0.0, -1.0, float("nan")])
+    def test_non_positive_epochs_rejected_at_construction(self, epochs):
+        # Not when the first camera trains inside FleetRuntime.start().
+        with pytest.raises(ValueError, match="epochs"):
+            AccuracyConfig(epochs=epochs)
 
 
 class TestTrainedCache:
@@ -168,8 +170,8 @@ class TestCalibrationFallback:
         )
         model = models.trained(spec)
         assert model.train_positive_frames == 0
-        assert model.threshold == ACCURACY.threshold
-        assert model.mc.config.threshold == ACCURACY.threshold
+        assert model.threshold == 0.5
+        assert model.mc.config.threshold == 0.5
 
 
 class TestWindowedCameras:

@@ -7,11 +7,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.control import ControlLoop, MigrationCostModel
+from repro.control import (
+    ControlLoop,
+    MigrationConfig,
+    MigrationCostModel,
+    SheddingConfig,
+    ThresholdDriftConfig,
+    UplinkShareConfig,
+)
 from repro.control.hierarchy import HierarchicalControlPlane, NodeControlPlane
 from repro.edge.uplink import ConstrainedUplink
 from repro.events import DeliveryConfig, OutboxConfig
 from repro.events.ingest import DatacenterIngest
+from repro.fleet.accuracy import AccuracyConfig, TrainedMicroClassifiers
 from repro.fleet.camera import CameraSpec
 from repro.fleet.runtime import FleetConfig, FleetRuntime, default_pipeline_factory
 from repro.fleet.sharding import ShardingConfig
@@ -114,6 +122,26 @@ class TestBatchedScoring:
         runtime = FleetRuntime(tiny_fleet(1, num_frames=2), config=FleetConfig(batched_scoring=False))
         assert runtime.batched is None
         runtime.run()
+
+
+class TestOneSessionRecipe:
+    """A trained fleet builds the default fleet's session; only the head varies."""
+
+    def test_a_trained_session_differs_from_the_default_only_in_its_head(self):
+        spec = CameraSpec("cam00", 32, 32, frame_rate=10.0, num_frames=8, scenario="urban_day")
+        models = TrainedMicroClassifiers(AccuracyConfig(train_frames=16, epochs=0.5))
+        default, trained = default_pipeline_factory()(spec), models.pipeline_factory()(spec)
+
+        def weights(model):
+            return [p.value.tobytes() for p in model.parameters()]
+
+        assert weights(default.extractor.base_dnn) == weights(trained.extractor.base_dnn)
+        assert default.extractor.tap_layers == trained.extractor.tap_layers
+        assert default.extractor.cache_size == trained.extractor.cache_size
+        assert default.config == trained.config
+        (default_head,), (trained_head,) = default.microclassifiers, trained.microclassifiers
+        assert default_head.config.upload_bitrate == trained_head.config.upload_bitrate
+        assert weights(default_head) != weights(trained_head)
 
 
 class TestFleetRuntime:
@@ -234,6 +262,21 @@ class TestFleetRuntime:
             pytest.param(lambda nan: DeliverySLOConfig(burn_alert=nan), id="delivery_burn_alert"),
             pytest.param(lambda nan: MigrationCostModel(blackout_seconds=nan), id="blackout"),
             pytest.param(lambda nan: MigrationCostModel(cold_start_seconds=nan), id="cold_start"),
+            pytest.param(lambda nan: SheddingConfig(high_watermark_seconds=nan), id="high_wm"),
+            pytest.param(lambda nan: SheddingConfig(low_watermark_seconds=nan), id="low_wm"),
+            pytest.param(
+                lambda nan: SheddingConfig(uplink_high_watermark_seconds=nan), id="uplink_high_wm"
+            ),
+            pytest.param(
+                lambda nan: SheddingConfig(uplink_low_watermark_seconds=nan), id="uplink_low_wm"
+            ),
+            pytest.param(lambda nan: MigrationConfig(imbalance_threshold=nan), id="imbalance"),
+            pytest.param(lambda nan: MigrationConfig(payback_factor=nan), id="payback"),
+            pytest.param(lambda nan: ThresholdDriftConfig(tolerance=nan), id="drift_tolerance"),
+            pytest.param(
+                lambda nan: UplinkShareConfig(rebalance_threshold=nan), id="rebalance_threshold"
+            ),
+            pytest.param(lambda nan: WorkerPool(service_time_scale=nan), id="worker_pool_scale"),
         ],
     )
     def test_a_nan_setting_is_rejected(self, build):

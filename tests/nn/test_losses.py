@@ -34,15 +34,8 @@ class TestBinaryCrossEntropy:
         loss = BinaryCrossEntropy()
         assert loss.forward(np.array([0.999]), np.array([0.0])) > 5.0
 
-    def test_positive_weight_amplifies_positive_loss(self):
-        unweighted = BinaryCrossEntropy()
-        weighted = BinaryCrossEntropy(positive_weight=5.0)
-        p = np.array([0.2])
-        y = np.array([1.0])
-        assert weighted.forward(p, y) == pytest.approx(5.0 * unweighted.forward(p, y))
-
     def test_gradient_matches_numerical(self):
-        loss = BinaryCrossEntropy(positive_weight=2.0)
+        loss = BinaryCrossEntropy()
         rng = np.random.default_rng(1)
         predictions = rng.uniform(0.05, 0.95, size=(6, 1))
         targets = rng.integers(0, 2, size=(6, 1)).astype(float)
@@ -52,10 +45,6 @@ class TestBinaryCrossEntropy:
             rtol=1e-4,
             atol=1e-6,
         )
-
-    def test_invalid_positive_weight(self):
-        with pytest.raises(ValueError):
-            BinaryCrossEntropy(positive_weight=0.0)
 
 
 class TestSigmoidBinaryCrossEntropy:
@@ -82,7 +71,7 @@ class TestSigmoidBinaryCrossEntropy:
         np.testing.assert_allclose(grad, expected)
 
     def test_gradient_matches_numerical(self):
-        loss = SigmoidBinaryCrossEntropy(positive_weight=3.0)
+        loss = SigmoidBinaryCrossEntropy()
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(5, 1))
         targets = rng.integers(0, 2, size=(5, 1)).astype(float)
@@ -163,8 +152,8 @@ class TestLossContract:
     @pytest.mark.parametrize(
         "loss, predictions",
         [
-            (BinaryCrossEntropy(positive_weight=2.0), np.array([[0.2], [0.7], [0.9]])),
-            (SigmoidBinaryCrossEntropy(positive_weight=2.0), np.array([[-1.0], [0.3], [2.0]])),
+            (BinaryCrossEntropy(), np.array([[0.2], [0.7], [0.9]])),
+            (SigmoidBinaryCrossEntropy(), np.array([[-1.0], [0.3], [2.0]])),
         ],
         ids=["probabilities", "logits"],
     )
@@ -175,14 +164,3 @@ class TestLossContract:
         np.testing.assert_array_equal(
             loss.backward(predictions, flat), loss.backward(predictions, column)
         )
-
-    def test_call_is_forward(self):
-        loss = SigmoidBinaryCrossEntropy()
-        logits = np.array([[0.4], [-2.0]])
-        targets = np.array([[1.0], [1.0]])
-        assert loss(logits, targets) == loss.forward(logits, targets)
-
-    @pytest.mark.parametrize("weight", [0.0, -1.0])
-    def test_sigmoid_bce_rejects_non_positive_weight(self, weight):
-        with pytest.raises(ValueError):
-            SigmoidBinaryCrossEntropy(positive_weight=weight)

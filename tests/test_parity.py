@@ -192,6 +192,17 @@ def test_every_manifest_artifact_has_a_reader():
         assert set(entry.get("references", ("rerun",))) <= {"rerun", "base"}
 
 
+def test_the_trained_fleet_examples_are_gated_against_the_base_and_run_nowhere_else():
+    entries = {entry["name"]: entry for entry in parity.MANIFEST}
+    ci = (parity.REPO / ".github" / "workflows" / "ci.yml").read_text()
+    for name in ("accuracy_fleet", "value_aware_fleet"):
+        entry = entries[name]
+        assert entry["command"] == [f"{{tree}}/examples/{name}.py"]
+        assert entry["artifacts"] == {"stdout.txt": "bytes"}
+        assert entry["references"] == ("base",)
+        assert f"examples/{name}.py" not in ci
+
+
 @pytest.mark.parametrize("argv", [["rerun", "/some/tree"], ["base"], ["rerun", "--only", "nope"]])
 def test_rejects_a_malformed_command_line(argv, tmp_path):
     with pytest.raises(SystemExit):

@@ -233,6 +233,24 @@ MANIFEST = (
          "artifacts": {"stdout.txt": "bytes"}, "references": ("base",)}
         for example in ("quickstart", "multi_tenant_edge_node", "bandwidth_planning")
     ),
+    # The trained fleets: TrainedMicroClassifiers.pipeline_factory() and
+    # fit_and_calibrate end to end, at the sizes CI once smoke-ran them.
+    {
+        "name": "accuracy_fleet",
+        "command": ["{tree}/examples/accuracy_fleet.py"],
+        "env": {"ACCURACY_FLEET_CAMERAS": "4", "ACCURACY_FLEET_DURATION": "2.0",
+                "ACCURACY_FLEET_TRAIN_FRAMES": "48"},
+        "artifacts": {"stdout.txt": "bytes"},
+        "references": ("base",),
+    },
+    {
+        "name": "value_aware_fleet",
+        "command": ["{tree}/examples/value_aware_fleet.py"],
+        "env": {"VALUE_FLEET_DENSE": "3", "VALUE_FLEET_SPARSE": "3",
+                "VALUE_FLEET_DURATION": "1.5", "VALUE_FLEET_TRAIN_FRAMES": "48"},
+        "artifacts": {"stdout.txt": "bytes"},
+        "references": ("base",),
+    },
     {
         "name": "paper_numbers",
         "command": ["{tree}/tools/paper_numbers.py"],
