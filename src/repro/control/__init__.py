@@ -85,7 +85,7 @@ from repro.control.trace import (
     trace_to_jsonl,
     write_control_trace,
 )
-from repro.control.uplink import UplinkShareConfig, UplinkShareController
+from repro.control.uplink import UplinkShareController
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -115,7 +115,6 @@ __all__ = [
     "SheddingConfig",
     "ThresholdDriftConfig",
     "ThresholdDriftController",
-    "UplinkShareConfig",
     "UplinkShareController",
     "control_trace_records",
     "default_local_controllers",

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from repro.control.loop import (
     ControlJournal,
@@ -65,7 +65,7 @@ from repro.control.policies import (
 )
 from repro.control.provenance import CandidateScore
 from repro.control.shedding import AdaptiveSheddingController
-from repro.control.uplink import UplinkShareConfig, UplinkShareController
+from repro.control.uplink import UplinkShareController
 from repro.control.value import ThresholdDriftController
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.telemetry import TelemetryRegistry
@@ -100,20 +100,22 @@ _AGGREGATE_FIELDS = {metric: name for name, metric in _AGGREGATE_COUNTERS}
 class QuantileSketch:
     """Fixed-size mergeable quantile summary over ``(value, weight)`` centroids.
 
-    Values compress into at most ``max_centroids`` weight-balanced centroids
-    (sorted by value), so the sketch's size — and its serialized payload —
-    is bounded no matter how many observations fed it.  Merging concatenates
-    and re-compresses; quantiles are weighted nearest-rank over centroids.
+    Values compress into at most ``max_centroids`` (32) weight-balanced
+    centroids (sorted by value), so the sketch's size — and its serialized
+    payload — is bounded no matter how many observations fed it.  Merging
+    concatenates and re-compresses; quantiles are weighted nearest-rank over
+    centroids.
     Everything is deterministic: same inputs, same centroids.
     """
 
     centroids: tuple[tuple[float, float], ...] = ()
-    max_centroids: int = 32
+    max_centroids: ClassVar[int] = 32
 
-    @staticmethod
+    @classmethod
     def _compress(
-        centroids: Sequence[tuple[float, float]], max_centroids: int
+        cls, centroids: Sequence[tuple[float, float]]
     ) -> tuple[tuple[float, float], ...]:
+        max_centroids = cls.max_centroids
         if len(centroids) <= max_centroids:
             return tuple(centroids)
         total = sum(w for _, w in centroids)
@@ -133,21 +135,14 @@ class QuantileSketch:
         return tuple(out)
 
     @classmethod
-    def from_values(
-        cls, values: Sequence[float], max_centroids: int = 32
-    ) -> "QuantileSketch":
+    def from_values(cls, values: Sequence[float]) -> "QuantileSketch":
         """Build a sketch from raw observations."""
-        if max_centroids < 1:
-            raise ValueError("max_centroids must be at least 1")
         singles = tuple((float(v), 1.0) for v in sorted(float(v) for v in values))
-        return cls(cls._compress(singles, max_centroids), max_centroids)
+        return cls(cls._compress(singles))
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """The sketch of the combined distributions (size stays bounded)."""
-        combined = sorted(self.centroids + other.centroids)
-        return QuantileSketch(
-            self._compress(combined, self.max_centroids), self.max_centroids
-        )
+        return QuantileSketch(self._compress(sorted(self.centroids + other.centroids)))
 
     @property
     def count(self) -> float:
@@ -373,12 +368,8 @@ class ClusterCoordinator:
     ``(source, destination)`` pair, and the source node picks the camera.
     """
 
-    def __init__(
-        self,
-        uplink_config: UplinkShareConfig | None = None,
-        migration_config: MigrationConfig | None = None,
-    ) -> None:
-        self.uplink = UplinkShareController(uplink_config)
+    def __init__(self, migration_config: MigrationConfig | None = None) -> None:
+        self.uplink = UplinkShareController()
         self.uplink.name = "cluster_uplink"
         self.migration = MigrationController(migration_config)
         self.migration.name = "cluster_migration"

@@ -76,13 +76,16 @@ class MigrationCostModel:
         return frame_rate * blackout
 
 
+# The hottest node must actually be over capacity, the coolest below this.
+_OVERLOAD_THRESHOLD = 1.0
+_HEADROOM_THRESHOLD = 0.85
+
+
 @dataclass(frozen=True)
 class MigrationConfig:
     """Tuning knobs of the migration policy."""
 
     imbalance_threshold: float = 1.20  # hottest/mean offered utilization
-    overload_threshold: float = 1.0  # hottest node must actually be over capacity
-    headroom_threshold: float = 0.85  # coolest node must sit below this
     sustain_ticks: int = 2
     cooldown_ticks: int = 4
     camera_cooldown_ticks: int = 8
@@ -234,8 +237,8 @@ class MigrationController(Controller):
     def _gates(self, extra: dict | None = None) -> dict:
         gates = {
             "imbalance_threshold": self.config.imbalance_threshold,
-            "overload_threshold": self.config.overload_threshold,
-            "headroom_threshold": self.config.headroom_threshold,
+            "overload_threshold": _OVERLOAD_THRESHOLD,
+            "headroom_threshold": _HEADROOM_THRESHOLD,
             "sustain_ticks": self.config.sustain_ticks,
             "cooldown_ticks": self.config.cooldown_ticks,
             "payback_factor": self.config.payback_factor,
@@ -319,8 +322,8 @@ class MigrationController(Controller):
         imbalanced = (
             mean > 0
             and utilizations[hottest] / mean > self.config.imbalance_threshold
-            and utilizations[hottest] > self.config.overload_threshold
-            and utilizations[coolest] < self.config.headroom_threshold
+            and utilizations[hottest] > _OVERLOAD_THRESHOLD
+            and utilizations[coolest] < _HEADROOM_THRESHOLD
         )
         if not imbalanced:
             self._sustained = 0

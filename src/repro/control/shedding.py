@@ -48,18 +48,23 @@ __all__ = ["VALUE_SIGNALS", "SheddingConfig", "AdaptiveSheddingController"]
 
 VALUE_SIGNALS = ("match_density", "truth_density")
 
+# The uplink detector's watermarks on the estimated upload backlog, in seconds.
+_UPLINK_HIGH_WATERMARK_SECONDS = 1.50
+_UPLINK_LOW_WATERMARK_SECONDS = 0.50
+
 
 @dataclass(frozen=True)
 class SheddingConfig:
     """Tuning knobs of the shedding policy.
 
     The compute watermarks bound the windowed queue-wait p99; the uplink
-    watermarks bound the node's estimated upload backlog in seconds (a
-    fluid-queue model: estimated bits arrive, the node's guaranteed uplink
-    rate drains).  ``value_signal`` picks the per-camera value estimate
-    deciding *who* sheds: ``"match_density"`` (the default proxy — matched /
-    scored frames so far) or ``"truth_density"`` (ground-truth positive
-    fraction of generated frames, populated when the fleet runs with
+    detector's fixed watermarks (1.5 s / 0.5 s) bound the node's estimated
+    upload backlog in seconds (a fluid-queue model: estimated bits arrive,
+    the node's guaranteed uplink rate drains).  ``value_signal`` picks the
+    per-camera value estimate deciding *who* sheds: ``"match_density"``
+    (the default proxy — matched / scored frames so far) or
+    ``"truth_density"`` (ground-truth positive fraction of generated
+    frames, populated when the fleet runs with
     :attr:`~repro.fleet.runtime.FleetConfig.accuracy_task` set — the
     accuracy plane's oracle signal for studying how much proxy error
     costs).  On a node without the accuracy plane, ``truth_density``
@@ -68,8 +73,6 @@ class SheddingConfig:
 
     high_watermark_seconds: float = 0.20
     low_watermark_seconds: float = 0.05
-    uplink_high_watermark_seconds: float = 1.50
-    uplink_low_watermark_seconds: float = 0.50
     cameras_per_step: int = 2
     quota_ladder: tuple[int, ...] = (2, 1)
     value_signal: str = "match_density"
@@ -78,10 +81,6 @@ class SheddingConfig:
         # Written so that a NaN fails each guard.
         if not self.high_watermark_seconds > self.low_watermark_seconds:
             raise ValueError("high watermark must be above the low watermark (hysteresis)")
-        if not self.uplink_high_watermark_seconds > self.uplink_low_watermark_seconds:
-            raise ValueError(
-                "uplink high watermark must be above the uplink low watermark (hysteresis)"
-            )
         if self.cameras_per_step < 1:
             raise ValueError("cameras_per_step must be at least 1")
         if not self.quota_ladder:
@@ -230,7 +229,7 @@ class AdaptiveSheddingController(Controller):
                 node_actions = self._tighten(node.node_id, state, ranked)
                 if not node_actions:
                     reason = "every candidate already sits at the ladder floor"
-            elif backlog > config.uplink_high_watermark_seconds:
+            elif backlog > _UPLINK_HIGH_WATERMARK_SECONDS:
                 # Only cameras actually uploading can relieve the link; a
                 # zero-upload camera is never the uplink-mode victim, even
                 # once every uploader sits at the bottom of the ladder.
@@ -248,7 +247,7 @@ class AdaptiveSheddingController(Controller):
                     )
             elif (
                 window_p99 < config.low_watermark_seconds
-                and backlog < config.uplink_low_watermark_seconds
+                and backlog < _UPLINK_LOW_WATERMARK_SECONDS
                 and state.capped
             ):
                 kind = "relax"
@@ -276,8 +275,8 @@ class AdaptiveSheddingController(Controller):
                     gates={
                         "high_watermark_seconds": config.high_watermark_seconds,
                         "low_watermark_seconds": config.low_watermark_seconds,
-                        "uplink_high_watermark_seconds": config.uplink_high_watermark_seconds,
-                        "uplink_low_watermark_seconds": config.uplink_low_watermark_seconds,
+                        "uplink_high_watermark_seconds": _UPLINK_HIGH_WATERMARK_SECONDS,
+                        "uplink_low_watermark_seconds": _UPLINK_LOW_WATERMARK_SECONDS,
                         "quota_ladder": "/".join(str(q) for q in config.quota_ladder),
                         "cameras_per_step": config.cameras_per_step,
                         "value_signal": config.value_signal,

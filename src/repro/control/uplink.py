@@ -11,14 +11,12 @@ current weights.
 
 Weight updates are :class:`~repro.control.policies.SetUplinkWeights`
 actions; the sharded runtime schedules them into the uplink's replay at the
-tick's simulated time, so the GPS drain honours them in order.  A
-``min_share`` floor keeps any node from being starved of guaranteed
-capacity no matter how quiet it looks.
+tick's simulated time, so the GPS drain honours them in order.  A 10 %
+floor on every node's share keeps any node from being starved of
+guaranteed capacity no matter how quiet it looks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.control.policies import (
     ClusterView,
@@ -28,24 +26,16 @@ from repro.control.policies import (
 )
 from repro.control.provenance import CandidateScore, DecisionRecord
 
-__all__ = ["UplinkShareConfig", "UplinkShareController"]
+__all__ = ["UplinkShareController"]
 
-
-@dataclass(frozen=True)
-class UplinkShareConfig:
-    """Tuning knobs of the uplink re-weighting policy."""
-
-    smoothing: float = 0.5  # EMA weight of the newest interval's demand
-    min_share: float = 0.10  # floor on any node's fraction of total weight
-    rebalance_threshold: float = 0.10  # max per-node drift before re-weighting
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if not 0.0 <= self.min_share < 1.0:
-            raise ValueError("min_share must be in [0, 1)")
-        if not self.rebalance_threshold > 0:  # written so that a NaN fails it
-            raise ValueError("rebalance_threshold must be positive")
+_SMOOTHING = 0.5  # EMA weight of the newest interval's demand
+_MIN_SHARE = 0.10  # floor on any node's fraction of total weight
+_REBALANCE_THRESHOLD = 0.10  # max per-node drift before re-weighting
+_GATES = {
+    "smoothing": _SMOOTHING,
+    "min_share": _MIN_SHARE,
+    "rebalance_threshold": _REBALANCE_THRESHOLD,
+}
 
 
 class UplinkShareController(Controller):
@@ -53,17 +43,9 @@ class UplinkShareController(Controller):
 
     name = "uplink_share"
 
-    def __init__(self, config: UplinkShareConfig | None = None) -> None:
-        self.config = config or UplinkShareConfig()
+    def __init__(self) -> None:
         self._last_matched: dict[str, float] = {}
         self._demand_ema: dict[str, float] = {}
-
-    def _gates(self) -> dict:
-        return {
-            "smoothing": self.config.smoothing,
-            "min_share": self.config.min_share,
-            "rebalance_threshold": self.config.rebalance_threshold,
-        }
 
     def decide(self, view: ClusterView) -> list[ControlAction]:
         """Emit one weight update when demand drifts past the threshold."""
@@ -74,7 +56,7 @@ class UplinkShareController(Controller):
                 DecisionRecord(
                     controller=self.name,
                     kind="idle",
-                    gates=self._gates(),
+                    gates=_GATES,
                     reason="statically sliced uplink, nothing to actuate",
                 )
             )
@@ -85,8 +67,7 @@ class UplinkShareController(Controller):
             delta = max(0.0, matched - self._last_matched.get(node.node_id, 0.0))
             self._last_matched[node.node_id] = matched
             previous = self._demand_ema.get(node.node_id, 0.0)
-            alpha = self.config.smoothing
-            self._demand_ema[node.node_id] = (1 - alpha) * previous + alpha * delta
+            self._demand_ema[node.node_id] = (1 - _SMOOTHING) * previous + _SMOOTHING * delta
         total_demand = sum(self._demand_ema.get(n, 0.0) for n in node_ids)
         if total_demand <= 0:
             self.record_decision(
@@ -94,7 +75,7 @@ class UplinkShareController(Controller):
                     controller=self.name,
                     kind="hold",
                     inputs={"total_demand_ema": total_demand},
-                    gates=self._gates(),
+                    gates=_GATES,
                     reason="no upload demand observed yet",
                 )
             )
@@ -102,7 +83,7 @@ class UplinkShareController(Controller):
         # Hand every node its floor first, then split only the remaining
         # mass by demand — flooring-then-renormalizing would push quiet
         # nodes back below the floor.
-        floor = min(self.config.min_share, 1.0 / len(node_ids))
+        floor = min(_MIN_SHARE, 1.0 / len(node_ids))
         spare = 1.0 - floor * len(node_ids)
         target = {
             n: floor + spare * self._demand_ema.get(n, 0.0) / total_demand
@@ -111,7 +92,7 @@ class UplinkShareController(Controller):
         current_total = sum(view.uplink_weights[n] for n in node_ids)
         current = {n: view.uplink_weights[n] / current_total for n in node_ids}
         drift = max(abs(target[n] - current[n]) for n in node_ids)
-        rebalance = drift > self.config.rebalance_threshold
+        rebalance = drift > _REBALANCE_THRESHOLD
         candidates = tuple(
             CandidateScore(
                 candidate_id=n,
@@ -131,25 +112,22 @@ class UplinkShareController(Controller):
                     controller=self.name,
                     kind="hold",
                     inputs={"total_demand_ema": total_demand, "max_drift": drift},
-                    gates=self._gates(),
+                    gates=_GATES,
                     candidates=candidates,
                     reason="demand drift inside the rebalance threshold",
                 )
             )
             return []
-        # The uplink rejects non-positive weights; with min_share=0 a
-        # zero-demand node's target must still stay epsilon-positive.
+        # The floor keeps every target, and so every weight, positive.
         actions: list[ControlAction] = [
-            SetUplinkWeights(
-                weights=tuple((n, max(round(target[n], 6), 1e-6)) for n in node_ids)
-            )
+            SetUplinkWeights(weights=tuple((n, round(target[n], 6)) for n in node_ids))
         ]
         self.record_decision(
             DecisionRecord(
                 controller=self.name,
                 kind="rebalance",
                 inputs={"total_demand_ema": total_demand, "max_drift": drift},
-                gates=self._gates(),
+                gates=_GATES,
                 candidates=candidates,
                 actions=tuple(a.describe() for a in actions),
             )

@@ -29,6 +29,11 @@ from repro.control.provenance import CandidateScore, DecisionRecord
 
 __all__ = ["ThresholdDriftConfig", "ThresholdDriftController"]
 
+# One drift moves a session threshold by _STEP, clamped to this range.
+_STEP = 0.05
+_MIN_THRESHOLD = 0.05
+_MAX_THRESHOLD = 0.95
+
 
 @dataclass(frozen=True)
 class ThresholdDriftConfig:
@@ -39,27 +44,19 @@ class ThresholdDriftConfig:
     the ``(1 ± tolerance)`` band around the windowed truth-positive rate
     of the *scored* frames (like-for-like — rating matches against the
     truth of frames the camera never scored would read active shedding as
-    under-firing), the session threshold steps by ``step`` toward the leak
-    (up for over-firing, down for under-firing), clamped to
-    ``[min_threshold, max_threshold]``, and the camera rests for
-    ``cooldown_ticks`` so each adjustment is judged on frames it actually
-    influenced.
+    under-firing), the session threshold steps by 0.05 toward the leak
+    (up for over-firing, down for under-firing), clamped to ``[0.05, 0.95]``,
+    and the camera rests for ``cooldown_ticks`` so each adjustment is judged
+    on frames it actually influenced.
     """
 
     tolerance: float = 0.50
-    step: float = 0.05
-    min_threshold: float = 0.05
-    max_threshold: float = 0.95
     min_scored: int = 16
     cooldown_ticks: int = 4
 
     def __post_init__(self) -> None:
         if not self.tolerance >= 0:  # written so that a NaN fails it
             raise ValueError("tolerance must be non-negative")
-        if not 0.0 < self.step < 1.0:
-            raise ValueError("step must be in (0, 1)")
-        if not 0.0 < self.min_threshold < self.max_threshold < 1.0:
-            raise ValueError("need 0 < min_threshold < max_threshold < 1")
         if self.min_scored < 1:
             raise ValueError("min_scored must be at least 1")
         if self.cooldown_ticks < 0:
@@ -139,9 +136,9 @@ class ThresholdDriftController(Controller):
                     ("window_scored", float(window_scored)),
                 )
                 if observed > expected * (1.0 + config.tolerance):
-                    target = min(config.max_threshold, stats.threshold + config.step)
+                    target = min(_MAX_THRESHOLD, stats.threshold + _STEP)
                 elif expected > 0.0 and observed < expected * (1.0 - config.tolerance):
-                    target = max(config.min_threshold, stats.threshold - config.step)
+                    target = max(_MIN_THRESHOLD, stats.threshold - _STEP)
                 else:
                     candidates.append(
                         CandidateScore(
@@ -188,9 +185,9 @@ class ThresholdDriftController(Controller):
                     },
                     gates={
                         "tolerance": config.tolerance,
-                        "step": config.step,
-                        "min_threshold": config.min_threshold,
-                        "max_threshold": config.max_threshold,
+                        "step": _STEP,
+                        "min_threshold": _MIN_THRESHOLD,
+                        "max_threshold": _MAX_THRESHOLD,
                         "min_scored": config.min_scored,
                         "cooldown_ticks": config.cooldown_ticks,
                     },

@@ -16,6 +16,11 @@ from typing import Mapping
 
 __all__ = ["LayerSelection", "select_input_layer"]
 
+# The acceptable reduction window, as multiples of the object height: the
+# paper's 20:1-50:1 rule for a 40-pixel object.
+_LOWER_FACTOR = 0.5
+_UPPER_FACTOR = 1.25
+
 
 @dataclass(frozen=True)
 class LayerSelection:
@@ -36,8 +41,6 @@ def select_input_layer(
     frame_height: int,
     object_height: int,
     layer_shapes: Mapping[str, tuple[int, int, int]],
-    lower_factor: float = 0.5,
-    upper_factor: float = 1.25,
 ) -> LayerSelection:
     """Pick the base-DNN layer whose spatial reduction suits an object size.
 
@@ -53,23 +56,20 @@ def select_input_layer(
         e.g. from :func:`repro.features.base_dnn.mobilenet_layer_shapes` or
         ``Sequential.layer_output_shapes()``.  Iteration order should be
         network order (dicts preserve insertion order).
-    lower_factor, upper_factor:
-        The acceptable reduction window expressed as multiples of
-        ``object_height``; the defaults reproduce the paper's 20:1-50:1 rule
-        for a 40-pixel object.
 
     Returns
     -------
     LayerSelection
-        The first layer whose reduction falls inside the window; if none
-        does, the layer whose reduction is closest to ``object_height``.
+        The first layer whose reduction lies between 0.5x and 1.25x
+        ``object_height``; if none does, the layer whose reduction is
+        closest to ``object_height``.
     """
     if frame_height <= 0 or object_height <= 0:
         raise ValueError("frame_height and object_height must be positive")
     if not layer_shapes:
         raise ValueError("layer_shapes must be non-empty")
-    lower = lower_factor * object_height
-    upper = upper_factor * object_height
+    lower = _LOWER_FACTOR * object_height
+    upper = _UPPER_FACTOR * object_height
 
     best: LayerSelection | None = None
     best_distance = float("inf")

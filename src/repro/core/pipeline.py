@@ -34,22 +34,15 @@ __all__ = [
 class PipelineConfig:
     """Pipeline-wide knobs.
 
-    ``smoothing_window``/``smoothing_votes`` are the paper's N=5, K=2
-    K-voting defaults; ``batch_size`` bounds how many frames are scored per
-    microclassifier inference call.
+    ``batch_size`` bounds how many frames are scored per microclassifier
+    inference call.  Smoothing is always the paper's N=5, K=2 K-voting.
     """
 
-    smoothing_window: int = 5
-    smoothing_votes: int = 2
     batch_size: int = 32
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.smoothing_window < 1:
-            raise ValueError("smoothing_window must be at least 1")
-        if not 1 <= self.smoothing_votes <= self.smoothing_window:
-            raise ValueError("smoothing_votes must be in [1, smoothing_window]")
 
 
 def mc_input_feature_map(

@@ -146,8 +146,6 @@ class StreamingPipeline:
     config:
         Pipeline knobs; ``batch_size`` bounds both scoring latency and the
         feature-map memory held per MC.
-    codec:
-        H.264 simulator for upload rate accounting.
     frame_rate:
         Nominal frame rate of the pushed sequence (used for upload
         accounting at :meth:`finish`).
@@ -162,7 +160,6 @@ class StreamingPipeline:
         extractor: FeatureExtractor,
         microclassifiers: list[MicroClassifier],
         config: PipelineConfig | None = None,
-        codec: H264Simulator | None = None,
         frame_rate: float = 30.0,
         resolution: tuple[int, int] | None = None,
         annotate_frames: bool = True,
@@ -184,20 +181,12 @@ class StreamingPipeline:
         self.extractor = extractor
         self.microclassifiers = list(microclassifiers)
         self.config = config or PipelineConfig()
-        self.codec = codec or H264Simulator()
+        self.codec = H264Simulator()
         self.frame_rate = float(frame_rate)
         self.resolution = resolution
         self.annotate_frames = bool(annotate_frames)
         self._states = [
-            _McState(
-                mc=mc,
-                detector=EventDetector(
-                    mc.name,
-                    window=self.config.smoothing_window,
-                    votes=self.config.smoothing_votes,
-                ),
-            )
-            for mc in self.microclassifiers
+            _McState(mc=mc, detector=EventDetector(mc.name)) for mc in self.microclassifiers
         ]
         # Banks are resolved once, at bind time: regrouping per push would tax
         # every fleet camera, whose single MC is a bank of one.

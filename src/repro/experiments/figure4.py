@@ -87,10 +87,9 @@ def run_figure4(
     compress_bitrates: list[float] | None = None,
     ff_upload_bitrate: float | None = None,
     trained: TrainedClassifier | None = None,
-    codec: H264Simulator | None = None,
 ) -> Figure4Result:
     """Produce the Figure 4 series for one microclassifier architecture."""
-    codec = codec or H264Simulator()
+    codec = H264Simulator()
     compress_bitrates = compress_bitrates or default_bitrate_sweep(context)
     ff_upload_bitrate = (
         ff_upload_bitrate

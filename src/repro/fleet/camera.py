@@ -28,6 +28,9 @@ from repro.video.synthetic import SceneConfig, SurveillanceSceneGenerator
 
 __all__ = ["SCENARIOS", "CameraSpec", "CameraFeed", "generate_fleet", "district_of"]
 
+# generate_fleet draws each camera's start offset from [0, _STAGGER_SECONDS).
+_STAGGER_SECONDS = 0.25
+
 # Scenario presets: object spawn rates (events per frame) and rendering
 # knobs, before the per-camera ``event_rate_scale`` is applied.
 SCENARIOS: dict[str, dict[str, float]] = {
@@ -211,7 +214,6 @@ def generate_fleet(
     resolutions: Sequence[tuple[int, int]] = ((64, 48), (80, 48), (96, 64)),
     frame_rates: Sequence[float] = (5.0, 8.0, 10.0, 15.0),
     scenarios: Sequence[str] | None = None,
-    stagger_seconds: float = 0.25,
     districts: int | None = None,
 ) -> list[CameraSpec]:
     """Deterministically sample a diverse synthetic camera fleet.
@@ -272,7 +274,7 @@ def generate_fleet(
                 scenario=scenario,
                 seed=int(rng.integers(2**31)),
                 event_rate_scale=float(rng.uniform(0.5, 1.5)),
-                start_time=float(rng.uniform(0.0, stagger_seconds)),
+                start_time=float(rng.uniform(0.0, _STAGGER_SECONDS)),
             )
         )
     return fleet

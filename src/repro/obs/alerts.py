@@ -13,8 +13,8 @@ fire/resolve :class:`AlertEvent`\\ s.  Two rule families ship:
 * :class:`BurnRateRule` — the SRE error-budget view derived from
   :class:`~repro.obs.slo.SLOConfig`: windowed SLO violations over windowed
   frames, divided by the allowed violation fraction ``1 - objective``.
-  :func:`slo_burn_rule` builds one straight from a config, inheriting its
-  ``burn_alert`` threshold.
+  :func:`slo_burn_rule` builds one straight from a config, at the burn-rate
+  multiple that flags a camera burning.
 
 Rules carry *for-duration* hysteresis (``for_seconds``): the condition must
 hold continuously that long before the alert fires, so a metric flapping
@@ -29,11 +29,12 @@ and :class:`~repro.fleet.sharding.ShardedFleetReport`, and consumed by
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.obs.slo import DeliverySLOConfig, SLOConfig
+from repro.obs.slo import _BURN_ALERT, DeliverySLOConfig, SLOConfig
 from repro.obs.timeline import MetricsTimeline, TimelineSample
 
 __all__ = [
@@ -60,7 +61,7 @@ def _check_common(name: str, severity: str, for_seconds: float) -> None:
         raise ValueError(
             f"Unknown severity {severity!r}; expected one of {ALERT_SEVERITIES}"
         )
-    if for_seconds < 0:
+    if not for_seconds >= 0:  # written so that a NaN fails it
         raise ValueError("for_seconds must be non-negative")
 
 
@@ -87,6 +88,8 @@ class AlertRule:
 
     def __post_init__(self) -> None:
         _check_common(self.name, self.severity, self.for_seconds)
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must be a number, not NaN")
         if self.op not in _OPS:
             raise ValueError(f"Unknown op {self.op!r}; expected one of {_OPS}")
         if self.mode not in _MODES:
@@ -152,9 +155,10 @@ class BurnRateRule:
         _check_common(self.name, self.severity, self.for_seconds)
         if not 0.0 < self.objective < 1.0:
             raise ValueError("objective must be in (0, 1)")
-        if self.threshold <= 0:
+        # Written so that a NaN fails each guard.
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.window_seconds <= 0:
+        if not self.window_seconds > 0:
             raise ValueError("window_seconds must be positive")
 
     def evaluate(
@@ -193,15 +197,15 @@ def slo_burn_rule(
 ) -> BurnRateRule:
     """A freshness burn-rate rule derived from one SLO config.
 
-    Inherits the config's ``objective`` and its ``burn_alert`` multiple, so
-    the timeline-side alert agrees with the runtime's per-camera
-    :attr:`~repro.obs.slo.CameraSLOStatus.burning` flag about what "too
-    fast" means.
+    Inherits the config's ``objective`` and pages at the burn-rate multiple
+    that flags a camera burning, so the timeline-side alert agrees with the
+    runtime's per-camera :attr:`~repro.obs.slo.CameraSLOStatus.burning` flag
+    about what "too fast" means.
     """
     return BurnRateRule(
         name=name,
         objective=config.objective,
-        threshold=config.burn_alert,
+        threshold=_BURN_ALERT,
         window_seconds=window_seconds,
         for_seconds=for_seconds,
         severity=severity,
@@ -221,7 +225,7 @@ def delivery_burn_rule(
 
     Burns when published event records miss the delivery SLO
     (``events.ack_violations`` — delivered too late, or never) faster than
-    ``(1 - objective) * burn_alert`` of the publish rate
+    twice ``(1 - objective)`` of the publish rate
     (``events.published``) allows.  Pair with an
     :class:`~repro.events.plane.EventDeliveryPlane` configured with the
     same :class:`~repro.obs.slo.DeliverySLOConfig` so the counters exist.
@@ -229,7 +233,7 @@ def delivery_burn_rule(
     return BurnRateRule(
         name=name,
         objective=config.objective,
-        threshold=config.burn_alert,
+        threshold=_BURN_ALERT,
         window_seconds=window_seconds,
         for_seconds=for_seconds,
         severity=severity,

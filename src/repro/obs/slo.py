@@ -16,11 +16,11 @@ The SLO *objective* is the fraction of frames that must be fresh (e.g.
 0.95).  Error-budget accounting follows the SRE convention: with ``n``
 frames observed, the budget is ``(1 - objective) * n`` violations; spending
 past it drives :attr:`CameraSLOStatus.error_budget_remaining` negative.  The
-*burn rate* is the violation fraction over a sliding window of the last
-``burn_window`` frames divided by the allowed fraction — 1.0 burns the
-budget exactly at the sustainable rate, and a camera whose burn rate exceeds
-``burn_alert`` is flagged :attr:`~CameraSLOStatus.burning` (the signal a
-shedding controller should react to *now*, not at end of run).
+*burn rate* is the violation fraction over a sliding window of the last 64
+frames divided by the allowed fraction — 1.0 burns the budget exactly at the
+sustainable rate, and a camera whose burn rate reaches 2.0 is flagged
+:attr:`~CameraSLOStatus.burning` (the signal a shedding controller should
+react to *now*, not at end of run).
 
 Everything is driven by the simulated clock, so SLO reports are
 deterministic and bit-identical across same-seed runs.
@@ -33,6 +33,12 @@ from dataclasses import dataclass
 
 __all__ = ["SLOConfig", "CameraSLOStatus", "DeliverySLOConfig", "SLOTracker", "SLOReport"]
 
+# Frames in each camera's burn-rate window.
+_BURN_WINDOW = 64
+# The burn-rate multiple that flags a camera burning and pages the burn rules
+# of :mod:`repro.obs.alerts`.
+_BURN_ALERT = 2.0
+
 
 @dataclass(frozen=True)
 class SLOConfig:
@@ -41,8 +47,6 @@ class SLOConfig:
     freshness_target_seconds: float = 0.5
     latency_target_seconds: float = 0.25
     objective: float = 0.95
-    burn_window: int = 64
-    burn_alert: float = 2.0
 
     def __post_init__(self) -> None:
         # Written so that a NaN fails each guard.
@@ -52,10 +56,6 @@ class SLOConfig:
             raise ValueError("latency_target_seconds must be positive")
         if not 0.0 < self.objective < 1.0:
             raise ValueError("objective must be in (0, 1)")
-        if self.burn_window < 1:
-            raise ValueError("burn_window must be at least 1")
-        if not self.burn_alert > 0:
-            raise ValueError("burn_alert must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,13 @@ class DeliverySLOConfig:
     An event record meets the SLO iff its delivery latency — first
     successful datacenter ingest completion minus the event's close time —
     is at most ``ack_latency_seconds``.  ``objective`` is the fraction of
-    published records that must meet it; ``burn_alert`` is the burn-rate
-    threshold at which :func:`repro.obs.alerts.delivery_burn_rule` pages
-    (same convention as :class:`SLOConfig`).
+    published records that must meet it.
+    :func:`repro.obs.alerts.delivery_burn_rule` pages at the same burn-rate
+    multiple as :class:`SLOConfig` (2.0).
     """
 
     ack_latency_seconds: float = 1.0
     objective: float = 0.99
-    burn_alert: float = 2.0
 
     def __post_init__(self) -> None:
         # Written so that a NaN fails each guard.
@@ -80,8 +79,6 @@ class DeliverySLOConfig:
             raise ValueError("ack_latency_seconds must be positive")
         if not 0.0 < self.objective < 1.0:
             raise ValueError("objective must be in (0, 1)")
-        if not self.burn_alert > 0:
-            raise ValueError("burn_alert must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ class _CameraSLO:
         self.fresh = 0
         self.scored = 0
         self.within_latency = 0
-        self._window: deque[bool] = deque(maxlen=config.burn_window)
+        self._window: deque[bool] = deque(maxlen=_BURN_WINDOW)
 
     def record_scored(self, latency_seconds: float) -> tuple[bool, bool]:
         """Account one scored frame; returns ``(fresh, within_latency)``."""
@@ -174,7 +171,7 @@ class _CameraSLO:
     def record_lost(self, count: int = 1) -> None:
         """Account ``count`` frames that will never be scored (never fresh)."""
         self.frames += count
-        for _ in range(min(count, self.config.burn_window)):
+        for _ in range(min(count, _BURN_WINDOW)):
             self._window.append(False)
 
     @property
@@ -196,7 +193,7 @@ class _CameraSLO:
             scored=self.scored,
             within_latency=self.within_latency,
             burn_rate=burn_rate,
-            burning=burn_rate >= self.config.burn_alert,
+            burning=burn_rate >= _BURN_ALERT,
         )
 
 

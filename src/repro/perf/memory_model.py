@@ -18,6 +18,14 @@ from dataclasses import dataclass
 __all__ = ["MemoryEstimate", "MemoryModel"]
 
 _GIB = 1024**3
+# The paper's node (32 GiB); one full MobileNet instance with framework
+# overhead and full-resolution activations ("more than 1 GB"), also the cost
+# of FilterForward's one shared base DNN; and what each microclassifier adds
+# (weights + activation buffers).
+_NODE_MEMORY_BYTES = 32.0 * _GIB
+_MOBILENET_INSTANCE_BYTES = 1.05 * _GIB
+_BASE_DNN_BYTES = 1.05 * _GIB
+_MC_INSTANCE_BYTES = 40.0 * 1024**2
 
 
 @dataclass(frozen=True)
@@ -42,25 +50,7 @@ class MemoryEstimate:
 
 @dataclass(frozen=True)
 class MemoryModel:
-    """Edge-node memory accounting.
-
-    Parameters
-    ----------
-    node_memory_bytes:
-        Total RAM of the edge node (32 GB in the paper's testbed).
-    mobilenet_instance_bytes:
-        Memory of one full MobileNet instance including framework overhead
-        and activations at full resolution (paper: "more than 1 GB").
-    base_dnn_bytes:
-        Memory of FilterForward's single shared base DNN.
-    mc_instance_bytes:
-        Memory added by each microclassifier (weights + activation buffers).
-    """
-
-    node_memory_bytes: float = 32.0 * _GIB
-    mobilenet_instance_bytes: float = 1.05 * _GIB
-    base_dnn_bytes: float = 1.05 * _GIB
-    mc_instance_bytes: float = 40.0 * 1024**2
+    """Edge-node memory accounting at the paper's node and model sizes."""
 
     def mobilenets_memory(self, num_classifiers: int) -> MemoryEstimate:
         """Footprint of running ``num_classifiers`` full MobileNets."""
@@ -68,8 +58,8 @@ class MemoryModel:
         return MemoryEstimate(
             strategy="multiple_mobilenets",
             num_classifiers=num_classifiers,
-            bytes_used=num_classifiers * self.mobilenet_instance_bytes,
-            bytes_available=self.node_memory_bytes,
+            bytes_used=num_classifiers * _MOBILENET_INSTANCE_BYTES,
+            bytes_available=_NODE_MEMORY_BYTES,
         )
 
     def filterforward_memory(self, num_classifiers: int) -> MemoryEstimate:
@@ -78,8 +68,8 @@ class MemoryModel:
         return MemoryEstimate(
             strategy="filterforward",
             num_classifiers=num_classifiers,
-            bytes_used=self.base_dnn_bytes + num_classifiers * self.mc_instance_bytes,
-            bytes_available=self.node_memory_bytes,
+            bytes_used=_BASE_DNN_BYTES + num_classifiers * _MC_INSTANCE_BYTES,
+            bytes_available=_NODE_MEMORY_BYTES,
         )
 
     def mobilenets_fit(self, num_classifiers: int) -> bool:

@@ -23,7 +23,7 @@ The simulator is deliberately simple, calibrated so that ~2 Mb/s for a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,8 @@ __all__ = ["CompressedFrame", "EncodedSegment", "H264Simulator"]
 # detail loss).  0.10 bpp at 1080p15 is ~3.1 Mb/s, consistent with "good
 # quality" H.264 for static surveillance scenes.
 _TRANSPARENT_BPP = 0.10
+# How strongly per-frame temporal complexity modulates the bit allocation.
+_COMPLEXITY_WEIGHT = 0.5
 # Detail scale is never allowed below this floor (the codec always keeps
 # *some* structure).
 _MIN_DETAIL_SCALE = 0.04
@@ -83,30 +85,10 @@ class EncodedSegment:
 class H264Simulator:
     """Rate-distortion model of an H.264 encoder.
 
-    Parameters
-    ----------
-    transparent_bpp:
-        Bits-per-pixel at and above which no detail is lost.
-    complexity_weight:
-        How strongly per-frame temporal complexity modulates the bit
-        allocation (0 disables content adaptivity).
-    seed:
-        Seed for the (tiny) stochastic component of the bit allocation.
+    The model is fixed and deterministic: detail survives in full at and
+    above 0.10 bits per pixel, and a frame's bits scale with its temporal
+    complexity at weight 0.5.
     """
-
-    def __init__(
-        self,
-        transparent_bpp: float = _TRANSPARENT_BPP,
-        complexity_weight: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        if transparent_bpp <= 0:
-            raise ValueError("transparent_bpp must be positive")
-        if not 0.0 <= complexity_weight <= 1.0:
-            raise ValueError("complexity_weight must be in [0, 1]")
-        self.transparent_bpp = float(transparent_bpp)
-        self.complexity_weight = float(complexity_weight)
-        self._rng = np.random.default_rng(seed)
 
     # -- rate model --------------------------------------------------------
     @staticmethod
@@ -140,7 +122,7 @@ class H264Simulator:
         if mean <= 0:
             return np.ones(diffs.size)
         relative = diffs / mean
-        return 1.0 + self.complexity_weight * (relative - 1.0)
+        return 1.0 + _COMPLEXITY_WEIGHT * (relative - 1.0)
 
     def detail_scale_for_bpp(self, bits_per_pixel: float) -> float:
         """Fraction of spatial detail retained at ``bits_per_pixel``.
@@ -150,7 +132,7 @@ class H264Simulator:
         """
         if bits_per_pixel <= 0:
             return _MIN_DETAIL_SCALE
-        scale = np.sqrt(bits_per_pixel / self.transparent_bpp)
+        scale = np.sqrt(bits_per_pixel / _TRANSPARENT_BPP)
         return float(np.clip(scale, _MIN_DETAIL_SCALE, 1.0))
 
     def quantization_levels_for_bpp(self, bits_per_pixel: float) -> int:

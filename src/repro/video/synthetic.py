@@ -28,6 +28,12 @@ __all__ = ["SceneConfig", "SurveillanceSceneGenerator", "TASK_PEDESTRIAN", "TASK
 TASK_PEDESTRIAN = "pedestrian_in_crosswalk"
 TASK_PEOPLE_WITH_RED = "person_with_red"
 
+# Object heights as fractions of the frame height, and the vehicles' speed
+# range in pixels per frame at 256 pixels wide.
+_PERSON_HEIGHT_FRACTION = 0.07
+_CAR_HEIGHT_FRACTION = 0.05
+_VEHICLE_SPEED_RANGE = (2.0, 5.0)
+
 
 @dataclass
 class SceneConfig:
@@ -48,10 +54,7 @@ class SceneConfig:
     car_rate: float = 0.02
     cyclist_rate: float = 0.004
     crossing_fraction: float = 0.45
-    person_height_fraction: float = 0.07
-    car_height_fraction: float = 0.05
     person_speed_range: tuple[float, float] = (1.5, 3.0)
-    vehicle_speed_range: tuple[float, float] = (2.0, 5.0)
     max_person_duration: int | None = None
     noise_std: float = 0.01
     object_seed: int | None = None
@@ -69,12 +72,13 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite and non-negative")
         if not 0.0 <= self.crossing_fraction <= 1.0:
             raise ValueError("crossing_fraction must be in [0, 1]")
-        for name in ("person_speed_range", "vehicle_speed_range"):
-            low, high = getattr(self, name)
-            if low <= 0 or high < low:
-                raise ValueError(f"{name} must be an increasing pair of positive speeds")
+        low, high = self.person_speed_range
+        if low <= 0 or high < low:
+            raise ValueError("person_speed_range must be an increasing pair of positive speeds")
         if self.max_person_duration is not None and self.max_person_duration < 2:
             raise ValueError("max_person_duration must be at least 2 frames")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be finite and non-negative")
 
 
 @dataclass
@@ -110,9 +114,9 @@ class SurveillanceSceneGenerator:
         bg = self.background
         objects: list[MovingObject] = []
         object_id = 0
-        person_h = max(6, int(cfg.person_height_fraction * cfg.height))
+        person_h = max(6, int(_PERSON_HEIGHT_FRACTION * cfg.height))
         person_w = max(2, person_h // 3)
-        car_h = max(5, int(cfg.car_height_fraction * cfg.height))
+        car_h = max(5, int(_CAR_HEIGHT_FRACTION * cfg.height))
         car_w = car_h * 3
 
         rates = {
@@ -223,7 +227,7 @@ class SurveillanceSceneGenerator:
         cfg = self.config
         road_y0, road_y1 = self.background.road_rows
         y = rng.uniform(road_y0, max(road_y0 + 1, road_y1 - size[1]))
-        speed = rng.uniform(*cfg.vehicle_speed_range) * max(0.5, cfg.width / 256.0)
+        speed = rng.uniform(*_VEHICLE_SPEED_RANGE) * max(0.5, cfg.width / 256.0)
         left_to_right = rng.random() < 0.5
         x0 = -float(size[0]) if left_to_right else float(cfg.width)
         vx = speed if left_to_right else -speed

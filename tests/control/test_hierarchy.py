@@ -21,7 +21,7 @@ from repro.control.hierarchy import (
 )
 from repro.control.migration import MigrationConfig, MigrationController
 from repro.control.policies import ClusterView, NodeView
-from repro.control.uplink import UplinkShareConfig, UplinkShareController
+from repro.control.uplink import UplinkShareController
 from repro.fleet.accuracy import AccuracyConfig, TrainedMicroClassifiers
 from repro.fleet.camera import generate_fleet
 from repro.fleet.runtime import FleetConfig
@@ -84,8 +84,6 @@ class TestQuantileSketch:
         assert empty.count == 0
         with pytest.raises(ValueError):
             empty.percentile(101)
-        with pytest.raises(ValueError):
-            QuantileSketch.from_values([1.0], max_centroids=0)
 
     def test_deterministic(self):
         values = [((i * 37) % 101) / 10.0 for i in range(500)]
@@ -225,9 +223,7 @@ class TestClusterCoordinator:
             aggregate.counter_value("frames.never_carried")
 
     def test_uplink_skews_toward_demand(self):
-        coordinator = ClusterCoordinator(
-            uplink_config=UplinkShareConfig(smoothing=1.0, rebalance_threshold=0.05)
-        )
+        coordinator = ClusterCoordinator()
         aggregates = {
             "node0": make_aggregate("node0", matched=90.0),
             "node1": make_aggregate("node1", matched=10.0),
@@ -242,9 +238,8 @@ class TestClusterCoordinator:
         assert (record.controller, record.kind) == ("cluster_uplink", "rebalance")
 
     def test_uplink_holds_inside_threshold(self):
-        coordinator = ClusterCoordinator(
-            uplink_config=UplinkShareConfig(smoothing=1.0, rebalance_threshold=0.5)
-        )
+        coordinator = ClusterCoordinator()
+        # Targets 0.54 / 0.46: inside the 0.10 rebalance threshold.
         aggregates = {
             "node0": make_aggregate("node0", matched=55.0),
             "node1": make_aggregate("node1", matched=45.0),

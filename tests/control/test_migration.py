@@ -13,8 +13,6 @@ from control_helpers import FakeRuntime, make_stats, make_view
 
 CONFIG = MigrationConfig(
     imbalance_threshold=1.2,
-    overload_threshold=1.0,
-    headroom_threshold=0.85,
     sustain_ticks=2,
     cooldown_ticks=2,
     camera_cooldown_ticks=4,

@@ -10,7 +10,6 @@ from repro.control import (
     SetCameraThreshold,
     SetDropPolicy,
     SetUplinkWeights,
-    UplinkShareConfig,
 )
 from repro.fleet.queues import DropPolicy
 
@@ -76,14 +75,6 @@ class TestConfigValidation:
             MigrationConfig(payback_factor=0.5)
         with pytest.raises(ValueError, match="non-negative"):
             MigrationCostModel(blackout_seconds=-0.1)
-
-    def test_uplink_share_config(self):
-        with pytest.raises(ValueError, match="smoothing"):
-            UplinkShareConfig(smoothing=0.0)
-        with pytest.raises(ValueError, match="min_share"):
-            UplinkShareConfig(min_share=1.0)
-        with pytest.raises(ValueError, match="rebalance_threshold"):
-            UplinkShareConfig(rebalance_threshold=0.0)
 
     def test_cost_model_cold_start(self):
         model = MigrationCostModel(blackout_seconds=0.2, cold_start_seconds=0.3)

@@ -256,7 +256,7 @@ def test_golden_scenario_every_action_has_a_decision():
 
 @pytest.mark.parametrize(
     "gate, value",
-    [("high_watermark_seconds", 0.31), ("uplink_high_watermark_seconds", 1.51)],
+    [("high_watermark_seconds", 0.31)],
 )
 def test_perturbed_gate_changes_the_trace(gate, value):
     """The provenance layer records real thresholds: nudging a shedding

@@ -79,10 +79,7 @@ class TestSheddingConfig:
         "kwargs, match",
         [
             (dict(high_watermark_seconds=0.1, low_watermark_seconds=0.1), "hysteresis"),
-            (
-                dict(uplink_high_watermark_seconds=0.5, uplink_low_watermark_seconds=0.5),
-                "uplink high watermark",
-            ),
+            (dict(low_watermark_seconds=0.3), "hysteresis"),
             (dict(cameras_per_step=0), "cameras_per_step"),
             (dict(quota_ladder=()), "rung"),
             (dict(quota_ladder=(2, 0)), "rungs"),

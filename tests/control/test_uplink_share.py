@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import SetUplinkWeights, UplinkShareConfig, UplinkShareController
+from repro.control import SetUplinkWeights, UplinkShareController
 
 from control_helpers import FakeRuntime, make_stats, make_view
 
@@ -24,7 +24,7 @@ class TestRebalance:
         assert controller.decide(view) == []
 
     def test_skewed_demand_reweights_toward_the_uploader(self):
-        controller = UplinkShareController(UplinkShareConfig(smoothing=1.0, min_share=0.1))
+        controller = UplinkShareController()
         view = make_view(cluster(30, 10), uplink_weights=EQUAL)
         [action] = controller.decide(view)
         assert isinstance(action, SetUplinkWeights)
@@ -34,30 +34,24 @@ class TestRebalance:
         assert weights["node1"] == pytest.approx(0.3, abs=1e-3)
 
     def test_min_share_floor_protects_quiet_nodes(self):
-        controller = UplinkShareController(UplinkShareConfig(smoothing=1.0, min_share=0.2))
+        controller = UplinkShareController()
         [action] = controller.decide(make_view(cluster(100, 0), uplink_weights=EQUAL))
         weights = action.as_mapping()
-        assert weights["node1"] >= 0.2 - 1e-9
+        assert weights["node1"] == pytest.approx(0.1)
         assert sum(weights.values()) == pytest.approx(1.0)
 
     def test_small_drift_is_held(self):
-        controller = UplinkShareController(
-            UplinkShareConfig(smoothing=1.0, rebalance_threshold=0.10)
-        )
+        controller = UplinkShareController()
+        # Targets 0.519 / 0.481: inside the 0.10 rebalance threshold.
         view = make_view(cluster(11, 10), uplink_weights=EQUAL)
         assert controller.decide(view) == []
-
-    def test_zero_min_share_still_emits_positive_weights(self):
-        controller = UplinkShareController(UplinkShareConfig(smoothing=1.0, min_share=0.0))
-        [action] = controller.decide(make_view(cluster(100, 0), uplink_weights=EQUAL))
-        assert all(weight > 0 for _, weight in action.weights)
 
     def test_no_demand_no_action(self):
         controller = UplinkShareController()
         assert controller.decide(make_view(cluster(0, 0), uplink_weights=EQUAL)) == []
 
     def test_demand_is_windowed_not_cumulative(self):
-        controller = UplinkShareController(UplinkShareConfig(smoothing=1.0))
+        controller = UplinkShareController()
         nodes = cluster(30, 10)
         controller.decide(make_view(nodes, uplink_weights=EQUAL))
         # Next window: node1 does all the uploading.

@@ -48,10 +48,6 @@ class TestThresholdDriftConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
             ThresholdDriftConfig(tolerance=-0.1)
-        with pytest.raises(ValueError, match="step"):
-            ThresholdDriftConfig(step=0.0)
-        with pytest.raises(ValueError, match="min_threshold"):
-            ThresholdDriftConfig(min_threshold=0.8, max_threshold=0.2)
         with pytest.raises(ValueError, match="min_scored"):
             ThresholdDriftConfig(min_scored=0)
         with pytest.raises(ValueError, match="cooldown"):
@@ -60,7 +56,7 @@ class TestThresholdDriftConfig:
 
 class TestThresholdDrift:
     CONFIG = ThresholdDriftConfig(
-        tolerance=0.5, step=0.05, min_scored=16, cooldown_ticks=2
+        tolerance=0.5, min_scored=16, cooldown_ticks=2
     )
 
     def test_over_firing_camera_gets_threshold_raised(self):
@@ -135,13 +131,14 @@ class TestThresholdDrift:
         assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
 
     def test_clamped_threshold_emits_no_noop_actions(self):
-        config = ThresholdDriftConfig(step=0.2, max_threshold=0.6, cooldown_ticks=0)
-        controller = ThresholdDriftController(config)
-        runtime = FakeRuntime({"cam000": drift_stats(matched=30, truth_positive=8)})
+        controller = ThresholdDriftController(ThresholdDriftConfig(cooldown_ticks=0))
+        runtime = FakeRuntime(
+            {"cam000": drift_stats(matched=30, truth_positive=8, threshold=0.93)}
+        )
         actions = controller.decide(make_view({"node0": runtime}))
-        assert actions[0].threshold == 0.6  # clamped
+        assert actions[0].threshold == 0.95  # clamped: 0.93 + 0.05 is past the ceiling
         runtime.cameras["cam000"] = drift_stats(
-            generated=80, scored=80, matched=60, truth_positive=16, threshold=0.6
+            generated=80, scored=80, matched=60, truth_positive=16, threshold=0.95
         )
         # Pinned at the clamp: stepping again would be a no-op, so silence.
         assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
@@ -153,7 +150,7 @@ class TestThresholdDrift:
         # the first post-cooldown window computes a negative match delta
         # ((4 - 30) / window) and spuriously lowers the threshold.
         controller = ThresholdDriftController(
-            ThresholdDriftConfig(tolerance=0.5, step=0.05, min_scored=16, cooldown_ticks=2)
+            ThresholdDriftConfig(tolerance=0.5, min_scored=16, cooldown_ticks=2)
         )
         runtime = FakeRuntime({"cam000": drift_stats(matched=30, truth_positive=8)})
         assert len(controller.decide(make_view({"node0": runtime}))) == 1
@@ -447,7 +444,7 @@ class TestTruthRankingKeepsMoreF1:
 
     def test_threshold_drift_composes_without_costing_macro_f1(self, run, value, models, fleet):
         drift = ThresholdDriftController(
-            ThresholdDriftConfig(tolerance=0.5, step=0.05, min_scored=12, cooldown_ticks=2)
+            ThresholdDriftConfig(tolerance=0.5, min_scored=12, cooldown_ticks=2)
         )
         drifted = run(self.shedding(), drift)
         lines = [line for line in drifted.control_log if "set_camera_threshold" in line]

@@ -47,7 +47,7 @@ def make_session(base_dnn, camera, seed, architecture="localized", threshold=0.6
     return StreamingPipeline(
         extractor,
         [mc],
-        config=PipelineConfig(batch_size=1, smoothing_window=3, smoothing_votes=2),
+        config=PipelineConfig(batch_size=1),
         frame_rate=10.0,
         resolution=(shape[1], shape[0]),
     )

@@ -16,10 +16,13 @@ class TestSelectInputLayer:
         assert selection.layer in ("conv4_2/sep", "conv5_6/sep")
 
     def test_widened_window_recovers_paper_layer_choice(self):
-        """Lowering the window's bottom edge reproduces the paper's conv4_2 pick (16:1)."""
+        """A window whose bottom edge sits below 16:1 reproduces the paper's conv4_2 pick.
+
+        The window scales with the object: for a 30-pixel object it spans 15:1-37.5:1.
+        """
         shapes = mobilenet_layer_shapes((1920, 1080), alpha=1.0)
         candidates = {k: shapes[k] for k in ("conv2_2/sep", "conv3_2/sep", "conv4_2/sep", "conv5_6/sep")}
-        selection = select_input_layer(1080, 40, candidates, lower_factor=0.35)
+        selection = select_input_layer(1080, 30, candidates)
         assert selection.layer == "conv4_2/sep"
 
     def test_small_objects_pick_shallow_layer(self):

@@ -48,15 +48,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PipelineConfig(batch_size=0)
 
-    def test_invalid_smoothing_window(self):
-        with pytest.raises(ValueError, match="smoothing_window"):
-            PipelineConfig(smoothing_window=0)
-
-    @pytest.mark.parametrize("votes", [0, 6])
-    def test_invalid_smoothing_votes(self, votes):
-        with pytest.raises(ValueError, match="smoothing_votes"):
-            PipelineConfig(smoothing_window=5, smoothing_votes=votes)
-
 
 class TestFeatureCollection:
     def test_base_dnn_runs_once_per_frame(self, pipeline, tiny_pipeline_stream, tiny_extractor):

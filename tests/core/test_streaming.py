@@ -137,7 +137,7 @@ def collect_feature_maps(extractor, mcs, stream):
     return {name: np.stack(maps, axis=0) for name, maps in per_mc.items()}
 
 
-def reference_process(extractor, mcs, stream, config, codec):
+def reference_process(extractor, mcs, stream, codec):
     """The original triple-pass batch flow, re-implemented independently."""
     feature_maps = collect_feature_maps(extractor, mcs, stream)
     frames = list(stream)
@@ -146,10 +146,7 @@ def reference_process(extractor, mcs, stream, config, codec):
         maps = feature_maps[mc.name]
         probabilities = score_classifier(mc, maps)
         decisions = (probabilities >= mc.config.threshold).astype(np.int8)
-        detector = EventDetector(
-            mc.name, window=config.smoothing_window, votes=config.smoothing_votes
-        )
-        smoothed, events = detector.detect(decisions)
+        smoothed, events = EventDetector(mc.name).detect(decisions)
         matched = np.flatnonzero(smoothed)
         encoded = None
         if matched.size:
@@ -183,7 +180,7 @@ def assert_matches_reference(extractor, mcs, stream, config):
     session = StreamingPipeline(
         extractor, mcs, config=config, frame_rate=stream.frame_rate, resolution=stream.resolution
     )
-    reference = reference_process(extractor, mcs, stream, config, session.codec)
+    reference = reference_process(extractor, mcs, stream, session.codec)
     result = session.process_stream(stream)
 
     assert result.num_frames == len(stream)
@@ -207,35 +204,24 @@ def assert_matches_reference(extractor, mcs, stream, config):
 
 class TestStreamingPipelineEquivalence:
     @pytest.mark.parametrize(
-        "seed,num_frames,batch_size,window,votes",
-        [
-            (0, 23, 4, 5, 2),
-            (1, 9, 1, 3, 1),
-            (2, 12, 32, 5, 2),
-            (3, 5, 5, 1, 1),
-            (4, 16, 7, 4, 3),
-        ],
+        "seed,num_frames,batch_size",
+        [(0, 23, 4), (1, 9, 1), (2, 12, 32), (3, 5, 5), (4, 16, 7)],
     )
     def test_identical_to_batch_reference(
-        self, tiny_extractor, three_mcs, seed, num_frames, batch_size, window, votes
+        self, tiny_extractor, three_mcs, seed, num_frames, batch_size
     ):
         """Property: streaming == batch on random synthetic streams."""
         rng = np.random.default_rng(seed)
         arrays = [rng.random((32, 48, 3)).astype(np.float32) for _ in range(num_frames)]
         stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=15.0)
-        config = PipelineConfig(batch_size=batch_size, smoothing_window=window, smoothing_votes=votes)
+        config = PipelineConfig(batch_size=batch_size)
         assert_matches_reference(tiny_extractor, three_mcs, stream, config)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_drawn_configurations_match_batch_reference(self, tiny_extractor, rng, seed):
-        """One MC per seed: drawn window, votes, batch size, architecture and threshold."""
+        """One MC per seed: drawn batch size, architecture and threshold."""
         draw = np.random.default_rng(2000 + seed)
-        window = int(draw.integers(1, 8))
-        config = PipelineConfig(
-            smoothing_window=window,
-            smoothing_votes=int(draw.integers(1, window + 1)),
-            batch_size=int(draw.integers(1, 7)),
-        )
+        config = PipelineConfig(batch_size=int(draw.integers(1, 7)))
         architecture = ["localized", "full_frame", "windowed"][int(draw.integers(3))]
         mc = build_microclassifier(
             architecture,
@@ -279,7 +265,7 @@ class TestStreamingPipelineEquivalence:
 class TestStreamingPipelineBehavior:
     def test_bounded_memory(self, tiny_extractor, three_mcs, rng):
         """Internal buffers must not grow with stream length (O(1) per frame)."""
-        config = PipelineConfig(batch_size=4, smoothing_window=5, smoothing_votes=2)
+        config = PipelineConfig(batch_size=4)
         session = StreamingPipeline(
             tiny_extractor, three_mcs, config=config, frame_rate=15.0, resolution=(48, 32)
         )
@@ -547,7 +533,7 @@ def run_session(extractor, mcs, frames, batch_size, thresholds=None):
     session = StreamingPipeline(
         extractor,
         mcs,
-        config=PipelineConfig(batch_size=batch_size, smoothing_window=3, smoothing_votes=2),
+        config=PipelineConfig(batch_size=batch_size),
         frame_rate=15.0,
         annotate_frames=False,
     )

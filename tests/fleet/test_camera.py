@@ -5,6 +5,11 @@ import math
 import pytest
 
 from repro.fleet.camera import SCENARIOS, CameraFeed, CameraSpec, generate_fleet
+from repro.video.scenes import render_scene
+from repro.video.synthetic import SurveillanceSceneGenerator
+
+# Every resolution the benchmark's fleets render at.
+FLEET_RESOLUTIONS = ((64, 48), (80, 48), (96, 64), (32, 32), (48, 32))
 
 
 class TestCameraSpec:
@@ -55,6 +60,19 @@ class TestCameraFeed:
     def test_stream_rendered_once(self):
         feed = CameraFeed(CameraSpec("cam", 32, 32, 10.0, 4, seed=1))
         assert feed.stream is feed.stream
+
+    @pytest.mark.parametrize("resolution", FLEET_RESOLUTIONS, ids=lambda r: f"{r[0]}x{r[1]}")
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_a_frame_is_a_function_of_its_spec_and_index(self, scenario, resolution):
+        """Rendering frame i alone, in any order, gives the feed's frame i."""
+        spec = CameraSpec("cam", *resolution, 10.0, 12, scenario=scenario, seed=11)
+        generator = SurveillanceSceneGenerator(spec.scene_config())
+        objects = generator.spawn_objects()
+        noise_std = generator.config.noise_std
+        stream = CameraFeed(spec).stream
+        for i in reversed(range(spec.num_frames)):
+            pixels = render_scene(generator.background, objects, i, noise_std=noise_std)
+            assert pixels.tobytes() == stream[i].pixels.tobytes()
 
 
 class TestGenerateFleet:

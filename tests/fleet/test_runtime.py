@@ -13,7 +13,6 @@ from repro.control import (
     MigrationCostModel,
     SheddingConfig,
     ThresholdDriftConfig,
-    UplinkShareConfig,
 )
 from repro.control.hierarchy import HierarchicalControlPlane, NodeControlPlane
 from repro.edge.uplink import ConstrainedUplink
@@ -24,6 +23,7 @@ from repro.fleet.camera import CameraSpec
 from repro.fleet.runtime import FleetConfig, FleetRuntime, default_pipeline_factory
 from repro.fleet.sharding import ShardingConfig
 from repro.fleet.worker import WorkerPool, default_schedule
+from repro.obs.alerts import AlertRule, BurnRateRule, delivery_burn_rule, slo_burn_rule
 from repro.obs.slo import DeliverySLOConfig, SLOConfig
 from repro.video.frame import Frame
 
@@ -257,26 +257,41 @@ class TestFleetRuntime:
             ),
             pytest.param(lambda nan: SLOConfig(freshness_target_seconds=nan), id="freshness"),
             pytest.param(lambda nan: SLOConfig(latency_target_seconds=nan), id="latency"),
-            pytest.param(lambda nan: SLOConfig(burn_alert=nan), id="burn_alert"),
             pytest.param(lambda nan: DeliverySLOConfig(ack_latency_seconds=nan), id="ack_latency"),
-            pytest.param(lambda nan: DeliverySLOConfig(burn_alert=nan), id="delivery_burn_alert"),
             pytest.param(lambda nan: MigrationCostModel(blackout_seconds=nan), id="blackout"),
             pytest.param(lambda nan: MigrationCostModel(cold_start_seconds=nan), id="cold_start"),
             pytest.param(lambda nan: SheddingConfig(high_watermark_seconds=nan), id="high_wm"),
             pytest.param(lambda nan: SheddingConfig(low_watermark_seconds=nan), id="low_wm"),
-            pytest.param(
-                lambda nan: SheddingConfig(uplink_high_watermark_seconds=nan), id="uplink_high_wm"
-            ),
-            pytest.param(
-                lambda nan: SheddingConfig(uplink_low_watermark_seconds=nan), id="uplink_low_wm"
-            ),
             pytest.param(lambda nan: MigrationConfig(imbalance_threshold=nan), id="imbalance"),
             pytest.param(lambda nan: MigrationConfig(payback_factor=nan), id="payback"),
             pytest.param(lambda nan: ThresholdDriftConfig(tolerance=nan), id="drift_tolerance"),
-            pytest.param(
-                lambda nan: UplinkShareConfig(rebalance_threshold=nan), id="rebalance_threshold"
-            ),
             pytest.param(lambda nan: WorkerPool(service_time_scale=nan), id="worker_pool_scale"),
+            pytest.param(lambda nan: AlertRule("r", "m", threshold=nan), id="alert_threshold"),
+            pytest.param(
+                lambda nan: AlertRule("r", "m", threshold=1.0, for_seconds=nan),
+                id="alert_for_seconds",
+            ),
+            pytest.param(
+                lambda nan: BurnRateRule("r", 0.9, threshold=nan, window_seconds=1.0),
+                id="burn_threshold",
+            ),
+            pytest.param(
+                lambda nan: BurnRateRule(
+                    "r", 0.9, threshold=2.0, window_seconds=1.0, for_seconds=nan
+                ),
+                id="burn_for_seconds",
+            ),
+            pytest.param(
+                lambda nan: BurnRateRule("r", 0.9, threshold=2.0, window_seconds=nan),
+                id="burn_window_seconds",
+            ),
+            pytest.param(
+                lambda nan: slo_burn_rule(SLOConfig(), window_seconds=nan), id="slo_burn_window"
+            ),
+            pytest.param(
+                lambda nan: delivery_burn_rule(DeliverySLOConfig(), window_seconds=nan),
+                id="delivery_burn_window",
+            ),
         ],
     )
     def test_a_nan_setting_is_rejected(self, build):

@@ -229,10 +229,10 @@ def test_burn_rate_fires_when_violations_outpace_budget():
 
 
 def test_slo_burn_rule_inherits_config():
-    config = SLOConfig(objective=0.95, burn_alert=3.0)
+    config = SLOConfig(objective=0.9)
     rule = slo_burn_rule(config, window_seconds=4.0)
-    assert rule.objective == 0.95
-    assert rule.threshold == 3.0
+    assert rule.objective == 0.9
+    assert rule.threshold == 2.0  # the multiple that flags a camera burning
     assert rule.window_seconds == 4.0
     assert rule.severity == "page"
 

@@ -26,7 +26,7 @@ NODE_CONFIG = FleetConfig(
     num_workers=2,
     queue_capacity=3,
     drop_policy=DropPolicy.DROP_OLDEST,
-    slo=SLOConfig(objective=0.9, burn_window=8),
+    slo=SLOConfig(objective=0.9),
 )
 
 
@@ -202,7 +202,7 @@ class TestMigrationObservability:
             num_workers=1,
             queue_capacity=2,
             service_time_scale=50.0,
-            slo=SLOConfig(objective=0.9, burn_window=8),
+            slo=SLOConfig(objective=0.9),
         )
         source = FleetRuntime(self._cameras(), config=config)
         destination = FleetRuntime(

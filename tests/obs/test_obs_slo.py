@@ -9,7 +9,6 @@ class TestSLOConfig:
     def test_defaults_are_valid(self):
         config = SLOConfig()
         assert config.objective == 0.95
-        assert config.burn_window == 64
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -18,8 +17,6 @@ class TestSLOConfig:
             {"latency_target_seconds": -1.0},
             {"objective": 0.0},
             {"objective": 1.0},
-            {"burn_window": 0},
-            {"burn_alert": 0.0},
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
@@ -88,8 +85,6 @@ class TestSLOTracker:
             freshness_target_seconds=0.5,
             latency_target_seconds=0.25,
             objective=0.9,
-            burn_window=4,
-            burn_alert=2.0,
         )
         defaults.update(kwargs)
         return SLOTracker(SLOConfig(**defaults))
@@ -119,15 +114,15 @@ class TestSLOTracker:
         assert tracker.camera_status("cam") is None
 
     def test_burn_rate_is_windowed(self):
-        tracker = self._tracker()  # window 4, objective 0.9 -> allowed 10%
-        for _ in range(4):
+        tracker = self._tracker()  # window 64, objective 0.9 -> allowed 10%
+        for _ in range(64):
             tracker.record_scored("cam", 9.9)  # all stale
         status = tracker.camera_status("cam")
         assert status.burn_rate == pytest.approx(10.0)
         assert status.burning
-        # Four fresh frames push the stale ones out of the window: burn
+        # 64 fresh frames push the stale ones out of the window: burn
         # resets even though the cumulative SLI stays damaged.
-        for _ in range(4):
+        for _ in range(64):
             tracker.record_scored("cam", 0.01)
         status = tracker.camera_status("cam")
         assert status.burn_rate == 0.0
@@ -156,7 +151,7 @@ class TestSLOTracker:
 
 class TestSLOReport:
     def _report(self) -> SLOReport:
-        tracker = SLOTracker(SLOConfig(objective=0.9, burn_window=4))
+        tracker = SLOTracker(SLOConfig(objective=0.9))
         tracker.record_scored("cam0", 0.1)
         tracker.record_scored("cam0", 0.1)
         tracker.record_lost("cam1", 2)

@@ -22,12 +22,12 @@ from repro.control import (
     SheddingConfig,
     UplinkShareController,
 )
-from repro.control.hierarchy import HierarchicalControlPlane, QuantileSketch
+from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.policies import Controller, MigrateCamera, SetCameraThreshold
 from repro.events import BrokerConfig, DeliveryConfig, EventDeliveryPlane, OutboxConfig
 from repro.fleet.runtime import FleetReport, FleetRuntime, default_pipeline_factory
 from repro.fleet.sharding import ShardedFleetRuntime, ShardingConfig
-from repro.fleet.telemetry import TelemetryRegistry
+from repro.fleet.telemetry import TelemetryRegistry, nearest_rank
 from repro.obs import AlertRule, MetricsTimeline, Tracer
 
 SHEDDING = SheddingConfig(
@@ -190,8 +190,7 @@ def rollup(cluster: ShardedFleetRuntime, report, flat: bool = False) -> dict[str
         figures[gauge] = sum(
             counters.get(f"{node_id}.{name}", 0.0) for node_id in cluster.node_ids for name in names
         )
-    exact = QuantileSketch.from_values(window, max_centroids=max(1, len(window)))
-    figures["cluster.queue_wait.window_p99"] = exact.percentile(99)
+    figures["cluster.queue_wait.window_p99"] = nearest_rank(sorted(window), 0.99)
     return figures
 
 

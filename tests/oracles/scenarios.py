@@ -25,7 +25,7 @@ DIMENSIONS = dict(
     uplink_sharing=("static", "work_conserving"), drop_policy=tuple(DropPolicy),
     event_plane=(False, True), observe=(False, True),
 )
-OBSERVED_SLO = SLOConfig(objective=0.9, burn_window=8)
+OBSERVED_SLO = SLOConfig(objective=0.9)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.perf.memory_model import MemoryModel
+from repro.perf.memory_model import MemoryEstimate, MemoryModel
+
+GIB = 1024**3
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +47,7 @@ class TestMobileNetConstant:
         one = model.mobilenets_memory(1)
         ten = model.mobilenets_memory(10)
         assert ten.bytes_used == pytest.approx(10 * one.bytes_used)
-        assert ten.bytes_available == one.bytes_available == model.node_memory_bytes
+        assert ten.bytes_available == one.bytes_available == 32 * GIB
 
     def test_gigabytes_used_per_mobilenet(self, model):
         assert model.mobilenets_memory(4).gigabytes_used == pytest.approx(4 * 1.05)
@@ -56,21 +58,10 @@ class TestMobileNetConstant:
         with pytest.raises(ValueError, match="num_classifiers"):
             getattr(model, method)(count)
 
-    @pytest.mark.parametrize(
-        "instance_gib, limit", [(1.0, 32), (1.05, 30), (2.0, 16), (4.0, 8)]
-    )
-    def test_mobilenet_limit_follows_instance_size(self, instance_gib, limit):
-        sized = MemoryModel(mobilenet_instance_bytes=instance_gib * 1024**3)
-        assert sized.mobilenets_fit(limit)
-        assert not sized.mobilenets_fit(limit + 1)
-
     def test_exact_capacity_fits(self):
-        exact = MemoryModel(node_memory_bytes=4 * 1024**3, mobilenet_instance_bytes=1024**3)
-        assert exact.mobilenets_memory(4).fits
-        assert not exact.mobilenets_memory(5).fits
+        assert MemoryEstimate("multiple_mobilenets", 4, 4 * GIB, 4 * GIB).fits
+        assert not MemoryEstimate("multiple_mobilenets", 5, 5 * GIB, 4 * GIB).fits
 
     def test_filterforward_footprint_is_one_base_dnn_plus_mcs(self, model):
         estimate = model.filterforward_memory(7)
-        assert estimate.bytes_used == pytest.approx(
-            model.base_dnn_bytes + 7 * model.mc_instance_bytes
-        )
+        assert estimate.bytes_used == pytest.approx(1.05 * GIB + 7 * 40 * 1024**2)

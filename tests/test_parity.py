@@ -192,10 +192,15 @@ def test_every_manifest_artifact_has_a_reader():
         assert set(entry.get("references", ("rerun",))) <= {"rerun", "base"}
 
 
-def test_the_trained_fleet_examples_are_gated_against_the_base_and_run_nowhere_else():
+FLEET_EXAMPLES = (
+    "fleet_simulation", "sharded_fleet", "adaptive_fleet", "accuracy_fleet", "value_aware_fleet",
+)
+
+
+def test_the_fleet_examples_are_gated_against_the_base_and_run_nowhere_else():
     entries = {entry["name"]: entry for entry in parity.MANIFEST}
     ci = (parity.REPO / ".github" / "workflows" / "ci.yml").read_text()
-    for name in ("accuracy_fleet", "value_aware_fleet"):
+    for name in FLEET_EXAMPLES:
         entry = entries[name]
         assert entry["command"] == [f"{{tree}}/examples/{name}.py"]
         assert entry["artifacts"] == {"stdout.txt": "bytes"}

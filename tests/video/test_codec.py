@@ -37,12 +37,6 @@ class TestRateModel:
     def test_detail_scale_always_in_unit_interval(self, bpp):
         assert 0.0 < H264Simulator().detail_scale_for_bpp(bpp) <= 1.0
 
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            H264Simulator(transparent_bpp=0.0)
-        with pytest.raises(ValueError):
-            H264Simulator(complexity_weight=2.0)
-
 
 class TestEncoding:
     def test_total_bits_match_bitrate_budget(self, codec, tiny_stream):

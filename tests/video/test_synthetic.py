@@ -28,6 +28,8 @@ class TestSceneConfig:
             {"person_speed_range": (0.0, 1.0)},
             {"person_speed_range": (2.0, 1.0)},
             {"max_person_duration": 1},
+            {"noise_std": -0.01},
+            {"noise_std": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -233,6 +233,31 @@ MANIFEST = (
          "artifacts": {"stdout.txt": "bytes"}, "references": ("base",)}
         for example in ("quickstart", "multi_tenant_edge_node", "bandwidth_planning")
     ),
+    # The untrained fleets: one node's four regimes, three placements on
+    # four nodes, and the flat control plane against a hotspot, at the sizes
+    # CI once smoke-ran them.
+    {
+        "name": "fleet_simulation",
+        "command": ["{tree}/examples/fleet_simulation.py"],
+        "env": {"FLEET_SIM_CAMERAS": "8", "FLEET_SIM_DURATION": "1.5"},
+        "artifacts": {"stdout.txt": "bytes"},
+        "references": ("base",),
+    },
+    {
+        "name": "sharded_fleet",
+        "command": ["{tree}/examples/sharded_fleet.py"],
+        "env": {"SHARDED_FLEET_CAMERAS": "12", "SHARDED_FLEET_DURATION": "1.0"},
+        "artifacts": {"stdout.txt": "bytes"},
+        "references": ("base",),
+    },
+    {
+        "name": "adaptive_fleet",
+        "command": ["{tree}/examples/adaptive_fleet.py"],
+        "env": {"ADAPTIVE_FLEET_HOT": "8", "ADAPTIVE_FLEET_FILL": "12",
+                "ADAPTIVE_FLEET_DURATION": "1.5"},
+        "artifacts": {"stdout.txt": "bytes"},
+        "references": ("base",),
+    },
     # The trained fleets: TrainedMicroClassifiers.pipeline_factory() and
     # fit_and_calibrate end to end, at the sizes CI once smoke-ran them.
     {
