@@ -128,14 +128,6 @@ class DiscreteClassifier:
         """Relevance probabilities for a batch of frames."""
         return _SIGMOID(self.forward_logits(pixels, training=False)[:, 0])
 
-    def predict_proba(self, pixels: np.ndarray) -> float:
-        """Relevance probability for a single frame ``(H, W, 3)``."""
-        return float(self.predict_proba_batch(np.asarray(pixels)[None, ...])[0])
-
-    def classify(self, probability: float) -> bool:
-        """Apply the decision threshold."""
-        return bool(probability >= self.config.threshold)
-
     # -- training support ------------------------------------------------------
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backpropagate a gradient with respect to the logits."""
@@ -153,10 +145,6 @@ class DiscreteClassifier:
         ``input_shape`` defaults to the built one; any shape can be asked, built or not.
         """
         return self.model.multiply_adds(input_shape)
-
-    def num_parameters(self) -> int:
-        """Total scalar weights."""
-        return self.model.num_parameters()
 
 
 def discrete_classifier_pareto_configs() -> list[DiscreteClassifierConfig]:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.streaming import StreamingPipeline, StreamUpdate
+from repro.core.streaming import StreamingPipeline
 from repro.nn.batched import batched_forward_with_taps
 from repro.video.frame import Frame
 
@@ -47,11 +47,10 @@ class BatchedScorer:
             scorer.prime(session, frame)  # hand the slice to the camera
             session.push(frame)           # cache hit; no per-camera forward
 
-    or, when the caller controls the whole tick, :meth:`score_tick` does all
-    three steps.  ``prefetch`` may be called with frames whose activations
-    are already cached or already prefetched; those are skipped.  Ragged
-    tails are fine: a group of one camera degenerates to the bit-exact
-    ``N=1`` batched forward.
+    ``prefetch`` may be called with frames whose activations are already
+    cached or already prefetched; those are skipped.  Ragged tails are fine:
+    a group of one camera degenerates to the bit-exact ``N=1`` batched
+    forward.
     """
 
     def __init__(self) -> None:
@@ -61,11 +60,6 @@ class BatchedScorer:
         self.frames_batched = 0
 
     # -- introspection -----------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Prefetched activation sets not yet primed into an extractor."""
-        return len(self._ready)
-
     def has(self, session: StreamingPipeline, frame: Frame) -> bool:
         """Whether ``frame``'s activations are ready (prefetched or cached)."""
         extractor = session.extractor
@@ -133,16 +127,3 @@ class BatchedScorer:
             return False
         session.extractor.prime(frame.index, activations)
         return True
-
-    def score_tick(self, entries: Sequence[Entry]) -> list[StreamUpdate]:
-        """Prefetch, prime, and push every entry of one node tick, in order."""
-        self.prefetch(entries)
-        updates = []
-        for session, frame in entries:
-            self.prime(session, frame)
-            updates.append(session.push(frame))
-        return updates
-
-    def clear(self) -> None:
-        """Drop prefetched activations (e.g. after a camera detaches)."""
-        self._ready.clear()

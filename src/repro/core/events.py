@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.smoothing import KVotingSmoother, StreamingKVotingSmoother, TransitionDetector
-from repro.video.frame import Frame
 
 __all__ = ["Event", "EventDetector", "EventKey", "EventRecord", "SmoothedDecision"]
 
@@ -212,17 +211,3 @@ class EventDetector:
             self._open_start = None
             self._open_id = None
         return finalized, closed
-
-    @staticmethod
-    def annotate_frames(frames: list[Frame], events: list[Event]) -> None:
-        """Record event membership into each frame's metadata.
-
-        A frame that belongs to events from multiple microclassifiers ends up
-        with one entry per MC, e.g. ``{"mc_a": 3, "mc_b": 7}`` (Section 3.5).
-        """
-        by_index = {frame.index: frame for frame in frames}
-        for event in events:
-            for idx in event.frames():
-                frame = by_index.get(idx)
-                if frame is not None:
-                    frame.record_event(event.mc_name, event.event_id)

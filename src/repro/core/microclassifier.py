@@ -119,14 +119,6 @@ class MicroClassifier(ABC):
         once and one ``(N,)`` row per member, ``self`` first, bit-identical to its own call.
         """
 
-    def predict_proba(self, feature_map: np.ndarray) -> float:
-        """Relevance probability for a single feature map ``(H, W, C)``."""
-        return float(self.predict_proba_batch(feature_map[None, ...])[0])
-
-    def classify(self, probability: float) -> bool:
-        """Apply the decision threshold."""
-        return bool(probability >= self.config.threshold)
-
     # -- training support --------------------------------------------------
     @abstractmethod
     def forward_logits(self, feature_maps: np.ndarray, training: bool) -> np.ndarray:

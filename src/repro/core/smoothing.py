@@ -111,11 +111,6 @@ class StreamingKVotingSmoother:
                 self._buffer_start += 1
         return out
 
-    @property
-    def pending(self) -> int:
-        """Decisions received whose smoothed value has not been emitted yet."""
-        return self._received - self._emitted
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamingKVotingSmoother(window={self.window}, votes={self.votes})"
 

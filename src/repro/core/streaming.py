@@ -29,6 +29,7 @@ whole stream three times as the original offline flow did.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -176,8 +177,8 @@ class StreamingPipeline:
                 f"Extractor does not tap layer(s) {sorted(missing_taps)} required by "
                 "installed microclassifiers"
             )
-        if frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0.0 < frame_rate < math.inf:  # written so that a NaN fails it
+            raise ValueError("frame_rate must be positive and finite")
         self.extractor = extractor
         self.microclassifiers = list(microclassifiers)
         self.config = config or PipelineConfig()
@@ -250,11 +251,6 @@ class StreamingPipeline:
 
     # -- streaming interface -------------------------------------------------
     @property
-    def num_pushed(self) -> int:
-        """Frames pushed so far."""
-        return self._num_pushed
-
-    @property
     def finalized_through(self) -> int:
         """Number of frames whose smoothed decisions are final for all MCs."""
         return min(state.finalized for state in self._states)
@@ -303,7 +299,7 @@ class StreamingPipeline:
     def finish(self, stream_duration: float | None = None) -> PipelineResult:
         """Flush all buffered state and assemble the final result.
 
-        ``stream_duration`` defaults to ``num_pushed / frame_rate``.
+        ``stream_duration`` defaults to the number of frames pushed over ``frame_rate``.
         """
         if self._finished:
             assert self._result is not None

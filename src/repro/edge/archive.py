@@ -43,7 +43,7 @@ class FrameArchive:
     """
 
     def __init__(self, capacity_bytes: float = 4 * 1024**3) -> None:
-        if capacity_bytes <= 0:
+        if not capacity_bytes > 0:  # written so that a NaN fails it
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = float(capacity_bytes)
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()

@@ -43,26 +43,6 @@ class PhasedSchedule:
         """Total per-frame processing time."""
         return self.phases[-1].end if self.phases else 0.0
 
-    @property
-    def fps(self) -> float:
-        """Sustainable frame rate when frames are processed back-to-back."""
-        total = self.total_seconds
-        return 1.0 / total if total > 0 else float("inf")
-
-    def phase(self, name: str) -> Phase:
-        """Look up a phase by name."""
-        for p in self.phases:
-            if p.name == name:
-                return p
-        raise KeyError(f"No phase named {name!r}")
-
-    def fraction(self, name: str) -> float:
-        """Fraction of total frame time spent in ``name``."""
-        total = self.total_seconds
-        if total <= 0:
-            return 0.0
-        return self.phase(name).duration / total
-
 
 def build_phased_schedule(
     breakdown: ExecutionBreakdown, classifier_batches: int = 1

@@ -165,12 +165,6 @@ class ConstrainedUplink:
         """How far behind real time the link currently is."""
         return max(0.0, self._busy_until - float(now))
 
-    def reset(self) -> None:
-        """Forget all past transfers."""
-        self.transfers.clear()
-        self._busy_until = 0.0
-        self._total_bits = 0.0
-
 
 @dataclass(frozen=True)
 class SharedTransferRequest:
@@ -293,11 +287,6 @@ class WorkConservingUplink:
         }
 
     # -- configuration -------------------------------------------------------
-    @property
-    def node_ids(self) -> list[str]:
-        """Participating nodes (insertion order preserved)."""
-        return list(self._weights)
-
     @property
     def scheduled_weights(self) -> dict[str, float]:
         """The weights last handed to :meth:`schedule_weights` (the initial ones until then)."""
@@ -448,11 +437,3 @@ class WorkConservingUplink:
     def total_bits(self) -> float:
         """Bits moved across all nodes."""
         return sum(port.total_bits for port in self._ports.values())
-
-    def utilization(self, duration: float) -> float:
-        """Fraction of the whole link consumed over ``duration`` seconds."""
-        return _utilization(self.total_bits, self.capacity_bps, duration)
-
-    def backlog_seconds(self, now: float) -> float:
-        """How far the most-behind node's last bit lags ``now``."""
-        return max(port.backlog_seconds(now) for port in self._ports.values())

@@ -42,14 +42,6 @@ class Table3Row:
     generated_event_fraction: float
     crop: tuple[int, int, int, int]
 
-    @property
-    def event_rarity_preserved(self) -> bool:
-        """Whether the generated event-frame fraction is within 3x of the paper's."""
-        if self.generated_event_fraction <= 0:
-            return False
-        ratio = self.paper_event_fraction / self.generated_event_fraction
-        return 1 / 3 <= ratio <= 3
-
 
 def _row(name: str, paper: dict, dataset: SyntheticDataset) -> Table3Row:
     generated_frames = len(dataset.train_stream) + len(dataset.test_stream)

@@ -18,8 +18,8 @@ paper-scale cost analysis:
 * Batch-norm layers are folded away (inference-time folding is standard),
   so each block is depthwise conv -> ReLU -> pointwise conv -> ReLU.
 
-Layer naming follows the Caffe MobileNet the paper cites, so
-``model.layer("conv4_2/sep")`` taps the post-activation output of that block.
+Layer naming follows the Caffe MobileNet the paper cites, so the tap
+``conv4_2/sep`` is the post-activation output of that block.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    DepthwiseConv2D,
-    GlobalAveragePool,
-    ReLU,
-    Softmax,
-)
+from repro.nn.layers import Conv2D, DepthwiseConv2D, ReLU
 from repro.nn.model import Sequential
 
 __all__ = [
@@ -78,15 +71,13 @@ def _scaled(channels: int, alpha: float) -> int:
     return max(4, int(round(channels * alpha)))
 
 
-def mobilenet_graph(
-    alpha: float = 0.25, num_classes: int = 0, include_head: bool = False
-) -> Sequential:
+def mobilenet_graph(alpha: float = 0.25) -> Sequential:
     """The MobileNet-style layer graph, unbuilt: layers, no weights.
 
     Shape and multiply-add queries (``layer_output_shapes(input_shape)``,
     ``multiply_adds(input_shape)``) work on it at any input size, 1920x1080
     included; :func:`build_mobilenet_like` allocates its weights.  ``alpha``
-    and the head options are as in :func:`build_mobilenet_like`.
+    is as in :func:`build_mobilenet_like`.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -104,24 +95,12 @@ def mobilenet_graph(
                 ReLU(name=f"{block_name}/sep"),
             ]
         )
-    if include_head:
-        if num_classes <= 0:
-            raise ValueError("num_classes must be positive when include_head=True")
-        layers.extend(
-            [
-                GlobalAveragePool(name="pool6"),
-                Dense(num_classes, name="fc7"),
-                Softmax(name="prob"),
-            ]
-        )
     return Sequential(layers, name=f"mobilenet_alpha{alpha}")
 
 
 def build_mobilenet_like(
     input_shape: tuple[int, int, int],
     alpha: float = 0.25,
-    num_classes: int = 0,
-    include_head: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Sequential:
     """Build a MobileNet-style base DNN.
@@ -132,11 +111,9 @@ def build_mobilenet_like(
         Per-frame input shape ``(height, width, 3)``.  FilterForward feeds
         full-resolution frames here (not 224x224 crops).
     alpha:
-        Width multiplier applied to every channel count.
-    num_classes, include_head:
-        If ``include_head`` is true, append the global-average-pool +
-        fully-connected + softmax ImageNet head with ``num_classes`` outputs.
-        The FilterForward feature extractor never needs the head.
+        Width multiplier applied to every channel count.  The network ends
+        at ``conv6/sep``: the FilterForward feature extractor never needs an
+        ImageNet classification head.
     rng:
         Weight-initialization generator (seeded 0 by default).
 
@@ -148,7 +125,7 @@ def build_mobilenet_like(
     """
     if len(input_shape) != 3 or input_shape[2] != 3:
         raise ValueError(f"input_shape must be (H, W, 3); got {input_shape}")
-    model = mobilenet_graph(alpha, num_classes, include_head)
+    model = mobilenet_graph(alpha)
     model.build(input_shape, rng or np.random.default_rng(0))
     return model
 

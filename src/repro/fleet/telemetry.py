@@ -122,10 +122,6 @@ class Gauge:
         self._max = max(self._max, value)
         self._updates += 1
 
-    def add(self, delta: float) -> None:
-        """Adjust the gauge relative to its current value."""
-        self.set(self._value + delta)
-
     @property
     def value(self) -> float:
         """Most recently set value."""

@@ -74,11 +74,6 @@ class WorkerPool:
             raise ValueError("service_time_scale must be positive")
         self.workers = [Worker(worker_id=i) for i in range(self.num_workers)]
 
-    @property
-    def service_seconds(self) -> float:
-        """Simulated processing time of one frame on the default schedule."""
-        return self.schedule.total_seconds * self.service_time_scale
-
     def service_seconds_for(self, schedule: PhasedSchedule | None = None) -> float:
         """Simulated processing time of one frame under ``schedule``.
 
@@ -88,27 +83,6 @@ class WorkerPool:
         """
         schedule = schedule if schedule is not None else self.schedule
         return schedule.total_seconds * self.service_time_scale
-
-    def estimated_throughput(self, schedule: PhasedSchedule | None = None) -> float:
-        """Sustainable frames/second of the pool under ``schedule``.
-
-        The exact reciprocal view of :meth:`service_seconds_for`: both
-        apply ``service_time_scale`` and honor a per-resolution schedule
-        override.  This is the pool's one capacity-estimate surface —
-        ``capacity_fps`` delegates here, and anything sizing load against
-        the pool (benchmark regime tuning, provisioning checks) should use
-        it rather than reading ``schedule.total_seconds`` directly, so
-        estimates cannot drift from the service times the simulation
-        actually charges when a per-resolution schedule is installed
-        mid-run.
-        """
-        service = self.service_seconds_for(schedule)
-        return self.num_workers / service if service > 0 else float("inf")
-
-    @property
-    def capacity_fps(self) -> float:
-        """Aggregate sustainable frame rate on the pool's default schedule."""
-        return self.estimated_throughput()
 
     def idle_worker(self, now: float) -> Worker | None:
         """An idle worker at time ``now`` (lowest ID first), or None."""
@@ -163,8 +137,3 @@ class WorkerPool:
         if duration <= 0:
             return 0.0
         return sum(w.busy_seconds for w in self.workers) / (self.num_workers * duration)
-
-    @property
-    def frames_processed(self) -> int:
-        """Total frames processed across the pool."""
-        return sum(w.frames_processed for w in self.workers)

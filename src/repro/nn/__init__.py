@@ -21,8 +21,6 @@ matches the ``H x W x C`` feature-map dimensions quoted in the paper.
 from repro.nn.batched import (
     banked_forward,
     banked_layer_forward,
-    batched_conv2d_forward,
-    batched_forward,
     batched_forward_with_taps,
     batched_layer_forward,
 )
@@ -37,7 +35,6 @@ from repro.nn.layers import (
     Dense,
     DepthwiseConv2D,
     Flatten,
-    GlobalAveragePool,
     GlobalMaxPool,
     Layer,
     MaxPool2D,
@@ -45,8 +42,6 @@ from repro.nn.layers import (
     ReLU,
     ReLU6,
     SeparableConv2D,
-    Sigmoid,
-    Softmax,
     sigmoid,
 )
 from repro.nn.losses import BinaryCrossEntropy, SigmoidBinaryCrossEntropy
@@ -67,7 +62,6 @@ __all__ = [
     "Dense",
     "DepthwiseConv2D",
     "Flatten",
-    "GlobalAveragePool",
     "GlobalMaxPool",
     "GlorotUniform",
     "HeNormal",
@@ -79,13 +73,9 @@ __all__ = [
     "ReLU6",
     "SeparableConv2D",
     "Sequential",
-    "Sigmoid",
     "SigmoidBinaryCrossEntropy",
-    "Softmax",
     "banked_forward",
     "banked_layer_forward",
-    "batched_conv2d_forward",
-    "batched_forward",
     "batched_forward_with_taps",
     "batched_layer_forward",
     "conv_multiply_adds",

@@ -49,11 +49,9 @@ from repro.nn.layers import Conv2D, Dense, DepthwiseConv2D, Layer, SeparableConv
 from repro.nn.model import Sequential
 
 __all__ = [
-    "batched_conv2d_forward",
     "batched_layer_forward",
     "banked_layer_forward",
     "banked_forward",
-    "batched_forward",
     "batched_forward_with_taps",
 ]
 
@@ -127,11 +125,6 @@ def banked_forward(stacks: Sequence[Sequence[Layer]], x: np.ndarray, shared: boo
     return x
 
 
-def batched_conv2d_forward(layer: Conv2D, x: np.ndarray) -> np.ndarray:
-    """One :class:`Conv2D` over a stacked batch, per sample bit-identical to ``layer.forward``."""
-    return banked_layer_forward([layer] * x.shape[0], x, False)
-
-
 def batched_layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     """Batch-exact inference forward of any single layer.
 
@@ -145,11 +138,6 @@ def batched_layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     if isinstance(layer, (Conv2D, Dense)):
         return banked_layer_forward([layer] * x.shape[0], x, False)
     return layer.forward(x, training=False)
-
-
-def batched_forward(model: Sequential, x: np.ndarray) -> np.ndarray:
-    """Batch-exact inference pass through a whole :class:`Sequential`."""
-    return model._run_tapped(x, (), False, batched_layer_forward)[0]
 
 
 def batched_forward_with_taps(

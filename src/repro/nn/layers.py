@@ -5,10 +5,10 @@ Every layer used by the FilterForward paper's models is implemented here:
 * :class:`Conv2D` and :class:`DepthwiseConv2D`/:class:`SeparableConv2D`
   (MobileNet-style base DNN, microclassifier bodies, discrete classifiers),
 * :class:`Dense` fully-connected heads,
-* :class:`MaxPool2D`, :class:`GlobalMaxPool` (the "max over the grid of
-  logits" in the full-frame object detector), :class:`GlobalAveragePool`,
-* :class:`ReLU`, :class:`ReLU6`, :class:`Sigmoid`, :class:`Softmax` and
-  :class:`Flatten`.
+* :class:`MaxPool2D` and :class:`GlobalMaxPool` (the "max over the grid of
+  logits" in the full-frame object detector),
+* :class:`ReLU`, :class:`ReLU6` and :class:`Flatten`, plus the
+  :func:`sigmoid` function every probability goes through.
 
 Layers are stateful: ``forward`` caches whatever the subsequent ``backward``
 needs.  All activations use NHWC layout.  Cost accounting follows the
@@ -36,11 +36,8 @@ __all__ = [
     "Flatten",
     "MaxPool2D",
     "GlobalMaxPool",
-    "GlobalAveragePool",
     "ReLU",
     "ReLU6",
-    "Sigmoid",
-    "Softmax",
 ]
 
 
@@ -119,9 +116,6 @@ class Layer(ABC):
     @abstractmethod
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad`` (dL/d output) and return dL/d input."""
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
 
     # -- introspection -----------------------------------------------------
     def parameters(self) -> list[Parameter]:
@@ -582,26 +576,6 @@ class GlobalMaxPool(Layer):
         return (input_shape[2],)
 
 
-class GlobalAveragePool(Layer):
-    """Mean over all spatial positions, per channel (MobileNet head)."""
-
-    def __init__(self, name: str | None = None) -> None:
-        super().__init__(name)
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._shape = x.shape
-        return x.mean(axis=(1, 2))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, h, w, c = self._shape
-        return np.broadcast_to(grad[:, None, None, :] / (h * w), (n, h, w, c)).copy()
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return (input_shape[2],)
-
-
 class ReLU(Layer):
     """Rectified linear activation."""
 
@@ -632,41 +606,3 @@ class ReLU6(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * self._mask
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid activation."""
-
-    def __init__(self, name: str | None = None) -> None:
-        super().__init__(name)
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = sigmoid(x)
-        if training:
-            self._out = out
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._out * (1.0 - self._out)
-
-
-class Softmax(Layer):
-    """Softmax over the last axis (used by the MobileNet classification head)."""
-
-    def __init__(self, name: str | None = None) -> None:
-        super().__init__(name)
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=-1, keepdims=True)
-        if training:
-            self._out = out
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        out = self._out
-        dot = (grad * out).sum(axis=-1, keepdims=True)
-        return out * (grad - dot)

@@ -45,9 +45,8 @@ class BinaryCrossEntropy:
 class SigmoidBinaryCrossEntropy:
     """Numerically stable BCE computed directly on logits.
 
-    Prefer this over stacking :class:`~repro.nn.layers.Sigmoid` +
-    :class:`BinaryCrossEntropy` when training: the combined gradient
-    ``sigmoid(z) - y`` avoids saturation.
+    Prefer this over :class:`BinaryCrossEntropy` of ``sigmoid(z)`` when
+    training: the combined gradient ``sigmoid(z) - y`` avoids saturation.
     """
 
     _sigmoid = staticmethod(sigmoid)

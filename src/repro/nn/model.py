@@ -83,13 +83,6 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode forward pass."""
-        return self.forward(x, training=False)
-
     def _run_tapped(
         self,
         x: np.ndarray,
@@ -166,13 +159,6 @@ class Sequential:
         """Total scalar weight count."""
         return count_parameters(self.parameters())
 
-    def layer(self, name: str) -> Layer:
-        """Look up a layer by name."""
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"No layer named {name!r} in model {self.name!r}")
-
     def layer_names(self) -> list[str]:
         """Names of all layers, in order."""
         return [layer.name for layer in self.layers]
@@ -230,23 +216,6 @@ class Sequential:
                 )
             param.value = value.copy()
             param.zero_grad()
-
-    def summary(self) -> str:
-        """Human-readable per-layer summary (name, output shape, params, madds)."""
-        self._require_built()
-        lines = [f"Model: {self.name} (input {self.input_shape})"]
-        shape = self.input_shape
-        for layer in self.layers:
-            madds = layer.multiply_adds(shape)
-            shape = layer.output_shape(shape)
-            n_params = count_parameters(layer.parameters())
-            lines.append(
-                f"  {layer.name:<40s} out={str(shape):<20s} params={n_params:<10d} madds={madds}"
-            )
-        lines.append(
-            f"Total params: {self.num_parameters()}  Total madds: {self.multiply_adds()}"
-        )
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Sequential(name={self.name!r}, layers={len(self.layers)})"

@@ -87,25 +87,6 @@ class MetricsTimeline:
         """Distinct scrape sources, sorted."""
         return sorted({s.source for s in self._samples})
 
-    def series(self, name: str, source: str | None = None) -> list[tuple[float, float]]:
-        """The ``(time, value)`` series of one metric.
-
-        ``source=None`` requires the timeline to hold a single source;
-        otherwise name the node whose series you want.  Samples missing the
-        metric (e.g. before the metric first existed) are skipped.
-        """
-        if source is None:
-            all_sources = self.sources
-            if len(all_sources) > 1:
-                raise ValueError(
-                    f"timeline holds sources {all_sources}; pass source= to pick one"
-                )
-        return [
-            (s.time, s.values[name])
-            for s in self._samples
-            if (source is None or s.source == source) and name in s.values
-        ]
-
     def latest(self, source: str) -> TimelineSample | None:
         """The most recent sample of one source (None if never scraped)."""
         for sample in reversed(self._samples):

@@ -62,15 +62,6 @@ class Frame:
         """``(width, height)`` in pixels, matching the paper's convention."""
         return (self.width, self.height)
 
-    def copy(self) -> "Frame":
-        """Deep copy of this frame (pixels and metadata)."""
-        return Frame(
-            index=self.index,
-            timestamp=self.timestamp,
-            pixels=self.pixels.copy(),
-            metadata=dict(self.metadata),
-        )
-
     def with_pixels(self, pixels: np.ndarray) -> "Frame":
         """Return a new frame sharing index/timestamp/metadata but new pixels."""
         return Frame(

@@ -9,6 +9,7 @@ is deliberately minimal so a disk- or camera-backed stream can slot in.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
@@ -25,8 +26,8 @@ class VideoStream(ABC):
     def __init__(self, width: int, height: int, frame_rate: float) -> None:
         if width <= 0 or height <= 0:
             raise ValueError("width and height must be positive")
-        if frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0.0 < frame_rate < math.inf:  # written so that a NaN fails it
+            raise ValueError("frame_rate must be positive and finite")
         self.width = int(width)
         self.height = int(height)
         self.frame_rate = float(frame_rate)
@@ -56,12 +57,6 @@ class VideoStream(ABC):
         """Stream duration in seconds."""
         return len(self) / self.frame_rate
 
-    def segment(self, start: int, end: int) -> list[Frame]:
-        """Frames with indices in ``[start, end)`` (clamped to the stream)."""
-        start = max(0, int(start))
-        end = min(len(self), int(end))
-        return [self.frame(i) for i in range(start, end)]
-
     def raw_bits_per_second(self, bits_per_pixel: int = 24) -> float:
         """Uncompressed data rate of this stream (paper quotes ~1.5 Gb/s for 1080p30)."""
         return self.width * self.height * bits_per_pixel * self.frame_rate
@@ -89,8 +84,8 @@ class InMemoryVideoStream(VideoStream):
         cls, arrays: Sequence[np.ndarray], frame_rate: float
     ) -> "InMemoryVideoStream":
         """Build a stream from raw pixel arrays, assigning indices and timestamps."""
-        if frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0.0 < frame_rate < math.inf:  # checked before the timestamps divide by it
+            raise ValueError("frame_rate must be positive and finite")
         frames = [
             Frame(index=i, timestamp=i / frame_rate, pixels=np.asarray(a))
             for i, a in enumerate(arrays)

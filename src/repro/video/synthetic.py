@@ -73,8 +73,10 @@ class SceneConfig:
         if not 0.0 <= self.crossing_fraction <= 1.0:
             raise ValueError("crossing_fraction must be in [0, 1]")
         low, high = self.person_speed_range
-        if low <= 0 or high < low:
-            raise ValueError("person_speed_range must be an increasing pair of positive speeds")
+        if not 0 < low <= high < math.inf:  # written so that a NaN fails it
+            raise ValueError(
+                "person_speed_range must be an increasing pair of positive, finite speeds"
+            )
         if self.max_person_duration is not None and self.max_person_duration < 2:
             raise ValueError("max_person_duration must be at least 2 frames")
         if not 0 <= self.noise_std < math.inf:

@@ -70,15 +70,6 @@ class TestDiscreteClassifier:
         assert probs.shape == (4,)
         assert np.all((probs >= 0) & (probs <= 1))
 
-    def test_single_and_batch_agree(self):
-        dc = build_dc()
-        x = RNG.random(PIXEL_SHAPE)
-        assert dc.predict_proba(x) == pytest.approx(dc.predict_proba_batch(x[None])[0])
-
-    def test_classify_threshold(self):
-        dc = build_dc(DiscreteClassifierConfig(threshold=0.7))
-        assert dc.classify(0.71) and not dc.classify(0.69)
-
     def test_separable_configuration_builds(self):
         dc = build_dc(DiscreteClassifierConfig(separable=True))
         assert dc.predict_proba_batch(RNG.random((2, *PIXEL_SHAPE))).shape == (2,)
@@ -90,7 +81,6 @@ class TestDiscreteClassifier:
         with pytest.raises(RuntimeError):
             dc.multiply_adds()
         assert dc.parameters() == []
-        assert dc.num_parameters() == 0
 
     def test_unbuilt_graph_is_costed_at_any_shape(self):
         config = DiscreteClassifierConfig()

@@ -58,20 +58,6 @@ class TestCommonBehaviour:
         assert np.all((probs >= 0) & (probs <= 1))
 
     @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
-    def test_single_and_batch_prediction_agree(self, architecture):
-        mc = build(architecture)
-        x = RNG.random(FEATURE_SHAPE)
-        single = mc.predict_proba(x)
-        batch = mc.predict_proba_batch(x[None])[0]
-        assert single == pytest.approx(batch)
-
-    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
-    def test_classify_uses_threshold(self, architecture):
-        mc = build(architecture)
-        assert mc.classify(0.9) is True
-        assert mc.classify(0.1) is False
-
-    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
     def test_has_trainable_parameters(self, architecture):
         mc = build(architecture)
         assert mc.num_parameters() > 0

@@ -3,8 +3,10 @@
 The tentpole claim of the cross-camera batched path is that it changes
 wall-clock time and *nothing else*: probabilities, decisions, smoothed
 outputs, events, and upload accounting must be bit-identical
-(``np.array_equal``, never allclose) whether frames go through
-:meth:`BatchedScorer.score_tick` or one-at-a-time per-camera pushes — across
+(``np.array_equal``, never allclose) whether frames go through the
+:class:`BatchedScorer` the way the fleet runtime drives it (``prefetch`` ->
+``prime`` -> ``push``, see :func:`score_like_the_runtime`) or one-at-a-time
+per-camera pushes — across
 randomized seeds, mixed resolutions, ragged batch tails, and live threshold
 drift.  The fleet-level composition is the oracle registry's ``batched``
 entry (``tests/oracles``); this file pins the core mechanism.
@@ -72,6 +74,20 @@ def assert_results_identical(a, b):
     assert a.total_uploaded_bits == b.total_uploaded_bits
 
 
+def score_like_the_runtime(scorer, entries):
+    """Score one tick's frames as ``FleetRuntime._on_completion`` does, in order.
+
+    Every entry is in service at once; each completion whose frame is not
+    ready prefetches itself and every frame still in service, then primes
+    and pushes its own frame.
+    """
+    for k, (session, frame) in enumerate(entries):
+        if not scorer.has(session, frame):
+            scorer.prefetch(entries[k:])
+        scorer.prime(session, frame)
+        session.push(frame)
+
+
 def run_both_paths(cameras, seed, ticks=10, drift=None, architecture="localized"):
     """Drive identical sessions through batched and per-camera scoring.
 
@@ -97,7 +113,7 @@ def run_both_paths(cameras, seed, ticks=10, drift=None, architecture="localized"
             for session in (*batched_sessions.values(), *scalar_sessions.values()):
                 session.set_threshold(drift[tick])
         entries = [(batched_sessions[cam], frames[cam][tick]) for cam in cameras]
-        scorer.score_tick(entries)
+        score_like_the_runtime(scorer, entries)
         for cam in cameras:
             scalar_sessions[cam].push(frames[cam][tick])
     batched = {cam: s.finish() for cam, s in batched_sessions.items()}
@@ -143,7 +159,7 @@ class TestScoreTickEquivalence:
         scorer = BatchedScorer()
         for tick in range(10):
             live = cameras if tick < 5 else cameras[:-1]  # "c" departs mid-run
-            scorer.score_tick([(batched_sessions[c], frames[c][tick]) for c in live])
+            score_like_the_runtime(scorer, [(batched_sessions[c], frames[c][tick]) for c in live])
             for c in live:
                 scalar_sessions[c].push(frames[c][tick])
         for c in cameras:
@@ -287,10 +303,10 @@ class TestScorerSemantics:
         scorer = BatchedScorer()
         assert not scorer.has(session, frame)
         assert scorer.prefetch([(session, frame)]) == 1
-        assert scorer.has(session, frame) and scorer.pending == 1
+        assert scorer.has(session, frame)
         assert scorer.prefetch([(session, frame)]) == 0  # already prefetched
         assert scorer.prime(session, frame)
-        assert scorer.pending == 0
+        assert not scorer.prime(session, frame)  # a slice is handed over once
         session.push(frame)  # cache hit: activations were primed
         assert scorer.prefetch([(session, frame)]) == 0  # already in the cache
 
@@ -318,15 +334,6 @@ class TestScorerSemantics:
         wrong = Frame(0, 0.0, np.zeros((32, 48, 3)))
         with pytest.raises(ValueError, match="resident base DNN"):
             BatchedScorer().prefetch([(session, wrong)])
-
-    def test_clear_drops_prefetched_entries(self):
-        dnn = make_base_dnn()
-        session = make_session(dnn, "cam", seed=7)
-        [frame] = make_frames(dnn.input_shape, "cam", 7, 1)
-        scorer = BatchedScorer()
-        scorer.prefetch([(session, frame)])
-        scorer.clear()
-        assert scorer.pending == 0 and not scorer.prime(session, frame)
 
 
 class TestExtractorPrime:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.events import Event, EventDetector, EventKey, EventRecord
-from repro.video.frame import Frame
 
 
 class TestEvent:
@@ -39,20 +38,6 @@ class TestEventDetector:
         detector = EventDetector("mc_a", window=5, votes=2)
         _, events = detector.detect(np.array([0, 0, 0, 1, 0, 0, 0]))
         assert events == []
-
-    def test_annotate_frames_records_membership(self, rng):
-        frames = [Frame(i, i / 15, rng.random((8, 8, 3)).astype(np.float32)) for i in range(6)]
-        events = [Event(1, "mc_a", 1, 3), Event(7, "mc_b", 2, 5)]
-        EventDetector.annotate_frames(frames, events)
-        assert frames[0].event_memberships() == {}
-        assert frames[1].event_memberships() == {"mc_a": 1}
-        assert frames[2].event_memberships() == {"mc_a": 1, "mc_b": 7}
-        assert frames[4].event_memberships() == {"mc_b": 7}
-
-    def test_annotate_frames_ignores_out_of_range_indices(self, rng):
-        frames = [Frame(0, 0.0, rng.random((8, 8, 3)).astype(np.float32))]
-        EventDetector.annotate_frames(frames, [Event(1, "mc", 0, 5)])
-        assert frames[0].event_memberships() == {"mc": 1}
 
 
 class TestEventKey:

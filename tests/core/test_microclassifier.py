@@ -72,7 +72,8 @@ class TestScoringThroughExtractor:
         mc = localized_mc(tiny_extractor, crop)
         feature_map = tiny_extractor.feature_map(random_frame(rng), mc.input_layer, mc.crop)
         assert feature_map.shape == mc.input_shape
-        assert 0.0 <= mc.predict_proba(feature_map) <= 1.0
+        [probability] = mc.predict_proba_batch(feature_map[None])
+        assert 0.0 <= probability <= 1.0
 
     @pytest.mark.parametrize("crop", [None, CROP], ids=["full", "cropped"])
     def test_pipeline_input_map_equals_extractor_feature_map(self, tiny_extractor, rng, crop):
@@ -96,7 +97,8 @@ class TestScoringThroughExtractor:
         ]
         batch = mc.predict_proba_batch(np.stack(maps, axis=0))
         assert batch.shape == (3,)
-        np.testing.assert_allclose(batch, [mc.predict_proba(m) for m in maps], rtol=1e-12)
+        singles = [mc.predict_proba_batch(m[None])[0] for m in maps]
+        np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
     def test_heavy_compression_changes_probabilities(self, tiny_extractor, tiny_pipeline_stream):
         """Figure 4's compress-everything path scores the same MC on transcoded frames."""

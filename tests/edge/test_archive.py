@@ -69,6 +69,11 @@ class TestFrameArchive:
         with pytest.raises(ValueError):
             archive.fetch_event_context(0, 1, context=-1)
 
+    def test_nan_capacity_rejected(self):
+        # Every comparison with a NaN budget is False, so such an archive never evicted.
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            FrameArchive(capacity_bytes=float("nan"))
+
     def test_single_frame_larger_than_capacity_rejected(self):
         archive = FrameArchive(capacity_bytes=10)
         with pytest.raises(ValueError):

@@ -21,14 +21,12 @@ class TestPhasedSchedule:
         for earlier, later in zip(schedule.phases, schedule.phases[1:]):
             assert later.start == pytest.approx(earlier.end)
         assert schedule.total_seconds == pytest.approx(0.45)
-        assert schedule.fps == pytest.approx(1 / 0.45)
 
     def test_base_dnn_and_classifiers_are_separate_phases(self):
         """Base DNN and MC execution never overlap (phased, not pipelined)."""
         schedule = build_phased_schedule(breakdown())
-        base = schedule.phase("base_dnn")
-        mcs = schedule.phase("microclassifiers_batch_0")
-        assert base.end <= mcs.start
+        phases = {phase.name: phase for phase in schedule.phases}
+        assert phases["base_dnn"].end <= phases["microclassifiers_batch_0"].start
 
     def test_classifier_batches_split_evenly(self):
         schedule = build_phased_schedule(breakdown(), classifier_batches=4)
@@ -37,15 +35,6 @@ class TestPhasedSchedule:
         ]
         assert len(batch_durations) == 4
         assert all(d == pytest.approx(0.025) for d in batch_durations)
-
-    def test_fraction_helper(self):
-        schedule = build_phased_schedule(breakdown())
-        assert schedule.fraction("base_dnn") == pytest.approx(0.3 / 0.45)
-
-    def test_unknown_phase_raises(self):
-        schedule = build_phased_schedule(breakdown())
-        with pytest.raises(KeyError):
-            schedule.phase("gpu")
 
     def test_invalid_batches(self):
         with pytest.raises(ValueError):

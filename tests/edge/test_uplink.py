@@ -45,14 +45,6 @@ class TestConstrainedUplink:
         assert uplink.backlog_seconds(now=4.0) == pytest.approx(6.0)
         assert uplink.backlog_seconds(now=20.0) == 0.0
 
-    def test_reset_clears_history(self):
-        uplink = ConstrainedUplink(capacity_bps=100)
-        uplink.upload(100)
-        uplink.reset()
-        assert uplink.total_bits == 0
-        assert uplink.busy_until == 0.0
-        assert uplink.transfers == []
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ConstrainedUplink(capacity_bps=0)
@@ -97,20 +89,21 @@ class TestStaticSlices:
         link.links["node1"].upload(250.0)  # 0.5s, and node0 does not speed up after
         link.drain()
         assert link.total_bits == pytest.approx(750.0)
-        assert link.utilization(duration=1.0) == pytest.approx(0.75)
-        assert link.backlog_seconds(now=0.25) == pytest.approx(0.75)
+        assert link.links["node0"].utilization(duration=1.0) == pytest.approx(1.0)
+        assert link.links["node1"].utilization(duration=1.0) == pytest.approx(0.5)
+        assert link.links["node0"].backlog_seconds(now=0.25) == pytest.approx(0.75)
         assert link.reclaimed_bits == 0.0
 
     def test_idle_link_has_no_backlog(self):
         link = static_link(100.0, {"a": 1.0})
         link.drain()
-        assert link.backlog_seconds(now=1.0) == 0.0
+        assert link.links["a"].backlog_seconds(now=1.0) == 0.0
 
     def test_empty_window_utilization_is_zero(self):
         link = static_link(1000.0, {"node0": 1.0})
         link.links["node0"].upload(500.0)
         link.drain()
-        assert link.utilization(duration=0.0) == 0.0
+        assert link.links["node0"].utilization(duration=0.0) == 0.0
 
     def test_slices_refuse_re_weighting(self):
         link = static_link(100.0, {"a": 1.0, "b": 1.0})
@@ -186,9 +179,10 @@ class TestWorkConservingUplink:
         [transfer] = link.drain([self.request("a", 100.0, 2.0)])
         assert transfer.start_time == pytest.approx(2.0)
         assert transfer.end_time == pytest.approx(3.0)
-        assert link.backlog_seconds(now=2.5) == pytest.approx(0.5)
         assert link.links["a"].backlog_seconds(2.5) == pytest.approx(0.5)
-        assert link.utilization(duration=3.0) == pytest.approx(100.0 / 300.0)
+        assert link.links["b"].backlog_seconds(2.5) == 0.0
+        # Of a's 50 bps guarantee over 3 s: it moved 100 bits, reclaiming b's idle half.
+        assert link.links["a"].utilization(duration=3.0) == pytest.approx(100.0 / 150.0)
 
     def test_scheduled_weight_change_shifts_rates(self):
         link = self.make_link()
@@ -213,7 +207,7 @@ class TestWorkConservingUplink:
     def test_empty_window_utilization_is_zero(self):
         link = self.make_link()
         link.drain([self.request("a", 100.0, 0.0)])
-        assert link.utilization(duration=0.0) == 0.0
+        assert link.links["a"].utilization(duration=0.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -291,7 +285,7 @@ class TestLinkPorts:
     @settings(deadline=None)
     def test_ports_conserve_bits_and_serve_each_node_fifo(self, requests):
         link = WorkConservingUplink(1000.0, {"a": 2.0, "b": 1.0, "c": 1.0})
-        submitted = {node: [] for node in link.node_ids}
+        submitted = {node: [] for node in link.links}
         for index, (node, bits, at) in enumerate(requests):
             link.links[node].upload(bits, at, f"r{index:02d}")
             submitted[node].append((at, f"r{index:02d}", bits))

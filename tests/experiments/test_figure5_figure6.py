@@ -91,9 +91,9 @@ def test_figure5_measured_scaling_trend():
 
     def filterforward_pass(num_mcs: int):
         def run(i: int) -> None:
-            maps = extractor.extract_pixels(frames[i % len(frames)])[layer]
+            maps = extractor.extract_pixels(frames[i % len(frames)])[layer][None]
             for mc in mcs[:num_mcs]:
-                mc.predict_proba(maps)
+                mc.predict_proba_batch(maps)
 
         return run
 

@@ -42,16 +42,6 @@ class TestArchitecture:
         out = tiny_base_dnn.forward(rng.random((2, 32, 48, 3)))
         assert np.isfinite(out).all()
 
-    def test_optional_classification_head(self):
-        model = build_mobilenet_like((32, 32, 3), alpha=0.125, include_head=True, num_classes=10)
-        out = model.forward(np.random.default_rng(0).random((2, 32, 32, 3)))
-        assert out.shape == (2, 10)
-        np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0])
-
-    def test_head_requires_num_classes(self):
-        with pytest.raises(ValueError):
-            build_mobilenet_like((32, 32, 3), include_head=True, num_classes=0)
-
     def test_invalid_input_shape(self):
         with pytest.raises(ValueError):
             build_mobilenet_like((32, 32), alpha=0.25)

@@ -84,10 +84,10 @@ class TestInferenceMemory:
 class TestWorkerPool:
     def test_phased_schedule_service_time(self):
         pool = WorkerPool(num_workers=2, service_time_scale=0.5)
-        assert pool.service_seconds == pytest.approx(default_schedule().total_seconds * 0.5)
+        assert pool.service_seconds_for() == pytest.approx(default_schedule().total_seconds * 0.5)
         worker = pool.idle_worker(0.0)
         end = pool.start_frame(worker, 0.0)
-        assert end == pytest.approx(pool.service_seconds)
+        assert end == pytest.approx(pool.service_seconds_for())
         assert not worker.is_idle(end - 1e-6)
         assert worker.is_idle(end)
 
@@ -101,7 +101,7 @@ class TestWorkerPool:
     def test_utilization(self):
         pool = WorkerPool(num_workers=2, service_time_scale=1.0)
         pool.start_frame(pool.workers[0], 0.0)
-        duration = pool.service_seconds * 2
+        duration = pool.service_seconds_for() * 2
         assert pool.utilization(duration) == pytest.approx(0.25)
 
 
@@ -116,7 +116,7 @@ class TestBatchedScoring:
         report = runtime.run()
         # One resolution, so every dispatch window batches all four workers' frames.
         assert runtime.batched.frames_batched == report.frames_scored == 4 * runtime.batched.batches_run
-        assert runtime.batched.pending == 0 and runtime._in_service == []
+        assert runtime.batched._ready == {} and runtime._in_service == []
 
     def test_disabled_batching_builds_no_scorer(self):
         runtime = FleetRuntime(tiny_fleet(1, num_frames=2), config=FleetConfig(batched_scoring=False))

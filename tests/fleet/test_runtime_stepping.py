@@ -419,7 +419,7 @@ class TestResolutionScaledService:
         runtime = FleetRuntime(cameras(n=2), config=FAST)
         runtime.start()
         assert runtime.camera_live_stats()["cam000"].service_seconds == pytest.approx(
-            runtime.workers.service_seconds
+            runtime.workers.service_seconds_for()
         )
 
 

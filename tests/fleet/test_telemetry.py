@@ -93,12 +93,6 @@ class TestGauge:
         assert gauge.min == 1
         assert gauge.max == 9
 
-    def test_add_is_relative(self):
-        gauge = Gauge("inflight")
-        gauge.add(5)
-        gauge.add(-2)
-        assert gauge.value == 3
-
     def test_unset_gauge_reads_zero(self):
         gauge = Gauge("depth")
         assert gauge.value == 0.0 and gauge.min == 0.0 and gauge.max == 0.0

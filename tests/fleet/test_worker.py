@@ -1,12 +1,9 @@
-"""WorkerPool: phased service times, throughput estimates, telemetry.
+"""WorkerPool: phased service times, telemetry.
 
-Regression focus: :meth:`WorkerPool.estimated_throughput` must stay the
-exact reciprocal of :meth:`WorkerPool.service_seconds_for` on *both*
-schedule paths — the pool default and a per-resolution override installed
-mid-run — with ``service_time_scale`` applied identically to each.
-Previously only the flat-default ``capacity_fps`` existed, so any capacity
-estimate made while resolution-scaled schedules were active silently used
-the wrong service time.
+Regression focus: :meth:`WorkerPool.service_seconds_for` and the service a
+worker is actually charged agree on *both* schedule paths — the pool default
+and a per-resolution override installed mid-run — with
+``service_time_scale`` applied identically to each.
 """
 
 import pytest
@@ -28,7 +25,6 @@ class TestServiceSeconds:
         assert pool.service_seconds_for() == pytest.approx(
             default_schedule().total_seconds * 0.5
         )
-        assert pool.service_seconds_for(None) == pool.service_seconds
 
     def test_per_resolution_schedule_path(self, scaled_schedule):
         pool = WorkerPool(num_workers=2, service_time_scale=0.5)
@@ -49,39 +45,13 @@ class TestServiceSeconds:
 
 
 class TestEstimatedThroughput:
-    def test_reciprocal_of_service_seconds_default_path(self):
-        pool = WorkerPool(num_workers=3, service_time_scale=0.7)
-        assert pool.estimated_throughput() == pytest.approx(
-            pool.num_workers / pool.service_seconds_for()
-        )
-        assert pool.capacity_fps == pool.estimated_throughput()
-
-    def test_reciprocal_of_service_seconds_resolution_path(self, scaled_schedule):
-        """The regression: capacity estimates follow the installed schedule."""
-        pool = WorkerPool(num_workers=3, service_time_scale=0.7)
-        assert pool.estimated_throughput(scaled_schedule) == pytest.approx(
-            pool.num_workers / pool.service_seconds_for(scaled_schedule)
-        )
-        # A 96x64 camera is far cheaper than the paper's 1080p reference, so
-        # throughput must rise relative to the flat default — the estimate
-        # may not silently fall back to the default schedule.
-        assert pool.estimated_throughput(scaled_schedule) > pool.estimated_throughput()
-
-    def test_scale_change_moves_throughput_consistently(self, scaled_schedule):
-        fast = WorkerPool(num_workers=2, service_time_scale=0.1)
-        slow = WorkerPool(num_workers=2, service_time_scale=1.0)
-        for schedule in (None, scaled_schedule):
-            assert fast.estimated_throughput(schedule) == pytest.approx(
-                10.0 * slow.estimated_throughput(schedule)
-            )
-
     def test_simulated_rate_matches_estimate(self, scaled_schedule):
-        """Frames actually dispatched back-to-back achieve the estimate."""
+        """Frames dispatched back-to-back on one worker run at 1 / service_seconds_for."""
         pool = WorkerPool(num_workers=1, service_time_scale=2.0)
         now = 0.0
         for _ in range(5):
             now = pool.start_frame(pool.workers[0], now, scaled_schedule)
-        assert 5 / now == pytest.approx(pool.estimated_throughput(scaled_schedule))
+        assert 5 / now == pytest.approx(1.0 / pool.service_seconds_for(scaled_schedule))
 
 
 class TestStartFrame:
@@ -115,7 +85,7 @@ class TestStartFrame:
         pool = WorkerPool(num_workers=2, service_time_scale=1.0)
         end = pool.start_frame(pool.workers[0], 0.0, scaled_schedule)
         assert pool.utilization(2 * end) == pytest.approx(0.25)
-        assert pool.frames_processed == 1
+        assert [w.frames_processed for w in pool.workers] == [1, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,6 @@ from repro.features.base_dnn import build_mobilenet_like
 from repro.nn.batched import (
     banked_forward,
     banked_layer_forward,
-    batched_conv2d_forward,
-    batched_forward,
     batched_forward_with_taps,
     batched_layer_forward,
 )
@@ -27,7 +25,6 @@ from repro.nn.layers import (
     Conv2D,
     Dense,
     DepthwiseConv2D,
-    GlobalAveragePool,
     GlobalMaxPool,
     MaxPool2D,
     ReLU,
@@ -66,7 +63,6 @@ def random_layers(rng, channels):
         SeparableConv2D(filters, 3, stride=stride, padding="same"),
         MaxPool2D(2),
         GlobalMaxPool(),
-        GlobalAveragePool(),
         Dense(int(rng.integers(1, 5))),
     ]
 
@@ -92,7 +88,7 @@ class TestLayerSweep:
         x = random_input(rng, max_batch=5)
         conv = Conv2D(int(rng.integers(1, 5)), 3, stride=1, padding="same")
         conv.build(x.shape[1:], rng)
-        assert np.array_equal(batched_conv2d_forward(conv, x), per_sample_forward(conv, x))
+        assert np.array_equal(batched_layer_forward(conv, x), per_sample_forward(conv, x))
         dense = Dense(3)
         dense.build(x.shape[1:], rng)
         assert np.array_equal(batched_layer_forward(dense, x), per_sample_forward(dense, x))
@@ -292,7 +288,8 @@ class TestModelEquivalence:
         rng = np.random.default_rng(7)
         model = build_mobilenet_like((16, 16, 3), alpha=0.25, rng=rng)
         x = rng.random((4, 16, 16, 3))
-        batched = batched_forward(model, x)
+        last = model.layers[-1].name  # conv6/sep: every layer runs
+        batched = batched_forward_with_taps(model, x, [last])[last]
         looped = np.concatenate([model.forward(x[i : i + 1]) for i in range(4)], axis=0)
         assert np.array_equal(batched, looped)
 
@@ -308,7 +305,7 @@ class TestModelEquivalence:
 class TestErrors:
     def test_unbuilt_conv_raises(self):
         with pytest.raises(RuntimeError, match="before build"):
-            batched_conv2d_forward(Conv2D(2, 3), np.zeros((2, 8, 8, 3)))
+            batched_layer_forward(Conv2D(2, 3), np.zeros((2, 8, 8, 3)))
 
     def test_unbuilt_dense_raises(self):
         with pytest.raises(RuntimeError, match="before build"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv2D, Dense, Flatten, ReLU, Sigmoid
+from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
 from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.model import Sequential, count_parameters
 from repro.nn.optimizers import Adam
@@ -40,12 +40,6 @@ class TestConstruction:
         with pytest.raises(RuntimeError):
             model.forward(np.zeros((1, 3)))
 
-    def test_layer_lookup(self):
-        model = small_model()
-        assert model.layer("conv_b").filters == 8
-        with pytest.raises(KeyError):
-            model.layer("missing")
-
     def test_layer_output_shapes(self):
         shapes = small_model().layer_output_shapes()
         assert shapes["conv_a"] == (8, 8, 4)
@@ -69,11 +63,6 @@ class TestForwardBackward:
         model = small_model()
         out = model.forward(np.random.default_rng(1).random((5, 8, 8, 3)))
         assert out.shape == (5, 1)
-
-    def test_predict_equals_forward_inference(self):
-        model = small_model()
-        x = np.random.default_rng(2).random((3, 8, 8, 3))
-        np.testing.assert_array_equal(model.predict(x), model.forward(x, training=False))
 
     def test_forward_with_taps_returns_requested_layers(self):
         model = small_model()
@@ -139,20 +128,15 @@ class TestIntrospection:
         model = small_model()
         assert model.multiply_adds((16, 16, 3)) > model.multiply_adds((8, 8, 3))
 
-    def test_summary_mentions_every_layer(self):
-        summary = small_model().summary()
-        for name in ("conv_a", "conv_b", "head", "Total params"):
-            assert name in summary
-
 
 class TestStateDict:
     def test_roundtrip(self):
         model_a = small_model(np.random.default_rng(5))
         model_b = small_model(np.random.default_rng(6))
         x = np.random.default_rng(7).random((2, 8, 8, 3))
-        assert not np.allclose(model_a.predict(x), model_b.predict(x))
+        assert not np.allclose(model_a.forward(x), model_b.forward(x))
         model_b.load_state_dict(model_a.state_dict())
-        np.testing.assert_allclose(model_a.predict(x), model_b.predict(x))
+        np.testing.assert_allclose(model_a.forward(x), model_b.forward(x))
 
     def test_missing_key_raises(self):
         model = small_model()

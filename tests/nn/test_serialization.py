@@ -22,10 +22,10 @@ class TestSaveLoad:
         source = make_model(0)
         target = make_model(1)
         x = np.random.default_rng(2).random((3, 6, 6, 3))
-        assert not np.allclose(source.predict(x), target.predict(x))
+        assert not np.allclose(source.forward(x), target.forward(x))
         path = save_weights(source, tmp_path / "weights")
         metadata = load_weights(target, path)
-        np.testing.assert_allclose(source.predict(x), target.predict(x))
+        np.testing.assert_allclose(source.forward(x), target.forward(x))
         assert metadata["model_name"] == "mc"
         assert metadata["input_shape"] == [6, 6, 3]
 
@@ -44,7 +44,7 @@ class TestSaveLoad:
         # are layer-scoped) still line up, so the weights transfer.
         load_weights(other, path, strict=False)
         x = np.random.default_rng(9).random((2, 6, 6, 3))
-        np.testing.assert_allclose(source.predict(x), other.predict(x))
+        np.testing.assert_allclose(source.forward(x), other.forward(x))
 
     def test_creates_missing_directories(self, tmp_path):
         path = save_weights(make_model(0), tmp_path / "nested" / "dir" / "weights")
@@ -56,4 +56,4 @@ class TestSaveLoad:
         target = make_model(3)
         load_weights(target, tmp_path / "weights")
         x = np.random.default_rng(4).random((2, 6, 6, 3))
-        np.testing.assert_allclose(source.predict(x), target.predict(x))
+        np.testing.assert_allclose(source.forward(x), target.forward(x))

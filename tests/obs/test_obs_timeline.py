@@ -51,27 +51,6 @@ class TestScraping:
 
 
 class TestSeriesAccess:
-    def test_series_of_single_source(self):
-        timeline = MetricsTimeline()
-        registry = _registry()
-        timeline.scrape(0.25, "node0", registry)
-        timeline.scrape(0.5, "node0", registry)
-        assert timeline.series("frames.scored") == [(0.25, 5.0), (0.5, 5.0)]
-
-    def test_series_requires_source_when_ambiguous(self):
-        timeline = MetricsTimeline()
-        timeline.scrape(0.0, "node0", _registry())
-        timeline.scrape(0.0, "node1", _registry())
-        with pytest.raises(ValueError, match="pass source="):
-            timeline.series("frames.scored")
-        assert timeline.series("frames.scored", source="node1") == [(0.0, 5.0)]
-
-    def test_series_skips_samples_missing_the_metric(self):
-        timeline = MetricsTimeline()
-        timeline.scrape(0.0, "node0", TelemetryRegistry())  # metric not born yet
-        timeline.scrape(1.0, "node0", _registry())
-        assert timeline.series("frames.scored") == [(1.0, 5.0)]
-
     def test_latest_per_source(self):
         timeline = MetricsTimeline()
         registry = _registry()

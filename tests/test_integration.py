@@ -102,8 +102,10 @@ class TestEndToEnd:
             rng=np.random.default_rng(123),
         )
         load_weights(fresh.model, path, strict=False)
-        feature_map = extractor.feature_map(dataset.test_stream[10], mc.input_layer, mc.crop)
-        assert fresh.predict_proba(feature_map) == pytest.approx(mc.predict_proba(feature_map))
+        feature_map = extractor.feature_map(dataset.test_stream[10], mc.input_layer, mc.crop)[None]
+        assert fresh.predict_proba_batch(feature_map) == pytest.approx(
+            mc.predict_proba_batch(feature_map)
+        )
 
     def test_demand_fetch_retrieves_event_context(self, dataset, deployment):
         extractor, mc = deployment

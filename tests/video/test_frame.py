@@ -22,13 +22,6 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(0, 0.0, np.zeros((4, 4, 1)))
 
-    def test_copy_is_deep(self, tiny_frame):
-        clone = tiny_frame.copy()
-        clone.pixels[0, 0, 0] = 0.123
-        clone.metadata["x"] = 1
-        assert tiny_frame.pixels[0, 0, 0] != np.float32(0.123) or tiny_frame.pixels[0, 0, 0] == clone.pixels[0, 0, 0] - 0  # values diverged
-        assert "x" not in tiny_frame.metadata
-
     def test_with_pixels_preserves_identity_fields(self, tiny_frame):
         new_pixels = np.zeros_like(tiny_frame.pixels)
         replaced = tiny_frame.with_pixels(new_pixels)

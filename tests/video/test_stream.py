@@ -47,12 +47,6 @@ class TestInMemoryVideoStream:
         with pytest.raises(ValueError):
             InMemoryVideoStream([], frame_rate=10.0)
 
-    def test_segment_clamps_to_bounds(self, tiny_stream):
-        segment = tiny_stream.segment(-5, 100)
-        assert len(segment) == 12
-        segment = tiny_stream.segment(3, 6)
-        assert [f.index for f in segment] == [3, 4, 5]
-
     def test_raw_bits_per_second_matches_paper_example(self):
         """A 1080p30 stream decompressed is ~1.5 Gb/s (paper Section 2.1)."""
         class Dummy(InMemoryVideoStream):
@@ -68,3 +62,14 @@ class TestInMemoryVideoStream:
     def test_invalid_frame_rate_rejected(self, rng):
         with pytest.raises(ValueError):
             InMemoryVideoStream.from_arrays([rng.random((4, 4, 3))], frame_rate=0.0)
+
+    @pytest.mark.parametrize("frame_rate", [float("nan"), float("inf")])
+    def test_non_finite_frame_rate_rejected(self, rng, frame_rate):
+        frames = [Frame(0, 0.0, rng.random((4, 4, 3)).astype(np.float32))]
+        with pytest.raises(ValueError, match="frame_rate"):
+            InMemoryVideoStream(frames, frame_rate=frame_rate)
+
+    @pytest.mark.parametrize("frame_rate", [float("nan"), float("inf")])
+    def test_from_arrays_rejects_a_non_finite_frame_rate(self, rng, frame_rate):
+        with pytest.raises(ValueError, match="frame_rate"):
+            InMemoryVideoStream.from_arrays([rng.random((4, 4, 3))], frame_rate=frame_rate)

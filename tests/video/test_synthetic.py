@@ -30,6 +30,10 @@ class TestSceneConfig:
             {"max_person_duration": 1},
             {"noise_std": -0.01},
             {"noise_std": float("nan")},
+            # Non-finite speeds used to pass here and overflow in spawn_objects.
+            {"person_speed_range": (float("nan"), 1.0)},
+            {"person_speed_range": (1.0, float("nan"))},
+            {"person_speed_range": (1.0, float("inf"))},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

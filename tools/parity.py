@@ -233,9 +233,10 @@ MANIFEST = (
          "artifacts": {"stdout.txt": "bytes"}, "references": ("base",)}
         for example in ("quickstart", "multi_tenant_edge_node", "bandwidth_planning")
     ),
-    # The untrained fleets: one node's four regimes, three placements on
-    # four nodes, and the flat control plane against a hotspot, at the sizes
-    # CI once smoke-ran them.
+    # The untrained fleets: one node's four regimes and three placements on
+    # four nodes, at the sizes CI once smoke-ran them, and the flat control
+    # plane against a hotspot at a size where it migrates cameras (4 here;
+    # none at 8 hot / 12 fill / 1.5 s).
     {
         "name": "fleet_simulation",
         "command": ["{tree}/examples/fleet_simulation.py"],
@@ -253,8 +254,8 @@ MANIFEST = (
     {
         "name": "adaptive_fleet",
         "command": ["{tree}/examples/adaptive_fleet.py"],
-        "env": {"ADAPTIVE_FLEET_HOT": "8", "ADAPTIVE_FLEET_FILL": "12",
-                "ADAPTIVE_FLEET_DURATION": "1.5"},
+        "env": {"ADAPTIVE_FLEET_HOT": "12", "ADAPTIVE_FLEET_FILL": "24",
+                "ADAPTIVE_FLEET_DURATION": "2.0"},
         "artifacts": {"stdout.txt": "bytes"},
         "references": ("base",),
     },
