@@ -70,6 +70,11 @@ class TestDiscreteClassifier:
         assert probs.shape == (4,)
         assert np.all((probs >= 0) & (probs <= 1))
 
+    def test_single_and_batch_agree(self):
+        dc = build_dc()
+        x = RNG.random((3, *PIXEL_SHAPE))
+        assert dc.predict_proba_batch(x[1:2])[0] == pytest.approx(dc.predict_proba_batch(x)[1])
+
     def test_separable_configuration_builds(self):
         dc = build_dc(DiscreteClassifierConfig(separable=True))
         assert dc.predict_proba_batch(RNG.random((2, *PIXEL_SHAPE))).shape == (2,)

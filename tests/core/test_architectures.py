@@ -58,6 +58,14 @@ class TestCommonBehaviour:
         assert np.all((probs >= 0) & (probs <= 1))
 
     @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
+    def test_single_and_batch_prediction_agree(self, architecture):
+        # A frame scores the same alone as inside a larger batch.
+        mc = build(architecture)
+        x = RNG.random((3, *FEATURE_SHAPE))
+        batch = mc.predict_proba_batch(x)
+        assert mc.predict_proba_batch(x[1:2])[0] == pytest.approx(batch[1])
+
+    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
     def test_has_trainable_parameters(self, architecture):
         mc = build(architecture)
         assert mc.num_parameters() > 0

@@ -416,6 +416,31 @@ class TestStreamingPipelineBehavior:
         with pytest.raises(RuntimeError, match="finished"):
             session.set_threshold(0.5)
 
+    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
+    def test_decisions_apply_the_threshold(
+        self, tiny_extractor, tiny_pipeline_stream, architecture
+    ):
+        # The threshold changes decisions only: a frame is selected iff its
+        # probability reaches the threshold in effect.
+        mc = make_mc(tiny_extractor, "mc", architecture=architecture)
+        probe = StreamingPipeline(tiny_extractor, [mc], frame_rate=15.0)
+        probabilities = probe.process_stream(tiny_pipeline_stream).per_mc["mc"].probabilities
+        threshold = float(np.median(probabilities))
+        session = StreamingPipeline(tiny_extractor, [mc], frame_rate=15.0)
+        session.set_threshold(threshold)
+        result = session.process_stream(tiny_pipeline_stream).per_mc["mc"]
+        np.testing.assert_array_equal(result.probabilities, probabilities)
+        np.testing.assert_array_equal(result.decisions, (probabilities >= threshold).astype(int))
+        assert 0 < result.decisions.sum() < len(tiny_pipeline_stream)
+
+    def test_frames_outside_every_event_carry_no_membership(self, tiny_extractor, rng):
+        arrays = [rng.random((32, 48, 3)).astype(np.float32) for _ in range(8)]
+        stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=15.0)
+        reject = make_mc(tiny_extractor, "reject", threshold=0.99)
+        result = StreamingPipeline(tiny_extractor, [reject], frame_rate=15.0).process_stream(stream)
+        assert result.per_mc["reject"].events == []
+        assert all(frame.event_memberships() == {} for frame in stream)
+
     def test_rejects_bad_frame_rate(self, tiny_extractor):
         mc = make_mc(tiny_extractor, "mc")
         with pytest.raises(ValueError):
@@ -425,6 +450,12 @@ class TestStreamingPipelineBehavior:
     def test_rejects_a_non_finite_frame_rate(self, tiny_extractor, frame_rate):
         # A NaN rate used to push every frame and then fail inside the codec at
         # finish(); an infinite one uploaded every match for 0.0 bits.
+        mc = make_mc(tiny_extractor, "mc")
+        with pytest.raises(ValueError, match="frame_rate"):
+            StreamingPipeline(tiny_extractor, [mc], frame_rate=frame_rate)
+
+    @pytest.mark.parametrize("frame_rate", [-1.0, float("-inf")])
+    def test_rejects_a_negative_frame_rate(self, tiny_extractor, frame_rate):
         mc = make_mc(tiny_extractor, "mc")
         with pytest.raises(ValueError, match="frame_rate"):
             StreamingPipeline(tiny_extractor, [mc], frame_rate=frame_rate)

@@ -74,6 +74,11 @@ class TestFrameArchive:
         with pytest.raises(ValueError, match="capacity_bytes"):
             FrameArchive(capacity_bytes=float("nan"))
 
+    @pytest.mark.parametrize("capacity_bytes", [-1.0, float("-inf")])
+    def test_negative_capacity_rejected(self, capacity_bytes):
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            FrameArchive(capacity_bytes=capacity_bytes)
+
     def test_single_frame_larger_than_capacity_rejected(self):
         archive = FrameArchive(capacity_bytes=10)
         with pytest.raises(ValueError):

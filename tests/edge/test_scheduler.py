@@ -28,6 +28,12 @@ class TestPhasedSchedule:
         phases = {phase.name: phase for phase in schedule.phases}
         assert phases["base_dnn"].end <= phases["microclassifiers_batch_0"].start
 
+    def test_phase_durations_follow_the_breakdown(self):
+        schedule = build_phased_schedule(breakdown())
+        durations = {phase.name: phase.duration for phase in schedule.phases}
+        assert durations["base_dnn"] / schedule.total_seconds == pytest.approx(0.3 / 0.45)
+        assert sum(durations.values()) == pytest.approx(schedule.total_seconds)
+
     def test_classifier_batches_split_evenly(self):
         schedule = build_phased_schedule(breakdown(), classifier_batches=4)
         batch_durations = [

@@ -35,6 +35,12 @@ class TestServiceSeconds:
             scaled_schedule.total_seconds * 0.5
         )
 
+    def test_resolution_path_does_not_fall_back_to_the_default(self, scaled_schedule):
+        # A 96x64 camera is far cheaper than the paper's 1080p reference, so
+        # its service must be shorter than the flat default's.
+        pool = WorkerPool(num_workers=3, service_time_scale=0.7)
+        assert pool.service_seconds_for(scaled_schedule) < pool.service_seconds_for()
+
     def test_scale_applies_to_both_paths(self, scaled_schedule):
         flat = WorkerPool(num_workers=1, service_time_scale=1.0)
         scaled = WorkerPool(num_workers=1, service_time_scale=0.25)

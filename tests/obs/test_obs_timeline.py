@@ -59,6 +59,30 @@ class TestSeriesAccess:
         assert timeline.latest("node0").time == 0.5
         assert timeline.latest("ghost") is None
 
+    def test_latest_ignores_other_sources(self):
+        timeline = MetricsTimeline()
+        timeline.scrape(0.25, "node0", _registry())
+        timeline.scrape(0.5, "node1", TelemetryRegistry())
+        assert timeline.latest("node0").time == 0.25
+        assert timeline.latest("node1").get("frames.scored") == 0.0
+
+    def test_samples_do_not_follow_later_registry_changes(self):
+        timeline = MetricsTimeline()
+        registry = _registry()
+        first = timeline.scrape(0.0, "node0", registry)
+        registry.counter("frames.scored").inc(2)
+        registry.gauge("queue.depth").set(9.0)
+        assert first.get("frames.scored") == 5.0 and first.get("queue.depth") == 3.0
+
+    def test_metric_names_include_metrics_born_after_the_first_scrape(self):
+        timeline = MetricsTimeline()
+        registry = TelemetryRegistry()
+        timeline.scrape(0.0, "node0", registry)  # metric not born yet
+        registry.counter("frames.scored").inc(5)
+        timeline.scrape(1.0, "node0", registry)
+        assert timeline.metric_names() == ["frames.scored"]
+        assert [s.get("frames.scored", -1.0) for s in timeline.samples] == [-1.0, 5.0]
+
 
 class TestExporters:
     def test_jsonl_is_one_sorted_object_per_scrape(self):

@@ -73,3 +73,14 @@ class TestInMemoryVideoStream:
     def test_from_arrays_rejects_a_non_finite_frame_rate(self, rng, frame_rate):
         with pytest.raises(ValueError, match="frame_rate"):
             InMemoryVideoStream.from_arrays([rng.random((4, 4, 3))], frame_rate=frame_rate)
+
+    @pytest.mark.parametrize("frame_rate", [0.0, -1.0, float("-inf")])
+    def test_non_positive_frame_rate_rejected(self, rng, frame_rate):
+        frames = [Frame(0, 0.0, rng.random((4, 4, 3)).astype(np.float32))]
+        with pytest.raises(ValueError, match="frame_rate"):
+            InMemoryVideoStream(frames, frame_rate=frame_rate)
+
+    @pytest.mark.parametrize("frame_rate", [-1.0, float("-inf")])
+    def test_from_arrays_rejects_a_negative_frame_rate(self, rng, frame_rate):
+        with pytest.raises(ValueError, match="frame_rate"):
+            InMemoryVideoStream.from_arrays([rng.random((4, 4, 3))], frame_rate=frame_rate)

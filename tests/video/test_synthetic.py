@@ -34,6 +34,11 @@ class TestSceneConfig:
             {"person_speed_range": (float("nan"), 1.0)},
             {"person_speed_range": (1.0, float("nan"))},
             {"person_speed_range": (1.0, float("inf"))},
+            {"person_speed_range": (float("-inf"), 1.0)},
+            {"person_speed_range": (float("nan"), float("nan"))},
+            {"person_speed_range": (float("inf"), float("inf"))},
+            {"frame_rate": float("nan")},
+            {"frame_rate": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
