@@ -11,12 +11,13 @@ multiply-adds, varying the number of convolutional layers (2-4), the number
 of kernels (16-64), the stride length (1-3), the number of pooling layers
 (0-2), and the type of convolutions (standard or separable)", with kernel
 size fixed to 3 (Section 4.4).  :func:`discrete_classifier_pareto_configs`
-reproduces that sweep.
+reproduces that sweep over the layer count, kernels, strides and convolution
+type; every entry has one pooling layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +48,15 @@ class DiscreteClassifierConfig:
 
     ``kernels`` gives the filter count of each convolutional layer (its
     length is the number of conv layers); ``strides`` must match in length.
-    ``pooling_layers`` max-pool (2x2) layers are inserted after the earliest
-    convolutions.  ``separable`` switches every convolution to a
-    depthwise-separable one.
+    ``separable`` switches every convolution to a depthwise-separable one.
+    What every entry of the sweep shares is fixed: 3x3 kernels, one 2x2
+    max-pool after the first convolution and a 32-unit FC layer.
     """
 
     name: str = "dc"
     kernels: tuple[int, ...] = (32, 32)
     strides: tuple[int, ...] = (2, 2)
-    pooling_layers: int = 1
     separable: bool = False
-    kernel_size: int = 3
-    fc_units: int = 32
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
@@ -70,8 +68,6 @@ class DiscreteClassifierConfig:
             raise ValueError("kernel counts must be within [16, 64]")
         if any(s < 1 or s > 3 for s in self.strides):
             raise ValueError("strides must be within [1, 3]")
-        if not 0 <= self.pooling_layers <= 2:
-            raise ValueError("pooling_layers must be within [0, 2]")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
 
@@ -87,16 +83,14 @@ class DiscreteClassifier:
         conv_cls = SeparableConv2D if config.separable else Conv2D
         layers = []
         for i, (filters, stride) in enumerate(zip(config.kernels, config.strides)):
-            layers.append(
-                conv_cls(filters, config.kernel_size, stride=stride, name=f"{name}/conv{i}")
-            )
+            layers.append(conv_cls(filters, 3, stride=stride, name=f"{name}/conv{i}"))
             layers.append(ReLU(name=f"{name}/relu{i}"))
-            if i < config.pooling_layers:
-                layers.append(MaxPool2D(2, name=f"{name}/pool{i}"))
+            if i == 0:
+                layers.append(MaxPool2D(name=f"{name}/pool{i}"))
         layers.extend(
             [
                 Flatten(name=f"{name}/flatten"),
-                Dense(config.fc_units, name=f"{name}/fc1"),
+                Dense(32, name=f"{name}/fc1"),
                 ReLU(name=f"{name}/fc_relu"),
                 Dense(1, name=f"{name}/fc2"),
             ]
@@ -155,19 +149,9 @@ def discrete_classifier_pareto_configs() -> list[DiscreteClassifierConfig]:
     ~2.3B multiply-adds at 1080p), spanning the paper's 100M-2.5B range.
     """
     return [
-        DiscreteClassifierConfig(
-            name="dc_small", kernels=(16, 32), strides=(2, 2), pooling_layers=1, separable=True
-        ),
-        DiscreteClassifierConfig(
-            name="dc_medium", kernels=(16, 32), strides=(2, 2), pooling_layers=1, separable=False
-        ),
-        DiscreteClassifierConfig(
-            name="dc_large", kernels=(32, 32), strides=(2, 2), pooling_layers=1, separable=False
-        ),
-        DiscreteClassifierConfig(
-            name="dc_xlarge", kernels=(32, 48, 64), strides=(2, 2, 1), pooling_layers=1, separable=False
-        ),
-        DiscreteClassifierConfig(
-            name="dc_xxlarge", kernels=(32, 64, 64), strides=(2, 2, 1), pooling_layers=1, separable=False
-        ),
+        DiscreteClassifierConfig(name="dc_small", kernels=(16, 32), strides=(2, 2), separable=True),
+        DiscreteClassifierConfig(name="dc_medium", kernels=(16, 32), strides=(2, 2)),
+        DiscreteClassifierConfig(name="dc_large", kernels=(32, 32), strides=(2, 2)),
+        DiscreteClassifierConfig(name="dc_xlarge", kernels=(32, 48, 64), strides=(2, 2, 1)),
+        DiscreteClassifierConfig(name="dc_xxlarge", kernels=(32, 64, 64), strides=(2, 2, 1)),
     ]

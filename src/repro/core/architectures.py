@@ -14,11 +14,11 @@
   is interesting.  The 1x1 reductions are computed once per frame and
   buffered, so the marginal per-frame cost stays low.
 
-The exact channel widths of the figure correspond to full-scale MobileNet
-feature maps.  Each constructor lays out the layer graph with the figure's
-filter counts by default, so :meth:`multiply_adds` answers for any input
-shape (the paper-scale cost model asks at 1920x1080); ``build`` allocates the
-weights for the actual (possibly width-scaled) input shape.
+The layer sizes are the figure's and fixed: every microclassifier of one
+architecture has the same layers, whatever its tap, crop or input shape.  Each
+constructor lays out the layer graph, so :meth:`multiply_adds` answers for any
+input shape (the paper-scale cost model asks at 1920x1080); ``build``
+allocates the weights for the actual (possibly width-scaled) input shape.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 _SIGMOID = SigmoidBinaryCrossEntropy._sigmoid
+
+# Figure 2's layer sizes.
+_FULL_FRAME_HIDDEN_FILTERS, _FULL_FRAME_HIDDEN_LAYERS = 32, 2  # 2a
+_LOCALIZED_SEPARABLE_FILTERS, _FC_UNITS = (16, 32), 200  # 2b; the FC width is 2c's too
+_REDUCE_FILTERS, _WINDOWED_CONV_FILTERS = 32, 32  # 2c (its window is the class's)
 
 
 class _SequentialMC(MicroClassifier):
@@ -97,20 +102,11 @@ class FullFrameObjectDetectorMC(_SequentialMC):
     architecture's cost.
     """
 
-    def __init__(
-        self,
-        config: MicroClassifierConfig,
-        hidden_filters: int = 32,
-        num_hidden_layers: int = 2,
-    ) -> None:
+    def __init__(self, config: MicroClassifierConfig) -> None:
         super().__init__(config)
-        if hidden_filters <= 0 or num_hidden_layers < 1:
-            raise ValueError("hidden_filters and num_hidden_layers must be positive")
-        self.hidden_filters = int(hidden_filters)
-        self.num_hidden_layers = int(num_hidden_layers)
         layers = []
-        for i in range(self.num_hidden_layers):
-            layers.append(Conv2D(self.hidden_filters, 1, name=f"{self.name}/conv1x1_{i}"))
+        for i in range(_FULL_FRAME_HIDDEN_LAYERS):
+            layers.append(Conv2D(_FULL_FRAME_HIDDEN_FILTERS, 1, name=f"{self.name}/conv1x1_{i}"))
             layers.append(ReLU(name=f"{self.name}/relu_{i}"))
         layers.append(Conv2D(1, 1, name=f"{self.name}/logit_conv"))
         layers.append(GlobalMaxPool(name=f"{self.name}/max"))
@@ -125,26 +121,16 @@ class FullFrameObjectDetectorMC(_SequentialMC):
 class LocalizedBinaryClassifierMC(_SequentialMC):
     """Figure 2b: two separable convolutions + a 200-unit FC head."""
 
-    def __init__(
-        self,
-        config: MicroClassifierConfig,
-        first_depth: int = 16,
-        second_depth: int = 32,
-        fc_units: int = 200,
-    ) -> None:
+    def __init__(self, config: MicroClassifierConfig) -> None:
         super().__init__(config)
-        if min(first_depth, second_depth, fc_units) <= 0:
-            raise ValueError("layer sizes must be positive")
-        self.first_depth = int(first_depth)
-        self.second_depth = int(second_depth)
-        self.fc_units = int(fc_units)
+        first, second = _LOCALIZED_SEPARABLE_FILTERS
         layers = [
-            SeparableConv2D(self.first_depth, 3, stride=1, name=f"{self.name}/sepconv1"),
+            SeparableConv2D(first, 3, stride=1, name=f"{self.name}/sepconv1"),
             ReLU(name=f"{self.name}/relu1"),
-            SeparableConv2D(self.second_depth, 3, stride=2, name=f"{self.name}/sepconv2"),
+            SeparableConv2D(second, 3, stride=2, name=f"{self.name}/sepconv2"),
             ReLU(name=f"{self.name}/relu2"),
             Flatten(name=f"{self.name}/flatten"),
-            Dense(self.fc_units, name=f"{self.name}/fc1"),
+            Dense(_FC_UNITS, name=f"{self.name}/fc1"),
             ReLU6(name=f"{self.name}/relu6"),
             Dense(1, name=f"{self.name}/fc2"),
         ]
@@ -159,42 +145,28 @@ class LocalizedBinaryClassifierMC(_SequentialMC):
 class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
     """Figure 2c: temporal-window classifier with buffered 1x1 reductions.
 
-    Per frame, a shared 1x1 convolution reduces the feature map to
-    ``reduce_filters`` channels; the reductions for a symmetric window of
-    ``window`` frames centred on frame *F* are concatenated depthwise and a
-    small CNN + FC head classifies *F*.  The per-frame reductions are
-    buffered and reused across overlapping windows (the paper's
-    optimization), so the marginal per-frame cost is one reduction plus one
-    head evaluation.
+    Per frame, a shared 1x1 convolution reduces the feature map to 32
+    channels; the reductions for a symmetric window of :attr:`window` frames
+    centred on frame *F* are concatenated depthwise and a small CNN + FC head
+    classifies *F*.  The per-frame reductions are buffered and reused across
+    overlapping windows (the paper's optimization), so the marginal per-frame
+    cost is one reduction plus one head evaluation.
     """
 
-    def __init__(
-        self,
-        config: MicroClassifierConfig,
-        window: int = 5,
-        reduce_filters: int = 32,
-        conv_filters: int = 32,
-        fc_units: int = 200,
-    ) -> None:
+    window = 5  # Figure 2c's frames, centred on the one classified
+
+    def __init__(self, config: MicroClassifierConfig) -> None:
         super().__init__(config)
-        if window < 1 or window % 2 == 0:
-            raise ValueError("window must be a positive odd integer")
-        if min(reduce_filters, conv_filters, fc_units) <= 0:
-            raise ValueError("layer sizes must be positive")
-        self.window = int(window)
-        self.reduce_filters = int(reduce_filters)
-        self.conv_filters = int(conv_filters)
-        self.fc_units = int(fc_units)
-        self.reduce = Conv2D(self.reduce_filters, 1, name=f"{self.name}/reduce1x1")
+        self.reduce = Conv2D(_REDUCE_FILTERS, 1, name=f"{self.name}/reduce1x1")
         self.reduce_relu = ReLU(name=f"{self.name}/reduce_relu")
         self.head = Sequential(
             [
-                Conv2D(self.conv_filters, 3, stride=1, name=f"{self.name}/conv1"),
+                Conv2D(_WINDOWED_CONV_FILTERS, 3, stride=1, name=f"{self.name}/conv1"),
                 ReLU(name=f"{self.name}/relu1"),
-                Conv2D(self.conv_filters, 3, stride=2, name=f"{self.name}/conv2"),
+                Conv2D(_WINDOWED_CONV_FILTERS, 3, stride=2, name=f"{self.name}/conv2"),
                 ReLU(name=f"{self.name}/relu2"),
                 Flatten(name=f"{self.name}/flatten"),
-                Dense(self.fc_units, name=f"{self.name}/fc1"),
+                Dense(_FC_UNITS, name=f"{self.name}/fc1"),
                 ReLU(name=f"{self.name}/fc_relu"),
                 Dense(1, name=f"{self.name}/fc2"),
             ],
@@ -204,7 +176,7 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
     def _head_input(self, input_shape: tuple[int, int, int]) -> tuple[int, int, int]:
         """The head's input for a feature map of ``input_shape``: ``window`` reductions deep."""
         h, w, _ = input_shape
-        return (h, w, self.reduce_filters * self.window)
+        return (h, w, _REDUCE_FILTERS * self.window)
 
     def build(self, input_shape: tuple[int, int, int], rng: np.random.Generator) -> None:
         self.reduce.build(tuple(input_shape), rng)
@@ -310,7 +282,7 @@ class WindowedLocalizedBinaryClassifierMC(MicroClassifier):
         grad_window = self.head.backward(grad_logits)
         # The same-frame window replicates the reduction W times; gradients sum.
         n, h, w, _ = grad_window.shape
-        grad_reduced = grad_window.reshape(n, h, w, self.window, self.reduce_filters).sum(axis=3)
+        grad_reduced = grad_window.reshape(n, h, w, self.window, _REDUCE_FILTERS).sum(axis=3)
         grad_reduced = self.reduce_relu.backward(grad_reduced)
         self.reduce.backward(grad_reduced)
 
@@ -337,9 +309,8 @@ def build_microclassifier(
     config: MicroClassifierConfig,
     input_shape: tuple[int, int, int],
     rng: np.random.Generator | None = None,
-    **kwargs,
 ) -> MicroClassifier:
-    """Construct and build a microclassifier by architecture name.
+    """Construct and build a microclassifier by architecture name (Figure 2's layer sizes).
 
     Parameters
     ----------
@@ -349,14 +320,12 @@ def build_microclassifier(
         Deployment configuration.
     input_shape:
         Shape of the (cropped) feature map the MC will consume.
-    kwargs:
-        Architecture-specific options (e.g. ``window=5``).
     """
     key = architecture.lower()
     if key not in ARCHITECTURES:
         raise ValueError(
             f"Unknown architecture {architecture!r}; expected one of {sorted(ARCHITECTURES)}"
         )
-    mc = ARCHITECTURES[key](config, **kwargs)
+    mc = ARCHITECTURES[key](config)
     mc.build(tuple(input_shape), rng or np.random.default_rng(0))
     return mc

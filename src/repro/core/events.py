@@ -135,8 +135,8 @@ class SmoothedDecision:
 class EventDetector:
     """Smooths one microclassifier's decisions and assembles events.
 
-    Combines :class:`~repro.core.smoothing.KVotingSmoother` (N=5, K=2 by
-    default, per the paper) with a :class:`TransitionDetector` that assigns
+    Combines :class:`~repro.core.smoothing.KVotingSmoother` (N=5, K=2, per
+    the paper) with a :class:`TransitionDetector` that assigns
     monotonically increasing event IDs.
 
     Two modes share the same ID counter and produce identical results:
@@ -147,11 +147,11 @@ class EventDetector:
       closing events as runs end; :meth:`flush` finalizes the stream tail.
     """
 
-    def __init__(self, mc_name: str, window: int = 5, votes: int = 2) -> None:
+    def __init__(self, mc_name: str) -> None:
         self.mc_name = mc_name
-        self.smoother = KVotingSmoother(window=window, votes=votes)
+        self.smoother = KVotingSmoother()
         self.transition_detector = TransitionDetector()
-        self._online_smoother = StreamingKVotingSmoother(window=window, votes=votes)
+        self._online_smoother = StreamingKVotingSmoother()
         self._position = 0
         self._open_start: int | None = None
         self._open_id: int | None = None

@@ -59,8 +59,8 @@ class MicroClassifierConfig:
             raise ValueError("MicroClassifier name must be non-empty")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
-        if not self.upload_bitrate > 0:  # written so that a NaN fails it
-            raise ValueError("upload_bitrate must be positive")
+        if not 0 < self.upload_bitrate < float("inf"):  # written so that a NaN fails it
+            raise ValueError("upload_bitrate must be positive and finite")
 
 
 class MicroClassifier(ABC):
@@ -104,10 +104,9 @@ class MicroClassifier(ABC):
 
     # -- inference ---------------------------------------------------------
     def bank_key(self) -> tuple:
-        """What MCs must share to be scored as one bank: concrete class, tap, crop, built
-        input shape and every weight's shape (which pins the architecture hyper-parameters)."""
-        shapes = tuple(p.value.shape for p in self.parameters())
-        return (type(self), self.input_layer, self.crop, self.input_shape, shapes)
+        """What MCs must share to be scored as one bank: concrete class, tap, crop and built
+        input shape (an architecture's layer sizes are fixed, so these pin every weight's shape)."""
+        return (type(self), self.input_layer, self.crop, self.input_shape)
 
     @abstractmethod
     def predict_proba_batch(

@@ -4,8 +4,9 @@ A microclassifier emits one binary decision per frame.  FilterForward
 smooths these with **K-voting**: each frame's decision is replaced by
 whether at least ``K`` of the ``N`` frames in a window centred on it are
 positive.  The paper uses ``N = 5`` and ``K = 2``, chosen to aggressively
-mask false negatives at the cost of some false positives.  A transition
-detector then turns each contiguous positive run into a unique event.
+mask false negatives at the cost of some false positives; so does every
+smoother here.  A transition detector then turns each contiguous positive run
+into a unique event.
 """
 
 from __future__ import annotations
@@ -14,26 +15,22 @@ from collections import deque
 
 import numpy as np
 
+from repro.video.annotations import frame_labels_to_events
+
 __all__ = ["KVotingSmoother", "StreamingKVotingSmoother", "TransitionDetector"]
+
+_WINDOW, _VOTES = 5, 2  # N and K
+_HALF = _WINDOW // 2  # frames of the window before the one it smooths
 
 
 class KVotingSmoother:
-    """K-of-N vote over a sliding window of per-frame decisions."""
-
-    def __init__(self, window: int = 5, votes: int = 2) -> None:
-        if window < 1:
-            raise ValueError("window must be positive")
-        if not 1 <= votes <= window:
-            raise ValueError("votes must be in [1, window]")
-        self.window = int(window)
-        self.votes = int(votes)
+    """K-of-N vote over a sliding window of per-frame decisions (N = 5, K = 2)."""
 
     def smooth(self, decisions: np.ndarray) -> np.ndarray:
         """Smooth a binary decision sequence.
 
-        Each output frame is positive iff at least ``votes`` of the
-        ``window`` frames centred on it (clamped at stream boundaries) are
-        positive.
+        Each output frame is positive iff at least 2 of the 5 frames centred
+        on it (clamped at stream boundaries) are positive.
         """
         arr = np.asarray(decisions).astype(np.int64)
         if arr.ndim != 1:
@@ -41,41 +38,26 @@ class KVotingSmoother:
         n = arr.size
         if n == 0:
             return np.zeros(0, dtype=np.int8)
-        half = self.window // 2
         # Prefix sums give each window's positive count in O(n).
         prefix = np.concatenate(([0], np.cumsum(arr)))
-        starts = np.clip(np.arange(n) - half, 0, n)
-        ends = np.clip(np.arange(n) + self.window - half, 0, n)
+        starts = np.clip(np.arange(n) - _HALF, 0, n)
+        ends = np.clip(np.arange(n) + _WINDOW - _HALF, 0, n)
         counts = prefix[ends] - prefix[starts]
-        return (counts >= self.votes).astype(np.int8)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"KVotingSmoother(window={self.window}, votes={self.votes})"
+        return (counts >= _VOTES).astype(np.int8)
 
 
 class StreamingKVotingSmoother:
     """Online K-of-N smoother: identical output to :class:`KVotingSmoother`.
 
     Decisions arrive one at a time via :meth:`push`; each smoothed value is
-    emitted as soon as its full (clamped) window is available, which is
-    ``window - window // 2 - 1`` decisions after the frame itself.  At end of
-    stream, :meth:`flush` emits the remaining tail with the window clamped at
-    the stream boundary, exactly as the batch smoother clamps at ``n``.  Only
-    the last ``window`` decisions are buffered, so memory is O(window)
-    regardless of stream length.
+    emitted as soon as its full (clamped) window is available, which is two
+    decisions after the frame itself.  At end of stream, :meth:`flush` emits
+    the remaining tail with the window clamped at the stream boundary, exactly
+    as the batch smoother clamps at ``n``.  Only the last five decisions are
+    buffered, so memory is O(1) regardless of stream length.
     """
 
-    def __init__(self, window: int = 5, votes: int = 2) -> None:
-        if window < 1:
-            raise ValueError("window must be positive")
-        if not 1 <= votes <= window:
-            raise ValueError("votes must be in [1, window]")
-        self.window = int(window)
-        self.votes = int(votes)
-        self._half = self.window // 2
-        # smoothed[i] needs decisions [i - half, i + window - half); the
-        # exclusive right edge relative to i:
-        self._ahead = self.window - self._half
+    def __init__(self) -> None:
         self._buffer: deque[int] = deque()
         self._buffer_start = 0  # absolute index of _buffer[0]
         self._received = 0
@@ -95,38 +77,34 @@ class StreamingKVotingSmoother:
         out: list[int] = []
         while self._emitted < self._received:
             i = self._emitted
-            end = i + self._ahead
+            end = i + _WINDOW - _HALF  # smoothed[i] needs decisions [i - half, end)
             if not final and end > self._received:
                 break
             end = min(end, self._received)
-            start = max(0, i - self._half)
+            start = max(0, i - _HALF)
             lo = start - self._buffer_start
             hi = end - self._buffer_start
             count = sum(list(self._buffer)[lo:hi])
-            out.append(1 if count >= self.votes else 0)
+            out.append(1 if count >= _VOTES else 0)
             self._emitted += 1
             # Decisions earlier than emitted - half can never be needed again.
-            while self._buffer_start < self._emitted - self._half:
+            while self._buffer_start < self._emitted - _HALF:
                 self._buffer.popleft()
                 self._buffer_start += 1
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StreamingKVotingSmoother(window={self.window}, votes={self.votes})"
 
 
 class TransitionDetector:
     """Turns smoothed per-frame labels into events with unique, increasing IDs.
 
-    Event IDs are monotonically increasing *per microclassifier* and persist
-    across calls, matching the paper's "MC-specific, monotonically
-    increasing, unique ID" semantics for streaming operation.
+    Event IDs start at 1, are monotonically increasing *per
+    microclassifier* and persist across calls, matching the paper's
+    "MC-specific, monotonically increasing, unique ID" semantics for
+    streaming operation.
     """
 
-    def __init__(self, first_event_id: int = 1) -> None:
-        if first_event_id < 0:
-            raise ValueError("first_event_id must be non-negative")
-        self._next_id = int(first_event_id)
+    def __init__(self) -> None:
+        self._next_id = 1
 
     def allocate_event_id(self) -> int:
         """Consume and return the next event ID (for online event assembly)."""
@@ -141,17 +119,7 @@ class TransitionDetector:
         ``end_frame`` exclusive; ``frame_offset`` shifts indices so streaming
         chunks can be processed incrementally.
         """
-        arr = np.asarray(smoothed).astype(bool)
-        if arr.ndim != 1:
-            raise ValueError("smoothed labels must be one-dimensional")
-        if arr.size == 0:
-            return []
-        padded = np.concatenate(([False], arr, [False]))
-        diffs = np.diff(padded.astype(np.int8))
-        starts = np.flatnonzero(diffs == 1)
-        ends = np.flatnonzero(diffs == -1)
-        events = []
-        for start, end in zip(starts, ends):
-            events.append((self._next_id, int(start) + frame_offset, int(end) + frame_offset))
-            self._next_id += 1
-        return events
+        return [
+            (self.allocate_event_id(), run.start + frame_offset, run.end + frame_offset)
+            for run in frame_labels_to_events(smoothed)
+        ]

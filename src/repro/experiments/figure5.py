@@ -32,18 +32,13 @@ class Figure5Result:
     series: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def run_figure5(
-    model: ThroughputModel | None = None,
-    classifier_counts: list[int] | None = None,
-) -> Figure5Result:
+def run_figure5() -> Figure5Result:
     """Evaluate the throughput model over the paper's classifier-count sweep."""
-    model = model or ThroughputModel()
-    counts = classifier_counts or PAPER_CLASSIFIER_COUNTS
-    series = model.sweep(counts)
-    return Figure5Result(classifier_counts=list(counts), series=series)
+    series = ThroughputModel().sweep(PAPER_CLASSIFIER_COUNTS)
+    return Figure5Result(classifier_counts=list(PAPER_CLASSIFIER_COUNTS), series=series)
 
 
-def summarize_figure5(result: Figure5Result, model: ThroughputModel | None = None) -> dict[str, float]:
+def summarize_figure5(result: Figure5Result) -> dict[str, float]:
     """Headline numbers from Section 4.4.
 
     * ``break_even_classifiers`` — smallest count at which the fastest
@@ -57,7 +52,7 @@ def summarize_figure5(result: Figure5Result, model: ThroughputModel | None = Non
     * ``mobilenet_oom_classifiers`` — where the MobileNet baseline runs out
       of memory (``fig5.mobilenet_oom``).
     """
-    model = model or ThroughputModel()
+    model = ThroughputModel()
     counts = np.asarray(result.classifier_counts)
     ff_series = {
         name: values

@@ -61,7 +61,7 @@ def _make_contexts(preset: str, seed: int) -> tuple[ExperimentContext, Experimen
     )
 
 
-def run_all(preset: str = "quick", seed: int = 0, verbose: bool = True) -> ReproductionReport:
+def run_all(preset: str = "quick", seed: int = 0) -> ReproductionReport:
     """Run Table 3 and Figures 4-7, summarize the headline numbers and score the claims."""
     if preset not in _PRESETS:
         raise ValueError(f"Unknown preset {preset!r}; expected one of {sorted(_PRESETS)}")
@@ -69,8 +69,7 @@ def run_all(preset: str = "quick", seed: int = 0, verbose: bool = True) -> Repro
 
     def log(message: str) -> None:
         # Progress goes to stderr so that stdout carries only the report.
-        if verbose:
-            print(message, file=sys.stderr, flush=True)
+        print(message, file=sys.stderr, flush=True)
 
     log("[table3] generating datasets ...")
     jackson_ctx, roadway_ctx = _make_contexts(preset, seed)

@@ -10,6 +10,7 @@ interest share one base-DNN pass (Section 3.2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,8 +38,11 @@ class FeatureMapCrop:
     y1: int
 
     def __post_init__(self) -> None:
+        corners = (self.x0, self.y0, self.x1, self.y1)
+        if not all(math.isfinite(v) for v in corners):  # a NaN fails it too
+            raise ValueError(f"Crop coordinates must be finite: {corners}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
-            raise ValueError(f"Empty crop rectangle: {(self.x0, self.y0, self.x1, self.y1)}")
+            raise ValueError(f"Empty crop rectangle: {corners}")
         if self.x0 < 0 or self.y0 < 0:
             raise ValueError("Crop coordinates must be non-negative")
 

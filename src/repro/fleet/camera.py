@@ -233,8 +233,8 @@ def generate_fleet(
     """
     if num_cameras < 1:
         raise ValueError("num_cameras must be at least 1")
-    if duration_seconds <= 0:
-        raise ValueError("duration_seconds must be positive")
+    if not 0 < duration_seconds < float("inf"):  # written so that a NaN fails it
+        raise ValueError("duration_seconds must be positive and finite")
     if districts is not None and not 1 <= districts <= num_cameras:
         raise ValueError("districts must be in [1, num_cameras]")
     names = list(scenarios) if scenarios is not None else sorted(SCENARIOS)

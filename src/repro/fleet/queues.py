@@ -169,9 +169,8 @@ class AdmissionController:
     node-wide budget any single camera may hold.  Without it, one high-rate
     camera can keep the budget permanently full and starve its neighbours;
     with it, a camera at quota is rejected even while the node has headroom,
-    leaving room for the quiet cameras' next frames.  Per-camera accounting
-    requires callers to pass ``camera_id`` to both :meth:`try_admit` and
-    :meth:`release`.
+    leaving room for the quiet cameras' next frames.  Every frame is
+    admitted and released under its camera's id.
 
     :meth:`set_camera_quota` installs a per-camera *override* of the default
     quota — the adaptive-shedding control plane's actuator: tightening one
@@ -217,33 +216,25 @@ class AdmissionController:
         """Per-camera quota overrides currently in force."""
         return dict(self._quota_overrides)
 
-    def try_admit(self, camera_id: str | None = None) -> bool:
-        """Admit one frame if the node-wide budget (and camera quota) allows."""
-        if (self.per_camera_quota is not None or self._quota_overrides) and camera_id is None:
-            raise ValueError("camera_id is required when a per-camera quota is set")
+    def try_admit(self, camera_id: str) -> bool:
+        """Admit one of ``camera_id``'s frames if the node-wide budget and its quota allow."""
         if self._in_flight >= self.max_in_flight:
             self.rejected += 1
             return False
-        quota = self.quota_for(camera_id) if camera_id is not None else None
+        quota = self.quota_for(camera_id)
         if quota is not None and self._per_camera.get(camera_id, 0) >= quota:
             self.rejected += 1
             self.rejected_over_quota += 1
             return False
         self._in_flight += 1
-        if camera_id is not None:
-            self._per_camera[camera_id] = self._per_camera.get(camera_id, 0) + 1
+        self._per_camera[camera_id] = self._per_camera.get(camera_id, 0) + 1
         self.admitted += 1
         return True
 
-    def release(self, camera_id: str | None = None) -> None:
-        """Mark one in-flight frame as scored or dropped."""
-        if (self.per_camera_quota is not None or self._quota_overrides) and camera_id is None:
-            raise ValueError("camera_id is required when a per-camera quota is set")
-        if self._in_flight <= 0:
-            raise RuntimeError("release() without a matching try_admit()")
-        if camera_id is not None:
-            held = self._per_camera.get(camera_id, 0)
-            if held <= 0:
-                raise RuntimeError(f"release({camera_id!r}) without a matching try_admit()")
-            self._per_camera[camera_id] = held - 1
+    def release(self, camera_id: str) -> None:
+        """Mark one of ``camera_id``'s in-flight frames as scored or dropped."""
+        held = self._per_camera.get(camera_id, 0)
+        if held <= 0:
+            raise RuntimeError(f"release({camera_id!r}) without a matching try_admit()")
+        self._per_camera[camera_id] = held - 1
         self._in_flight -= 1

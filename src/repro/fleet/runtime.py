@@ -889,26 +889,21 @@ class FleetRuntime:
             self.admission = AdmissionController(max_in_flight=1_000_000_000)
         self.admission.set_camera_quota(camera_id, quota)
 
-    def set_camera_threshold(
-        self, camera_id: str, threshold: float, mc_name: str | None = None
-    ) -> None:
+    def set_camera_threshold(self, camera_id: str, threshold: float) -> None:
         """Set one camera's live decision threshold (runtime threshold drift).
 
-        Targets the camera's *primary* (first-installed) microclassifier by
-        default — the same one :attr:`CameraLiveStats.threshold` reports, so
-        the drift controller's feedback loop observes exactly what it
-        actuates; a multi-MC session's other thresholds are untouched unless
-        named explicitly.  Actuates on the camera's *session*, so the
-        trained microclassifier a cache shares across sessions keeps its
-        calibrated threshold; the override also does not survive a
-        migration handoff (the destination builds a fresh session), which
-        is deliberate — the drift controller re-derives it from the new
-        stint's live densities.
+        Targets the camera's *primary* (first-installed) microclassifier —
+        the same one :attr:`CameraLiveStats.threshold` reports, so the drift
+        controller's feedback loop observes exactly what it actuates; a
+        multi-MC session's other thresholds are untouched.  Actuates on the
+        camera's *session*, so the trained microclassifier a cache shares
+        across sessions keeps its calibrated threshold; the override also
+        does not survive a migration handoff (the destination builds a fresh
+        session), which is deliberate — the drift controller re-derives it
+        from the new stint's live densities.
         """
         session = self._hosted(camera_id).session
-        if mc_name is None:
-            mc_name = session.microclassifiers[0].name
-        session.set_threshold(threshold, mc_name=mc_name)
+        session.set_threshold(threshold, mc_name=session.microclassifiers[0].name)
         self.telemetry.gauge(f"accuracy.threshold.{camera_id}").set(threshold)
 
     def camera_live_stats(self) -> dict[str, CameraLiveStats]:

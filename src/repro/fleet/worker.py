@@ -70,8 +70,8 @@ class WorkerPool:
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if not self.service_time_scale > 0:  # written so that a NaN fails it
-            raise ValueError("service_time_scale must be positive")
+        if not 0 < self.service_time_scale < float("inf"):  # written so that a NaN fails it
+            raise ValueError("service_time_scale must be positive and finite")
         self.workers = [Worker(worker_id=i) for i in range(self.num_workers)]
 
     def service_seconds_for(self, schedule: PhasedSchedule | None = None) -> float:

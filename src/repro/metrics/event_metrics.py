@@ -35,8 +35,7 @@ __all__ = [
     "EventF1Breakdown",
 ]
 
-DEFAULT_ALPHA = 0.9
-DEFAULT_BETA = 0.1
+_ALPHA, _BETA = 0.9, 0.1  # existence and overlap weights of event recall
 
 
 def _as_binary(labels: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
@@ -66,17 +65,12 @@ def overlap_score(event: EventAnnotation, predictions: np.ndarray) -> float:
 
 
 def event_recall(
-    ground_truth: Sequence[int] | np.ndarray,
-    predictions: Sequence[int] | np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
+    ground_truth: Sequence[int] | np.ndarray, predictions: Sequence[int] | np.ndarray
 ) -> float:
-    """Mean event recall over all ground-truth events.
+    """Mean event recall over all ground-truth events (``alpha = 0.9``, ``beta = 0.1``).
 
     Returns 1.0 when there are no ground-truth events (nothing to miss).
     """
-    if not np.isclose(alpha + beta, 1.0):
-        raise ValueError("alpha + beta must equal 1.0")
     truth = _as_binary(ground_truth, "ground_truth")
     predictions = _as_binary(predictions, "predictions")
     if truth.size != predictions.size:
@@ -88,7 +82,7 @@ def event_recall(
     if not events:
         return 1.0
     recalls = [
-        alpha * existence_score(event, predictions) + beta * overlap_score(event, predictions)
+        _ALPHA * existence_score(event, predictions) + _BETA * overlap_score(event, predictions)
         for event in events
     ]
     return float(np.mean(recalls))
@@ -128,15 +122,13 @@ class EventF1Breakdown:
 def event_f1_score(
     ground_truth: Sequence[int] | np.ndarray,
     predictions: Sequence[int] | np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
     return_breakdown: bool = False,
 ) -> float | EventF1Breakdown:
     """Event F1: harmonic mean of frame precision and event recall."""
     truth = _as_binary(ground_truth, "ground_truth")
     preds = _as_binary(predictions, "predictions")
     precision = frame_precision(truth, preds)
-    recall = event_recall(truth, preds, alpha=alpha, beta=beta)
+    recall = event_recall(truth, preds)
     if precision + recall == 0:
         f1 = 0.0
     else:

@@ -108,7 +108,7 @@ def banked_layer_forward(layers: Sequence[Layer], x: np.ndarray, shared: bool) -
         for i, layer in enumerate(layers):  # per member: a stacked einsum is not proven bit-safe
             kernel = layer.kernel.value.reshape(taps, c)
             np.einsum("nkc,kc->nc", windows[0 if shared else i], kernel, out=out[i])
-    if first.use_bias:
+    if first.bias is not None:
         out += np.array([layer.bias.value for layer in layers])[:, None, :]
     return out.reshape(-1, *out_size, out.shape[-1])
 

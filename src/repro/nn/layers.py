@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.im2col import col2im, conv_columns, conv_output_size, im2col
-from repro.nn.initializers import Constant, GlorotUniform, HeNormal, Initializer
+from repro.nn.initializers import Constant, GlorotUniform, HeNormal
 
 __all__ = [
     "sigmoid",
@@ -145,20 +145,18 @@ class Conv2D(Layer):
         Receptive-field size ``K`` (int or pair).
     stride:
         Spatial stride ``S``.
-    padding:
-        ``"same"`` or ``"valid"``.
-    use_bias:
-        Whether to add a per-filter bias.
+
+    Every convolution pads ``"same"`` (TensorFlow semantics), adds a per-filter
+    bias and draws its kernel from :class:`HeNormal`.
     """
+
+    padding = "same"
 
     def __init__(
         self,
         filters: int,
         kernel_size: int | tuple[int, int],
         stride: int | tuple[int, int] = 1,
-        padding: str = "same",
-        use_bias: bool = True,
-        kernel_initializer: Initializer | None = None,
         name: str | None = None,
     ) -> None:
         super().__init__(name)
@@ -167,11 +165,6 @@ class Conv2D(Layer):
         self.filters = int(filters)
         self.kernel_size = _as_pair(kernel_size)
         self.stride = _as_pair(stride)
-        if padding not in ("same", "valid"):
-            raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-        self.padding = padding
-        self.use_bias = bool(use_bias)
-        self.kernel_initializer = kernel_initializer or HeNormal()
         self.kernel: Parameter | None = None
         self.bias: Parameter | None = None
         self._cache: dict | None = None
@@ -179,12 +172,8 @@ class Conv2D(Layer):
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> None:
         h, w, c = input_shape
         kh, kw = self.kernel_size
-        self.kernel = Parameter(
-            f"{self.name}/kernel",
-            self.kernel_initializer((kh, kw, c, self.filters), rng),
-        )
-        if self.use_bias:
-            self.bias = Parameter(f"{self.name}/bias", Constant(0.0)((self.filters,), rng))
+        self.kernel = Parameter(f"{self.name}/kernel", HeNormal()((kh, kw, c, self.filters), rng))
+        self.bias = Parameter(f"{self.name}/bias", Constant(0.0)((self.filters,), rng))
         self.built = True
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -202,8 +191,7 @@ class Conv2D(Layer):
         else:
             cols, out_size = conv_columns(x, self.kernel_size, self.stride, self.padding)
         out = cols @ self.kernel.value.reshape(-1, self.filters)
-        if self.use_bias:
-            out += self.bias.value
+        out += self.bias.value
         return out.reshape(x.shape[0], *out_size, self.filters)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -214,8 +202,7 @@ class Conv2D(Layer):
         in_c = cache["in_channels"]
         grad_mat = grad.reshape(-1, self.filters)
         self.kernel.grad += (cache["cols"].T @ grad_mat).reshape(kh, kw, in_c, self.filters)
-        if self.use_bias:
-            self.bias.grad += grad_mat.sum(axis=0)
+        self.bias.grad += grad_mat.sum(axis=0)
         w_mat = self.kernel.value.reshape(kh * kw * in_c, self.filters)
         cols_grad = grad_mat @ w_mat.T
         return col2im(
@@ -248,25 +235,26 @@ class Conv2D(Layer):
 
 
 class DepthwiseConv2D(Layer):
-    """Depthwise 2-D convolution: one spatial filter per input channel."""
+    """Depthwise 2-D convolution: one spatial filter per input channel.
+
+    It pads ``"same"`` and draws its kernel from :class:`HeNormal`; the bias is
+    optional because the base DNN's depthwise layers have one and a
+    :class:`SeparableConv2D`'s does not.
+    """
+
+    padding = "same"
 
     def __init__(
         self,
         kernel_size: int | tuple[int, int],
         stride: int | tuple[int, int] = 1,
-        padding: str = "same",
         use_bias: bool = True,
-        kernel_initializer: Initializer | None = None,
         name: str | None = None,
     ) -> None:
         super().__init__(name)
         self.kernel_size = _as_pair(kernel_size)
         self.stride = _as_pair(stride)
-        if padding not in ("same", "valid"):
-            raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-        self.padding = padding
         self.use_bias = bool(use_bias)
-        self.kernel_initializer = kernel_initializer or HeNormal()
         self.kernel: Parameter | None = None
         self.bias: Parameter | None = None
         self.channels: int | None = None
@@ -276,10 +264,7 @@ class DepthwiseConv2D(Layer):
         _, _, c = input_shape
         kh, kw = self.kernel_size
         self.channels = int(c)
-        self.kernel = Parameter(
-            f"{self.name}/depthwise_kernel",
-            self.kernel_initializer((kh, kw, c), rng),
-        )
+        self.kernel = Parameter(f"{self.name}/depthwise_kernel", HeNormal()((kh, kw, c), rng))
         if self.use_bias:
             self.bias = Parameter(f"{self.name}/bias", Constant(0.0)((c,), rng))
         self.built = True
@@ -359,21 +344,16 @@ class SeparableConv2D(Layer):
         filters: int,
         kernel_size: int | tuple[int, int],
         stride: int | tuple[int, int] = 1,
-        padding: str = "same",
-        use_bias: bool = True,
         name: str | None = None,
     ) -> None:
         super().__init__(name)
         self.filters = int(filters)
         self.kernel_size = _as_pair(kernel_size)
         self.stride = _as_pair(stride)
-        self.padding = padding
         self.depthwise = DepthwiseConv2D(
-            kernel_size, stride, padding, use_bias=False, name=f"{self.name}/depthwise"
+            kernel_size, stride, use_bias=False, name=f"{self.name}/depthwise"
         )
-        self.pointwise = Conv2D(
-            filters, 1, 1, "same", use_bias=use_bias, name=f"{self.name}/pointwise"
-        )
+        self.pointwise = Conv2D(filters, 1, 1, name=f"{self.name}/pointwise")
 
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> None:
         self.depthwise.build(input_shape, rng)
@@ -401,21 +381,16 @@ class SeparableConv2D(Layer):
 
 
 class Dense(Layer):
-    """Fully-connected layer over flattened per-sample features."""
+    """Fully-connected layer over flattened per-sample features.
 
-    def __init__(
-        self,
-        units: int,
-        use_bias: bool = True,
-        kernel_initializer: Initializer | None = None,
-        name: str | None = None,
-    ) -> None:
+    It adds a per-unit bias and draws its kernel from :class:`GlorotUniform`.
+    """
+
+    def __init__(self, units: int, name: str | None = None) -> None:
         super().__init__(name)
         if units <= 0:
             raise ValueError("units must be positive")
         self.units = int(units)
-        self.use_bias = bool(use_bias)
-        self.kernel_initializer = kernel_initializer or GlorotUniform()
         self.kernel: Parameter | None = None
         self.bias: Parameter | None = None
         self._cache: np.ndarray | None = None
@@ -427,10 +402,9 @@ class Dense(Layer):
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> None:
         in_features = int(np.prod(input_shape))
         self.kernel = Parameter(
-            f"{self.name}/kernel", self.kernel_initializer((in_features, self.units), rng)
+            f"{self.name}/kernel", GlorotUniform()((in_features, self.units), rng)
         )
-        if self.use_bias:
-            self.bias = Parameter(f"{self.name}/bias", Constant(0.0)((self.units,), rng))
+        self.bias = Parameter(f"{self.name}/bias", Constant(0.0)((self.units,), rng))
         self._input_shape = tuple(int(s) for s in input_shape)
         self.built = True
 
@@ -439,8 +413,7 @@ class Dense(Layer):
             raise RuntimeError(f"Layer {self.name} used before build()")
         flat = self._flatten(x)
         out = flat @ self.kernel.value
-        if self.use_bias:
-            out += self.bias.value
+        out += self.bias.value
         if training:
             self._cache = flat
             self._batch_input_shape = x.shape
@@ -450,8 +423,7 @@ class Dense(Layer):
         if self._cache is None:
             raise RuntimeError(f"backward() before forward(training=True) in {self.name}")
         self.kernel.grad += self._cache.T @ grad
-        if self.use_bias:
-            self.bias.grad += grad.sum(axis=0)
+        self.bias.grad += grad.sum(axis=0)
         return (grad @ self.kernel.value.T).reshape(self._batch_input_shape)
 
     def parameters(self) -> list[Parameter]:
@@ -488,19 +460,15 @@ class Flatten(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) spatial windows."""
+    """2x2 max pooling at stride 2 over the ``"valid"`` windows (an odd edge row or column
+    is dropped): the one pooling the discrete classifiers use."""
 
-    def __init__(
-        self,
-        pool_size: int | tuple[int, int] = 2,
-        stride: int | tuple[int, int] | None = None,
-        padding: str = "valid",
-        name: str | None = None,
-    ) -> None:
+    pool_size = (2, 2)
+    stride = (2, 2)
+    padding = "valid"
+
+    def __init__(self, name: str | None = None) -> None:
         super().__init__(name)
-        self.pool_size = _as_pair(pool_size)
-        self.stride = _as_pair(stride) if stride is not None else self.pool_size
-        self.padding = padding
         self._cache: dict | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

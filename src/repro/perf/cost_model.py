@@ -66,12 +66,9 @@ class CostModel:
         """Multiply-adds of one base-DNN (feature extractor) pass."""
         return mobilenet_multiply_adds(self.resolution, alpha=self.alpha)
 
-    def mc_cost(self, architecture: str, **kwargs) -> int:
-        """Marginal multiply-adds of one microclassifier of ``architecture``.
-
-        ``kwargs`` go to the architecture's constructor (e.g. ``window=3``).
-        """
-        return _query_mc(self, architecture.lower(), tuple(sorted(kwargs.items())))
+    def mc_cost(self, architecture: str) -> int:
+        """Marginal multiply-adds of one microclassifier of ``architecture`` (Figure 2's sizes)."""
+        return _query_mc(self, architecture.lower())
 
     def dc_cost(self, config: DiscreteClassifierConfig) -> int:
         """Total multiply-adds of one discrete classifier at this resolution."""
@@ -79,7 +76,7 @@ class CostModel:
 
 
 @lru_cache(maxsize=4096)
-def _query_mc(model: CostModel, architecture: str, kwargs: tuple[tuple[str, object], ...]) -> int:
+def _query_mc(model: CostModel, architecture: str) -> int:
     if architecture not in ARCHITECTURES:
         raise ValueError(
             f"Unknown architecture {architecture!r}; expected one of {sorted(ARCHITECTURES)}"
@@ -89,9 +86,7 @@ def _query_mc(model: CostModel, architecture: str, kwargs: tuple[tuple[str, obje
     if model.crop_fraction < 1.0:
         # The paper's crops are horizontal bands, so the crop reduces height.
         h = max(1, int(round(h * model.crop_fraction)))
-    mc = ARCHITECTURES[architecture](
-        MicroClassifierConfig(name=architecture, input_layer=tap), **dict(kwargs)
-    )
+    mc = ARCHITECTURES[architecture](MicroClassifierConfig(name=architecture, input_layer=tap))
     return mc.multiply_adds((h, w, c))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.discrete_classifier import DiscreteClassifierConfig
+from repro.baselines.discrete_classifier import discrete_classifier_pareto_configs
 from repro.perf.cost_model import CostModel
 from repro.perf.memory_model import MemoryModel
 
@@ -111,21 +111,17 @@ class ThroughputModel:
         return self.filterforward_breakdown(num_classifiers, architecture).fps
 
     # -- Discrete classifiers -------------------------------------------------
-    def discrete_classifier_fps(
-        self, num_classifiers: int, dc_config: DiscreteClassifierConfig | None = None
-    ) -> float:
-        """Throughput of running ``num_classifiers`` NoScope-style DCs."""
+    def discrete_classifier_fps(self, num_classifiers: int) -> float:
+        """Throughput of running ``num_classifiers`` NoScope-style DCs.
+
+        Each is the sweep's most expensive DC, the paper's "representative
+        example from the Pareto frontier" (the rule Figure 7 applies too).
+        """
         if num_classifiers < 1:
             raise ValueError("num_classifiers must be positive")
         cfg = self.config
-        dc_config = dc_config or DiscreteClassifierConfig(
-            name="dc_representative",
-            kernels=(32, 64, 64),
-            strides=(2, 2, 1),
-            pooling_layers=1,
-            separable=False,
-        )
-        dc_seconds = self.cost_model.dc_cost(dc_config) / cfg.classifier_ops_per_second
+        dc_cost = max(map(self.cost_model.dc_cost, discrete_classifier_pareto_configs()))
+        dc_seconds = dc_cost / cfg.classifier_ops_per_second
         total = cfg.fixed_overhead_seconds + num_classifiers * (
             dc_seconds + cfg.per_classifier_overhead_seconds
         )
@@ -150,30 +146,23 @@ class ThroughputModel:
         return 1.0 / total
 
     # -- Derived quantities ------------------------------------------------------
-    def break_even_classifiers(
-        self, architecture: str = "localized", dc_config: DiscreteClassifierConfig | None = None
-    ) -> int:
+    def break_even_classifiers(self, architecture: str = "localized") -> int:
         """Smallest classifier count at which FilterForward out-runs the DCs."""
         for n in range(1, 1001):
-            if self.filterforward_fps(n, architecture) > self.discrete_classifier_fps(n, dc_config):
+            if self.filterforward_fps(n, architecture) > self.discrete_classifier_fps(n):
                 return n
         return -1
 
-    def sweep(
-        self,
-        classifier_counts: list[int],
-        architectures: tuple[str, ...] = ("full_frame", "windowed", "localized"),
-        dc_config: DiscreteClassifierConfig | None = None,
-    ) -> dict[str, np.ndarray]:
+    def sweep(self, classifier_counts: list[int]) -> dict[str, np.ndarray]:
         """Throughput series for Figure 5: one per MC architecture, DCs, MobileNets."""
         counts = np.asarray(classifier_counts, dtype=int)
         series: dict[str, np.ndarray] = {"num_classifiers": counts}
-        for arch in architectures:
+        for arch in ("full_frame", "windowed", "localized"):
             series[f"filterforward_{arch}"] = np.array(
                 [self.filterforward_fps(int(n), arch) for n in counts]
             )
         series["discrete_classifiers"] = np.array(
-            [self.discrete_classifier_fps(int(n), dc_config) for n in counts]
+            [self.discrete_classifier_fps(int(n)) for n in counts]
         )
         series["multiple_mobilenets"] = np.array(
             [self.multiple_mobilenets_fps(int(n)) for n in counts]

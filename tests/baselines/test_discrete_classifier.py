@@ -34,7 +34,7 @@ class TestConfig:
             {"kernels": (32, 128), "strides": (1, 1)},  # kernel count above 64
             {"kernels": (32, 32), "strides": (1,)},  # stride length mismatch
             {"kernels": (32, 32), "strides": (4, 1)},  # stride out of range
-            {"pooling_layers": 3},
+            {"kernels": (32, 32), "strides": (0, 1)},  # stride below range
             {"threshold": 1.0},
         ],
     )
@@ -51,8 +51,12 @@ class TestConfig:
             assert 2 <= len(config.kernels) <= 4
             assert all(16 <= k <= 64 for k in config.kernels)
             assert all(1 <= s <= 3 for s in config.strides)
-            assert 0 <= config.pooling_layers <= 2
-            assert config.kernel_size == 3
+            layers = DiscreteClassifier(config).model.layers
+            convolutions = [layer for layer in layers if hasattr(layer, "kernel_size")]
+            assert [layer.kernel_size for layer in convolutions] == [(3, 3)] * len(config.kernels)
+            # One 2x2 pooling layer, right after the first convolution and its ReLU.
+            assert [type(layer).__name__ for layer in layers].count("MaxPool2D") == 1
+            assert type(layers[2]).__name__ == "MaxPool2D"
 
     def test_pareto_costs_span_paper_range_at_1080p(self):
         """Costs should span roughly the paper's 100M-2.5B multiply-add range."""
@@ -111,7 +115,7 @@ class TestDiscreteClassifier:
         assert probs[y == 1].mean() > probs[y == 0].mean() + 0.1
 
     def test_multiply_adds_agree_with_cost_model(self):
-        config = DiscreteClassifierConfig(kernels=(16, 32), strides=(2, 2), pooling_layers=1)
+        config = DiscreteClassifierConfig(kernels=(16, 32), strides=(2, 2))
         dc = DiscreteClassifier(config)
         dc.build((64, 96, 3), rng=np.random.default_rng(0))
         # Cost model takes (width, height); the built model was given (H, W, C).

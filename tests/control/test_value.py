@@ -320,9 +320,9 @@ class TestThresholdActuation:
         assert session.current_threshold("cam000/primary") == pytest.approx(0.9)
         assert session.current_threshold("cam000/secondary") == pytest.approx(0.7)
         assert runtime.camera_live_stats()["cam000"].threshold == pytest.approx(0.9)
-        runtime.set_camera_threshold("cam000", 0.8, mc_name="cam000/secondary")
-        assert session.current_threshold("cam000/secondary") == pytest.approx(0.8)
-        assert session.current_threshold("cam000/primary") == pytest.approx(0.9)
+        runtime.set_camera_threshold("cam000", 0.8)  # a second drift moves the primary again
+        assert session.current_threshold("cam000/primary") == pytest.approx(0.8)
+        assert session.current_threshold("cam000/secondary") == pytest.approx(0.7)
         runtime.advance_until(float("inf"))
         runtime.finalize()
 

@@ -25,7 +25,7 @@ from repro.core.architectures import build_microclassifier
 from repro.core.pipeline import PipelineConfig
 from repro.core.streaming import StreamingPipeline
 from repro.features.base_dnn import build_mobilenet_like
-from repro.features.extractor import FeatureExtractor
+from repro.features.extractor import FeatureExtractor, FeatureMapCrop
 from repro.nn.layers import sigmoid
 from repro.video.frame import Frame
 
@@ -183,21 +183,17 @@ class TestScoreTickEquivalence:
             assert_results_identical(batched[cam], scalar[cam])
 
 
-# Non-default hyper-parameters, so a bank is not an accident of the defaults.
-BANK_HYPERPARAMETERS = {
-    "full_frame": [{}, {"hidden_filters": 5, "num_hidden_layers": 3}],
-    "localized": [{}, {"first_depth": 3, "second_depth": 7, "fc_units": 11}],
-    "windowed": [{}, {"window": 3, "reduce_filters": 4, "conv_filters": 6, "fc_units": 9}],
-}
+ARCHITECTURES = ("full_frame", "localized", "windowed")
+CROP = FeatureMapCrop(0, 0, 16, 16)
 
 
-def build_bank_members(architecture, members, shape, hyper, seed):
+def build_bank_members(architecture, members, shape, seed):
     """Same architecture and input shape, independent weights (and non-zero biases)."""
     mcs = []
     for k in range(members):
         rng = np.random.default_rng(seed * 101 + k)
         config = MicroClassifierConfig(name=f"member{k}", input_layer=TAP)
-        mc = build_microclassifier(architecture, config, shape, rng=rng, **hyper)
+        mc = build_microclassifier(architecture, config, shape, rng=rng)
         for parameter in mc.parameters():
             if parameter.value.ndim == 1:
                 parameter.value[...] = rng.standard_normal(parameter.value.shape)
@@ -215,7 +211,6 @@ bank_cases = dict(
     members=st.integers(1, 6),
     frames=st.integers(1, 4),
     crop_view=st.booleans(),
-    hyper=st.integers(0, 1),
     seed=st.integers(0, 2**16),
 )
 
@@ -228,15 +223,14 @@ def bank_feature_maps(frames, crop_view, seed):
 class TestMicroclassifierBanks:
     """Every member's bank row is, byte for byte, what that member computes alone."""
 
-    @pytest.mark.parametrize("architecture", ["full_frame", "localized", "windowed"])
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
     @given(**bank_cases)
     @settings(max_examples=40, deadline=None)
     def test_bank_rows_equal_solo_predict_proba_batch(
-        self, architecture, members, frames, crop_view, hyper, seed
+        self, architecture, members, frames, crop_view, seed
     ):
         x = bank_feature_maps(frames, crop_view, seed)
-        hyper = BANK_HYPERPARAMETERS[architecture][hyper]
-        mcs = build_bank_members(architecture, members, x.shape[1:], hyper, seed)
+        mcs = build_bank_members(architecture, members, x.shape[1:], seed)
         rows = mcs[0].predict_proba_batch(x, mcs[1:])
         assert rows.shape == (members, frames)
         for row, mc in zip(rows, mcs):
@@ -245,13 +239,10 @@ class TestMicroclassifierBanks:
 
     @given(**bank_cases)
     @settings(max_examples=40, deadline=None)
-    def test_windowed_bank_equals_solo_predict_proba_stream(
-        self, members, frames, crop_view, hyper, seed
-    ):
+    def test_windowed_bank_equals_solo_predict_proba_stream(self, members, frames, crop_view, seed):
         """The streaming recipe — one stacked reduction, then a bank head per window."""
         x = bank_feature_maps(frames + 2, crop_view, seed)
-        hyper = BANK_HYPERPARAMETERS["windowed"][hyper]
-        mcs = build_bank_members("windowed", members, x.shape[1:], hyper, seed)
+        mcs = build_bank_members("windowed", members, x.shape[1:], seed)
         reduced = mcs[0].reduce_batch(x, mcs[1:])
         assert reduced.shape[:2] == (members, x.shape[0])
         half, last = mcs[0].window // 2, x.shape[0] - 1
@@ -267,32 +258,38 @@ class TestMicroclassifierBanks:
 
     def test_a_bank_of_none_still_returns_one_row_per_member(self):
         x = bank_feature_maps(2, False, 1)
-        for architecture in BANK_HYPERPARAMETERS:
-            (mc,) = build_bank_members(architecture, 1, x.shape[1:], {}, 4)
+        for architecture in ARCHITECTURES:
+            (mc,) = build_bank_members(architecture, 1, x.shape[1:], 4)
             solo, rows = mc.predict_proba_batch(x), mc.predict_proba_batch(x, [])
             assert solo.shape == (2,) and rows.shape == (1, 2)
             assert rows[0].tobytes() == solo.tobytes()
 
     def test_bank_key_separates_what_cannot_share_a_bank(self):
         shape = (7, 8, 6)
-        base, *_ = build_bank_members("localized", 1, shape, {}, 0)
-        same, *_ = build_bank_members("localized", 1, shape, {}, 9)
+        base, *_ = build_bank_members("localized", 1, shape, 0)
+        same, *_ = build_bank_members("localized", 1, shape, 9)
         assert base.bank_key() == same.bank_key()  # weights differ, the key does not
         different = [
-            build_bank_members("localized", 1, shape, {"fc_units": 199}, 0)[0],
-            build_bank_members("localized", 1, (7, 9, 6), {}, 0)[0],
-            build_bank_members("full_frame", 1, shape, {}, 0)[0],
+            build_bank_members("localized", 1, (7, 9, 6), 0)[0],
+            build_bank_members("full_frame", 1, shape, 0)[0],
             build_microclassifier(
                 "localized", MicroClassifierConfig("other_tap", "conv3_2/sep"), shape
             ),
+            build_microclassifier("localized", MicroClassifierConfig("crop", TAP, crop=CROP), shape),
         ]
         for other in different:
             assert other.bank_key() != base.bank_key(), other
         windowed = [
-            build_bank_members("windowed", 1, shape, hyper, 0)[0].bank_key()
-            for hyper in ({}, {"window": 3}, {"reduce_filters": 16}, {"conv_filters": 8})
+            build_microclassifier("windowed", MicroClassifierConfig("w", tap, crop=crop), shape)
+            for tap, crop in ((TAP, None), ("conv3_2/sep", None), (TAP, CROP), (TAP, CROP))
         ]
-        assert len(set(windowed)) == 4
+        keys = [mc.bank_key() for mc in windowed]
+        assert len(set(keys)) == 3 and keys[2] == keys[3]
+        # Equal keys are equal weight shapes: a bank stacks its members' weights.
+        for base_mc, other in ((base, same), (windowed[2], windowed[3])):
+            assert [p.value.shape for p in base_mc.parameters()] == [
+                p.value.shape for p in other.parameters()
+            ]
 
 
 class TestScorerSemantics:

@@ -19,7 +19,7 @@ class TestEvent:
 
 class TestEventDetector:
     def test_smooths_then_detects(self):
-        detector = EventDetector("mc_a", window=5, votes=2)
+        detector = EventDetector("mc_a")
         decisions = np.array([0, 1, 0, 1, 0, 0, 0, 0, 0, 0])
         smoothed, events = detector.detect(decisions)
         assert smoothed.sum() > 0
@@ -28,14 +28,14 @@ class TestEventDetector:
         assert events[0].event_id == 1
 
     def test_event_ids_persist_across_chunks(self):
-        detector = EventDetector("mc_a", window=1, votes=1)
+        detector = EventDetector("mc_a")
         _, first = detector.detect(np.array([1, 1, 0]))
         _, second = detector.detect(np.array([1, 1]), frame_offset=3)
         assert [e.event_id for e in first + second] == [1, 2]
         assert second[0].start == 3
 
     def test_isolated_blip_produces_no_event(self):
-        detector = EventDetector("mc_a", window=5, votes=2)
+        detector = EventDetector("mc_a")
         _, events = detector.detect(np.array([0, 0, 0, 1, 0, 0, 0]))
         assert events == []
 
@@ -94,18 +94,19 @@ class TestDetectorBoundaries:
     """Stream-edge semantics: open runs, window tails, and flush finality."""
 
     def test_open_run_closes_at_flush(self):
-        detector = EventDetector("mc", window=3, votes=2)
+        detector = EventDetector("mc")
         mid_events = []
-        for decision in [0, 1, 1, 1]:
+        for decision in [0, 0, 0, 0, 1, 1, 1]:
             _, events = detector.push(decision)
             mid_events.extend(events)
         assert mid_events == []  # run still open at stream end
         _, events = detector.flush()
-        assert [(e.event_id, e.start, e.end) for e in events] == [(1, 1, 4)]
+        # K=2 of N=5 opens the run two frames before the first positive.
+        assert [(e.event_id, e.start, e.end) for e in events] == [(1, 3, 7)]
 
     def test_window_tail_votes_emitted_at_flush(self):
         """Frames still pending in the voting window finalize at flush."""
-        detector = EventDetector("mc", window=3, votes=2)
+        detector = EventDetector("mc")
         smoothed = []
         for decision in [1, 1]:
             finalized, events = detector.push(decision)
@@ -118,14 +119,14 @@ class TestDetectorBoundaries:
         assert [(e.event_id, e.start, e.end) for e in events] == [(1, 0, 2)]
 
     def test_push_after_flush_raises(self):
-        detector = EventDetector("mc", window=3, votes=2)
+        detector = EventDetector("mc")
         detector.push(1)
         detector.flush()
         with pytest.raises(RuntimeError, match="flushed"):
             detector.push(0)
 
     def test_double_flush_raises(self):
-        detector = EventDetector("mc", window=3, votes=2)
+        detector = EventDetector("mc")
         detector.flush()
         with pytest.raises(RuntimeError, match="flushed"):
             detector.flush()
@@ -135,9 +136,9 @@ class TestDetectorBoundaries:
         rng = np.random.default_rng(7)
         for _ in range(5):
             decisions = rng.integers(0, 2, size=40)
-            batch = EventDetector("mc", window=5, votes=2)
+            batch = EventDetector("mc")
             batch_smoothed, batch_events = batch.detect(decisions)
-            online = EventDetector("mc", window=5, votes=2)
+            online = EventDetector("mc")
             online_smoothed, online_events = [], []
             for decision in decisions:
                 finalized, events = online.push(int(decision))

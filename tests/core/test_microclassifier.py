@@ -34,6 +34,12 @@ class TestMicroClassifierConfig:
         with pytest.raises(ValueError):
             MicroClassifierConfig(**base)
 
+    @pytest.mark.parametrize("bitrate", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_upload_bitrate_rejected(self, bitrate):
+        """An infinite bitrate would make a session upload infinitely many bits."""
+        with pytest.raises(ValueError, match="upload_bitrate must be positive and finite"):
+            MicroClassifierConfig("mc", "conv4_2/sep", upload_bitrate=bitrate)
+
     def test_config_is_frozen(self):
         cfg = MicroClassifierConfig("mc", "conv4_2/sep")
         with pytest.raises(AttributeError):

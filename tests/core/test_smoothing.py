@@ -6,49 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.smoothing import KVotingSmoother, TransitionDetector
+from repro.video.annotations import frame_labels_to_events
 
 
 class TestKVotingSmoother:
     def test_paper_defaults(self):
+        """N=5, K=2: positives four frames apart share one window, five apart do not."""
         smoother = KVotingSmoother()
-        assert smoother.window == 5 and smoother.votes == 2
+        np.testing.assert_array_equal(smoother.smooth(np.array([1, 0, 0, 0, 1])), [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(smoother.smooth(np.array([1, 0, 0, 0, 0, 1])), np.zeros(6))
+        np.testing.assert_array_equal(smoother.smooth(np.array([1, 1])), [1, 1])
 
     def test_isolated_positive_is_removed_with_strict_voting(self):
-        smoother = KVotingSmoother(window=5, votes=2)
+        smoother = KVotingSmoother()
         decisions = np.array([0, 0, 0, 1, 0, 0, 0])
         np.testing.assert_array_equal(smoother.smooth(decisions), np.zeros(7))
 
     def test_two_nearby_positives_fill_the_gap(self):
         """K=2 of N=5 voting bridges short false-negative gaps (the paper's goal)."""
-        smoother = KVotingSmoother(window=5, votes=2)
+        smoother = KVotingSmoother()
         decisions = np.array([0, 1, 0, 1, 0, 0, 0, 0])
         smoothed = smoother.smooth(decisions)
         assert smoothed[2] == 1  # the gap between the detections is filled
         assert smoothed[:1].sum() == 1 or smoothed[0] in (0, 1)  # boundary frames defined
         assert smoothed[6] == 0 and smoothed[7] == 0
 
-    def test_k1_n1_is_identity(self):
-        smoother = KVotingSmoother(window=1, votes=1)
-        decisions = np.array([0, 1, 1, 0, 1, 0])
-        np.testing.assert_array_equal(smoother.smooth(decisions), decisions)
-
-    def test_unanimous_voting_erodes_run_edges(self):
-        smoother = KVotingSmoother(window=3, votes=3)
-        decisions = np.array([0, 1, 1, 1, 1, 0, 0])
-        smoothed = smoother.smooth(decisions)
-        assert smoothed.sum() < decisions.sum()
-        assert smoothed[2] == 1 and smoothed[3] == 1
-
     def test_empty_input(self):
         assert KVotingSmoother().smooth(np.array([])).size == 0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            KVotingSmoother(window=0)
-        with pytest.raises(ValueError):
-            KVotingSmoother(window=3, votes=4)
-        with pytest.raises(ValueError):
-            KVotingSmoother(window=3, votes=0)
 
     def test_rejects_multidimensional_input(self):
         with pytest.raises(ValueError):
@@ -86,7 +70,7 @@ class TestKVotingSmoother:
 
     def test_matches_naive_reference_implementation(self, rng):
         decisions = rng.integers(0, 2, size=100)
-        smoother = KVotingSmoother(window=5, votes=2)
+        smoother = KVotingSmoother()
         fast = smoother.smooth(decisions)
         half = 2
         slow = np.zeros_like(decisions)
@@ -116,19 +100,24 @@ class TestTransitionDetector:
         events = detector.detect(np.array([1, 1]), frame_offset=100)
         assert events == [(1, 100, 102)]
 
-    def test_custom_first_id(self):
-        detector = TransitionDetector(first_event_id=10)
-        assert detector.detect(np.array([1]))[0][0] == 10
-
     def test_empty_and_all_negative(self):
         detector = TransitionDetector()
         assert detector.detect(np.array([])) == []
         assert detector.detect(np.zeros(5)) == []
         assert detector.allocate_event_id() == 1
 
-    def test_invalid_first_id(self):
-        with pytest.raises(ValueError):
-            TransitionDetector(first_event_id=-1)
+    @given(
+        labels=st.lists(st.sampled_from([0, 1]), max_size=40),
+        offset=st.integers(0, 1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_runs_are_the_annotation_runs(self, labels, offset):
+        """Events are ``frame_labels_to_events``'s runs, shifted, numbered from 1."""
+        events = TransitionDetector().detect(np.array(labels, dtype=int), frame_offset=offset)
+        runs = frame_labels_to_events(labels)
+        assert events == [
+            (k + 1, run.start + offset, run.end + offset) for k, run in enumerate(runs)
+        ]
 
     def test_rejects_multidimensional(self):
         with pytest.raises(ValueError):

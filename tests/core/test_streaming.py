@@ -31,13 +31,14 @@ from repro.video.stream import InMemoryVideoStream
 
 # -- online smoother ----------------------------------------------------------
 class TestStreamingKVotingSmoother:
-    @pytest.mark.parametrize("window,votes", [(1, 1), (2, 1), (3, 2), (5, 2), (5, 5), (7, 3)])
+    @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 64])
-    def test_matches_batch_smoother(self, window, votes, n):
-        rng = np.random.default_rng(window * 100 + votes * 10 + n)
-        decisions = rng.integers(0, 2, size=n)
-        batch = KVotingSmoother(window=window, votes=votes).smooth(decisions)
-        online = StreamingKVotingSmoother(window=window, votes=votes)
+    def test_matches_batch_smoother(self, seed, n):
+        rng = np.random.default_rng(seed * 100 + n)
+        # Dense, sparse and even draws: runs, lone positives and gaps of every width.
+        decisions = (rng.random(n) < (0.5, 0.15, 0.85)[seed % 3]).astype(int)
+        batch = KVotingSmoother().smooth(decisions)
+        online = StreamingKVotingSmoother()
         emitted = []
         for d in decisions:
             emitted.extend(online.push(int(d)))
@@ -45,27 +46,22 @@ class TestStreamingKVotingSmoother:
         np.testing.assert_array_equal(np.array(emitted, dtype=np.int8), batch)
 
     def test_emission_lookahead_is_bounded(self):
-        online = StreamingKVotingSmoother(window=5, votes=2)
+        online = StreamingKVotingSmoother()
         emitted = []
         for i in range(20):
             out = online.push(1)
             emitted.extend(out)
-            # smoothed[i] needs decisions through i + 2 (window=5), no more.
+            # smoothed[i] needs decisions through i + 2 (N=5), no more.
             assert (i + 1) - len(emitted) <= 2
         assert len(emitted) == 18
         assert len(online.flush()) == 2
 
-    def test_window_one_emits_immediately(self):
-        online = StreamingKVotingSmoother(window=1, votes=1)
-        assert online.push(1) == [1]
-        assert online.push(0) == [0]
-        assert online.flush() == []
+    def test_holds_at_most_one_window_of_decisions(self):
+        online = StreamingKVotingSmoother()
+        for decision in np.random.default_rng(3).integers(0, 2, size=200):
+            online.push(int(decision))
+            assert len(online._buffer) <= 5  # N, whatever the stream's length
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            StreamingKVotingSmoother(window=0)
-        with pytest.raises(ValueError):
-            StreamingKVotingSmoother(window=3, votes=4)
 
 
 # -- online event detector ----------------------------------------------------
@@ -74,10 +70,10 @@ class TestEventDetectorOnline:
     def test_matches_batch_detection(self, seed):
         rng = np.random.default_rng(seed)
         decisions = rng.integers(0, 2, size=40)
-        batch_detector = EventDetector("mc", window=5, votes=2)
+        batch_detector = EventDetector("mc")
         batch_smoothed, batch_events = batch_detector.detect(decisions)
 
-        online = EventDetector("mc", window=5, votes=2)
+        online = EventDetector("mc")
         smoothed, events = [], []
         for d in decisions:
             finalized, closed = online.push(int(d))
@@ -91,18 +87,22 @@ class TestEventDetectorOnline:
         assert events == batch_events
 
     def test_event_ids_assigned_at_run_open(self):
-        online = EventDetector("mc", window=1, votes=1)
-        finalized, closed = online.push(1)
-        assert finalized[0].event_id == 1 and not closed
+        online = EventDetector("mc")
+        assert online.push(1) == ([], []) and online.push(1) == ([], [])  # the 2-frame lookahead
         finalized, closed = online.push(0)
+        assert finalized[0].event_id == 1 and not closed
+        online.push(0)
+        online.push(0)
+        finalized, closed = online.push(0)  # frame 3's window holds one positive
         assert finalized[0].event_id is None
         assert [e.event_id for e in closed] == [1]
+        online.push(1)
         online.push(1)
         _, closed = online.flush()
         assert [e.event_id for e in closed] == [2]
 
     def test_flush_closes_open_event(self):
-        online = EventDetector("mc", window=1, votes=1)
+        online = EventDetector("mc")
         for _ in range(3):
             online.push(1)
         _, closed = online.flush()
@@ -110,7 +110,7 @@ class TestEventDetectorOnline:
         assert (closed[0].start, closed[0].end) == (0, 3)
 
     def test_positions_track_stream_order(self):
-        online = EventDetector("mc", window=3, votes=1)
+        online = EventDetector("mc")
         positions = []
         for d in [0, 1, 0, 0, 0, 1]:
             finalized, _ = online.push(d)
@@ -230,7 +230,6 @@ class TestStreamingPipelineEquivalence:
             ),
             tiny_extractor.layer_shape("conv4_2/sep"),
             rng=np.random.default_rng(seed),
-            **({"window": 3} if architecture == "windowed" else {}),
         )
         arrays = [rng.random((32, 48, 3)).astype(np.float32) for _ in range(int(draw.integers(6, 14)))]
         stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=10.0)
@@ -532,31 +531,29 @@ def bank_extractor(tiny_base_dnn):
     return FeatureExtractor(tiny_base_dnn, list(BANK_TAPS), cache_size=4)
 
 
-def bank_mc(extractor, name, architecture, seed, layer=BANK_TAPS[1], crop=None, **hyper):
+def bank_mc(extractor, name, architecture, seed, layer=BANK_TAPS[1], crop=None):
     """An MC with its own weights (``make_mc`` gives every MC the seed-0 weights)."""
     config = MicroClassifierConfig(name, layer, crop=crop, upload_bitrate=50_000)
     shape = extractor.cropped_layer_shape(layer, crop, (32, 48))
-    return build_microclassifier(
-        architecture, config, shape, rng=np.random.default_rng(seed), **hyper
-    )
+    return build_microclassifier(architecture, config, shape, rng=np.random.default_rng(seed))
 
 
 def mixed_microclassifiers(extractor):
-    """All three architectures, two crops, two taps, one odd hyper-parameter: 8 banks of 1-3."""
+    """All three architectures, two crops and none, two taps: 8 banks of 1-3."""
     specs = [
         ("full_frame", {}),
         ("full_frame", {"layer": BANK_TAPS[0]}),
         ("localized", {"crop": BANK_CROPS[0]}),
         ("localized", {"crop": BANK_CROPS[1]}),
-        ("localized", {"crop": BANK_CROPS[1], "fc_units": 50}),
+        ("localized", {}),
         ("windowed", {}),
-        ("windowed", {"layer": BANK_TAPS[0], "crop": BANK_CROPS[0], "window": 3}),
+        ("windowed", {"layer": BANK_TAPS[0], "crop": BANK_CROPS[0]}),
     ]
     mcs = []
     for k in range(17):
         architecture, options = specs[k % len(specs)]
         mcs.append(bank_mc(extractor, f"mc{k:02d}", architecture, seed=100 + k, **options))
-    mcs.append(bank_mc(extractor, "loner", "full_frame", seed=99, hidden_filters=7))
+    mcs.append(bank_mc(extractor, "loner", "full_frame", seed=99, crop=BANK_CROPS[0]))
     return mcs
 
 
@@ -611,10 +608,10 @@ class TestBanks:
             ["mc01", "mc08", "mc15"],  # full_frame, shallow tap
             ["mc02", "mc09", "mc16"],  # localized, crop 0
             ["mc03", "mc10"],  # localized, crop 1
-            ["mc04", "mc11"],  # ... but one differing hyper-parameter: a bank of its own
+            ["mc04", "mc11"],  # localized, uncropped
             ["mc05", "mc12"],  # windowed
-            ["mc06", "mc13"],  # windowed, other tap, crop and window
-            ["loner"],
+            ["mc06", "mc13"],  # windowed, other tap and crop
+            ["loner"],  # full_frame, cropped
         ]
         assert sorted(name for bank in banks for name in bank) == sorted(mc.name for mc in mcs)
         assert [bank.is_windowed for bank in session._banks] == [False] * 5 + [True] * 2 + [False]

@@ -36,10 +36,6 @@ class TestFigure5:
         assert np.isnan(mobilenets[50])
         assert not np.isnan(mobilenets[30])
 
-    def test_custom_counts(self):
-        result = run_figure5(classifier_counts=[1, 2, 3])
-        assert result.classifier_counts == [1, 2, 3]
-
 
 class TestFigure6:
     @pytest.fixture(scope="class")

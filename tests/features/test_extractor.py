@@ -14,6 +14,20 @@ class TestFeatureMapCrop:
         with pytest.raises(ValueError):
             FeatureMapCrop(-1, 0, 5, 5)
 
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            (float("nan"), 0, 10, 10),
+            (0, 0, float("inf"), 10),
+            (0, 0, 10, float("nan")),
+            (0, -float("inf"), 10, 10),
+        ],
+    )
+    def test_rejects_non_finite_coordinates(self, corners):
+        """Such a crop would only fail later, in ``to_feature_coords``'s int conversion."""
+        with pytest.raises(ValueError, match="Crop coordinates must be finite"):
+            FeatureMapCrop(*corners)
+
     def test_rescaling_to_feature_coordinates(self):
         crop = FeatureMapCrop(0, 540, 1920, 1080)  # bottom half of a 1080p frame
         y0, y1, x0, x1 = crop.to_feature_coords((1080, 1920), (68, 120))

@@ -97,6 +97,11 @@ class TestGenerateFleet:
         with pytest.raises(ValueError):
             generate_fleet(4, scenarios=["volcano"])
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration_seconds must be positive and finite"):
+            generate_fleet(4, duration_seconds=duration)
+
 
 class TestDistricts:
     def test_district_prefixes_are_contiguous_blocks(self):

@@ -67,18 +67,18 @@ class TestDropPoliciesUnderOverload:
 class TestAdmissionController:
     def test_budget_enforced(self):
         controller = AdmissionController(max_in_flight=2)
-        assert controller.try_admit() and controller.try_admit()
-        assert not controller.try_admit()
+        assert controller.try_admit("cam0") and controller.try_admit("cam1")
+        assert not controller.try_admit("cam2")
         assert controller.rejected == 1
-        controller.release()
-        assert controller.try_admit()
+        controller.release("cam0")
+        assert controller.try_admit("cam2")
         assert controller.in_flight == 2
         assert controller.admitted == 3
 
     def test_release_without_admit_raises(self):
         controller = AdmissionController(max_in_flight=1)
-        with pytest.raises(RuntimeError):
-            controller.release()
+        with pytest.raises(RuntimeError, match="without a matching try_admit"):
+            controller.release("cam0")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,13 +100,16 @@ class TestAdmissionController:
         assert not controller.try_admit("cam0")
         assert controller.in_flight == 3
 
-    def test_quota_requires_camera_id(self):
-        controller = AdmissionController(max_in_flight=4, per_camera_quota=1)
-        with pytest.raises(ValueError, match="camera_id"):
-            controller.try_admit()
-        controller.try_admit("cam0")
-        with pytest.raises(ValueError, match="camera_id"):
-            controller.release()
+    def test_cameras_are_counted_without_a_quota(self):
+        controller = AdmissionController(max_in_flight=4)
+        assert controller.try_admit("cam0") and controller.try_admit("cam0")
+        with pytest.raises(RuntimeError, match="release\\('cam1'\\)"):
+            controller.release("cam1")
+        controller.release("cam0")
+        controller.release("cam0")
+        assert controller.in_flight == 0
+        with pytest.raises(RuntimeError, match="without a matching try_admit"):
+            controller.release("cam0")
 
     def test_failed_release_leaves_state_intact(self):
         controller = AdmissionController(max_in_flight=4, per_camera_quota=2)

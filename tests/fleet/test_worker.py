@@ -98,3 +98,8 @@ class TestStartFrame:
             WorkerPool(num_workers=0)
         with pytest.raises(ValueError):
             WorkerPool(service_time_scale=0.0)
+
+    def test_infinite_service_time_scale_rejected(self):
+        """``FleetConfig`` refuses an infinite scale; a bare pool must too."""
+        with pytest.raises(ValueError, match="service_time_scale must be positive and finite"):
+            WorkerPool(service_time_scale=float("inf"))

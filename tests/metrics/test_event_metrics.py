@@ -49,10 +49,6 @@ class TestEventRecall:
     def test_no_events_is_perfect_recall(self):
         assert event_recall(np.zeros(5), np.zeros(5)) == 1.0
 
-    def test_custom_alpha_beta_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            event_recall(np.array([1]), np.array([1]), alpha=0.5, beta=0.1)
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             event_recall(np.zeros(4), np.zeros(5))

@@ -54,14 +54,13 @@ def random_layers(rng, channels):
     """One instance of every layer family, with randomized hyperparameters."""
     kernel = int(rng.choice([1, 3]))
     stride = int(rng.choice([1, 2]))
-    padding = str(rng.choice(["same", "valid"]))
     filters = int(rng.integers(1, 7))
     return [
-        Conv2D(filters, kernel, stride=stride, padding=padding),
-        Conv2D(filters, 1, stride=1, padding="same"),  # the pointwise fast path
-        DepthwiseConv2D(3, stride=stride, padding=padding),
-        SeparableConv2D(filters, 3, stride=stride, padding="same"),
-        MaxPool2D(2),
+        Conv2D(filters, kernel, stride=stride),
+        Conv2D(filters, 1, stride=1),  # the pointwise fast path
+        DepthwiseConv2D(3, stride=stride),
+        SeparableConv2D(filters, 3, stride=stride),
+        MaxPool2D(),
         GlobalMaxPool(),
         Dense(int(rng.integers(1, 5))),
     ]
@@ -86,7 +85,7 @@ class TestLayerSweep:
     def test_conv_and_dense_direct_entrypoints(self, seed):
         rng = np.random.default_rng(1000 + seed)
         x = random_input(rng, max_batch=5)
-        conv = Conv2D(int(rng.integers(1, 5)), 3, stride=1, padding="same")
+        conv = Conv2D(int(rng.integers(1, 5)), 3, stride=1)
         conv.build(x.shape[1:], rng)
         assert np.array_equal(batched_layer_forward(conv, x), per_sample_forward(conv, x))
         dense = Dense(3)
@@ -104,8 +103,7 @@ class TestPointwiseLowering:
         return out.reshape(x.shape[0], out_h, out_w, conv.filters)
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    def test_bytes_equal_im2col_lowering(self, seed, padding):
+    def test_bytes_equal_im2col_lowering(self, seed):
         rng = np.random.default_rng(seed)
         feature_map = rng.standard_normal((1, 14, 18, 24))
         inputs = {
@@ -116,7 +114,7 @@ class TestPointwiseLowering:
         }
         assert not inputs["crop view"].flags.c_contiguous
         for label, x in inputs.items():
-            conv = Conv2D(int(rng.integers(1, 33)), 1, padding=padding)
+            conv = Conv2D(int(rng.integers(1, 33)), 1)
             conv.build(x.shape[1:], rng)
             conv.bias.value[...] = rng.standard_normal(conv.filters)
             out = conv.forward(x, training=False)
@@ -174,27 +172,22 @@ class TestBankedLayers:
     """One input, many models: every member's bank rows are its solo forward's bytes."""
 
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
-           padding=st.sampled_from(["same", "valid"]), filters=st.integers(1, 7), **bank_shapes)
+           filters=st.integers(1, 7), **bank_shapes)
     @settings(max_examples=60, deadline=None)
-    def test_conv_bank(
-        self, kernel, stride, padding, filters, members, frames, shared, crop_view, seed
-    ):
+    def test_conv_bank(self, kernel, stride, filters, members, frames, shared, crop_view, seed):
         rng = np.random.default_rng(seed)
         x = bank_input(rng, members, frames, shared, crop_view)
-        make_layer = lambda: Conv2D(filters, kernel, stride, padding)  # noqa: E731
+        make_layer = lambda: Conv2D(filters, kernel, stride)  # noqa: E731
         layers = build_bank(make_layer, members, x.shape[1:], rng)
         assert_bank_rows_equal_solo(layers, x, shared)
 
-    @given(stride=st.sampled_from([1, 2]), padding=st.sampled_from(["same", "valid"]),
-           channels=st.integers(1, 9), **bank_shapes)
+    @given(stride=st.sampled_from([1, 2]), channels=st.integers(1, 9), **bank_shapes)
     @settings(max_examples=60, deadline=None)
-    def test_depthwise_bank(
-        self, stride, padding, channels, members, frames, shared, crop_view, seed
-    ):
+    def test_depthwise_bank(self, stride, channels, members, frames, shared, crop_view, seed):
         """The depthwise ``einsum`` runs per member, written into a stacked output."""
         rng = np.random.default_rng(seed)
         x = bank_input(rng, members, frames, shared, crop_view, channels)
-        layers = build_bank(lambda: DepthwiseConv2D(3, stride, padding), members, x.shape[1:], rng)
+        layers = build_bank(lambda: DepthwiseConv2D(3, stride), members, x.shape[1:], rng)
         assert_bank_rows_equal_solo(layers, x, shared)
 
     @given(stride=st.sampled_from([1, 2]), filters=st.integers(1, 7), **bank_shapes)
@@ -221,7 +214,7 @@ class TestBankedLayers:
     ):
         rng = np.random.default_rng(seed)
         x = bank_input(rng, members, frames, shared, crop_view)
-        for make_layer in (ReLU, ReLU6, lambda: MaxPool2D(2), GlobalMaxPool):
+        for make_layer in (ReLU, ReLU6, MaxPool2D, GlobalMaxPool):
             layers = build_bank(make_layer, members, x.shape[1:], rng)
             assert_bank_rows_equal_solo(layers, x, shared, type(layers[0]).__name__)
 

@@ -183,7 +183,7 @@ class TestConv2D:
         assert layer.forward(RNG.random((1, 7, 9, 2))).shape == (1, 4, 5, 3)
 
     def test_matches_manual_convolution_1x1(self):
-        layer = Conv2D(2, 1, use_bias=False)
+        layer = Conv2D(2, 1)  # its bias starts at zero
         layer.build((3, 3, 2), np.random.default_rng(2))
         x = RNG.random((1, 3, 3, 2))
         expected = x @ layer.kernel.value[0, 0]
@@ -202,8 +202,8 @@ class TestConv2D:
     def test_parameter_gradients(self):
         check_parameter_gradients(self._build(), RNG.random((2, 5, 6, 2)))
 
-    def test_gradients_with_stride_and_valid_padding(self):
-        layer = Conv2D(2, 3, stride=2, padding="valid")
+    def test_gradients_with_stride(self):
+        layer = Conv2D(2, 3, stride=2)
         layer.build((7, 7, 2), np.random.default_rng(3))
         check_input_gradient(layer, RNG.random((1, 7, 7, 2)))
 
@@ -219,10 +219,6 @@ class TestConv2D:
     def test_invalid_filters_raises(self):
         with pytest.raises(ValueError):
             Conv2D(0, 3)
-
-    def test_invalid_padding_raises(self):
-        with pytest.raises(ValueError):
-            Conv2D(2, 3, padding="full")
 
 
 class TestDepthwiseConv2D:
@@ -269,6 +265,18 @@ class TestSeparableConv2D:
     def test_output_shape(self):
         layer = self._build()
         assert layer.forward(RNG.random((2, 5, 6, 3))).shape == (2, 5, 6, 4)
+
+    def test_only_the_pointwise_half_has_a_bias(self):
+        layer = self._build()
+        assert layer.depthwise.bias is None
+        assert [p.name for p in layer.parameters()] == [
+            f"{layer.name}/depthwise/depthwise_kernel",
+            f"{layer.name}/pointwise/kernel",
+            f"{layer.name}/pointwise/bias",
+        ]
+        biased = DepthwiseConv2D(3)  # the base DNN's depthwise layers keep theirs
+        biased.build((5, 6, 3), np.random.default_rng(1))
+        assert biased.bias is not None and biased.bias.value.shape == (3,)
 
     def test_equals_depthwise_then_pointwise(self):
         layer = self._build()
@@ -329,14 +337,14 @@ class TestDense:
 
 class TestPooling:
     def test_maxpool_shape_and_values(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         x = np.arange(16, dtype=float).reshape(1, 4, 4, 1)
         out = layer.forward(x)
         assert out.shape == (1, 2, 2, 1)
         np.testing.assert_array_equal(out[0, :, :, 0], [[5, 7], [13, 15]])
 
     def test_maxpool_gradient_routes_to_max_only(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         x = np.arange(16, dtype=float).reshape(1, 4, 4, 1)
         layer.forward(x, training=True)
         grad = layer.backward(np.ones((1, 2, 2, 1)))
@@ -345,8 +353,15 @@ class TestPooling:
         assert grad[0, 0, 0, 0] == 0.0
 
     def test_maxpool_input_gradient_numerical(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         check_input_gradient(layer, RNG.random((1, 4, 6, 2)))
+
+    def test_maxpool_drops_an_odd_edge(self):
+        """2x2 windows at stride 2 over the valid region: a 5x7 map pools to 2x3."""
+        layer = MaxPool2D()
+        x = np.arange(35, dtype=float).reshape(1, 5, 7, 1)
+        assert layer.output_shape((5, 7, 1)) == (2, 3, 1)
+        np.testing.assert_array_equal(layer.forward(x)[0, :, :, 0], [[8, 10, 12], [22, 24, 26]])
 
     def test_global_maxpool(self):
         layer = GlobalMaxPool()

@@ -20,9 +20,7 @@ from repro.perf.cost_model import CostModel
 TAPS = {"full_frame": "conv5_6/sep", "localized": "conv4_2/sep", "windowed": "conv4_2/sep"}
 FLEET_RESOLUTIONS = [(32, 32), (48, 32), (64, 48), (80, 48), (96, 64)]
 FLEET_ALPHA = 0.125
-REPRESENTATIVE_DC = DiscreteClassifierConfig(
-    name="rep", kernels=(32, 64, 64), strides=(2, 2, 1), pooling_layers=1
-)
+REPRESENTATIVE_DC = DiscreteClassifierConfig(name="rep", kernels=(32, 64, 64), strides=(2, 2, 1))
 DC_CONFIGS = [*discrete_classifier_pareto_configs(), REPRESENTATIVE_DC, DiscreteClassifierConfig()]
 
 
@@ -93,12 +91,6 @@ class TestCostModel:
 
     def test_mc_cost_scales_with_feature_map_area(self, model):
         assert model.mc_cost("localized") > 2 * CostModel(resolution=(960, 540)).mc_cost("localized")
-
-    def test_architecture_kwargs_reach_the_constructor(self, model):
-        assert model.mc_cost("windowed", window=3) < model.mc_cost("windowed")
-        assert model.mc_cost("localized", fc_units=100) < model.mc_cost("localized")
-        with pytest.raises(TypeError):
-            model.mc_cost("localized", window=3)
 
     def test_base_dnn_dwarfs_microclassifiers(self, model):
         """The base DNN costs ~2 orders of magnitude more than one MC (Figures 5-6)."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.discrete_classifier import discrete_classifier_pareto_configs
 from repro.perf.throughput_model import ThroughputModel, ThroughputModelConfig
 
 
@@ -96,16 +97,27 @@ class TestPaperTrends:
         assert not np.isnan(model.multiple_mobilenets_fps(30))
         assert np.isnan(model.multiple_mobilenets_fps(31))
 
+    def test_dc_series_runs_the_sweeps_most_expensive_dc(self, model):
+        """Figure 5's DC is the sweep's representative one, the rule Figure 7 applies."""
+        sweep = discrete_classifier_pareto_configs()
+        representative = max(sweep, key=model.cost_model.dc_cost)
+        assert representative.name == "dc_xxlarge"
+        cfg = model.config
+        seconds = model.cost_model.dc_cost(representative) / cfg.classifier_ops_per_second
+        for n in (1, 7):
+            total = cfg.fixed_overhead_seconds + n * (seconds + cfg.per_classifier_overhead_seconds)
+            assert model.discrete_classifier_fps(n) == 1.0 / total
+
     def test_sweep_contains_all_series(self, model):
         series = model.sweep([1, 10, 50])
-        assert set(series) >= {
+        assert list(series) == [
             "num_classifiers",
-            "filterforward_localized",
             "filterforward_full_frame",
             "filterforward_windowed",
+            "filterforward_localized",
             "discrete_classifiers",
             "multiple_mobilenets",
-        }
+        ]
         assert all(len(values) == 3 for values in series.values())
 
     def test_base_dnn_equivalent_to_tens_of_mcs(self, model):

@@ -12,8 +12,12 @@ line of a run's standard output is the benchmark contract's JSON object.
 For every end-to-end metric of ``BENCHMARK.json`` it prints every run made,
 both medians, both quartile pairs, in how many pairs the change read better
 (ties count for neither side), and whether the medians are further apart than
-the parent's own quartiles are -- the two conditions a claimed gain has to
-meet.  It is a report, not a gate: the exit status is non-zero only when a run
+the parent's own quartiles are.  Each metric's block ends with two verdicts:
+``benchmarks/e2e/compare.py``'s no-regression verdict (``ok`` / ``worse`` /
+``unresolved``) over the runs' results, and ``gain: met`` when the change read
+better in at least 9 of every 10 pairs and its median is better than the
+parent's by more than the parent's quartile spread, else ``gain: not met``.
+It is a report, not a gate: the exit status is non-zero only when a run
 produced no result or counted a failed operation.
 """
 
@@ -28,6 +32,8 @@ from pathlib import Path
 from typing import Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
+from compare import verdict  # noqa: E402  (the benchmark's own no-regression rule)
 
 # (tree, command) -> the run's standard output.
 Runner = Callable[[Path, list[str]], str]
@@ -74,6 +80,10 @@ def report(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
         ties = sum(x == y for x, y in zip(a, b))
         ratio = b2 / a2 if a2 else float("nan")
         apart = "further apart" if abs(b2 - a2) > a3 - a1 else "NOT further apart"
+        status = verdict(
+            {"value": a2, "values": a}, {"value": b2, "values": b}, better, metric["bound"]
+        )
+        gain = 10 * wins >= 9 * len(a) and sign * (b2 - a2) > a3 - a1
         lines += [
             f"{name} [{metric['unit']}], {better} is better",
             f"  parent runs  {' '.join(f'{x:.6g}' for x in a)}",
@@ -83,6 +93,8 @@ def report(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
             f"ratio {ratio:.3f} of parent",
             f"  change ahead in {wins} of {len(a)} pairs, {ties} ties; medians {apart} "
             f"than the parent's quartiles ({abs(b2 - a2):.6g} vs {a3 - a1:.6g})",
+            f"  no regression: {status} (bound {metric['bound']:.0%})",
+            f"  gain: {'met' if gain else 'not met'}",
         ]
     return lines
 
