@@ -289,10 +289,10 @@ class NodeControlPlane:
     # -- the local loop --------------------------------------------------------
     def tick(self, now: float, horizon: float) -> NodeAggregate:
         """Run local policies once, then summarize the node for the cluster."""
+        self.journal.open_tick()
         view = ClusterView(
             now=now,
             interval=self.interval_seconds,
-            tick_index=self.journal.open_tick(),
             nodes=(NodeView(self.node_id, self.runtime),),
             horizon=horizon,
             uplink_guarantees=self.actuator.uplink_guarantees,
@@ -394,22 +394,19 @@ class HierarchicalControlPlane:
         controllers_factory: Callable[[str], Sequence[Controller]] | None = None,
         interval_seconds: float = 0.25,
         coordinator: ClusterCoordinator | None = None,
-        telemetry: TelemetryRegistry | None = None,
-        timeline: MetricsTimeline | None = None,
     ) -> None:
         if not interval_seconds > 0:  # written so that a NaN fails it
             raise ValueError("interval_seconds must be positive")
         self.controllers_factory = controllers_factory or default_local_controllers
         self.interval_seconds = float(interval_seconds)
         self.coordinator = coordinator or ClusterCoordinator()
-        self.timeline = timeline
+        self.timeline: MetricsTimeline | None = None
         self.planes: dict[str, NodeControlPlane] = {}
-        self.journal = ControlJournal(telemetry, level="cluster")
+        self.journal = ControlJournal(level="cluster")
         self.telemetry = self.journal.telemetry
         self.decision_log = self.journal.decision_log
         self.decision_records = self.journal.decision_records
         self.payload_bytes: list[int] = []
-        self.last_aggregates: dict[str, NodeAggregate] = {}
 
     @property
     def ticks(self) -> int:
@@ -438,10 +435,10 @@ class HierarchicalControlPlane:
         """Local loops, aggregate exchange, cluster decisions — one interval."""
         if not self.planes:
             self.bind(nodes)
-        tick_index = self.journal.open_tick()
+        self.journal.open_tick()
         horizon = max((runtime.horizon for runtime in nodes.values()), default=0.0)
         # Level 1: every node runs its local loop, then sends one aggregate up.
-        self.last_aggregates = aggregates = {
+        aggregates = {
             node_id: plane.tick(now, horizon) for node_id, plane in self.planes.items()
         }
         payload = sum(agg.payload_bytes() for agg in aggregates.values())
@@ -451,7 +448,6 @@ class HierarchicalControlPlane:
         view = ClusterView(
             now=now,
             interval=self.interval_seconds,
-            tick_index=tick_index,
             nodes=tuple(aggregates.values()),
             horizon=horizon,
             uplink_weights=actuator.uplink_weights,

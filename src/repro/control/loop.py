@@ -132,13 +132,12 @@ class ControlJournal:
 
     def __init__(
         self,
-        telemetry: TelemetryRegistry | None = None,
         decision_log: list[str] | None = None,
         decision_records: list[dict] | None = None,
         level: str | None = None,
         node_id: str | None = None,
     ) -> None:
-        self.telemetry = telemetry or TelemetryRegistry()
+        self.telemetry = TelemetryRegistry()
         self.decision_log = decision_log if decision_log is not None else []
         # One JSON-ready dict per DecisionRecord, stamped with tick index,
         # simulated time, its own sequence number, and the decision_log
@@ -148,11 +147,10 @@ class ControlJournal:
         self.node_id = node_id
         self.ticks = 0
 
-    def open_tick(self) -> int:
-        """Count one control interval; returns its zero-based index."""
+    def open_tick(self) -> None:
+        """Count one control interval."""
         self.ticks += 1
         self.telemetry.counter("control.ticks").inc()
-        return self.ticks - 1
 
     def commit(
         self, controller: Controller, actions: Sequence[ControlAction], now: float
@@ -276,8 +274,6 @@ class ControlLoop:
         self,
         controllers: Sequence[Controller],
         interval_seconds: float = 0.25,
-        telemetry: TelemetryRegistry | None = None,
-        timeline: MetricsTimeline | None = None,
     ) -> None:
         if not interval_seconds > 0:  # written so that a NaN fails it
             raise ValueError("interval_seconds must be positive")
@@ -286,8 +282,8 @@ class ControlLoop:
         # Optional metrics timeline: when set, every tick scrapes each node's
         # registry (plus the loop's own control counters under "control"), so
         # the time-series exporters see exactly the control-interval cadence.
-        self.timeline = timeline
-        self.journal = ControlJournal(telemetry)
+        self.timeline: MetricsTimeline | None = None
+        self.journal = ControlJournal()
         self.telemetry = self.journal.telemetry
         self.decision_log = self.journal.decision_log
         self.decision_records = self.journal.decision_records
@@ -304,10 +300,10 @@ class ControlLoop:
 
     def tick(self, now: float, nodes: Mapping[str, FleetRuntime], actuator) -> list[ControlAction]:
         """Observe, decide, and actuate once; returns the applied actions."""
+        self.journal.open_tick()
         view = ClusterView(
             now=now,
             interval=self.interval_seconds,
-            tick_index=self.journal.open_tick(),
             nodes=tuple(NodeView(node_id, runtime) for node_id, runtime in nodes.items()),
             horizon=max((runtime.horizon for runtime in nodes.values()), default=0.0),
             uplink_weights=actuator.uplink_weights,

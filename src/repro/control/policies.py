@@ -159,7 +159,6 @@ class ClusterView:
 
     now: float
     interval: float
-    tick_index: int
     nodes: tuple[NodeView, ...]
     horizon: float
     uplink_weights: Mapping[str, float] | None = None

@@ -24,7 +24,7 @@ from repro.core.architectures import (
     build_microclassifier,
 )
 from repro.core.events import Event, EventDetector, EventKey, EventRecord, SmoothedDecision
-from repro.core.layer_selection import LayerSelection, select_input_layer
+from repro.core.layer_selection import select_input_layer
 from repro.core.microclassifier import MicroClassifier, MicroClassifierConfig
 from repro.core.pipeline import PipelineConfig, PipelineResult
 from repro.core.smoothing import KVotingSmoother, StreamingKVotingSmoother, TransitionDetector
@@ -39,7 +39,6 @@ __all__ = [
     "EventRecord",
     "FullFrameObjectDetectorMC",
     "KVotingSmoother",
-    "LayerSelection",
     "LocalizedBinaryClassifierMC",
     "MicroClassifier",
     "MicroClassifierConfig",

@@ -11,10 +11,9 @@ an object maps to roughly one to two feature-map cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-__all__ = ["LayerSelection", "select_input_layer"]
+__all__ = ["select_input_layer"]
 
 # The acceptable reduction window, as multiples of the object height: the
 # paper's 20:1-50:1 rule for a 40-pixel object.
@@ -22,26 +21,11 @@ _LOWER_FACTOR = 0.5
 _UPPER_FACTOR = 1.25
 
 
-@dataclass(frozen=True)
-class LayerSelection:
-    """The outcome of the layer-selection heuristic."""
-
-    layer: str
-    reduction: float
-    object_cells: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.layer} (reduction {self.reduction:.1f}:1, "
-            f"object spans ~{self.object_cells:.2f} cells)"
-        )
-
-
 def select_input_layer(
     frame_height: int,
     object_height: int,
     layer_shapes: Mapping[str, tuple[int, int, int]],
-) -> LayerSelection:
+) -> str:
     """Pick the base-DNN layer whose spatial reduction suits an object size.
 
     Parameters
@@ -59,8 +43,8 @@ def select_input_layer(
 
     Returns
     -------
-    LayerSelection
-        The first layer whose reduction lies between 0.5x and 1.25x
+    str
+        The name of the first layer whose reduction lies between 0.5x and 1.25x
         ``object_height``; if none does, the layer whose reduction is
         closest to ``object_height``.
     """
@@ -71,19 +55,17 @@ def select_input_layer(
     lower = _LOWER_FACTOR * object_height
     upper = _UPPER_FACTOR * object_height
 
-    best: LayerSelection | None = None
+    best: str | None = None
     best_distance = float("inf")
     for layer, shape in layer_shapes.items():
         feat_height = shape[0]
         if feat_height <= 0:
             continue
         reduction = frame_height / feat_height
-        cells = object_height / reduction
-        candidate = LayerSelection(layer=layer, reduction=reduction, object_cells=cells)
         if lower <= reduction <= upper:
-            return candidate
+            return layer
         distance = abs(reduction - object_height)
         if distance < best_distance:
-            best, best_distance = candidate, distance
+            best, best_distance = layer, distance
     assert best is not None  # layer_shapes is non-empty
     return best

@@ -64,7 +64,6 @@ class MicroClassifierResult:
 
     mc_name: str
     probabilities: np.ndarray
-    decisions: np.ndarray
     smoothed: np.ndarray
     events: list[Event]
     matched_frame_indices: np.ndarray

@@ -2,13 +2,13 @@
 
 :class:`StreamingPipeline` is the one way to filter a stream (Figure 1 of
 the paper): it consumes one decoded frame at a time and produces per-frame
-probabilities, thresholded decisions, K-voting smoothed outputs, events, and
-upload accounting identical to scoring the whole stream in batch, without
-ever materializing per-microclassifier feature-map batches.  Memory is O(1)
-in the *heavyweight* sense: the frames and feature maps held at any moment
-are bounded by the configuration, not the stream length (per-frame scalars —
-probabilities, decisions, timestamps — still accumulate, since they are the
-result).  The bounded heavy state is:
+probabilities, K-voting smoothed decisions, events, and upload accounting
+identical to scoring the whole stream in batch, without ever materializing
+per-microclassifier feature-map batches.  Memory is O(1) in the
+*heavyweight* sense: the frames and feature maps held at any moment are
+bounded by the configuration, not the stream length (per-frame scalars —
+probabilities, smoothed decisions, timestamps — still accumulate, since they
+are the result).  The bounded heavy state is:
 
 * one chunk of up to ``batch_size`` feature maps per *bank* — the MCs of one
   architecture on one input, grouped at bind time and scored together (as soon
@@ -49,19 +49,17 @@ __all__ = ["StreamUpdate", "StreamingPipeline"]
 
 @dataclass(frozen=True)
 class StreamUpdate:
-    """What one :meth:`StreamingPipeline.push` (or :meth:`finish`) resolved.
+    """What one :meth:`StreamingPipeline.push` resolved.
 
-    ``position`` is the 0-based index of the frame in *pushed order* (equal
-    to ``Frame.index`` when an intact stream is pushed; under load shedding
-    positions stay dense while source indices gap).  Smoothing lookahead and
-    chunked scoring mean a push typically finalizes frames a few positions
-    behind the one just pushed.
+    ``new_matches`` are ``(mc_name, position)`` pairs, a position being the
+    0-based index of a frame in *pushed order* (equal to ``Frame.index`` when
+    an intact stream is pushed; under load shedding positions stay dense
+    while source indices gap).  Smoothing lookahead and chunked scoring mean
+    a push typically finalizes frames a few positions behind the one just
+    pushed.  ``closed_records`` are the events this push closed.
     """
 
-    position: int
-    finalized_through: int
     new_matches: tuple[tuple[str, int], ...] = ()
-    closed_events: tuple[Event, ...] = ()
     closed_records: tuple[EventRecord, ...] = ()
 
 
@@ -76,7 +74,6 @@ class _McState:
     # shared by many sessions is never mutated by one camera's control loop.
     threshold_override: float | None = None
     probabilities: list[float] = field(default_factory=list)
-    decisions: list[int] = field(default_factory=list)
     smoothed: list[int] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
     decisions_fed: int = 0
@@ -272,11 +269,10 @@ class StreamingPipeline:
             bank.queue_input(frame, activations)
 
         new_matches: list[tuple[str, int]] = []
-        closed: list[Event] = []
         records: list[EventRecord] = []
         if len(self._banks[0].chunk) >= self.config.batch_size:
             self._score_chunks(final=False)
-            self._drain_decisions(new_matches, closed, records)
+            self._drain_decisions(new_matches, records)
         if self._tracer is not None:
             self._tracer.annotate(
                 self._tracer_camera, int(frame.index), "stream_position", position
@@ -288,13 +284,7 @@ class StreamingPipeline:
                     f"matched.{mc_name}",
                     pos,
                 )
-        return StreamUpdate(
-            position=position,
-            finalized_through=self.finalized_through,
-            new_matches=tuple(new_matches),
-            closed_events=tuple(closed),
-            closed_records=tuple(records),
-        )
+        return StreamUpdate(new_matches=tuple(new_matches), closed_records=tuple(records))
 
     def finish(self, stream_duration: float | None = None) -> PipelineResult:
         """Flush all buffered state and assemble the final result.
@@ -305,11 +295,8 @@ class StreamingPipeline:
             assert self._result is not None
             return self._result
         self._finished = True
-        new_matches: list[tuple[str, int]] = []
-        closed: list[Event] = []
-        records: list[EventRecord] = []
         self._score_chunks(final=True)
-        self._drain_decisions(new_matches, closed, records, final=True)
+        self._drain_decisions([], [], final=True)
         self._pending.clear()
 
         duration = (
@@ -322,7 +309,6 @@ class StreamingPipeline:
         total_bits = 0.0
         for state in self._states:
             probabilities = np.array(state.probabilities, dtype=np.float64)
-            decisions = np.array(state.decisions, dtype=np.int8)
             smoothed = np.array(state.smoothed, dtype=np.int8)
             matched = np.flatnonzero(smoothed)
             encoded = None
@@ -343,7 +329,6 @@ class StreamingPipeline:
             per_mc[state.mc.name] = MicroClassifierResult(
                 mc_name=state.mc.name,
                 probabilities=probabilities,
-                decisions=decisions,
                 smoothed=smoothed,
                 events=state.events,
                 matched_frame_indices=matched,
@@ -458,26 +443,21 @@ class StreamingPipeline:
     def _drain_decisions(
         self,
         new_matches: list[tuple[str, int]],
-        closed: list[Event],
         closed_records: list[EventRecord],
         final: bool = False,
     ) -> None:
         for state in self._states:
             while state.decisions_fed < len(state.probabilities):
                 probability = state.probabilities[state.decisions_fed]
-                decision = 1 if probability >= state.threshold else 0
-                state.decisions.append(decision)
                 state.decisions_fed += 1
-                finalized, ended = state.detector.push(decision)
+                finalized, ended = state.detector.push(1 if probability >= state.threshold else 0)
                 self._apply_finalized(state, finalized, new_matches)
                 state.events.extend(ended)
-                closed.extend(ended)
                 closed_records.extend(self._make_record(state, event) for event in ended)
             if final:
                 finalized, ended = state.detector.flush()
                 self._apply_finalized(state, finalized, new_matches)
                 state.events.extend(ended)
-                closed.extend(ended)
                 closed_records.extend(self._make_record(state, event) for event in ended)
         self._evict_finalized_frames()
 

@@ -80,7 +80,6 @@ class TrainingHistory:
 
     losses: list[float] = field(default_factory=list)
     steps: int = 0
-    samples_seen: int = 0
 
     @property
     def final_loss(self) -> float:
@@ -173,7 +172,6 @@ def train_classifier(
         optimizer.step(params)
         history.losses.append(float(loss))
         history.steps += 1
-        history.samples_seen += int(batch_idx.size)
     return history
 
 

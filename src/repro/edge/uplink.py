@@ -83,7 +83,6 @@ class LinkPort(Protocol):
     """
 
     capacity_bps: float  # the node's guarantee
-    reclaimed_bits: float  # what it moved above that
     transfers: Sequence[UplinkTransfer | SharedTransfer]
 
     @property
@@ -116,8 +115,6 @@ class ConstrainedUplink:
     keep_transfers: bool = True
     _busy_until: float = 0.0
     _total_bits: float = 0.0
-    # A serial link never moves a bit above its own capacity.
-    reclaimed_bits = 0.0
 
     def __post_init__(self) -> None:
         if not 0 < self.capacity_bps < math.inf:  # written so that a NaN fails it
@@ -213,7 +210,6 @@ class _NodePort:
     capacity_bps: float
     _link: WorkConservingUplink = field(repr=False)
     total_bits: float = 0.0
-    reclaimed_bits: float = 0.0
     busy_until: float = 0.0
     transfers: list[SharedTransfer] = field(default_factory=list)
 
@@ -425,9 +421,7 @@ class WorkConservingUplink:
                 # the comparison point.
                 guaranteed = self._ports[n].capacity_bps
                 if rate > guaranteed and dt > 0:
-                    excess = min(drained, (rate - guaranteed) * dt)
-                    self._ports[n].reclaimed_bits += excess
-                    self.reclaimed_bits += excess
+                    self.reclaimed_bits += min(drained, (rate - guaranteed) * dt)
             t = t_next
         self.transfers = results
         return results

@@ -52,9 +52,7 @@ class TrainedClassifier:
     name: str
     kind: str
     classifier: object
-    marginal_multiply_adds: int
     breakdown: EventF1Breakdown
-    probabilities: np.ndarray
     smoothed: np.ndarray
 
     @property
@@ -86,7 +84,7 @@ class ExperimentContext:
         # target object size.  (At paper scale this resolves to conv4_2/sep
         # and conv5_6/sep; at 1/8 scale the objects are 1/8 as tall, so the
         # heuristic selects a proportionally shallower layer.)
-        self.tap = select_input_layer(height, object_height, layer_shapes).layer
+        self.tap = select_input_layer(height, object_height, layer_shapes)
         self.extractor = FeatureExtractor(self.base_dnn, [self.tap], cache_size=8)
         self._feature_cache: dict[int, np.ndarray] = {}
 
@@ -196,9 +194,7 @@ class ExperimentContext:
             name=classifier.name,
             kind=kind,
             classifier=classifier,
-            marginal_multiply_adds=int(classifier.multiply_adds()),
             breakdown=event_f1_score(self.dataset.test_labels.labels, smoothed, return_breakdown=True),
-            probabilities=probabilities,
             smoothed=smoothed,
         )
 

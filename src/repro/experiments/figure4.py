@@ -39,8 +39,6 @@ class Figure4Point:
     average_bandwidth: float
     paper_equivalent_mbps: float
     event_f1: float
-    precision: float
-    recall: float
 
 
 @dataclass
@@ -50,7 +48,6 @@ class Figure4Result:
     architecture: str
     filterforward: list[Figure4Point]
     compress_everything: list[Figure4Point]
-    trained: TrainedClassifier
 
 
 def _paper_equivalent_mbps(bits_per_second: float, context: ExperimentContext) -> float:
@@ -121,8 +118,6 @@ def run_figure4(
         average_bandwidth=ff_bandwidth,
         paper_equivalent_mbps=_paper_equivalent_mbps(ff_bandwidth, context),
         event_f1=trained.breakdown.f1,
-        precision=trained.breakdown.precision,
-        recall=trained.breakdown.recall,
     )
 
     # Compress everything: degrade the whole stream at each bitrate, run the
@@ -148,8 +143,6 @@ def run_figure4(
                 average_bandwidth=encoded.average_bandwidth,
                 paper_equivalent_mbps=_paper_equivalent_mbps(encoded.average_bandwidth, context),
                 event_f1=breakdown.f1,
-                precision=breakdown.precision,
-                recall=breakdown.recall,
             )
         )
 
@@ -157,7 +150,6 @@ def run_figure4(
         architecture=architecture,
         filterforward=[ff_point],
         compress_everything=compress_points,
-        trained=trained,
     )
 
 

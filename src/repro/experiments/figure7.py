@@ -6,9 +6,8 @@ classifier MC, and a sweep of discrete classifiers.  MCs sit far to the left
 (an order of magnitude cheaper marginally) at comparable or better accuracy.
 
 Accuracy is measured on the scaled executable datasets; the multiply-add
-x-axis is reported at both the executable scale (``measured_multiply_adds``)
-and the paper's full resolution (``paper_scale_multiply_adds``) via the
-analytic cost model.
+x-axis is reported at the paper's full resolution
+(``paper_scale_multiply_adds``) via the analytic cost model.
 """
 
 from __future__ import annotations
@@ -31,11 +30,8 @@ class Figure7Point:
 
     name: str
     kind: str
-    measured_multiply_adds: int
     paper_scale_multiply_adds: int
     event_f1: float
-    precision: float
-    recall: float
 
 
 @dataclass
@@ -54,11 +50,8 @@ def _mc_point(
     return Figure7Point(
         name=trained.name,
         kind=trained.kind,
-        measured_multiply_adds=trained.marginal_multiply_adds,
         paper_scale_multiply_adds=cost_model.mc_cost(architecture),
         event_f1=trained.breakdown.f1,
-        precision=trained.breakdown.precision,
-        recall=trained.breakdown.recall,
     )
 
 
@@ -68,11 +61,8 @@ def _dc_point(
     return Figure7Point(
         name=trained.name,
         kind=trained.kind,
-        measured_multiply_adds=trained.marginal_multiply_adds,
         paper_scale_multiply_adds=cost_model.dc_cost(config),
         event_f1=trained.breakdown.f1,
-        precision=trained.breakdown.precision,
-        recall=trained.breakdown.recall,
     )
 
 

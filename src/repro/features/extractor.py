@@ -107,7 +107,6 @@ class FeatureExtractor:
         self.cache_size = int(cache_size)
         self._cache: dict[int, dict[str, np.ndarray]] = {}
         self._cache_order: list[int] = []
-        self.frames_processed = 0
 
     # -- execution ---------------------------------------------------------
     def extract_pixels(self, pixels: np.ndarray) -> dict[str, np.ndarray]:
@@ -128,7 +127,6 @@ class FeatureExtractor:
         _, activations = self.base_dnn.forward_with_taps(
             batch, self.tap_layers, stop_at_last_tap=True
         )
-        self.frames_processed += 1
         return {name: act[0] for name, act in activations.items()}
 
     def extract(self, frame: Frame) -> dict[str, np.ndarray]:
@@ -165,7 +163,6 @@ class FeatureExtractor:
         missing = set(self.tap_layers) - set(activations)
         if missing:
             raise KeyError(f"Primed activations missing tapped layer(s) {sorted(missing)}")
-        self.frames_processed += 1
         self._insert(frame_index, dict(activations))
 
     def _insert(self, frame_index: int, activations: dict[str, np.ndarray]) -> None:

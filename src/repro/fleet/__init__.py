@@ -24,7 +24,6 @@ from repro.fleet.accuracy import (
     AccuracyConfig,
     CameraAccuracy,
     FleetAccuracy,
-    TrainedCameraModel,
     TrainedMicroClassifiers,
     camera_seed_ladder,
     evaluate_offline,
@@ -105,7 +104,6 @@ __all__ = [
     "ShardedFleetRuntime",
     "ShardingConfig",
     "TelemetryRegistry",
-    "TrainedCameraModel",
     "TrainedMicroClassifiers",
     "Worker",
     "WorkerPool",

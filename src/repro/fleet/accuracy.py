@@ -64,7 +64,6 @@ __all__ = [
     "camera_seed_ladder",
     "predictions_from_result",
     "AccuracyConfig",
-    "TrainedCameraModel",
     "TrainedMicroClassifiers",
     "CameraAccuracy",
     "FleetAccuracy",
@@ -126,17 +125,6 @@ class AccuracyConfig:
             raise ValueError("epochs must be positive")
 
 
-@dataclass
-class TrainedCameraModel:
-    """One camera's trained microclassifier plus its training provenance."""
-
-    camera_id: str
-    mc: MicroClassifier
-    threshold: float
-    train_positive_frames: int
-    seeds: dict[str, int]
-
-
 class TrainedMicroClassifiers:
     """Per-camera trained-model cache and fleet pipeline factory.
 
@@ -155,18 +143,19 @@ class TrainedMicroClassifiers:
 
         self.config = config or AccuracyConfig()
         self._recipe = _SessionRecipe()
-        self._models: dict[CameraSpec, TrainedCameraModel] = {}
+        self._models: dict[CameraSpec, MicroClassifier] = {}
         self.cache_hits = 0
-        self.cache_misses = 0
 
     # -- training ------------------------------------------------------------
-    def trained(self, spec: CameraSpec) -> TrainedCameraModel:
-        """The trained model for ``spec`` (trained on first request, cached)."""
+    def trained(self, spec: CameraSpec) -> MicroClassifier:
+        """The trained microclassifier for ``spec`` (trained on first request, cached).
+
+        Its calibrated threshold is ``config.threshold``.
+        """
         cached = self._models.get(spec)
         if cached is not None:
             self.cache_hits += 1
             return cached
-        self.cache_misses += 1
         model = self._train(spec)
         self._models[spec] = model
         return model
@@ -180,7 +169,7 @@ class TrainedMicroClassifiers:
             start_time=0.0,
         )
 
-    def _train(self, spec: CameraSpec) -> TrainedCameraModel:
+    def _train(self, spec: CameraSpec) -> MicroClassifier:
         config = self.config
         seeds = {purpose: camera_seed_ladder(spec, purpose) for purpose in _SEED_PURPOSES}
         train_spec = self._training_spec(spec)
@@ -209,13 +198,7 @@ class TrainedMicroClassifiers:
             labels,
             TrainingConfig(epochs=config.epochs, learning_rate=2e-3, seed=seeds["training"]),
         )
-        return TrainedCameraModel(
-            camera_id=spec.camera_id,
-            mc=mc,
-            threshold=mc.config.threshold,
-            train_positive_frames=int(labels.sum()),
-            seeds=seeds,
-        )
+        return mc
 
     # -- fleet integration ----------------------------------------------------
     def pipeline_factory(self):
@@ -229,8 +212,7 @@ class TrainedMicroClassifiers:
         """
 
         def factory(spec: CameraSpec) -> StreamingPipeline:
-            model = self.trained(spec)
-            return self._recipe.session(spec, self._recipe.extractor(spec), model.mc)
+            return self._recipe.session(spec, self._recipe.extractor(spec), self.trained(spec))
 
         return factory
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.fleet.camera import SCENARIOS, CameraSpec, district_of
 from repro.perf.cost_model import CostModel
@@ -133,9 +133,6 @@ class _GroupedPlacement(PlacementPolicy):
     would otherwise sit empty.
     """
 
-    def __init__(self, cost_fn: Callable[[CameraSpec], float] | None = None) -> None:
-        self.cost_fn = cost_fn or estimate_camera_cost
-
     def _groups(self, cameras: Sequence[CameraSpec]) -> list[list[CameraSpec]]:
         groups: dict[object, list[CameraSpec]] = {}
         for spec in cameras:
@@ -143,7 +140,7 @@ class _GroupedPlacement(PlacementPolicy):
         return list(groups.values())
 
     def _lpt(self, cameras: list[CameraSpec], num_nodes: int) -> list[list[CameraSpec]]:
-        costs = {spec.camera_id: self.cost_fn(spec) for spec in cameras}
+        costs = {spec.camera_id: estimate_camera_cost(spec) for spec in cameras}
         ranked = sorted(
             self._groups(cameras),
             key=lambda g: (-sum(costs[s.camera_id] for s in g), g[0].camera_id),
@@ -237,12 +234,10 @@ PLACEMENT_POLICIES: dict[str, type[PlacementPolicy]] = {
 }
 
 
-def make_placement_policy(policy: str | PlacementPolicy, **kwargs) -> PlacementPolicy:
-    """Resolve a policy name (or pass through an instance) to a policy object."""
-    if isinstance(policy, PlacementPolicy):
-        return policy
+def make_placement_policy(policy: str) -> PlacementPolicy:
+    """Resolve a policy name to a policy object."""
     try:
-        return PLACEMENT_POLICIES[policy](**kwargs)
+        return PLACEMENT_POLICIES[policy]()
     except KeyError:
         raise ValueError(
             f"Unknown placement policy {policy!r}; expected one of {sorted(PLACEMENT_POLICIES)}"

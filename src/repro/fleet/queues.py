@@ -54,17 +54,10 @@ class OfferOutcome:
 class QueueStats:
     """Lifetime accounting for one queue."""
 
-    offered: int = 0
     admitted: int = 0
     dropped_oldest: int = 0
     dropped_newest: int = 0
-    popped: int = 0
     high_water: int = 0
-
-    @property
-    def dropped(self) -> int:
-        """Frames lost to either drop policy."""
-        return self.dropped_oldest + self.dropped_newest
 
 
 class FrameQueue:
@@ -116,19 +109,18 @@ class FrameQueue:
         ``now`` is the simulated offer time, only needed when a tracer is
         attached (trace events carry timestamps).
         """
-        self.stats.offered += 1
         tracing = self.tracer is not None and now is not None
         if not self.is_full:
             outcome = self._admit(frame)
             if tracing:
-                self.tracer.record_enqueue(self.camera_id, frame.index, self.depth)
+                self.tracer.record_enqueue(self.camera_id, frame.index)
             return outcome
         if self.policy is DropPolicy.DROP_OLDEST:
             evicted = self._frames.popleft()
             self.stats.dropped_oldest += 1
             self._admit(frame)
             if tracing:
-                self.tracer.record_enqueue(self.camera_id, frame.index, self.depth)
+                self.tracer.record_enqueue(self.camera_id, frame.index)
                 self.tracer.record_drop(self.camera_id, evicted.index, "evicted_oldest", now)
             return OfferOutcome(admitted=True, evicted=evicted)
         self.stats.dropped_newest += 1  # DROP_NEWEST
@@ -146,7 +138,6 @@ class FrameQueue:
         """Dequeue the oldest frame (None when empty)."""
         if not self._frames:
             return None
-        self.stats.popped += 1
         return self._frames.popleft()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -188,8 +179,6 @@ class AdmissionController:
         self._in_flight = 0
         self._per_camera: dict[str, int] = {}
         self._quota_overrides: dict[str, int] = {}
-        self.admitted = 0
-        self.rejected = 0
         self.rejected_over_quota = 0
 
     @property
@@ -219,16 +208,13 @@ class AdmissionController:
     def try_admit(self, camera_id: str) -> bool:
         """Admit one of ``camera_id``'s frames if the node-wide budget and its quota allow."""
         if self._in_flight >= self.max_in_flight:
-            self.rejected += 1
             return False
         quota = self.quota_for(camera_id)
         if quota is not None and self._per_camera.get(camera_id, 0) >= quota:
-            self.rejected += 1
             self.rejected_over_quota += 1
             return False
         self._in_flight += 1
         self._per_camera[camera_id] = self._per_camera.get(camera_id, 0) + 1
-        self.admitted += 1
         return True
 
     def release(self, camera_id: str) -> None:

@@ -63,7 +63,7 @@ from repro.fleet.queues import AdmissionController, DropPolicy, FrameQueue
 from repro.fleet.telemetry import TelemetryRegistry, jain_fairness
 from repro.fleet.worker import WorkerPool, default_schedule
 from repro.obs.alerts import AlertLog
-from repro.obs.slo import CameraSLOStatus, SLOConfig, SLOReport, SLOTracker
+from repro.obs.slo import SLOConfig, SLOReport, SLOTracker
 from repro.obs.trace import NodeTracer, Tracer
 from repro.perf.cost_model import CostModel
 from repro.video.frame import Frame
@@ -115,8 +115,8 @@ class FleetConfig:
 
     ``slo`` switches the *observability plane's* latency objectives on: the
     runtime tracks per-camera frame freshness and end-to-end latency against
-    the configured targets (:class:`repro.obs.slo.SLOConfig`), surfaces
-    error-budget status in :meth:`FleetRuntime.camera_live_stats` and
+    the configured targets (:class:`repro.obs.slo.SLOConfig`), reports each
+    camera's error-budget status once, at the end of the run, in
     :attr:`FleetReport.slo`, and feeds ``slo.*`` violation counters into
     telemetry.  ``None`` (the default) keeps the hot path identical to a
     runtime without SLO accounting.
@@ -308,15 +308,11 @@ class CameraLiveStats:
     """A point-in-time view of one hosted camera, for control policies."""
 
     camera_id: str
-    scenario: str
     resolution: tuple[int, int]
     frame_rate: float
     generated: int
     scored: int
     matched: int
-    rejected: int
-    dropped: int
-    queue_depth: int
     service_seconds: float
     drop_policy: DropPolicy = DropPolicy.DROP_OLDEST
     truth_known: bool = False
@@ -328,9 +324,6 @@ class CameraLiveStats:
     # stint, so controllers keeping windowed baselines compare this to spot
     # a migrate-away-and-return and restart their windows.
     attached_at: float = 0.0
-    # Live SLO status for this camera (None when FleetConfig.slo is off):
-    # controllers can shed or migrate by burn rate instead of raw drops.
-    slo: CameraSLOStatus | None = None
 
     @property
     def match_density(self) -> float:
@@ -522,19 +515,15 @@ class _CameraState:
             return self.detached_at
         return self.spec.start_time + self.spec.duration
 
-    def live_stats(self, service_seconds: float, slo: CameraSLOStatus | None) -> CameraLiveStats:
+    def live_stats(self, service_seconds: float) -> CameraLiveStats:
         """The stint's point-in-time view, for control policies."""
         return CameraLiveStats(
             camera_id=self.camera_id,
-            scenario=self.spec.scenario,
             resolution=self.spec.resolution,
             frame_rate=self.spec.frame_rate,
             generated=self.generated,
             scored=self.scored,
             matched=self.matched,
-            rejected=self.rejected,
-            dropped=self.queue.stats.dropped,
-            queue_depth=self.queue.depth,
             service_seconds=service_seconds,
             drop_policy=self.queue.policy,
             truth_known=self.truth is not None,
@@ -543,7 +532,6 @@ class _CameraState:
             estimated_upload_bits=self.estimated_upload_bits,
             threshold=self.session.current_threshold(),
             attached_at=self.attached_at,
-            slo=slo,
         )
 
     def flush_closed_tails(self) -> list[tuple[float, str, _CameraState, EventRecord]]:
@@ -623,7 +611,6 @@ class FleetRuntime:
         cameras: Sequence[CameraSpec],
         pipeline_factory: PipelineFactory | None = None,
         config: FleetConfig | None = None,
-        telemetry: TelemetryRegistry | None = None,
         uplink: LinkPort | None = None,
         tracer: Tracer | NodeTracer | None = None,
         event_sink: Callable[[EventRecord], None] | None = None,
@@ -633,7 +620,7 @@ class FleetRuntime:
         reject_duplicate_ids(cameras)
         self.cameras = list(cameras)
         self.config = config or FleetConfig()
-        self.telemetry = telemetry or TelemetryRegistry()
+        self.telemetry = TelemetryRegistry()
         self.pipeline_factory = pipeline_factory or default_pipeline_factory()
         self.workers = WorkerPool(
             num_workers=self.config.num_workers,
@@ -912,8 +899,7 @@ class FleetRuntime:
         for camera_id in sorted(self._active):
             state = self._active[camera_id]
             stats[camera_id] = state.live_stats(
-                service_seconds=self.workers.service_seconds_for(state.schedule),
-                slo=(self.slo.camera_status(camera_id) if self.slo is not None else None),
+                service_seconds=self.workers.service_seconds_for(state.schedule)
             )
         return stats
 
@@ -989,7 +975,6 @@ class FleetRuntime:
         if state.scored == 1 and state.detached_at is None:
             self._starved -= 1
         state.matched += len(update.new_matches)
-        state.events += len(update.closed_events)
         counters.counter("frames.scored").inc()
         if state.truth is not None and state.truth[frame.index]:
             state.truth_positive_scored += 1
@@ -1006,9 +991,8 @@ class FleetRuntime:
             )
             state.estimated_upload_bits += estimate
             counters.counter("uplink.estimated_bits").inc(estimate)
-        if update.closed_events:
-            counters.counter("events.closed").inc(len(update.closed_events))
         if update.closed_records:
+            counters.counter("events.closed").inc(len(update.closed_records))
             self._collect_records(state, update.closed_records, now)
         self._release_admission(ticket)
         self._record_depth(state)  # admission.in_flight just fell
@@ -1107,7 +1091,8 @@ class FleetRuntime:
                 stint = self._stint_accuracy(state, result)
                 previous = accuracies.get(camera_id)
                 accuracies[camera_id] = stint if previous is None else previous.merged_with(stint)
-            # Events finalized by the flush were not seen by _on_completion.
+            # Events are counted once the flush has closed them; matches the
+            # flush finalized were not seen by _on_completion.
             state.events = sum(len(r.events) for r in result.per_mc.values())
             state.matched = sum(r.num_matched_frames for r in result.per_mc.values())
             # ... nor were their records: collect the flush-closed tail.
@@ -1116,7 +1101,7 @@ class FleetRuntime:
                 uploads.append((available_at, description, bits))
                 if self.tracer is not None:
                     for index in frames:
-                        self.tracer.register_upload(description, camera_id, index, available_at)
+                        self.tracer.register_upload(description, camera_id, index)
                 state.uploaded_bits += bits
         reports = {camera_id: _camera_report(stints) for camera_id, stints in by_camera.items()}
 

@@ -47,11 +47,7 @@ from repro.control.loop import ClusterActuator, ControlLoop, drive
 from repro.edge.uplink import WorkConservingUplink
 from repro.fleet.accuracy import FleetAccuracy
 from repro.fleet.camera import CameraSpec, reject_duplicate_ids
-from repro.fleet.placement import (
-    PlacementPolicy,
-    estimate_camera_cost,
-    make_placement_policy,
-)
+from repro.fleet.placement import estimate_camera_cost, make_placement_policy
 from repro.fleet.runtime import (
     FleetConfig,
     FleetReport,
@@ -59,7 +55,7 @@ from repro.fleet.runtime import (
     PipelineFactory,
     default_pipeline_factory,
 )
-from repro.fleet.telemetry import TelemetryRegistry, jain_fairness
+from repro.fleet.telemetry import jain_fairness
 from repro.obs.alerts import AlertLog, evaluate_alerts
 from repro.obs.slo import SLOReport
 from repro.obs.timeline import MetricsTimeline
@@ -113,10 +109,8 @@ class NodeReport:
 
     node_id: str
     camera_ids: list[str]
-    estimated_cost: float
     uplink_allocation_bps: float
     report: FleetReport
-    reclaimed_uplink_bits: float = 0.0
     cameras_migrated_in: int = 0
     cameras_migrated_out: int = 0
 
@@ -344,7 +338,6 @@ class ShardedFleetRuntime:
         cameras: Sequence[CameraSpec],
         config: ShardingConfig | None = None,
         pipeline_factory: PipelineFactory | None = None,
-        placement: PlacementPolicy | None = None,
         control_loop: ControlLoop | None = None,
         tracer: Tracer | None = None,
         timeline: MetricsTimeline | None = None,
@@ -364,21 +357,18 @@ class ShardedFleetRuntime:
         self.timeline = timeline
         self.alert_rules = list(alert_rules)
         reject_duplicate_ids(cameras)
-        self.policy = (
-            placement if placement is not None else make_placement_policy(self.config.placement)
-        )
+        self.policy = make_placement_policy(self.config.placement)
         # One control slot, one protocol: the flat loop, the hierarchical
         # plane, or a loop that only keeps the timeline's scrape cadence.
         self.control = control_loop or hierarchy or _ScrapeOnlyLoop([])
         self.shards = self.policy.place(cameras, self.config.num_nodes)
         self.node_ids = [f"node{i}" for i in range(self.config.num_nodes)]
-        # Cost the shards with the same estimate the policy balanced them by,
-        # so by_cost uplink slices and NodeReport.estimated_cost describe the
-        # load the placement actually considered.
-        cost_fn = getattr(self.policy, "cost_fn", None) or estimate_camera_cost
-        self._shard_costs = [sum(cost_fn(spec) for spec in shard) for shard in self.shards]
-        by_cost = self.config.uplink_allocation == "by_cost"
-        weights = self._shard_costs if by_cost else [1.0] * len(self.shards)
+        # by_cost uplink slices weigh the shards by the estimate the
+        # load-balancing policies place by.
+        if self.config.uplink_allocation == "by_cost":
+            weights = [sum(map(estimate_camera_cost, shard)) for shard in self.shards]
+        else:
+            weights = [1.0] * len(self.shards)
         self.shared_uplink = WorkConservingUplink(
             self.config.total_uplink_bps,
             dict(zip(self.node_ids, weights)),
@@ -394,7 +384,6 @@ class ShardedFleetRuntime:
                 # node builds (and shares internally) its own base DNNs.
                 pipeline_factory=pipeline_factory or default_pipeline_factory(),
                 config=self.config.node_config,
-                telemetry=TelemetryRegistry(),
                 uplink=ports[node_id],
                 tracer=(self.tracer.node(node_id) if self.tracer is not None else None),
             )
@@ -470,14 +459,12 @@ class ShardedFleetRuntime:
             NodeReport(
                 node_id=node_id,
                 camera_ids=self.nodes[node_id].hosted_cameras(),
-                estimated_cost=cost,
                 uplink_allocation_bps=self.nodes[node_id].uplink.capacity_bps,
                 report=reports[node_id],
-                reclaimed_uplink_bits=self.nodes[node_id].uplink.reclaimed_bits,
                 cameras_migrated_in=sum(dst == node_id for _, _, dst in self._migrations),
                 cameras_migrated_out=sum(src == node_id for _, src, _ in self._migrations),
             )
-            for node_id, cost in zip(self.node_ids, self._shard_costs)
+            for node_id in self.node_ids
         ]
         alerts = (
             evaluate_alerts(self.timeline, self.alert_rules)

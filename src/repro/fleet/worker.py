@@ -36,7 +36,6 @@ class Worker:
 
     worker_id: int
     busy_until: float = 0.0
-    frames_processed: int = 0
     busy_seconds: float = 0.0
 
     def is_idle(self, now: float) -> bool:
@@ -106,7 +105,6 @@ class WorkerPool:
         schedule = schedule if schedule is not None else self.schedule
         service = schedule.total_seconds * self.service_time_scale
         worker.busy_until = now + service
-        worker.frames_processed += 1
         worker.busy_seconds += service
         if self.telemetry is not None:
             for phase in schedule.phases:

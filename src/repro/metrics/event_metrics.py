@@ -116,7 +116,6 @@ class EventF1Breakdown:
     precision: float
     recall: float
     num_events: int
-    num_predicted_frames: int
 
 
 def event_f1_score(
@@ -140,5 +139,4 @@ def event_f1_score(
         precision=float(precision),
         recall=float(recall),
         num_events=len(frame_labels_to_events(truth)),
-        num_predicted_frames=int(preds.sum()),
     )

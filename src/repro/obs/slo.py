@@ -218,11 +218,6 @@ class SLOTracker:
         if count > 0:
             self._camera(camera_id).record_lost(count)
 
-    def camera_status(self, camera_id: str) -> CameraSLOStatus | None:
-        """One camera's current standing (None if it has no frames yet)."""
-        camera = self._cameras.get(camera_id)
-        return camera.status() if camera is not None else None
-
     def report(self) -> "SLOReport":
         """Freeze every camera's standing into a report (camera-id order)."""
         return SLOReport(

@@ -85,14 +85,12 @@ class FrameTrace:
     arrival: float
     admitted: bool | None = None
     enqueued: bool = False
-    enqueue_depth: int | None = None
     dispatched_at: float | None = None
     phases: tuple[tuple[str, float, float], ...] = ()
     completed_at: float | None = None
     dropped_at: float | None = None
     drop_reason: str | None = None
     upload_description: str | None = None
-    upload_available_at: float | None = None
     upload_start: float | None = None
     upload_end: float | None = None
     annotations: dict[str, object] = field(default_factory=dict)
@@ -213,12 +211,11 @@ class NodeTracer:
         if trace is not None:
             trace.admitted = bool(admitted)
 
-    def record_enqueue(self, camera_id: str, frame_index: int, depth: int) -> None:
+    def record_enqueue(self, camera_id: str, frame_index: int) -> None:
         """Record that a traced frame entered its camera queue."""
         trace = self._get(camera_id, frame_index)
         if trace is not None:
             trace.enqueued = True
-            trace.enqueue_depth = int(depth)
 
     def record_drop(self, camera_id: str, frame_index: int, reason: str, now: float) -> None:
         """Record that a traced frame was shed (at the door or from a queue)."""
@@ -252,9 +249,7 @@ class NodeTracer:
         if trace is not None:
             trace.annotations[key] = value
 
-    def register_upload(
-        self, description: str, camera_id: str, frame_index: int, available_at: float
-    ) -> None:
+    def register_upload(self, description: str, camera_id: str, frame_index: int) -> None:
         """Announce that ``description``'s event carries a traced frame.
 
         The transfer itself completes later (immediately for a private
@@ -266,7 +261,6 @@ class NodeTracer:
         if trace is None or trace.upload_description is not None:
             return
         trace.upload_description = description
-        trace.upload_available_at = available_at
         self._uploads.setdefault(description, []).append((camera_id, int(frame_index)))
 
     def complete_upload(self, description: str, start_time: float, end_time: float) -> None:

@@ -17,6 +17,7 @@ heights down, to 33 and 67):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,8 +53,13 @@ class CostModel:
     crop_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if len(self.resolution) != 2 or min(self.resolution) <= 0:
-            raise ValueError(f"resolution must be a positive (width, height); got {self.resolution}")
+        # Each check is written so that a NaN fails it.
+        if len(self.resolution) != 2 or not all(0 < side < math.inf for side in self.resolution):
+            raise ValueError(
+                f"resolution must be a positive, finite (width, height); got {self.resolution}"
+            )
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite; got {self.alpha}")
         if not 0.0 < self.crop_fraction <= 1.0:
             raise ValueError(f"crop_fraction must be in (0, 1]; got {self.crop_fraction}")
         object.__setattr__(self, "resolution", tuple(self.resolution))

@@ -21,6 +21,7 @@ calibration's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,14 +44,21 @@ class ThroughputModelConfig:
     per_classifier_overhead_seconds: float = 0.004
 
     def __post_init__(self) -> None:
-        if self.base_dnn_ops_per_second <= 0 or self.classifier_ops_per_second <= 0:
-            raise ValueError("compute rates must be positive")
-        if min(
-            self.fixed_overhead_seconds,
-            self.filterforward_overhead_seconds,
-            self.per_classifier_overhead_seconds,
-        ) < 0:
-            raise ValueError("overheads must be non-negative")
+        # Each check is written so that a NaN fails it.
+        if not all(
+            0 < rate < math.inf
+            for rate in (self.base_dnn_ops_per_second, self.classifier_ops_per_second)
+        ):
+            raise ValueError("compute rates must be positive and finite")
+        if not all(
+            0 <= overhead < math.inf
+            for overhead in (
+                self.fixed_overhead_seconds,
+                self.filterforward_overhead_seconds,
+                self.per_classifier_overhead_seconds,
+            )
+        ):
+            raise ValueError("overheads must be non-negative and finite")
 
 
 @dataclass(frozen=True)

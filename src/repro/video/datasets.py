@@ -24,7 +24,7 @@ resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.video.annotations import FrameLabels
 from repro.video.stream import InMemoryVideoStream
@@ -86,7 +86,6 @@ class SyntheticDataset:
     test_stream: InMemoryVideoStream
     train_labels: FrameLabels
     test_labels: FrameLabels
-    extras: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         """Table-3-style attribute summary of the generated data."""

@@ -62,6 +62,25 @@ def tiny_extractor(tiny_base_dnn) -> FeatureExtractor:
 
 
 @pytest.fixture
+def base_dnn_passes(monkeypatch):
+    """``count(model)``: a list that gets one entry per ``model.forward_with_taps`` call
+    (its batch size) for the rest of the test."""
+
+    def count(model) -> list[int]:
+        passes: list[int] = []
+        forward = model.forward_with_taps
+
+        def counted(batch, *args, **kwargs):
+            passes.append(len(batch))
+            return forward(batch, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_with_taps", counted)
+        return passes
+
+    return count
+
+
+@pytest.fixture
 def tiny_scene() -> SurveillanceSceneGenerator:
     """A small, busy synthetic scene generator (64x48, 40 frames)."""
     config = SceneConfig(

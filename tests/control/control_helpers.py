@@ -59,15 +59,11 @@ def make_stats(
     """A CameraLiveStats with only the interesting fields spelled out."""
     return CameraLiveStats(
         camera_id=camera_id,
-        scenario="urban_day",
         resolution=resolution,
         frame_rate=frame_rate,
         generated=generated,
         scored=scored,
         matched=matched,
-        rejected=0,
-        dropped=0,
-        queue_depth=0,
         service_seconds=service_seconds,
         drop_policy=drop_policy,
         truth_known=truth_known,
@@ -83,7 +79,6 @@ def make_view(
     nodes: dict[str, FakeRuntime],
     now: float = 1.0,
     interval: float = 0.25,
-    tick_index: int = 0,
     horizon: float | None = None,
     uplink_weights: dict[str, float] | None = None,
     uplink_guarantees: dict[str, float] | None = None,
@@ -92,7 +87,6 @@ def make_view(
     return ClusterView(
         now=now,
         interval=interval,
-        tick_index=tick_index,
         nodes=tuple(NodeView(node_id, runtime) for node_id, runtime in nodes.items()),
         horizon=horizon if horizon is not None else max(r.horizon for r in nodes.values()),
         uplink_weights=uplink_weights,

@@ -183,12 +183,11 @@ def make_aggregate(node_id, matched=0.0, utilization=0.5):
     )
 
 
-def aggregate_view(aggregates, uplink_weights, tick_index=0):
+def aggregate_view(aggregates, uplink_weights, tick=0):
     """What the hierarchy shows the coordinator's controllers at one tick."""
     return ClusterView(
-        now=0.25 * (tick_index + 1),
+        now=0.25 * (tick + 1),
         interval=0.25,
-        tick_index=tick_index,
         nodes=tuple(aggregates[node_id] for node_id in sorted(aggregates)),
         horizon=10.0,
         uplink_weights=uplink_weights,
@@ -350,7 +349,6 @@ class TestOnePolicyTwoViews:
             flat_view = ClusterView(
                 now=0.25 * (tick + 1),
                 interval=0.25,
-                tick_index=tick,
                 nodes=tuple(NodeView(n, runtimes[n]) for n in sorted(runtimes)),
                 horizon=10.0,
                 uplink_weights=weights,
@@ -408,7 +406,6 @@ class TestOnePolicyTwoViews:
             flat_view = ClusterView(
                 now=now,
                 interval=0.25,
-                tick_index=tick,
                 nodes=tuple(NodeView(n, runtimes[n]) for n in sorted(runtimes)),
                 horizon=10.0,
             )

@@ -52,7 +52,7 @@ class RecordingController(Controller):
 
     def decide(self, view):
         self.views.append(view)
-        return self.actions_per_tick.get(view.tick_index, [])
+        return self.actions_per_tick.get(len(self.views) - 1, [])
 
 
 class TestLoopDriving:

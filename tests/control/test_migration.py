@@ -57,7 +57,6 @@ def tick_view(controller_tick: int, **kwargs):
         hot_cold_cluster(controller_tick),
         now=(controller_tick + 1) * INTERVAL,
         interval=INTERVAL,
-        tick_index=controller_tick,
         **kwargs,
     )
 
@@ -81,7 +80,7 @@ class TestTrigger:
             "node0": FakeRuntime({"cam_a": make_stats("cam_a", generated=2)}),
             "node1": FakeRuntime({"cam_c": make_stats("cam_c", generated=2)}),
         }
-        assert controller.decide(make_view(balanced, tick_index=1)) == []
+        assert controller.decide(make_view(balanced)) == []
         # Imbalance must sustain again from scratch.
         assert controller.decide(tick_view(2)) == []
 
@@ -94,7 +93,7 @@ class TestTrigger:
         )
         view = make_view(cluster, interval=INTERVAL)
         assert controller.decide(view) == []
-        assert controller.decide(make_view(cluster, tick_index=1, interval=INTERVAL)) == []
+        assert controller.decide(make_view(cluster, interval=INTERVAL)) == []
 
 
 class TestCostGating:
@@ -106,7 +105,6 @@ class TestCostGating:
             hot_cold_cluster(1),
             now=2 * INTERVAL,
             interval=INTERVAL,
-            tick_index=1,
             horizon=2 * INTERVAL + 0.01,
         )
         assert controller.decide(view) == []
@@ -118,7 +116,7 @@ class TestCostGating:
         cluster["node1"].cameras["cam_c"] = make_stats(
             "cam_c", frame_rate=2.0, generated=2, resolution=(80, 48), service_seconds=0.03
         )
-        view = make_view(cluster, now=2 * INTERVAL, interval=INTERVAL, tick_index=1)
+        view = make_view(cluster, now=2 * INTERVAL, interval=INTERVAL)
         [action] = controller.decide(view)
         assert action.blackout_seconds == pytest.approx(0.2)  # blackout + cold start
 

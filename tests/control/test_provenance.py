@@ -79,9 +79,10 @@ class ExplainedController(Controller):
 
     def __init__(self, act_on_ticks=()):
         self.act_on_ticks = set(act_on_ticks)
+        self.ticks = 0  # decide runs once per tick
 
     def decide(self, view):
-        tick = view.tick_index
+        tick, self.ticks = self.ticks, self.ticks + 1
         if tick in self.act_on_ticks:
             actions = [FakeAction(f"act@{tick}")]
             self.record_decision(

@@ -162,7 +162,7 @@ class TestTighten:
         controller.decide(make_view({"node0": runtime}))
         # Fresh overload observations in the new window.
         overload(runtime, wait=0.6, count=5)
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=1))
+        actions = controller.decide(make_view({"node0": runtime}))
         # Already-capped cameras step 2 -> 1; no new DROP_NEWEST flips.
         assert quotas(actions) == stepped
         assert not [a for a in actions if isinstance(a, SetDropPolicy)]
@@ -177,7 +177,7 @@ class TestTighten:
         runtime = overloaded_runtime()
         for tick in range(3):
             overload(runtime, wait=0.6, count=5)
-            actions = controller.decide(make_view({"node0": runtime}, tick_index=tick))
+            actions = controller.decide(make_view({"node0": runtime}))
         # Third overloaded tick: the cameras capped so far sit at rung 1
         # already; the next candidate in rank order gets capped instead.
         assert quotas(actions) == capped
@@ -190,7 +190,7 @@ class TestWindowing:
         controller.decide(make_view({"node0": runtime}))
         # No new waits at all: the window is empty, p99 == 0 < low watermark,
         # so the controller relaxes instead of tightening again.
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=1))
+        actions = controller.decide(make_view({"node0": runtime}))
         assert actions
         assert all(
             isinstance(a, (SetCameraQuota, SetDropPolicy)) for a in actions
@@ -248,12 +248,12 @@ class TestUplinkBoundShedding:
             make_view({"node0": runtime}, uplink_guarantees=guarantees)
         )
         second = controller.decide(
-            make_view({"node0": runtime}, tick_index=1, uplink_guarantees=guarantees)
+            make_view({"node0": runtime}, uplink_guarantees=guarantees)
         )
         # Ladder (2, 1): both uploaders stepped to the bottom rung.
         assert quotas(second) == [("cam_hog", 1), ("cam_rich", 1)]
         third = controller.decide(
-            make_view({"node0": runtime}, tick_index=2, uplink_guarantees=guarantees)
+            make_view({"node0": runtime}, uplink_guarantees=guarantees)
         )
         assert third == []
         touched = {camera_id for camera_id, _ in quotas(first + second)}
@@ -302,12 +302,12 @@ class TestUplinkBoundShedding:
         # (bits/guarantee - now ~= -58s) would stay blind.
         runtime.telemetry.counter("uplink.estimated_bits").inc(30_000.0)
         overloaded = controller.decide(
-            make_view({"node0": runtime}, now=61.0, tick_index=1, uplink_guarantees=guarantees)
+            make_view({"node0": runtime}, now=61.0, uplink_guarantees=guarantees)
         )
         assert [camera_id for camera_id, _ in quotas(overloaded)] == ["cam_hog", "cam_rich"]
         # The queued work drains at one second per second once arrivals stop.
         calm = controller.decide(
-            make_view({"node0": runtime}, now=64.0, tick_index=2, uplink_guarantees=guarantees)
+            make_view({"node0": runtime}, now=64.0, uplink_guarantees=guarantees)
         )
         restored = quotas(calm)
         assert restored and restored[0][1] is None
@@ -353,14 +353,14 @@ class TestRelax:
         controller = AdaptiveSheddingController(config)
         runtime = make_runtime()
         controller.decide(make_view({"node0": runtime}))  # caps two cameras
-        first = controller.decide(make_view({"node0": runtime}, tick_index=1))
+        first = controller.decide(make_view({"node0": runtime}))
         policy = next(a for a in first if isinstance(a, SetDropPolicy))
         assert quotas(first) == [(order[0], None)]
         assert policy.policy is first_policy  # the pre-tighten policy
-        second = controller.decide(make_view({"node0": runtime}, tick_index=2))
+        second = controller.decide(make_view({"node0": runtime}))
         assert quotas(second) == [(order[1], None)]
         # Everything restored: nothing left to do.
-        assert controller.decide(make_view({"node0": runtime}, tick_index=3)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
 
     def test_relax_restores_the_pre_tighten_policy(self):
         controller = AdaptiveSheddingController(CONFIG)
@@ -375,8 +375,8 @@ class TestRelax:
         )
         overload(runtime)
         controller.decide(make_view({"node0": runtime}))  # tightens both cameras
-        controller.decide(make_view({"node0": runtime}, tick_index=1))  # restores cam_rich
-        restored = controller.decide(make_view({"node0": runtime}, tick_index=2))
+        controller.decide(make_view({"node0": runtime}))  # restores cam_rich
+        restored = controller.decide(make_view({"node0": runtime}))
         policy = next(a for a in restored if isinstance(a, SetDropPolicy))
         assert policy.camera_id == "cam_newest"
         assert policy.policy is DropPolicy.DROP_NEWEST
@@ -398,7 +398,7 @@ class TestRelax:
         runtime.telemetry.counter("uplink.estimated_bits").inc(10_000.0)
         assert (
             controller.decide(
-                make_view({"node0": runtime}, tick_index=1, uplink_guarantees=guarantees)
+                make_view({"node0": runtime}, uplink_guarantees=guarantees)
             )
             == []
         )
@@ -411,10 +411,10 @@ class TestRelax:
         controller.decide(make_view({"node0": runtime}))
         runtime.cameras.pop("cam_poor")
         runtime.cameras.pop("cam_mid")
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=1))
+        actions = controller.decide(make_view({"node0": runtime}))
         assert actions == []
         # Internal cap bookkeeping was cleared, so calm ticks stay silent.
-        assert controller.decide(make_view({"node0": runtime}, tick_index=2)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
 
 
 class TestQuietNode:
@@ -424,7 +424,7 @@ class TestQuietNode:
         controller.decide(make_view({"node0": runtime}))  # tighten once
         # Window p99 lands between the watermarks: hold, neither tighten nor relax.
         overload(runtime, wait=0.1, count=5)
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
 
     def test_returning_camera_can_be_capped_again(self):
         controller = AdaptiveSheddingController(CONFIG)
@@ -433,12 +433,12 @@ class TestQuietNode:
         # cam_poor migrates away...
         poor = runtime.cameras.pop("cam_poor")
         overload(runtime, wait=0.6, count=5)
-        controller.decide(make_view({"node0": runtime}, tick_index=1))
+        controller.decide(make_view({"node0": runtime}))
         # ...and comes back: its old rung was forgotten, so it is cappable
         # from the top of the ladder again.
         runtime.cameras["cam_poor"] = poor
         overload(runtime, wait=0.6, count=5)
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=2))
+        actions = controller.decide(make_view({"node0": runtime}))
         assert ("cam_poor", 2) in quotas(actions)
 
     def test_never_capped_quiet_node_stays_silent(self):

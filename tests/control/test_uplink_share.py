@@ -57,7 +57,7 @@ class TestRebalance:
         # Next window: node1 does all the uploading.
         nodes["node1"].telemetry.counter("frames.matched").inc(40)
         [action] = controller.decide(
-            make_view(nodes, tick_index=1, uplink_weights={"node0": 0.75, "node1": 0.25})
+            make_view(nodes, uplink_weights={"node0": 0.75, "node1": 0.25})
         )
         weights = action.as_mapping()
         assert weights["node1"] > weights["node0"]

@@ -106,15 +106,15 @@ class TestThresholdDrift:
         runtime = FakeRuntime({"cam000": drift_stats(matched=30, truth_positive=8)})
         assert len(controller.decide(make_view({"node0": runtime}))) == 1
         # Two cooldown ticks: silent even though the picture looks the same.
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
-        assert controller.decide(make_view({"node0": runtime}, tick_index=2)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
         # Post-cooldown, only post-adjustment frames count: the new window
         # (40 more scored, all matched at the raised threshold) still
         # over-fires, so it steps again from the *live* threshold.
         runtime.cameras["cam000"] = drift_stats(
             generated=80, scored=80, matched=60, truth_positive=16, threshold=0.55
         )
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=3))
+        actions = controller.decide(make_view({"node0": runtime}))
         assert actions == [
             SetCameraThreshold(node_id="node0", camera_id="cam000", threshold=0.6)
         ]
@@ -128,7 +128,7 @@ class TestThresholdDrift:
         runtime.cameras["cam000"] = drift_stats(
             generated=80, scored=80, matched=38, truth_positive=16, threshold=0.55
         )
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
 
     def test_clamped_threshold_emits_no_noop_actions(self):
         controller = ThresholdDriftController(ThresholdDriftConfig(cooldown_ticks=0))
@@ -141,7 +141,7 @@ class TestThresholdDrift:
             generated=80, scored=80, matched=60, truth_positive=16, threshold=0.95
         )
         # Pinned at the clamp: stepping again would be a no-op, so silence.
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
 
     def test_stint_change_during_cooldown_does_not_corrupt_the_window(self):
         # Adjustment at tick 0 starts a cooldown; the camera migrates away
@@ -163,7 +163,7 @@ class TestThresholdDrift:
         )
         # The stint change rebases (and clears the stale cooldown) instead
         # of evaluating a cross-stint window.
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
         # The next window is judged purely on the new stint's frames: a
         # balanced stint (matched tracks truth) stays quiet.
         runtime.cameras["cam000"] = make_stats(
@@ -171,7 +171,7 @@ class TestThresholdDrift:
             truth_positive_generated=16, truth_positive_scored=16,
             threshold=0.55, attached_at=1.25,
         )
-        assert controller.decide(make_view({"node0": runtime}, tick_index=2)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
 
     def test_shed_truth_positives_do_not_read_as_under_firing(self):
         # Half the frames (including every event frame) were shed by a
@@ -199,12 +199,12 @@ class TestThresholdDrift:
         runtime.cameras["cam000"] = drift_stats(
             generated=30, scored=30, matched=25, truth_positive=6
         )
-        assert controller.decide(make_view({"node0": runtime}, tick_index=1)) == []
+        assert controller.decide(make_view({"node0": runtime})) == []
         # The stint's next window is judged on its own frames.
         runtime.cameras["cam000"] = drift_stats(
             generated=70, scored=70, matched=60, truth_positive=14
         )
-        actions = controller.decide(make_view({"node0": runtime}, tick_index=2))
+        actions = controller.decide(make_view({"node0": runtime}))
         assert [a.camera_id for a in actions] == ["cam000"]
 
 
@@ -451,7 +451,7 @@ class TestTruthRankingKeepsMoreF1:
         assert len(lines) == drifted.threshold_drifts > 0
         # Over-firing cameras drift up from their calibrated threshold,
         # under-firing ones down: "... set_camera_threshold node1/spr011 -> 0.4500".
-        calibrated = {spec.camera_id: models.trained(spec).threshold for spec in fleet}
+        calibrated = {spec.camera_id: models.trained(spec).config.threshold for spec in fleet}
         raised = 0
         for line in lines:
             target, threshold = line.rsplit(" -> ", 1)

@@ -66,7 +66,6 @@ def assert_results_identical(a, b):
     for name in a.per_mc:
         ra, rb = a.per_mc[name], b.per_mc[name]
         assert np.array_equal(ra.probabilities, rb.probabilities), name
-        assert np.array_equal(ra.decisions, rb.decisions), name
         assert np.array_equal(ra.smoothed, rb.smoothed), name
         assert np.array_equal(ra.matched_frame_indices, rb.matched_frame_indices), name
         assert ra.events == rb.events, name
@@ -334,16 +333,15 @@ class TestScorerSemantics:
 
 
 class TestExtractorPrime:
-    def test_prime_then_extract_runs_base_dnn_once(self):
+    def test_prime_then_extract_runs_base_dnn_once(self, base_dnn_passes):
         dnn = make_base_dnn()
+        passes = base_dnn_passes(dnn)
         extractor = FeatureExtractor(dnn, [TAP], cache_size=4)
         [frame] = make_frames(dnn.input_shape, "cam", 8, 1)
         activations = {TAP: extractor.extract_pixels(frame.pixels)[TAP]}
-        before = extractor.frames_processed
         extractor.prime(frame.index, activations)
-        assert extractor.frames_processed == before + 1
         assert extractor.extract(frame)[TAP] is activations[TAP]  # cache hit, no copy
-        assert extractor.frames_processed == before + 1
+        assert passes == [1]
 
     def test_prime_missing_tap_raises(self):
         dnn = make_base_dnn()
@@ -351,14 +349,15 @@ class TestExtractorPrime:
         with pytest.raises(KeyError, match="missing tapped layer"):
             extractor.prime(0, {"wrong_layer": np.zeros((1, 1, 1))})
 
-    def test_prime_cached_frame_is_noop(self):
+    def test_prime_cached_frame_is_noop(self, base_dnn_passes):
         dnn = make_base_dnn()
+        passes = base_dnn_passes(dnn)
         extractor = FeatureExtractor(dnn, [TAP], cache_size=4)
         [frame] = make_frames(dnn.input_shape, "cam", 9, 1)
         original = extractor.extract(frame)
         extractor.prime(frame.index, {TAP: np.zeros_like(original[TAP])})
         assert extractor.extract(frame)[TAP] is original[TAP]
-        assert extractor.frames_processed == 1
+        assert passes == [1]
 
 
 class TestPushOverhead:

@@ -50,12 +50,14 @@ class TestConstruction:
 
 
 class TestFeatureCollection:
-    def test_base_dnn_runs_once_per_frame(self, pipeline, tiny_pipeline_stream, tiny_extractor):
+    def test_base_dnn_runs_once_per_frame(
+        self, pipeline, tiny_pipeline_stream, tiny_extractor, base_dnn_passes
+    ):
         # Three MCs share one base-DNN pass per pushed frame.
-        before = tiny_extractor.frames_processed
+        passes = base_dnn_passes(tiny_extractor.base_dnn)
         for frame in tiny_pipeline_stream:
             pipeline.push(frame)
-        assert tiny_extractor.frames_processed == before + len(tiny_pipeline_stream)
+        assert passes == [1] * len(tiny_pipeline_stream)
 
 
 class TestProcessStream:
@@ -65,7 +67,6 @@ class TestProcessStream:
         assert set(result.per_mc) == {"mc_localized", "mc_full_frame", "mc_windowed"}
         for mc_result in result.per_mc.values():
             assert mc_result.probabilities.shape == (12,)
-            assert mc_result.decisions.shape == (12,)
             assert mc_result.smoothed.shape == (12,)
             assert np.all((mc_result.probabilities >= 0) & (mc_result.probabilities <= 1))
 

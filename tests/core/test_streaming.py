@@ -2,8 +2,8 @@
 
 The load-bearing property: :class:`StreamingPipeline` must produce results
 *identical* to scoring the whole stream in batch — probabilities,
-decisions, smoothed outputs, events, matched indices, and encoded upload
-bits — while holding only O(1) state per frame.  The reference below
+smoothed decisions, events, matched indices, and encoded upload bits —
+while holding only O(1) state per frame.  The reference below
 independently re-implements the original triple-pass batch flow from public
 pieces (per-MC feature-map batches from ``extractor.extract`` +
 ``mc_input_feature_map``, chunked scoring, batch ``EventDetector.detect``,
@@ -187,7 +187,6 @@ def assert_matches_reference(extractor, mcs, stream, config):
     for name, (probabilities, decisions, smoothed, events, matched, encoded) in reference.items():
         mc_result = result.per_mc[name]
         np.testing.assert_allclose(mc_result.probabilities, probabilities, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(mc_result.decisions, decisions)
         np.testing.assert_array_equal(mc_result.smoothed, smoothed)
         assert mc_result.events == events
         np.testing.assert_array_equal(mc_result.matched_frame_indices, matched)
@@ -390,14 +389,15 @@ class TestStreamingPipelineBehavior:
             session.push(frame)
         result = session.finish()
         # Probabilities are threshold-independent; decisions diverge only
-        # after the override landed.
-        assert np.array_equal(
-            result.per_mc["mc"].probabilities, reference.per_mc["mc"].probabilities
-        )
-        assert np.array_equal(
-            result.per_mc["mc"].decisions[:5], reference.per_mc["mc"].decisions[:5]
-        )
-        assert not result.per_mc["mc"].decisions[5:].any()
+        # after the override landed, and the smoother sees exactly those.
+        probabilities = reference.per_mc["mc"].probabilities
+        assert np.array_equal(result.per_mc["mc"].probabilities, probabilities)
+        decisions = (probabilities >= 0.01).astype(int)
+        decisions[5:] = 0
+        smoothed, events = EventDetector("mc").detect(decisions)
+        np.testing.assert_array_equal(result.per_mc["mc"].smoothed, smoothed)
+        assert result.per_mc["mc"].events == events
+        assert not np.array_equal(smoothed, reference.per_mc["mc"].smoothed)
         # The MC object itself keeps its configured threshold (shared-model
         # safety: overrides are session state).
         assert session.microclassifiers[0].config.threshold == 0.01
@@ -429,8 +429,11 @@ class TestStreamingPipelineBehavior:
         session.set_threshold(threshold)
         result = session.process_stream(tiny_pipeline_stream).per_mc["mc"]
         np.testing.assert_array_equal(result.probabilities, probabilities)
-        np.testing.assert_array_equal(result.decisions, (probabilities >= threshold).astype(int))
-        assert 0 < result.decisions.sum() < len(tiny_pipeline_stream)
+        decisions = (probabilities >= threshold).astype(int)
+        assert 0 < decisions.sum() < len(tiny_pipeline_stream)
+        smoothed, events = EventDetector("mc").detect(decisions)
+        np.testing.assert_array_equal(result.smoothed, smoothed)
+        assert result.events == events
 
     def test_frames_outside_every_event_carry_no_membership(self, tiny_extractor, rng):
         arrays = [rng.random((32, 48, 3)).astype(np.float32) for _ in range(8)]
@@ -585,7 +588,6 @@ def run_session(extractor, mcs, frames, batch_size, thresholds=None):
 
 def assert_mc_results_identical(got, want, label):
     assert got.probabilities.tobytes() == want.probabilities.tobytes(), label
-    assert got.decisions.tobytes() == want.decisions.tobytes(), label
     assert got.smoothed.tobytes() == want.smoothed.tobytes(), label
     assert got.events == want.events, label
     assert got.matched_frame_indices.tobytes() == want.matched_frame_indices.tobytes(), label
@@ -618,7 +620,7 @@ class TestBanks:
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     def test_mixed_session_equals_one_session_per_mc(self, bank_extractor, batch_size):
-        """Field by field: probabilities bytes, decisions, smoothed, events, records, bits."""
+        """Field by field: probabilities bytes, smoothed, events, records, bits."""
         mcs = mixed_microclassifiers(bank_extractor)
         frames = bank_frames(14)
         # Thresholds at each MC's own median score, so every MC decides both ways.
@@ -648,7 +650,8 @@ class TestBanks:
         assert len(session._banks) == 1
         assert session.current_threshold("ff1") == 1 - 1e-9
         assert session.current_threshold("ff0") == session.current_threshold("ff2") == 0.5
-        assert not result.per_mc["ff1"].decisions.any()
+        assert not result.per_mc["ff1"].smoothed.any()
+        assert result.per_mc["ff1"].events == []
         for name in ("ff0", "ff2"):
             assert_mc_results_identical(result.per_mc[name], reference.per_mc[name], name)
         assert result.per_mc["ff1"].probabilities.tobytes() == (

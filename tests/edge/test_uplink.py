@@ -131,7 +131,6 @@ class TestWorkConservingUplink:
         assert transfer.end_time == pytest.approx(1.0)
         # Half the bits moved above the guarantee.
         assert link.reclaimed_bits == pytest.approx(50.0)
-        assert link.links["a"].reclaimed_bits == pytest.approx(50.0)
         assert link.links["a"].total_bits == pytest.approx(100.0)
 
     def test_concurrent_nodes_split_by_weight(self):
@@ -336,7 +335,6 @@ class TestLinkPorts:
         assert link.reclaimed_bits == 0.0
         for node, port in link.links.items():
             serial = alone[node]
-            assert port.reclaimed_bits == 0.0
             assert [t.description for t in port.transfers] == [
                 t.description for t in serial.transfers
             ]

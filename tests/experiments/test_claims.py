@@ -48,19 +48,19 @@ def figure4_sweep(architecture: str, reverse: bool = False) -> Figure4Result:
     f1s = f1s[::-1] if reverse else f1s
 
     def point(strategy, bandwidth, f1):
-        return Figure4Point(strategy, architecture, bandwidth, bandwidth, bandwidth, f1, f1, f1)
+        return Figure4Point(strategy, architecture, bandwidth, bandwidth, bandwidth, f1)
 
     sweep = [point("compress_everything", b, f) for b, f in zip(bandwidths, f1s)]
-    return Figure4Result(architecture, [point("filterforward", 1.0, ff_f1)], sweep, trained=None)
+    return Figure4Result(architecture, [point("filterforward", 1.0, ff_f1)], sweep)
 
 
 def figure7_result(context) -> Figure7Result:
     spec = context.dataset.spec
     costs = CostModel(resolution=spec.paper_resolution)
     mc_f1, dc_f1 = FIGURE7_F1[spec.name]
-    mc = Figure7Point("localized", "mc", 1, costs.mc_cost("localized"), mc_f1, mc_f1, mc_f1)
+    mc = Figure7Point("localized", "mc", costs.mc_cost("localized"), mc_f1)
     dcs = [
-        Figure7Point(c.name, "dc", 1, costs.dc_cost(c), dc_f1[c.name], 0.5, 0.5)
+        Figure7Point(c.name, "dc", costs.dc_cost(c), dc_f1[c.name])
         for c in discrete_classifier_pareto_configs()
         if c.name in dc_f1
     ]

@@ -69,8 +69,6 @@ class TestFigure4:
     def test_scores_are_valid(self, result):
         for point in result.filterforward + result.compress_everything:
             assert 0.0 <= point.event_f1 <= 1.0
-            assert 0.0 <= point.precision <= 1.0
-            assert 0.0 <= point.recall <= 1.0
 
     def test_summary_keys(self, result):
         summary = summarize_figure4(result)
@@ -103,8 +101,8 @@ class TestFigure7:
 
     def test_costs_reported_at_both_scales(self, result):
         mc = result.microclassifiers[0]
-        assert mc.paper_scale_multiply_adds > mc.measured_multiply_adds
-        assert mc.measured_multiply_adds > 0
+        measured = result.trained[mc.name].classifier.multiply_adds()
+        assert mc.paper_scale_multiply_adds > measured > 0
 
     def test_mc_paper_scale_cost_is_order_100M(self, result):
         mc = result.microclassifiers[0]
@@ -123,7 +121,7 @@ class TestFigure7:
 
 
 def test_a_figure7_without_classifiers_keeps_every_key_and_renders():
-    point = Figure7Point("p", "mc", 1, 1, event_f1=0.5, precision=0.5, recall=0.5)
+    point = Figure7Point("p", "mc", 1, event_f1=0.5)
     full = summarize_figure7(Figure7Result("roadway", [point], [point], trained={}))
     empty = summarize_figure7(Figure7Result("roadway", [], [], trained={}))
     assert list(empty) == list(full)

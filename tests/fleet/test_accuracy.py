@@ -25,7 +25,7 @@ from repro.fleet import (
     evaluate_offline,
 )
 from repro.fleet.camera import CameraFeed
-from repro.video.synthetic import TASK_PEDESTRIAN
+from repro.video.synthetic import TASK_PEDESTRIAN, SurveillanceSceneGenerator
 
 SCENARIOS = ["retail_entrance", "busy_intersection", "urban_day"]
 
@@ -128,9 +128,8 @@ class TestTrainedCache:
         fresh = TrainedMicroClassifiers(ACCURACY)
         a = models.trained(fleet[1])
         b = fresh.trained(fleet[1])
-        assert a.threshold == b.threshold
-        assert a.seeds == b.seeds
-        for pa, pb in zip(a.mc.parameters(), b.mc.parameters()):
+        assert a.config.threshold == b.config.threshold
+        for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa.value, pb.value)
 
     def test_training_clip_uses_ladder_seed_not_live_seed(self, models, fleet):
@@ -146,9 +145,7 @@ class TestTrainedCache:
         assert first.extractor is not second.extractor
 
     def test_threshold_was_calibrated_into_the_mc(self, models, fleet):
-        model = models.trained(fleet[0])
-        assert model.mc.config.threshold == model.threshold
-        assert 0.0 < model.threshold < 1.0
+        assert 0.0 < models.trained(fleet[0]).config.threshold < 1.0
 
 
 class TestCalibrationFallback:
@@ -168,10 +165,9 @@ class TestCalibrationFallback:
             seed=7,
             event_rate_scale=0.0,
         )
-        model = models.trained(spec)
-        assert model.train_positive_frames == 0
-        assert model.threshold == 0.5
-        assert model.mc.config.threshold == 0.5
+        generator = SurveillanceSceneGenerator(models._training_spec(spec).scene_config())
+        assert not generator.labels_for_task(generator.spawn_objects(), ACCURACY.task).labels.any()
+        assert models.trained(spec).config.threshold == 0.5
 
 
 class TestWindowedCameras:
@@ -193,9 +189,9 @@ class TestWindowedCameras:
     def test_trains_windowed_mcs(self, setup):
         models, cameras, _ = setup
         for spec in cameras:
-            model = models.trained(spec)
-            assert isinstance(model.mc, WindowedLocalizedBinaryClassifierMC)
-            assert model.mc.config.threshold == model.threshold
+            mc = models.trained(spec)
+            assert isinstance(mc, WindowedLocalizedBinaryClassifierMC)
+            assert 0.0 < mc.config.threshold < 1.0
 
     def test_no_shed_run_equals_offline_and_reruns_bit_for_bit(self, setup):
         models, cameras, run = setup
@@ -287,15 +283,11 @@ class TestTruthDensitySignal:
 
         return CameraLiveStats(
             camera_id="cam",
-            scenario="urban_day",
             resolution=(32, 32),
             frame_rate=10.0,
             generated=10,
             scored=10,
             matched=matched,
-            rejected=0,
-            dropped=0,
-            queue_depth=0,
             service_seconds=0.01,
             truth_known=truth_known,
             truth_positive_generated=truth_positive_generated,

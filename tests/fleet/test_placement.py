@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fleet import placement
 from repro.fleet.camera import CameraSpec, generate_fleet
 from repro.fleet.placement import (
     PLACEMENT_POLICIES,
@@ -78,10 +79,6 @@ class TestPolicyContracts:
         with pytest.raises(ValueError, match="Unknown placement policy"):
             make_placement_policy("best_effort")
 
-    def test_policy_instance_passes_through(self):
-        policy = LoadAwarePlacement()
-        assert make_placement_policy(policy) is policy
-
 
 class TestRoundRobin:
     def test_deals_in_index_order(self):
@@ -109,17 +106,16 @@ class TestLoadAware:
         naive = node_loads(RoundRobinPlacement().place(fleet, 4))
         assert max(balanced) <= max(naive)
 
-    def test_custom_cost_fn(self):
-        fleet = skewed_fleet(8)
-        policy = LoadAwarePlacement(cost_fn=lambda spec: 1.0)
-        shards = policy.place(fleet, 4)
+    def test_equal_costs_split_evenly(self, monkeypatch):
+        monkeypatch.setattr(placement, "estimate_camera_cost", lambda spec: 1.0)
+        shards = LoadAwarePlacement().place(skewed_fleet(8), 4)
         assert sorted(len(shard) for shard in shards) == [2, 2, 2, 2]
 
-    def test_degenerate_cost_fn_rejected(self):
+    def test_degenerate_cost_fn_rejected(self, monkeypatch):
         """An all-zero cost estimate would pile every camera on node 0."""
-        policy = LoadAwarePlacement(cost_fn=lambda spec: 0.0)
+        monkeypatch.setattr(placement, "estimate_camera_cost", lambda spec: 0.0)
         with pytest.raises(RuntimeError, match="without cameras"):
-            policy.place(skewed_fleet(4), 3)
+            LoadAwarePlacement().place(skewed_fleet(4), 3)
 
 
 class TestResolutionAware:

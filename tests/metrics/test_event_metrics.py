@@ -85,7 +85,6 @@ class TestEventF1:
         expected = 2 * breakdown.precision * breakdown.recall / (breakdown.precision + breakdown.recall)
         assert breakdown.f1 == pytest.approx(expected)
         assert breakdown.num_events == 1
-        assert breakdown.num_predicted_frames == 4
 
     def test_false_positives_hurt_precision_not_recall(self):
         truth = np.array([0, 1, 1, 0, 0, 0])

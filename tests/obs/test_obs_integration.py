@@ -50,14 +50,13 @@ class TestFleetRuntimeObservability:
         assert report.slo.frames == report.frames_generated
         assert "slo: fresh" in report.summary()
 
-    def test_live_stats_expose_per_camera_slo(self, observed_run):
-        runtime, _, _ = observed_run
-        stats = runtime.camera_live_stats()
-        assert stats, "fleet must have active cameras"
-        for camera_id, live in stats.items():
-            assert live.slo is not None
-            assert live.slo.camera_id == camera_id
-            assert live.slo.frames >= live.scored
+    def test_report_carries_each_cameras_slo(self, observed_run):
+        _, _, report = observed_run
+        assert report.cameras, "fleet must have cameras"
+        for camera_id, camera in report.cameras.items():
+            status = report.slo.camera(camera_id)
+            assert status is not None and status.camera_id == camera_id
+            assert status.frames >= status.scored == camera.frames_scored
 
     def test_slo_counters_and_latency_histogram_feed_telemetry(self, observed_run):
         runtime, _, report = observed_run

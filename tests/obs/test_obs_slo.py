@@ -94,7 +94,7 @@ class TestSLOTracker:
         assert tracker.record_scored("cam", 0.1) == (True, True)
         assert tracker.record_scored("cam", 0.4) == (True, False)
         assert tracker.record_scored("cam", 0.9) == (False, False)
-        status = tracker.camera_status("cam")
+        status = tracker.report().camera("cam")
         assert status.frames == 3 and status.scored == 3
         assert status.fresh == 2 and status.within_latency == 1
 
@@ -102,7 +102,7 @@ class TestSLOTracker:
         tracker = self._tracker()
         tracker.record_scored("cam", 0.1)
         tracker.record_lost("cam", 3)
-        status = tracker.camera_status("cam")
+        status = tracker.report().camera("cam")
         assert status.frames == 4 and status.scored == 1
         assert status.fresh_fraction == pytest.approx(0.25)
         assert status.latency_fraction == 1.0  # the one scored frame was fast
@@ -111,20 +111,20 @@ class TestSLOTracker:
         tracker = self._tracker()
         tracker.record_lost("cam", 0)
         tracker.record_lost("cam", -5)
-        assert tracker.camera_status("cam") is None
+        assert tracker.report().camera("cam") is None
 
     def test_burn_rate_is_windowed(self):
         tracker = self._tracker()  # window 64, objective 0.9 -> allowed 10%
         for _ in range(64):
             tracker.record_scored("cam", 9.9)  # all stale
-        status = tracker.camera_status("cam")
+        status = tracker.report().camera("cam")
         assert status.burn_rate == pytest.approx(10.0)
         assert status.burning
         # 64 fresh frames push the stale ones out of the window: burn
         # resets even though the cumulative SLI stays damaged.
         for _ in range(64):
             tracker.record_scored("cam", 0.01)
-        status = tracker.camera_status("cam")
+        status = tracker.report().camera("cam")
         assert status.burn_rate == 0.0
         assert not status.burning
         assert status.fresh_fraction == pytest.approx(0.5)
@@ -132,12 +132,12 @@ class TestSLOTracker:
     def test_lost_burst_larger_than_window_saturates_it(self):
         tracker = self._tracker()
         tracker.record_lost("cam", 1000)
-        status = tracker.camera_status("cam")
+        status = tracker.report().camera("cam")
         assert status.frames == 1000
         assert status.burn_rate == pytest.approx(10.0)
 
     def test_unknown_camera_status_is_none(self):
-        assert self._tracker().camera_status("ghost") is None
+        assert self._tracker().report().camera("ghost") is None
 
     def test_report_orders_cameras(self):
         tracker = self._tracker()

@@ -54,7 +54,6 @@ class TestFrameTrace:
         trace.phases = (("decode", 1.25, 1.3), ("base_dnn", 1.3, 1.5))
         trace.completed_at = 1.5
         trace.upload_description = "cam000/primary event"
-        trace.upload_available_at = 1.5
         trace.upload_start = 1.6
         trace.upload_end = 1.9
         return trace
@@ -131,29 +130,28 @@ class TestNodeTracer:
         assert node.begin_frame("cam", index, 0.0) is False
         # Every record_* call on an untraced frame is a silent no-op.
         node.record_admission("cam", index, True)
-        node.record_enqueue("cam", index, 2)
+        node.record_enqueue("cam", index)
         node.record_drop("cam", index, "evicted_oldest", 0.1)
         node.record_dispatch("cam", index, 0.2)
         node.record_completion("cam", index, 0.3)
         node.annotate("cam", index, "k", "v")
-        node.register_upload("desc", "cam", index, 0.3)
+        node.register_upload("desc", "cam", index)
         assert not node.has_trace("cam", index)
         assert node.frame_traces() == []
 
     def test_register_upload_first_event_wins(self):
         node = Tracer(sample_every=1).node("node0")
         node.begin_frame("cam", 0, 0.0)
-        node.register_upload("event A", "cam", 0, 1.0)
-        node.register_upload("event B", "cam", 0, 2.0)
+        node.register_upload("event A", "cam", 0)
+        node.register_upload("event B", "cam", 0)
         [trace] = node.frame_traces()
         assert trace.upload_description == "event A"
-        assert trace.upload_available_at == 1.0
 
     def test_complete_upload_stamps_every_rider_once(self):
         node = Tracer(sample_every=1).node("node0")
         for index in (0, 1):
             node.begin_frame("cam", index, 0.0)
-            node.register_upload("shared event", "cam", index, 0.5)
+            node.register_upload("shared event", "cam", index)
         node.complete_upload("shared event", 1.0, 2.0)
         node.complete_upload("shared event", 9.0, 10.0)  # second stamp ignored
         for trace in node.frame_traces():

@@ -10,8 +10,11 @@ log, parsed.  A runner maps a :class:`~oracles.scenarios.Scenario` to one.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
+from unittest import mock
+from weakref import WeakKeyDictionary
 
 from repro.control import (
     AdaptiveSheddingController,
@@ -25,6 +28,7 @@ from repro.control import (
 from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.policies import Controller, MigrateCamera, SetCameraThreshold
 from repro.events import BrokerConfig, DeliveryConfig, EventDeliveryPlane, OutboxConfig
+from repro.fleet.queues import AdmissionController
 from repro.fleet.runtime import FleetReport, FleetRuntime, default_pipeline_factory
 from repro.fleet.sharding import ShardedFleetRuntime, ShardingConfig
 from repro.fleet.telemetry import TelemetryRegistry, nearest_rank
@@ -116,9 +120,32 @@ def node_run(runtime: FleetRuntime, report: FleetReport, migrated_in=0, migrated
         migrated_in,
         migrated_out,
         stints,
-        admission.rejected if admission is not None else 0,
+        REFUSED.get(admission, 0) if admission is not None else 0,
         admission.in_flight if admission is not None else 0,
     )
+
+
+# Arrivals each admission controller turned away.  The controller keeps no
+# such tally, so the runners below count its refusals while they run.
+REFUSED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def counting_refusals(runner):
+    """``runner``, with every ``AdmissionController.try_admit`` refusal counted in :data:`REFUSED`."""
+    try_admit = AdmissionController.try_admit
+
+    def counted(self, camera_id):
+        admitted = try_admit(self, camera_id)
+        if not admitted:
+            REFUSED[self] = REFUSED.get(self, 0) + 1
+        return admitted
+
+    @functools.wraps(runner)
+    def run(*args, **kwargs):
+        with mock.patch.object(AdmissionController, "try_admit", counted):
+            return runner(*args, **kwargs)
+
+    return run
 
 
 def jsonl(text: str) -> list[dict]:
@@ -146,15 +173,32 @@ class Scheduled(Controller):
 
     def __init__(self, scenario) -> None:
         self.scenario = scenario
+        self.ticks = 0  # decide runs once per tick
 
     def decide(self, view):
         hosts = {c: node.node_id for node in view.nodes for c in node.runtime.hosted_cameras()}
-        return scheduled_actions(self.scenario, view.tick_index, hosts)
+        tick, self.ticks = self.ticks, self.ticks + 1
+        return scheduled_actions(self.scenario, tick, hosts)
+
+
+class RecordingHierarchy(HierarchicalControlPlane):
+    """The hierarchy, keeping the aggregate each node sent up at the last tick."""
+
+    def bind(self, nodes) -> None:
+        super().bind(nodes)
+        self.last_aggregates = {}
+        for node_id, plane in self.planes.items():
+
+            def tick(now, horizon, node_id=node_id, local=plane.tick):
+                self.last_aggregates[node_id] = aggregate = local(now, horizon)
+                return aggregate
+
+            plane.tick = tick
 
 
 def control_slot(scenario) -> dict:
     if scenario.control == "hierarchy":
-        return {"hierarchy": HierarchicalControlPlane(interval_seconds=scenario.interval)}
+        return {"hierarchy": RecordingHierarchy(interval_seconds=scenario.interval)}
     if scenario.control == "none":
         return {}
     policies = [Scheduled(scenario)]
@@ -195,6 +239,7 @@ def rollup(cluster: ShardedFleetRuntime, report, flat: bool = False) -> dict[str
 
 
 # -- runners -----------------------------------------------------------------
+@counting_refusals
 def run_cluster(scenario, flat_rollup: bool = False) -> RunRecord:
     """The scenario through one :class:`ShardedFleetRuntime`."""
     plane = EventDeliveryPlane(DELIVERY) if scenario.event_plane else None
@@ -244,12 +289,14 @@ def bare_node(scenario, cameras=None) -> FleetRuntime:
     )
 
 
+@counting_refusals
 def run_bare(scenario) -> RunRecord:
     """The whole fleet on one bare node, in one ``run()``."""
     runtime = bare_node(scenario)
     return RunRecord({"node0": node_run(runtime, runtime.run())})
 
 
+@counting_refusals
 def run_stepped(scenario) -> RunRecord:
     """The whole fleet on one bare node, advanced one control interval at a time."""
     runtime, now = bare_node(scenario), 0.0
@@ -260,6 +307,7 @@ def run_stepped(scenario) -> RunRecord:
     return RunRecord({"node0": node_run(runtime, runtime.finalize())})
 
 
+@counting_refusals
 def run_by_hand(scenario) -> RunRecord:
     """Bare nodes in lockstep, the schedule applied by calling the runtimes directly."""
     count = scenario.num_nodes

@@ -133,6 +133,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="alpha"):
             CostModel(alpha=alpha).mc_cost("localized")
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_alpha_is_checked_at_construction(self, alpha):
+        # Not at the first query (a NaN failed there in an int conversion).
+        with pytest.raises(ValueError, match="alpha"):
+            CostModel(alpha=alpha)
+
+    @pytest.mark.parametrize("resolution", [(float("nan"), 10), (10, float("inf"))])
+    def test_non_finite_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            CostModel(resolution=resolution)
+
     @pytest.mark.parametrize("crop_fraction", [0.0, -0.5, 3.0])
     def test_crop_fraction_outside_unit_interval(self, crop_fraction):
         with pytest.raises(ValueError, match="crop_fraction"):

@@ -28,6 +28,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThroughputModelConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_dnn_ops_per_second", float("nan")),
+            ("base_dnn_ops_per_second", float("inf")),
+            ("classifier_ops_per_second", float("nan")),
+            ("classifier_ops_per_second", float("inf")),
+            ("fixed_overhead_seconds", float("nan")),
+            ("fixed_overhead_seconds", float("inf")),
+            ("filterforward_overhead_seconds", float("nan")),
+            ("per_classifier_overhead_seconds", float("inf")),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        # A NaN rate made filterforward_fps(1) return inf; a NaN overhead made
+        # break_even_classifiers() try every count and return -1.
+        with pytest.raises(ValueError, match="finite"):
+            ThroughputModelConfig(**{field: value})
+
 
 class TestFilterForwardScaling:
     def test_breakdown_components(self, model):

@@ -178,6 +178,40 @@ def test_stale_dotted_name_is_flagged(tmp_path):
     assert problems[2].startswith("doc.md:5: repro.nosuchpackage does not resolve")
 
 
+def test_attribute_references_in_docs_resolve():
+    assert check_docs.check_attribute_references() == []
+
+
+def test_stale_attribute_is_flagged(tmp_path):
+    """A backticked ``Class.attr`` naming no member fails, with or without a module path."""
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`CameraLiveStats.threshold` and `FleetRuntime.camera_live_stats()` are there;\n"
+        "`CameraLiveStats.slo` is not,\n"
+        "nor is `repro.fleet.runtime.CameraLiveStats.queue_depth`.\n",
+        encoding="utf-8",
+    )
+    problems = check_docs.check_attribute_references([doc])
+    assert problems == [
+        "doc.md:2: `CameraLiveStats.slo`: 'slo' is not an attribute of CameraLiveStats",
+        "doc.md:3: `repro.fleet.runtime.CameraLiveStats.queue_depth`: 'queue_depth' is not "
+        "an attribute of CameraLiveStats",
+    ]
+
+
+def test_base_class_attribute_resolves(tmp_path):
+    """A member inherited from a repro base class resolves on the subclass."""
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`AdaptiveSheddingController.record_decision` (from `Controller`) and\n"
+        "`AdaptiveSheddingController.decide` (its own) resolve;\n"
+        "`AdaptiveSheddingController.tick_index` does not.\n",
+        encoding="utf-8",
+    )
+    problems = check_docs.check_attribute_references([doc])
+    assert [p.split(":")[1] for p in problems] == ["3"]
+
+
 def test_fence_info_strings_do_not_derail_parser(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text(

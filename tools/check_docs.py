@@ -19,6 +19,13 @@ Five guarantees:
    ``README.md`` and ``docs/*.md`` resolves on disk to a package or module,
    and a component past the module is defined or imported at that module's
    top level (read with ``ast``; nothing is imported).
+6. **Attributes resolve** — every backticked ``Class.attr`` in the same
+   files (with or without a ``repro.…`` module path in front), whose
+   ``Class`` is a class defined under ``src/repro/``, names a method,
+   property, annotated field, class-body assignment or ``self.`` store of
+   that class or of one of its bases (read with ``ast``), so a removed field
+   fails the check until the docs follow.  A class with a base from outside
+   ``repro`` (an ``Enum``, a ``str``) is not checked past its own members.
 
 Exit status 0 when everything holds; 1 with a problem list otherwise.
 """
@@ -93,6 +100,11 @@ COVERAGE: dict[str, tuple[str, tuple[str, ...], str | None]] = {
 
 _FENCE_RE = re.compile(r"^```")
 _DOTTED_NAME_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+# A backticked reference that starts with a dotted name: `Class.attr`,
+# `repro.fleet.runtime.Class.attr`, `Class.method()`.
+_BACKTICKED_DOTTED_RE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
+# Bases that add no attribute a doc would name.
+_PLAIN_BASES = {"object", "ABC", "Protocol", "Generic"}
 
 
 def repro_packages(src_root: Path | None = None) -> list[str]:
@@ -255,12 +267,103 @@ def check_dotted_names(files: list[Path] | None = None) -> list[str]:
     return problems
 
 
+def _class_members(node: ast.ClassDef) -> set[str]:
+    """Attribute names a class body defines: members, fields and ``self.`` stores."""
+    members: set[str] = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members.add(item.name)
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            members.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            members.add(sub.attr)
+        elif (  # object.__setattr__(self, "name", ...) in a frozen dataclass
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "__setattr__"
+            and len(sub.args) >= 2
+            and isinstance(sub.args[0], ast.Name)
+            and sub.args[0].id == "self"
+            and isinstance(sub.args[1], ast.Constant)
+        ):
+            members.add(sub.args[1].value)
+    return members
+
+
+def class_index(src_root: Path | None = None) -> dict[str, list[tuple[str, list[str], set[str]]]]:
+    """Class name -> ``(module, base names, members)`` for every class under ``repro``."""
+    root = src_root or REPO_ROOT / "src"
+    index: dict[str, list[tuple[str, list[str], set[str]]]] = {}
+    for path in sorted((root / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = [
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in (b.value if isinstance(b, ast.Subscript) else b for b in node.bases)
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                ]
+                index.setdefault(node.name, []).append((module, bases, _class_members(node)))
+    return index
+
+
+def resolve_attribute(index, class_name: str, attr: str, module: str | None = None) -> bool:
+    """Whether ``attr`` is a member of ``class_name`` (in ``module`` when given) or a base."""
+    seen: set[str] = set()
+    pending = [(class_name, module)]
+    while pending:
+        name, in_module = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        entries = [e for e in index.get(name, ()) if in_module is None or e[0] == in_module]
+        if not entries:
+            if name not in _PLAIN_BASES:
+                return True  # a base from outside repro: its members are not read here
+            continue
+        for _, bases, members in entries:
+            if attr in members:
+                return True
+            pending.extend((base, None) for base in bases)
+    return False
+
+
+def check_attribute_references(files: list[Path] | None = None) -> list[str]:
+    """Backticked ``Class.attr`` references in the docs that name no member (empty = all do)."""
+    index = class_index()
+    problems = []
+    for path in files if files is not None else documentation_files():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for reference in dict.fromkeys(_BACKTICKED_DOTTED_RE.findall(line)):
+                parts = reference.split(".")
+                for i, part in enumerate(parts[:-1]):
+                    if part in index:
+                        module = ".".join(parts[:i]) if parts[0] == "repro" and i else None
+                        if not resolve_attribute(index, part, parts[i + 1], module):
+                            problems.append(
+                                f"{path.name}:{lineno}: `{reference}`: {parts[i + 1]!r} is not "
+                                f"an attribute of {part}"
+                            )
+                        break
+    return problems
+
+
 def main() -> int:
     problems = check_architecture_coverage() + check_required_docs()
     for check in COVERAGE:
         problems += check_coverage(check)
     problems += check_snippets()
     problems += check_dotted_names()
+    problems += check_attribute_references()
     if problems:
         print("Docs consistency check FAILED:")
         for problem in problems:
