@@ -15,8 +15,6 @@ Run:  python examples/bandwidth_planning.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import TrainingConfig
 from repro.experiments.common import ExperimentContext
 from repro.experiments.figure4 import (

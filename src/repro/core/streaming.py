@@ -202,11 +202,6 @@ class StreamingPipeline:
         self._num_pushed = 0
         self._finished = False
         self._result: PipelineResult | None = None
-        # Optional frame-lifecycle tracer (repro.obs.trace.NodeTracer); set
-        # by bind_tracer() so pipeline-level outcomes (stream position,
-        # which MC matched a frame) annotate the sampled frames' spans.
-        self._tracer = None
-        self._tracer_camera: str | None = None
         # Global event identity: (camera_id, session_epoch) prefix for the
         # EventRecords this session emits.  Defaults suit a standalone
         # pipeline; the fleet runtime rebinds via bind_identity() so keys
@@ -222,16 +217,6 @@ class StreamingPipeline:
         # telemetry, upload scheduling); O(1) per frame.
         self.source_indices: list[int] = []
         self.timestamps: list[float] = []
-
-    def bind_tracer(self, tracer, camera_id: str) -> None:
-        """Attach a node tracer so this session annotates sampled frames.
-
-        ``tracer`` duck-types :class:`repro.obs.trace.NodeTracer` (only its
-        ``annotate`` method is used); annotations are keyed by the frame's
-        *source index*, matching how the fleet runtime opened the traces.
-        """
-        self._tracer = tracer
-        self._tracer_camera = str(camera_id)
 
     def bind_identity(self, camera_id: str, session_epoch: int = 0) -> None:
         """Set the ``(camera_id, session_epoch)`` prefix of emitted event keys.
@@ -273,17 +258,6 @@ class StreamingPipeline:
         if len(self._banks[0].chunk) >= self.config.batch_size:
             self._score_chunks(final=False)
             self._drain_decisions(new_matches, records)
-        if self._tracer is not None:
-            self._tracer.annotate(
-                self._tracer_camera, int(frame.index), "stream_position", position
-            )
-            for mc_name, pos in new_matches:
-                self._tracer.annotate(
-                    self._tracer_camera,
-                    self.source_indices[pos],
-                    f"matched.{mc_name}",
-                    pos,
-                )
         return StreamUpdate(new_matches=tuple(new_matches), closed_records=tuple(records))
 
     def finish(self, stream_duration: float | None = None) -> PipelineResult:

@@ -45,13 +45,7 @@ from repro.fleet.placement import (
     estimate_camera_cost,
     make_placement_policy,
 )
-from repro.fleet.queues import (
-    AdmissionController,
-    DropPolicy,
-    FrameQueue,
-    OfferOutcome,
-    QueueStats,
-)
+from repro.fleet.queues import AdmissionController, DropPolicy, FrameQueue, OfferOutcome
 from repro.fleet.runtime import (
     CameraHandoff,
     CameraLiveStats,
@@ -97,7 +91,6 @@ __all__ = [
     "NodeReport",
     "OfferOutcome",
     "PlacementPolicy",
-    "QueueStats",
     "ResolutionAwarePlacement",
     "RoundRobinPlacement",
     "ShardedFleetReport",

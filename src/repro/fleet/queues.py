@@ -23,16 +23,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import Generic, TypeVar
 
-__all__ = ["DropPolicy", "OfferOutcome", "QueueStats", "FrameQueue", "AdmissionController"]
+__all__ = ["DropPolicy", "OfferOutcome", "FrameQueue", "AdmissionController"]
 
 
-class QueuedFrame(Protocol):
-    """What a queue holds — a frame, or the fleet runtime's ticket for one: it reads ``index``."""
-
-    @property
-    def index(self) -> int: ...
+# What a queue holds — a frame, or the fleet runtime's ticket for one; it reads nothing of it.
+QueuedFrame = TypeVar("QueuedFrame")
 
 
 class DropPolicy(str, Enum):
@@ -43,24 +40,14 @@ class DropPolicy(str, Enum):
 
 
 @dataclass(frozen=True)
-class OfferOutcome:
+class OfferOutcome(Generic[QueuedFrame]):
     """Result of offering one frame to a bounded queue."""
 
     admitted: bool
     evicted: QueuedFrame | None = None
 
 
-@dataclass
-class QueueStats:
-    """Lifetime accounting for one queue."""
-
-    admitted: int = 0
-    dropped_oldest: int = 0
-    dropped_newest: int = 0
-    high_water: int = 0
-
-
-class FrameQueue:
+class FrameQueue(Generic[QueuedFrame]):
     """A bounded FIFO of decoded frames for one camera."""
 
     def __init__(
@@ -74,13 +61,7 @@ class FrameQueue:
         self.camera_id = camera_id
         self.capacity = int(capacity)
         self.policy = DropPolicy(policy)
-        self.stats = QueueStats()
         self._frames: deque[QueuedFrame] = deque()
-        # Optional frame-lifecycle tracer (repro.obs.trace.NodeTracer); the
-        # fleet runtime installs it so enqueue/evict decisions land on the
-        # sampled frames' span trees.  Emission needs the simulated time,
-        # so only offer() calls that pass ``now`` trace.
-        self.tracer = None
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -103,36 +84,16 @@ class FrameQueue:
         """
         self.policy = DropPolicy(policy)
 
-    def offer(self, frame: QueuedFrame, now: float | None = None) -> OfferOutcome:
-        """Offer one frame; the policy decides what happens at capacity.
-
-        ``now`` is the simulated offer time, only needed when a tracer is
-        attached (trace events carry timestamps).
-        """
-        tracing = self.tracer is not None and now is not None
+    def offer(self, frame: QueuedFrame) -> OfferOutcome[QueuedFrame]:
+        """Offer one frame; the policy decides what happens at capacity."""
         if not self.is_full:
-            outcome = self._admit(frame)
-            if tracing:
-                self.tracer.record_enqueue(self.camera_id, frame.index)
-            return outcome
+            self._frames.append(frame)
+            return OfferOutcome(admitted=True)
         if self.policy is DropPolicy.DROP_OLDEST:
             evicted = self._frames.popleft()
-            self.stats.dropped_oldest += 1
-            self._admit(frame)
-            if tracing:
-                self.tracer.record_enqueue(self.camera_id, frame.index)
-                self.tracer.record_drop(self.camera_id, evicted.index, "evicted_oldest", now)
+            self._frames.append(frame)
             return OfferOutcome(admitted=True, evicted=evicted)
-        self.stats.dropped_newest += 1  # DROP_NEWEST
-        if tracing:
-            self.tracer.record_drop(self.camera_id, frame.index, "dropped_newest", now)
-        return OfferOutcome(admitted=False, evicted=frame)
-
-    def _admit(self, frame: QueuedFrame) -> OfferOutcome:
-        self._frames.append(frame)
-        self.stats.admitted += 1
-        self.stats.high_water = max(self.stats.high_water, len(self._frames))
-        return OfferOutcome(admitted=True)
+        return OfferOutcome(admitted=False, evicted=frame)  # DROP_NEWEST
 
     def pop(self) -> QueuedFrame | None:
         """Dequeue the oldest frame (None when empty)."""

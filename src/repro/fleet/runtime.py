@@ -64,7 +64,7 @@ from repro.fleet.telemetry import TelemetryRegistry, jain_fairness
 from repro.fleet.worker import WorkerPool, default_schedule
 from repro.obs.alerts import AlertLog
 from repro.obs.slo import SLOConfig, SLOReport, SLOTracker
-from repro.obs.trace import NodeTracer, Tracer
+from repro.obs.trace import FrameTrace, NodeTracer, Tracer
 from repro.perf.cost_model import CostModel
 from repro.video.frame import Frame
 
@@ -473,7 +473,7 @@ class _CameraState:
     key: str
     spec: CameraSpec
     feed: CameraFeed
-    queue: FrameQueue
+    queue: FrameQueue[_Ticket]
     session: StreamingPipeline
     schedule: PhasedSchedule | None = None
     # Estimated uplink bits one matched frame will cost, per MC name
@@ -499,6 +499,10 @@ class _CameraState:
     uploaded_bits: float = 0.0
     generated: int = 0
     rejected: int = 0
+    admitted: int = 0
+    dropped_oldest: int = 0
+    dropped_newest: int = 0
+    queue_high_water: int = 0
     scored: int = 0
     matched: int = 0
     events: int = 0
@@ -573,14 +577,14 @@ def _camera_report(stints: Sequence[_CameraState]) -> CameraReport:
         resolution=spec.resolution,
         frame_rate=spec.frame_rate,
         frames_generated=sum(s.generated for s in stints),
-        frames_admitted=sum(s.queue.stats.admitted for s in stints),
-        frames_dropped_oldest=sum(s.queue.stats.dropped_oldest for s in stints),
-        frames_dropped_newest=sum(s.queue.stats.dropped_newest for s in stints),
+        frames_admitted=sum(s.admitted for s in stints),
+        frames_dropped_oldest=sum(s.dropped_oldest for s in stints),
+        frames_dropped_newest=sum(s.dropped_newest for s in stints),
         frames_rejected=sum(s.rejected for s in stints),
         frames_scored=sum(s.scored for s in stints),
         matched_frames=sum(s.matched for s in stints),
         events=sum(s.events for s in stints),
-        queue_high_water=max(s.queue.stats.high_water for s in stints),
+        queue_high_water=max(s.queue_high_water for s in stints),
         mean_queue_wait_seconds=(
             sum(s.wait_total for s in stints) / wait_count if wait_count else 0.0
         ),
@@ -596,11 +600,7 @@ class _Ticket:
     frame: Frame
     arrived_at: float
     holds_slot: bool  # an admission slot, released when the frame is scored or shed
-
-    @property
-    def index(self) -> int:
-        """The frame's index in its feed — all a :class:`FrameQueue` reads."""
-        return self.frame.index
+    trace: FrameTrace | None  # the sampled frame's lifecycle record, which the runtime writes
 
 
 class FleetRuntime:
@@ -773,9 +773,6 @@ class FleetRuntime:
             for mc in state.session.microclassifiers
         }
         state.session.bind_identity(spec.camera_id, session_epoch)
-        if self.tracer is not None:
-            state.queue.tracer = self.tracer
-            state.session.bind_tracer(self.tracer, spec.camera_id)
         self._states[key] = state
         self._active[spec.camera_id] = state
         # Reserve the sequence numbers that pushing all its arrivals now would take: the
@@ -915,27 +912,38 @@ class FleetRuntime:
             state.truth_positive_generated += 1
             counters.counter("accuracy.truth_positive_generated").inc()
         tracer = self.tracer
-        if tracer is not None:
-            tracer.begin_frame(camera_id, frame.index, now)
+        trace = tracer.begin_frame(camera_id, frame.index, now) if tracer is not None else None
         if self.admission is not None and not self.admission.try_admit(camera_id):
             state.rejected += 1
             counters.counter("frames.rejected").inc()
-            if tracer is not None:
-                tracer.record_admission(camera_id, frame.index, False)
-                tracer.record_drop(camera_id, frame.index, "admission_rejected", now)
+            if trace is not None:
+                trace.admitted = False
+                trace.dropped_at, trace.drop_reason = now, "admission_rejected"
             self._slo_lost(camera_id, 1)
             self._record_starvation()
             return
-        ticket = _Ticket(state, frame, arrived_at=now, holds_slot=self.admission is not None)
-        if ticket.holds_slot and tracer is not None:
-            tracer.record_admission(camera_id, frame.index, True)
-        outcome = state.queue.offer(ticket, now=now)
+        ticket = _Ticket(state, frame, now, holds_slot=self.admission is not None, trace=trace)
+        if trace is not None and ticket.holds_slot:
+            trace.admitted = True
+        outcome = state.queue.offer(ticket)
         if outcome.admitted:
+            state.admitted += 1
+            state.queue_high_water = max(state.queue_high_water, state.queue.depth)
             counters.counter("frames.admitted").inc()
-        if outcome.evicted is not None:  # the queue's head (DROP_OLDEST), or this ticket (NEWEST)
-            dropped = "frames.dropped_oldest" if outcome.admitted else "frames.dropped_newest"
+            if trace is not None:
+                trace.enqueued = True
+        evicted = outcome.evicted  # the queue's head (DROP_OLDEST), or this ticket (NEWEST)
+        if evicted is not None:
+            if outcome.admitted:
+                state.dropped_oldest += 1
+                dropped, reason = "frames.dropped_oldest", "evicted_oldest"
+            else:
+                state.dropped_newest += 1
+                dropped, reason = "frames.dropped_newest", "dropped_newest"
             counters.counter(dropped).inc()
-            self._release_admission(outcome.evicted)
+            if evicted.trace is not None:
+                evicted.trace.dropped_at, evicted.trace.drop_reason = now, reason
+            self._release_admission(evicted)
             self._slo_lost(camera_id, 1)
         self._record_depth(state)
         self._record_starvation()
@@ -955,9 +963,7 @@ class FleetRuntime:
 
     def _on_completion(self, ticket: _Ticket, now: float) -> None:
         counters = self.telemetry
-        state, frame = ticket.stint, ticket.frame
-        if self.tracer is not None:
-            self.tracer.record_completion(state.camera_id, frame.index, now)
+        state, frame, trace = ticket.stint, ticket.frame, ticket.trace
         self._in_service.remove(ticket)
         if self.batched is not None:
             if not self.batched.has(state.session, frame):
@@ -971,6 +977,9 @@ class FleetRuntime:
             self.batched.prime(state.session, frame)
         update = state.session.push(frame)
         state.completion_times.append(now)
+        if trace is not None:
+            trace.completed_at = now
+            trace.annotations["stream_position"] = state.scored
         state.scored += 1
         if state.scored == 1 and state.detached_at is None:
             self._starved -= 1
@@ -981,6 +990,11 @@ class FleetRuntime:
             counters.counter("accuracy.truth_positive_scored").inc()
         if update.new_matches:
             counters.counter("frames.matched").inc(len(update.new_matches))
+            if self.tracer is not None:
+                for mc_name, position in update.new_matches:
+                    index = state.session.source_indices[position]
+                    if (matched := self.tracer.trace(state.camera_id, index)) is not None:
+                        matched.annotations[f"matched.{mc_name}"] = position
             # Live uplink-demand estimate: a matched frame will eventually
             # upload ~bitrate/frame_rate bits (the codec targets the MC's
             # upload bitrate at the camera's frame rate).  Tracked per camera
@@ -1038,13 +1052,9 @@ class FleetRuntime:
                     self.telemetry.counter("slo.freshness_violations").inc()
                 if not within:
                     self.telemetry.counter("slo.latency_violations").inc()
-            if self.tracer is not None and self.tracer.has_trace(camera_id, ticket.index):
-                self.tracer.record_dispatch(
-                    camera_id,
-                    ticket.index,
-                    now,
-                    self.workers.phase_intervals(now, chosen.schedule),
-                )
+            if ticket.trace is not None:
+                ticket.trace.dispatched_at = now
+                ticket.trace.phases = self.workers.phase_intervals(now, chosen.schedule)
             heapq.heappush(self._heap, (end_time, self._sequence, "completion", chosen, ticket))
             self._sequence += 1
             self._in_service.append(ticket)

@@ -170,9 +170,9 @@ class FrameTrace:
 class NodeTracer:
     """One edge node's view of the cluster :class:`Tracer`.
 
-    Every ``record_*`` method silently ignores frames that were not sampled
-    (or never began on this node), so the runtime's hot paths can call them
-    unconditionally once guarded by ``tracer is not None``.
+    :meth:`begin_frame` opens a sampled frame's :class:`FrameTrace` and
+    hands it to the fleet runtime, the record's one writer; uploads are
+    routed back to their frames here, by event description.
     """
 
     def __init__(self, tracer: "Tracer", node_id: str, pid: int) -> None:
@@ -183,71 +183,17 @@ class NodeTracer:
         # Upload description -> the traced frames whose event it carries.
         self._uploads: dict[str, list[tuple[str, int]]] = {}
 
-    # -- sampling --------------------------------------------------------------
-    def sampled(self, camera_id: str, frame_index: int) -> bool:
-        """Whether this frame is in the deterministic 1-in-N sample."""
-        return self.tracer.sampled(camera_id, frame_index)
+    def begin_frame(self, camera_id: str, frame_index: int, now: float) -> FrameTrace | None:
+        """Open a lifecycle record at ingest if the frame is sampled (else None)."""
+        if not self.tracer.sampled(camera_id, frame_index):
+            return None
+        trace = FrameTrace(camera_id=camera_id, frame_index=int(frame_index), arrival=now)
+        self._traces[(camera_id, int(frame_index))] = trace
+        return trace
 
-    def has_trace(self, camera_id: str, frame_index: int) -> bool:
-        """Whether a lifecycle record exists for this frame on this node."""
-        return (camera_id, int(frame_index)) in self._traces
-
-    def _get(self, camera_id: str, frame_index: int) -> FrameTrace | None:
+    def trace(self, camera_id: str, frame_index: int) -> FrameTrace | None:
+        """The lifecycle record of a frame on this node (None when not sampled)."""
         return self._traces.get((camera_id, int(frame_index)))
-
-    # -- lifecycle recording ---------------------------------------------------
-    def begin_frame(self, camera_id: str, frame_index: int, now: float) -> bool:
-        """Open a lifecycle record at ingest if the frame is sampled."""
-        if not self.sampled(camera_id, frame_index):
-            return False
-        self._traces[(camera_id, int(frame_index))] = FrameTrace(
-            camera_id=camera_id, frame_index=int(frame_index), arrival=now
-        )
-        return True
-
-    def record_admission(self, camera_id: str, frame_index: int, admitted: bool) -> None:
-        """Record the node-wide admission decision for a traced frame."""
-        trace = self._get(camera_id, frame_index)
-        if trace is not None:
-            trace.admitted = bool(admitted)
-
-    def record_enqueue(self, camera_id: str, frame_index: int) -> None:
-        """Record that a traced frame entered its camera queue."""
-        trace = self._get(camera_id, frame_index)
-        if trace is not None:
-            trace.enqueued = True
-
-    def record_drop(self, camera_id: str, frame_index: int, reason: str, now: float) -> None:
-        """Record that a traced frame was shed (at the door or from a queue)."""
-        trace = self._get(camera_id, frame_index)
-        if trace is not None:
-            trace.dropped_at = now
-            trace.drop_reason = reason
-
-    def record_dispatch(
-        self,
-        camera_id: str,
-        frame_index: int,
-        now: float,
-        phases: tuple[tuple[str, float, float], ...] = (),
-    ) -> None:
-        """Record that a traced frame left its queue for a worker."""
-        trace = self._get(camera_id, frame_index)
-        if trace is not None:
-            trace.dispatched_at = now
-            trace.phases = tuple(phases)
-
-    def record_completion(self, camera_id: str, frame_index: int, now: float) -> None:
-        """Record that a traced frame finished scoring."""
-        trace = self._get(camera_id, frame_index)
-        if trace is not None:
-            trace.completed_at = now
-
-    def annotate(self, camera_id: str, frame_index: int, key: str, value: object) -> None:
-        """Attach one key/value to a traced frame (pipeline match info etc.)."""
-        trace = self._get(camera_id, frame_index)
-        if trace is not None:
-            trace.annotations[key] = value
 
     def register_upload(self, description: str, camera_id: str, frame_index: int) -> None:
         """Announce that ``description``'s event carries a traced frame.
@@ -257,7 +203,7 @@ class NodeTracer:
         :meth:`complete_upload` routes the times back by description.  A
         frame matched by several microclassifiers keeps its first event.
         """
-        trace = self._get(camera_id, frame_index)
+        trace = self.trace(camera_id, frame_index)
         if trace is None or trace.upload_description is not None:
             return
         trace.upload_description = description
@@ -271,7 +217,6 @@ class NodeTracer:
                 trace.upload_start = start_time
                 trace.upload_end = end_time
 
-    # -- export ----------------------------------------------------------------
     def frame_traces(self) -> list[FrameTrace]:
         """All lifecycle records on this node, sorted by (camera, frame)."""
         return [self._traces[key] for key in sorted(self._traces)]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.fleet.camera import CameraSpec
 from repro.fleet.queues import AdmissionController, DropPolicy, FrameQueue
+from repro.fleet.runtime import FleetConfig, FleetRuntime
 from repro.video.frame import Frame
 
 
@@ -24,12 +26,12 @@ class TestFrameQueueBasics:
             FrameQueue("cam", capacity=0)
 
     def test_high_water_mark(self):
-        queue = FrameQueue("cam", capacity=8)
-        for i in range(5):
-            queue.offer(make_frame(i))
-        queue.pop()
-        queue.offer(make_frame(5))
-        assert queue.stats.high_water == 5
+        # One slow worker: frame 0 goes into service, frames 1-5 wait, then drain.
+        camera = CameraSpec("cam", 32, 32, frame_rate=10.0, num_frames=6)
+        config = FleetConfig(num_workers=1, queue_capacity=8, service_time_scale=100.0)
+        report = FleetRuntime([camera], config=config).run().cameras["cam"]
+        assert report.frames_scored == 6
+        assert report.queue_high_water == 5
 
 
 class TestDropPoliciesUnderOverload:
@@ -39,8 +41,7 @@ class TestDropPoliciesUnderOverload:
         assert all(o.admitted for o in outcomes)
         evicted = [o.evicted.index for o in outcomes if o.evicted is not None]
         assert evicted == [0, 1, 2, 3, 4, 5, 6]
-        assert queue.stats.dropped_oldest == 7
-        assert queue.stats.dropped_newest == 0
+        assert [o.evicted is not None for o in outcomes] == [False] * 3 + [True] * 7
         assert [queue.pop().index for _ in range(3)] == [7, 8, 9]
 
     def test_drop_newest_keeps_earliest(self):
@@ -49,18 +50,18 @@ class TestDropPoliciesUnderOverload:
         assert [o.admitted for o in outcomes] == [True] * 3 + [False] * 7
         # The rejected frame comes back as "evicted" so the caller can account it.
         assert [o.evicted.index for o in outcomes[3:]] == list(range(3, 10))
-        assert queue.stats.dropped_newest == 7
-        assert queue.stats.dropped_oldest == 0
+        assert all(o.evicted is None for o in outcomes[:3])
         assert [queue.pop().index for _ in range(3)] == [0, 1, 2]
 
     def test_stats_conservation(self):
         for policy in DropPolicy:
             queue = FrameQueue("cam", capacity=2, policy=policy)
-            for i in range(9):
-                queue.offer(make_frame(i))
-            stats = queue.stats
-            assert stats.admitted + stats.dropped_newest == 9
-            assert stats.admitted - stats.dropped_oldest == queue.depth
+            outcomes = [queue.offer(make_frame(i)) for i in range(9)]
+            admitted = sum(o.admitted for o in outcomes)
+            dropped_oldest = sum(o.admitted and o.evicted is not None for o in outcomes)
+            dropped_newest = sum(not o.admitted for o in outcomes)
+            assert admitted + dropped_newest == 9
+            assert admitted - dropped_oldest == queue.depth
 
 
 class TestAdmissionController:

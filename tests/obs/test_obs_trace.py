@@ -7,7 +7,7 @@ import pytest
 
 from repro.fleet import DropPolicy, FleetConfig, FleetRuntime, generate_fleet
 from repro.fleet.runtime import default_pipeline_factory
-from repro.obs.trace import FrameTrace, NodeTracer, Span, Tracer
+from repro.obs.trace import FrameTrace, Span, Tracer
 
 
 class TestSampling:
@@ -127,17 +127,18 @@ class TestNodeTracer:
         tracer = Tracer(sample_every=64)
         node = tracer.node("node0")
         index = next(i for i in range(200) if not tracer.sampled("cam", i))
-        assert node.begin_frame("cam", index, 0.0) is False
-        # Every record_* call on an untraced frame is a silent no-op.
-        node.record_admission("cam", index, True)
-        node.record_enqueue("cam", index)
-        node.record_drop("cam", index, "evicted_oldest", 0.1)
-        node.record_dispatch("cam", index, 0.2)
-        node.record_completion("cam", index, 0.3)
-        node.annotate("cam", index, "k", "v")
+        assert node.begin_frame("cam", index, 0.0) is None
+        # An untraced frame has no record to write, and its upload is a silent no-op.
         node.register_upload("desc", "cam", index)
-        assert not node.has_trace("cam", index)
+        assert node.trace("cam", index) is None
         assert node.frame_traces() == []
+
+    def test_begin_frame_returns_the_record_it_opens(self):
+        node = Tracer(sample_every=1).node("node0")
+        trace = node.begin_frame("cam", 3, 0.5)
+        assert (trace.camera_id, trace.frame_index, trace.arrival) == ("cam", 3, 0.5)
+        assert node.trace("cam", 3) is trace
+        assert node.frame_traces() == [trace]
 
     def test_register_upload_first_event_wins(self):
         node = Tracer(sample_every=1).node("node0")
@@ -253,3 +254,59 @@ class TestChromeExport:
         path = tracer.write_chrome_trace(tmp_path / "trace.json")
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded == tracer.to_chrome_trace()
+
+
+class TestTraceMatchesCounters:
+    """A fully sampled node's traces tell the story its counters count."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(policy, quota) for policy in DropPolicy for quota in (None, 1)],
+        ids=lambda p: f"{p[0].value}-quota_{p[1]}",
+    )
+    def run(self, request):
+        policy, quota = request.param
+        tracer = Tracer(sample_every=1)
+        runtime = FleetRuntime(
+            generate_fleet(4, seed=0, duration_seconds=1.5),
+            config=FleetConfig(
+                num_workers=2, queue_capacity=2, drop_policy=policy, per_camera_quota=quota
+            ),
+            pipeline_factory=default_pipeline_factory(threshold=0.05),
+            tracer=tracer,
+        )
+        report = runtime.run()
+        return tracer.frame_traces(), report, runtime.telemetry.counter
+
+    def test_drop_reasons_number_the_drop_counters(self, run):
+        traces, report, counter = run
+        reasons = [t.drop_reason for t in traces]
+        for reason, name in [
+            ("admission_rejected", "frames.rejected"),
+            ("evicted_oldest", "frames.dropped_oldest"),
+            ("dropped_newest", "frames.dropped_newest"),
+        ]:
+            assert reasons.count(reason) == counter(name).value
+        assert len(traces) == report.frames_generated
+        assert report.frames_dropped + report.frames_rejected > 0
+
+    def test_enqueued_traces_number_the_admitted_frames(self, run):
+        traces, report, counter = run
+        enqueued = sum(t.enqueued for t in traces)
+        assert enqueued == counter("frames.admitted").value
+        assert enqueued == sum(c.frames_admitted for c in report.cameras.values())
+
+    def test_stream_positions_are_each_cameras_scoring_order(self, run):
+        traces, report, _ = run
+        for camera_id, camera in report.cameras.items():
+            positions = [
+                t.annotations["stream_position"]
+                for t in traces
+                if t.camera_id == camera_id and "stream_position" in t.annotations
+            ]
+            assert sorted(positions) == list(range(camera.frames_scored))
+
+    def test_match_annotations_number_the_matched_frames(self, run):
+        traces, _, counter = run
+        matches = sum(key.startswith("matched.") for t in traces for key in t.annotations)
+        assert matches == counter("frames.matched").value > 0

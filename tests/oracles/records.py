@@ -52,17 +52,17 @@ ALERT_RULES = (
     AlertRule("queue_wait_p99", "latency.queue_wait_seconds.p99", threshold=0.3, for_seconds=0.25),
     AlertRule("uplink_demand", "uplink.estimated_bits", threshold=10_000.0, mode="rate"),
 )
-# A stint's tally per CameraReport field it sums into.
+# The stint attribute each CameraReport field sums.
 TALLIES = {
-    "frames_generated": lambda s: s.generated,
-    "frames_admitted": lambda s: s.queue.stats.admitted,
-    "frames_dropped_oldest": lambda s: s.queue.stats.dropped_oldest,
-    "frames_dropped_newest": lambda s: s.queue.stats.dropped_newest,
-    "frames_rejected": lambda s: s.rejected,
-    "frames_scored": lambda s: s.scored,
-    "matched_frames": lambda s: s.matched,
-    "events": lambda s: s.events,
-    "uploaded_bits": lambda s: s.uploaded_bits,
+    "frames_generated": "generated",
+    "frames_admitted": "admitted",
+    "frames_dropped_oldest": "dropped_oldest",
+    "frames_dropped_newest": "dropped_newest",
+    "frames_rejected": "rejected",
+    "frames_scored": "scored",
+    "matched_frames": "matched",
+    "events": "events",
+    "uploaded_bits": "uploaded_bits",
 }
 # Rollup gauge -> the node counters it must equal the sum of.
 ROLLUP_COUNTERS = {
@@ -101,8 +101,8 @@ def node_run(runtime: FleetRuntime, report: FleetReport, migrated_in=0, migrated
     stints = {
         key: {
             "camera_id": stint.camera_id,
-            **{name: tally(stint) for name, tally in TALLIES.items()},
-            "queue_high_water": stint.queue.stats.high_water,
+            **{name: getattr(stint, tally) for name, tally in TALLIES.items()},
+            "queue_high_water": stint.queue_high_water,
             "wait_total": stint.wait_total,
             "wait_count": stint.wait_count,
             "scored_frames": list(stint.session.source_indices),
@@ -239,11 +239,16 @@ def rollup(cluster: ShardedFleetRuntime, report, flat: bool = False) -> dict[str
 
 
 # -- runners -----------------------------------------------------------------
+def observed_tracer(scenario) -> Tracer | None:
+    """The tracer an observed scenario attaches: one frame in two."""
+    return Tracer(sample_every=2) if scenario.observe else None
+
+
 @counting_refusals
-def run_cluster(scenario, flat_rollup: bool = False) -> RunRecord:
-    """The scenario through one :class:`ShardedFleetRuntime`."""
+def run_cluster(scenario, flat_rollup: bool = False, tracer_for=observed_tracer) -> RunRecord:
+    """The scenario through one :class:`ShardedFleetRuntime`, traced by ``tracer_for(scenario)``."""
     plane = EventDeliveryPlane(DELIVERY) if scenario.event_plane else None
-    tracer = Tracer(sample_every=2) if scenario.observe else None
+    tracer = tracer_for(scenario)
     timeline = MetricsTimeline() if scenario.observe else None
     cluster = ShardedFleetRuntime(
         scenario.cameras,

@@ -27,6 +27,7 @@ from repro.edge.uplink import WorkConservingUplink
 from repro.fleet import runtime
 from repro.fleet.camera import CameraSpec
 from repro.fleet.runtime import FleetConfig, FleetRuntime
+from repro.obs import Tracer
 
 from oracles.records import run_bare, run_by_hand, run_cluster, run_stepped
 from oracles.scenarios import Scenario, fleet
@@ -151,6 +152,16 @@ def resume_past_cursor(monkeypatch):
     monkeypatch.setattr(ClusterActuator, "apply", off_by_one)
 
 
+def traced_ticket_keeps_its_slot(monkeypatch):
+    release = FleetRuntime._release_admission
+
+    def untraced_only(self, ticket):
+        if ticket.trace is None:
+            release(self, ticket)
+
+    monkeypatch.setattr(FleetRuntime, "_release_admission", untraced_only)
+
+
 def rollup_one_node_short(monkeypatch):
     update = HierarchicalControlPlane._update_rollup
 
@@ -165,6 +176,14 @@ def rollup_one_node_short(monkeypatch):
 # -- the entries ---------------------------------------------------------------
 def per_camera(scenario):
     return run_cluster(replace(scenario, node=replace(scenario.node, batched_scoring=False)))
+
+
+def untraced(scenario):
+    return run_cluster(scenario, tracer_for=lambda scenario: None)
+
+
+def fully_traced(scenario):
+    return run_cluster(scenario, tracer_for=lambda scenario: Tracer(sample_every=1))
 
 
 # Bare nodes host the fleet in its own order.  Any placement but round-robin
@@ -236,6 +255,16 @@ ENTRIES = {
                     abs=1e-9, rel=0.1, scale=lambda record: record.rollup["window_spread"],
                 ),
             },
+        ),
+        Entry(
+            "traced", untraced, fully_traced, {},
+            Mutation("a traced frame never gives its admission slot back",
+                     traced_ticket_keeps_its_slot,
+                     replace(SMALL, node=replace(SMALL.node, per_camera_quota=1)),
+                     "nodes.node0.report.cameras.*.frames_admitted"),
+            tolerances={"trace": not_compared("only the variant records frame lifecycles")},
+            # Shedding flips cameras to DROP_NEWEST, and cameras migrate.
+            examples=(pytest.param(IMBALANCED, id="shedding_migrating"),),
         ),
     )
 }

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.video.codec import H264Simulator
-from repro.video.frame import Frame
 from repro.video.stream import InMemoryVideoStream
 
 

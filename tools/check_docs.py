@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import ast
 import re
-import sys
 from functools import partial
 from pathlib import Path
 
