@@ -28,11 +28,13 @@ runtime through typed, logged actions:
   controllers see only fixed-size per-node aggregate summaries (counts,
   rates, mergeable quantile sketches), bounding cluster-side control and
   telemetry cost at O(nodes) instead of O(cameras x metrics);
-* :mod:`repro.control.provenance` — decision provenance: every controller
-  emits a :class:`~repro.control.provenance.DecisionRecord` per decision
-  context per tick (telemetry inputs read, candidates ranked with scores,
-  gating thresholds, and the actions — or an explicit no-op with reason),
-  which the loop stamps and threads into the control trace;
+* :mod:`repro.control.provenance` — decision provenance: a decision is one
+  value.  Every controller returns a
+  :class:`~repro.control.provenance.DecisionRecord` per decision context per
+  tick (telemetry inputs read, candidates ranked with scores, gating
+  thresholds, and the typed actions — or an explicit no-op with reason);
+  the loop applies exactly those actions, then stamps the record and threads
+  it into the control trace;
 * :mod:`repro.control.trace` — replayable control traces: every applied
   action, its decision provenance, actuation time, and final telemetry
   value serialized to a stable JSONL schema so separate processes can diff

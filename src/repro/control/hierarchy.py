@@ -63,7 +63,7 @@ from repro.control.policies import (
     MigrateCamera,
     NodeView,
 )
-from repro.control.provenance import CandidateScore
+from repro.control.provenance import CandidateScore, DecisionRecord
 from repro.control.shedding import AdaptiveSheddingController
 from repro.control.uplink import UplinkShareController
 from repro.control.value import ThresholdDriftController
@@ -454,23 +454,22 @@ class HierarchicalControlPlane:
         )
         applied = run_controllers([self.coordinator.uplink], view, actuator, self.journal)
         migration = self.coordinator.migration
-        moves: list[ControlAction] = []
-        intent = migration.gate(
+        record = migration.gate(
             {node_id: agg.offered_utilization for node_id, agg in aggregates.items()}
         )
-        if intent is not None:
-            source, destination = intent
+        if not isinstance(record, DecisionRecord):
+            source, destination = record
             action, candidates = self.planes[source].nominate_victim(
                 aggregates[destination],
                 aggregates[source].offered_utilization,
                 view.remaining_seconds,
                 migration,
             )
-            moves = migration.resolve(now, action, candidates)
-        for move in moves:
+            record = migration.resolve(now, action, candidates)
+        for move in record.actions:
             actuator.apply(move, now)
-        self.journal.commit(migration, moves, now)
-        applied += moves
+        self.journal.commit([record], now)
+        applied += record.actions
         self._update_rollup(now, aggregates, payload)
         self.scrape(now, nodes)
         return applied

@@ -4,11 +4,11 @@
 nodes on one simulated clock: every ``interval_seconds`` it advances each
 node to the tick time, hands the assembled
 :class:`~repro.control.policies.ClusterView` to each controller in order,
-and applies the returned actions through an *actuator*.  Determinism is the
-core contract — ticks happen at fixed simulated times, controllers see
-identical views on identical runs, and every applied action lands in
-:attr:`ControlLoop.decision_log` plus the control telemetry registry, so two
-runs can be compared decision-for-decision.
+and applies the actions its decisions carry through an *actuator*.
+Determinism is the core contract — ticks happen at fixed simulated times,
+controllers see identical views on identical runs, and every applied action
+lands in :attr:`ControlLoop.decision_log` plus the control telemetry
+registry, so two runs can be compared decision-for-decision.
 
 The pieces every control plane shares live here, once: :func:`drive` (the
 lockstep driver), :func:`run_controllers` (the decide → apply → journal
@@ -17,9 +17,9 @@ over itself, the hierarchy's coordinator over per-node aggregates),
 :class:`ControlJournal` (decision log, stamped decision records,
 ``control.*`` counters) and the actuators: :class:`NodeActuator` applies
 node-scope actions (shedding, thresholds) to one ``FleetRuntime``;
-:class:`ClusterActuator` (duck-typed: anything with ``nodes``,
-``record_migration`` and optionally ``set_uplink_weights``) adds migration
-and uplink re-weighting and routes everything else to the owning node.
+:class:`ClusterActuator` (over a
+:class:`~repro.fleet.sharding.ShardedFleetRuntime`) adds migration and
+uplink re-weighting and routes everything else to the owning node.
 """
 
 from __future__ import annotations
@@ -92,14 +92,12 @@ class ClusterActuator:
     @property
     def uplink_weights(self) -> dict[str, float] | None:
         """Current shared-uplink weights (None when statically sliced)."""
-        getter = getattr(self.cluster, "current_uplink_weights", None)
-        return getter() if callable(getter) else None
+        return self.cluster.current_uplink_weights()
 
     @property
-    def uplink_guarantees(self) -> dict[str, float] | None:
-        """Per-node guaranteed uplink bps (None when the cluster has none)."""
-        getter = getattr(self.cluster, "uplink_guarantees", None)
-        return getter() if callable(getter) else None
+    def uplink_guarantees(self) -> dict[str, float]:
+        """Per-node guaranteed uplink bps."""
+        return self.cluster.uplink_guarantees()
 
     def apply(self, action: ControlAction, now: float) -> None:
         """Execute one action against the cluster at simulated time ``now``."""
@@ -152,39 +150,14 @@ class ControlJournal:
         self.ticks += 1
         self.telemetry.counter("control.ticks").inc()
 
-    def commit(
-        self, controller: Controller, actions: Sequence[ControlAction], now: float
-    ) -> None:
-        """Log ``actions`` (already applied) and stamp the decisions behind them.
+    def commit(self, records: Sequence[DecisionRecord], now: float) -> None:
+        """Log each record's actions (already applied) and stamp the record.
 
-        Records are linked to the global action sequence (decision_log
-        indices) positionally: each record consumes as many sequence numbers
-        as it claims actions, in staged order.  A controller that stages
-        nothing still traces — one minimal record is synthesized per applied
-        action, so third-party controllers show up in provenance with at
-        least *what* they did.
+        A record's ``action_seqs`` are the decision_log indices its own
+        actions land at, so every logged action traces back to exactly one
+        decision.
         """
-        cursor = len(self.decision_log)
         scope = f"{self.node_id or self.level}/" if self.level is not None else ""
-        for action in actions:
-            self.decision_log.append(
-                f"t={now:.3f} {scope}{controller.name}: {action.describe()}"
-            )
-            self._count(controller.name, action)
-        drain = getattr(controller, "drain_decision_records", None)
-        records = drain() if callable(drain) else []
-        if sum(len(record.actions) for record in records) != len(actions):
-            # The controller's account of its actions disagrees with what it
-            # returned; trust the returned actions and synthesize.
-            records = [
-                DecisionRecord(
-                    controller=controller.name,
-                    kind="action",
-                    node_id=self.node_id,
-                    actions=(action.describe(),),
-                )
-                for action in actions
-            ]
         for record in records:
             entry = record.to_dict()
             if self.level is not None:
@@ -194,8 +167,11 @@ class ControlJournal:
             entry["tick"] = self.ticks - 1
             entry["t"] = now
             entry["seq"] = len(self.decision_records)
-            entry["action_seqs"] = list(range(cursor, cursor + len(record.actions)))
-            cursor += len(record.actions)
+            entry["action_seqs"] = []
+            for action, text in zip(record.actions, entry["actions"]):
+                entry["action_seqs"].append(len(self.decision_log))
+                self.decision_log.append(f"t={now:.3f} {scope}{record.controller}: {text}")
+                self._count(record.controller, action)
             self.decision_records.append(entry)
             self.telemetry.counter("control.decisions.total").inc()
             if record.is_noop:
@@ -223,16 +199,17 @@ def run_controllers(
 ) -> list[ControlAction]:
     """One observe → decide → apply → journal pass; returns the applied actions.
 
-    Controllers run in order against the same ``view``; each one's actions
-    are applied and journaled before the next decides, so a later policy
-    already acts on an actuated cluster.
+    Controllers run in order against the same ``view``; the actions each
+    one's records carry are applied in order and journaled before the next
+    controller decides, so a later policy already acts on an actuated cluster.
     """
     applied: list[ControlAction] = []
     for controller in controllers:
-        actions = controller.decide(view)
+        records = controller.decide(view)
+        actions = [action for record in records for action in record.actions]
         for action in actions:
             actuator.apply(action, view.now)
-        journal.commit(controller, actions, view.now)
+        journal.commit(records, view.now)
         applied += actions
     return applied
 
@@ -307,7 +284,7 @@ class ControlLoop:
             nodes=tuple(NodeView(node_id, runtime) for node_id, runtime in nodes.items()),
             horizon=max((runtime.horizon for runtime in nodes.values()), default=0.0),
             uplink_weights=actuator.uplink_weights,
-            uplink_guarantees=getattr(actuator, "uplink_guarantees", None),
+            uplink_guarantees=actuator.uplink_guarantees,
         )
         applied = run_controllers(self.controllers, view, actuator, self.journal)
         self.scrape(now, nodes)

@@ -26,13 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Collection, Mapping
 
-from repro.control.policies import (
-    ClusterView,
-    ControlAction,
-    Controller,
-    MigrateCamera,
-    NodeView,
-)
+from repro.control.policies import ClusterView, Controller, MigrateCamera, NodeView
 from repro.control.provenance import CandidateScore, DecisionRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -216,10 +210,11 @@ class MigrationController(Controller):
 
     :meth:`gate` reads one offered utilization per node — measured here from
     full node views, or shipped as a scalar by each node under the hierarchy
-    — and names a ``(hottest, coolest)`` pair once imbalance sustains;
-    :func:`pick_victim` scores the hottest node's cameras; :meth:`resolve`
-    records the outcome and starts the cooldowns.  :meth:`decide` chains the
-    three for a loop that sees whole nodes.
+    — and names a ``(hottest, coolest)`` pair once imbalance sustains (else
+    returns the ``hold`` record that stopped it); :func:`pick_victim` scores
+    the hottest node's cameras; :meth:`resolve` returns the record closing
+    the intent and starts the cooldowns.  :meth:`decide` chains the three for
+    a loop that sees whole nodes.
     """
 
     name = "camera_migration"
@@ -247,19 +242,17 @@ class MigrationController(Controller):
             gates.update(extra)
         return gates
 
-    def _hold(self, reason: str, inputs: dict, gates_extra: dict | None = None) -> None:
-        """Record a no-move decision; returns None so a gate can ``return`` it."""
-        self.record_decision(
-            DecisionRecord(
-                controller=self.name,
-                kind="hold",
-                inputs=inputs,
-                gates=self._gates(gates_extra),
-                reason=reason,
-            )
+    def _hold(self, reason: str, inputs: dict, gates_extra: dict | None = None) -> DecisionRecord:
+        """A no-move decision."""
+        return DecisionRecord(
+            controller=self.name,
+            kind="hold",
+            inputs=inputs,
+            gates=self._gates(gates_extra),
+            reason=reason,
         )
 
-    def decide(self, view: ClusterView) -> list[ControlAction]:
+    def decide(self, view: ClusterView) -> list[DecisionRecord]:
         """Migrate one camera when imbalance sustains and the move pays back."""
         utilizations = {
             node.node_id: offered_utilization(
@@ -271,8 +264,8 @@ class MigrationController(Controller):
             for node in view.nodes
         }
         intent = self.gate(utilizations)
-        if intent is None:
-            return []
+        if isinstance(intent, DecisionRecord):
+            return [intent]
         hottest, coolest = intent
         action, candidates = pick_victim(
             view.node(hottest),
@@ -284,14 +277,15 @@ class MigrationController(Controller):
             self.config,
             self.camera_cooldowns,
         )
-        return self.resolve(view.now, action, candidates)
+        return [self.resolve(view.now, action, candidates)]
 
-    def gate(self, utilizations: Mapping[str, float]) -> tuple[str, str] | None:
+    def gate(self, utilizations: Mapping[str, float]) -> DecisionRecord | tuple[str, str]:
         """Name a ``(hottest, coolest)`` pair when imbalance has sustained.
 
-        Advances the cooldown and sustain counters one tick and records a
-        ``hold`` for the gate that stops the move.  A returned pair is an
-        intent: the caller picks a victim and reports through :meth:`resolve`.
+        Advances the cooldown and sustain counters one tick and returns the
+        ``hold`` record of the gate that stops the move.  A returned pair is
+        an intent: the caller picks a victim and closes it through
+        :meth:`resolve`.
         """
         for camera_id in sorted(self.camera_cooldowns):
             self.camera_cooldowns[camera_id] -= 1
@@ -340,33 +334,27 @@ class MigrationController(Controller):
         now: float,
         action: MigrateCamera | None,
         candidates: tuple[CandidateScore, ...],
-    ) -> list[ControlAction]:
+    ) -> DecisionRecord:
         """Close the intent :meth:`gate` named: a move, or a no-candidate hold."""
         inputs, gates = self._intent
         if action is None:
-            self.record_decision(
-                DecisionRecord(
-                    controller=self.name,
-                    kind="hold",
-                    inputs=inputs,
-                    gates=gates,
-                    candidates=candidates,
-                    reason="no candidate camera pays back its blackout",
-                )
+            return DecisionRecord(
+                controller=self.name,
+                kind="hold",
+                inputs=inputs,
+                gates=gates,
+                candidates=candidates,
+                reason="no candidate camera pays back its blackout",
             )
-            return []
         self._sustained = 0
         self._cooldown = self.config.cooldown_ticks
         self.camera_cooldowns[action.camera_id] = self.config.camera_cooldown_ticks
         self.migrations.append((now, action.camera_id, action.source, action.destination))
-        self.record_decision(
-            DecisionRecord(
-                controller=self.name,
-                kind="migrate",
-                inputs=inputs,
-                gates=gates,
-                candidates=candidates,
-                actions=(action.describe(),),
-            )
+        return DecisionRecord(
+            controller=self.name,
+            kind="migrate",
+            inputs=inputs,
+            gates=gates,
+            candidates=candidates,
+            actions=(action,),
         )
-        return [action]

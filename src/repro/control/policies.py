@@ -3,10 +3,11 @@
 The control plane is a classic observe-decide-actuate loop over the fleet
 telemetry: every control interval each :class:`Controller` receives a
 :class:`ClusterView` (a read-only window onto every node's runtime and
-telemetry) and returns a list of :class:`ControlAction`\\ s.  Actions are
-plain frozen dataclasses, so control decisions are *data*: they can be
-logged, counted, compared across runs (the determinism contract), and
-applied by whichever actuator owns the runtime.
+telemetry) and returns its decisions, each carrying the
+:class:`ControlAction`\\ s it produced.  Actions are plain frozen
+dataclasses, so control decisions are *data*: they can be logged, counted,
+compared across runs (the determinism contract), and applied by whichever
+actuator owns the runtime.
 
 Concrete policies live next door: :mod:`repro.control.shedding`,
 :mod:`repro.control.uplink`, and :mod:`repro.control.migration`.  Policies
@@ -20,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from repro.control.provenance import DecisionRecord, ProvenanceBuffer
+from repro.control.provenance import DecisionRecord
 from repro.fleet.queues import DropPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -182,42 +183,22 @@ class ClusterView:
 
 
 class Controller(ABC):
-    """One closed-loop policy: observe a tick's view, emit actions.
+    """One closed-loop policy: observe a tick's view, return its decisions.
 
     Controllers may keep internal state across ticks (windowed counters,
     hysteresis timers); that state must be derived only from the views they
     were shown, so that identical runs produce identical decisions.
 
-    Decision provenance: inside :meth:`decide`, call :meth:`record_decision`
-    with one :class:`~repro.control.provenance.DecisionRecord` per decision
-    context (including explicit no-ops with a reason).  The loop drains the
-    records after each ``decide`` call and threads them — stamped with tick
-    index, time, and action sequence links — into the control trace.  A
-    controller that records nothing still traces: the loop synthesizes a
-    minimal record per applied action.
+    A decision is one value: :meth:`decide` returns one
+    :class:`~repro.control.provenance.DecisionRecord` per decision context
+    (including explicit no-ops with a reason), each carrying the typed
+    actions it produced.  The loop applies those actions in record order and
+    the journal threads the records — stamped with tick index, time, and
+    action sequence links — into the control trace.
     """
 
     name: str = "controller"
 
     @abstractmethod
-    def decide(self, view: ClusterView) -> list[ControlAction]:
-        """Return the actions to apply at this tick (possibly empty)."""
-
-    # -- decision provenance ---------------------------------------------------
-    # Lazily created so existing subclasses that never call super().__init__
-    # (and third-party controllers) keep working unchanged.
-    @property
-    def _provenance(self) -> ProvenanceBuffer:
-        buffer = getattr(self, "_provenance_buffer", None)
-        if buffer is None:
-            buffer = ProvenanceBuffer()
-            object.__setattr__(self, "_provenance_buffer", buffer)
-        return buffer
-
-    def record_decision(self, record: DecisionRecord) -> None:
-        """Stage one decision record for the loop to collect this tick."""
-        self._provenance.append(record)
-
-    def drain_decision_records(self) -> list[DecisionRecord]:
-        """Remove and return every staged record (loop-facing)."""
-        return self._provenance.drain()
+    def decide(self, view: ClusterView) -> list[DecisionRecord]:
+        """Return this tick's decisions; their actions are applied in order."""

@@ -5,11 +5,13 @@ action lands in the decision log and the JSONL trace — but a trace that only
 says ``set_camera_quota node0/cam003 -> 2`` cannot answer the operational
 question: which telemetry inputs did the controller read, which candidates
 did it rank and with what scores, and which thresholds or hysteresis state
-gated the choice?  This module adds that layer: every controller emits one
-:class:`DecisionRecord` per decision context per tick — including an
-*explicit no-op with a reason* — and the :class:`~repro.control.loop.ControlLoop`
-threads the records (stamped with tick index, simulated time, and the global
-sequence numbers of the actions each record produced) into the control trace.
+gated the choice?  This module adds that layer: a controller's ``decide``
+returns one :class:`DecisionRecord` per decision context per tick — including
+an *explicit no-op with a reason* — carrying the typed actions it decided on.
+The loop applies exactly those actions, and the
+:class:`~repro.control.loop.ControlJournal` logs them and stamps each record
+(tick index, simulated time, and the global sequence numbers of its actions)
+into the control trace.
 
 A record is pure data and fully deterministic: inputs and gates are frozen
 ``(name, value)`` pairs, candidates carry the exact score the controller
@@ -21,8 +23,11 @@ action in a golden trace can be replayed back to the inputs that caused it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.control.policies import ControlAction
 
 __all__ = ["CandidateScore", "DecisionRecord", "freeze_values"]
 
@@ -70,10 +75,12 @@ class DecisionRecord:
     """One controller's decision context at one tick: inputs, ranking, outcome.
 
     ``kind`` names the branch the controller took (``tighten``, ``relax``,
-    ``rebalance``, ``migrate``, ``drift``, ``hold``, ``idle``...); an empty
-    ``actions`` tuple with a ``reason`` is an explicit no-op.  The loop stamps
-    tick index, simulated time, and action sequence links at collection time
-    — controllers only describe *their* side of the decision.
+    ``rebalance``, ``migrate``, ``drift``, ``hold``, ``idle``...).
+    ``actions`` holds the typed actions the decision produced, in the order
+    the loop applies them; an empty ``actions`` tuple with a ``reason`` is an
+    explicit no-op.  The journal stamps tick index, simulated time, and
+    action sequence links when it commits the record — controllers only
+    describe *their* side of the decision.
     """
 
     controller: str
@@ -82,7 +89,7 @@ class DecisionRecord:
     inputs: tuple[tuple[str, float], ...] = ()
     gates: tuple[tuple[str, object], ...] = ()
     candidates: tuple[CandidateScore, ...] = ()
-    actions: tuple[str, ...] = ()
+    actions: tuple["ControlAction", ...] = ()
     reason: str | None = None
 
     def __post_init__(self) -> None:
@@ -107,20 +114,7 @@ class DecisionRecord:
             "inputs": dict(self.inputs),
             "gates": dict(self.gates),
             "candidates": [c.to_dict() for c in self.candidates],
-            "actions": list(self.actions),
+            "actions": [action.describe() for action in self.actions],
             "reason": self.reason,
         }
 
-
-@dataclass
-class ProvenanceBuffer:
-    """Per-controller staging area the loop drains once per tick."""
-
-    records: list[DecisionRecord] = field(default_factory=list)
-
-    def append(self, record: DecisionRecord) -> None:
-        self.records.append(record)
-
-    def drain(self) -> list[DecisionRecord]:
-        drained, self.records = self.records, []
-        return drained

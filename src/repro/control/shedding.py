@@ -130,9 +130,7 @@ class AdaptiveSheddingController(Controller):
         its live stats) — otherwise a misconfigured pairing would silently
         rank every camera at 0.0 and shed purely by frame rate.
         """
-        if self.config.value_signal == "truth_density" and getattr(
-            stats, "truth_known", False
-        ):
+        if self.config.value_signal == "truth_density" and stats.truth_known:
             return stats.truth_density
         return stats.match_density
 
@@ -153,7 +151,7 @@ class AdaptiveSheddingController(Controller):
     @staticmethod
     def _upload_bps(stats) -> float:
         """The camera's estimated offered upload rate in bits per second."""
-        return getattr(stats, "upload_bits_per_scored_frame", 0.0) * stats.frame_rate
+        return stats.upload_bits_per_scored_frame * stats.frame_rate
 
     def _value_per_upload_bit(self, stats) -> float:
         """Predicted event value bought per estimated uplink bit (uploaders only)."""
@@ -195,10 +193,10 @@ class AdaptiveSheddingController(Controller):
         return estimate.backlog_seconds
 
     # -- the loop body --------------------------------------------------------
-    def decide(self, view: ClusterView) -> list[ControlAction]:
+    def decide(self, view: ClusterView) -> list[DecisionRecord]:
         """Tighten the bottlenecked nodes, relax the recovered ones."""
         config = self.config
-        actions: list[ControlAction] = []
+        records: list[DecisionRecord] = []
         for node in view.nodes:
             state = self._nodes.setdefault(node.node_id, _NodeSheddingState())
             histogram = node.wait_histogram()
@@ -266,7 +264,7 @@ class AdaptiveSheddingController(Controller):
                     else "compute and uplink detectors calm, nothing capped"
                 )
             chosen = {a.camera_id for a in node_actions}
-            self.record_decision(
+            records.append(
                 DecisionRecord(
                     controller=self.name,
                     kind=kind,
@@ -290,12 +288,11 @@ class AdaptiveSheddingController(Controller):
                         )
                         for s in ranked
                     ),
-                    actions=tuple(a.describe() for a in node_actions),
+                    actions=tuple(node_actions),
                     reason=reason,
                 )
             )
-            actions.extend(node_actions)
-        return actions
+        return records
 
     def _tighten(self, node_id: str, state: _NodeSheddingState, ranked) -> list[ControlAction]:
         """Step up to ``cameras_per_step`` of ``ranked`` down the ladder."""

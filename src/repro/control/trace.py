@@ -53,10 +53,6 @@ __all__ = [
 
 TRACE_SCHEMA = "repro.control.trace/v2"
 
-# Traces written before decision provenance existed still load; they simply
-# carry zero ``decision`` records.
-_ACCEPTED_SCHEMAS = ("repro.control.trace/v1", TRACE_SCHEMA)
-
 # Aggregate report fields pinned into the summary record.  Plain counters
 # and bit totals only: every value is either an int or a float that JSON
 # round-trips exactly (shortest-repr), so golden diffs are bit-exact.
@@ -81,12 +77,13 @@ def control_trace_records(report) -> list[dict]:
 
     ``report`` is duck-typed: a
     :class:`~repro.fleet.sharding.ShardedFleetReport` (or anything exposing
-    ``control_log``, ``telemetry``, and the summary counters above).
+    ``control_log``, ``decision_records``, ``telemetry``, and the summary
+    counters above).
     Missing summary fields are recorded as ``None`` rather than omitted, so
     a field disappearing from the report also diffs.
     """
     actions = list(report.control_log)
-    decisions = list(getattr(report, "decision_records", []) or [])
+    decisions = list(report.decision_records)
     telemetry = dict(report.telemetry)
     records: list[dict] = [
         {
@@ -137,10 +134,8 @@ def load_trace(path: str | Path) -> list[dict]:
     if not records or records[0].get("type") != "header":
         raise ValueError(f"{path}: not a control trace (missing header record)")
     schema = records[0].get("schema")
-    if schema not in _ACCEPTED_SCHEMAS:
-        raise ValueError(
-            f"{path}: schema {schema!r} not one of {list(_ACCEPTED_SCHEMAS)}"
-        )
+    if schema != TRACE_SCHEMA:
+        raise ValueError(f"{path}: schema {schema!r} is not {TRACE_SCHEMA!r}")
     return records
 
 
@@ -152,8 +147,7 @@ def explain_action(records: Sequence[dict], action_seq: int) -> dict:
     sequence number — the provenance side of the determinism contract: any
     line of the golden trace replays back to the inputs that caused it.
     Raises :class:`KeyError` when the action exists but no decision claims
-    it (a v1 trace), and :class:`IndexError` when the action itself is
-    missing.
+    it, and :class:`IndexError` when the action itself is missing.
     """
     if not any(
         r.get("type") == "action" and r.get("seq") == action_seq for r in records
@@ -164,6 +158,4 @@ def explain_action(records: Sequence[dict], action_seq: int) -> dict:
             continue
         if action_seq in record.get("action_seqs", []):
             return record
-    raise KeyError(
-        f"No decision record claims action seq={action_seq} (pre-provenance trace?)"
-    )
+    raise KeyError(f"No decision record claims action seq={action_seq}")

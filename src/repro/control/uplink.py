@@ -18,12 +18,7 @@ guaranteed capacity no matter how quiet it looks.
 
 from __future__ import annotations
 
-from repro.control.policies import (
-    ClusterView,
-    ControlAction,
-    Controller,
-    SetUplinkWeights,
-)
+from repro.control.policies import ClusterView, Controller, SetUplinkWeights
 from repro.control.provenance import CandidateScore, DecisionRecord
 
 __all__ = ["UplinkShareController"]
@@ -47,20 +42,19 @@ class UplinkShareController(Controller):
         self._last_matched: dict[str, float] = {}
         self._demand_ema: dict[str, float] = {}
 
-    def decide(self, view: ClusterView) -> list[ControlAction]:
+    def decide(self, view: ClusterView) -> list[DecisionRecord]:
         """Emit one weight update when demand drifts past the threshold."""
         if view.uplink_weights is None:
             # Statically sliced link; nothing to actuate — and nothing to
             # observe either, so skip the EMA update entirely.
-            self.record_decision(
+            return [
                 DecisionRecord(
                     controller=self.name,
                     kind="idle",
                     gates=_GATES,
                     reason="statically sliced uplink, nothing to actuate",
                 )
-            )
-            return []
+            ]
         node_ids = sorted(view.uplink_weights)
         for node in view.nodes:
             matched = node.counter_value("frames.matched")
@@ -70,7 +64,7 @@ class UplinkShareController(Controller):
             self._demand_ema[node.node_id] = (1 - _SMOOTHING) * previous + _SMOOTHING * delta
         total_demand = sum(self._demand_ema.get(n, 0.0) for n in node_ids)
         if total_demand <= 0:
-            self.record_decision(
+            return [
                 DecisionRecord(
                     controller=self.name,
                     kind="hold",
@@ -78,8 +72,7 @@ class UplinkShareController(Controller):
                     gates=_GATES,
                     reason="no upload demand observed yet",
                 )
-            )
-            return []
+            ]
         # Hand every node its floor first, then split only the remaining
         # mass by demand — flooring-then-renormalizing would push quiet
         # nodes back below the floor.
@@ -106,30 +99,27 @@ class UplinkShareController(Controller):
             )
             for n in node_ids
         )
+        inputs = {"total_demand_ema": total_demand, "max_drift": drift}
         if not rebalance:
-            self.record_decision(
+            return [
                 DecisionRecord(
                     controller=self.name,
                     kind="hold",
-                    inputs={"total_demand_ema": total_demand, "max_drift": drift},
+                    inputs=inputs,
                     gates=_GATES,
                     candidates=candidates,
                     reason="demand drift inside the rebalance threshold",
                 )
-            )
-            return []
+            ]
         # The floor keeps every target, and so every weight, positive.
-        actions: list[ControlAction] = [
-            SetUplinkWeights(weights=tuple((n, round(target[n], 6)) for n in node_ids))
-        ]
-        self.record_decision(
+        weights = SetUplinkWeights(weights=tuple((n, round(target[n], 6)) for n in node_ids))
+        return [
             DecisionRecord(
                 controller=self.name,
                 kind="rebalance",
-                inputs={"total_demand_ema": total_demand, "max_drift": drift},
+                inputs=inputs,
                 gates=_GATES,
                 candidates=candidates,
-                actions=tuple(a.describe() for a in actions),
+                actions=(weights,),
             )
-        )
-        return actions
+        ]

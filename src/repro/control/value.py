@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.control.policies import ClusterView, ControlAction, Controller, SetCameraThreshold
+from repro.control.policies import ClusterView, Controller, SetCameraThreshold
 from repro.control.provenance import CandidateScore, DecisionRecord
 
 __all__ = ["ThresholdDriftConfig", "ThresholdDriftController"]
@@ -84,12 +84,12 @@ class ThresholdDriftController(Controller):
         self.config = config or ThresholdDriftConfig()
         self._cameras: dict[tuple[str, str], _CameraDriftState] = {}
 
-    def decide(self, view: ClusterView) -> list[ControlAction]:
+    def decide(self, view: ClusterView) -> list[DecisionRecord]:
         """Nudge every camera whose windowed densities ran apart."""
         config = self.config
-        actions: list[ControlAction] = []
+        records: list[DecisionRecord] = []
         for node in view.nodes:
-            node_actions: list[ControlAction] = []
+            node_actions: list[SetCameraThreshold] = []
             candidates: list[CandidateScore] = []
             waiting = 0
             cooling = 0
@@ -173,7 +173,7 @@ class ThresholdDriftController(Controller):
                     )
                 )
                 state.cooldown = config.cooldown_ticks
-            self.record_decision(
+            records.append(
                 DecisionRecord(
                     controller=self.name,
                     kind="drift" if node_actions else "hold",
@@ -192,7 +192,7 @@ class ThresholdDriftController(Controller):
                         "cooldown_ticks": config.cooldown_ticks,
                     },
                     candidates=tuple(candidates),
-                    actions=tuple(a.describe() for a in node_actions),
+                    actions=tuple(node_actions),
                     reason=(
                         None
                         if node_actions
@@ -202,20 +202,19 @@ class ThresholdDriftController(Controller):
                     ),
                 )
             )
-            actions.extend(node_actions)
-        return actions
+        return records
 
     @staticmethod
     def _stint_changed(state: _CameraDriftState, stats) -> bool:
         """Whether the live counters belong to a newer hosting stint.
 
         The attach time is the exact signal; the monotonic-counter checks
-        back it up for observation surfaces that do not model stints (and
-        for the catch-up case where a fresh stint re-attaches at the same
-        simulated time but some counter still sits below the baseline).
+        back it up for the catch-up case where a fresh stint re-attaches at
+        the same simulated time but some counter still sits below the
+        baseline.
         """
         return (
-            getattr(stats, "attached_at", 0.0) != state.attached_at
+            stats.attached_at != state.attached_at
             or stats.scored < state.scored
             or stats.matched < state.matched
             or stats.generated < state.generated
@@ -228,4 +227,4 @@ class ThresholdDriftController(Controller):
         state.matched = stats.matched
         state.generated = stats.generated
         state.truth_positive_scored = stats.truth_positive_scored
-        state.attached_at = getattr(stats, "attached_at", 0.0)
+        state.attached_at = stats.attached_at

@@ -50,15 +50,9 @@ class OfferOutcome(Generic[QueuedFrame]):
 class FrameQueue(Generic[QueuedFrame]):
     """A bounded FIFO of decoded frames for one camera."""
 
-    def __init__(
-        self,
-        camera_id: str,
-        capacity: int,
-        policy: DropPolicy = DropPolicy.DROP_OLDEST,
-    ) -> None:
+    def __init__(self, capacity: int, policy: DropPolicy = DropPolicy.DROP_OLDEST) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        self.camera_id = camera_id
         self.capacity = int(capacity)
         self.policy = DropPolicy(policy)
         self._frames: deque[QueuedFrame] = deque()
@@ -100,12 +94,6 @@ class FrameQueue(Generic[QueuedFrame]):
         if not self._frames:
             return None
         return self._frames.popleft()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FrameQueue({self.camera_id!r}, depth={self.depth}/{self.capacity}, "
-            f"policy={self.policy.value})"
-        )
 
 
 class AdmissionController:

@@ -62,7 +62,6 @@ from repro.fleet.camera import CameraFeed, CameraSpec, reject_duplicate_ids
 from repro.fleet.queues import AdmissionController, DropPolicy, FrameQueue
 from repro.fleet.telemetry import TelemetryRegistry, jain_fairness
 from repro.fleet.worker import WorkerPool, default_schedule
-from repro.obs.alerts import AlertLog
 from repro.obs.slo import SLOConfig, SLOReport, SLOTracker
 from repro.obs.trace import FrameTrace, NodeTracer, Tracer
 from repro.perf.cost_model import CostModel
@@ -394,9 +393,6 @@ class FleetReport:
     telemetry: dict[str, object] = field(default_factory=dict)
     accuracy: FleetAccuracy | None = None
     slo: SLOReport | None = None
-    # Alerting surface: a run driven with a timeline can attach the
-    # evaluated AlertLog here (see repro.obs.alerts.evaluate_alerts).
-    alerts: AlertLog | None = None
     # Delivery surface: a run published through an event delivery plane
     # attaches this node's DeliveryReport here (see repro.events.plane).
     delivery: "DeliveryReport | None" = None
@@ -453,8 +449,6 @@ class FleetReport:
             lines.append(self.accuracy.summary())
         if self.slo is not None:
             lines.append(self.slo.summary())
-        if self.alerts is not None:
-            lines.append(self.alerts.summary())
         if self.delivery is not None:
             lines.append(self.delivery.summary())
         return "\n".join(lines)
@@ -756,7 +750,7 @@ class FleetRuntime:
             key=key,
             spec=spec,
             feed=feed,
-            queue=FrameQueue(spec.camera_id, self.config.queue_capacity, self.config.drop_policy),
+            queue=FrameQueue(self.config.queue_capacity, self.config.drop_policy),
             session=self.pipeline_factory(spec),
             schedule=self._schedule_for(spec),
             truth=(

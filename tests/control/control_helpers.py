@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.control.policies import ClusterView, NodeView
+from repro.control.provenance import DecisionRecord
 from repro.fleet.queues import DropPolicy
 from repro.fleet.runtime import CameraLiveStats
 from repro.fleet.telemetry import TelemetryRegistry
@@ -92,3 +93,13 @@ def make_view(
         uplink_weights=uplink_weights,
         uplink_guarantees=uplink_guarantees,
     )
+
+
+def actions_of(records: list[DecisionRecord]) -> list:
+    """The actions a controller's decisions carry, in the order they apply."""
+    return [action for record in records for action in record.actions]
+
+
+def action_records(controller: str, actions) -> list[DecisionRecord]:
+    """A scripted controller's decisions: one ``kind="action"`` record per action."""
+    return [DecisionRecord(controller=controller, kind="action", actions=(a,)) for a in actions]

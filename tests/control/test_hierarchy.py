@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from control_helpers import FakeRuntime, make_stats
+from control_helpers import FakeRuntime, actions_of, make_stats
 from repro.control import (
     AdaptiveSheddingController,
     ControlLoop,
@@ -21,6 +21,7 @@ from repro.control.hierarchy import (
 )
 from repro.control.migration import MigrationConfig, MigrationController
 from repro.control.policies import ClusterView, NodeView
+from repro.control.provenance import DecisionRecord
 from repro.control.uplink import UplinkShareController
 from repro.fleet.accuracy import AccuracyConfig, TrainedMicroClassifiers
 from repro.fleet.camera import generate_fleet
@@ -227,13 +228,13 @@ class TestClusterCoordinator:
             "node0": make_aggregate("node0", matched=90.0),
             "node1": make_aggregate("node1", matched=10.0),
         }
-        (action,) = coordinator.uplink.decide(
+        (record,) = coordinator.uplink.decide(
             aggregate_view(aggregates, {"node0": 1.0, "node1": 1.0})
         )
+        (action,) = record.actions
         weights = dict(action.weights)
         assert weights["node0"] > weights["node1"]
         assert all(w > 0 for w in weights.values())
-        (record,) = coordinator.uplink.drain_decision_records()
         assert (record.controller, record.kind) == ("cluster_uplink", "rebalance")
 
     def test_uplink_holds_inside_threshold(self):
@@ -243,18 +244,17 @@ class TestClusterCoordinator:
             "node0": make_aggregate("node0", matched=55.0),
             "node1": make_aggregate("node1", matched=45.0),
         }
-        actions = coordinator.uplink.decide(
+        records = coordinator.uplink.decide(
             aggregate_view(aggregates, {"node0": 1.0, "node1": 1.0})
         )
-        assert actions == []
-        records = coordinator.uplink.drain_decision_records()
+        assert actions_of(records) == []
         assert any(r.kind == "hold" for r in records)
 
     def test_uplink_none_when_statically_sliced(self):
         coordinator = ClusterCoordinator()
         aggregates = {"node0": make_aggregate("node0", matched=10.0)}
-        assert coordinator.uplink.decide(aggregate_view(aggregates, None)) == []
-        (record,) = coordinator.uplink.drain_decision_records()
+        (record,) = coordinator.uplink.decide(aggregate_view(aggregates, None))
+        assert record.actions == ()
         assert record.kind == "idle"
 
     def test_migration_gates_on_sustained_imbalance(self):
@@ -265,8 +265,7 @@ class TestClusterCoordinator:
             "node0": make_aggregate("node0", utilization=2.0),
             "node1": make_aggregate("node1", utilization=0.1),
         }
-        assert migration_intent(coordinator, hot) is None  # not yet sustained
-        (record,) = coordinator.migration.drain_decision_records()
+        record = migration_intent(coordinator, hot)  # not yet sustained
         assert record.controller == "cluster_migration"
         assert record.reason == "imbalance observed but not yet sustained"
         assert migration_intent(coordinator, hot) == ("node0", "node1")
@@ -277,11 +276,8 @@ class TestClusterCoordinator:
             "node0": make_aggregate("node0", utilization=0.5),
             "node1": make_aggregate("node1", utilization=0.5),
         }
-        for _ in range(4):
-            assert migration_intent(coordinator, balanced) is None
-        records = coordinator.migration.drain_decision_records()
-        assert len(records) == 4
-        assert all(r.is_noop for r in records)
+        records = [migration_intent(coordinator, balanced) for _ in range(4)]
+        assert all(isinstance(r, DecisionRecord) and r.is_noop for r in records)
 
     def test_resolved_intent_starts_cooldowns_or_holds(self):
         from repro.control.policies import MigrateCamera
@@ -294,19 +290,17 @@ class TestClusterCoordinator:
             "node1": make_aggregate("node1", utilization=0.1),
         }
         assert migration_intent(coordinator, hot) == ("node0", "node1")
-        assert coordinator.migration.resolve(1.0, None, ()) == []
+        hold = coordinator.migration.resolve(1.0, None, ())
+        assert hold.actions == ()
+        assert hold.reason == "no candidate camera pays back its blackout"
         assert migration_intent(coordinator, hot) == ("node0", "node1")  # no cooldown
         move = MigrateCamera("cam0", "node0", "node1", blackout_seconds=0.25)
-        assert coordinator.migration.resolve(1.25, move, ()) == [move]
+        migrate = coordinator.migration.resolve(1.25, move, ())
+        assert (migrate.kind, migrate.actions, migrate.reason) == ("migrate", (move,), None)
         assert coordinator.migration.migrations == [(1.25, "cam0", "node0", "node1")]
         assert "cam0" in coordinator.migration.camera_cooldowns
-        assert migration_intent(coordinator, hot) is None  # cluster cooldown
-        reasons = [r.reason for r in coordinator.migration.drain_decision_records()]
-        assert reasons == [
-            "no candidate camera pays back its blackout",
-            None,
-            "migration cooldown active",
-        ]
+        cooldown = migration_intent(coordinator, hot)  # cluster cooldown
+        assert cooldown.reason == "migration cooldown active"
 
 
 def _without_controller(record):
@@ -353,14 +347,15 @@ class TestOnePolicyTwoViews:
                 horizon=10.0,
                 uplink_weights=weights,
             )
-            flat_actions = flat.decide(flat_view)
-            cluster_actions = coordinator.uplink.decide(
+            flat_records = flat.decide(flat_view)
+            cluster_records = coordinator.uplink.decide(
                 aggregate_view(aggregates, weights, tick)
             )
-            assert cluster_actions == flat_actions
-            assert [
-                _without_controller(r) for r in coordinator.uplink.drain_decision_records()
-            ] == [_without_controller(r) for r in flat.drain_decision_records()]
+            flat_actions = actions_of(flat_records)
+            assert actions_of(cluster_records) == flat_actions
+            assert [_without_controller(r) for r in cluster_records] == [
+                _without_controller(r) for r in flat_records
+            ]
             if flat_actions:
                 rebalances += 1
                 weights = flat_actions[0].as_mapping()
@@ -409,27 +404,25 @@ class TestOnePolicyTwoViews:
                 nodes=tuple(NodeView(n, runtimes[n]) for n in sorted(runtimes)),
                 horizon=10.0,
             )
-            flat_actions = flat.decide(flat_view)
+            flat_records = flat.decide(flat_view)
             # The hierarchical path: aggregates up, gate, victim picked on
             # the source node, outcome resolved by the same controller.
             aggregates = {n: planes[n].aggregate(now) for n in sorted(planes)}
-            cluster_actions = []
-            intent = migration_intent(coordinator, aggregates)
-            if intent is not None:
-                source, destination = intent
+            record = migration_intent(coordinator, aggregates)
+            if not isinstance(record, DecisionRecord):
+                source, destination = record
                 action, candidates = planes[source].nominate_victim(
                     aggregates[destination],
                     aggregates[source].offered_utilization,
                     flat_view.remaining_seconds,
                     coordinator.migration,
                 )
-                cluster_actions = coordinator.migration.resolve(now, action, candidates)
-            assert cluster_actions == flat_actions
-            flat_records = flat.drain_decision_records()
-            assert [
-                _without_controller(r)
-                for r in coordinator.migration.drain_decision_records()
-            ] == [_without_controller(r) for r in flat_records]
+                record = coordinator.migration.resolve(now, action, candidates)
+            flat_actions = actions_of(flat_records)
+            assert list(record.actions) == flat_actions
+            assert [_without_controller(record)] == [
+                _without_controller(r) for r in flat_records
+            ]
             outcomes.update((r.kind, r.reason) for r in flat_records)
             for action in flat_actions:
                 moved = runtimes[action.source].cameras.pop(action.camera_id)

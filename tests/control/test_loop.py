@@ -25,6 +25,8 @@ from repro.fleet import (
     ShardingConfig,
 )
 
+from control_helpers import action_records
+
 FAST = FleetConfig(num_workers=2, queue_capacity=4, service_time_scale=0.05)
 
 
@@ -52,7 +54,7 @@ class RecordingController(Controller):
 
     def decide(self, view):
         self.views.append(view)
-        return self.actions_per_tick.get(len(self.views) - 1, [])
+        return action_records(self.name, self.actions_per_tick.get(len(self.views) - 1, []))
 
 
 class TestLoopDriving:

@@ -9,7 +9,7 @@ from repro.control import (
     MigrationCostModel,
 )
 
-from control_helpers import FakeRuntime, make_stats, make_view
+from control_helpers import FakeRuntime, actions_of, make_stats, make_view
 
 CONFIG = MigrationConfig(
     imbalance_threshold=1.2,
@@ -64,8 +64,8 @@ def tick_view(controller_tick: int, **kwargs):
 class TestTrigger:
     def test_requires_sustained_imbalance(self):
         controller = MigrationController(CONFIG)
-        assert controller.decide(tick_view(0)) == []  # sustained 1 < 2
-        actions = controller.decide(tick_view(1))
+        assert actions_of(controller.decide(tick_view(0))) == []  # sustained 1 < 2
+        actions = actions_of(controller.decide(tick_view(1)))
         assert len(actions) == 1
         action = actions[0]
         assert isinstance(action, MigrateCamera)
@@ -80,9 +80,9 @@ class TestTrigger:
             "node0": FakeRuntime({"cam_a": make_stats("cam_a", generated=2)}),
             "node1": FakeRuntime({"cam_c": make_stats("cam_c", generated=2)}),
         }
-        assert controller.decide(make_view(balanced)) == []
+        assert actions_of(controller.decide(make_view(balanced))) == []
         # Imbalance must sustain again from scratch.
-        assert controller.decide(tick_view(2)) == []
+        assert actions_of(controller.decide(tick_view(2))) == []
 
     def test_no_migration_without_destination_headroom(self):
         controller = MigrationController(CONFIG)
@@ -92,8 +92,8 @@ class TestTrigger:
             "cam_c", frame_rate=48.0, generated=16, service_seconds=0.03
         )
         view = make_view(cluster, interval=INTERVAL)
-        assert controller.decide(view) == []
-        assert controller.decide(make_view(cluster, interval=INTERVAL)) == []
+        assert actions_of(controller.decide(view)) == []
+        assert actions_of(controller.decide(make_view(cluster, interval=INTERVAL))) == []
 
 
 class TestCostGating:
@@ -107,7 +107,7 @@ class TestCostGating:
             interval=INTERVAL,
             horizon=2 * INTERVAL + 0.01,
         )
-        assert controller.decide(view) == []
+        assert actions_of(controller.decide(view)) == []
 
     def test_cold_start_added_when_destination_lacks_resolution(self):
         controller = MigrationController(CONFIG)
@@ -117,13 +117,13 @@ class TestCostGating:
             "cam_c", frame_rate=2.0, generated=2, resolution=(80, 48), service_seconds=0.03
         )
         view = make_view(cluster, now=2 * INTERVAL, interval=INTERVAL)
-        [action] = controller.decide(view)
+        [action] = actions_of(controller.decide(view))
         assert action.blackout_seconds == pytest.approx(0.2)  # blackout + cold start
 
     def test_warm_destination_pays_no_cold_start(self):
         controller = MigrationController(CONFIG)
         controller.decide(tick_view(0))
-        [action] = controller.decide(tick_view(1))
+        [action] = actions_of(controller.decide(tick_view(1)))
         assert action.blackout_seconds == pytest.approx(0.1)
 
 
@@ -131,24 +131,24 @@ class TestHysteresis:
     def test_cooldown_blocks_back_to_back_moves(self):
         controller = MigrationController(CONFIG)
         controller.decide(tick_view(0))
-        assert len(controller.decide(tick_view(1))) == 1
+        assert len(actions_of(controller.decide(tick_view(1)))) == 1
         # cooldown_ticks=2 quiet ticks, then sustain must rebuild.
-        assert controller.decide(tick_view(2)) == []
-        assert controller.decide(tick_view(3)) == []
-        assert controller.decide(tick_view(4)) == []  # sustain 1
-        assert len(controller.decide(tick_view(5))) == 1
+        assert actions_of(controller.decide(tick_view(2))) == []
+        assert actions_of(controller.decide(tick_view(3))) == []
+        assert actions_of(controller.decide(tick_view(4))) == []  # sustain 1
+        assert len(actions_of(controller.decide(tick_view(5)))) == 1
 
     def test_recently_moved_camera_is_not_picked_again(self):
         from dataclasses import replace
 
         controller = MigrationController(replace(CONFIG, camera_cooldown_ticks=10))
         controller.decide(tick_view(0))
-        [first] = controller.decide(tick_view(1))
+        [first] = actions_of(controller.decide(tick_view(1)))
         # Skip past the global cooldown, rebuild sustain.
         controller.decide(tick_view(2))
         controller.decide(tick_view(3))
         controller.decide(tick_view(4))
-        [second] = controller.decide(tick_view(5))
+        [second] = actions_of(controller.decide(tick_view(5)))
         assert second.camera_id != first.camera_id
 
     def test_migration_history_is_recorded(self):

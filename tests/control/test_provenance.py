@@ -1,8 +1,8 @@
 """Decision provenance: records, loop threading, and trace replay.
 
 Covers the explainability contract end to end: ``DecisionRecord``
-validation, the ``ControlLoop`` draining controller buffers and linking
-records to decision-log indices, the v2 trace schema carrying decision
+validation, the ``ControlLoop`` applying the actions each returned record
+carries and linking records to decision-log indices, the v2 trace schema carrying decision
 records, ``explain_action`` walking an action back to its decision, and a
 mutation check that perturbing a provenance-recorded gate changes the
 golden-scenario trace.
@@ -40,11 +40,12 @@ def test_record_freezes_inputs_and_gates():
         kind="tighten",
         inputs={"b": 2.0, "a": 1.0},
         gates={"hw": 0.3},
-        actions=("do thing",),
+        actions=(FakeAction("do thing"),),
     )
     assert record.inputs == (("a", 1.0), ("b", 2.0))
     assert record.to_dict()["inputs"] == {"a": 1.0, "b": 2.0}
     assert record.to_dict()["gates"] == {"hw": 0.3}
+    assert record.to_dict()["actions"] == ["do thing"]
 
 
 def test_noop_record_requires_reason():
@@ -52,7 +53,17 @@ def test_noop_record_requires_reason():
         DecisionRecord(controller="c", kind="idle")
     record = DecisionRecord(controller="c", kind="idle", reason="nothing to do")
     assert record.is_noop
-    assert not DecisionRecord(controller="c", kind="act", actions=("x",)).is_noop
+    assert not DecisionRecord(controller="c", kind="act", actions=(FakeAction("x"),)).is_noop
+
+
+def test_ranked_candidates_without_an_action_still_need_a_reason():
+    with pytest.raises(ValueError, match="c/hold: a no-op decision must carry a reason"):
+        DecisionRecord(
+            controller="c",
+            kind="hold",
+            candidates=(CandidateScore("cam000", 0.5),),
+            actions=(),
+        )
 
 
 def test_candidate_score_serialization():
@@ -73,7 +84,7 @@ def test_freeze_values_sorts_and_stringifies_names():
 
 
 class ExplainedController(Controller):
-    """Stages one provenance record per decide, claiming its actions."""
+    """Returns one provenance record per decide, carrying its actions."""
 
     name = "explained"
 
@@ -84,32 +95,35 @@ class ExplainedController(Controller):
     def decide(self, view):
         tick, self.ticks = self.ticks, self.ticks + 1
         if tick in self.act_on_ticks:
-            actions = [FakeAction(f"act@{tick}")]
-            self.record_decision(
+            return [
                 DecisionRecord(
                     controller=self.name,
                     kind="act",
                     inputs={"tick": float(tick)},
                     candidates=(CandidateScore("only", 1.0, chosen=True),),
-                    actions=tuple(a.describe() for a in actions),
+                    actions=(FakeAction(f"act@{tick}"),),
                 )
-            )
-            return actions
-        self.record_decision(
-            DecisionRecord(
-                controller=self.name, kind="idle", reason="not this tick"
-            )
-        )
-        return []
+            ]
+        return [DecisionRecord(controller=self.name, kind="idle", reason="not this tick")]
 
 
-class ForgetfulController(Controller):
-    """Returns actions without recording any provenance."""
+class TerseController(Controller):
+    """Acts every tick through one bare record: no inputs, gates or candidates."""
 
-    name = "forgetful"
+    name = "terse"
 
     def decide(self, view):
-        return [FakeAction("mystery")]
+        return [DecisionRecord(self.name, "action", actions=(FakeAction("mystery"),))]
+
+
+class BatchController(Controller):
+    """Returns one record carrying three actions."""
+
+    name = "batch"
+
+    def decide(self, view):
+        actions = tuple(FakeAction(f"step{i}") for i in range(3))
+        return [DecisionRecord(self.name, "batch", actions=actions)]
 
 
 class FakeAction:
@@ -124,13 +138,16 @@ class FakeActuator:
     uplink_weights = None
     uplink_guarantees = None
 
+    def __init__(self):
+        self.applied = []
+
     def apply(self, action, now):
-        pass
+        self.applied.append(action.describe())
 
 
-def _tick(loop, times=1):
+def _tick(loop, times=1, actuator=None):
     for i in range(times):
-        loop.tick(0.25 * (loop.ticks + 1), {"node0": FakeRuntime()}, FakeActuator())
+        loop.tick(0.25 * (loop.ticks + 1), {"node0": FakeRuntime()}, actuator or FakeActuator())
 
 
 def test_loop_threads_decision_records_with_action_seqs():
@@ -149,24 +166,26 @@ def test_loop_threads_decision_records_with_action_seqs():
     assert loop.counter_value("control.decisions.noop") == 2.0
 
 
-def test_loop_synthesizes_records_for_unexplained_actions():
-    loop = ControlLoop([ForgetfulController()], interval_seconds=0.25)
-    _tick(loop)
+def test_loop_applies_a_records_actions_in_order():
+    loop = ControlLoop([BatchController()], interval_seconds=0.25)
+    actuator = FakeActuator()
+    _tick(loop, actuator=actuator)
+    assert actuator.applied == ["step0", "step1", "step2"]
     (record,) = loop.decision_records
-    assert record["controller"] == "forgetful"
-    assert record["kind"] == "action"
-    assert record["actions"] == ["mystery"]
-    assert record["action_seqs"] == [0]
+    assert record["actions"] == actuator.applied
+    assert record["action_seqs"] == [0, 1, 2]
+    assert [line.split(": ")[1] for line in loop.decision_log] == actuator.applied
+    assert loop.counter_value("control.actions.batch") == 3.0
 
 
 def test_loop_interleaves_multiple_controllers():
     loop = ControlLoop(
-        [ExplainedController(act_on_ticks={0}), ForgetfulController()],
+        [ExplainedController(act_on_ticks={0}), TerseController()],
         interval_seconds=0.25,
     )
     _tick(loop)
     kinds = [(r["controller"], r["action_seqs"]) for r in loop.decision_records]
-    assert kinds == [("explained", [0]), ("forgetful", [1])]
+    assert kinds == [("explained", [0]), ("terse", [1])]
 
 
 # --- trace v2 + explain_action ----------------------------------------------
@@ -226,7 +245,7 @@ def test_explain_action_missing_action_raises_index_error():
 
 def test_explain_action_unclaimed_action_raises_key_error():
     records = control_trace_records(FakeReport([]))
-    with pytest.raises(KeyError, match="pre-provenance"):
+    with pytest.raises(KeyError, match="No decision record claims"):
         explain_action(records, 0)
 
 

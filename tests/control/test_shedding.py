@@ -17,7 +17,7 @@ from repro.control import (
 from repro.fleet import CameraSpec, FleetConfig, ShardedFleetRuntime, ShardingConfig
 from repro.fleet.queues import DropPolicy
 
-from control_helpers import FakeRuntime, make_stats, make_view
+from control_helpers import FakeRuntime, actions_of, make_stats, make_view
 
 CONFIG = SheddingConfig(
     high_watermark_seconds=0.2,
@@ -104,12 +104,12 @@ class TestTighten:
     )
     def test_caps_lowest_value_per_service_second_first(self, config, make_runtime, shed):
         controller = AdaptiveSheddingController(config)
-        actions = controller.decide(make_view({"node0": make_runtime()}))
+        (record,) = controller.decide(make_view({"node0": make_runtime()}))
+        actions = record.actions
         assert quotas(actions) == [(camera_id, 2) for camera_id in shed]
         policies = [a for a in actions if isinstance(a, SetDropPolicy)]
         assert all(a.policy is DropPolicy.DROP_NEWEST for a in policies)
         assert [a.camera_id for a in policies] == shed
-        (record,) = controller.drain_decision_records()
         assert record.kind == "tighten"
         assert [c.candidate_id for c in record.candidates if c.chosen] == shed
 
@@ -133,9 +133,8 @@ class TestTighten:
         )
         overload(runtime)
         controller = AdaptiveSheddingController(config)
-        actions = controller.decide(make_view({"node0": runtime}))
-        assert quotas(actions) == [("cam_live", 2)]
-        (record,) = controller.drain_decision_records()
+        (record,) = controller.decide(make_view({"node0": runtime}))
+        assert quotas(record.actions) == [("cam_live", 2)]
         assert [c.candidate_id for c in record.candidates] == ["cam_live"]
 
     def test_truth_density_falls_back_to_match_density(self):
@@ -148,7 +147,8 @@ class TestTighten:
         )
         overload(runtime)
         controller = AdaptiveSheddingController(replace(TRUTH, cameras_per_step=1))
-        assert quotas(controller.decide(make_view({"node0": runtime}))) == [("cam_quiet", 2)]
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
+        assert quotas(actions) == [("cam_quiet", 2)]
 
     @pytest.mark.parametrize(
         "cameras_per_step, stepped",
@@ -162,7 +162,7 @@ class TestTighten:
         controller.decide(make_view({"node0": runtime}))
         # Fresh overload observations in the new window.
         overload(runtime, wait=0.6, count=5)
-        actions = controller.decide(make_view({"node0": runtime}))
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
         # Already-capped cameras step 2 -> 1; no new DROP_NEWEST flips.
         assert quotas(actions) == stepped
         assert not [a for a in actions if isinstance(a, SetDropPolicy)]
@@ -177,7 +177,7 @@ class TestTighten:
         runtime = overloaded_runtime()
         for tick in range(3):
             overload(runtime, wait=0.6, count=5)
-            actions = controller.decide(make_view({"node0": runtime}))
+            actions = actions_of(controller.decide(make_view({"node0": runtime})))
         # Third overloaded tick: the cameras capped so far sit at rung 1
         # already; the next candidate in rank order gets capped instead.
         assert quotas(actions) == capped
@@ -190,7 +190,7 @@ class TestWindowing:
         controller.decide(make_view({"node0": runtime}))
         # No new waits at all: the window is empty, p99 == 0 < low watermark,
         # so the controller relaxes instead of tightening again.
-        actions = controller.decide(make_view({"node0": runtime}))
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
         assert actions
         assert all(
             isinstance(a, (SetCameraQuota, SetDropPolicy)) for a in actions
@@ -226,13 +226,12 @@ class TestUplinkBoundShedding:
         # guarantee at t=1 -> ~4s of estimated backlog.
         runtime.telemetry.counter("uplink.estimated_bits").inc(50_000.0)
         controller = AdaptiveSheddingController(TRUTH)
-        actions = controller.decide(
+        (record,) = controller.decide(
             make_view({"node0": runtime}, uplink_guarantees={"node0": 10_000.0})
         )
         # cam_hog first (most upload per unit of value); cam_silent cannot
         # relieve the link and is never the uplink-mode victim.
-        assert [camera_id for camera_id, _ in quotas(actions)] == ["cam_hog", "cam_rich"]
-        (record,) = controller.drain_decision_records()
+        assert [camera_id for camera_id, _ in quotas(record.actions)] == ["cam_hog", "cam_rich"]
         assert record.kind == "tighten_uplink"
         assert dict(record.gates)["uplink_high_watermark_seconds"] == 1.5
 
@@ -244,17 +243,17 @@ class TestUplinkBoundShedding:
         runtime.telemetry.counter("uplink.estimated_bits").inc(50_000.0)
         controller = AdaptiveSheddingController(TRUTH)
         guarantees = {"node0": 10_000.0}
-        first = controller.decide(
+        first = actions_of(controller.decide(
             make_view({"node0": runtime}, uplink_guarantees=guarantees)
-        )
-        second = controller.decide(
+        ))
+        second = actions_of(controller.decide(
             make_view({"node0": runtime}, uplink_guarantees=guarantees)
-        )
+        ))
         # Ladder (2, 1): both uploaders stepped to the bottom rung.
         assert quotas(second) == [("cam_hog", 1), ("cam_rich", 1)]
-        third = controller.decide(
+        third = actions_of(controller.decide(
             make_view({"node0": runtime}, uplink_guarantees=guarantees)
-        )
+        ))
         assert third == []
         touched = {camera_id for camera_id, _ in quotas(first + second)}
         assert "cam_silent" not in touched
@@ -263,11 +262,11 @@ class TestUplinkBoundShedding:
         runtime = self.make_upload_node()
         runtime.telemetry.counter("uplink.estimated_bits").inc(50_000.0)
         controller = AdaptiveSheddingController(TRUTH)
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
         assert (
-            controller.decide(
+            actions_of(controller.decide(
                 make_view({"node0": runtime}, uplink_guarantees={"other_node": 1.0})
-            )
+            ))
             == []
         )
 
@@ -277,9 +276,9 @@ class TestUplinkBoundShedding:
         controller = AdaptiveSheddingController(TRUTH)
         # ~0.1s estimated backlog at t=1: under the high watermark.
         assert (
-            controller.decide(
+            actions_of(controller.decide(
                 make_view({"node0": runtime}, uplink_guarantees={"node0": 10_000.0})
-            )
+            ))
             == []
         )
 
@@ -292,23 +291,23 @@ class TestUplinkBoundShedding:
         guarantees = {"node0": 10_000.0}
         # 60 idle seconds: nothing estimated, nothing detected.
         assert (
-            controller.decide(
+            actions_of(controller.decide(
                 make_view({"node0": runtime}, now=60.0, uplink_guarantees=guarantees)
-            )
+            ))
             == []
         )
         # One second later, 30 kbit arrived (3x guarantee for that window,
         # ~2s of queued work net of drain): a run-average
         # (bits/guarantee - now ~= -58s) would stay blind.
         runtime.telemetry.counter("uplink.estimated_bits").inc(30_000.0)
-        overloaded = controller.decide(
+        overloaded = actions_of(controller.decide(
             make_view({"node0": runtime}, now=61.0, uplink_guarantees=guarantees)
-        )
+        ))
         assert [camera_id for camera_id, _ in quotas(overloaded)] == ["cam_hog", "cam_rich"]
         # The queued work drains at one second per second once arrivals stop.
-        calm = controller.decide(
+        calm = actions_of(controller.decide(
             make_view({"node0": runtime}, now=64.0, uplink_guarantees=guarantees)
-        )
+        ))
         restored = quotas(calm)
         assert restored and restored[0][1] is None
 
@@ -353,14 +352,14 @@ class TestRelax:
         controller = AdaptiveSheddingController(config)
         runtime = make_runtime()
         controller.decide(make_view({"node0": runtime}))  # caps two cameras
-        first = controller.decide(make_view({"node0": runtime}))
+        first = actions_of(controller.decide(make_view({"node0": runtime})))
         policy = next(a for a in first if isinstance(a, SetDropPolicy))
         assert quotas(first) == [(order[0], None)]
         assert policy.policy is first_policy  # the pre-tighten policy
-        second = controller.decide(make_view({"node0": runtime}))
+        second = actions_of(controller.decide(make_view({"node0": runtime})))
         assert quotas(second) == [(order[1], None)]
         # Everything restored: nothing left to do.
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
     def test_relax_restores_the_pre_tighten_policy(self):
         controller = AdaptiveSheddingController(CONFIG)
@@ -376,7 +375,7 @@ class TestRelax:
         overload(runtime)
         controller.decide(make_view({"node0": runtime}))  # tightens both cameras
         controller.decide(make_view({"node0": runtime}))  # restores cam_rich
-        restored = controller.decide(make_view({"node0": runtime}))
+        restored = actions_of(controller.decide(make_view({"node0": runtime})))
         policy = next(a for a in restored if isinstance(a, SetDropPolicy))
         assert policy.camera_id == "cam_newest"
         assert policy.policy is DropPolicy.DROP_NEWEST
@@ -396,13 +395,8 @@ class TestRelax:
         # uplink watermarks (10 kbit arriving within one tick on a 10 kbps
         # guarantee = 1s of queued work): hold.
         runtime.telemetry.counter("uplink.estimated_bits").inc(10_000.0)
-        assert (
-            controller.decide(
-                make_view({"node0": runtime}, uplink_guarantees=guarantees)
-            )
-            == []
-        )
-        (_, record) = controller.drain_decision_records()
+        (record,) = controller.decide(make_view({"node0": runtime}, uplink_guarantees=guarantees))
+        assert record.actions == ()
         assert record.kind == "idle"
 
     def test_capped_camera_that_migrated_away_is_forgotten(self):
@@ -411,10 +405,10 @@ class TestRelax:
         controller.decide(make_view({"node0": runtime}))
         runtime.cameras.pop("cam_poor")
         runtime.cameras.pop("cam_mid")
-        actions = controller.decide(make_view({"node0": runtime}))
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
         assert actions == []
         # Internal cap bookkeeping was cleared, so calm ticks stay silent.
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
 
 class TestQuietNode:
@@ -424,7 +418,7 @@ class TestQuietNode:
         controller.decide(make_view({"node0": runtime}))  # tighten once
         # Window p99 lands between the watermarks: hold, neither tighten nor relax.
         overload(runtime, wait=0.1, count=5)
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
     def test_returning_camera_can_be_capped_again(self):
         controller = AdaptiveSheddingController(CONFIG)
@@ -438,14 +432,14 @@ class TestQuietNode:
         # from the top of the ladder again.
         runtime.cameras["cam_poor"] = poor
         overload(runtime, wait=0.6, count=5)
-        actions = controller.decide(make_view({"node0": runtime}))
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
         assert ("cam_poor", 2) in quotas(actions)
 
     def test_never_capped_quiet_node_stays_silent(self):
         controller = AdaptiveSheddingController(CONFIG)
         runtime = FakeRuntime({"cam000": make_stats("cam000")})
         runtime.telemetry.histogram("latency.queue_wait_seconds").observe(0.01)
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
 
 class TestComposedWithMigration:

@@ -19,6 +19,7 @@ class FakeReport:
     """Minimal duck-typed report: just what the trace serializer reads."""
 
     control_log: list = field(default_factory=list)
+    decision_records: list = field(default_factory=list)
     telemetry: dict = field(default_factory=dict)
     frames_generated: int = 100
     frames_scored: int = 80
@@ -75,6 +76,7 @@ class TestRecords:
     def test_summary_records_missing_fields_as_none(self):
         class Sparse:
             control_log = []
+            decision_records = []
             telemetry = {}
             frames_generated = 1
 

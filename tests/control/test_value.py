@@ -22,7 +22,7 @@ from repro.fleet import (
     TrainedMicroClassifiers,
 )
 
-from control_helpers import FakeRuntime, make_stats, make_view
+from control_helpers import FakeRuntime, action_records, actions_of, make_stats, make_view
 
 def drift_stats(
     camera_id: str = "cam000",
@@ -59,10 +59,14 @@ class TestThresholdDrift:
         tolerance=0.5, min_scored=16, cooldown_ticks=2
     )
 
+    def drift_once(self, runtime):
+        """The actions a fresh controller takes on its first look at ``runtime``."""
+        return actions_of(ThresholdDriftController(self.CONFIG).decide(make_view({"node0": runtime})))
+
     def test_over_firing_camera_gets_threshold_raised(self):
         # Truth density 0.2, match density 0.75: the MC fires far too often.
         runtime = FakeRuntime({"cam000": drift_stats(matched=30, truth_positive=8)})
-        actions = ThresholdDriftController(self.CONFIG).decide(make_view({"node0": runtime}))
+        actions = self.drift_once(runtime)
         assert actions == [
             SetCameraThreshold(node_id="node0", camera_id="cam000", threshold=0.55)
         ]
@@ -70,25 +74,25 @@ class TestThresholdDrift:
     def test_under_firing_camera_gets_threshold_lowered(self):
         # Truth density 0.5, match density 0.05: the MC misses events.
         runtime = FakeRuntime({"cam000": drift_stats(matched=2, truth_positive=20)})
-        actions = ThresholdDriftController(self.CONFIG).decide(make_view({"node0": runtime}))
+        actions = self.drift_once(runtime)
         assert actions == [
             SetCameraThreshold(node_id="node0", camera_id="cam000", threshold=0.45)
         ]
 
     def test_in_band_camera_is_left_alone(self):
         runtime = FakeRuntime({"cam000": drift_stats(matched=8, truth_positive=8)})
-        assert ThresholdDriftController(self.CONFIG).decide(make_view({"node0": runtime})) == []
+        assert self.drift_once(runtime) == []
 
     def test_zero_truth_density_never_lowers(self):
         # Nothing to recall: a silent scene only ever pushes the threshold up.
         runtime = FakeRuntime({"cam000": drift_stats(matched=0, truth_positive=0)})
-        assert ThresholdDriftController(self.CONFIG).decide(make_view({"node0": runtime})) == []
+        assert self.drift_once(runtime) == []
 
     def test_needs_min_scored_window(self):
         runtime = FakeRuntime(
             {"cam000": drift_stats(generated=10, scored=10, matched=9, truth_positive=1)}
         )
-        assert ThresholdDriftController(self.CONFIG).decide(make_view({"node0": runtime})) == []
+        assert self.drift_once(runtime) == []
 
     def test_cameras_without_truth_or_threshold_are_skipped(self):
         runtime = FakeRuntime(
@@ -99,22 +103,22 @@ class TestThresholdDrift:
                 "cam_no_threshold": drift_stats("cam_no_threshold", matched=30, threshold=0.0),
             }
         )
-        assert ThresholdDriftController(self.CONFIG).decide(make_view({"node0": runtime})) == []
+        assert self.drift_once(runtime) == []
 
     def test_cooldown_then_fresh_window(self):
         controller = ThresholdDriftController(self.CONFIG)
         runtime = FakeRuntime({"cam000": drift_stats(matched=30, truth_positive=8)})
-        assert len(controller.decide(make_view({"node0": runtime}))) == 1
+        assert len(actions_of(controller.decide(make_view({"node0": runtime})))) == 1
         # Two cooldown ticks: silent even though the picture looks the same.
-        assert controller.decide(make_view({"node0": runtime})) == []
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
         # Post-cooldown, only post-adjustment frames count: the new window
         # (40 more scored, all matched at the raised threshold) still
         # over-fires, so it steps again from the *live* threshold.
         runtime.cameras["cam000"] = drift_stats(
             generated=80, scored=80, matched=60, truth_positive=16, threshold=0.55
         )
-        actions = controller.decide(make_view({"node0": runtime}))
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
         assert actions == [
             SetCameraThreshold(node_id="node0", camera_id="cam000", threshold=0.6)
         ]
@@ -128,20 +132,20 @@ class TestThresholdDrift:
         runtime.cameras["cam000"] = drift_stats(
             generated=80, scored=80, matched=38, truth_positive=16, threshold=0.55
         )
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
     def test_clamped_threshold_emits_no_noop_actions(self):
         controller = ThresholdDriftController(ThresholdDriftConfig(cooldown_ticks=0))
         runtime = FakeRuntime(
             {"cam000": drift_stats(matched=30, truth_positive=8, threshold=0.93)}
         )
-        actions = controller.decide(make_view({"node0": runtime}))
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
         assert actions[0].threshold == 0.95  # clamped: 0.93 + 0.05 is past the ceiling
         runtime.cameras["cam000"] = drift_stats(
             generated=80, scored=80, matched=60, truth_positive=16, threshold=0.95
         )
         # Pinned at the clamp: stepping again would be a no-op, so silence.
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
     def test_stint_change_during_cooldown_does_not_corrupt_the_window(self):
         # Adjustment at tick 0 starts a cooldown; the camera migrates away
@@ -153,7 +157,7 @@ class TestThresholdDrift:
             ThresholdDriftConfig(tolerance=0.5, min_scored=16, cooldown_ticks=2)
         )
         runtime = FakeRuntime({"cam000": drift_stats(matched=30, truth_positive=8)})
-        assert len(controller.decide(make_view({"node0": runtime}))) == 1
+        assert len(actions_of(controller.decide(make_view({"node0": runtime})))) == 1
         # New stint (attached_at moved): counters restarted and caught up
         # past the baseline on scored/generated, but not on matched.
         runtime.cameras["cam000"] = make_stats(
@@ -163,7 +167,7 @@ class TestThresholdDrift:
         )
         # The stint change rebases (and clears the stale cooldown) instead
         # of evaluating a cross-stint window.
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
         # The next window is judged purely on the new stint's frames: a
         # balanced stint (matched tracks truth) stays quiet.
         runtime.cameras["cam000"] = make_stats(
@@ -171,7 +175,7 @@ class TestThresholdDrift:
             truth_positive_generated=16, truth_positive_scored=16,
             threshold=0.55, attached_at=1.25,
         )
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
     def test_shed_truth_positives_do_not_read_as_under_firing(self):
         # Half the frames (including every event frame) were shed by a
@@ -189,7 +193,7 @@ class TestThresholdDrift:
                 )
             }
         )
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
 
     def test_migrated_and_returned_camera_rebases_the_window(self):
         controller = ThresholdDriftController(ThresholdDriftConfig(cooldown_ticks=0))
@@ -199,12 +203,12 @@ class TestThresholdDrift:
         runtime.cameras["cam000"] = drift_stats(
             generated=30, scored=30, matched=25, truth_positive=6
         )
-        assert controller.decide(make_view({"node0": runtime})) == []
+        assert actions_of(controller.decide(make_view({"node0": runtime}))) == []
         # The stint's next window is judged on its own frames.
         runtime.cameras["cam000"] = drift_stats(
             generated=70, scored=70, matched=60, truth_positive=14
         )
-        actions = controller.decide(make_view({"node0": runtime}))
+        actions = actions_of(controller.decide(make_view({"node0": runtime})))
         assert [a.camera_id for a in actions] == ["cam000"]
 
 
@@ -218,7 +222,7 @@ class _ScriptedController(Controller):
 
     def decide(self, view):
         actions, self._actions = self._actions, []
-        return actions
+        return action_records(self.name, actions)
 
 
 class TestThresholdActuation:

@@ -15,7 +15,7 @@ def make_frame(index: int) -> Frame:
 
 class TestFrameQueueBasics:
     def test_fifo_order(self):
-        queue = FrameQueue("cam", capacity=4)
+        queue = FrameQueue(capacity=4)
         for i in range(3):
             queue.offer(make_frame(i))
         assert [queue.pop().index for _ in range(3)] == [0, 1, 2]
@@ -23,7 +23,7 @@ class TestFrameQueueBasics:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            FrameQueue("cam", capacity=0)
+            FrameQueue(capacity=0)
 
     def test_high_water_mark(self):
         # One slow worker: frame 0 goes into service, frames 1-5 wait, then drain.
@@ -36,7 +36,7 @@ class TestFrameQueueBasics:
 
 class TestDropPoliciesUnderOverload:
     def test_drop_oldest_keeps_freshest(self):
-        queue = FrameQueue("cam", capacity=3, policy=DropPolicy.DROP_OLDEST)
+        queue = FrameQueue(capacity=3, policy=DropPolicy.DROP_OLDEST)
         outcomes = [queue.offer(make_frame(i)) for i in range(10)]
         assert all(o.admitted for o in outcomes)
         evicted = [o.evicted.index for o in outcomes if o.evicted is not None]
@@ -45,7 +45,7 @@ class TestDropPoliciesUnderOverload:
         assert [queue.pop().index for _ in range(3)] == [7, 8, 9]
 
     def test_drop_newest_keeps_earliest(self):
-        queue = FrameQueue("cam", capacity=3, policy=DropPolicy.DROP_NEWEST)
+        queue = FrameQueue(capacity=3, policy=DropPolicy.DROP_NEWEST)
         outcomes = [queue.offer(make_frame(i)) for i in range(10)]
         assert [o.admitted for o in outcomes] == [True] * 3 + [False] * 7
         # The rejected frame comes back as "evicted" so the caller can account it.
@@ -55,7 +55,7 @@ class TestDropPoliciesUnderOverload:
 
     def test_stats_conservation(self):
         for policy in DropPolicy:
-            queue = FrameQueue("cam", capacity=2, policy=policy)
+            queue = FrameQueue(capacity=2, policy=policy)
             outcomes = [queue.offer(make_frame(i)) for i in range(9)]
             admitted = sum(o.admitted for o in outcomes)
             dropped_oldest = sum(o.admitted and o.evicted is not None for o in outcomes)

@@ -4,7 +4,8 @@ Whatever the fleet, node config, control slot or handoff schedule: every
 frame is accounted for exactly once, every rejection has exactly one cause,
 no admission slot outlives the run, a node's counters are the sums of its
 camera reports, a camera's report is the sum of its hosting stints, no frame
-is scored twice across stints, and every camera ends up hosted exactly once.
+is scored twice across stints, every camera ends up hosted exactly once, and
+every logged control action is claimed by exactly one decision record.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ def assert_invariants(scenario, record) -> None:
             assert telemetry.get(histogram, {"count": 0})["count"] == report.frames_scored
         assert 0.0 <= report.drop_rate <= 1.0 and 0.0 < report.fairness_index <= 1.0
         assert 0 <= report.starved_cameras <= report.num_cameras
+        # The live counters leave out what the end-of-run flush finalizes;
+        # the report fields include it.  Every detected event was collected.
+        assert telemetry.get("frames.matched", 0) <= sum(
+            camera.matched_frames for camera in cameras
+        ), node_id
+        assert telemetry.get("events.closed", 0) <= report.events_detected, node_id
+        assert report.events_detected == node.event_records, node_id
 
         # A camera's report is the field-wise sum of its stints on the node.
         stints: dict[str, list[dict]] = {}
@@ -73,3 +81,12 @@ def assert_invariants(scenario, record) -> None:
     migrations = sum(node.migrated_in for node in record.nodes.values())
     assert migrations == sum(node.migrated_out for node in record.nodes.values())
     assert record.cluster.get("migrations_performed", migrations) == migrations
+
+    # Each control action is logged once, claimed by exactly one decision in
+    # log order, and the decision quotes it as logged.
+    log = record.cluster.get("control_log", [])
+    decisions = record.cluster.get("decision_records", [])
+    assert [seq for d in decisions for seq in d["action_seqs"]] == list(range(len(log)))
+    for decision in decisions:
+        quoted = [log[seq].partition(": ")[2] for seq in decision["action_seqs"]]
+        assert quoted == decision["actions"], decision["seq"]

@@ -27,6 +27,7 @@ from repro.control import (
 )
 from repro.control.hierarchy import HierarchicalControlPlane
 from repro.control.policies import Controller, MigrateCamera, SetCameraThreshold
+from repro.control.provenance import DecisionRecord
 from repro.events import BrokerConfig, DeliveryConfig, EventDeliveryPlane, OutboxConfig
 from repro.fleet.queues import AdmissionController
 from repro.fleet.runtime import FleetReport, FleetRuntime, default_pipeline_factory
@@ -85,6 +86,7 @@ class NodeRun:
     stints: dict[str, dict]  # by stint key, in hosting order
     admission_rejected: int  # arrivals the admission controller turned away
     slots_held: int  # admission slots still held when the run ended
+    event_records: int  # closed event records the node collected
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,7 @@ def node_run(runtime: FleetRuntime, report: FleetReport, migrated_in=0, migrated
         stints,
         REFUSED.get(admission, 0) if admission is not None else 0,
         admission.in_flight if admission is not None else 0,
+        len(runtime.event_records),
     )
 
 
@@ -178,7 +181,10 @@ class Scheduled(Controller):
     def decide(self, view):
         hosts = {c: node.node_id for node in view.nodes for c in node.runtime.hosted_cameras()}
         tick, self.ticks = self.ticks, self.ticks + 1
-        return scheduled_actions(self.scenario, tick, hosts)
+        return [
+            DecisionRecord(self.name, "action", actions=(action,))
+            for action in scheduled_actions(self.scenario, tick, hosts)
+        ]
 
 
 class RecordingHierarchy(HierarchicalControlPlane):

@@ -141,6 +141,38 @@ def misreport_migrations(scenario, record):
     return scenario, record
 
 
+def count_a_flush_match_live(scenario, record):
+    telemetry = record.nodes["node0"].report.telemetry
+    telemetry["frames.matched"] = record.nodes["node0"].report.matched_frames + 1
+    return scenario, record
+
+
+def close_an_undetected_event(scenario, record):
+    bump(record.nodes["node1"].report.telemetry, "events.closed", by=2)
+    return scenario, record
+
+
+def lose_an_event_record(scenario, record):
+    return scenario, node(record, "node0", event_records=record.nodes["node0"].event_records - 1)
+
+
+def log_an_unclaimed_action(scenario, record):
+    record.cluster["control_log"].append("t=9.000 rogue: set_uplink_weights node0=1.000")
+    return scenario, record
+
+
+def claim_an_action_twice(scenario, record):
+    claimed = next(d for d in record.cluster["decision_records"] if d["action_seqs"])
+    claimed["action_seqs"].append(claimed["action_seqs"][-1])
+    return scenario, record
+
+
+def misquote_an_action(scenario, record):
+    claimed = next(d for d in record.cluster["decision_records"] if d["action_seqs"])
+    claimed["actions"][0] += " (edited)"
+    return scenario, record
+
+
 VIOLATIONS = [
     # (corruption, a fragment of the assertion it must fail)
     (lose_a_frame, "camera.frames_scored + camera.frames_dropped + camera.frames_rejected"),
@@ -164,16 +196,25 @@ VIOLATIONS = [
     (host_a_camera_nowhere, "sorted(hosted) == sorted(generated)"),
     (migrate_in_from_nowhere, "node.migrated_out for node in record.nodes.values()"),
     (misreport_migrations, 'record.cluster.get("migrations_performed", migrations)'),
+    (count_a_flush_match_live, 'telemetry.get("frames.matched", 0)'),
+    (close_an_undetected_event, 'telemetry.get("events.closed", 0)'),
+    (lose_an_event_record, "report.events_detected == node.event_records"),
+    (log_an_unclaimed_action, "list(range(len(log)))"),
+    (claim_an_action_twice, "list(range(len(log)))"),
+    (misquote_an_action, 'quoted == decision["actions"]'),
 ]
 
 
 def test_the_imbalanced_record_satisfies_every_invariant(record):
     # The record exercises what the violations corrupt: rejections of both
-    # causes, a migration, and stints on both nodes.
+    # causes, a migration, stints on both nodes, event records, and logged
+    # control actions.
     telemetry = {node_id: node.report.telemetry for node_id, node in record.nodes.items()}
     assert record.nodes["node0"].admission_rejected > 0
     assert telemetry["node1"].get("frames.migration_blackout", 0) > 0
     assert record.cluster["migrations_performed"] == 1
+    assert record.nodes["node0"].event_records > 0
+    assert record.cluster["control_log"]
     assert_invariants(IMBALANCED, record)
 
 

@@ -203,9 +203,9 @@ def test_base_class_attribute_resolves(tmp_path):
     """A member inherited from a repro base class resolves on the subclass."""
     doc = tmp_path / "doc.md"
     doc.write_text(
-        "`AdaptiveSheddingController.record_decision` (from `Controller`) and\n"
-        "`AdaptiveSheddingController.decide` (its own) resolve;\n"
-        "`AdaptiveSheddingController.tick_index` does not.\n",
+        "`LoadAwarePlacement.place` (from `PlacementPolicy`) and\n"
+        "`LoadAwarePlacement.name` (its own) resolve;\n"
+        "`LoadAwarePlacement.tick_index` does not.\n",
         encoding="utf-8",
     )
     problems = check_docs.check_attribute_references([doc])
