@@ -23,7 +23,7 @@ Every control decision is printed from the decision log — the whole run is
 deterministic, so these lines are bit-identical across invocations.
 
 Run:  python examples/adaptive_fleet.py
-Environment overrides (used by the CI smoke step):
+Environment overrides (``tools/parity.py``'s ``adaptive_fleet`` entry sets small ones):
     ADAPTIVE_FLEET_HOT       hot half-duty cameras   (default 16)
     ADAPTIVE_FLEET_FILL      steady fill cameras     (default 48)
     ADAPTIVE_FLEET_DURATION  seconds per camera      (default 3.0)

@@ -23,11 +23,11 @@ published record resolves to exactly one final state; the datacenter
 never ingests a key twice; the loss model really retried) and exits
 non-zero on violation.  Everything is simulated-clock deterministic: two
 runs write bit-identical ``delivery_log.jsonl`` and
-``delivery_report.json`` (the CI smoke step asserts this with a byte
-compare).
+``delivery_report.json`` (the ``event_demo`` entry of ``tools/parity.py``
+compares them byte for byte).
 
 Run:  python examples/event_backbone_demo.py
-Environment overrides (used by the CI smoke step):
+Environment overrides (``tools/parity.py``'s ``event_demo`` entry sets small ones):
     EVENT_DEMO_HOT       hot high-event cameras  (default 4)
     EVENT_DEMO_FILL      steady fill cameras     (default 6)
     EVENT_DEMO_DURATION  seconds per camera      (default 3.0)

@@ -21,11 +21,9 @@ only the clock is simulated — so matches, events, and uploaded bits are
 true pipeline outputs.
 
 Run:  python examples/fleet_simulation.py
-Environment overrides (used by the CI smoke step):
+Environment overrides (``tools/parity.py``'s ``fleet_simulation`` entry sets small ones):
     FLEET_SIM_CAMERAS   number of cameras  (default 32)
     FLEET_SIM_DURATION  seconds per camera (default 4.0)
-    FLEET_SIM_PROM      when set, write each regime's telemetry registry
-                        as Prometheus text exposition to this directory
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.fleet import DropPolicy, FleetConfig, FleetRuntime, generate_fleet
 
 NUM_CAMERAS = int(os.environ.get("FLEET_SIM_CAMERAS", "32"))
 DURATION_SECONDS = float(os.environ.get("FLEET_SIM_DURATION", "4.0"))
-PROM_DIR = os.environ.get("FLEET_SIM_PROM")
 
 
 def describe_fleet(fleet) -> None:
@@ -52,20 +49,8 @@ def describe_fleet(fleet) -> None:
 
 def run_regime(title: str, fleet, config: FleetConfig) -> None:
     print(f"\n--- {title} ---")
-    runtime = FleetRuntime(fleet, config=config)
-    report = runtime.run()
+    report = FleetRuntime(fleet, config=config).run()
     print(report.summary())
-    if PROM_DIR:
-        from pathlib import Path
-
-        slug = f"regime{title.split(')', 1)[0].strip()}"
-        out = Path(PROM_DIR)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / f"{slug}.prom"
-        target.write_text(
-            runtime.telemetry.to_prometheus(labels={"regime": slug}), encoding="utf-8"
-        )
-        print(f"wrote {target}")
     waits = report.telemetry.get("latency.queue_wait_seconds")
     if isinstance(waits, dict) and waits["count"]:
         print(

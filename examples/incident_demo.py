@@ -20,11 +20,11 @@ produced it (the same walk ``tools/fleetctl.py explain`` does).
 
 Everything is simulated-clock deterministic: two runs write bit-identical
 ``control_trace.jsonl``, ``alerts.jsonl``, ``timeline.jsonl``,
-``incidents.json``, and ``incidents.md`` (the CI smoke step asserts this
-with a byte compare).
+``incidents.json``, and ``incidents.md`` (the ``incident_demo`` entry of
+``tools/parity.py`` compares them byte for byte).
 
 Run:  python examples/incident_demo.py
-Environment overrides (used by the CI smoke step):
+Environment overrides (``tools/parity.py``'s ``incident_demo`` entry sets small ones):
     INCIDENT_DEMO_HOT       hot half-duty cameras   (default 8)
     INCIDENT_DEMO_FILL      steady fill cameras     (default 12)
     INCIDENT_DEMO_DURATION  seconds per camera      (default 3.0)

@@ -24,7 +24,7 @@ Run:  python examples/observable_fleet.py
 Writes ``trace.json``, ``metrics.prom``, and ``metrics.jsonl`` to the
 output directory.
 
-Environment overrides (used by the CI smoke step):
+Environment overrides (``tools/parity.py``'s ``observable_fleet`` entry sets small ones):
     OBSERVABLE_FLEET_HOT       hot half-duty cameras   (default 8)
     OBSERVABLE_FLEET_FILL      steady fill cameras     (default 16)
     OBSERVABLE_FLEET_DURATION  seconds per camera      (default 3.0)

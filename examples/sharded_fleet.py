@@ -17,7 +17,7 @@ datacenter uplink (a fresh statically sliced link per run, same
 ShardingConfig), so the cluster reports are directly comparable.
 
 Run:  python examples/sharded_fleet.py
-Environment overrides (used by the CI smoke step):
+Environment overrides (``tools/parity.py``'s ``sharded_fleet`` entry sets small ones):
     SHARDED_FLEET_CAMERAS   number of cameras  (default 64)
     SHARDED_FLEET_DURATION  seconds per camera (default 3.0)
 """

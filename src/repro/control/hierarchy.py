@@ -494,24 +494,14 @@ class HierarchicalControlPlane:
     def _update_rollup(
         self, now: float, aggregates: Mapping[str, NodeAggregate], payload: int
     ) -> None:
-        sums = {
-            name: sum(getattr(agg, name) for agg in aggregates.values())
-            for name, _metric in _AGGREGATE_COUNTERS
-        }
         gauges = self.telemetry.gauge
         gauges("cluster.nodes").set(len(aggregates))
         gauges("cluster.cameras").set(sum(a.num_cameras for a in aggregates.values()))
-        gauges("cluster.frames.generated").set(sums["frames_generated"])
-        gauges("cluster.frames.scored").set(sums["frames_scored"])
-        gauges("cluster.frames.rejected").set(sums["frames_rejected"])
+        for name, metric in _AGGREGATE_COUNTERS:
+            gauges(f"cluster.{metric}").set(sum(getattr(a, name) for a in aggregates.values()))
         gauges("cluster.frames.dropped").set(
             sum(a.frames_dropped for a in aggregates.values())
         )
-        gauges("cluster.frames.matched").set(sums["frames_matched"])
-        gauges("cluster.events.closed").set(sums["events_closed"])
-        gauges("cluster.events.published").set(sums["events_published"])
-        gauges("cluster.events.dropped").set(sums["events_dropped"])
-        gauges("cluster.uplink.estimated_bits").set(sums["estimated_upload_bits"])
         merged = QuantileSketch()
         for node_id in sorted(aggregates):
             merged = merged.merge(aggregates[node_id].window_wait_sketch)

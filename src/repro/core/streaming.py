@@ -7,8 +7,8 @@ identical to scoring the whole stream in batch, without ever materializing
 per-microclassifier feature-map batches.  Memory is O(1) in the
 *heavyweight* sense: the frames and feature maps held at any moment are
 bounded by the configuration, not the stream length (per-frame scalars —
-probabilities, smoothed decisions, timestamps — still accumulate, since they
-are the result).  The bounded heavy state is:
+probabilities, smoothed decisions, source indices — still accumulate, since
+they are the result).  The bounded heavy state is:
 
 * one chunk of up to ``batch_size`` feature maps per *bank* — the MCs of one
   architecture on one input, grouped at bind time and scored together (as soon
@@ -24,7 +24,9 @@ are the result).  The bounded heavy state is:
 This is the execution substrate of the multi-camera fleet runtime
 (:mod:`repro.fleet`): a camera pushes frames as they arrive and learns about
 matches and closed events with bounded latency, instead of replaying the
-whole stream three times as the original offline flow did.
+whole stream three times as the original offline flow did.  The end of the
+stream is one more update: :meth:`~StreamingPipeline.flush` returns what only
+the end resolves (the lookahead's last decisions and every still-open event).
 """
 
 from __future__ import annotations
@@ -49,14 +51,16 @@ __all__ = ["StreamUpdate", "StreamingPipeline"]
 
 @dataclass(frozen=True)
 class StreamUpdate:
-    """What one :meth:`StreamingPipeline.push` resolved.
+    """What one :meth:`StreamingPipeline.push` (or the final ``flush``) resolved.
 
     ``new_matches`` are ``(mc_name, position)`` pairs, a position being the
     0-based index of a frame in *pushed order* (equal to ``Frame.index`` when
     an intact stream is pushed; under load shedding positions stay dense
     while source indices gap).  Smoothing lookahead and chunked scoring mean
     a push typically finalizes frames a few positions behind the one just
-    pushed.  ``closed_records`` are the events this push closed.
+    pushed.  ``closed_records`` are the events this push closed.  Together
+    the updates of every push and of ``flush`` carry each match and each
+    event exactly once.
     """
 
     new_matches: tuple[tuple[str, int], ...] = ()
@@ -200,7 +204,7 @@ class StreamingPipeline:
             self._states_by_name.setdefault(state.mc.name, []).append(state)
         self._pending: "OrderedDict[int, Frame]" = OrderedDict()
         self._num_pushed = 0
-        self._finished = False
+        self._flushed = False
         self._result: PipelineResult | None = None
         # Global event identity: (camera_id, session_epoch) prefix for the
         # EventRecords this session emits.  Defaults suit a standalone
@@ -208,15 +212,9 @@ class StreamingPipeline:
         # survive camera migration (epoch bumps on reattach).
         self._camera_id = "stream"
         self._session_epoch = 0
-        # Every EventRecord this session has closed, in close order.  O(1)
-        # per event (events are rare by construction), and the fleet runtime
-        # tracks a consumed count so flush-closed tail records are collected
-        # at finish() too.
-        self.closed_records: list[EventRecord] = []
-        # Scalar per-frame records kept for downstream consumers (fleet
-        # telemetry, upload scheduling); O(1) per frame.
+        # Each pushed frame's source index, kept for downstream consumers
+        # (fleet tracing, upload scheduling); O(1) per frame.
         self.source_indices: list[int] = []
-        self.timestamps: list[float] = []
 
     def bind_identity(self, camera_id: str, session_epoch: int = 0) -> None:
         """Set the ``(camera_id, session_epoch)`` prefix of emitted event keys.
@@ -239,15 +237,14 @@ class StreamingPipeline:
 
     def push(self, frame: Frame) -> StreamUpdate:
         """Ingest one decoded frame; returns what this push finalized."""
-        if self._finished:
-            raise RuntimeError("StreamingPipeline already finished")
+        if self._flushed:
+            raise RuntimeError("StreamingPipeline already finished its stream")
         if self.resolution is None:
             self.resolution = (frame.width, frame.height)
         position = self._num_pushed
         self._num_pushed += 1
         self._pending[position] = frame
         self.source_indices.append(int(frame.index))
-        self.timestamps.append(float(frame.timestamp))
 
         activations = self.extractor.extract(frame)
         for bank in self._banks:
@@ -260,18 +257,31 @@ class StreamingPipeline:
             self._drain_decisions(new_matches, records)
         return StreamUpdate(new_matches=tuple(new_matches), closed_records=tuple(records))
 
+    def flush(self) -> StreamUpdate:
+        """End the stream: score what is queued and close every open event.
+
+        Returns the matches and records only the end of the stream resolves.
+        Called once; ``push`` and ``set_threshold`` raise after it.
+        """
+        if self._flushed:
+            raise RuntimeError("StreamingPipeline already flushed")
+        self._flushed = True
+        self._score_chunks(final=True)
+        new_matches: list[tuple[str, int]] = []
+        records: list[EventRecord] = []
+        self._drain_decisions(new_matches, records, final=True)
+        self._pending.clear()
+        return StreamUpdate(new_matches=tuple(new_matches), closed_records=tuple(records))
+
     def finish(self, stream_duration: float | None = None) -> PipelineResult:
-        """Flush all buffered state and assemble the final result.
+        """Assemble the final result, flushing first when nobody has.
 
         ``stream_duration`` defaults to the number of frames pushed over ``frame_rate``.
         """
-        if self._finished:
-            assert self._result is not None
+        if self._result is not None:
             return self._result
-        self._finished = True
-        self._score_chunks(final=True)
-        self._drain_decisions([], [], final=True)
-        self._pending.clear()
+        if not self._flushed:
+            self.flush()
 
         duration = (
             float(stream_duration)
@@ -362,8 +372,8 @@ class StreamingPipeline:
         never rewritten.  This is the actuation point of the control plane's
         ``SetCameraThreshold`` action (runtime threshold drift).
         """
-        if self._finished:
-            raise RuntimeError("StreamingPipeline already finished")
+        if self._flushed:
+            raise RuntimeError("StreamingPipeline already finished its stream")
         if not 0.0 < threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
         for state in self._states_for(mc_name):
@@ -442,7 +452,7 @@ class StreamingPipeline:
         span is finalized, so the probabilities and source indices it covers
         are already materialized.
         """
-        record = EventRecord(
+        return EventRecord(
             key=EventKey(self._camera_id, self._session_epoch, event.event_id),
             mc_name=event.mc_name,
             start=event.start,
@@ -451,8 +461,6 @@ class StreamingPipeline:
             source_end=self.source_indices[event.end - 1] + 1,
             peak_score=max(state.probabilities[event.start : event.end]),
         )
-        self.closed_records.append(record)
-        return record
 
     def _apply_finalized(self, state: _McState, finalized, new_matches) -> None:
         for decision in finalized:

@@ -26,7 +26,7 @@ The plane never imports :mod:`repro.fleet`; it duck-types the runtime
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.events import EventRecord
 from repro.edge.uplink import SharedTransferRequest
@@ -53,7 +53,7 @@ STATE_DROPPED_OVERFLOW = "dropped_overflow"
 
 RECORD_BYTES = 256  # what one delivery attempt of one event record moves over the link
 
-# What finalize() tallies per node and sums for the cluster.
+# What finalize() tallies per node and sums for the cluster: each a DeliveryReport field.
 TALLY_KEYS = (
     "published",
     "acked",
@@ -112,21 +112,9 @@ class DeliveryReport:
         return self.dropped_overflow + self.dead_letter
 
     def to_dict(self) -> dict:
-        """JSON-friendly form for report artifacts."""
-        return {
-            "scope": self.scope,
-            "published": self.published,
-            "acked": self.acked,
-            "delivered_unacked": self.delivered_unacked,
-            "dead_letter": self.dead_letter,
-            "dropped_overflow": self.dropped_overflow,
-            "retried": self.retried,
-            "duped": self.duped,
-            "ack_violations": self.ack_violations,
-            "latency_p50": round(self.latency_p50, 6),
-            "latency_p99": round(self.latency_p99, 6),
-            "max_consumer_lag": round(self.max_consumer_lag, 6),
-        }
+        """JSON-friendly form for report artifacts (times rounded to the microsecond)."""
+        times = ("latency_p50", "latency_p99", "max_consumer_lag")
+        return {**asdict(self), **{name: round(getattr(self, name), 6) for name in times}}
 
     def summary(self) -> str:
         """A one-line human-readable delivery standing."""
@@ -341,14 +329,8 @@ class EventDeliveryPlane:
         latencies = sorted(latencies)
         return DeliveryReport(
             scope=scope,
-            published=tally["published"],
-            acked=tally["acked"],
-            delivered_unacked=tally["delivered_unacked"],
-            dead_letter=tally["dead_letter"],
+            **tally,
             dropped_overflow=overflow,
-            retried=tally["retried"],
-            duped=tally["duped"],
-            ack_violations=tally["ack_violations"],
             latency_p50=nearest_rank(latencies, 0.50),
             latency_p99=nearest_rank(latencies, 0.99),
             # The consumer is a datacenter-side (cluster) resource; its lag

@@ -461,7 +461,7 @@ class _CameraState:
     One state covers one *stint* of a camera on this node; a camera that
     migrates away and later returns gets a fresh state under a new key.
     The stint is data plus pure derivations of it (live stats, event
-    uploads, flush-closed tails); the runtime is the only actor.
+    uploads); the runtime is the only actor.
     """
 
     key: str
@@ -479,11 +479,7 @@ class _CameraState:
     truth_positive_scored: int = 0
     attached_at: float = 0.0
     detached_at: float | None = None
-    # Event-record bookkeeping: the stint's epoch in the global event key,
-    # and how many of the session's closed records _on_completion already
-    # collected (finalize() picks up the flush-closed tail after this mark).
-    session_epoch: int = 0
-    records_consumed: int = 0
+    session_epoch: int = 0  # the stint's epoch in the global event key
     next_frame: int = 0  # the cursor: the stint's next arrival, its only one on the heap
     sequence_offset: int = 0  # + a frame's index = the heap sequence reserved for its arrival
     completion_times: list[float] = field(default_factory=list)
@@ -532,15 +528,6 @@ class _CameraState:
             attached_at=self.attached_at,
         )
 
-    def flush_closed_tails(self) -> list[tuple[float, str, _CameraState, EventRecord]]:
-        """``(closed_at, key, stint, record)`` of the records only the session's flush closed."""
-        # A tail event closes when its stint ends, but never before its last
-        # frame finished scoring (under overload, scoring lags).
-        return [
-            (max(self.stint_end, self.completion_times[tail.end - 1]), self.key, self, tail)
-            for tail in self.session.closed_records[self.records_consumed :]
-        ]
-
     def event_uploads(self, result) -> Iterator[tuple[float, str, float, Sequence[int]]]:
         """``(available_at, description, bits, source frame indices)`` per detected event."""
         spec = self.spec
@@ -549,7 +536,7 @@ class _CameraState:
                 # An event cannot be uploaded before its last frame was
                 # both captured and actually scored on the node (under
                 # overload, scoring lags capture by the queue wait).
-                last_timestamp = self.session.timestamps[event.end - 1]
+                last_timestamp = self.session.source_indices[event.end - 1] / spec.frame_rate
                 captured_at = spec.start_time + last_timestamp + 1.0 / spec.frame_rate
                 scored_at = self.completion_times[event.end - 1]
                 description = f"{self.key}/{mc_result.mc_name}/event{event.event_id}"
@@ -978,6 +965,7 @@ class FleetRuntime:
         if state.scored == 1 and state.detached_at is None:
             self._starved -= 1
         state.matched += len(update.new_matches)
+        state.events += len(update.closed_records)
         counters.counter("frames.scored").inc()
         if state.truth is not None and state.truth[frame.index]:
             state.truth_positive_scored += 1
@@ -1001,18 +989,15 @@ class FleetRuntime:
             counters.counter("uplink.estimated_bits").inc(estimate)
         if update.closed_records:
             counters.counter("events.closed").inc(len(update.closed_records))
-            self._collect_records(state, update.closed_records, now)
+            self._collect_records(update.closed_records, now)
         self._release_admission(ticket)
         self._record_depth(state)  # admission.in_flight just fell
         self._record_starvation()
 
-    def _collect_records(
-        self, state: _CameraState, records: Sequence[EventRecord], closed_at: float
-    ) -> None:
+    def _collect_records(self, records: Sequence[EventRecord], closed_at: float) -> None:
         """Stamp closed records with their close time, collect, and publish each to the sink."""
         for record in records:
             stamped = replace(record, closed_at=closed_at)
-            state.records_consumed += 1
             self.event_records.append(stamped)
             if self.event_sink is not None:
                 self.event_sink(stamped)
@@ -1086,21 +1071,27 @@ class FleetRuntime:
         uploads: list[tuple[float, str, float]] = []
         by_camera: dict[str, list[_CameraState]] = {}
         accuracies: dict[str, CameraAccuracy] = {}
-        tails: list[tuple[float, str, _CameraState, EventRecord]] = []
+        tails: list[tuple[float, str, EventRecord]] = []
         for state in self._states.values():
             camera_id = state.camera_id
             by_camera.setdefault(camera_id, []).append(state)
+            # The end of the stream's own matches and events join the stint's
+            # tallies; the live counters (frames.matched, events.closed,
+            # uplink.estimated_bits) skip them.  A tail event closes when its
+            # stint ends, but never before its last frame finished scoring
+            # (under overload, scoring lags).
+            flushed = state.session.flush()
+            state.matched += len(flushed.new_matches)
+            state.events += len(flushed.closed_records)
+            tails.extend(
+                (max(state.stint_end, state.completion_times[tail.end - 1]), state.key, tail)
+                for tail in flushed.closed_records
+            )
             result = state.session.finish()
             if state.truth is not None:
                 stint = self._stint_accuracy(state, result)
                 previous = accuracies.get(camera_id)
                 accuracies[camera_id] = stint if previous is None else previous.merged_with(stint)
-            # Events are counted once the flush has closed them; matches the
-            # flush finalized were not seen by _on_completion.
-            state.events = sum(len(r.events) for r in result.per_mc.values())
-            state.matched = sum(r.num_matched_frames for r in result.per_mc.values())
-            # ... nor were their records: collect the flush-closed tail.
-            tails.extend(state.flush_closed_tails())
             for available_at, description, bits, frames in state.event_uploads(result):
                 uploads.append((available_at, description, bits))
                 if self.tracer is not None:
@@ -1116,8 +1107,8 @@ class FleetRuntime:
         # close was already published — so none may be stamped before the
         # last of those.
         published_until = self.event_records[-1].closed_at if self.event_records else 0.0
-        for closed_at, _, state, tail in sorted(tails, key=lambda t: t[:2]):
-            self._collect_records(state, [tail], max(closed_at, published_until))
+        for closed_at, _, tail in sorted(tails, key=lambda t: t[:2]):
+            self._collect_records([tail], max(closed_at, published_until))
 
         # The node's own bits, in the link's FIFO order.  The port's total
         # may come to more: event-plane attempts ride the same link.

@@ -15,7 +15,7 @@ import math
 import re
 from collections import deque
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Counter",
@@ -348,52 +348,3 @@ class TelemetryRegistry:
                 "p99": hist.percentile(99),
             }
         return snap
-
-    def to_prometheus(self, labels: Mapping[str, str] | None = None) -> str:
-        """The whole registry in Prometheus text-exposition format.
-
-        Dotted names are sanitized (:func:`sanitize_metric_name`), every
-        family gets ``# HELP`` / ``# TYPE`` lines, counters take the
-        conventional ``_total`` suffix, and histograms are exposed
-        summary-style: ``{quantile="0.5"}`` / ``{quantile="0.99"}`` series
-        plus ``_sum`` and ``_count``.  Optional ``labels`` are attached to
-        every sample line (the sharded runtime labels nodes this way).
-        Output is deterministic: families sort by name.
-        """
-
-        def label_block(extra: Mapping[str, str] | None = None) -> str:
-            pairs = dict(labels or {})
-            if extra:
-                pairs.update(extra)
-            if not pairs:
-                return ""
-            body = ",".join(f'{key}="{value}"' for key, value in sorted(pairs.items()))
-            return "{" + body + "}"
-
-        def fmt(value: float) -> str:
-            return f"{float(value):.10g}"
-
-        lines: list[str] = []
-        for name, counter in sorted(self._counters.items()):
-            metric = sanitize_metric_name(name)
-            lines.append(f"# HELP {metric}_total Telemetry counter {name!r}.")
-            lines.append(f"# TYPE {metric}_total counter")
-            lines.append(f"{metric}_total{label_block()} {fmt(counter.value)}")
-        for name, gauge in sorted(self._gauges.items()):
-            metric = sanitize_metric_name(name)
-            lines.append(f"# HELP {metric} Telemetry gauge {name!r}.")
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric}{label_block()} {fmt(gauge.value)}")
-        for name, hist in sorted(self._histograms.items()):
-            metric = sanitize_metric_name(name)
-            lines.append(f"# HELP {metric} Telemetry histogram {name!r}.")
-            lines.append(f"# TYPE {metric} summary")
-            lines.append(
-                f"{metric}{label_block({'quantile': '0.5'})} {fmt(hist.percentile(50))}"
-            )
-            lines.append(
-                f"{metric}{label_block({'quantile': '0.99'})} {fmt(hist.percentile(99))}"
-            )
-            lines.append(f"{metric}_sum{label_block()} {fmt(hist.total)}")
-            lines.append(f"{metric}_count{label_block()} {fmt(hist.count)}")
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -477,19 +477,26 @@ class TestStreamingEventRecords:
         )
         if camera_id is not None:
             session.bind_identity(camera_id, session_epoch=epoch)
-        records = []
-        for frame in tiny_pipeline_stream:
-            records.extend(session.push(frame).closed_records)
+        pushed = [session.push(frame) for frame in tiny_pipeline_stream]
+        flushed = session.flush()
         result = session.finish(stream_duration=tiny_pipeline_stream.duration)
+        return session, result, pushed, flushed
+
+    def records_of(self, tiny_extractor, tiny_pipeline_stream, **identity):
+        """Every record the session emits: its pushes' updates, then its flush's."""
+        session, result, pushed, flushed = self.run_session(
+            tiny_extractor, tiny_pipeline_stream, **identity
+        )
+        records = [r for update in (*pushed, flushed) for r in update.closed_records]
         return session, result, records
 
     def test_records_mirror_closed_events(self, tiny_extractor, tiny_pipeline_stream):
-        session, result, _ = self.run_session(
+        session, result, records = self.records_of(
             tiny_extractor, tiny_pipeline_stream, camera_id="cam007", epoch=3
         )
         events = result.per_mc["accept"].events
-        assert len(session.closed_records) == len(events) == 1
-        record = session.closed_records[0]
+        assert len(records) == len(events) == 1
+        record = records[0]
         event = events[0]
         assert record.key.camera_id == "cam007"
         assert record.key.session_epoch == 3
@@ -507,14 +514,59 @@ class TestStreamingEventRecords:
     def test_update_records_plus_finish_cover_everything(
         self, tiny_extractor, tiny_pipeline_stream
     ):
-        session, _, pushed = self.run_session(tiny_extractor, tiny_pipeline_stream)
-        assert pushed == session.closed_records[: len(pushed)]
-        assert len(session.closed_records) >= len(pushed)
+        _, result, records = self.records_of(tiny_extractor, tiny_pipeline_stream)
+        events = result.per_mc["accept"].events
+        assert [(r.mc_name, r.key.event_id, r.start, r.end) for r in records] == [
+            (e.mc_name, e.event_id, e.start, e.end) for e in events
+        ]
 
     def test_default_identity(self, tiny_extractor, tiny_pipeline_stream):
-        session, _, _ = self.run_session(tiny_extractor, tiny_pipeline_stream)
-        assert session.closed_records[0].key.camera_id == "stream"
-        assert session.closed_records[0].key.session_epoch == 0
+        _, _, records = self.records_of(tiny_extractor, tiny_pipeline_stream)
+        assert records[0].key.camera_id == "stream"
+        assert records[0].key.session_epoch == 0
+
+    def test_flush_returns_only_what_the_end_of_the_stream_resolves(
+        self, tiny_extractor, tiny_pipeline_stream
+    ):
+        _, result, pushed, flushed = self.run_session(tiny_extractor, tiny_pipeline_stream)
+        live_matches = [m for update in pushed for m in update.new_matches]
+        live_records = [r for update in pushed for r in update.closed_records]
+        matched = result.per_mc["accept"].matched_frame_indices.tolist()
+        # The smoothing lookahead's last decisions and the still-open event.
+        assert flushed.new_matches and flushed.closed_records
+        assert [p for _, p in live_matches + list(flushed.new_matches)] == matched
+        closed = {(r.key.event_id, r.start, r.end) for r in live_records}
+        assert [
+            (r.key.event_id, r.start, r.end) for r in flushed.closed_records
+        ] == [
+            (e.event_id, e.start, e.end)
+            for e in result.per_mc["accept"].events
+            if (e.event_id, e.start, e.end) not in closed
+        ]
+
+    def test_flush_ends_the_stream(self, tiny_extractor, tiny_pipeline_stream):
+        session, _, _, _ = self.run_session(tiny_extractor, tiny_pipeline_stream)
+        with pytest.raises(RuntimeError, match="already flushed"):
+            session.flush()
+        with pytest.raises(RuntimeError, match="already finished"):
+            session.push(next(iter(tiny_pipeline_stream)))
+        with pytest.raises(RuntimeError, match="already finished"):
+            session.set_threshold(0.5)
+
+    def test_finish_after_flush_equals_finish_alone(self, tiny_extractor, tiny_pipeline_stream):
+        _, flushed_first, _, _ = self.run_session(tiny_extractor, tiny_pipeline_stream)
+        accept = make_mc(tiny_extractor, "accept", threshold=0.01)
+        alone = StreamingPipeline(
+            tiny_extractor,
+            [accept],
+            config=PipelineConfig(batch_size=1),
+            frame_rate=tiny_pipeline_stream.frame_rate,
+            resolution=tiny_pipeline_stream.resolution,
+        ).process_stream(tiny_pipeline_stream)
+        got, want = flushed_first.per_mc["accept"], alone.per_mc["accept"]
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert got.events == want.events
+        assert flushed_first.total_uploaded_bits == alone.total_uploaded_bits
 
     def test_bind_identity_rejects_negative_epoch(self, tiny_extractor):
         session = StreamingPipeline(
@@ -568,8 +620,11 @@ def bank_frames(count, seed=0):
     ]
 
 
-def run_session(extractor, mcs, frames, batch_size, thresholds=None):
-    """Push ``frames`` through one session; ``thresholds`` are per-MC live overrides."""
+def run_session(extractor, mcs, frames, batch_size, thresholds=None, records=None):
+    """Push ``frames`` through one session; ``thresholds`` are per-MC live overrides.
+
+    ``records``, when given, collects every record the updates carry, the flush's last.
+    """
     extractor.reset_cache()
     session = StreamingPipeline(
         extractor,
@@ -581,8 +636,10 @@ def run_session(extractor, mcs, frames, batch_size, thresholds=None):
     for name, threshold in (thresholds or {}).items():
         if name in session._states_by_name:
             session.set_threshold(threshold, mc_name=name)
-    for frame in frames:
-        session.push(frame)
+    updates = [session.push(frame) for frame in frames]
+    updates.append(session.flush())
+    if records is not None:
+        records.extend(r for update in updates for r in update.closed_records)
     return session, session.finish()
 
 
@@ -629,14 +686,16 @@ class TestBanks:
             name: float(np.clip(np.median(r.probabilities), 1e-6, 1 - 1e-6))
             for name, r in probe.per_mc.items()
         }
-        session, mixed = run_session(bank_extractor, mcs, frames, batch_size, thresholds)
+        mixed_records: list = []
+        _, mixed = run_session(bank_extractor, mcs, frames, batch_size, thresholds, mixed_records)
         assert sum(len(r.events) for r in mixed.per_mc.values()) >= len(mcs) // 2
         total_bits, uploaded = 0.0, set()
         for mc in mcs:
-            solo_session, solo = run_session(bank_extractor, [mc], frames, batch_size, thresholds)
+            solo_records: list = []
+            _, solo = run_session(bank_extractor, [mc], frames, batch_size, thresholds, solo_records)
             assert_mc_results_identical(mixed.per_mc[mc.name], solo.per_mc[mc.name], mc.name)
-            records = [r for r in session.closed_records if r.mc_name == mc.name]
-            assert records == solo_session.closed_records, mc.name
+            records = [r for r in mixed_records if r.mc_name == mc.name]
+            assert records == solo_records, mc.name
             total_bits += solo.total_uploaded_bits
             uploaded.update(solo.uploaded_frame_indices.tolist())
         assert mixed.total_uploaded_bits == pytest.approx(total_bits, rel=1e-12)

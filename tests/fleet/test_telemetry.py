@@ -344,48 +344,3 @@ class TestSanitizeMetricName:
         assert sanitize_metric_name("frames_scored_total") == "frames_scored_total"
         assert sanitize_metric_name("node:uplink_bits") == "node:uplink_bits"
 
-
-class TestPrometheusExport:
-    def _registry(self) -> TelemetryRegistry:
-        registry = TelemetryRegistry()
-        registry.counter("frames.scored").inc(12)
-        registry.gauge("queue.depth").set(3.0)
-        for value in (0.1, 0.2, 0.3, 0.4):
-            registry.histogram("queue.wait").observe(value)
-        return registry
-
-    def test_counter_family_format(self):
-        text = self._registry().to_prometheus()
-        assert "# HELP frames_scored_total Telemetry counter 'frames.scored'." in text
-        assert "# TYPE frames_scored_total counter" in text
-        assert "frames_scored_total 12" in text
-
-    def test_gauge_family_format(self):
-        text = self._registry().to_prometheus()
-        assert "# TYPE queue_depth gauge" in text
-        assert "queue_depth 3" in text
-
-    def test_histogram_becomes_summary_with_quantiles(self):
-        text = self._registry().to_prometheus()
-        assert "# TYPE queue_wait summary" in text
-        assert 'queue_wait{quantile="0.5"} 0.2' in text
-        assert 'queue_wait{quantile="0.99"} 0.4' in text
-        assert "queue_wait_sum 1" in text
-        assert "queue_wait_count 4" in text
-
-    def test_labels_attach_to_every_sample_line(self):
-        text = self._registry().to_prometheus(labels={"node": "node0"})
-        assert 'frames_scored_total{node="node0"} 12' in text
-        assert 'queue_depth{node="node0"} 3' in text
-        # Extra labels merge with the quantile label, sorted by key.
-        assert 'queue_wait{node="node0",quantile="0.5"} 0.2' in text
-        assert 'queue_wait_count{node="node0"} 4' in text
-
-    def test_empty_registry_exports_empty_string(self):
-        assert TelemetryRegistry().to_prometheus() == ""
-
-    def test_export_ends_with_newline_and_is_deterministic(self):
-        first = self._registry().to_prometheus()
-        second = self._registry().to_prometheus()
-        assert first == second
-        assert first.endswith("\n")

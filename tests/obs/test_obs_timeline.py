@@ -131,6 +131,41 @@ class TestExporters:
         assert 'queue_depth{node="node1"} 3' in text
         assert text.count("# TYPE queue_depth untyped") == 1
 
+    def test_prometheus_gauge_exports_its_last_set_value(self):
+        timeline = MetricsTimeline()
+        registry = _registry()
+        registry.gauge("queue.depth").set(7.0)
+        timeline.scrape(0.0, "node0", registry)
+        text = timeline.to_prometheus()
+        assert "# TYPE queue_depth untyped" in text
+        assert 'queue_depth{node="node0"} 7' in text
+        assert 'queue_depth{node="node0"} 3' not in text
+
+    def test_prometheus_histogram_exports_every_sub_series(self):
+        timeline = MetricsTimeline()
+        timeline.scrape(0.0, "node0", _registry())
+        text = timeline.to_prometheus()
+        assert "# HELP wait_count Timeline series for telemetry 'wait.count'." in text
+        assert 'wait_count{node="node0"} 4' in text
+        assert 'wait_mean{node="node0"} 0.25' in text
+        assert 'wait_p50{node="node0"} 0.2' in text
+        assert 'wait_p99{node="node0"} 0.4' in text
+
+    def test_prometheus_is_deterministic_and_sorted(self):
+        def build(order: tuple[str, ...]) -> str:
+            timeline = MetricsTimeline()
+            for source in order:
+                timeline.scrape(0.0, source, _registry())
+            return timeline.to_prometheus()
+
+        text = build(("node1", "node0"))
+        # Scrape order does not matter: families and sources are both sorted.
+        assert text == build(("node0", "node1"))
+        assert text.endswith("\n")
+        types = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")]
+        assert types == sorted(types)
+        assert text.index('queue_depth{node="node0"}') < text.index('queue_depth{node="node1"}')
+
     def test_prometheus_empty_timeline_is_empty(self):
         assert MetricsTimeline().to_prometheus() == ""
 

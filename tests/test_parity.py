@@ -208,6 +208,19 @@ def test_the_fleet_examples_are_gated_against_the_base_and_run_nowhere_else():
         assert f"examples/{name}.py" not in ci
 
 
+def test_the_incident_demo_is_gated_against_the_base():
+    entry = next(entry for entry in parity.MANIFEST if entry["name"] == "incident_demo")
+    assert "base" in entry.get("references", ("rerun", "base"))
+
+
+def test_every_size_variable_an_entry_sets_is_read_by_its_producer():
+    # A mistyped variable would silently run its entry at the producer's defaults.
+    for entry in parity.MANIFEST:
+        source = parity.producer(parity.REPO, entry).read_text(encoding="utf-8")
+        for key in entry.get("env", {}):
+            assert f'"{key}"' in source, (entry["name"], key)
+
+
 @pytest.mark.parametrize("argv", [["rerun", "/some/tree"], ["base"], ["rerun", "--only", "nope"]])
 def test_rejects_a_malformed_command_line(argv, tmp_path):
     with pytest.raises(SystemExit):
