@@ -23,11 +23,11 @@ runtime through typed, logged actions:
   when imbalance sustains, gated by an explicit migration-cost model with
   hysteresis against flapping;
 * :mod:`repro.control.hierarchy` — the kilocamera scale-out: the same
-  policies, journal and actuators arranged in two levels — per-node local
-  loops plus a :class:`~repro.control.hierarchy.ClusterCoordinator` whose
-  controllers see only fixed-size per-node aggregate summaries (counts,
-  rates, mergeable quantile sketches), bounding cluster-side control and
-  telemetry cost at O(nodes) instead of O(cameras x metrics);
+  loop, policies, journal and actuators arranged in two levels — one
+  ``ControlLoop`` per node, plus a cluster level whose two controllers see
+  only fixed-size per-node aggregate summaries (counts, rates, mergeable
+  quantile sketches), bounding cluster-side control and telemetry cost at
+  O(nodes) instead of O(cameras x metrics);
 * :mod:`repro.control.provenance` — decision provenance: a decision is one
   value.  Every controller returns a
   :class:`~repro.control.provenance.DecisionRecord` per decision context per
@@ -52,7 +52,6 @@ bit-identical decision logs.
 """
 
 from repro.control.hierarchy import (
-    ClusterCoordinator,
     HierarchicalControlPlane,
     NodeAggregate,
     NodeControlPlane,
@@ -94,7 +93,6 @@ __all__ = [
     "AdaptiveSheddingController",
     "CandidateScore",
     "ClusterActuator",
-    "ClusterCoordinator",
     "ClusterView",
     "ControlAction",
     "ControlLoop",

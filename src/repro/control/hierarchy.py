@@ -1,4 +1,4 @@
-"""Hierarchical control plane: node-local loops plus a cluster coordinator.
+"""Hierarchical control plane: node-local loops plus cluster-scope controllers.
 
 The flat :class:`~repro.control.loop.ControlLoop` shows every controller
 every node's full runtime each tick and merges every node's full telemetry
@@ -7,31 +7,31 @@ work per interval.  That tops out around tens of cameras; the paper's
 premise (edge nodes do the heavy lifting locally, the datacenter sees only
 what must travel) applies to the *control plane* too.
 
-This module adds no policy of its own: it arranges the one policy set,
-journal and actuators of :mod:`repro.control.loop`,
+This module adds no policy and no tick of its own: it arranges the one
+loop, policy set, journal and actuators of :mod:`repro.control.loop`,
 :mod:`repro.control.uplink` and :mod:`repro.control.migration` in two levels.
 
-* :class:`NodeControlPlane` — one per edge node.  Local policies (shedding,
-  threshold drift — anything emitting node-scope actions) run the flat loop's pass over that node alone and actuate it
-  directly.  The plane then distills the node into one
+* :class:`NodeControlPlane` — one per edge node, a ``ControlLoop`` over
+  that node alone.  Local policies (shedding, threshold drift — anything
+  emitting node-scope actions) actuate it directly, exactly as a
+  standalone node's loop does.  The plane then distills the node into one
   :class:`NodeAggregate`: a **fixed-size** summary — counts, rates, an
   offered-utilization estimate, and a mergeable :class:`QuantileSketch` of
   the interval's queue waits — whose serialized size is independent of how
   many cameras the node hosts.
-* :class:`ClusterCoordinator` — shows an
-  :class:`~repro.control.uplink.UplinkShareController` and a
-  :class:`~repro.control.migration.MigrationController` *only* the
+* :class:`HierarchicalControlPlane` — a ``ControlLoop`` over the cluster
+  whose :class:`~repro.control.uplink.UplinkShareController` and
+  :class:`~repro.control.migration.MigrationController` see *only* the
   aggregates, which answer the small read surface cluster-scope policies
   use of a :class:`~repro.control.policies.NodeView` (``node_id``, a
   matched-frame counter, an offered utilization).  The migration gate names
-  a ``(source, destination)`` pair and the source's plane picks the camera,
-  so per-camera detail never crosses the node boundary.
+  a ``(source, destination)`` pair and the camera is picked on the source
+  node, so per-camera detail never crosses the node boundary.
 
-:class:`HierarchicalControlPlane` wires the two levels to a sharded
-cluster runtime: per-interval cluster coordination exchanges exactly one
-aggregate per node upstream and one uplink guarantee per node downstream —
-O(nodes), asserted by the kilocamera test in ``tests/control/test_hierarchy.py``
-via :attr:`HierarchicalControlPlane.payload_bytes`.  Decision provenance is
+Per-interval cluster coordination exchanges exactly one aggregate per node
+upstream and one uplink guarantee per node downstream — O(nodes), asserted
+by the kilocamera test in ``tests/control/test_hierarchy.py`` via
+:attr:`HierarchicalControlPlane.payload_bytes`.  Decision provenance is
 stamped at both levels (``level="node"`` / ``level="cluster"``) into one
 globally ordered record stream, and the metrics timeline is scraped at
 both levels (per-node sources plus a fixed-size ``"cluster"`` rollup).
@@ -44,38 +44,25 @@ import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from repro.control.loop import (
-    ControlJournal,
-    NodeActuator,
-    run_controllers,
-    unique_controllers,
-)
+from repro.control.loop import ControlJournal, ControlLoop, NodeActuator, run_controllers
 from repro.control.migration import (
     MigrationConfig,
     MigrationController,
     offered_utilization,
     pick_victim,
 )
-from repro.control.policies import (
-    ClusterView,
-    ControlAction,
-    Controller,
-    MigrateCamera,
-    NodeView,
-)
-from repro.control.provenance import CandidateScore, DecisionRecord
+from repro.control.policies import ClusterView, ControlAction, Controller, NodeView
+from repro.control.provenance import DecisionRecord
 from repro.control.shedding import AdaptiveSheddingController
 from repro.control.uplink import UplinkShareController
 from repro.control.value import ThresholdDriftController
 from repro.fleet.runtime import FleetRuntime
 from repro.fleet.telemetry import TelemetryRegistry
-from repro.obs.timeline import MetricsTimeline
 
 __all__ = [
     "QuantileSketch",
     "NodeAggregate",
     "NodeControlPlane",
-    "ClusterCoordinator",
     "HierarchicalControlPlane",
     "default_local_controllers",
 ]
@@ -239,21 +226,20 @@ def default_local_controllers(node_id: str) -> list[Controller]:
 
     Shedding (windowed queue-wait p99 and the estimated backlog on the
     node's own uplink guarantee) plus threshold drift (a no-op on nodes without the accuracy
-    plane).  Uplink re-weighting and migration are cluster-scope and live in
-    the coordinator.
+    plane).  Uplink re-weighting and migration are cluster-scope and belong
+    to the hierarchy.
     """
     return [AdaptiveSheddingController(), ThresholdDriftController()]
 
 
-class NodeControlPlane:
+class NodeControlPlane(ControlLoop):
     """One node's local control loop plus its aggregate distiller.
 
-    A tick is the flat loop's pass (:func:`~repro.control.loop.run_controllers`)
-    over a single-node :class:`~repro.control.policies.ClusterView` — the
-    only cluster-scope input is the node's own uplink guarantee, which it
-    reads off its link port — applied through a
-    :class:`~repro.control.loop.NodeActuator`.  The tick then distills the
-    node into a :class:`NodeAggregate` for the coordinator.
+    A :class:`~repro.control.loop.ControlLoop` over its one node: the
+    hierarchy ticks it as a standalone node's loop is ticked, through a
+    :class:`~repro.control.loop.NodeActuator` (the only cluster-scope input
+    is the node's own uplink guarantee, read off its link port), then calls
+    :meth:`aggregate` to distill the node into a :class:`NodeAggregate`.
     """
 
     def __init__(
@@ -262,43 +248,19 @@ class NodeControlPlane:
         runtime: FleetRuntime,
         controllers: Sequence[Controller] | None = None,
         interval_seconds: float = 0.25,
-        decision_log: list[str] | None = None,
-        decision_records: list[dict] | None = None,
+        journal: ControlJournal | None = None,
     ) -> None:
-        if not interval_seconds > 0:  # written so that a NaN fails it
-            raise ValueError("interval_seconds must be positive")
+        super().__init__(
+            controllers if controllers is not None else default_local_controllers(node_id),
+            interval_seconds,
+        )
         self.node_id = node_id
         self.runtime = runtime
-        self.controllers = unique_controllers(
-            controllers if controllers is not None else default_local_controllers(node_id)
-        )
-        self.interval_seconds = float(interval_seconds)
-        self.actuator = NodeActuator(runtime, node_id)
-        # The log and record lists are shared with the hierarchy when driven
-        # by one (global ordering); standalone planes keep their own.
-        self.journal = ControlJournal(
-            decision_log=decision_log,
-            decision_records=decision_records,
-            level="node",
-            node_id=node_id,
-        )
-        self.counter_value = self.journal.counter_value
+        # The hierarchy passes a journal on its shared log and record lists
+        # (one globally ordered stream); a standalone plane keeps its own.
+        self._bind_journal(journal or ControlJournal(level="node", node_id=node_id))
         self._wait_index = 0
         self._last_generated: dict[str, int] = {}
-
-    # -- the local loop --------------------------------------------------------
-    def tick(self, now: float, horizon: float) -> NodeAggregate:
-        """Run local policies once, then summarize the node for the cluster."""
-        self.journal.open_tick()
-        view = ClusterView(
-            now=now,
-            interval=self.interval_seconds,
-            nodes=(NodeView(self.node_id, self.runtime),),
-            horizon=horizon,
-            uplink_guarantees=self.actuator.uplink_guarantees,
-        )
-        run_controllers(self.controllers, view, self.actuator, self.journal)
-        return self.aggregate(now)
 
     def aggregate(self, now: float) -> NodeAggregate:
         """Distill the node's current state into its fixed-size summary."""
@@ -319,7 +281,7 @@ class NodeControlPlane:
             num_workers=workers,
             frames_dropped=dropped,
             # Measured here so only the scalar — not per-camera counters —
-            # travels to the coordinator's migration gate.
+            # travels to the cluster's migration gate.
             offered_utilization=offered_utilization(
                 self._last_generated, live, workers, self.interval_seconds
             ),
@@ -329,89 +291,42 @@ class NodeControlPlane:
             **fields,
         )
 
-    # -- migration victim selection (coordinator-delegated) --------------------
-    def nominate_victim(
-        self,
-        destination: NodeAggregate,
-        source_utilization: float,
-        remaining_seconds: float,
-        migration: MigrationController,
-    ) -> tuple[MigrateCamera | None, tuple[CandidateScore, ...]]:
-        """Pick this node's best camera to hand to ``destination``.
 
-        The coordinator's ``migration`` gate decided *that* a move should
-        happen (from aggregates); choosing *which* camera needs per-camera
-        stats, so :func:`~repro.control.migration.pick_victim` runs here.
-        """
-        return pick_victim(
-            NodeView(self.node_id, self.runtime),
-            destination.node_id,
-            destination.resolutions,
-            source_utilization,
-            destination.offered_utilization,
-            remaining_seconds,
-            migration.config,
-            migration.camera_cooldowns,
-        )
-
-
-
-class ClusterCoordinator:
-    """Cluster-scope decisions from per-node aggregates — never full registries.
-
-    Owns no policy of its own: it holds the flat plane's two cluster-scope
-    controllers — renamed ``cluster_uplink`` / ``cluster_migration`` so
-    records and log lines say which level decided — and shows them one
-    :class:`NodeAggregate` per node where the flat loop shows full views.
-    Uplink re-weighting reads each aggregate's cumulative ``frames.matched``;
-    the migration gate reads its offered utilization and names a
-    ``(source, destination)`` pair, and the source node picks the camera.
-    """
-
-    def __init__(self, migration_config: MigrationConfig | None = None) -> None:
-        self.uplink = UplinkShareController()
-        self.uplink.name = "cluster_uplink"
-        self.migration = MigrationController(migration_config)
-        self.migration.name = "cluster_migration"
-
-
-class HierarchicalControlPlane:
-    """Two-level control over a sharded cluster: local loops + coordinator.
+class HierarchicalControlPlane(ControlLoop):
+    """Two-level control over a sharded cluster: local loops + cluster controllers.
 
     Fills :class:`repro.fleet.sharding.ShardedFleetRuntime`'s control slot
-    with the same surface as the flat loop (``tick`` / ``scrape`` /
-    ``cluster_telemetry`` / the journal fields).  Each :meth:`tick` runs
-    every node's local loop, ships one :class:`NodeAggregate` per node to
-    the :class:`ClusterCoordinator`, applies the cluster actions, and
-    maintains a fixed-size cluster telemetry rollup (gauges derived from
-    aggregates — never a full registry merge).  :attr:`payload_bytes`
-    records each tick's total coordination payload, the quantity the scale
-    benchmark pins as O(nodes).
+    as a :class:`~repro.control.loop.ControlLoop` whose controllers see one
+    :class:`NodeAggregate` per node where the flat loop's see whole nodes.
+    It holds the flat plane's two cluster-scope controllers, renamed
+    :attr:`uplink` (``cluster_uplink``) and :attr:`migration`
+    (``cluster_migration``) so records and log lines say which level
+    decided.  Each :meth:`tick` runs every node's :class:`NodeControlPlane`,
+    collects its aggregate, runs the uplink re-weighting over the
+    aggregates, and lets the migration gate name a ``(source, destination)``
+    pair whose camera :func:`~repro.control.migration.pick_victim` chooses
+    on the source node, so per-camera detail never crosses the node
+    boundary.  It then maintains a fixed-size cluster telemetry rollup
+    (gauges derived from aggregates — never a full registry merge);
+    :attr:`payload_bytes` records each tick's total coordination payload,
+    the quantity the scale benchmark pins as O(nodes).
     """
 
     def __init__(
         self,
         controllers_factory: Callable[[str], Sequence[Controller]] | None = None,
         interval_seconds: float = 0.25,
-        coordinator: ClusterCoordinator | None = None,
+        migration_config: MigrationConfig | None = None,
     ) -> None:
-        if not interval_seconds > 0:  # written so that a NaN fails it
-            raise ValueError("interval_seconds must be positive")
+        self.uplink = UplinkShareController()
+        self.uplink.name = "cluster_uplink"
+        self.migration = MigrationController(migration_config)
+        self.migration.name = "cluster_migration"
+        super().__init__([self.uplink], interval_seconds)
+        self._bind_journal(ControlJournal(level="cluster"))
         self.controllers_factory = controllers_factory or default_local_controllers
-        self.interval_seconds = float(interval_seconds)
-        self.coordinator = coordinator or ClusterCoordinator()
-        self.timeline: MetricsTimeline | None = None
         self.planes: dict[str, NodeControlPlane] = {}
-        self.journal = ControlJournal(level="cluster")
-        self.telemetry = self.journal.telemetry
-        self.decision_log = self.journal.decision_log
-        self.decision_records = self.journal.decision_records
         self.payload_bytes: list[int] = []
-
-    @property
-    def ticks(self) -> int:
-        """Control intervals ticked so far."""
-        return self.journal.ticks
 
     # -- wiring ----------------------------------------------------------------
     def bind(self, nodes: Mapping[str, FleetRuntime]) -> None:
@@ -422,8 +337,9 @@ class HierarchicalControlPlane:
                 runtime,
                 controllers=self.controllers_factory(node_id),
                 interval_seconds=self.interval_seconds,
-                decision_log=self.decision_log,
-                decision_records=self.decision_records,
+                journal=ControlJournal(
+                    self.decision_log, self.decision_records, level="node", node_id=node_id
+                ),
             )
             for node_id, runtime in sorted(nodes.items())
         }
@@ -436,36 +352,39 @@ class HierarchicalControlPlane:
         if not self.planes:
             self.bind(nodes)
         self.journal.open_tick()
-        horizon = max((runtime.horizon for runtime in nodes.values()), default=0.0)
         # Level 1: every node runs its local loop, then sends one aggregate up.
-        aggregates = {
-            node_id: plane.tick(now, horizon) for node_id, plane in self.planes.items()
-        }
+        aggregates: dict[str, NodeAggregate] = {}
+        for node_id, plane in self.planes.items():
+            plane.tick(now, {node_id: plane.runtime}, NodeActuator(plane.runtime, node_id))
+            aggregates[node_id] = plane.aggregate(now)
         payload = sum(agg.payload_bytes() for agg in aggregates.values())
         self.payload_bytes.append(payload)
-        # Level 2: the coordinator's controllers see aggregates where the
-        # flat loop's see whole nodes.
+        # Level 2: the cluster controllers see aggregates where the flat
+        # loop's see whole nodes.
         view = ClusterView(
             now=now,
             interval=self.interval_seconds,
             nodes=tuple(aggregates.values()),
-            horizon=horizon,
+            horizon=max((runtime.horizon for runtime in nodes.values()), default=0.0),
             uplink_weights=actuator.uplink_weights,
         )
-        applied = run_controllers([self.coordinator.uplink], view, actuator, self.journal)
-        migration = self.coordinator.migration
-        record = migration.gate(
+        applied = run_controllers(self.controllers, view, actuator, self.journal)
+        record = self.migration.gate(
             {node_id: agg.offered_utilization for node_id, agg in aggregates.items()}
         )
         if not isinstance(record, DecisionRecord):
             source, destination = record
-            action, candidates = self.planes[source].nominate_victim(
-                aggregates[destination],
+            action, candidates = pick_victim(
+                NodeView(source, nodes[source]),
+                destination,
+                aggregates[destination].resolutions,
                 aggregates[source].offered_utilization,
+                aggregates[destination].offered_utilization,
                 view.remaining_seconds,
-                migration,
+                self.migration.config,
+                self.migration.camera_cooldowns,
             )
-            record = migration.resolve(now, action, candidates)
+            record = self.migration.resolve(now, action, candidates)
         for move in record.actions:
             actuator.apply(move, now)
         self.journal.commit([record], now)
@@ -512,10 +431,10 @@ class HierarchicalControlPlane:
             sum(utilizations) / len(utilizations) if utilizations else 0.0
         )
         gauges("cluster.coordination.payload_bytes").set(payload)
-        gauges("cluster.migrations.performed").set(len(self.coordinator.migration.migrations))
+        gauges("cluster.migrations.performed").set(len(self.migration.migrations))
 
     def counter_value(self, name: str) -> float:
-        """One control counter summed across the coordinator and all planes."""
+        """One control counter summed across the cluster level and all planes."""
         return self.journal.counter_value(name) + sum(
             plane.counter_value(name) for plane in self.planes.values()
         )

@@ -12,8 +12,8 @@ registry, so two runs can be compared decision-for-decision.
 
 The pieces every control plane shares live here, once: :func:`drive` (the
 lockstep driver), :func:`run_controllers` (the decide → apply → journal
-pass — the flat loop runs it over the whole cluster, a hierarchical node
-over itself, the hierarchy's coordinator over per-node aggregates),
+pass — the loop runs it over every node it ticks, the hierarchy over
+per-node aggregates),
 :class:`ControlJournal` (decision log, stamped decision records,
 ``control.*`` counters) and the actuators: :class:`NodeActuator` applies
 node-scope actions (shedding, thresholds) to one ``FleetRuntime``;
@@ -232,17 +232,12 @@ def drive(control, nodes: Mapping[str, FleetRuntime], actuator) -> None:
         tick_time += control.interval_seconds
 
 
-def unique_controllers(controllers: Sequence[Controller]) -> list[Controller]:
-    """``controllers`` as a list, rejecting duplicate names (they key counters)."""
-    names = [c.name for c in controllers]
-    duplicates = {n for n in names if names.count(n) > 1}
-    if duplicates:
-        raise ValueError(f"Duplicate controller names: {sorted(duplicates)}")
-    return list(controllers)
-
-
 class ControlLoop:
-    """Ticks controllers at a fixed simulated interval and applies actions."""
+    """Ticks controllers at a fixed simulated interval and applies actions.
+
+    The one tick implementation: a standalone node, a cluster, and each node
+    of a :class:`~repro.control.hierarchy.HierarchicalControlPlane` run it.
+    """
 
     # A flat loop sees whole nodes; no per-node aggregates cross any boundary.
     payload_bytes: Sequence[int] = ()
@@ -254,22 +249,33 @@ class ControlLoop:
     ) -> None:
         if not interval_seconds > 0:  # written so that a NaN fails it
             raise ValueError("interval_seconds must be positive")
-        self.controllers = unique_controllers(controllers)
+        names = [c.name for c in controllers]
+        duplicates = {n for n in names if names.count(n) > 1}
+        if duplicates:  # names key the control counters
+            raise ValueError(f"Duplicate controller names: {sorted(duplicates)}")
+        self.controllers = list(controllers)
         self.interval_seconds = float(interval_seconds)
         # Optional metrics timeline: when set, every tick scrapes each node's
         # registry (plus the loop's own control counters under "control"), so
         # the time-series exporters see exactly the control-interval cadence.
         self.timeline: MetricsTimeline | None = None
-        self.journal = ControlJournal()
-        self.telemetry = self.journal.telemetry
-        self.decision_log = self.journal.decision_log
-        self.decision_records = self.journal.decision_records
-        self.counter_value = self.journal.counter_value
+        self._bind_journal(ControlJournal())
+
+    def _bind_journal(self, journal: ControlJournal) -> None:
+        """Account into ``journal``: its telemetry, log and records become this loop's."""
+        self.journal = journal
+        self.telemetry = journal.telemetry
+        self.decision_log = journal.decision_log
+        self.decision_records = journal.decision_records
 
     @property
     def ticks(self) -> int:
         """Control intervals ticked so far."""
         return self.journal.ticks
+
+    def counter_value(self, name: str) -> float:
+        """Current value of one of this loop's control counters (0.0 when absent)."""
+        return self.journal.counter_value(name)
 
     def run_node(self, runtime: FleetRuntime, node_id: str = "node0") -> None:
         """Drive one standalone node under this loop (shedding policies)."""

@@ -44,7 +44,7 @@ from repro.core.pipeline import MicroClassifierResult, PipelineConfig, PipelineR
 from repro.features.extractor import FeatureExtractor
 from repro.video.codec import H264Simulator
 from repro.video.frame import Frame
-from repro.video.stream import VideoStream
+from repro.video.stream import InMemoryVideoStream
 
 __all__ = ["StreamUpdate", "StreamingPipeline"]
 
@@ -331,7 +331,7 @@ class StreamingPipeline:
         )
         return self._result
 
-    def process_stream(self, stream: VideoStream) -> PipelineResult:
+    def process_stream(self, stream: InMemoryVideoStream) -> PipelineResult:
         """Filter one whole stream: push every frame of ``stream`` and finish.
 
         Uploads are accounted at the session's ``frame_rate``, so a stream at

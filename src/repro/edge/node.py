@@ -15,7 +15,7 @@ from repro.core.pipeline import PipelineResult
 from repro.core.streaming import StreamingPipeline
 from repro.edge.archive import ArchivedSegment, FrameArchive
 from repro.edge.uplink import ConstrainedUplink
-from repro.video.stream import VideoStream
+from repro.video.stream import InMemoryVideoStream
 
 __all__ = ["EdgeNodeReport", "EdgeNode"]
 
@@ -60,7 +60,7 @@ class EdgeNode:
         self.uplink = uplink
         self.archive = archive or FrameArchive()
 
-    def process_stream(self, stream: VideoStream) -> EdgeNodeReport:
+    def process_stream(self, stream: InMemoryVideoStream) -> EdgeNodeReport:
         """Archive, filter, and upload one camera stream.
 
         The session filters the stream, then every frame is archived.  The

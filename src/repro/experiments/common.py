@@ -29,7 +29,7 @@ from repro.features.base_dnn import build_mobilenet_like
 from repro.features.extractor import FeatureExtractor, FeatureMapCrop
 from repro.metrics.event_metrics import EventF1Breakdown, event_f1_score
 from repro.video.datasets import SyntheticDataset
-from repro.video.stream import VideoStream
+from repro.video.stream import InMemoryVideoStream
 
 __all__ = ["TrainedClassifier", "ExperimentContext"]
 
@@ -94,7 +94,7 @@ class ExperimentContext:
         x0, y0, x1, y1 = self.dataset.spec.crop
         return FeatureMapCrop(x0, y0, x1, y1)
 
-    def feature_maps(self, stream: VideoStream) -> np.ndarray:
+    def feature_maps(self, stream: InMemoryVideoStream) -> np.ndarray:
         """All frames' feature maps at the tap (cached per stream).
 
         The base DNN runs once per frame and the maps are cached as float32,
@@ -112,7 +112,9 @@ class ExperimentContext:
             )
         return cached
 
-    def cropped_feature_maps(self, stream: VideoStream, crop: FeatureMapCrop | None) -> np.ndarray:
+    def cropped_feature_maps(
+        self, stream: InMemoryVideoStream, crop: FeatureMapCrop | None
+    ) -> np.ndarray:
         """Feature maps at the tap, cropped to the task region if requested."""
         maps = self.feature_maps(stream)
         if crop is None:
@@ -121,7 +123,7 @@ class ExperimentContext:
         y0, y1, x0, x1 = crop.to_feature_coords((height, width), maps.shape[1:3])
         return maps[:, y0:y1, x0:x1, :]
 
-    def pixels(self, stream: VideoStream) -> np.ndarray:
+    def pixels(self, stream: InMemoryVideoStream) -> np.ndarray:
         """Raw pixels of every frame as one ``(N, H, W, 3)`` batch."""
         return np.stack([frame.pixels for frame in stream], axis=0).astype(np.float64)
 

@@ -530,18 +530,15 @@ class _CameraState:
 
     def event_uploads(self, result) -> Iterator[tuple[float, str, float, Sequence[int]]]:
         """``(available_at, description, bits, source frame indices)`` per detected event."""
-        spec = self.spec
         for mc_result in result.per_mc.values():
             for event in mc_result.events:
-                # An event cannot be uploaded before its last frame was
-                # both captured and actually scored on the node (under
-                # overload, scoring lags capture by the queue wait).
-                last_timestamp = self.session.source_indices[event.end - 1] / spec.frame_rate
-                captured_at = spec.start_time + last_timestamp + 1.0 / spec.frame_rate
-                scored_at = self.completion_times[event.end - 1]
+                # An event is available once its last frame is scored.  That
+                # frame was dispatched no earlier than it arrived (captured)
+                # and then served for a positive time, so scoring always
+                # comes after capture; under overload it lags by the queue wait.
                 description = f"{self.key}/{mc_result.mc_name}/event{event.event_id}"
                 yield (
-                    max(captured_at, scored_at),
+                    self.completion_times[event.end - 1],
                     description,
                     mc_result.event_bits(event),
                     self.session.source_indices[event.start : event.end],

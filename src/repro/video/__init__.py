@@ -29,7 +29,7 @@ from repro.video.scenes import (
     ObjectKind,
     render_scene,
 )
-from repro.video.stream import InMemoryVideoStream, VideoStream
+from repro.video.stream import InMemoryVideoStream
 from repro.video.synthetic import SceneConfig, SurveillanceSceneGenerator
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "SceneConfig",
     "SurveillanceSceneGenerator",
     "SyntheticDataset",
-    "VideoStream",
     "events_to_frame_labels",
     "frame_labels_to_events",
     "make_jackson_like",

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.video.frame import Frame
-from repro.video.stream import VideoStream
+from repro.video.stream import InMemoryVideoStream
 
 __all__ = ["CompressedFrame", "EncodedSegment", "H264Simulator"]
 
@@ -214,7 +214,7 @@ class H264Simulator:
             stream_duration=duration,
         )
 
-    def encode_stream(self, stream: VideoStream, target_bitrate: float) -> EncodedSegment:
+    def encode_stream(self, stream: InMemoryVideoStream, target_bitrate: float) -> EncodedSegment:
         """Encode an entire stream at ``target_bitrate``."""
         frames = list(stream)
         return self.encode(
@@ -256,7 +256,7 @@ class H264Simulator:
         )
 
     def transcode_stream(
-        self, stream: VideoStream, target_bitrate: float
+        self, stream: InMemoryVideoStream, target_bitrate: float
     ) -> tuple[list[Frame], EncodedSegment]:
         """Encode the whole stream and return the decoded (degraded) frames.
 

@@ -1,8 +1,8 @@
 """The :class:`Frame` container.
 
 A frame carries decoded pixels (float32 RGB in ``[0, 1]``, HWC layout), its
-position in the stream, a wall-clock timestamp derived from the stream frame
-rate, and a metadata dictionary.  FilterForward stores per-frame event
+position in the stream (its time is ``index / frame_rate``), and a metadata
+dictionary.  FilterForward stores per-frame event
 membership in the metadata (paper Section 3.5): a mapping from
 microclassifier name to event ID.
 """
@@ -25,8 +25,6 @@ class Frame:
     ----------
     index:
         Zero-based frame index within its stream.
-    timestamp:
-        Seconds since the start of the stream.
     pixels:
         ``(height, width, 3)`` float32 RGB array with values in ``[0, 1]``.
     metadata:
@@ -35,7 +33,6 @@ class Frame:
     """
 
     index: int
-    timestamp: float
     pixels: np.ndarray
     metadata: dict[str, Any] = field(default_factory=dict)
 
@@ -63,13 +60,8 @@ class Frame:
         return (self.width, self.height)
 
     def with_pixels(self, pixels: np.ndarray) -> "Frame":
-        """Return a new frame sharing index/timestamp/metadata but new pixels."""
-        return Frame(
-            index=self.index,
-            timestamp=self.timestamp,
-            pixels=pixels,
-            metadata=dict(self.metadata),
-        )
+        """Return a new frame sharing index/metadata but new pixels."""
+        return Frame(index=self.index, pixels=pixels, metadata=dict(self.metadata))
 
     def record_event(self, mc_name: str, event_id: int) -> None:
         """Record that this frame belongs to ``event_id`` for microclassifier ``mc_name``."""

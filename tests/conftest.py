@@ -32,7 +32,7 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def tiny_frame(rng: np.random.Generator) -> Frame:
     """A single small random frame (24x32 RGB)."""
-    return Frame(index=0, timestamp=0.0, pixels=rng.random((24, 32, 3)).astype(np.float32))
+    return Frame(index=0, pixels=rng.random((24, 32, 3)).astype(np.float32))
 
 
 @pytest.fixture

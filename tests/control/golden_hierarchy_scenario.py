@@ -6,7 +6,7 @@ work-conserving uplink, dealt round-robin so every 24 fps camera starts on
 node0, plus one 24 fps camera that only comes online at t=2.0 — late enough
 that moving anything no longer pays back its blackout.  The run exercises
 both levels: node-local shedding tightens and relaxes quotas, the
-coordinator migrates twice (once warm, once after a cold-start blackout),
+cluster level migrates twice (once warm, once after a cold-start blackout),
 holds on "not yet sustained", on both cooldowns and on "no candidate pays
 back", and re-weights the uplink once.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.control import (
     AdaptiveSheddingController,
-    ClusterCoordinator,
     HierarchicalControlPlane,
     MigrationConfig,
     MigrationCostModel,
@@ -84,15 +83,11 @@ def build_hierarchy() -> HierarchicalControlPlane:
     return HierarchicalControlPlane(
         controllers_factory=local_controllers,
         interval_seconds=0.25,
-        coordinator=ClusterCoordinator(
-            migration_config=MigrationConfig(
-                imbalance_threshold=1.1,
-                sustain_ticks=2,
-                cooldown_ticks=2,
-                cost_model=MigrationCostModel(
-                    blackout_seconds=0.2, cold_start_seconds=0.2
-                ),
-            )
+        migration_config=MigrationConfig(
+            imbalance_threshold=1.1,
+            sustain_ticks=2,
+            cooldown_ticks=2,
+            cost_model=MigrationCostModel(blackout_seconds=0.2, cold_start_seconds=0.2),
         ),
     )
 

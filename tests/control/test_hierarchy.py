@@ -1,4 +1,4 @@
-"""Hierarchical control plane: sketches, aggregates, coordinator, two levels."""
+"""Hierarchical control plane: sketches, aggregates, cluster controllers, two levels."""
 
 import json
 from dataclasses import replace
@@ -12,14 +12,14 @@ from repro.control import (
     ThresholdDriftController,
 )
 from repro.control.hierarchy import (
-    ClusterCoordinator,
     HierarchicalControlPlane,
     NodeAggregate,
     NodeControlPlane,
     QuantileSketch,
     default_local_controllers,
 )
-from repro.control.migration import MigrationConfig, MigrationController
+from repro.control.loop import NodeActuator
+from repro.control.migration import MigrationConfig, MigrationController, pick_victim
 from repro.control.policies import ClusterView, NodeView
 from repro.control.provenance import DecisionRecord
 from repro.control.uplink import UplinkShareController
@@ -140,7 +140,8 @@ class TestNodeControlPlane:
         plane = NodeControlPlane("node0", runtime)
         runtime.start()
         runtime.advance_until(0.25)
-        aggregate = plane.tick(0.25, horizon=2.0)
+        plane.tick(0.25, {"node0": runtime}, NodeActuator(runtime))
+        aggregate = plane.aggregate(0.25)
         assert aggregate.node_id == "node0"
         assert aggregate.num_cameras == 4
         assert aggregate.frames_generated > 0
@@ -158,6 +159,40 @@ class TestNodeControlPlane:
                 runtime,
                 controllers=[AdaptiveSheddingController(), AdaptiveSheddingController()],
             )
+
+    def test_is_the_loop_a_standalone_node_runs(self):
+        """A node plane's tick is ``ControlLoop.tick`` over that node alone.
+
+        Run to completion beside a flat loop with the same controllers on an
+        identical node, it applies the same actions and journals the same
+        records; only the plane's ``level`` / ``node_id`` stamps and its
+        ``node0/`` log scope differ.
+        """
+        from repro.fleet.runtime import FleetRuntime
+
+        assert issubclass(NodeControlPlane, ControlLoop)
+        assert "tick" not in vars(NodeControlPlane)
+        overloaded = FleetConfig(num_workers=1, queue_capacity=4, service_time_scale=0.5)
+        fleet = small_fleet(4)
+        plane_node = FleetRuntime(fleet, config=overloaded)
+        flat_node = FleetRuntime(fleet, config=overloaded)
+        plane = NodeControlPlane("node0", plane_node)
+        flat = ControlLoop(default_local_controllers("node0"))
+        plane.run_node(plane_node)
+        flat.run_node(flat_node)
+        assert plane.ticks == flat.ticks > 0
+        assert flat.decision_log, "the overloaded node must be acted on"
+        assert [line.replace(" node0/", " ", 1) for line in plane.decision_log] == (
+            flat.decision_log
+        )
+        stamps = {"level": "node", "node_id": "node0"}
+        unstamped = []
+        for record in plane.decision_records:
+            assert {key: record.pop(key) for key in stamps} == stamps
+            unstamped.append(record)
+        assert unstamped == flat.decision_records
+        assert plane.telemetry.counters() == flat.telemetry.counters()
+        assert plane_node.finalize() == flat_node.finalize()
 
     def test_default_controllers_are_node_scope(self):
         controllers = default_local_controllers("node0")
@@ -185,7 +220,7 @@ def make_aggregate(node_id, matched=0.0, utilization=0.5):
 
 
 def aggregate_view(aggregates, uplink_weights, tick=0):
-    """What the hierarchy shows the coordinator's controllers at one tick."""
+    """What the hierarchy shows its cluster controllers at one tick."""
     return ClusterView(
         now=0.25 * (tick + 1),
         interval=0.25,
@@ -195,22 +230,23 @@ def aggregate_view(aggregates, uplink_weights, tick=0):
     )
 
 
-def migration_intent(coordinator, aggregates):
-    """The coordinator's migration gate, fed as the hierarchy feeds it."""
-    return coordinator.migration.gate(
+def migration_intent(hierarchy, aggregates):
+    """The hierarchy's migration gate, fed as the hierarchy feeds it."""
+    return hierarchy.migration.gate(
         {node_id: agg.offered_utilization for node_id, agg in sorted(aggregates.items())}
     )
 
 
-class TestClusterCoordinator:
-    """The coordinator is the flat plane's two cluster policies over aggregates."""
+class TestClusterControllers:
+    """The hierarchy's controllers are the flat plane's two cluster policies over aggregates."""
 
     def test_owns_renamed_flat_controllers(self):
-        coordinator = ClusterCoordinator()
-        assert isinstance(coordinator.uplink, UplinkShareController)
-        assert isinstance(coordinator.migration, MigrationController)
-        assert coordinator.uplink.name == "cluster_uplink"
-        assert coordinator.migration.name == "cluster_migration"
+        hierarchy = HierarchicalControlPlane()
+        assert isinstance(hierarchy.uplink, UplinkShareController)
+        assert isinstance(hierarchy.migration, MigrationController)
+        assert hierarchy.uplink.name == "cluster_uplink"
+        assert hierarchy.migration.name == "cluster_migration"
+        assert hierarchy.controllers == [hierarchy.uplink]
         # Renaming the instances must not leak into the flat plane's classes.
         assert UplinkShareController.name == "uplink_share"
         assert MigrationController.name == "camera_migration"
@@ -223,12 +259,12 @@ class TestClusterCoordinator:
             aggregate.counter_value("frames.never_carried")
 
     def test_uplink_skews_toward_demand(self):
-        coordinator = ClusterCoordinator()
+        hierarchy = HierarchicalControlPlane()
         aggregates = {
             "node0": make_aggregate("node0", matched=90.0),
             "node1": make_aggregate("node1", matched=10.0),
         }
-        (record,) = coordinator.uplink.decide(
+        (record,) = hierarchy.uplink.decide(
             aggregate_view(aggregates, {"node0": 1.0, "node1": 1.0})
         )
         (action,) = record.actions
@@ -238,68 +274,68 @@ class TestClusterCoordinator:
         assert (record.controller, record.kind) == ("cluster_uplink", "rebalance")
 
     def test_uplink_holds_inside_threshold(self):
-        coordinator = ClusterCoordinator()
+        hierarchy = HierarchicalControlPlane()
         # Targets 0.54 / 0.46: inside the 0.10 rebalance threshold.
         aggregates = {
             "node0": make_aggregate("node0", matched=55.0),
             "node1": make_aggregate("node1", matched=45.0),
         }
-        records = coordinator.uplink.decide(
+        records = hierarchy.uplink.decide(
             aggregate_view(aggregates, {"node0": 1.0, "node1": 1.0})
         )
         assert actions_of(records) == []
         assert any(r.kind == "hold" for r in records)
 
     def test_uplink_none_when_statically_sliced(self):
-        coordinator = ClusterCoordinator()
+        hierarchy = HierarchicalControlPlane()
         aggregates = {"node0": make_aggregate("node0", matched=10.0)}
-        (record,) = coordinator.uplink.decide(aggregate_view(aggregates, None))
+        (record,) = hierarchy.uplink.decide(aggregate_view(aggregates, None))
         assert record.actions == ()
         assert record.kind == "idle"
 
     def test_migration_gates_on_sustained_imbalance(self):
-        coordinator = ClusterCoordinator(
+        hierarchy = HierarchicalControlPlane(
             migration_config=MigrationConfig(sustain_ticks=2)
         )
         hot = {
             "node0": make_aggregate("node0", utilization=2.0),
             "node1": make_aggregate("node1", utilization=0.1),
         }
-        record = migration_intent(coordinator, hot)  # not yet sustained
+        record = migration_intent(hierarchy, hot)  # not yet sustained
         assert record.controller == "cluster_migration"
         assert record.reason == "imbalance observed but not yet sustained"
-        assert migration_intent(coordinator, hot) == ("node0", "node1")
+        assert migration_intent(hierarchy, hot) == ("node0", "node1")
 
     def test_migration_holds_when_balanced(self):
-        coordinator = ClusterCoordinator()
+        hierarchy = HierarchicalControlPlane()
         balanced = {
             "node0": make_aggregate("node0", utilization=0.5),
             "node1": make_aggregate("node1", utilization=0.5),
         }
-        records = [migration_intent(coordinator, balanced) for _ in range(4)]
+        records = [migration_intent(hierarchy, balanced) for _ in range(4)]
         assert all(isinstance(r, DecisionRecord) and r.is_noop for r in records)
 
     def test_resolved_intent_starts_cooldowns_or_holds(self):
         from repro.control.policies import MigrateCamera
 
-        coordinator = ClusterCoordinator(
+        hierarchy = HierarchicalControlPlane(
             migration_config=MigrationConfig(sustain_ticks=1, cooldown_ticks=3)
         )
         hot = {
             "node0": make_aggregate("node0", utilization=2.0),
             "node1": make_aggregate("node1", utilization=0.1),
         }
-        assert migration_intent(coordinator, hot) == ("node0", "node1")
-        hold = coordinator.migration.resolve(1.0, None, ())
+        assert migration_intent(hierarchy, hot) == ("node0", "node1")
+        hold = hierarchy.migration.resolve(1.0, None, ())
         assert hold.actions == ()
         assert hold.reason == "no candidate camera pays back its blackout"
-        assert migration_intent(coordinator, hot) == ("node0", "node1")  # no cooldown
+        assert migration_intent(hierarchy, hot) == ("node0", "node1")  # no cooldown
         move = MigrateCamera("cam0", "node0", "node1", blackout_seconds=0.25)
-        migrate = coordinator.migration.resolve(1.25, move, ())
+        migrate = hierarchy.migration.resolve(1.25, move, ())
         assert (migrate.kind, migrate.actions, migrate.reason) == ("migrate", (move,), None)
-        assert coordinator.migration.migrations == [(1.25, "cam0", "node0", "node1")]
-        assert "cam0" in coordinator.migration.camera_cooldowns
-        cooldown = migration_intent(coordinator, hot)  # cluster cooldown
+        assert hierarchy.migration.migrations == [(1.25, "cam0", "node0", "node1")]
+        assert "cam0" in hierarchy.migration.camera_cooldowns
+        cooldown = migration_intent(hierarchy, hot)  # cluster cooldown
         assert cooldown.reason == "migration cooldown active"
 
 
@@ -331,7 +367,7 @@ class TestOnePolicyTwoViews:
     def test_uplink_policy(self, series, weighted):
         weights = {"node0": 1.0, "node1": 1.0} if weighted else None
         flat = UplinkShareController()
-        coordinator = ClusterCoordinator()
+        hierarchy = HierarchicalControlPlane()
         runtimes = {"node0": FakeRuntime(), "node1": FakeRuntime()}
         rebalances = 0
         for tick, matched in enumerate(self.MATCHED_SERIES[series]):
@@ -348,7 +384,7 @@ class TestOnePolicyTwoViews:
                 uplink_weights=weights,
             )
             flat_records = flat.decide(flat_view)
-            cluster_records = coordinator.uplink.decide(
+            cluster_records = hierarchy.uplink.decide(
                 aggregate_view(aggregates, weights, tick)
             )
             flat_actions = actions_of(flat_records)
@@ -375,7 +411,7 @@ class TestOnePolicyTwoViews:
     def test_migration_policy(self, series):
         config = MigrationConfig(sustain_ticks=2, cooldown_ticks=2)
         flat = MigrationController(config)
-        coordinator = ClusterCoordinator(migration_config=config)
+        hierarchy = HierarchicalControlPlane(migration_config=config)
         service = 0.1
         runtimes = {
             "node0": FakeRuntime(
@@ -408,16 +444,20 @@ class TestOnePolicyTwoViews:
             # The hierarchical path: aggregates up, gate, victim picked on
             # the source node, outcome resolved by the same controller.
             aggregates = {n: planes[n].aggregate(now) for n in sorted(planes)}
-            record = migration_intent(coordinator, aggregates)
+            record = migration_intent(hierarchy, aggregates)
             if not isinstance(record, DecisionRecord):
                 source, destination = record
-                action, candidates = planes[source].nominate_victim(
-                    aggregates[destination],
+                action, candidates = pick_victim(
+                    NodeView(source, runtimes[source]),
+                    destination,
+                    aggregates[destination].resolutions,
                     aggregates[source].offered_utilization,
+                    aggregates[destination].offered_utilization,
                     flat_view.remaining_seconds,
-                    coordinator.migration,
+                    config,
+                    hierarchy.migration.camera_cooldowns,
                 )
-                record = coordinator.migration.resolve(now, action, candidates)
+                record = hierarchy.migration.resolve(now, action, candidates)
             flat_actions = actions_of(flat_records)
             assert list(record.actions) == flat_actions
             assert [_without_controller(record)] == [

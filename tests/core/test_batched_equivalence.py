@@ -57,7 +57,7 @@ def make_session(base_dnn, camera, seed, architecture="localized", threshold=0.6
 
 def make_frames(shape, camera, seed, count):
     rng = np.random.default_rng(seed * 7919 + zlib.crc32(camera.encode()) % 4099)
-    return [Frame(i, i / 10.0, rng.random(shape)) for i in range(count)]
+    return [Frame(i, rng.random(shape)) for i in range(count)]
 
 
 def assert_results_identical(a, b):
@@ -327,7 +327,7 @@ class TestScorerSemantics:
     def test_resolution_mismatch_raises(self):
         dnn = make_base_dnn((24, 32, 3))
         session = make_session(dnn, "cam", seed=6)
-        wrong = Frame(0, 0.0, np.zeros((32, 48, 3)))
+        wrong = Frame(0, np.zeros((32, 48, 3)))
         with pytest.raises(ValueError, match="resident base DNN"):
             BatchedScorer().prefetch([(session, wrong)])
 

@@ -60,7 +60,7 @@ CROP = FeatureMapCrop(0, 16, 48, 32)
 
 
 def random_frame(rng, index=0):
-    return Frame(index, index / 15, rng.random((32, 48, 3)).astype(np.float32))
+    return Frame(index, rng.random((32, 48, 3)).astype(np.float32))
 
 
 def localized_mc(extractor, crop=None):

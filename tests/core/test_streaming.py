@@ -269,7 +269,7 @@ class TestStreamingPipelineBehavior:
         )
         for i in range(60):
             pixels = rng.random((32, 48, 3)).astype(np.float32)
-            session.push(Frame(index=i, timestamp=i / 15.0, pixels=pixels))
+            session.push(Frame(index=i, pixels=pixels))
             # Pending frames: at most one chunk plus the smoothing lookahead
             # plus the windowed MC's temporal context.
             assert len(session._pending) <= config.batch_size + 5 + 5
@@ -615,7 +615,7 @@ def mixed_microclassifiers(extractor):
 def bank_frames(count, seed=0):
     rng = np.random.default_rng(seed)
     return [
-        Frame(index=i, timestamp=i / 15.0, pixels=rng.random((32, 48, 3)).astype(np.float32))
+        Frame(index=i, pixels=rng.random((32, 48, 3)).astype(np.float32))
         for i in range(count)
     ]
 

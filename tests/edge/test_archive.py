@@ -9,7 +9,7 @@ from repro.video.frame import Frame
 
 def make_frame(index: int, size: int = 8) -> Frame:
     rng = np.random.default_rng(index)
-    return Frame(index, index / 15.0, rng.random((size, size, 3)).astype(np.float32))
+    return Frame(index, rng.random((size, size, 3)).astype(np.float32))
 
 
 class TestFrameArchive:

@@ -53,13 +53,13 @@ class TestFeatureExtractor:
             FeatureExtractor(tiny_base_dnn, [])
 
     def test_extract_returns_requested_layers(self, tiny_extractor, rng):
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
+        frame = Frame(0, rng.random((32, 48, 3)).astype(np.float32))
         activations = tiny_extractor.extract(frame)
         assert set(activations) == {"conv4_2/sep", "conv5_6/sep"}
         assert activations["conv4_2/sep"].shape == tiny_extractor.layer_shape("conv4_2/sep")
 
     def test_extraction_is_cached_per_frame(self, tiny_extractor, rng, base_dnn_passes):
-        frame = Frame(3, 0.2, rng.random((32, 48, 3)).astype(np.float32))
+        frame = Frame(3, rng.random((32, 48, 3)).astype(np.float32))
         passes = base_dnn_passes(tiny_extractor.base_dnn)
         tiny_extractor.extract(frame)
         tiny_extractor.extract(frame)
@@ -68,7 +68,7 @@ class TestFeatureExtractor:
     def test_cache_eviction(self, tiny_base_dnn, rng, base_dnn_passes):
         extractor = FeatureExtractor(tiny_base_dnn, ["conv4_2/sep"], cache_size=2)
         passes = base_dnn_passes(tiny_base_dnn)
-        frames = [Frame(i, i / 15, rng.random((32, 48, 3)).astype(np.float32)) for i in range(3)]
+        frames = [Frame(i, rng.random((32, 48, 3)).astype(np.float32)) for i in range(3)]
         for frame in frames:
             extractor.extract(frame)
         assert len(passes) == 3
@@ -76,7 +76,7 @@ class TestFeatureExtractor:
         assert len(passes) == 4
 
     def test_reset_cache(self, tiny_extractor, rng, base_dnn_passes):
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
+        frame = Frame(0, rng.random((32, 48, 3)).astype(np.float32))
         passes = base_dnn_passes(tiny_extractor.base_dnn)
         tiny_extractor.extract(frame)
         tiny_extractor.reset_cache()
@@ -85,7 +85,7 @@ class TestFeatureExtractor:
 
     def test_extract_pixels_bypasses_cache(self, tiny_extractor, rng, base_dnn_passes):
         """Figure 4 scores degraded frames this way, so they never shadow the originals."""
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
+        frame = Frame(0, rng.random((32, 48, 3)).astype(np.float32))
         passes = base_dnn_passes(tiny_extractor.base_dnn)
         original = tiny_extractor.extract(frame)["conv4_2/sep"].copy()
         tiny_extractor.extract_pixels(np.zeros((32, 48, 3), dtype=np.float32))
@@ -94,7 +94,7 @@ class TestFeatureExtractor:
         assert passes == [1, 1]
 
     def test_feature_map_with_crop_reduces_spatial_extent(self, tiny_extractor, rng):
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
+        frame = Frame(0, rng.random((32, 48, 3)).astype(np.float32))
         full = tiny_extractor.feature_map(frame, "conv4_2/sep")
         cropped = tiny_extractor.feature_map(
             frame, "conv4_2/sep", FeatureMapCrop(0, 16, 48, 32)
@@ -104,13 +104,13 @@ class TestFeatureExtractor:
         assert cropped.shape[2] == full.shape[2]
 
     def test_feature_map_requires_tapped_layer(self, tiny_extractor, rng):
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
+        frame = Frame(0, rng.random((32, 48, 3)).astype(np.float32))
         with pytest.raises(KeyError):
             tiny_extractor.feature_map(frame, "conv2_1/sep")
 
     def test_cropped_layer_shape_matches_actual_crop(self, tiny_extractor, rng):
         crop = FeatureMapCrop(0, 16, 48, 32)
-        frame = Frame(0, 0.0, rng.random((32, 48, 3)).astype(np.float32))
+        frame = Frame(0, rng.random((32, 48, 3)).astype(np.float32))
         expected = tiny_extractor.cropped_layer_shape("conv4_2/sep", crop, (32, 48))
         actual = tiny_extractor.feature_map(frame, "conv4_2/sep", crop).shape
         assert tuple(actual) == expected

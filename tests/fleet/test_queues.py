@@ -10,7 +10,7 @@ from repro.video.frame import Frame
 
 
 def make_frame(index: int) -> Frame:
-    return Frame(index=index, timestamp=index / 10.0, pixels=np.zeros((4, 4, 3), dtype=np.float32))
+    return Frame(index=index, pixels=np.zeros((4, 4, 3), dtype=np.float32))
 
 
 class TestFrameQueueBasics:

@@ -63,7 +63,7 @@ class TestInferenceMemory:
         """
         spec = CameraSpec(camera_id="cam00", width=96, height=64, frame_rate=10.0, num_frames=3)
         rng = np.random.default_rng(0)
-        frames = [Frame(i, i / 10.0, rng.random((64, 96, 3))) for i in range(3)]
+        frames = [Frame(i, rng.random((64, 96, 3))) for i in range(3)]
         gc.collect()
         tracemalloc.start()
         try:
@@ -206,23 +206,29 @@ class TestFleetRuntime:
             assert report.uplink_utilization > 0
 
     def test_event_uploads_wait_for_scoring(self):
-        """Under overload, events reach the uplink only after their frames are scored."""
+        """Under overload, an event is available to the uplink when its last frame is scored."""
+        from repro.edge.uplink import WorkConservingUplink
+
         cameras = tiny_fleet(2, num_frames=10, frame_rate=15.0)
+        link = WorkConservingUplink(1e6, {"node0": 1.0})
         runtime = FleetRuntime(
             cameras,
             pipeline_factory=default_pipeline_factory(threshold=0.01),
             config=FleetConfig(num_workers=1, queue_capacity=3, service_time_scale=1.0),
+            uplink=link.links["node0"],
         )
-        runtime.run()
-        transfers = runtime.uplink.transfers
+        runtime.start()
+        runtime.advance_until(math.inf)
+        runtime.close()
+        transfers = link.drain()
         assert transfers  # threshold 0.01 matches every scored frame
         for transfer in transfers:
             camera_id = transfer.description.split("/")[0]
             completions = runtime._states[camera_id].completion_times
             # The all-matching event closes at end of stream, long after the
-            # feed itself ended; the upload cannot start before the camera's
+            # feed itself ended: it is available exactly when the camera's
             # last frame was scored.
-            assert transfer.start_time >= completions[-1] - 1e-9
+            assert transfer.available_at == completions[-1]
 
     def test_duplicate_camera_ids_rejected(self):
         cameras = tiny_fleet(2)

@@ -195,11 +195,11 @@ class RecordingHierarchy(HierarchicalControlPlane):
         self.last_aggregates = {}
         for node_id, plane in self.planes.items():
 
-            def tick(now, horizon, node_id=node_id, local=plane.tick):
-                self.last_aggregates[node_id] = aggregate = local(now, horizon)
-                return aggregate
+            def aggregate(now, node_id=node_id, local=plane.aggregate):
+                self.last_aggregates[node_id] = summary = local(now)
+                return summary
 
-            plane.tick = tick
+            plane.aggregate = aggregate
 
 
 def control_slot(scenario) -> dict:

@@ -199,6 +199,27 @@ def test_stale_attribute_is_flagged(tmp_path):
     ]
 
 
+def test_class_names_in_docs_resolve():
+    assert check_docs.check_class_names() == []
+
+
+def test_stale_class_name_is_flagged(tmp_path):
+    """A bare backticked CamelCase name that is no class fails; constants and fences do not."""
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`NodeControlPlane`, `RunRecord`, `ValueError` and `NamedTuple` are classes;\n"
+        "`N`, `DROP_OLDEST` and `NodeAggregate(...)` are not bare class names;\n"
+        "`EdgeCoordinator` names no class.\n"
+        "```text\n"
+        "`EdgeCoordinator` in a fence is not prose\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    assert check_docs.check_class_names([doc]) == [
+        "doc.md:3: `EdgeCoordinator` is not a class under src/repro/ or tests/"
+    ]
+
+
 def test_base_class_attribute_resolves(tmp_path):
     """A member inherited from a repro base class resolves on the subclass."""
     doc = tmp_path / "doc.md"

@@ -124,7 +124,6 @@ class TestDistortion:
         segment = codec.encode([tiny_frame], 50_000, 15.0, (32, 24))
         decoded = codec.decode(tiny_frame, segment.frames[0])
         assert decoded.index == tiny_frame.index
-        assert decoded.timestamp == tiny_frame.timestamp
 
 
 class TestTranscodeStream:

@@ -13,20 +13,19 @@ class TestFrame:
         assert tiny_frame.resolution == (32, 24)
 
     def test_pixels_cast_to_float32(self):
-        frame = Frame(0, 0.0, np.zeros((4, 4, 3), dtype=np.float64))
+        frame = Frame(0, np.zeros((4, 4, 3), dtype=np.float64))
         assert frame.pixels.dtype == np.float32
 
     def test_rejects_non_rgb_shapes(self):
         with pytest.raises(ValueError):
-            Frame(0, 0.0, np.zeros((4, 4)))
+            Frame(0, np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            Frame(0, 0.0, np.zeros((4, 4, 1)))
+            Frame(0, np.zeros((4, 4, 1)))
 
     def test_with_pixels_preserves_identity_fields(self, tiny_frame):
         new_pixels = np.zeros_like(tiny_frame.pixels)
         replaced = tiny_frame.with_pixels(new_pixels)
         assert replaced.index == tiny_frame.index
-        assert replaced.timestamp == tiny_frame.timestamp
         assert np.all(replaced.pixels == 0)
 
     def test_event_membership_recording(self, tiny_frame):

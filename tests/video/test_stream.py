@@ -29,16 +29,16 @@ class TestInMemoryVideoStream:
     def test_resolution_is_width_height(self, tiny_stream):
         assert tiny_stream.resolution == (32, 24)
 
-    def test_from_arrays_assigns_timestamps(self, rng):
-        stream = InMemoryVideoStream.from_arrays(
-            [rng.random((8, 8, 3)).astype(np.float32) for _ in range(4)], frame_rate=10.0
-        )
-        assert stream[2].timestamp == pytest.approx(0.2)
+    def test_from_arrays_assigns_indices(self, rng):
+        arrays = [rng.random((8, 8, 3)).astype(np.float32) for _ in range(4)]
+        stream = InMemoryVideoStream.from_arrays(arrays, frame_rate=10.0)
+        assert [frame.index for frame in stream] == [0, 1, 2, 3]
+        assert np.array_equal(stream[2].pixels, arrays[2])
 
     def test_mixed_resolutions_rejected(self, rng):
         frames = [
-            Frame(0, 0.0, rng.random((8, 8, 3)).astype(np.float32)),
-            Frame(1, 0.1, rng.random((9, 8, 3)).astype(np.float32)),
+            Frame(0, rng.random((8, 8, 3)).astype(np.float32)),
+            Frame(1, rng.random((9, 8, 3)).astype(np.float32)),
         ]
         with pytest.raises(ValueError, match="share one resolution"):
             InMemoryVideoStream(frames, frame_rate=10.0)
@@ -65,7 +65,7 @@ class TestInMemoryVideoStream:
 
     @pytest.mark.parametrize("frame_rate", [float("nan"), float("inf")])
     def test_non_finite_frame_rate_rejected(self, rng, frame_rate):
-        frames = [Frame(0, 0.0, rng.random((4, 4, 3)).astype(np.float32))]
+        frames = [Frame(0, rng.random((4, 4, 3)).astype(np.float32))]
         with pytest.raises(ValueError, match="frame_rate"):
             InMemoryVideoStream(frames, frame_rate=frame_rate)
 
@@ -76,7 +76,7 @@ class TestInMemoryVideoStream:
 
     @pytest.mark.parametrize("frame_rate", [0.0, -1.0, float("-inf")])
     def test_non_positive_frame_rate_rejected(self, rng, frame_rate):
-        frames = [Frame(0, 0.0, rng.random((4, 4, 3)).astype(np.float32))]
+        frames = [Frame(0, rng.random((4, 4, 3)).astype(np.float32))]
         with pytest.raises(ValueError, match="frame_rate"):
             InMemoryVideoStream(frames, frame_rate=frame_rate)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency checks, run by CI and by ``tests/test_docs.py``.
 
-Five guarantees:
+Seven guarantees:
 
 1. **Coverage** — every package under ``src/repro/`` is mentioned in
    ``docs/ARCHITECTURE.md`` (as ``repro.<name>``), so the architecture page
@@ -26,6 +26,12 @@ Five guarantees:
    that class or of one of its bases (read with ``ast``), so a removed field
    fails the check until the docs follow.  A class with a base from outside
    ``repro`` (an ``Enum``, a ``str``) is not checked past its own members.
+7. **Class names resolve** — every code span outside fenced blocks in the
+   same files that is exactly one CamelCase name (`` `NodeAggregate` ``) is
+   a class defined under ``src/repro/`` or ``tests/`` (read with ``ast``),
+   or a builtin or ``typing`` name, so a deleted class fails the check until
+   the docs follow.  All-caps names (`` `N` ``, `` `DROP_OLDEST` ``) are
+   constants, not class names.
 
 Exit status 0 when everything holds; 1 with a problem list otherwise.
 """
@@ -33,7 +39,9 @@ Exit status 0 when everything holds; 1 with a problem list otherwise.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
+import typing
 from functools import partial
 from pathlib import Path
 
@@ -102,6 +110,9 @@ _DOTTED_NAME_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 # A backticked reference that starts with a dotted name: `Class.attr`,
 # `repro.fleet.runtime.Class.attr`, `Class.method()`.
 _BACKTICKED_DOTTED_RE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
+# A code span that is exactly one CamelCase name: a lowercase letter after
+# the leading capital keeps all-caps constants out.
+_BARE_CLASS_RE = re.compile(r"`([A-Z]\w*[a-z]\w*)`")
 # Bases that add no attribute a doc would name.
 _PLAIN_BASES = {"object", "ABC", "Protocol", "Generic"}
 
@@ -356,6 +367,27 @@ def check_attribute_references(files: list[Path] | None = None) -> list[str]:
     return problems
 
 
+def check_class_names(files: list[Path] | None = None) -> list[str]:
+    """Bare backticked class names in the docs' prose that name no class (empty = all do)."""
+    known = set(class_index()) | set(dir(builtins)) | set(dir(typing))
+    for path in sorted((REPO_ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        known.update(node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
+    problems = []
+    for path in files if files is not None else documentation_files():
+        in_fence = False
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if _FENCE_RE.match(line.strip()):
+                in_fence = not in_fence
+            elif not in_fence:
+                problems += [
+                    f"{path.name}:{lineno}: `{name}` is not a class under src/repro/ or tests/"
+                    for name in dict.fromkeys(_BARE_CLASS_RE.findall(line))
+                    if name not in known
+                ]
+    return problems
+
+
 def main() -> int:
     problems = check_architecture_coverage() + check_required_docs()
     for check in COVERAGE:
@@ -363,6 +395,7 @@ def main() -> int:
     problems += check_snippets()
     problems += check_dotted_names()
     problems += check_attribute_references()
+    problems += check_class_names()
     if problems:
         print("Docs consistency check FAILED:")
         for problem in problems:
