@@ -18,7 +18,6 @@ from repro.edge.scheduler import Phase, PhasedSchedule, build_phased_schedule
 from repro.edge.uplink import (
     ConstrainedUplink,
     SharedTransfer,
-    SharedTransferRequest,
     UplinkTransfer,
     WorkConservingUplink,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Phase",
     "PhasedSchedule",
     "SharedTransfer",
-    "SharedTransferRequest",
     "UplinkTransfer",
     "WorkConservingUplink",
     "build_phased_schedule",

@@ -19,7 +19,7 @@ backlogged node drains at its guarantee whatever its neighbours do — static
 slicing, where each port behaves as a :class:`ConstrainedUplink` at its
 guarantee and nothing is reclaimed.  Either way the model is one
 deterministic fluid simulation over a globally time-ordered list of
-transfer requests from all nodes.
+transfers from all nodes.
 
 A node holds a *link port* (:class:`LinkPort`): a standalone
 :class:`ConstrainedUplink`, or ``links[node]`` of a shared link.
@@ -30,13 +30,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, NamedTuple, Protocol, runtime_checkable
 
 __all__ = [
     "UplinkTransfer",
     "LinkPort",
     "ConstrainedUplink",
-    "SharedTransferRequest",
     "SharedTransfer",
     "WorkConservingUplink",
 ]
@@ -75,20 +74,22 @@ _new_transfer = tuple.__new__
 
 @runtime_checkable
 class LinkPort(Protocol):
-    """One node's end of a link: it submits uploads here and reads them back.
+    """One node's end of a link: it submits uploads here and holds what ``upload`` returns.
 
     A standalone :class:`ConstrainedUplink` serves each upload as it is
-    submitted; a port of a :class:`WorkConservingUplink` queues it for the
-    link's one drain.
+    submitted and returns the finished :class:`UplinkTransfer`; a port of a
+    :class:`WorkConservingUplink` returns a :class:`SharedTransfer` that the
+    link's one drain completes.
     """
 
     capacity_bps: float  # the node's guarantee
-    transfers: Sequence[UplinkTransfer | SharedTransfer]
 
     @property
     def total_bits(self) -> float: ...
 
-    def upload(self, bits: float, available_at: float = 0.0, description: str = "upload"): ...
+    def upload(
+        self, bits: float, available_at: float = 0.0, description: str = "upload"
+    ) -> UplinkTransfer | SharedTransfer: ...
 
     def utilization(self, duration: float) -> float: ...
 
@@ -163,14 +164,21 @@ class ConstrainedUplink:
         return max(0.0, self._busy_until - float(now))
 
 
-@dataclass(frozen=True)
-class SharedTransferRequest:
-    """One node's request to move ``bits`` through the shared link."""
+@dataclass(eq=False)
+class SharedTransfer:
+    """One node's transfer through the shared link.
+
+    A port's :meth:`~_NodePort.upload` returns it with no times; the link's
+    one :meth:`~WorkConservingUplink.drain` fills in ``start_time`` and
+    ``end_time`` in place, so whoever submitted it reads the result off it.
+    """
 
     node_id: str
     bits: float
     available_at: float
     description: str = "upload"
+    start_time: float | None = None
+    end_time: float | None = None
 
     def __post_init__(self) -> None:
         # A NaN fails both: drain() cannot step past a NaN arrival or finish a NaN residual.
@@ -179,21 +187,9 @@ class SharedTransferRequest:
         if not 0 <= self.available_at < math.inf:
             raise ValueError("available_at must be finite and non-negative")
 
-
-@dataclass(frozen=True)
-class SharedTransfer:
-    """One completed transfer through the shared link."""
-
-    node_id: str
-    description: str
-    bits: float
-    available_at: float
-    start_time: float
-    end_time: float
-
     @property
     def duration(self) -> float:
-        """Wall time from first to last bit on the wire."""
+        """Wall time from first to last bit on the wire (once drained)."""
         return self.end_time - self.start_time
 
 
@@ -202,8 +198,8 @@ class _NodePort:
     """One node's end of a :class:`WorkConservingUplink`.
 
     :meth:`upload` queues the transfer for the link's one
-    :meth:`~WorkConservingUplink.drain`, which fills in the read side;
-    ``capacity_bps`` is the node's guarantee.
+    :meth:`~WorkConservingUplink.drain`, which fills in its times and the
+    port's totals; ``capacity_bps`` is the node's guarantee.
     """
 
     node_id: str
@@ -211,15 +207,16 @@ class _NodePort:
     _link: WorkConservingUplink = field(repr=False)
     total_bits: float = 0.0
     busy_until: float = 0.0
-    transfers: list[SharedTransfer] = field(default_factory=list)
 
-    def upload(self, bits: float, available_at: float = 0.0, description: str = "upload") -> None:
-        """Queue ``bits`` for the drain; there is no transfer until it has run."""
+    def upload(
+        self, bits: float, available_at: float = 0.0, description: str = "upload"
+    ) -> SharedTransfer:
+        """Queue ``bits`` for the drain; the returned transfer has times once it has run."""
         if self._link._drained:
             raise RuntimeError("cannot upload after drain(): the link will not run again")
-        self._link._submitted.append(
-            SharedTransferRequest(self.node_id, bits, available_at, description)
-        )
+        transfer = SharedTransfer(self.node_id, bits, available_at, description)
+        self._link._submitted.append(transfer)
+        return transfer
 
     def utilization(self, duration: float) -> float:
         """Fraction of the node's guarantee consumed over ``duration`` seconds."""
@@ -275,7 +272,7 @@ class WorkConservingUplink:
         self.transfers: list[SharedTransfer] = []
         self.reclaimed_bits = 0.0
         self._drained = False
-        self._submitted: list[SharedTransferRequest] = []
+        self._submitted: list[SharedTransfer] = []
         total = sum(self._weights.values())
         self._ports = {
             node_id: _NodePort(node_id, self.capacity_bps * weight / total, self)
@@ -320,14 +317,15 @@ class WorkConservingUplink:
         self._change_sequence += 1
 
     # -- the fluid replay ----------------------------------------------------
-    def drain(self, requests: Iterable[SharedTransferRequest] = ()) -> list[SharedTransfer]:
-        """Replay every request through the shared link; returns the transfers.
+    def drain(self, requests: Iterable[SharedTransfer] = ()) -> list[SharedTransfer]:
+        """Replay every transfer through the shared link, completing each in place.
 
-        ``requests`` join whatever the ports submitted.  Requests are served
+        ``requests`` join whatever the ports submitted.  Transfers are served
         FIFO per node in ``(available_at, description, bits)`` order and
-        shared across nodes by weight.  May only be called once, and a
-        request for an unknown node is refused before the link counts as
-        drained.
+        shared across nodes by weight; each gets its ``start_time`` and
+        ``end_time``, and the same objects come back in completion order.
+        May only be called once, and a transfer for an unknown node is
+        refused before the link counts as drained.
         """
         if self._drained:
             raise RuntimeError("drain() may only be called once")
@@ -340,11 +338,10 @@ class WorkConservingUplink:
                 raise ValueError(f"Unknown node {req.node_id!r} in transfer request")
         self._drained = True
         changes = sorted(self._weight_changes, key=lambda c: (c[0], c[1]))
-        queues: dict[str, deque[SharedTransferRequest]] = {
+        queues: dict[str, deque[SharedTransfer]] = {
             node_id: deque() for node_id in self._weights
         }
         remaining: dict[str, float] = {}
-        started: dict[str, float] = {}
         weights = dict(self._weights)
         all_weight = sum(weights.values())
         capacity = self.capacity_bps
@@ -363,26 +360,17 @@ class WorkConservingUplink:
                 if queues[node_id] and node_id not in remaining:
                     head = queues[node_id][0]
                     remaining[node_id] = head.bits
-                    started[node_id] = max(t, head.available_at)
+                    head.start_time = max(t, head.available_at)
             completed = False
             for node_id in sorted(remaining):
                 if remaining[node_id] <= self._EPS_BITS:
                     head = queues[node_id].popleft()
-                    transfer = SharedTransfer(
-                        node_id=node_id,
-                        description=head.description,
-                        bits=head.bits,
-                        available_at=head.available_at,
-                        start_time=started[node_id],
-                        end_time=t,
-                    )
-                    results.append(transfer)
+                    head.end_time = t
+                    results.append(head)
                     port = self._ports[node_id]
-                    port.transfers.append(transfer)
                     port.total_bits += head.bits
                     port.busy_until = t
                     del remaining[node_id]
-                    del started[node_id]
                     completed = True
             if completed:
                 continue  # promote the next heads at the same instant

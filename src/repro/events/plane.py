@@ -29,10 +29,10 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from repro.core.events import EventRecord
-from repro.edge.uplink import SharedTransferRequest
+from repro.edge.uplink import SharedTransfer
 from repro.events.broker import AttemptOutcome, BrokerConfig, SimulatedBroker
 from repro.events.ingest import DatacenterIngest
-from repro.events.outbox import NodeOutbox, OutboxConfig, OutboxEntry
+from repro.events.outbox import NodeOutbox, OutboxConfig
 from repro.fleet.telemetry import nearest_rank
 from repro.obs.slo import DeliverySLOConfig
 
@@ -134,9 +134,8 @@ class _Publish:
     node_id: str
     key: str  # str(record.key)
     record: EventRecord
-    entry: OutboxEntry
     outcomes: tuple[AttemptOutcome, ...]
-    descriptions: tuple[str, ...]  # each attempt's transfer description
+    attempts: tuple[SharedTransfer, ...]  # each send, completed by the link's drain
     delivered_at: float | None = None
     dup_arrivals: int = 0
 
@@ -197,56 +196,37 @@ class EventDeliveryPlane:
         telemetry.counter("events.published").inc()
         if entry.attempts > 1:
             telemetry.counter("events.retried").inc(entry.attempts - 1)
-        descriptions = tuple(
-            self.attempt_description(node_id, key, attempt) for attempt in range(entry.attempts)
+        attempts = tuple(
+            # The description is globally unique: node, event key, attempt.
+            SharedTransfer(node_id, entry.bits, send_time, f"evt/{node_id}/{key}/a{attempt}")
+            for attempt, send_time in enumerate(entry.send_times)
         )
-        self._publishes.append(
-            _Publish(
-                node_id=node_id,
-                key=key,
-                record=record,
-                entry=entry,
-                outcomes=outcomes,
-                descriptions=descriptions,
-            )
-        )
+        self._publishes.append(_Publish(node_id, key, record, outcomes, attempts))
 
     # -- uplink integration --------------------------------------------------
-    def attempt_description(self, node_id: str, key: str, attempt: int) -> str:
-        """The transfer description of one publish attempt (globally unique)."""
-        return f"evt/{node_id}/{key}/a{attempt}"
-
-    def transfer_requests(self) -> list[SharedTransferRequest]:
-        """Every attempt of every admitted record, as shared-uplink requests.
+    def transfer_requests(self) -> list[SharedTransfer]:
+        """Every attempt of every admitted record, as shared-uplink transfers.
 
         Event bytes ride the same link as frame uploads: the caller hands
         them to the shared uplink's drain, which time-orders them with every
-        node's video, so event delivery contends for the same capacity.
+        node's video, so event delivery contends for the same capacity, and
+        completes them in place for :meth:`finalize` to read.
         """
-        return [
-            SharedTransferRequest(
-                node_id=publish.node_id,
-                bits=publish.entry.bits,
-                available_at=send_time,
-                description=description,
-            )
-            for publish in self._publishes
-            for description, send_time in zip(publish.descriptions, publish.entry.send_times)
-        ]
+        return [attempt for publish in self._publishes for attempt in publish.attempts]
 
     def node_ids(self) -> list[str]:
         """Attached nodes, in attach order."""
         return list(self._outboxes)
 
     # -- finalization --------------------------------------------------------
-    def finalize(self, attempt_end_times: dict[str, float]) -> DeliveryReport:
+    def finalize(self) -> DeliveryReport:
         """Resolve every record's fate once the uplink replay has run.
 
-        ``attempt_end_times`` maps each attempt's transfer description to
-        the simulated time its last bit cleared the shared link (= arrival
-        at the broker/datacenter).  Returns the cluster report; per-node
-        reports land in :attr:`node_reports` and per-node telemetry gains
-        the post-hoc delivery counters and the latency histogram.
+        Each attempt's ``end_time`` is the simulated time its last bit
+        cleared the shared link (= arrival at the broker/datacenter).
+        Returns the cluster report; per-node reports land in
+        :attr:`node_reports` and per-node telemetry gains the post-hoc
+        delivery counters and the latency histogram.
         """
         if self._finalized:
             raise RuntimeError("finalize() may only be called once")
@@ -254,12 +234,12 @@ class EventDeliveryPlane:
 
         arrivals: list[tuple[float, str, _Publish]] = []
         for publish in self._publishes:
-            for description, outcome in zip(publish.descriptions, publish.outcomes):
+            for attempt, outcome in zip(publish.attempts, publish.outcomes):
                 if not outcome.reaches_datacenter:
                     continue
-                if description not in attempt_end_times:
-                    raise KeyError(f"no uplink end time for attempt {description!r}")
-                arrivals.append((attempt_end_times[description], description, publish))
+                if attempt.end_time is None:
+                    raise RuntimeError(f"attempt {attempt.description!r} was never drained")
+                arrivals.append((attempt.end_time, attempt.description, publish))
         arrivals.sort(key=lambda a: (a[0], a[1]))
 
         for arrived_at, _, publish in arrivals:
@@ -279,7 +259,7 @@ class EventDeliveryPlane:
             telemetry = self._telemetry[node]
             tally = counts[node]
             tally["published"] += 1
-            tally["retried"] += publish.entry.attempts - 1
+            tally["retried"] += len(publish.attempts) - 1
             state = publish.state
             if publish.dup_arrivals:
                 tally["duped"] += publish.dup_arrivals
@@ -346,7 +326,7 @@ class EventDeliveryPlane:
                 {
                     "node": publish.node_id,
                     "state": publish.state,
-                    "attempts": publish.entry.attempts,
+                    "attempts": len(publish.attempts),
                     "dup_suppressed": publish.dup_arrivals,
                     "delivered_at": (
                         round(publish.delivered_at, 6)

@@ -654,6 +654,7 @@ class FleetRuntime:
         self._heap: list[tuple[float, int, str, _CameraState, Frame | _Ticket | None]] = []
         self._sequence = 0
         self._last_event_time = 0.0
+        self._horizon = 0.0  # the latest feed end of any stint installed so far
         self._round_robin = 0
         self._starved = 0  # cameras with arrivals but no scored frame yet
         self._started = False
@@ -686,8 +687,7 @@ class FleetRuntime:
     @property
     def horizon(self) -> float:
         """Latest feed end time across every camera ever hosted here."""
-        ends = [s.spec.start_time + s.spec.duration for s in self._states.values()]
-        return max(ends, default=0.0)
+        return self._horizon
 
     def advance_until(self, until: float) -> None:
         """Process every pending event with timestamp ``<= until``."""
@@ -753,6 +753,7 @@ class FleetRuntime:
         state.session.bind_identity(spec.camera_id, session_epoch)
         self._states[key] = state
         self._active[spec.camera_id] = state
+        self._horizon = max(self._horizon, spec.start_time + spec.duration)
         # Reserve the sequence numbers that pushing all its arrivals now would take: the
         # (time, sequence) pop order is the same with only the next one on the heap.
         state.sequence_offset = self._sequence - next_frame
@@ -1065,7 +1066,7 @@ class FleetRuntime:
             raise RuntimeError("close() may only be called once")
         sim_duration = max([self._last_event_time, *(s.stint_end for s in self._states.values())])
 
-        uploads: list[tuple[float, str, float]] = []
+        uploads: list[tuple[float, str, float, list[FrameTrace]]] = []
         by_camera: dict[str, list[_CameraState]] = {}
         accuracies: dict[str, CameraAccuracy] = {}
         tails: list[tuple[float, str, EventRecord]] = []
@@ -1090,10 +1091,15 @@ class FleetRuntime:
                 previous = accuracies.get(camera_id)
                 accuracies[camera_id] = stint if previous is None else previous.merged_with(stint)
             for available_at, description, bits, frames in state.event_uploads(result):
-                uploads.append((available_at, description, bits))
+                # A traced frame rides the first event that carries it.
+                riders = []
                 if self.tracer is not None:
                     for index in frames:
-                        self.tracer.register_upload(description, camera_id, index)
+                        trace = self.tracer.trace(camera_id, index)
+                        if trace is not None and trace.upload_description is None:
+                            trace.upload_description = description
+                            riders.append(trace)
+                uploads.append((available_at, description, bits, riders))
                 state.uploaded_bits += bits
         reports = {camera_id: _camera_report(stints) for camera_id, stints in by_camera.items()}
 
@@ -1107,13 +1113,17 @@ class FleetRuntime:
         for closed_at, _, tail in sorted(tails, key=lambda t: t[:2]):
             self._collect_records([tail], max(closed_at, published_until))
 
-        # The node's own bits, in the link's FIFO order.  The port's total
-        # may come to more: event-plane attempts ride the same link.
+        # The node's own bits, in the link's FIFO order (a description names
+        # one event on this node, so the riders never break a tie).  The
+        # port's total may come to more: event-plane attempts ride the same link.
         total_bits = 0.0
-        for available_at, description, bits in sorted(uploads):
-            self.uplink.upload(bits, available_at=available_at, description=description)
+        carried = []  # (transfer, the traced frames it carries)
+        for available_at, description, bits, riders in sorted(uploads, key=lambda u: u[:3]):
+            transfer = self.uplink.upload(bits, available_at=available_at, description=description)
+            if riders:
+                carried.append((transfer, riders))
             total_bits += bits
-        self._closed = (sim_duration, reports, accuracies, total_bits)
+        self._closed = (sim_duration, reports, accuracies, total_bits, carried)
         return sim_duration
 
     def finalize(self, link_duration: float | None = None) -> FleetReport:
@@ -1127,13 +1137,13 @@ class FleetRuntime:
         if self._closed is None:
             self.close()
         self._finalized = True
-        sim_duration, reports, accuracies, total_bits = self._closed
+        sim_duration, reports, accuracies, total_bits, carried = self._closed
         link_duration = sim_duration if link_duration is None else link_duration
-        if self.tracer is not None:
-            for transfer in self.uplink.transfers:
-                self.tracer.complete_upload(
-                    transfer.description, transfer.start_time, transfer.end_time
-                )
+        for transfer, riders in carried:
+            if transfer.end_time is not None:  # None: the shared link never drained
+                for trace in riders:
+                    trace.upload_start = transfer.start_time
+                    trace.upload_end = transfer.end_time
         backlog = self.uplink.backlog_seconds(link_duration)
         utilization = self.uplink.utilization(link_duration)
         self.telemetry.gauge("uplink.backlog_seconds").set(backlog)

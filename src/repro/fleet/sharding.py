@@ -442,10 +442,10 @@ class ShardedFleetRuntime:
             # Publish attempts share the node's capacity with its frame
             # uploads — no free side channel — and the drain serves both
             # kinds in availability order.
-            transfers = self.shared_uplink.drain(self.event_plane.transfer_requests())
+            self.shared_uplink.drain(self.event_plane.transfer_requests())
             # Stamps delivery counters and the latency histogram into each
             # node's registry, ahead of the one snapshot finalize() takes.
-            self.event_plane.finalize({t.description: t.end_time for t in transfers})
+            self.event_plane.finalize()
         reports = {n: self.nodes[n].finalize(sim_duration) for n in self.node_ids}
         if self.event_plane is not None:
             for node_id, report in reports.items():

@@ -1,6 +1,6 @@
 """Fleet observability plane: tracing, time series, SLOs, and profiling.
 
-Four deterministic pillars over the fleet runtime (everything runs on the
+Six deterministic modules over the fleet runtime (everything runs on the
 simulated clock, so same-seed runs produce bit-identical output):
 
 * :mod:`repro.obs.trace` — frame-lifecycle tracing: a :class:`Tracer`
@@ -12,8 +12,8 @@ simulated clock, so same-seed runs produce bit-identical output):
   control-interval boundaries into labeled series, with Prometheus
   text-exposition and JSONL exporters;
 * :mod:`repro.obs.slo` — per-camera frame-freshness and end-to-end latency
-  SLOs with error-budget accounting and burn-rate flags, surfaced in
-  :class:`~repro.fleet.runtime.CameraLiveStats` and the fleet reports;
+  SLOs with error-budget accounting and burn-rate flags, reported once per
+  run in the fleet reports;
 * :mod:`repro.obs.profile` — per-camera, per-stage service-second
   attribution aggregated from spans into a flamegraph-style table;
 * :mod:`repro.obs.alerts` — declarative alert rules (threshold +

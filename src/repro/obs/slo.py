@@ -19,8 +19,9 @@ past it drives :attr:`CameraSLOStatus.error_budget_remaining` negative.  The
 *burn rate* is the violation fraction over a sliding window of the last 64
 frames divided by the allowed fraction — 1.0 burns the budget exactly at the
 sustainable rate, and a camera whose burn rate reaches 2.0 is flagged
-:attr:`~CameraSLOStatus.burning` (the signal a shedding controller should
-react to *now*, not at end of run).
+:attr:`~CameraSLOStatus.burning`.  The flag describes the run's last
+window: status is reported once, at the end of a run, and no controller
+reads it.
 
 Everything is driven by the simulated clock, so SLO reports are
 deterministic and bit-identical across same-seed runs.

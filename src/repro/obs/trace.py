@@ -171,8 +171,8 @@ class NodeTracer:
     """One edge node's view of the cluster :class:`Tracer`.
 
     :meth:`begin_frame` opens a sampled frame's :class:`FrameTrace` and
-    hands it to the fleet runtime, the record's one writer; uploads are
-    routed back to their frames here, by event description.
+    hands it to the fleet runtime, the record's one writer (its upload
+    included: the runtime holds each transfer with the frames it carries).
     """
 
     def __init__(self, tracer: "Tracer", node_id: str, pid: int) -> None:
@@ -180,8 +180,6 @@ class NodeTracer:
         self.node_id = node_id
         self.pid = pid
         self._traces: dict[tuple[str, int], FrameTrace] = {}
-        # Upload description -> the traced frames whose event it carries.
-        self._uploads: dict[str, list[tuple[str, int]]] = {}
 
     def begin_frame(self, camera_id: str, frame_index: int, now: float) -> FrameTrace | None:
         """Open a lifecycle record at ingest if the frame is sampled (else None)."""
@@ -194,28 +192,6 @@ class NodeTracer:
     def trace(self, camera_id: str, frame_index: int) -> FrameTrace | None:
         """The lifecycle record of a frame on this node (None when not sampled)."""
         return self._traces.get((camera_id, int(frame_index)))
-
-    def register_upload(self, description: str, camera_id: str, frame_index: int) -> None:
-        """Announce that ``description``'s event carries a traced frame.
-
-        The transfer itself completes later (immediately for a private
-        uplink, in the cluster drain for a work-conserving one);
-        :meth:`complete_upload` routes the times back by description.  A
-        frame matched by several microclassifiers keeps its first event.
-        """
-        trace = self.trace(camera_id, frame_index)
-        if trace is None or trace.upload_description is not None:
-            return
-        trace.upload_description = description
-        self._uploads.setdefault(description, []).append((camera_id, int(frame_index)))
-
-    def complete_upload(self, description: str, start_time: float, end_time: float) -> None:
-        """Stamp the transfer interval onto every frame riding ``description``."""
-        for key in self._uploads.get(description, ()):
-            trace = self._traces[key]
-            if trace.upload_start is None:
-                trace.upload_start = start_time
-                trace.upload_end = end_time
 
     def frame_traces(self) -> list[FrameTrace]:
         """All lifecycle records on this node, sorted by (camera, frame)."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.edge.uplink import (
     ConstrainedUplink,
     LinkPort,
-    SharedTransferRequest,
+    SharedTransfer,
     WorkConservingUplink,
 )
 
@@ -117,11 +117,7 @@ class TestWorkConservingUplink:
         return WorkConservingUplink(capacity, weights or {"a": 1.0, "b": 1.0})
 
     def request(self, node, bits, at, description="upload"):
-        from repro.edge.uplink import SharedTransferRequest
-
-        return SharedTransferRequest(
-            node_id=node, bits=bits, available_at=at, description=description
-        )
+        return SharedTransfer(node_id=node, bits=bits, available_at=at, description=description)
 
     def test_lone_backlogged_node_gets_the_whole_link(self):
         link = self.make_link()
@@ -233,13 +229,27 @@ class TestWorkConservingUplink:
 
     def test_a_port_refuses_uploads_once_the_link_has_drained(self):
         link = self.make_link()
-        link.links["a"].upload(100.0, 0.0, "early")
+        early = link.links["a"].upload(100.0, 0.0, "early")
         link.drain()
         # The link will never run again, so a late upload would vanish.
         with pytest.raises(RuntimeError, match="after drain"):
             link.links["a"].upload(50.0, 1.0, "late")
         assert link.total_bits == 100.0
-        assert [t.description for t in link.links["a"].transfers] == ["early"]
+        assert link.transfers == [early]
+
+    def test_drain_completes_the_transfers_the_ports_returned(self):
+        link = self.make_link()
+        a0 = link.links["a"].upload(100.0, 0.0, "a0")
+        b0 = link.links["b"].upload(50.0, 0.0, "b0")
+        extra = self.request("b", 25.0, 2.0, "b1")
+        assert (a0.start_time, a0.end_time) == (None, None)  # nothing moves before the drain
+        transfers = link.drain([extra])
+        # The very objects submitted come back, completed in place, in completion order.
+        assert [id(t) for t in transfers] == [id(b0), id(a0), id(extra)]
+        assert link.transfers == transfers
+        assert (b0.start_time, b0.end_time) == (0.0, pytest.approx(1.0))
+        assert (a0.start_time, a0.end_time) == (0.0, pytest.approx(1.5))
+        assert (extra.start_time, extra.end_time) == (2.0, pytest.approx(2.25))
 
     def test_an_unknown_node_leaves_the_link_drainable(self):
         link = self.make_link()
@@ -292,10 +302,11 @@ class TestLinkPorts:
         for node, port in link.links.items():
             assert port.total_bits == pytest.approx(sum(b for _, _, b in submitted[node]))
             # FIFO in (available_at, description) order, one transfer at a time.
-            assert [t.description for t in port.transfers] == [
+            served = [t for t in link.transfers if t.node_id == node]
+            assert [t.description for t in served] == [
                 description for _, description, _ in sorted(submitted[node])
             ]
-            for earlier, later in zip(port.transfers, port.transfers[1:]):
+            for earlier, later in zip(served, served[1:]):
                 assert later.start_time >= earlier.end_time - 1e-9
         assert link.total_bits == pytest.approx(sum(bits for _, bits, _ in requests))
         assert len(link.transfers) == len(requests)
@@ -314,10 +325,10 @@ class TestLinkPorts:
             serial.upload(bits, at, f"r{index:02d}")
         assert port.capacity_bps == serial.capacity_bps
         assert link.reclaimed_bits == 0.0
-        assert [t.description for t in port.transfers] == [
+        assert [t.description for t in link.transfers] == [
             t.description for t in serial.transfers
         ]
-        for shared, alone in zip(port.transfers, serial.transfers):
+        for shared, alone in zip(link.transfers, serial.transfers):
             assert shared.end_time == pytest.approx(alone.end_time, abs=1e-9)
         assert port.backlog_seconds(5.0) == pytest.approx(serial.backlog_seconds(5.0), abs=1e-9)
 
@@ -333,12 +344,10 @@ class TestLinkPorts:
             alone[node].upload(bits, at, f"r{index:02d}")
         link.drain()
         assert link.reclaimed_bits == 0.0
-        for node, port in link.links.items():
-            serial = alone[node]
-            assert [t.description for t in port.transfers] == [
-                t.description for t in serial.transfers
-            ]
-            for shared, single in zip(port.transfers, serial.transfers):
+        for node, serial in alone.items():
+            served = [t for t in link.transfers if t.node_id == node]
+            assert [t.description for t in served] == [t.description for t in serial.transfers]
+            for shared, single in zip(served, serial.transfers):
                 assert shared.start_time == pytest.approx(single.start_time, abs=1e-9)
                 assert shared.end_time == pytest.approx(single.end_time, abs=1e-9)
 
@@ -382,9 +391,9 @@ class TestNonFiniteInputsAreRefused:
     @pytest.mark.parametrize("value", NOT_A_QUANTITY)
     def test_a_request_cannot_be_built_around_one(self, value):
         with pytest.raises(ValueError):
-            SharedTransferRequest("a", value, 0.0)
+            SharedTransfer("a", value, 0.0)
         with pytest.raises(ValueError):
-            SharedTransferRequest("a", 1.0, value)
+            SharedTransfer("a", 1.0, value)
 
     @pytest.mark.parametrize("value", NOT_A_QUANTITY + [0.0])
     def test_schedule_weights_refuses_bad_times_and_weights(self, value):

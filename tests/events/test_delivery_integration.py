@@ -5,6 +5,7 @@ import pytest
 
 from repro.control.hierarchy import HierarchicalControlPlane, NodeAggregate, QuantileSketch
 from repro.events import BrokerConfig, DeliveryConfig, EventDeliveryPlane, OutboxConfig
+from repro.events.plane import RECORD_BYTES
 from repro.fleet.camera import CameraSpec
 from repro.fleet.runtime import FleetConfig, FleetRuntime
 from repro.fleet.sharding import ShardedFleetRuntime, ShardingConfig
@@ -86,13 +87,16 @@ class TestShardedDelivery:
         assert published == report.delivery.published
 
     def test_event_bytes_ride_the_shared_link(self, cluster):
-        _, report, plane = cluster
+        runtime, report, plane = cluster
         # Every admitted attempt moved RECORD_BYTES * 8 bits through the
-        # cluster's shared link — no free side channel.
-        event_bits = sum(
-            publish.entry.bits * publish.entry.attempts for publish in plane._publishes
-        )
-        assert event_bits > 0
+        # cluster's shared link — no free side channel — and is one of the
+        # transfers its drain completed.
+        attempts = plane.transfer_requests()
+        drained = {id(transfer) for transfer in runtime.shared_uplink.transfers}
+        assert attempts and all(id(attempt) in drained for attempt in attempts)
+        assert all(attempt.end_time is not None for attempt in attempts)
+        event_bits = sum(attempt.bits for attempt in attempts)
+        assert event_bits == RECORD_BYTES * 8 * len(attempts)
         assert report.total_uplink_bits >= event_bits
 
 

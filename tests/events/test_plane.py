@@ -32,11 +32,10 @@ def record(camera="cam0", epoch=0, event_id=1, closed_at=1.0):
 
 def finalize_with_fixed_transport(plane, transport=0.01):
     """Complete every attempt ``transport`` seconds after its send time."""
-    end_times = {
-        request.description: request.available_at + transport
-        for request in plane.transfer_requests()
-    }
-    return plane.finalize(end_times)
+    for attempt in plane.transfer_requests():
+        attempt.start_time = attempt.available_at
+        attempt.end_time = attempt.available_at + transport
+    return plane.finalize()
 
 
 class TestAttachAndPublish:
@@ -67,7 +66,7 @@ class TestAttachAndPublish:
         plane.attach("node0", FakeRuntime())
         finalize_with_fixed_transport(plane)
         with pytest.raises(RuntimeError):
-            plane.finalize({})
+            plane.finalize()
 
     def test_log_before_finalize_raises(self):
         plane = EventDeliveryPlane()
@@ -79,8 +78,8 @@ class TestAttachAndPublish:
         runtime = FakeRuntime()
         plane.attach("node0", runtime)
         runtime.event_sink(record())
-        with pytest.raises(KeyError):
-            plane.finalize({})
+        with pytest.raises(RuntimeError, match="never drained"):
+            plane.finalize()
 
 
 class TestLosslessDelivery:
@@ -195,11 +194,11 @@ class TestSLOViolations:
         plane.attach("node0", runtime)
         runtime.event_sink(record(event_id=1, closed_at=1.0))
         runtime.event_sink(record(event_id=2, closed_at=2.0))
-        end_times = {}
-        for request in plane.transfer_requests():
-            transport = 0.01 if request.description.endswith("/1/a0") else 0.5
-            end_times[request.description] = request.available_at + transport
-        report = plane.finalize(end_times)
+        for attempt in plane.transfer_requests():
+            transport = 0.01 if attempt.description.endswith("/1/a0") else 0.5
+            attempt.start_time = attempt.available_at
+            attempt.end_time = attempt.available_at + transport
+        report = plane.finalize()
         assert report.ack_violations == 1
         assert runtime.telemetry.counter("events.ack_violations").value == 1
 
@@ -228,7 +227,7 @@ class TestMultiNode:
         from repro.events import DeliveryReport
 
         plane = EventDeliveryPlane()
-        assert plane.finalize({}) == DeliveryReport(scope="cluster")
+        assert plane.finalize() == DeliveryReport(scope="cluster")
         assert plane.node_reports == {}
         assert plane.delivery_log_jsonl() == ""
 

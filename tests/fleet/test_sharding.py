@@ -358,7 +358,7 @@ class TestOneUploadPath:
         runtime.run()
         overtaken = 0
         for node_id in runtime.node_ids:
-            transfers = runtime.nodes[node_id].uplink.transfers
+            transfers = [t for t in runtime.shared_uplink.transfers if t.node_id == node_id]
             attempts = [t for t in transfers if t.description.startswith("evt/")]
             frames = [t for t in transfers if not t.description.startswith("evt/")]
             for attempt in attempts:

@@ -1,8 +1,11 @@
 """Observability wired through the fleet runtimes, control loop, and uplinks."""
 
+import numpy as np
 import pytest
 
 from repro.control import AdaptiveSheddingController, ControlLoop, SheddingConfig
+from repro.core.pipeline import PipelineConfig
+from repro.core.streaming import StreamingPipeline
 from repro.fleet import (
     CameraSpec,
     DropPolicy,
@@ -12,7 +15,7 @@ from repro.fleet import (
     ShardingConfig,
     generate_fleet,
 )
-from repro.fleet.runtime import default_pipeline_factory
+from repro.fleet.runtime import _SessionRecipe, default_pipeline_factory
 from repro.obs import (
     AlertRule,
     MetricsTimeline,
@@ -88,6 +91,108 @@ class TestFleetRuntimeObservability:
         assert observed.frames_generated == plain.frames_generated
         assert observed.frames_scored == plain.frames_scored
         assert observed.frames_dropped == plain.frames_dropped
+
+
+def _two_mc_factory(threshold=0.05):
+    """The fleet's session with two low-threshold heads, so most matches overlap."""
+    recipe = _SessionRecipe()
+
+    def factory(spec):
+        extractor = recipe.extractor(spec)
+        heads = [
+            recipe.head("localized", f"{spec.camera_id}/{name}", extractor, rng, threshold)
+            for name, rng in (("a", np.random.default_rng(0)), ("b", np.random.default_rng(1)))
+        ]
+        return StreamingPipeline(
+            extractor,
+            heads,
+            config=PipelineConfig(batch_size=1),
+            frame_rate=spec.frame_rate,
+            resolution=spec.resolution,
+        )
+
+    return factory
+
+
+class TestUploadsReachTheirFrames:
+    """The runtime stamps each traced frame with the transfer it submitted."""
+
+    def test_a_frame_carried_by_two_events_keeps_the_first(self):
+        fleet = generate_fleet(3, seed=1, duration_seconds=1.5)
+        tracer = Tracer(sample_every=1)
+        runtime = FleetRuntime(
+            fleet, config=NODE_CONFIG, pipeline_factory=_two_mc_factory(), tracer=tracer
+        )
+        runtime.run()
+        transfers = {t.description: t for t in runtime.uplink.transfers}
+        # Every traced frame's carriers in close() order: head "a" before "b", then by event.
+        carriers: dict[tuple[str, int], list[str]] = {}
+        records = sorted(
+            runtime.event_records,
+            key=lambda r: (r.key.camera_id, r.mc_name.endswith("/b"), r.key.event_id),
+        )
+        for record in records:
+            camera_id = record.key.camera_id
+            description = f"{camera_id}/{record.mc_name}/event{record.key.event_id}"
+            assert description in transfers
+            source = runtime._states[camera_id].session.source_indices
+            for index in source[record.start : record.end]:
+                carriers.setdefault((camera_id, index), []).append(description)
+        assert len(transfers) == len(records)
+        shared = 0
+        for trace in tracer.frame_traces():
+            descriptions = carriers.get((trace.camera_id, trace.frame_index))
+            if descriptions is None:
+                assert (trace.upload_description, trace.upload_end) == (None, None)
+                continue
+            first = transfers[descriptions[0]]
+            assert trace.upload_description == first.description
+            assert (trace.upload_start, trace.upload_end) == (first.start_time, first.end_time)
+            shared += len(descriptions) > 1
+        assert shared > 0, "two threshold-0.05 heads must both carry some frame"
+
+    @pytest.mark.parametrize("link", ["standalone", "work_conserving"])
+    def test_each_uploaded_frame_reads_its_transfers_interval(self, link):
+        fleet = generate_fleet(4, seed=1, duration_seconds=1.5)
+        tracer = Tracer(sample_every=1)
+        factory = default_pipeline_factory(threshold=0.05)
+        if link == "standalone":
+            runtime = FleetRuntime(
+                fleet, config=NODE_CONFIG, pipeline_factory=factory, tracer=tracer
+            )
+            runtime.run()
+            transfers = {"node0": runtime.uplink.transfers}
+        else:
+            runtime = ShardedFleetRuntime(
+                fleet,
+                config=ShardingConfig(
+                    num_nodes=2,
+                    total_uplink_bps=300_000.0,
+                    uplink_sharing=link,
+                    node_config=NODE_CONFIG,
+                ),
+                pipeline_factory=factory,
+                tracer=tracer,
+            )
+            runtime.run()
+            transfers = {
+                node_id: [t for t in runtime.shared_uplink.transfers if t.node_id == node_id]
+                for node_id in runtime.node_ids
+            }
+        uploaded = 0
+        for node_id, node_transfers in transfers.items():
+            by_description = {t.description: t for t in node_transfers}
+            for trace in tracer.node(node_id).frame_traces():
+                if trace.upload_description is None:
+                    assert trace.upload_end is None
+                    continue
+                transfer = by_description[trace.upload_description]
+                assert (trace.upload_start, trace.upload_end) == (
+                    transfer.start_time,
+                    transfer.end_time,
+                )
+                uploaded += 1
+        assert uploaded > 0
 
 
 ALERT_RULES = [

@@ -128,8 +128,7 @@ class TestNodeTracer:
         node = tracer.node("node0")
         index = next(i for i in range(200) if not tracer.sampled("cam", i))
         assert node.begin_frame("cam", index, 0.0) is None
-        # An untraced frame has no record to write, and its upload is a silent no-op.
-        node.register_upload("desc", "cam", index)
+        # An untraced frame has no record for the runtime to write.
         assert node.trace("cam", index) is None
         assert node.frame_traces() == []
 
@@ -139,29 +138,6 @@ class TestNodeTracer:
         assert (trace.camera_id, trace.frame_index, trace.arrival) == ("cam", 3, 0.5)
         assert node.trace("cam", 3) is trace
         assert node.frame_traces() == [trace]
-
-    def test_register_upload_first_event_wins(self):
-        node = Tracer(sample_every=1).node("node0")
-        node.begin_frame("cam", 0, 0.0)
-        node.register_upload("event A", "cam", 0)
-        node.register_upload("event B", "cam", 0)
-        [trace] = node.frame_traces()
-        assert trace.upload_description == "event A"
-
-    def test_complete_upload_stamps_every_rider_once(self):
-        node = Tracer(sample_every=1).node("node0")
-        for index in (0, 1):
-            node.begin_frame("cam", index, 0.0)
-            node.register_upload("shared event", "cam", index)
-        node.complete_upload("shared event", 1.0, 2.0)
-        node.complete_upload("shared event", 9.0, 10.0)  # second stamp ignored
-        for trace in node.frame_traces():
-            assert (trace.upload_start, trace.upload_end) == (1.0, 2.0)
-
-    def test_complete_upload_for_unknown_description_is_noop(self):
-        node = Tracer(sample_every=1).node("node0")
-        node.complete_upload("never registered", 0.0, 1.0)
-        assert node.frame_traces() == []
 
     def test_frame_traces_sorted_by_camera_then_index(self):
         node = Tracer(sample_every=1).node("node0")

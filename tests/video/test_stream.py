@@ -49,14 +49,10 @@ class TestInMemoryVideoStream:
 
     def test_raw_bits_per_second_matches_paper_example(self):
         """A 1080p30 stream decompressed is ~1.5 Gb/s (paper Section 2.1)."""
-        class Dummy(InMemoryVideoStream):
-            pass
-
-        stream = InMemoryVideoStream.from_arrays(
-            [np.zeros((4, 4, 3), dtype=np.float32)], frame_rate=30.0
-        )
-        # Use the formula directly at 1080p dimensions.
-        stream.width, stream.height, stream.frame_rate = 1920, 1080, 30.0
+        # A zero-strided view: a 1080p frame that allocates one pixel.
+        frame = np.broadcast_to(np.zeros((1, 1, 3), np.float32), (1080, 1920, 3))
+        stream = InMemoryVideoStream.from_arrays([frame], frame_rate=30.0)
+        assert (stream.width, stream.height) == (1920, 1080)
         assert stream.raw_bits_per_second() == pytest.approx(1.49e9, rel=0.01)
 
     def test_invalid_frame_rate_rejected(self, rng):

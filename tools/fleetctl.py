@@ -57,17 +57,8 @@ def load_alert_log(path: Path) -> AlertLog:
         if not line.strip():
             continue
         entry = json.loads(line)
-        events.append(
-            AlertEvent(
-                time=entry["t"],
-                rule=entry["rule"],
-                source=entry["source"],
-                state=entry["state"],
-                severity=entry["severity"],
-                value=entry["value"],
-                threshold=entry["threshold"],
-            )
-        )
+        # AlertEvent.to_dict writes the fields under their own names, but ``time`` as "t".
+        events.append(AlertEvent(time=entry.pop("t"), **entry))
     return AlertLog(events=tuple(events))
 
 
