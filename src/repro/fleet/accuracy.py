@@ -53,6 +53,7 @@ from repro.core.streaming import StreamingPipeline
 from repro.core.training import TrainingConfig, fit_and_calibrate
 from repro.fleet.camera import CameraFeed, CameraSpec
 from repro.metrics.event_metrics import EventF1Breakdown, event_f1_score
+from repro.obs.slo import _merged_per_camera
 from repro.video.synthetic import (
     SurveillanceSceneGenerator,
     TASK_PEDESTRIAN,
@@ -384,25 +385,15 @@ class FleetAccuracy:
     @classmethod
     def merged(cls, parts: Iterable["FleetAccuracy | None"]) -> "FleetAccuracy | None":
         """Merge per-node accuracies into one cluster view (OR per camera)."""
-        merged: dict[str, CameraAccuracy] = {}
-        task: str | None = None
-        seen = False
-        for part in parts:
-            if part is None:
-                continue
-            seen = True
-            if task is None:
-                task = part.task
-            elif task != part.task:
-                raise ValueError(f"Cannot merge accuracies of tasks {task!r} and {part.task!r}")
-            for camera_id, accuracy in part.cameras.items():
-                existing = merged.get(camera_id)
-                merged[camera_id] = (
-                    accuracy if existing is None else existing.merged_with(accuracy)
-                )
-        if not seen or task is None:
+        parts = [part for part in parts if part is not None]
+        if not parts:
             return None
-        return cls(task=task, cameras=dict(sorted(merged.items())))
+        task = parts[0].task
+        for part in parts[1:]:
+            if part.task != task:
+                raise ValueError(f"Cannot merge accuracies of tasks {task!r} and {part.task!r}")
+        cameras = _merged_per_camera(c for part in parts for c in part.cameras.values())
+        return cls(task=task, cameras={camera.camera_id: camera for camera in cameras})
 
 
 def evaluate_offline(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import deque
 import math
 import zlib
 from dataclasses import dataclass, field, replace
@@ -62,7 +63,9 @@ from repro.fleet.camera import CameraFeed, CameraSpec, reject_duplicate_ids
 from repro.fleet.queues import AdmissionController, DropPolicy, FrameQueue
 from repro.fleet.telemetry import TelemetryRegistry, jain_fairness
 from repro.fleet.worker import WorkerPool, default_schedule
-from repro.obs.slo import SLOConfig, SLOReport, SLOTracker
+from repro.obs.slo import (
+    _BURN_ALERT, _BURN_WINDOW, CameraSLOStatus, SLOConfig, SLOReport, _merged_per_camera,
+)
 from repro.obs.trace import FrameTrace, NodeTracer, Tracer
 from repro.perf.cost_model import CostModel
 from repro.video.frame import Frame
@@ -112,13 +115,15 @@ class FleetConfig:
     (:meth:`repro.fleet.accuracy.TrainedMicroClassifiers.pipeline_factory`)
     for meaningful numbers.
 
-    ``slo`` switches the *observability plane's* latency objectives on: the
-    runtime tracks per-camera frame freshness and end-to-end latency against
-    the configured targets (:class:`repro.obs.slo.SLOConfig`), reports each
-    camera's error-budget status once, at the end of the run, in
-    :attr:`FleetReport.slo`, and feeds ``slo.*`` violation counters into
-    telemetry.  ``None`` (the default) keeps the hot path identical to a
-    runtime without SLO accounting.
+    ``slo`` switches the *observability plane's* latency objectives on: each
+    hosting stint tallies its frames' freshness and end-to-end latency
+    against the configured targets (:class:`repro.obs.slo.SLOConfig`) beside
+    its other tallies, with a burn-rate window of its own; the runtime feeds
+    ``slo.*`` violation counters into telemetry and reports each camera's
+    error-budget status once, at the end of the run, in
+    :attr:`FleetReport.slo` — its stints merged: counts add, and the burn
+    rate is the worst stint's.  ``None`` (the default) keeps the hot path
+    identical to a runtime without SLO accounting.
 
     ``batched_scoring`` (on by default) scores the frames in flight on the
     worker pool through one batched base-DNN forward per resident base DNN
@@ -454,7 +459,7 @@ class FleetReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)  # no per-stint __dict__: a stint is a fixed-shape record
 class _CameraState:
     """Mutable per-camera bookkeeping inside the event loop.
 
@@ -496,6 +501,11 @@ class _CameraState:
     scored: int = 0
     matched: int = 0
     events: int = 0
+    # Under FleetConfig.slo: scored frames within each target, and whether each of the
+    # stint's last 64 frames (scored or lost) was fresh, the window its burn rate reads.
+    fresh: int = 0
+    within_latency: int = 0
+    burn_window: deque[bool] | None = None
 
     @property
     def camera_id(self) -> str:
@@ -526,6 +536,21 @@ class _CameraState:
             estimated_upload_bits=self.estimated_upload_bits,
             threshold=self.session.current_threshold(),
             attached_at=self.attached_at,
+        )
+
+    def slo_status(self, config: SLOConfig) -> CameraSLOStatus:
+        """The stint's SLO standing, its burn rate read over its own window."""
+        window = self.burn_window
+        burn_rate = window.count(False) / len(window) / (1.0 - config.objective) if window else 0.0
+        return CameraSLOStatus(
+            camera_id=self.camera_id,
+            objective=config.objective,
+            frames=self.generated,
+            fresh=self.fresh,
+            scored=self.scored,
+            within_latency=self.within_latency,
+            burn_rate=burn_rate,
+            burning=burn_rate >= _BURN_ALERT,
         )
 
     def event_uploads(self, result) -> Iterator[tuple[float, str, float, Sequence[int]]]:
@@ -618,7 +643,6 @@ class FleetRuntime:
         if isinstance(tracer, Tracer):
             tracer = tracer.node("node0")
         self.tracer = tracer
-        self.slo = SLOTracker(self.config.slo) if self.config.slo is not None else None
         if self.config.max_in_flight is not None or self.config.per_camera_quota is not None:
             # A quota without an explicit node budget still needs a total cap
             # for the controller; quota * num_cameras is the loosest bound.
@@ -745,6 +769,7 @@ class FleetRuntime:
             attached_at=now,
             session_epoch=session_epoch,
             next_frame=next_frame,
+            burn_window=deque(maxlen=_BURN_WINDOW) if self.config.slo is not None else None,
         )
         state.upload_bits_per_match = {
             mc.name: mc.config.upload_bitrate / spec.frame_rate
@@ -832,7 +857,7 @@ class FleetRuntime:
             if state.truth is not None and (positives := int(state.truth[first:resume].sum())):
                 state.truth_positive_generated = positives
                 self.telemetry.counter("accuracy.truth_positive_generated").inc(positives)
-            self._slo_lost(camera_id, blackout)
+            self._slo_lost(state, blackout)
             self._starved += 1  # the new stint was offered frames and scored none
             self._record_starvation()
 
@@ -898,7 +923,7 @@ class FleetRuntime:
             if trace is not None:
                 trace.admitted = False
                 trace.dropped_at, trace.drop_reason = now, "admission_rejected"
-            self._slo_lost(camera_id, 1)
+            self._slo_lost(state, 1)
             self._record_starvation()
             return
         ticket = _Ticket(state, frame, now, holds_slot=self.admission is not None, trace=trace)
@@ -923,7 +948,7 @@ class FleetRuntime:
             if evicted.trace is not None:
                 evicted.trace.dropped_at, evicted.trace.drop_reason = now, reason
             self._release_admission(evicted)
-            self._slo_lost(camera_id, 1)
+            self._slo_lost(state, 1)
         self._record_depth(state)
         self._record_starvation()
 
@@ -933,12 +958,26 @@ class FleetRuntime:
             ticket.holds_slot = False
             self.admission.release(ticket.stint.camera_id)
 
-    def _slo_lost(self, camera_id: str, count: int) -> None:
-        """Charge ``count`` lost frames against a camera's freshness budget."""
-        if self.slo is None or count <= 0:
+    def _slo_lost(self, state: _CameraState, count: int) -> None:
+        """Charge ``count`` lost frames against a stint's freshness budget: never fresh."""
+        if self.config.slo is None or count <= 0:
             return
-        self.slo.record_lost(camera_id, count)
+        state.burn_window.extend([False] * min(count, _BURN_WINDOW))
         self.telemetry.counter("slo.freshness_violations").inc(count)
+
+    def _slo_scored(self, state: _CameraState, latency: float) -> None:
+        """Classify a frame scored ``latency`` seconds after capture against both targets."""
+        slo = self.config.slo
+        fresh = latency <= slo.freshness_target_seconds
+        within = latency <= slo.latency_target_seconds
+        state.fresh += fresh
+        state.within_latency += within
+        state.burn_window.append(fresh)
+        self.telemetry.histogram("latency.e2e_seconds").observe(latency)
+        if not fresh:
+            self.telemetry.counter("slo.freshness_violations").inc()
+        if not within:
+            self.telemetry.counter("slo.latency_violations").inc()
 
     def _on_completion(self, ticket: _Ticket, now: float) -> None:
         counters = self.telemetry
@@ -1020,15 +1059,8 @@ class FleetRuntime:
             chosen.wait_count += 1
             self.telemetry.histogram("latency.queue_wait_seconds").observe(wait)
             end_time = self.workers.start_frame(worker, now, chosen.schedule)
-            camera_id = chosen.camera_id
-            if self.slo is not None:
-                latency = end_time - ticket.arrived_at
-                fresh, within = self.slo.record_scored(camera_id, latency)
-                self.telemetry.histogram("latency.e2e_seconds").observe(latency)
-                if not fresh:
-                    self.telemetry.counter("slo.freshness_violations").inc()
-                if not within:
-                    self.telemetry.counter("slo.latency_violations").inc()
+            if self.config.slo is not None:
+                self._slo_scored(chosen, end_time - ticket.arrived_at)
             if ticket.trace is not None:
                 ticket.trace.dispatched_at = now
                 ticket.trace.phases = self.workers.phase_intervals(now, chosen.schedule)
@@ -1068,7 +1100,6 @@ class FleetRuntime:
 
         uploads: list[tuple[float, str, float, list[FrameTrace]]] = []
         by_camera: dict[str, list[_CameraState]] = {}
-        accuracies: dict[str, CameraAccuracy] = {}
         tails: list[tuple[float, str, EventRecord]] = []
         for state in self._states.values():
             camera_id = state.camera_id
@@ -1086,10 +1117,6 @@ class FleetRuntime:
                 for tail in flushed.closed_records
             )
             result = state.session.finish()
-            if state.truth is not None:
-                stint = self._stint_accuracy(state, result)
-                previous = accuracies.get(camera_id)
-                accuracies[camera_id] = stint if previous is None else previous.merged_with(stint)
             for available_at, description, bits, frames in state.event_uploads(result):
                 # A traced frame rides the first event that carries it.
                 riders = []
@@ -1102,6 +1129,17 @@ class FleetRuntime:
                 uploads.append((available_at, description, bits, riders))
                 state.uploaded_bits += bits
         reports = {camera_id: _camera_report(stints) for camera_id, stints in by_camera.items()}
+        # A camera's standing on the node is its stints folded, as its cluster
+        # standing is its nodes'.  A stint offered no frame has no SLO standing.
+        task, slo, stints = self.config.accuracy_task, self.config.slo, self._states.values()
+        accuracy = slo_report = None
+        if task is not None:
+            folded = _merged_per_camera(self._stint_accuracy(s) for s in stints)
+            accuracy = FleetAccuracy(task, {a.camera_id: a for a in folded})
+        if slo is not None:
+            slo_report = SLOReport(
+                slo, _merged_per_camera(s.slo_status(slo) for s in stints if s.generated)
+            )
 
         # Records leave the node in close order (the outbox's retry schedule
         # is a function of close time and refuses a back-dated offer).  Tail
@@ -1123,7 +1161,7 @@ class FleetRuntime:
             if riders:
                 carried.append((transfer, riders))
             total_bits += bits
-        self._closed = (sim_duration, reports, accuracies, total_bits, carried)
+        self._closed = (sim_duration, reports, accuracy, slo_report, total_bits, carried)
         return sim_duration
 
     def finalize(self, link_duration: float | None = None) -> FleetReport:
@@ -1137,7 +1175,7 @@ class FleetRuntime:
         if self._closed is None:
             self.close()
         self._finalized = True
-        sim_duration, reports, accuracies, total_bits, carried = self._closed
+        sim_duration, reports, accuracy, slo, total_bits, carried = self._closed
         link_duration = sim_duration if link_duration is None else link_duration
         for transfer, riders in carried:
             if transfer.end_time is not None:  # None: the shared link never drained
@@ -1167,26 +1205,19 @@ class FleetRuntime:
             uplink_backlog_seconds=backlog,
             total_uploaded_bits=total_bits,
             telemetry=self.telemetry.snapshot(),
-            accuracy=(
-                FleetAccuracy(
-                    task=self.config.accuracy_task,
-                    cameras=dict(sorted(accuracies.items())),
-                )
-                if self.config.accuracy_task is not None
-                else None
-            ),
-            slo=(self.slo.report() if self.slo is not None else None),
+            accuracy=accuracy,
+            slo=slo,
         )
 
-    def _stint_accuracy(self, state: _CameraState, result) -> CameraAccuracy:
-        """Score one hosting stint's decisions against the camera's truth.
+    def _stint_accuracy(self, state: _CameraState) -> CameraAccuracy:
+        """Score one closed hosting stint's decisions against the camera's truth.
 
         Frames the stint never scored (shed, or hosted elsewhere) predict
         negative here; merging stints ORs the prediction vectors, so a
         migrated camera is scored over its full feed exactly once.
         """
         predictions = predictions_from_result(
-            result, state.session.source_indices, state.spec.num_frames
+            state.session.finish(), state.session.source_indices, state.spec.num_frames
         )
         return CameraAccuracy(
             camera_id=state.camera_id,

@@ -44,7 +44,7 @@ from repro.obs.incident import (
     incident_reports,
 )
 from repro.obs.profile import FleetProfile, ProfileRow, profile_from_tracer
-from repro.obs.slo import CameraSLOStatus, DeliverySLOConfig, SLOConfig, SLOReport, SLOTracker
+from repro.obs.slo import CameraSLOStatus, DeliverySLOConfig, SLOConfig, SLOReport
 from repro.obs.timeline import MetricsTimeline, TimelineSample
 from repro.obs.trace import FrameTrace, NodeTracer, Span, Tracer
 
@@ -66,7 +66,6 @@ __all__ = [
     "ProfileRow",
     "SLOConfig",
     "SLOReport",
-    "SLOTracker",
     "Span",
     "TimelineSample",
     "Tracer",

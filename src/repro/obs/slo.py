@@ -23,18 +23,26 @@ sustainable rate, and a camera whose burn rate reaches 2.0 is flagged
 window: status is reported once, at the end of a run, and no controller
 reads it.
 
+The counts live where every other per-camera tally does: on the runtime's
+hosting *stint* (:class:`~repro.fleet.runtime.FleetRuntime` keeps one per
+camera per visit), whose ``generated`` and ``scored`` are the status's
+``frames`` and ``scored``, beside its own ``fresh`` / ``within_latency``
+tallies and its own 64-frame window.  A camera's standing on a node, and
+across a cluster, is its stints folded by :meth:`CameraSLOStatus.merged_with`:
+counts add, and the burn rate is the worst stint's.
+
 Everything is driven by the simulated clock, so SLO reports are
 deterministic and bit-identical across same-seed runs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
-__all__ = ["SLOConfig", "CameraSLOStatus", "DeliverySLOConfig", "SLOTracker", "SLOReport"]
+__all__ = ["SLOConfig", "CameraSLOStatus", "DeliverySLOConfig", "SLOReport"]
 
-# Frames in each camera's burn-rate window.
+# Frames in each hosting stint's burn-rate window.
 _BURN_WINDOW = 64
 # The burn-rate multiple that flags a camera burning and pages the burn rules
 # of :mod:`repro.obs.alerts`.
@@ -144,91 +152,6 @@ class CameraSLOStatus:
         )
 
 
-class _CameraSLO:
-    """Mutable per-camera accounting behind :class:`SLOTracker`."""
-
-    def __init__(self, camera_id: str, config: SLOConfig) -> None:
-        self.camera_id = camera_id
-        self.config = config
-        self.frames = 0
-        self.fresh = 0
-        self.scored = 0
-        self.within_latency = 0
-        self._window: deque[bool] = deque(maxlen=_BURN_WINDOW)
-
-    def record_scored(self, latency_seconds: float) -> tuple[bool, bool]:
-        """Account one scored frame; returns ``(fresh, within_latency)``."""
-        self.frames += 1
-        self.scored += 1
-        fresh = latency_seconds <= self.config.freshness_target_seconds
-        within = latency_seconds <= self.config.latency_target_seconds
-        if fresh:
-            self.fresh += 1
-        if within:
-            self.within_latency += 1
-        self._window.append(fresh)
-        return fresh, within
-
-    def record_lost(self, count: int = 1) -> None:
-        """Account ``count`` frames that will never be scored (never fresh)."""
-        self.frames += count
-        for _ in range(min(count, _BURN_WINDOW)):
-            self._window.append(False)
-
-    @property
-    def burn_rate(self) -> float:
-        """Windowed violation rate over the sustainable rate."""
-        if not self._window:
-            return 0.0
-        violation_fraction = self._window.count(False) / len(self._window)
-        return violation_fraction / (1.0 - self.config.objective)
-
-    def status(self) -> CameraSLOStatus:
-        """Freeze the camera's current standing."""
-        burn_rate = self.burn_rate
-        return CameraSLOStatus(
-            camera_id=self.camera_id,
-            objective=self.config.objective,
-            frames=self.frames,
-            fresh=self.fresh,
-            scored=self.scored,
-            within_latency=self.within_latency,
-            burn_rate=burn_rate,
-            burning=burn_rate >= _BURN_ALERT,
-        )
-
-
-class SLOTracker:
-    """Per-node SLO accounting the fleet runtime feeds frame by frame."""
-
-    def __init__(self, config: SLOConfig) -> None:
-        self.config = config
-        self._cameras: dict[str, _CameraSLO] = {}
-
-    def _camera(self, camera_id: str) -> _CameraSLO:
-        if camera_id not in self._cameras:
-            self._cameras[camera_id] = _CameraSLO(camera_id, self.config)
-        return self._cameras[camera_id]
-
-    def record_scored(self, camera_id: str, latency_seconds: float) -> tuple[bool, bool]:
-        """Account one scored frame; returns ``(fresh, within_latency)``."""
-        return self._camera(camera_id).record_scored(latency_seconds)
-
-    def record_lost(self, camera_id: str, count: int = 1) -> None:
-        """Account frames shed before scoring (drops, rejections, blackouts)."""
-        if count > 0:
-            self._camera(camera_id).record_lost(count)
-
-    def report(self) -> "SLOReport":
-        """Freeze every camera's standing into a report (camera-id order)."""
-        return SLOReport(
-            config=self.config,
-            cameras=tuple(
-                self._cameras[camera_id].status() for camera_id in sorted(self._cameras)
-            ),
-        )
-
-
 @dataclass(frozen=True)
 class SLOReport:
     """Fleet- or node-level SLO standing over every observed camera."""
@@ -296,14 +219,20 @@ class SLOReport:
         for report in reports[1:]:
             if report.config != config:
                 raise ValueError("cannot merge SLO reports with different configs")
-        merged: dict[str, CameraSLOStatus] = {}
-        for report in reports:
-            for status in report.cameras:
-                previous = merged.get(status.camera_id)
-                merged[status.camera_id] = (
-                    status if previous is None else previous.merged_with(status)
-                )
         return SLOReport(
             config=config,
-            cameras=tuple(merged[camera_id] for camera_id in sorted(merged)),
+            cameras=_merged_per_camera(status for report in reports for status in report.cameras),
         )
+
+
+def _merged_per_camera(parts: Iterable) -> tuple:
+    """Each camera's parts folded by ``merged_with``: one per camera, in camera-id order.
+
+    The one fold from a camera's stints to its node standing, and from its
+    nodes to its cluster standing, for SLO statuses and accuracies alike.
+    """
+    merged = {}
+    for part in parts:
+        previous = merged.get(part.camera_id)
+        merged[part.camera_id] = part if previous is None else previous.merged_with(part)
+    return tuple(merged[camera_id] for camera_id in sorted(merged))

@@ -4,8 +4,10 @@ Whatever the fleet, node config, control slot or handoff schedule: every
 frame is accounted for exactly once, every rejection has exactly one cause,
 no admission slot outlives the run, a node's counters are the sums of its
 camera reports, a camera's report is the sum of its hosting stints, no frame
-is scored twice across stints, every camera ends up hosted exactly once, and
-every logged control action is claimed by exactly one decision record.
+is scored twice across stints, every camera ends up hosted exactly once,
+every logged control action is claimed by exactly one decision record, and,
+with SLOs on, a camera's SLO counts are its report's on each node and their
+sum over nodes in the cluster.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from oracles.records import TALLIES
 
 COUNTED = ("generated", "admitted", "dropped_oldest", "dropped_newest", "rejected", "scored")
+SLO_COUNTS = ("frames", "fresh", "scored", "within_latency")
 
 
 def assert_invariants(scenario, record) -> None:
@@ -69,6 +72,13 @@ def assert_invariants(scenario, record) -> None:
             assert camera.mean_queue_wait_seconds == (
                 sum(t["wait_total"] for t in tallies) / waits if waits else 0.0
             )
+        # A camera offered a frame has an SLO standing, whose counts are its report's.
+        if report.slo is not None:
+            assert {c.camera_id: (c.frames, c.scored) for c in report.slo.cameras} == {
+                c.camera_id: (c.frames_generated, c.frames_scored)
+                for c in cameras
+                if c.frames_generated
+            }, node_id
         hosted += node.hosted
 
     # Across handoffs no frame is offered twice or scored twice, none goes
@@ -81,6 +91,18 @@ def assert_invariants(scenario, record) -> None:
     migrations = sum(node.migrated_in for node in record.nodes.values())
     assert migrations == sum(node.migrated_out for node in record.nodes.values())
     assert record.cluster.get("migrations_performed", migrations) == migrations
+    # Across migrations, a camera's cluster SLO counts are the sums of its nodes'.
+    if (cluster_slo := record.cluster.get("slo")) is not None:
+        summed: dict[str, list[int]] = {}
+        for node in record.nodes.values():
+            for status in node.report.slo.cameras:
+                counts = summed.setdefault(status.camera_id, [0] * len(SLO_COUNTS))
+                for i, name in enumerate(SLO_COUNTS):
+                    counts[i] += getattr(status, name)
+        assert {
+            status.camera_id: [getattr(status, name) for name in SLO_COUNTS]
+            for status in cluster_slo.cameras
+        } == summed
 
     # Each control action is logged once, claimed by exactly one decision in
     # log order, and the decision quotes it as logged.

@@ -1,7 +1,7 @@
 """The conservation invariants hold on a real record and catch each planted violation.
 
-Every case corrupts one field of a copy of the imbalanced cluster's record
-(or of its scenario) and names the assertion of
+Every case corrupts one field of a copy of the imbalanced cluster's record,
+SLO accounting on (or of its scenario), and names the assertion of
 :func:`~oracles.invariants.assert_invariants` that must fail: a check that
 fires on the wrong line, or not at all, is as good as missing.
 """
@@ -14,11 +14,15 @@ import pytest
 from oracles.invariants import assert_invariants
 from oracles.records import run_cluster
 from oracles.registry import IMBALANCED
+from oracles.scenarios import OBSERVED_SLO
+
+# SLO accounting changes no frame's fate: the record is IMBALANCED's, plus SLO reports.
+OBSERVED = replace(IMBALANCED, node=replace(IMBALANCED.node, slo=OBSERVED_SLO))
 
 
 @pytest.fixture(scope="module")
 def record():
-    return run_cluster(IMBALANCED)
+    return run_cluster(OBSERVED)
 
 
 def node(record, node_id, **fields):
@@ -156,6 +160,24 @@ def lose_an_event_record(scenario, record):
     return scenario, node(record, "node0", event_records=record.nodes["node0"].event_records - 1)
 
 
+def with_first_status(slo, **counts):
+    """``slo`` with ``counts`` of its first camera's status replaced."""
+    first, *rest = slo.cameras
+    return replace(slo, cameras=(replace(first, **counts), *rest))
+
+
+def miscount_slo_frames(scenario, record):
+    report = record.nodes["node0"].report
+    report.slo = with_first_status(report.slo, frames=report.slo.cameras[0].frames + 1)
+    return scenario, record
+
+
+def miscount_cluster_slo(scenario, record):
+    slo = record.cluster["slo"]
+    record.cluster["slo"] = with_first_status(slo, fresh=slo.cameras[0].fresh - 1)
+    return scenario, record
+
+
 def log_an_unclaimed_action(scenario, record):
     record.cluster["control_log"].append("t=9.000 rogue: set_uplink_weights node0=1.000")
     return scenario, record
@@ -199,6 +221,8 @@ VIOLATIONS = [
     (count_a_flush_match_live, 'telemetry.get("frames.matched", 0)'),
     (close_an_undetected_event, 'telemetry.get("events.closed", 0)'),
     (lose_an_event_record, "report.events_detected == node.event_records"),
+    (miscount_slo_frames, "c.camera_id: (c.frames, c.scored)"),
+    (miscount_cluster_slo, "} == summed"),
     (log_an_unclaimed_action, "list(range(len(log)))"),
     (claim_an_action_twice, "list(range(len(log)))"),
     (misquote_an_action, 'quoted == decision["actions"]'),
@@ -215,14 +239,15 @@ def test_the_imbalanced_record_satisfies_every_invariant(record):
     assert record.cluster["migrations_performed"] == 1
     assert record.nodes["node0"].event_records > 0
     assert record.cluster["control_log"]
-    assert_invariants(IMBALANCED, record)
+    assert record.cluster["slo"].cameras
+    assert_invariants(OBSERVED, record)
 
 
 @pytest.mark.parametrize(
     "corrupt, assertion", [pytest.param(c, a, id=c.__name__) for c, a in VIOLATIONS]
 )
 def test_a_planted_violation_fails_its_own_assertion(record, corrupt, assertion):
-    scenario, corrupted = corrupt(IMBALANCED, copy.deepcopy(record))
+    scenario, corrupted = corrupt(OBSERVED, copy.deepcopy(record))
     with pytest.raises(AssertionError) as failure:
         assert_invariants(scenario, corrupted)
     assert assertion in str(failure.traceback[-1].statement)

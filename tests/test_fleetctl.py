@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import fleetctl
 
+from repro.control.trace import write_control_trace
 from repro.obs.alerts import AlertEvent, AlertLog
 
 
@@ -22,3 +25,30 @@ def test_load_alert_log_reads_back_what_write_jsonl_wrote(tmp_path):
 def test_load_alert_log_of_an_empty_export_is_an_empty_log(tmp_path):
     path = AlertLog().write_jsonl(tmp_path / fleetctl.ALERTS_FILE)
     assert fleetctl.load_alert_log(path) == AlertLog()
+
+
+def test_explain_names_a_missing_decision_line_as_the_cause(tmp_path, capsys):
+    report = SimpleNamespace(
+        control_log=["t=0.500 adaptive_shedding: set_camera_quota node0/cam001 -> 2"],
+        decision_records=[
+            {
+                "seq": 0, "tick": 1, "t": 0.5, "controller": "adaptive_shedding",
+                "kind": "tighten", "node": "node0", "inputs": {}, "gates": {},
+                "candidates": [], "actions": ["set_camera_quota node0/cam001 -> 2"],
+                "action_seqs": [0], "reason": None,
+            }
+        ],
+        telemetry={},
+    )
+    path = tmp_path / fleetctl.TRACE_FILE
+    write_control_trace(path, report)
+    assert fleetctl.cmd_explain(tmp_path, 0) == 0
+    assert "decided by adaptive_shedding/tighten on node0" in capsys.readouterr().out
+
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if '"decision"' not in line), encoding="utf-8")
+    assert fleetctl.cmd_explain(tmp_path, 0) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "action 0: t=0.500 adaptive_shedding: set_camera_quota node0/cam001 -> 2",
+        "no decision record claims this action (the trace lacks its decision line)",
+    ]

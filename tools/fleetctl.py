@@ -167,7 +167,7 @@ def cmd_explain(out_dir: Path, action_seq: int) -> int:
         return 1
     except KeyError:
         print(f"action {action_seq}: {action['entry']}")
-        print("no decision record claims this action (pre-provenance v1 trace)")
+        print("no decision record claims this action (the trace lacks its decision line)")
         return 1
     print(f"action {action_seq}: {action['entry']}")
     where = decision.get("node") or "cluster"
